@@ -70,10 +70,7 @@ void BinaryWriter::PutVarint(uint64_t v) {
   out_.push_back(static_cast<char>(v));
 }
 
-void BinaryWriter::PutZigzag(int64_t v) {
-  PutVarint((static_cast<uint64_t>(v) << 1) ^
-            static_cast<uint64_t>(v >> 63));
-}
+void BinaryWriter::PutZigzag(int64_t v) { PutVarint(ZigzagEncode(v)); }
 
 // Fixed-width values are little-endian on disk. On LE hosts (every
 // supported target) that is a straight memcpy; the shift forms below
@@ -100,6 +97,10 @@ void BinaryWriter::PutFixed64(uint64_t v) {
 #endif
 }
 
+void BinaryWriter::PatchFixed64(size_t pos, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out_[pos + i] = static_cast<char>(v >> (8 * i));
+}
+
 void BinaryWriter::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -113,15 +114,6 @@ void BinaryWriter::PutString(std::string_view s) {
 
 void BinaryWriter::PutBytes(const void* data, size_t size) {
   out_.append(static_cast<const char*>(data), size);
-}
-
-void PutDeltaU64s(BinaryWriter* w, const std::vector<uint64_t>& values) {
-  w->PutVarint(values.size());
-  uint64_t prev = 0;
-  for (uint64_t v : values) {
-    w->PutVarint(v - prev);
-    prev = v;
-  }
 }
 
 std::vector<uint64_t> GetDeltaU64s(BinaryReader* r) {

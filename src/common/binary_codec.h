@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,24 +14,25 @@ namespace cqms {
 /// bit-rotted bytes are detected before they reach a store.
 uint32_t Crc32(std::string_view data);
 
-class BinaryWriter;
 class BinaryReader;
 
-/// Delta-varint encoding of a sorted u64 vector (signature output-row
-/// hashes): varint count, then per element the varint delta from its
-/// predecessor. Shared by the snapshot and WAL codecs.
-void PutDeltaU64s(BinaryWriter* w, const std::vector<uint64_t>& values);
 /// Inverse of PutDeltaU64s; latches the reader's failure bit (and
 /// returns empty) on a count that cannot fit the remaining bytes.
 std::vector<uint64_t> GetDeltaU64s(BinaryReader* r);
 
-/// Append-only encoder for the binary snapshot / WAL payloads.
+/// Zigzag mapping of a signed value onto an unsigned varint payload
+/// (small magnitudes of either sign stay short).
+inline uint64_t ZigzagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+/// Append-only encoder for the binary snapshot / WAL payloads (the one
+/// exception, PatchFixed64, back-fills a length reserved earlier).
 ///
-/// Integers use LEB128 varints (zigzag for signed) — query ids,
-/// timestamps and section lengths are small in practice, so the on-disk
-/// form stays compact without a compression pass. Fixed-width values
-/// (doubles, MinHash slots) are little-endian byte dumps: they carry
-/// full-range entropy, so a varint would only inflate them.
+/// Integers use LEB128 varints (zigzag for signed) — query ids and
+/// timestamps are small in practice, so the on-disk form stays compact
+/// without a compression pass. Fixed-width values (doubles,
+/// fingerprints, lengths, CRCs) are little-endian byte dumps.
 class BinaryWriter {
  public:
   void PutU8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
@@ -45,6 +45,13 @@ class BinaryWriter {
   void PutString(std::string_view s);
   void PutBytes(const void* data, size_t size);
 
+  /// Overwrites 8 already-written bytes at `pos` with `v` (little-endian)
+  /// — a length prefix reserved before its payload was encoded.
+  void PatchFixed64(size_t pos, uint64_t v);
+  /// Pre-sizes the buffer for `bytes` in total, so an encoder that
+  /// knows its output size (a ByteCounter pass) never reallocates.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   const std::string& data() const { return out_; }
   std::string Take() { return std::move(out_); }
   size_t size() const { return out_.size(); }
@@ -53,6 +60,50 @@ class BinaryWriter {
  private:
   std::string out_;
 };
+
+/// Counts the bytes a BinaryWriter would append, writing none: the same
+/// Put* surface, so an encoder templated on its writer can run once
+/// over a ByteCounter to learn its exact output size, then once over a
+/// BinaryWriter reserved to that size.
+class ByteCounter {
+ public:
+  void PutU8(uint8_t) { size_ += 1; }
+  void PutVarint(uint64_t v) {
+    size_ += 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++size_;
+    }
+  }
+  void PutZigzag(int64_t v) { PutVarint(ZigzagEncode(v)); }
+  void PutFixed32(uint32_t) { size_ += 4; }
+  void PutFixed64(uint64_t) { size_ += 8; }
+  void PutDouble(double) { size_ += 8; }
+  void PutString(std::string_view s) {
+    PutVarint(s.size());
+    size_ += s.size();
+  }
+  void PutBytes(const void*, size_t size) { size_ += size; }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+/// Delta-varint encoding of a sorted u64 vector (signature output-row
+/// hashes): varint count, then per element the varint delta from its
+/// predecessor. Shared by the snapshot and WAL codecs; `Writer` is a
+/// BinaryWriter or a ByteCounter.
+template <typename Writer>
+void PutDeltaU64s(Writer* w, const std::vector<uint64_t>& values) {
+  w->PutVarint(values.size());
+  uint64_t prev = 0;
+  for (uint64_t v : values) {
+    w->PutVarint(v - prev);
+    prev = v;
+  }
+}
 
 /// Bounds-checked cursor over an encoded payload. Every read past the
 /// end (or a malformed varint) latches `failed()` and returns zeros /
@@ -102,12 +153,9 @@ class BinaryReader {
   }
   std::string GetString() { return std::string(GetStringView()); }
 
-  /// Copies `n` raw bytes into `dst` (fixed-width blobs, e.g. sketch
-  /// slot arrays). Zero-fills nothing on failure — check failed().
-  void GetRaw(void* dst, size_t n) {
-    if (!Need(n)) return;
-    std::memcpy(dst, data_.data() + pos_, n);
-    pos_ += n;
+  /// Steps over `n` bytes (a field this reader no longer uses).
+  void Skip(size_t n) {
+    if (Need(n)) pos_ += n;
   }
 
   bool failed() const { return failed_; }

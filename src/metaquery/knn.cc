@@ -6,6 +6,7 @@
 
 #include "metaquery/meta_query_planner.h"
 #include "obs/metrics.h"
+#include "storage/minhash.h"
 #include "storage/record_builder.h"
 
 namespace cqms::metaquery {
@@ -52,10 +53,14 @@ KnnCandidates KnnCandidateIds(const storage::StoreView& store,
                               const CandidateOptions& options) {
   KnnCandidates out;
   if (!probe.parse_failed() && !probe.components.tables.empty()) {
-    bool use_lsh =
-        options.use_lsh && store.size() >= options.lsh_min_log_size;
-    if (use_lsh && probe.sketch.valid && !probe.sketch.empty()) {
-      out.ids = store.LshCandidates(probe.sketch, options.probe_bands);
+    // The probe's sketch is derived here, once per request, and only
+    // when the LSH path can run.
+    storage::MinHashSketch sketch;
+    if (options.use_lsh && store.size() >= options.lsh_min_log_size) {
+      sketch = storage::ComputeMinHashSketch(probe.signature);
+    }
+    if (sketch.valid && !sketch.empty()) {
+      out.ids = store.LshCandidates(sketch, options.probe_bands);
       out.source = KnnCandidateSource::kLshBuckets;
       const KnnSeries& s = Series();
       s.lsh_probes->Increment();

@@ -7,22 +7,38 @@
 
 #include "common/rng.h"
 #include "common/sorted_vector.h"
+#include "storage/minhash.h"
 
 namespace cqms::miner {
 
 namespace {
 
+/// The local wide-banded LshIndex of the pruned pair enumeration (32x2:
+/// s-curve midpoint ~0.18 — a missed pair silently inflates a distance
+/// to 1.0, so pruning must only drop pairs nowhere near any clustering
+/// threshold), keyed by position in `records`. Each record's sketch is
+/// derived from its signature once per matrix build; the returned
+/// vector holds them for the candidate probes.
+std::vector<storage::MinHashSketch> BuildPruningIndex(
+    const std::vector<const storage::QueryRecord*>& records,
+    storage::LshIndex* local) {
+  std::vector<storage::MinHashSketch> sketches;
+  sketches.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    sketches.push_back(storage::ComputeMinHashSketch(records[i]->signature));
+    local->Insert(static_cast<storage::QueryId>(i), sketches.back());
+  }
+  return sketches;
+}
+
 /// Shared pair enumeration of both matrix implementations: below
 /// `sketch_prune_min_points` every (i, j < i) pair, otherwise only
-/// pairs co-bucketed by a local wide-banded LshIndex (32x2: s-curve
-/// midpoint ~0.18 — a missed pair silently inflates a distance to 1.0,
-/// so pruning must only drop pairs nowhere near any clustering
-/// threshold). Because the enumeration depends only on the records'
-/// current sketches — never on cache state — the dense and cached
-/// paths score exactly the same pair set, which is what makes them
-/// bit-identical. `score(i, j)` must return the pair's distance; the
-/// matrix is initialized to 1.0 (pruned) or 0.0 (exact) beforehand by
-/// the caller via `fill`.
+/// pairs co-bucketed by the BuildPruningIndex banding. Because the
+/// enumeration depends only on the records' current signatures — never
+/// on cache state — the dense and cached paths score exactly the same
+/// pair set, which is what makes them bit-identical. `score(i, j)` must
+/// return the pair's distance; the matrix is initialized to 1.0
+/// (pruned) or 0.0 (exact) here.
 template <typename ScoreFn>
 void FillPairDistances(const std::vector<const storage::QueryRecord*>& records,
                        size_t sketch_prune_min_points,
@@ -43,11 +59,10 @@ void FillPairDistances(const std::vector<const storage::QueryRecord*>& records,
   data->assign(n * n, 1.0);
   for (size_t i = 0; i < n; ++i) (*data)[i * n + i] = 0.0;
   storage::LshIndex local({/*bands=*/32, /*rows=*/2});
+  std::vector<storage::MinHashSketch> sketches =
+      BuildPruningIndex(records, &local);
   for (size_t i = 0; i < n; ++i) {
-    local.Insert(static_cast<storage::QueryId>(i), records[i]->sketch);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (storage::QueryId j : local.Candidates(records[i]->sketch)) {
+    for (storage::QueryId j : local.Candidates(sketches[i])) {
       size_t other = static_cast<size_t>(j);
       if (other > i) set_pair(i, other);
     }
@@ -225,12 +240,11 @@ CachedDistanceMatrix::CachedDistanceMatrix(
   };
   if (pruned_) {
     storage::LshIndex local({/*bands=*/32, /*rows=*/2});
-    for (size_t i = 0; i < n_; ++i) {
-      local.Insert(static_cast<storage::QueryId>(i), records[i]->sketch);
-    }
+    std::vector<storage::MinHashSketch> sketches =
+        BuildPruningIndex(records, &local);
     for (size_t i = 0; i < n_; ++i) {
       if (old_of[i] >= 0) continue;
-      for (storage::QueryId cand : local.Candidates(records[i]->sketch)) {
+      for (storage::QueryId cand : local.Candidates(sketches[i])) {
         size_t j = static_cast<size_t>(cand);
         if (j == i) continue;
         if (old_of[j] < 0 && j < i) continue;  // fresh-fresh: score once

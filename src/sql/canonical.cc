@@ -87,19 +87,29 @@ std::unique_ptr<SelectStatement> Canonicalize(const SelectStatement& stmt) {
   return clone;
 }
 
-std::string CanonicalText(const SelectStatement& stmt) {
-  auto canon = Canonicalize(stmt);
+namespace {
+
+PrintOptions CanonicalPrintOptions(bool strip_constants) {
   PrintOptions opts;
   opts.lowercase_identifiers = true;
-  return PrintStatement(*canon, opts);
+  opts.strip_constants = strip_constants;
+  return opts;
+}
+
+}  // namespace
+
+std::string CanonicalText(const SelectStatement& stmt) {
+  return PrintStatement(*Canonicalize(stmt), CanonicalPrintOptions(false));
 }
 
 std::string CanonicalSkeleton(const SelectStatement& stmt) {
+  return PrintStatement(*Canonicalize(stmt), CanonicalPrintOptions(true));
+}
+
+CanonicalForms CanonicalTextAndSkeleton(const SelectStatement& stmt) {
   auto canon = Canonicalize(stmt);
-  PrintOptions opts;
-  opts.lowercase_identifiers = true;
-  opts.strip_constants = true;
-  return PrintStatement(*canon, opts);
+  return {PrintStatement(*canon, CanonicalPrintOptions(false)),
+          PrintStatement(*canon, CanonicalPrintOptions(true))};
 }
 
 uint64_t Fingerprint(const SelectStatement& stmt) {

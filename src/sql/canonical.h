@@ -27,6 +27,17 @@ std::string CanonicalText(const SelectStatement& stmt);
 /// removing the constants"; equal skeletons mean same structure.
 std::string CanonicalSkeleton(const SelectStatement& stmt);
 
+/// Both canonical printings of one statement.
+struct CanonicalForms {
+  std::string text;      ///< == CanonicalText(stmt)
+  std::string skeleton;  ///< == CanonicalSkeleton(stmt)
+};
+
+/// CanonicalText and CanonicalSkeleton from a single Canonicalize clone
+/// — what logging a query needs (the fingerprints are Fnv1a64 of the
+/// two texts) at half the clones and prints of calling each function.
+CanonicalForms CanonicalTextAndSkeleton(const SelectStatement& stmt);
+
 /// 64-bit fingerprint of `CanonicalText` (deduplication key).
 uint64_t Fingerprint(const SelectStatement& stmt);
 

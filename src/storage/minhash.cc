@@ -36,13 +36,30 @@ void AppendElements(uint64_t salt, const std::vector<Symbol>& symbols,
 /// True for text tokens that are SQL reserved words. Hash-derived
 /// transient Symbols resolve to an empty name and pass through — fine,
 /// every keyword is interned by the first logged query, so real probes
-/// see the real ids. The reverse Symbol->string lookup costs one
-/// uncontended interner mutex round-trip per token, paid only at
-/// sketch-build time (append/probe construction, where parsing already
-/// dominates) — never on the kNN compare path.
+/// see the real ids. Sketches are derived wherever they are used (every
+/// LSH insert/remove, snapshot restore, kNN probe and clustering
+/// build), so the answer is memoized per thread and Symbol: an interned
+/// name never changes, and the interner mutex round-trip plus the
+/// upper-casing are paid once per distinct token instead of once per
+/// token of every sketch.
 bool IsKeywordToken(Symbol s) {
+  enum : uint8_t { kUnknown = 0, kKeyword = 1, kWord = 2 };
+  // Interner ids are dense from 0; larger ids (transient ones set the
+  // high bit) bypass the memo rather than size it.
+  constexpr Symbol kMemoLimit = 1u << 24;
+  thread_local std::vector<uint8_t> memo;
+  if (s < memo.size() && memo[s] != kUnknown) return memo[s] == kKeyword;
   std::string_view name = GlobalInterner().NameOf(s);
-  return !name.empty() && sql::IsReservedKeyword(ToUpper(name));
+  if (name.empty()) return false;  // unknown id: nothing to memoize
+  const bool keyword = sql::IsReservedKeyword(ToUpper(name));
+  if (s < kMemoLimit) {
+    if (s >= memo.size()) {
+      memo.resize(std::min<size_t>(kMemoLimit,
+                                   std::max<size_t>(s + 1, 2 * memo.size())));
+    }
+    memo[s] = keyword ? kKeyword : kWord;
+  }
+  return keyword;
 }
 
 }  // namespace
@@ -65,6 +82,7 @@ std::vector<uint64_t> SketchElements(const SimilaritySignature& signature) {
 
 MinHashSketch ComputeMinHashSketch(const SimilaritySignature& signature) {
   MinHashSketch sketch;
+  if (!signature.valid) return sketch;
   for (uint64_t element : SketchElements(signature)) {
     // Kirsch-Mitzenmacher: g_i(e) = h1(e) + (i+1) * h2(e), with h2
     // forced odd so the stride is a bijection of the 64-bit ring.

@@ -15,9 +15,10 @@ struct SimilaritySignature;
 /// elements (see SketchElements). Two sketches estimate the Jaccard
 /// similarity of the underlying element sets as the fraction of matching
 /// slots — O(kSize) with no allocations, independent of set sizes.
-/// Computed once at build/append/rewrite time alongside the signature;
-/// the LshIndex buckets band-wise slices of it for sub-linear candidate
-/// generation.
+/// A pure function of the signature, so records do not store it: the
+/// LshIndex (insert/remove), the kNN probe and the clustering pair
+/// pruning compute it where they use it. The LshIndex buckets band-wise
+/// slices of it for sub-linear candidate generation.
 struct MinHashSketch {
   /// Number of permutations. 64 gives a standard error of
   /// sqrt(J(1-J)/64) <= 0.0625 on the Jaccard estimate and divides
@@ -29,7 +30,7 @@ struct MinHashSketch {
   static constexpr uint64_t kEmptySlot = ~0ULL;
 
   std::array<uint64_t, kSize> mins;
-  bool valid = false;  ///< Set once computed from a signature.
+  bool valid = false;  ///< Set once computed from a valid signature.
 
   MinHashSketch() { mins.fill(kEmptySlot); }
 
@@ -58,7 +59,9 @@ std::vector<uint64_t> SketchElements(const SimilaritySignature& signature);
 /// Computes the sketch of `signature`. Permutations are derived from
 /// each element hash by Kirsch-Mitzenmacher double hashing (two mixes
 /// per element, then k multiply-adds), so cost is O(elements * kSize)
-/// with small constants. Deterministic across platforms and runs.
+/// with small constants. Deterministic across platforms and runs. An
+/// invalid (never computed) signature yields an invalid sketch, which
+/// the LshIndex ignores.
 MinHashSketch ComputeMinHashSketch(const SimilaritySignature& signature);
 
 /// Fraction of matching slots — an unbiased estimate of the Jaccard

@@ -23,7 +23,6 @@ QueryRecord::QueryRecord(const QueryRecord& other)
       stats(other.stats),
       summary(other.summary),
       signature(other.signature),
-      sketch(other.sketch),
       annotations(other.annotations),
       session_id(other.session_id),
       flags(other.flags),

@@ -11,7 +11,6 @@
 #include "db/value.h"
 #include "sql/ast.h"
 #include "sql/components.h"
-#include "storage/minhash.h"
 
 namespace cqms::storage {
 
@@ -145,13 +144,11 @@ struct QueryRecord {
   OutputSummary summary;
   /// Interned similarity features; computed in BuildRecordFromText for
   /// probe records and (re)finalized by QueryStore::Append once the
-  /// profiler has attached the output summary.
+  /// profiler has attached the output summary. The record's MinHash
+  /// sketch is a pure function of it (ComputeMinHashSketch) and is not
+  /// stored: the LshIndex, the kNN probe and the clustering pair
+  /// pruning derive it where they use it.
   SimilaritySignature signature;
-  /// MinHash sketch over the signature's Symbol vectors, computed
-  /// alongside it (ComputeSimilaritySignature). Feeds the store's
-  /// LshIndex and the clustering pair pruning; stays untouched by
-  /// output-summary updates (output rows are not sketch elements).
-  MinHashSketch sketch;
   std::vector<Annotation> annotations;
 
   SessionId session_id = kInvalidSessionId;

@@ -6,6 +6,7 @@
 #include "common/sorted_vector.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "storage/minhash.h"
 #include "storage/record_builder.h"
 
 namespace cqms::storage {
@@ -108,14 +109,7 @@ QueryId QueryStore::Append(QueryRecord record) {
   // BuildRecordFromText and Append.
   if (record.signature.valid && !record.signature.transient) {
     UpdateOutputSignature(&record);
-    // BuildRecordFromText computes the sketch with the signature, but a
-    // hand-assembled signature may arrive without one.
-    if (!record.sketch.valid) {
-      record.sketch = ComputeMinHashSketch(record.signature);
-    }
   } else {
-    // Recomputes the sketch too: a transient sketch hashes probe-local
-    // Symbol ids, so it must be rebuilt from the interned signature.
     ComputeSimilaritySignature(&record);
   }
   QueryId id = FinishAppend(std::move(record));
@@ -185,7 +179,7 @@ void QueryStore::IndexRecord(const QueryRecord& record) {
     InsertSorted(&postings_.by_skeleton[record.skeleton_fingerprint], record.id);
     InsertSorted(&postings_.by_fingerprint[record.fingerprint], record.id);
   }
-  lsh_.Insert(record.id, record.sketch);
+  lsh_.Insert(record.id, ComputeMinHashSketch(record.signature));
 }
 
 void QueryStore::UnindexRecord(const QueryRecord& record) {
@@ -209,7 +203,7 @@ void QueryStore::UnindexRecord(const QueryRecord& record) {
       EraseSorted(&fit->second, record.id);
     }
   }
-  lsh_.Remove(record.id, record.sketch);
+  lsh_.Remove(record.id, ComputeMinHashSketch(record.signature));
 }
 
 void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
@@ -335,12 +329,9 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   r->components = std::move(rebuilt.components);
   r->ast = std::move(rebuilt.ast);
   r->text_parses = rebuilt.text_parses;
-  // BuildRecordFromText already interned the new text's signature and
-  // sketched it; only the preserved output summary's contribution needs
-  // recomputing (output rows are not sketch elements, so the sketch
-  // carries over as computed).
+  // BuildRecordFromText already interned the new text's signature; only
+  // the preserved output summary's contribution needs recomputing.
   r->signature = std::move(rebuilt.signature);
-  r->sketch = rebuilt.sketch;
   UpdateOutputSignature(r);
 
   // Purge this query's feature rows and reinsert from the new AST —

@@ -80,12 +80,13 @@ class QueryStore {
   void ReserveForRestore(size_t records, size_t symbols);
 
   /// Bulk-restore entry for the binary snapshot loader: appends a fully
-  /// materialized record — signature, sketch, fingerprints, components
-  /// all trusted exactly as stored — rebuilding only the indexes and
-  /// the scoring columns (feature relations defer; see feature_db()).
-  /// Never tokenizes, parses or sketches, and never notifies the
-  /// listener (a restore is not a new mutation); the only interner
-  /// touch is resolving the owner name for the scoring columns.
+  /// materialized record — signature, fingerprints, components all
+  /// trusted exactly as stored — rebuilding only the indexes (the LSH
+  /// entry sketches the stored signature) and the scoring columns
+  /// (feature relations defer; see feature_db()). Never tokenizes or
+  /// parses, and never notifies the listener (a restore is not a new
+  /// mutation); the only interner touches are resolving the owner name
+  /// for the scoring columns and the sketch's keyword-exclusion lookups.
   /// Callers are responsible for the record being internally
   /// consistent (LoadSnapshot's CRC framing).
   QueryId RestoreAppend(QueryRecord record);
@@ -327,10 +328,13 @@ class QueryStore {
   /// unpublished mutations have accumulated. Called at the end of every
   /// successful state-changing mutation.
   void MutationTick();
+  /// Adds `record.id` to every feature-derived index; the LSH entry is
+  /// keyed by ComputeMinHashSketch(record.signature).
   void IndexRecord(const QueryRecord& record);
   /// Removes `record.id` from every feature-derived index (tables,
-  /// attributes, keywords, skeleton, fingerprint) using the record's
-  /// *current* features; called before RewriteQueryText replaces them.
+  /// attributes, keywords, skeleton, fingerprint, LSH) using the
+  /// record's *current* features, re-deriving the sketch it was indexed
+  /// under; called before RewriteQueryText replaces them.
   void UnindexRecord(const QueryRecord& record);
   void InsertFeatureRows(const QueryRecord& record) const;
   /// Rebuilds every feature-relation row from the current records —

@@ -8,7 +8,6 @@
 #include "common/string_util.h"
 #include "sql/canonical.h"
 #include "sql/parser.h"
-#include "storage/minhash.h"
 
 namespace cqms::storage {
 
@@ -64,7 +63,6 @@ void ComputeSimilaritySignature(QueryRecord* record, SignatureMode mode) {
   sig.valid = true;
   sig.transient = mode == SignatureMode::kTransient;
   record->signature = std::move(sig);
-  record->sketch = ComputeMinHashSketch(record->signature);
   UpdateOutputSignature(record);
 }
 
@@ -97,10 +95,11 @@ QueryRecord BuildRecordFromText(std::string text, std::string user,
     return record;
   }
   std::shared_ptr<const sql::SelectStatement> ast = std::move(parsed).value();
-  record.canonical_text = sql::CanonicalText(*ast);
-  record.skeleton = sql::CanonicalSkeleton(*ast);
-  record.fingerprint = sql::Fingerprint(*ast);
-  record.skeleton_fingerprint = sql::SkeletonFingerprint(*ast);
+  sql::CanonicalForms canonical = sql::CanonicalTextAndSkeleton(*ast);
+  record.fingerprint = Fnv1a64(canonical.text);
+  record.skeleton_fingerprint = Fnv1a64(canonical.skeleton);
+  record.canonical_text = std::move(canonical.text);
+  record.skeleton = std::move(canonical.skeleton);
   record.components = sql::CollectComponents(*ast);
   record.ast = std::move(ast);
   record.text_parses = true;

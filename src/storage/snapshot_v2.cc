@@ -7,7 +7,6 @@
 #include "common/binary_codec.h"
 #include "common/interner.h"
 #include "common/sorted_vector.h"
-#include "storage/minhash.h"
 #include "storage/persistence.h"
 
 namespace cqms::storage {
@@ -16,13 +15,22 @@ namespace {
 
 // On-disk layout:
 //   magic "CQMSNAP2" (8 bytes)
-//   fixed32 format version (= 2)
+//   fixed32 format version (= 3; 2 is still read)
 //   sections, each framed as
 //     u8 section id | fixed64 payload length | payload | fixed32 CRC32
 //   terminated by an End section with an empty payload.
-// Section order is fixed (Interner, Acl, Records, End): the interner
-// slice must be decoded before any signature vector referencing it.
-constexpr uint32_t kFormatVersion = 2;
+// Section order is fixed (Interner, Acl, Records, Durability, End): the
+// interner slice must be decoded before any signature vector
+// referencing it.
+//
+// Version 3 dropped the per-record MinHash sketch (a pure function of
+// the signature, re-derived at index time). A version-2 record with
+// kBitV2Sketch set carries it as 64 little-endian u64 slots after the
+// signature; the reader skips them. Older readers refuse version 3, so
+// they never restore records without LSH entries.
+constexpr uint32_t kFormatVersion = 3;
+constexpr uint32_t kOldestReadableVersion = 2;
+constexpr size_t kV2SketchBytes = 64 * sizeof(uint64_t);
 
 enum SectionId : uint8_t {
   kSectionInterner = 1,
@@ -39,9 +47,13 @@ enum SectionId : uint8_t {
 constexpr uint8_t kBitParsed = 1u << 0;
 constexpr uint8_t kBitSigValid = 1u << 1;
 constexpr uint8_t kBitOutputEmptyComputed = 1u << 2;
-constexpr uint8_t kBitSketchValid = 1u << 3;
+constexpr uint8_t kBitV2Sketch = 1u << 3;  ///< Written by version 2 only.
 
-void PutSymbolRun(BinaryWriter* w, const std::vector<Symbol>& symbols) {
+// The encoders below are templated on their writer: a ByteCounter pass
+// sizes the output exactly, then a reserved BinaryWriter pass fills it.
+
+template <typename Writer>
+void PutSymbolRun(Writer* w, const std::vector<Symbol>& symbols) {
   // Signature vectors are sorted ascending, so delta varints stay tiny.
   w->PutVarint(symbols.size());
   Symbol prev = 0;
@@ -67,7 +79,8 @@ std::vector<Symbol> GetSymbolRun(BinaryReader* r) {
   return out;
 }
 
-void PutStringList(BinaryWriter* w, const std::vector<std::string>& v) {
+template <typename Writer>
+void PutStringList(Writer* w, const std::vector<std::string>& v) {
   w->PutVarint(v.size());
   for (const std::string& s : v) w->PutString(s);
 }
@@ -84,27 +97,41 @@ std::vector<std::string> GetStringList(BinaryReader* r) {
   return out;
 }
 
-void AppendSection(std::string* out, uint8_t id, const std::string& payload) {
-  BinaryWriter header;
-  header.PutU8(id);
-  header.PutFixed64(payload.size());
-  out->append(header.data());
-  out->append(payload);
-  BinaryWriter crc;
-  crc.PutFixed32(Crc32(payload));
-  out->append(crc.data());
+// Section framing in place: BeginSection writes the id and a length
+// placeholder and returns where the payload starts; EndSection patches
+// the length and appends the CRC of the payload bytes already in the
+// buffer — no per-section buffer, no copy.
+size_t BeginSection(BinaryWriter* w, uint8_t id) {
+  w->PutU8(id);
+  w->PutFixed64(0);
+  return w->size();
 }
+
+void EndSection(BinaryWriter* w, size_t payload_begin) {
+  const size_t len = w->size() - payload_begin;
+  w->PatchFixed64(payload_begin - 8, len);
+  w->PutFixed32(
+      Crc32(std::string_view(w->data()).substr(payload_begin, len)));
+}
+
+size_t BeginSection(ByteCounter* w, uint8_t id) {
+  w->PutU8(id);
+  w->PutFixed64(0);
+  return 0;
+}
+
+void EndSection(ByteCounter* w, size_t) { w->PutFixed32(0); }
 
 // ---------------------------------------------------------------------------
 // Save
 
-void EncodeRecord(BinaryWriter* w, const QueryRecord& r) {
+template <typename Writer>
+void EncodeRecord(Writer* w, const QueryRecord& r) {
   const bool parsed = !r.parse_failed();
   uint8_t bits = 0;
   if (parsed) bits |= kBitParsed;
   if (r.signature.valid) bits |= kBitSigValid;
   if (r.signature.output_empty_computed) bits |= kBitOutputEmptyComputed;
-  if (r.sketch.valid) bits |= kBitSketchValid;
   w->PutU8(bits);
 
   w->PutString(r.text);
@@ -175,15 +202,6 @@ void EncodeRecord(BinaryWriter* w, const QueryRecord& r) {
     PutSymbolRun(w, r.signature.text_tokens);
     PutDeltaU64s(w, r.signature.output_rows);
   }
-
-  if (r.sketch.valid) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    // One 512-byte blob: the slots are little-endian u64s on disk.
-    w->PutBytes(r.sketch.mins.data(), sizeof(r.sketch.mins));
-#else
-    for (uint64_t slot : r.sketch.mins) w->PutFixed64(slot);
-#endif
-  }
 }
 
 /// One past the highest Symbol any stored record references — the
@@ -192,8 +210,8 @@ void EncodeRecord(BinaryWriter* w, const QueryRecord& r) {
 /// it (owner names interned between signature builds) would otherwise
 /// leave gaps, a fresh process's BulkIntern would assign dense ids that
 /// shift past every gap, and the identity fast path — the one a
-/// production cold start takes, where stored sketches are adopted
-/// verbatim — could never trigger outside the saving process itself.
+/// production cold start takes, with no per-symbol remap lookups or
+/// re-sorting — could never trigger outside the saving process itself.
 template <typename Source>  // QueryStore or ReadViewState
 Symbol ReferencedSymbolLimit(const Source& store) {
   Symbol limit = 0;
@@ -217,7 +235,7 @@ Symbol ReferencedSymbolLimit(const Source& store) {
 
 /// old snapshot Symbol -> current process Symbol. Identity loads (fresh
 /// process, or same process as the save) skip the per-symbol hash
-/// lookups and adopt stored sketches verbatim.
+/// lookups and the re-sort.
 struct SymbolRemap {
   std::unordered_map<Symbol, Symbol> map;
   bool identity = true;
@@ -299,8 +317,9 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
   return Status::Ok();
 }
 
-Status DecodeRecord(BinaryReader* r, const SymbolRemap& remap,
-                    QueryRecord* out, const std::string& path) {
+Status DecodeRecord(BinaryReader* r, uint32_t version,
+                    const SymbolRemap& remap, QueryRecord* out,
+                    const std::string& path) {
   uint8_t bits = r->GetU8();
   const bool parsed = (bits & kBitParsed) != 0;
 
@@ -399,101 +418,116 @@ Status DecodeRecord(BinaryReader* r, const SymbolRemap& remap,
     if (!symbols_ok) return CorruptSnapshot(path, "dangling symbol");
   }
 
-  if ((bits & kBitSketchValid) != 0) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    r->GetRaw(out->sketch.mins.data(), sizeof(out->sketch.mins));
-#else
-    for (uint64_t& slot : out->sketch.mins) slot = r->GetFixed64();
-#endif
-    if (remap.identity) {
-      out->sketch.valid = true;
-    } else {
-      // Sketch slots hash Symbol values, which just changed under the
-      // remap; rebuild from the remapped signature (no string work
-      // beyond the keyword-exclusion name lookups).
-      out->sketch = ComputeMinHashSketch(out->signature);
-    }
-  }
+  // The LSH index re-derives the sketch from the (remapped) signature.
+  if (version == 2 && (bits & kBitV2Sketch) != 0) r->Skip(kV2SketchBytes);
 
   if (r->failed()) return CorruptSnapshot(path, "record payload");
   return Status::Ok();
 }
 
-// The encoder reads only records(), size() and acl() from its source —
-// exactly the surface QueryStore and ReadViewState share — so one body
-// serves both: the live single-threaded save and the view-backed save
-// that can run concurrently with the writer.
-template <typename Source>
-Status EncodeSnapshotV2Impl(const Source& store, uint64_t wal_sequence,
-                            std::string* out) {
-  std::string file(kSnapshotV2Magic);
-  {
-    BinaryWriter version;
-    version.PutFixed32(kFormatVersion);
-    file.append(version.data());
+/// Records whose effective visibility differs from the kGroup default —
+/// the only ones registered in the ACL map.
+template <typename Source>  // QueryStore or ReadViewState
+std::vector<std::pair<QueryId, Visibility>> NonDefaultVisibility(
+    const Source& store) {
+  std::vector<std::pair<QueryId, Visibility>> vis;
+  for (const QueryRecord& r : store.records()) {
+    Visibility v = store.acl().GetVisibility(r.id);
+    if (v != Visibility::kGroup) vis.emplace_back(r.id, v);
   }
+  return vis;
+}
+
+/// Writes the whole file — magic, version and every framed section —
+/// through `w`. `table` is the interner prefix [0, limit).
+template <typename Writer, typename Source>
+void EncodeSnapshotFile(
+    const Source& store, const std::vector<std::string>& table, Symbol limit,
+    const std::vector<std::pair<QueryId, Visibility>>& visibility,
+    uint64_t wal_sequence, Writer* w) {
+  w->PutBytes(kSnapshotV2Magic.data(), kSnapshotV2Magic.size());
+  w->PutFixed32(kFormatVersion);
 
   // Interner section: the full table prefix covering every symbol the
   // signature vectors below are encoded in (see ReferencedSymbolLimit
   // for why the gaps are included).
-  {
-    Symbol limit = ReferencedSymbolLimit(store);
-    std::vector<std::string> table = GlobalInterner().ExportTable();
-    if (limit > table.size()) {
-      // Transient (hash-derived) ids must never reach a stored
-      // signature; Append re-interns them.
-      return Status::Internal("snapshot references unknown symbol below " +
-                              std::to_string(limit));
-    }
-    BinaryWriter w;
-    w.PutVarint(limit);
-    for (Symbol s = 0; s < limit; ++s) {
-      w.PutVarint(s);
-      w.PutString(table[s]);
-    }
-    AppendSection(&file, kSectionInterner, w.data());
+  size_t section = BeginSection(w, kSectionInterner);
+  w->PutVarint(limit);
+  for (Symbol s = 0; s < limit; ++s) {
+    w->PutVarint(s);
+    w->PutString(table[s]);
   }
+  EndSection(w, section);
 
-  {
-    BinaryWriter w;
-    const auto& memberships = store.acl().memberships();
-    w.PutVarint(memberships.size());
-    for (const auto& [user, groups] : memberships) {
-      w.PutString(user);
-      w.PutVarint(groups.size());
-      for (const std::string& g : groups) w.PutString(g);
-    }
-    // Only non-default visibility is registered in the ACL map; emit
-    // one entry per record whose effective visibility differs from the
-    // kGroup default.
-    std::vector<std::pair<QueryId, Visibility>> vis;
-    for (const QueryRecord& r : store.records()) {
-      Visibility v = store.acl().GetVisibility(r.id);
-      if (v != Visibility::kGroup) vis.emplace_back(r.id, v);
-    }
-    w.PutVarint(vis.size());
-    for (const auto& [id, v] : vis) {
-      w.PutVarint(static_cast<uint64_t>(id));
-      w.PutU8(static_cast<uint8_t>(v));
-    }
-    AppendSection(&file, kSectionAcl, w.data());
+  section = BeginSection(w, kSectionAcl);
+  const auto& memberships = store.acl().memberships();
+  w->PutVarint(memberships.size());
+  for (const auto& [user, groups] : memberships) {
+    w->PutString(user);
+    w->PutVarint(groups.size());
+    for (const std::string& g : groups) w->PutString(g);
   }
-
-  {
-    BinaryWriter w;
-    w.PutVarint(store.size());
-    for (const QueryRecord& r : store.records()) EncodeRecord(&w, r);
-    AppendSection(&file, kSectionRecords, w.data());
+  w->PutVarint(visibility.size());
+  for (const auto& [id, v] : visibility) {
+    w->PutVarint(static_cast<uint64_t>(id));
+    w->PutU8(static_cast<uint8_t>(v));
   }
+  EndSection(w, section);
 
-  {
-    BinaryWriter w;
-    w.PutFixed64(wal_sequence);
-    AppendSection(&file, kSectionDurability, w.data());
+  section = BeginSection(w, kSectionRecords);
+  w->PutVarint(store.size());
+  for (const QueryRecord& r : store.records()) EncodeRecord(w, r);
+  EndSection(w, section);
+
+  section = BeginSection(w, kSectionDurability);
+  w->PutFixed64(wal_sequence);
+  EndSection(w, section);
+
+  EndSection(w, BeginSection(w, kSectionEnd));
+}
+
+// The encoder reads only records(), size() and acl() from its source —
+// exactly the surface QueryStore and ReadViewState share — so one body
+// serves both: the live single-threaded save and the view-backed save
+// that can run concurrently with the writer. The file is built in one
+// buffer reserved to its exact size (a ByteCounter pass), so encoding
+// never holds more than the image itself.
+template <typename Source>
+Status EncodeSnapshotV2Impl(const Source& store, uint64_t wal_sequence,
+                            std::string* out) {
+  Symbol limit = ReferencedSymbolLimit(store);
+  std::vector<std::string> table = GlobalInterner().ExportTable();
+  if (limit > table.size()) {
+    // Transient (hash-derived) ids must never reach a stored signature;
+    // Append re-interns them.
+    return Status::Internal("snapshot references unknown symbol below " +
+                            std::to_string(limit));
   }
+  const auto visibility = NonDefaultVisibility(store);
 
-  AppendSection(&file, kSectionEnd, std::string());
-  *out = std::move(file);
+  ByteCounter counter;
+  EncodeSnapshotFile(store, table, limit, visibility, wal_sequence, &counter);
+  BinaryWriter w;
+  w.Reserve(counter.size());
+  EncodeSnapshotFile(store, table, limit, visibility, wal_sequence, &w);
+  *out = w.Take();
+  return Status::Ok();
+}
+
+/// The format version after the magic, or an error naming `label` when
+/// this reader cannot decode it.
+Status ReadVersion(std::string_view file, const std::string& label,
+                   uint32_t* version) {
+  if (file.size() < kSnapshotV2Magic.size() + 4 ||
+      file.compare(0, kSnapshotV2Magic.size(), kSnapshotV2Magic) != 0) {
+    return CorruptSnapshot(label, "bad magic");
+  }
+  BinaryReader header(file.substr(kSnapshotV2Magic.size(), 4));
+  *version = header.GetFixed32();
+  if (*version < kOldestReadableVersion || *version > kFormatVersion) {
+    return Status::IoError("unsupported snapshot version " +
+                           std::to_string(*version) + ": " + label);
+  }
   return Status::Ok();
 }
 
@@ -526,17 +560,8 @@ Status EncodeSnapshotV2(const ReadViewState& view, uint64_t wal_sequence,
 Status VerifySnapshotV2(const std::string& path, Env* env) {
   std::string file;
   CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
-  if (file.size() < kSnapshotV2Magic.size() + 4 ||
-      file.compare(0, kSnapshotV2Magic.size(), kSnapshotV2Magic) != 0) {
-    return CorruptSnapshot(path, "bad magic");
-  }
-  BinaryReader header(
-      std::string_view(file).substr(kSnapshotV2Magic.size(), 4));
-  uint32_t version = header.GetFixed32();
-  if (version != kFormatVersion) {
-    return Status::IoError("unsupported snapshot version " +
-                           std::to_string(version) + ": " + path);
-  }
+  uint32_t version = 0;
+  CQMS_RETURN_IF_ERROR(ReadVersion(file, path, &version));
   size_t pos = kSnapshotV2Magic.size() + 4;
   std::string_view view(file);
   bool saw_records = false;
@@ -572,16 +597,8 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
   if (store->size() != 0) {
     return Status::InvalidArgument("LoadSnapshotV2 requires an empty store");
   }
-  if (data.size() < kSnapshotV2Magic.size() + 4 ||
-      data.compare(0, kSnapshotV2Magic.size(), kSnapshotV2Magic) != 0) {
-    return CorruptSnapshot(label, "bad magic");
-  }
-  BinaryReader header(data.substr(kSnapshotV2Magic.size(), 4));
-  uint32_t version = header.GetFixed32();
-  if (version != kFormatVersion) {
-    return Status::IoError("unsupported snapshot version " +
-                           std::to_string(version) + ": " + label);
-  }
+  uint32_t version = 0;
+  CQMS_RETURN_IF_ERROR(ReadVersion(data, label, &version));
 
   SymbolRemap remap;
   bool saw_interner = false;
@@ -623,7 +640,8 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         store->ReserveForRestore(count, remap.map.size());
         for (uint64_t i = 0; i < count; ++i) {
           QueryRecord record;
-          CQMS_RETURN_IF_ERROR(DecodeRecord(&r, remap, &record, label));
+          CQMS_RETURN_IF_ERROR(
+              DecodeRecord(&r, version, remap, &record, label));
           store->RestoreAppend(std::move(record));
         }
         if (!r.AtEnd()) return CorruptSnapshot(label, "records payload");

@@ -14,18 +14,18 @@ namespace cqms::storage {
 /// them (anything else falls back to the v1 text reader).
 inline constexpr std::string_view kSnapshotV2Magic = "CQMSNAP2";
 
-/// Writes the version-2 binary snapshot of `store` to `path`, atomically
-/// (tmp file + rename). The format — magic + version, then
-/// length-prefixed CRC32-framed sections — serializes everything the
-/// store derived from the query text at append time: the referenced
-/// slice of the global interner table, per-record similarity-signature
-/// Symbol vectors and output-row hashes, MinHash sketch slots,
+/// Writes the binary snapshot of `store` to `path` (format version 3 under
+/// the "CQMSNAP2" magic), atomically (tmp file + rename). The format —
+/// magic + version, then length-prefixed CRC32-framed sections —
+/// serializes everything the store derived from the query text at
+/// append time: the referenced slice of the global interner table,
+/// per-record similarity-signature Symbol vectors and output-row hashes,
 /// canonical/skeleton texts, fingerprints, syntactic components, runtime
 /// stats, annotations, and the full ACL. LoadSnapshot can therefore
-/// bulk-restore the store — indexes, scoring-column arenas, LSH buckets,
-/// feature relations — from one sequential read, with zero re-parsing
-/// and zero re-tokenization. See docs/persistence.md for the byte-level
-/// spec.
+/// bulk-restore the store — indexes, scoring-column arenas, LSH buckets
+/// (sketched from the stored signatures), feature relations — from one
+/// sequential read, with zero re-parsing and zero re-tokenization. See
+/// docs/persistence.md for the byte-level spec.
 ///
 /// Output summaries are still not persisted (same policy as v1): they
 /// are refreshable profiler caches. Their *signature contribution* (the
@@ -46,12 +46,15 @@ Status SaveSnapshotV2(const QueryStore& store, const std::string& path,
 Status SaveSnapshotV2(const ReadViewState& view, const std::string& path,
                       uint64_t wal_sequence = 0, Env* env = nullptr);
 
-/// The serialized v2 snapshot bytes without touching the filesystem —
+/// The serialized snapshot bytes without touching the filesystem —
 /// SaveSnapshotV2 is EncodeSnapshotV2 + WriteFileAtomic. DurableStore
 /// uses this directly so its checkpoint can sequence the writes itself
 /// (it keeps the previous snapshot generation alive across the
-/// publish; see docs/persistence.md). kInternal when a stored
-/// signature references a symbol outside the interner table.
+/// publish; see docs/persistence.md), and so does the replication
+/// bootstrap. The image is encoded into one buffer sized exactly up
+/// front, so the encode's peak memory is the image itself. kInternal
+/// when a stored signature references a symbol outside the interner
+/// table.
 Status EncodeSnapshotV2(const QueryStore& store, uint64_t wal_sequence,
                         std::string* out);
 
@@ -59,21 +62,24 @@ Status EncodeSnapshotV2(const QueryStore& store, uint64_t wal_sequence,
 Status EncodeSnapshotV2(const ReadViewState& view, uint64_t wal_sequence,
                         std::string* out);
 
-/// Structural validation without mutating any store: magic, version,
-/// section framing and every section CRC. kCorruption on any mismatch.
+/// Structural validation without mutating any store: magic, a readable
+/// version (2 or 3), section framing and every section CRC. kCorruption on any mismatch.
 /// This is how DurableStore::Open decides whether to fall back to the
 /// previous snapshot generation — cheap (one sequential read, no
 /// decode) and it catches exactly the faults retention protects
 /// against (torn writes, bit rot).
 Status VerifySnapshotV2(const std::string& path, Env* env = nullptr);
 
-/// Loads a v2 snapshot into an empty store. Symbols are remapped through
-/// the process-global interner (bulk re-intern of the stored table
-/// slice): in a fresh process the mapping is the identity and the stored
-/// MinHash sketches are adopted verbatim; in a process whose interner
-/// already diverged, signature vectors are remapped and sketches
-/// recomputed from them — still without touching the tokenizer or the
-/// SQL parser. Corruption (bad magic, section CRC mismatch, truncation,
+/// Loads a version-2 or version-3 snapshot into an empty store. Symbols
+/// are remapped through the process-global interner (bulk re-intern of
+/// the stored table slice): in a fresh process the mapping is the
+/// identity; in a process whose interner already diverged, signature
+/// vectors are remapped — still without touching the tokenizer or the
+/// SQL parser. Either way the LSH index sketches each record from its
+/// restored signature; a version-2 record's stored sketch slots are
+/// skipped. Versions above 3 are refused (kIoError), so a snapshot is
+/// never restored by a binary that would misread it. Corruption (bad
+/// magic, section CRC mismatch, truncation,
 /// malformed payload) is rejected with kCorruption; a load that fails
 /// mid-restore leaves the store partially populated, so callers must
 /// discard it (the v1 loader has the same contract). `wal_sequence`

@@ -156,6 +156,61 @@ TEST(FixedTest, RoundTripAndTruncation) {
   EXPECT_TRUE(t.failed());
 }
 
+TEST(FixedTest, PatchOverwritesInPlaceAndSkipSteps) {
+  BinaryWriter w;
+  w.PutU8(7);
+  w.PutFixed64(0);  // placeholder
+  w.PutU8(9);
+  w.PatchFixed64(1, 0x0123456789abcdefULL);
+  ASSERT_EQ(w.size(), 10u);
+  BinaryReader r(w.data());
+  EXPECT_EQ(r.GetU8(), 7u);
+  EXPECT_EQ(r.GetFixed64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(r.GetU8(), 9u);
+  EXPECT_TRUE(r.AtEnd());
+
+  BinaryReader s(w.data());
+  s.Skip(9);
+  EXPECT_EQ(s.GetU8(), 9u);
+  EXPECT_TRUE(s.AtEnd());
+  s.Skip(1);  // past the end latches failure
+  EXPECT_TRUE(s.failed());
+}
+
+// --- byte counter ------------------------------------------------------------
+
+/// ByteCounter sizes an encoder's output before it runs for real, so it
+/// must agree with BinaryWriter byte for byte on every primitive.
+TEST(ByteCounterTest, MatchesWriterSizeForEveryPrimitive) {
+  BinaryWriter w;
+  ByteCounter c;
+  auto both = [&](auto put) {
+    put(&w);
+    put(&c);
+    ASSERT_EQ(c.size(), w.size());
+  };
+  for (uint64_t v : {uint64_t{0}, uint64_t{127}, uint64_t{128},
+                     uint64_t{16383}, uint64_t{16384}, uint64_t{1} << 35,
+                     std::numeric_limits<uint64_t>::max()}) {
+    both([v](auto* x) { x->PutVarint(v); });
+  }
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{63}, int64_t{-64},
+                    int64_t{64}, std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    both([v](auto* x) { x->PutZigzag(v); });
+  }
+  both([](auto* x) { x->PutU8(200); });
+  both([](auto* x) { x->PutFixed32(1); });
+  both([](auto* x) { x->PutFixed64(1); });
+  both([](auto* x) { x->PutDouble(0.5); });
+  both([](auto* x) { x->PutString(""); });
+  both([](auto* x) { x->PutString(std::string(300, 'q')); });
+  both([](auto* x) { x->PutBytes("abc", 3); });
+  both([](auto* x) {
+    PutDeltaU64s(x, {1, 2, 1000, std::numeric_limits<uint64_t>::max()});
+  });
+}
+
 // --- delta-encoded u64 vectors --------------------------------------------
 
 TEST(DeltaU64Test, RoundTripSortedValues) {

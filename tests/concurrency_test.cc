@@ -18,6 +18,7 @@
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
 #include "storage/epoch.h"
+#include "storage/minhash.h"
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
 #include "storage/snapshot_v2.h"
@@ -116,9 +117,11 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
         SignatureMode::kTransient));
   }
 
+  std::vector<MinHashSketch> sketches;
   std::vector<std::vector<QueryId>> expected;
   for (const QueryRecord& p : probes) {
-    expected.push_back(store.lsh().Candidates(p.sketch));
+    sketches.push_back(ComputeMinHashSketch(p.signature));
+    expected.push_back(store.lsh().Candidates(sketches.back()));
   }
 
   std::vector<std::thread> threads;
@@ -129,10 +132,10 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
       for (int iter = 0; iter < 50; ++iter) {
         size_t pi = static_cast<size_t>((t + iter) % probes.size());
         std::vector<QueryId> got =
-            store.lsh().Candidates(probes[pi].sketch, 0, &scratch);
+            store.lsh().Candidates(sketches[pi], 0, &scratch);
         if (got != expected[pi]) mismatches.fetch_add(1);
         // Also exercise the thread_local fallback path.
-        got = store.lsh().Candidates(probes[pi].sketch);
+        got = store.lsh().Candidates(sketches[pi]);
         if (got != expected[pi]) mismatches.fetch_add(1);
       }
     });

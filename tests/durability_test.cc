@@ -144,8 +144,22 @@ void ExpectRecordsEqual(const QueryRecord& a, const QueryRecord& b) {
   EXPECT_EQ(ca.limit, cb.limit);
 
   ExpectSignaturesEqual(a.signature, b.signature, a.id);
-  EXPECT_EQ(a.sketch.valid, b.sketch.valid);
-  EXPECT_EQ(a.sketch.mins, b.sketch.mins);
+}
+
+/// The LSH half of a round trip. Sketches are not persisted: the loaded
+/// store must index every record under the sketch of its restored
+/// signature, exactly once per band, and hold exactly as many postings
+/// as the store that was saved.
+void ExpectLshRestored(const QueryStore& saved, const QueryStore& loaded) {
+  size_t indexed = 0;
+  for (const QueryRecord& r : loaded.records()) {
+    MinHashSketch sketch = ComputeMinHashSketch(r.signature);
+    if (sketch.empty()) continue;  // empty sketches are never indexed
+    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(r.id, sketch)) << "id " << r.id;
+    ++indexed;
+  }
+  EXPECT_EQ(loaded.lsh().entry_count(), indexed * loaded.lsh().bands());
+  EXPECT_EQ(loaded.lsh().entry_count(), saved.lsh().entry_count());
 }
 
 void ExpectSpansEqual(ScoringColumns::SymbolSpan a,
@@ -218,7 +232,7 @@ TEST(SnapshotV2Test, RoundTripEqualityOnSeededLogWithoutRetokenizing) {
             store.QueriesUsingTable("watertemp"));
   EXPECT_EQ(loaded.QueriesWithKeyword("salinity"),
             store.QueriesWithKeyword("salinity"));
-  EXPECT_EQ(loaded.lsh().entry_count(), store.lsh().entry_count());
+  ExpectLshRestored(store, loaded);
 
   // ACL: every user sees exactly the same log slice.
   for (size_t u = 0; u < f.options.num_users; ++u) {
@@ -274,9 +288,9 @@ TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
                          after.Execute(viewer, req), "knn exhaustive");
   }
   {
-    // LSH path: stored sketches were adopted verbatim (identity symbol
-    // remap within one process), so even the approximate candidate set
-    // is byte-identical.
+    // LSH path: the restored signatures are bit-identical (identity
+    // symbol remap within one process), so the sketches derived from
+    // them — and even the approximate candidate set — are too.
     metaquery::CandidateOptions lsh;
     lsh.lsh_min_log_size = 0;
     metaquery::MetaQueryRequest req;
@@ -333,6 +347,7 @@ TEST(SnapshotV2Test, MutatedStateSurvivesRoundTrip) {
   for (const QueryRecord& r : h.store.records()) {
     ExpectRecordsEqual(r, *loaded.Get(r.id));
   }
+  ExpectLshRestored(h.store, loaded);
   EXPECT_EQ(loaded.acl().GetVisibility(a), Visibility::kPublic);
   EXPECT_FALSE(loaded.Visible("carol", b));  // deleted stays deleted
   EXPECT_TRUE(loaded.Get(c)->parse_failed());
@@ -357,13 +372,17 @@ TEST(SnapshotV2Test, LazyAstMaterializesForMaintenance) {
   EXPECT_FALSE(r->parse_failed());
 }
 
-// Simulates a snapshot written by a *different* process, whose interner
-// assigned different ids: the stored table slice carries old ids that
-// cannot match this process's, so the loader must remap every signature
-// vector and rebuild the sketches. Hand-encodes the v2 framing (magic,
-// CRC32-framed sections) — doubling as a format-stability check against
-// docs/persistence.md.
-TEST(SnapshotV2Test, ForeignProcessSnapshotRemapsSymbolsAndRebuildsSketch) {
+// Reads a version-2 snapshot — the format before sketches stopped being
+// persisted — written by a *different* process, whose interner assigned
+// different ids: the stored table slice carries old ids that cannot
+// match this process's, so the loader must remap every signature
+// vector. Both records carry the v2 sketch bit and its 64-slot blob of
+// garbage; the reader must step over each blob (the second record only
+// decodes if the first blob was skipped) and index both records under
+// the sketch derived from the remapped signature. Hand-encodes the
+// framing (magic, CRC32-framed sections) — doubling as a
+// format-stability check against docs/persistence.md.
+TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   const std::string names[3] = {"zz_remap_aaa", "zz_remap_bbb", "zz_remap_ccc"};
   const Symbol old_ids[3] = {7000001, 7000005, 7000044};  // foreign ids
 
@@ -381,9 +400,14 @@ TEST(SnapshotV2Test, ForeignProcessSnapshotRemapsSymbolsAndRebuildsSketch) {
   acl.PutString("rgroup");
   acl.PutVarint(0);  // no visibility overrides
 
+  auto put_sketch_blob = [](BinaryWriter* w) {
+    for (int i = 0; i < 64; ++i) w->PutFixed64(0xDEADBEEFu + i);
+  };
+
   BinaryWriter records;
-  records.PutVarint(1);
-  records.PutU8(0x0A);  // sig valid | sketch valid, not parsed
+  records.PutVarint(2);
+  // Record 0: a logged parse failure.
+  records.PutU8(0x0A);  // sig valid | v2 sketch, not parsed
   records.PutString("zz_remap_aaa zz_remap_bbb zz_remap_ccc");
   records.PutString("ruser");
   records.PutZigzag(1234);  // timestamp
@@ -408,7 +432,51 @@ TEST(SnapshotV2Test, ForeignProcessSnapshotRemapsSymbolsAndRebuildsSketch) {
   records.PutVarint(old_ids[1] - old_ids[0]);
   records.PutVarint(old_ids[2] - old_ids[1]);
   records.PutVarint(0);  // output rows
-  for (int i = 0; i < 64; ++i) records.PutFixed64(0xDEADBEEFu + i);
+  put_sketch_blob(&records);
+
+  // Record 1: SELECT zz_remap_aaa FROM zz_remap_bbb, parsed.
+  records.PutU8(0x0B);  // parsed | sig valid | v2 sketch
+  records.PutString("SELECT zz_remap_aaa FROM zz_remap_bbb");
+  records.PutString("ruser");
+  records.PutZigzag(1300);  // timestamp
+  records.PutZigzag(4);     // session
+  records.PutVarint(0);     // flags
+  records.PutDouble(0.75);
+  records.PutZigzag(20);  // exec micros
+  records.PutVarint(3);   // result rows
+  records.PutVarint(30);  // rows scanned
+  records.PutU8(1);       // succeeded
+  records.PutString("");  // error
+  records.PutString("");  // plan
+  records.PutVarint(0);   // annotations
+  records.PutString("select zz_remap_aaa from zz_remap_bbb");  // canonical
+  records.PutString("select zz_remap_aaa from zz_remap_bbb");  // skeleton
+  records.PutFixed64(0x1111);  // fingerprint
+  records.PutFixed64(0x2222);  // skeleton fingerprint
+  records.PutVarint(1);        // components: tables
+  records.PutString("zz_remap_bbb");
+  records.PutVarint(0);  // attributes
+  records.PutVarint(1);  // projections
+  records.PutString("zz_remap_aaa");
+  records.PutVarint(0);    // predicates
+  records.PutVarint(0);    // group by
+  records.PutVarint(0);    // order by
+  records.PutVarint(0);    // aggregates
+  records.PutU8(0);        // component bits
+  records.PutZigzag(0);    // joins
+  records.PutZigzag(1);    // tables
+  records.PutZigzag(0);    // nesting depth
+  records.PutVarint(1);    // signature tables: bbb
+  records.PutVarint(old_ids[1]);
+  records.PutVarint(0);  // predicate skeletons
+  records.PutVarint(0);  // attributes
+  records.PutVarint(1);  // projections: aaa
+  records.PutVarint(old_ids[0]);
+  records.PutVarint(2);  // text tokens: aaa, bbb
+  records.PutVarint(old_ids[0]);
+  records.PutVarint(old_ids[1] - old_ids[0]);
+  records.PutVarint(0);  // output rows
+  put_sketch_blob(&records);
 
   std::string file = "CQMSNAP2";
   BinaryWriter version;
@@ -431,16 +499,17 @@ TEST(SnapshotV2Test, ForeignProcessSnapshotRemapsSymbolsAndRebuildsSketch) {
 
   std::string path = TempPath("cqms_v2_foreign.snap");
   WriteFile(path, file);
+  EXPECT_TRUE(VerifySnapshotV2(path).ok());
 
   QueryStore loaded;
   ASSERT_TRUE(LoadSnapshot(&loaded, path).ok());
-  ASSERT_EQ(loaded.size(), 1u);
+  ASSERT_EQ(loaded.size(), 2u);
   const QueryRecord* r = loaded.Get(0);
 
   // Symbols remapped into this process's id space: the keyword index
   // resolves the names, and the signature stays sorted.
   EXPECT_EQ(loaded.QueriesWithKeyword("zz_remap_bbb"),
-            (std::vector<QueryId>{0}));
+            (std::vector<QueryId>{0, 1}));
   ASSERT_EQ(r->signature.text_tokens.size(), 3u);
   for (size_t i = 1; i < 3; ++i) {
     EXPECT_LT(r->signature.text_tokens[i - 1], r->signature.text_tokens[i]);
@@ -453,11 +522,30 @@ TEST(SnapshotV2Test, ForeignProcessSnapshotRemapsSymbolsAndRebuildsSketch) {
         << name;
   }
 
-  // The foreign sketch slots were discarded and rebuilt over the
-  // remapped ids — exactly what a fresh ComputeMinHashSketch yields.
-  ASSERT_TRUE(r->sketch.valid);
-  MinHashSketch expected = ComputeMinHashSketch(r->signature);
-  EXPECT_EQ(r->sketch.mins, expected.mins);
+  // The record after the first blob decoded field for field.
+  const QueryRecord* parsed = loaded.Get(1);
+  EXPECT_FALSE(parsed->parse_failed());
+  EXPECT_EQ(parsed->text, "SELECT zz_remap_aaa FROM zz_remap_bbb");
+  EXPECT_EQ(parsed->timestamp, 1300);
+  EXPECT_EQ(parsed->session_id, 4);
+  EXPECT_EQ(parsed->quality, 0.75);
+  EXPECT_EQ(parsed->fingerprint, 0x1111u);
+  EXPECT_EQ(parsed->components.tables,
+            (std::vector<std::string>{"zz_remap_bbb"}));
+  EXPECT_EQ(parsed->signature.tables,
+            (std::vector<Symbol>{GlobalInterner().Find("zz_remap_bbb")}));
+  EXPECT_EQ(loaded.QueriesUsingTable("zz_remap_bbb"),
+            (std::vector<QueryId>{1}));
+
+  // The stored slots were discarded: both records are indexed, once per
+  // band, under the sketch of their remapped signatures — nothing else.
+  for (QueryId id : {QueryId{0}, QueryId{1}}) {
+    MinHashSketch derived = ComputeMinHashSketch(loaded.Get(id)->signature);
+    ASSERT_TRUE(derived.valid);
+    EXPECT_NE(derived.mins[0], 0xDEADBEEFu) << "id " << id;
+    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(id, derived)) << "id " << id;
+  }
+  EXPECT_EQ(loaded.lsh().entry_count(), 2 * loaded.lsh().bands());
   EXPECT_TRUE(loaded.acl().GroupsOf("ruser").count("rgroup") > 0);
 }
 
@@ -483,6 +571,15 @@ TEST(SnapshotV2Test, CorruptSnapshotsAreRejected) {
     WriteFile(path, bad);
     QueryStore s;
     EXPECT_EQ(LoadSnapshot(&s, path).code(), StatusCode::kIoError);
+  }
+  {  // The next format version, as a later binary would write it.
+    ASSERT_EQ(good[8], 3);
+    std::string bad = good;
+    bad[8] = 4;
+    WriteFile(path, bad);
+    QueryStore s;
+    EXPECT_EQ(LoadSnapshot(&s, path).code(), StatusCode::kIoError);
+    EXPECT_EQ(VerifySnapshotV2(path).code(), StatusCode::kIoError);
   }
   {  // Flipped payload bytes must fail the section CRC.
     for (size_t offset : {good.size() / 3, good.size() / 2}) {

@@ -124,6 +124,15 @@ TEST(MinHashSketchTest, ExactAtTheExtremes) {
   MinHashSketch empty_sketch = ComputeMinHashSketch(empty);
   EXPECT_TRUE(empty_sketch.valid);
   EXPECT_TRUE(empty_sketch.empty());
+  // A never-computed signature yields an invalid sketch, which the index
+  // ignores, so a record without a signature is never LSH-indexed.
+  SimilaritySignature uncomputed = sig;
+  uncomputed.valid = false;
+  MinHashSketch invalid = ComputeMinHashSketch(uncomputed);
+  EXPECT_FALSE(invalid.valid);
+  LshIndex index;
+  index.Insert(1, invalid);
+  EXPECT_EQ(index.entry_count(), 0u);
 }
 
 TEST(MinHashSketchTest, SqlKeywordsAreNotSketchElements) {
@@ -136,7 +145,9 @@ TEST(MinHashSketchTest, SqlKeywordsAreNotSketchElements) {
   EXPECT_DOUBLE_EQ(
       SortedJaccard(SketchElements(a.signature), SketchElements(b.signature)),
       0.0);
-  EXPECT_LT(EstimateJaccard(a.sketch, b.sketch), 0.05);
+  EXPECT_LT(EstimateJaccard(ComputeMinHashSketch(a.signature),
+                            ComputeMinHashSketch(b.signature)),
+            0.05);
 }
 
 TEST(MinHashSketchTest, FieldSaltsKeepFieldsDistinct) {
@@ -284,7 +295,8 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
 
     // The point of LSH: per probe the candidate set is no larger than
     // what the table index would have scored...
-    size_t lsh_candidates = h.store.LshCandidates(probe.sketch).size();
+    size_t lsh_candidates =
+        h.store.LshCandidates(ComputeMinHashSketch(probe.signature)).size();
     size_t table_candidates =
         h.store.QueriesUsingAnyTable(probe.components.tables).size();
     EXPECT_LE(lsh_candidates, table_candidates) << sql;
@@ -347,7 +359,7 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   QueryId id = h.Log("user0", "SELECT temp FROM WaterTemp WHERE temp < 20");
   QueryId other = h.Log("user0", "SELECT name FROM Species");
   ASSERT_NE(id, storage::kInvalidQueryId);
-  MinHashSketch old_sketch = h.store.Get(id)->sketch;
+  MinHashSketch old_sketch = ComputeMinHashSketch(h.store.Get(id)->signature);
   ASSERT_TRUE(old_sketch.valid);
   ASSERT_TRUE(h.store.lsh().ContainsExactlyOnce(id, old_sketch));
   size_t entries_before = h.store.lsh().entry_count();
@@ -358,9 +370,9 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
                       id, "SELECT salinity FROM WaterSalinity WHERE salinity > 3")
                   .ok());
 
-  const QueryRecord* after = h.store.Get(id);
+  MinHashSketch new_sketch = ComputeMinHashSketch(h.store.Get(id)->signature);
   // The record is findable under its new sketch, exactly once per band...
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, after->sketch));
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, new_sketch));
   // ...the old sketch's buckets no longer hold it...
   EXPECT_FALSE(h.store.lsh().ContainsExactlyOnce(id, old_sketch));
   std::vector<QueryId> via_old = h.store.LshCandidates(old_sketch);
@@ -370,14 +382,14 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   EXPECT_EQ(h.store.lsh().entry_count(), 2 * h.store.lsh().bands());
 
   // Candidate lists stay duplicate-free and sorted after the re-index.
-  std::vector<QueryId> candidates = h.store.LshCandidates(after->sketch);
+  std::vector<QueryId> candidates = h.store.LshCandidates(new_sketch);
   EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
   EXPECT_EQ(std::adjacent_find(candidates.begin(), candidates.end()),
             candidates.end());
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), id));
   // The untouched record is still indexed under its own sketch.
-  EXPECT_TRUE(
-      h.store.lsh().ContainsExactlyOnce(other, h.store.Get(other)->sketch));
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
+      other, ComputeMinHashSketch(h.store.Get(other)->signature)));
 }
 
 TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
@@ -391,14 +403,16 @@ TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
   for (const char* sql : rewrites) {
     ASSERT_TRUE(h.store.RewriteQueryText(id, sql).ok());
     EXPECT_EQ(h.store.lsh().entry_count(), h.store.lsh().bands());
-    EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, h.store.Get(id)->sketch));
+    EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
+        id, ComputeMinHashSketch(h.store.Get(id)->signature)));
   }
 }
 
 TEST(LshLifecycleTest, StatsRefreshKeepsLshConsistent) {
   Harness h(50);
   QueryId id = h.Log("u", "SELECT * FROM WaterTemp WHERE temp > 90");
-  MinHashSketch sketch_before = h.store.Get(id)->sketch;
+  MinHashSketch sketch_before =
+      ComputeMinHashSketch(h.store.Get(id)->signature);
   size_t entries_before = h.store.lsh().entry_count();
 
   maintain::MaintenanceOptions opts;
@@ -419,9 +433,9 @@ TEST(LshLifecycleTest, StatsRefreshKeepsLshConsistent) {
   // The refresh replaced the output summary, but output rows are not
   // sketch elements: the sketch is bit-identical, the record is still
   // indexed exactly once per band, and no postings appeared or vanished.
-  const QueryRecord* r = h.store.Get(id);
-  EXPECT_EQ(r->sketch.mins, sketch_before.mins);
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, r->sketch));
+  MinHashSketch sketch_after = ComputeMinHashSketch(h.store.Get(id)->signature);
+  EXPECT_EQ(sketch_after.mins, sketch_before.mins);
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, sketch_after));
   EXPECT_EQ(h.store.lsh().entry_count(), entries_before);
 }
 
@@ -473,16 +487,17 @@ TEST(LshLifecycleTest, TransientProbeSketchIsRebuiltOnAppend) {
   QueryRecord probe = storage::BuildRecordFromText(
       "SELECT temp, zzlshnovelcol FROM WaterTemp WHERE zzlshnovelcol = 1",
       "user0", 0, storage::SignatureMode::kTransient);
-  ASSERT_TRUE(probe.sketch.valid);
-  MinHashSketch transient_sketch = probe.sketch;
+  MinHashSketch transient_sketch = ComputeMinHashSketch(probe.signature);
+  ASSERT_TRUE(transient_sketch.valid);
 
   QueryId id = h.store.Append(std::move(probe));
-  const QueryRecord* stored = h.store.Get(id);
+  MinHashSketch stored_sketch =
+      ComputeMinHashSketch(h.store.Get(id)->signature);
   // The transient sketch hashed probe-local ids for the novel column;
   // the stored record's sketch uses the interned ids and is what the
   // index was fed.
-  EXPECT_NE(stored->sketch.mins, transient_sketch.mins);
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, stored->sketch));
+  EXPECT_NE(stored_sketch.mins, transient_sketch.mins);
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, stored_sketch));
 }
 
 }  // namespace

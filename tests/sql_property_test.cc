@@ -83,6 +83,20 @@ TEST_P(CorpusTest, SkeletonReparsesAndKeepsStructure) {
   EXPECT_EQ(s1, s2);
 }
 
+TEST_P(CorpusTest, OneCanonicalizationYieldsBothPrintings) {
+  auto stmt = Parse(GetParam());
+  ASSERT_TRUE(stmt.ok());
+  CanonicalForms forms = CanonicalTextAndSkeleton(**stmt);
+  EXPECT_EQ(forms.text, CanonicalText(**stmt));
+  EXPECT_EQ(forms.skeleton, CanonicalSkeleton(**stmt));
+  // The record builder's fingerprints hash these texts directly.
+  storage::QueryRecord r = storage::BuildRecordFromText(GetParam(), "u", 0);
+  EXPECT_EQ(r.canonical_text, forms.text);
+  EXPECT_EQ(r.skeleton, forms.skeleton);
+  EXPECT_EQ(r.fingerprint, Fingerprint(**stmt));
+  EXPECT_EQ(r.skeleton_fingerprint, SkeletonFingerprint(**stmt));
+}
+
 TEST_P(CorpusTest, CloneIsDeepAndEqual) {
   auto stmt = Parse(GetParam());
   ASSERT_TRUE(stmt.ok());
