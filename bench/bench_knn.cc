@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "bench_util.h"
@@ -168,6 +169,11 @@ void BM_SnapshotLoad(benchmark::State& state) {
     state.SkipWithError("snapshot save failed");
     return;
   }
+  // The encoded image's size per logged query: a CI step gates the
+  // format-2 (binary) row at 20k.
+  const double bytes_per_query =
+      static_cast<double>(std::filesystem::file_size(path)) /
+      static_cast<double>(f.store.size());
   for (auto _ : state) {
     uint64_t words_before = ExtractWordsCallCount();
     storage::QueryStore loaded;
@@ -188,6 +194,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
   }
   std::remove(path.c_str());
   state.counters["log_size"] = static_cast<double>(f.store.size());
+  state.counters["bytes_per_query"] = bytes_per_query;
 }
 BENCHMARK(BM_SnapshotLoad)
     ->Args({1000, 1})

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +90,66 @@ class ByteCounter {
 
  private:
   size_t size_ = 0;
+};
+
+/// Checks the bytes a BinaryWriter would append against `expected`,
+/// writing none: the same Put* surface again, so an encoder templated on
+/// its writer can test whether it would reproduce a byte string without
+/// building a second copy of it.
+class ByteMatcher {
+ public:
+  /// `expected` is not copied and must outlive the matcher.
+  explicit ByteMatcher(std::string_view expected) : rest_(expected) {}
+
+  void PutU8(uint8_t v) { Match(&v, 1); }
+  void PutVarint(uint64_t v) {
+    uint8_t buf[10];
+    size_t n = 0;
+    while (v >= 0x80) {
+      buf[n++] = static_cast<uint8_t>(v | 0x80);
+      v >>= 7;
+    }
+    buf[n++] = static_cast<uint8_t>(v);
+    Match(buf, n);
+  }
+  void PutZigzag(int64_t v) { PutVarint(ZigzagEncode(v)); }
+  void PutFixed32(uint32_t v) { PutLittleEndian(v, 4); }
+  void PutFixed64(uint64_t v) { PutLittleEndian(v, 8); }
+  void PutDouble(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    PutFixed64(bits);
+  }
+  void PutString(std::string_view s) {
+    PutVarint(s.size());
+    PutBytes(s.data(), s.size());
+  }
+  void PutBytes(const void* data, size_t size) {
+    Match(static_cast<const uint8_t*>(data), size);
+  }
+
+  /// True when every byte matched and `expected` is used up.
+  bool matched() const { return ok_ && rest_.empty(); }
+
+ private:
+  void PutLittleEndian(uint64_t v, size_t bytes) {
+    uint8_t buf[8];
+    for (size_t i = 0; i < bytes; ++i) buf[i] = static_cast<uint8_t>(v >> (8 * i));
+    Match(buf, bytes);
+  }
+  void Match(const uint8_t* data, size_t size) {
+    // Most puts are one byte (small varints, flags): skip memcmp there.
+    if (!ok_ || rest_.size() < size ||
+        (size == 1 ? static_cast<uint8_t>(rest_[0]) != *data
+                   : std::memcmp(rest_.data(), data, size) != 0)) {
+      ok_ = false;
+      return;
+    }
+    rest_.remove_prefix(size);
+  }
+
+  std::string_view rest_;
+  bool ok_ = true;
 };
 
 /// Delta-varint encoding of a sorted u64 vector (signature output-row

@@ -224,8 +224,16 @@ Status Follower::RunOnce(bool* subscribed) {
 
 Status Follower::BootstrapFromSnapshot(netclient::CqmsClient* client,
                                        const net::ReplSnapshotBegin& begin) {
+  auto reject = [this] {
+    crc_failures_.fetch_add(1, std::memory_order_relaxed);
+    Series().crc_failures->Increment();
+    force_snapshot_ = true;  // Retry the bootstrap on reconnect.
+    return Status::Corruption("snapshot image failed verification");
+  };
+  // total_bytes is the primary's unverified word: the buffer grows with
+  // the chunks that arrive, never to the announced size up front, and
+  // the stream is refused as soon as it overruns that size.
   std::string image;
-  image.reserve(begin.total_bytes);
   bool done = false;
   while (!done) {
     if (stop_.load(std::memory_order_relaxed)) {
@@ -249,6 +257,9 @@ Status Follower::BootstrapFromSnapshot(netclient::CqmsClient* client,
         if (!DecodeReplSnapshotChunk(&r, &chunk)) {
           return Status::Corruption("malformed snapshot chunk");
         }
+        if (chunk.data.size() > begin.total_bytes - image.size()) {
+          return reject();
+        }
         image += chunk.data;
         break;
       }
@@ -260,10 +271,7 @@ Status Follower::BootstrapFromSnapshot(netclient::CqmsClient* client,
     }
   }
   if (image.size() != begin.total_bytes || Crc32(image) != begin.crc32) {
-    crc_failures_.fetch_add(1, std::memory_order_relaxed);
-    Series().crc_failures->Increment();
-    force_snapshot_ = true;  // Retry the bootstrap on reconnect.
-    return Status::Corruption("snapshot image failed verification");
+    return reject();
   }
   // Restore into a fresh instance off the writer thread: the host keeps
   // serving reads from the old one until the install.

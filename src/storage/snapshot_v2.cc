@@ -1,6 +1,8 @@
 #include "storage/snapshot_v2.h"
 
 #include <algorithm>
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -15,21 +17,29 @@ namespace {
 
 // On-disk layout:
 //   magic "CQMSNAP2" (8 bytes)
-//   fixed32 format version (= 3; 2 is still read)
+//   fixed32 format version (= 4; 2 and 3 are still read)
 //   sections, each framed as
 //     u8 section id | fixed64 payload length | payload | fixed32 CRC32
 //   terminated by an End section with an empty payload.
-// Section order is fixed (Interner, Acl, Records, Durability, End): the
-// interner slice must be decoded before any signature vector
-// referencing it.
+// Section order is fixed (Interner, Acl, Statements, Records,
+// Durability, End): the interner slice must be decoded before any
+// signature vector referencing it, and the statement table before any
+// record referencing one of its entries.
 //
-// Version 3 dropped the per-record MinHash sketch (a pure function of
-// the signature, re-derived at index time). A version-2 record with
-// kBitV2Sketch set carries it as 64 little-endian u64 slots after the
-// signature; the reader skips them. Older readers refuse version 3, so
-// they never restore records without LSH entries.
-constexpr uint32_t kFormatVersion = 3;
+// Version 4 split each record in two. A statement entry holds what a
+// record derives from its text and its execution outcome, and is
+// written once per distinct encoding; a record keeps an entry index
+// plus the fields that differ between runs of one statement (owner,
+// time, session, flags, quality, execution time, annotations).
+// Versions 2 and 3 write every record whole. Version 3 dropped the
+// per-record MinHash sketch (a pure function of the signature,
+// re-derived at index time). A version-2 record with kBitV2Sketch set
+// carries it as 64 little-endian u64 slots after the signature; the
+// reader skips them. Older readers refuse a newer version, so they
+// never misread it.
+constexpr uint32_t kFormatVersion = 4;
 constexpr uint32_t kOldestReadableVersion = 2;
+constexpr uint32_t kStatementTableVersion = 4;
 constexpr size_t kV2SketchBytes = 64 * sizeof(uint64_t);
 
 enum SectionId : uint8_t {
@@ -40,10 +50,13 @@ enum SectionId : uint8_t {
   /// (see DurableStore; 0 for plain SaveSnapshotV2 saves). Written after
   /// the records; readers that predate it skip unknown sections.
   kSectionDurability = 4,
+  /// The statement table (version 4 on), written before the records.
+  kSectionStatements = 5,
   kSectionEnd = 0xFF,
 };
 
-// Per-record bit flags (one byte in the record header).
+// Statement bit flags (one byte at the head of a version-4 statement
+// entry, or of a version-2/3 record).
 constexpr uint8_t kBitParsed = 1u << 0;
 constexpr uint8_t kBitSigValid = 1u << 1;
 constexpr uint8_t kBitOutputEmptyComputed = 1u << 2;
@@ -125,36 +138,23 @@ void EndSection(ByteCounter* w, size_t) { w->PutFixed32(0); }
 // ---------------------------------------------------------------------------
 // Save
 
+/// One statement-table entry: everything `r` derives from its text and
+/// its execution outcome.
 template <typename Writer>
-void EncodeRecord(Writer* w, const QueryRecord& r) {
+void EncodeStatement(Writer* w, const QueryRecord& r) {
   const bool parsed = !r.parse_failed();
   uint8_t bits = 0;
   if (parsed) bits |= kBitParsed;
   if (r.signature.valid) bits |= kBitSigValid;
   if (r.signature.output_empty_computed) bits |= kBitOutputEmptyComputed;
   w->PutU8(bits);
-
   w->PutString(r.text);
-  w->PutString(r.user);
-  w->PutZigzag(r.timestamp);
-  w->PutZigzag(r.session_id);
-  w->PutVarint(r.flags);
-  w->PutDouble(r.quality);
 
-  w->PutZigzag(r.stats.execution_micros);
   w->PutVarint(r.stats.result_rows);
   w->PutVarint(r.stats.rows_scanned);
   w->PutU8(r.stats.succeeded ? 1 : 0);
   w->PutString(r.stats.error);
   w->PutString(r.stats.plan);
-
-  w->PutVarint(r.annotations.size());
-  for (const Annotation& a : r.annotations) {
-    w->PutString(a.author);
-    w->PutZigzag(a.timestamp);
-    w->PutString(a.text);
-    w->PutString(a.fragment);
-  }
 
   if (parsed) {
     w->PutString(r.canonical_text);
@@ -204,6 +204,69 @@ void EncodeRecord(Writer* w, const QueryRecord& r) {
   }
 }
 
+/// The rest of a record: its statement-table index and the fields that
+/// differ between runs of one statement.
+template <typename Writer>
+void EncodeRecord(Writer* w, const QueryRecord& r, uint32_t statement) {
+  w->PutVarint(statement);
+  w->PutString(r.user);
+  w->PutZigzag(r.timestamp);
+  w->PutZigzag(r.session_id);
+  w->PutVarint(r.flags);
+  w->PutDouble(r.quality);
+  w->PutZigzag(r.stats.execution_micros);
+  w->PutVarint(r.annotations.size());
+  for (const Annotation& a : r.annotations) {
+    w->PutString(a.author);
+    w->PutZigzag(a.timestamp);
+    w->PutString(a.text);
+    w->PutString(a.fragment);
+  }
+}
+
+/// The statement table of one encode: entry `e` is the statement of
+/// record `first_use[e]`, and record `i` references entry `entry_of[i]`.
+/// Entries are numbered in first-use order, so equal stores encode to
+/// equal bytes.
+struct StatementTable {
+  std::vector<uint32_t> entry_of;
+  std::vector<uint32_t> first_use;
+};
+
+/// Deduplicates statements by the bytes EncodeStatement writes. The map
+/// holds a hash per entry, not the entry: a hash match is confirmed by
+/// matching the entry's first record against the candidate's bytes, so
+/// the table's memory stays a few words per record.
+template <typename Source>  // QueryStore or ReadViewState
+StatementTable BuildStatementTable(const Source& store) {
+  const RecordLog& records = store.records();
+  StatementTable table;
+  table.entry_of.reserve(records.size());
+  std::unordered_multimap<size_t, uint32_t> entries_by_hash;
+  BinaryWriter bytes;
+  for (size_t i = 0; i < records.size(); ++i) {
+    bytes.Clear();
+    EncodeStatement(&bytes, records[i]);
+    const size_t hash = std::hash<std::string_view>()(bytes.data());
+    uint32_t entry = static_cast<uint32_t>(table.first_use.size());
+    auto [it, end] = entries_by_hash.equal_range(hash);
+    for (; it != end; ++it) {
+      ByteMatcher same(bytes.data());
+      EncodeStatement(&same, records[table.first_use[it->second]]);
+      if (same.matched()) {
+        entry = it->second;
+        break;
+      }
+    }
+    if (entry == table.first_use.size()) {
+      table.first_use.push_back(static_cast<uint32_t>(i));
+      entries_by_hash.emplace(hash, entry);
+    }
+    table.entry_of.push_back(entry);
+  }
+  return table;
+}
+
 /// One past the highest Symbol any stored record references — the
 /// interner-table prefix the snapshot must carry. The *full* prefix is
 /// serialized, not just the referenced subset: unreferenced ids inside
@@ -212,15 +275,17 @@ void EncodeRecord(Writer* w, const QueryRecord& r) {
 /// shift past every gap, and the identity fast path — the one a
 /// production cold start takes, with no per-symbol remap lookups or
 /// re-sorting — could never trigger outside the saving process itself.
+/// Only statement entries carry signatures, so only they are scanned.
 template <typename Source>  // QueryStore or ReadViewState
-Symbol ReferencedSymbolLimit(const Source& store) {
+Symbol ReferencedSymbolLimit(const Source& store,
+                             const StatementTable& statements) {
   Symbol limit = 0;
   auto bump = [&limit](const std::vector<Symbol>& symbols) {
     // Vectors are sorted ascending: the last entry is the max.
     if (!symbols.empty()) limit = std::max(limit, symbols.back() + 1);
   };
-  for (const QueryRecord& r : store.records()) {
-    const SimilaritySignature& s = r.signature;
+  for (uint32_t i : statements.first_use) {
+    const SimilaritySignature& s = store.records()[i].signature;
     bump(s.tables);
     bump(s.predicate_skeletons);
     bump(s.attributes);
@@ -317,26 +382,31 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
   return Status::Ok();
 }
 
-Status DecodeRecord(BinaryReader* r, uint32_t version,
-                    const SymbolRemap& remap, QueryRecord* out,
-                    const std::string& path) {
-  uint8_t bits = r->GetU8();
-  const bool parsed = (bits & kBitParsed) != 0;
+// The decoders below are shared by the version-2/3 record layout and
+// the version-4 statement entry and record, which hold the same field
+// groups in a different arrangement (see docs/persistence.md).
 
-  out->text = r->GetString();
+/// Owner, timestamp, session, flags, quality and execution time.
+void DecodeRunFields(BinaryReader* r, QueryRecord* out) {
   out->user = r->GetString();
   out->timestamp = r->GetZigzag();
   out->session_id = r->GetZigzag();
   out->flags = static_cast<uint32_t>(r->GetVarint());
   out->quality = r->GetDouble();
-
   out->stats.execution_micros = r->GetZigzag();
-  out->stats.result_rows = r->GetVarint();
-  out->stats.rows_scanned = r->GetVarint();
-  out->stats.succeeded = r->GetU8() != 0;
-  out->stats.error = r->GetString();
-  out->stats.plan = r->GetString();
+}
 
+/// Result rows, rows scanned, success, error and plan.
+void DecodeOutcome(BinaryReader* r, RuntimeStats* stats) {
+  stats->result_rows = r->GetVarint();
+  stats->rows_scanned = r->GetVarint();
+  stats->succeeded = r->GetU8() != 0;
+  stats->error = r->GetString();
+  stats->plan = r->GetString();
+}
+
+Status DecodeAnnotations(BinaryReader* r, QueryRecord* out,
+                         const std::string& path) {
   uint64_t annotation_count = r->GetVarint();
   if (r->failed() || annotation_count > r->remaining()) {
     return CorruptSnapshot(path, "annotation count");
@@ -350,77 +420,133 @@ Status DecodeRecord(BinaryReader* r, uint32_t version,
     a.fragment = r->GetString();
     out->annotations.push_back(std::move(a));
   }
+  return Status::Ok();
+}
 
-  if (parsed) {
-    out->text_parses = true;  // ast stays null; Ast() re-parses lazily
-    out->canonical_text = r->GetString();
-    out->skeleton = r->GetString();
-    out->fingerprint = r->GetFixed64();
-    out->skeleton_fingerprint = r->GetFixed64();
-    sql::QueryComponents& c = out->components;
-    c.tables = GetStringList(r);
-    uint64_t attr_count = r->GetVarint();
-    if (r->failed() || attr_count > r->remaining()) {
-      return CorruptSnapshot(path, "attribute count");
-    }
-    c.attributes.reserve(attr_count);
-    for (uint64_t i = 0; i < attr_count; ++i) {
-      std::string rel = r->GetString();
-      std::string attr = r->GetString();
-      c.attributes.emplace_back(std::move(rel), std::move(attr));
-    }
-    c.projections = GetStringList(r);
-    uint64_t pred_count = r->GetVarint();
-    if (r->failed() || pred_count > r->remaining()) {
-      return CorruptSnapshot(path, "predicate count");
-    }
-    c.predicates.reserve(pred_count);
-    for (uint64_t i = 0; i < pred_count; ++i) {
-      sql::PredicateFeature p;
-      p.relation = r->GetString();
-      p.attribute = r->GetString();
-      p.op = r->GetString();
-      p.constant = r->GetString();
-      p.is_join = r->GetU8() != 0;
-      p.rhs_relation = r->GetString();
-      p.rhs_attribute = r->GetString();
-      c.predicates.push_back(std::move(p));
-    }
-    c.group_by = GetStringList(r);
-    c.order_by = GetStringList(r);
-    c.aggregates = GetStringList(r);
-    uint8_t cbits = r->GetU8();
-    c.has_subquery = (cbits & (1u << 0)) != 0;
-    c.has_distinct = (cbits & (1u << 1)) != 0;
-    c.select_star = (cbits & (1u << 2)) != 0;
-    c.num_joins = static_cast<int>(r->GetZigzag());
-    c.num_tables = static_cast<int>(r->GetZigzag());
-    c.max_nesting_depth = static_cast<int>(r->GetZigzag());
-    if ((cbits & (1u << 3)) != 0) c.limit = r->GetZigzag();
+/// Canonical text, skeleton, fingerprints and components of a parsed
+/// statement.
+Status DecodeParsedFeatures(BinaryReader* r, QueryRecord* out,
+                            const std::string& path) {
+  out->text_parses = true;  // ast stays null; Ast() re-parses lazily
+  out->canonical_text = r->GetString();
+  out->skeleton = r->GetString();
+  out->fingerprint = r->GetFixed64();
+  out->skeleton_fingerprint = r->GetFixed64();
+  sql::QueryComponents& c = out->components;
+  c.tables = GetStringList(r);
+  uint64_t attr_count = r->GetVarint();
+  if (r->failed() || attr_count > r->remaining()) {
+    return CorruptSnapshot(path, "attribute count");
   }
+  c.attributes.reserve(attr_count);
+  for (uint64_t i = 0; i < attr_count; ++i) {
+    std::string rel = r->GetString();
+    std::string attr = r->GetString();
+    c.attributes.emplace_back(std::move(rel), std::move(attr));
+  }
+  c.projections = GetStringList(r);
+  uint64_t pred_count = r->GetVarint();
+  if (r->failed() || pred_count > r->remaining()) {
+    return CorruptSnapshot(path, "predicate count");
+  }
+  c.predicates.reserve(pred_count);
+  for (uint64_t i = 0; i < pred_count; ++i) {
+    sql::PredicateFeature p;
+    p.relation = r->GetString();
+    p.attribute = r->GetString();
+    p.op = r->GetString();
+    p.constant = r->GetString();
+    p.is_join = r->GetU8() != 0;
+    p.rhs_relation = r->GetString();
+    p.rhs_attribute = r->GetString();
+    c.predicates.push_back(std::move(p));
+  }
+  c.group_by = GetStringList(r);
+  c.order_by = GetStringList(r);
+  c.aggregates = GetStringList(r);
+  uint8_t cbits = r->GetU8();
+  c.has_subquery = (cbits & (1u << 0)) != 0;
+  c.has_distinct = (cbits & (1u << 1)) != 0;
+  c.select_star = (cbits & (1u << 2)) != 0;
+  c.num_joins = static_cast<int>(r->GetZigzag());
+  c.num_tables = static_cast<int>(r->GetZigzag());
+  c.max_nesting_depth = static_cast<int>(r->GetZigzag());
+  if ((cbits & (1u << 3)) != 0) c.limit = r->GetZigzag();
+  return Status::Ok();
+}
 
+/// The five Symbol runs and the output-row hashes, remapped into this
+/// process's interner.
+Status DecodeSignature(BinaryReader* r, uint8_t bits, const SymbolRemap& remap,
+                       SimilaritySignature* sig, const std::string& path) {
+  sig->tables = GetSymbolRun(r);
+  sig->predicate_skeletons = GetSymbolRun(r);
+  sig->attributes = GetSymbolRun(r);
+  sig->projections = GetSymbolRun(r);
+  sig->text_tokens = GetSymbolRun(r);
+  sig->output_rows = GetDeltaU64s(r);
+  sig->output_empty_computed = (bits & kBitOutputEmptyComputed) != 0;
+  sig->valid = true;
+  bool symbols_ok = true;
+  remap.Apply(&sig->tables, &symbols_ok);
+  remap.Apply(&sig->predicate_skeletons, &symbols_ok);
+  remap.Apply(&sig->attributes, &symbols_ok);
+  remap.Apply(&sig->projections, &symbols_ok);
+  remap.Apply(&sig->text_tokens, &symbols_ok);
+  if (!symbols_ok) return CorruptSnapshot(path, "dangling symbol");
+  return Status::Ok();
+}
+
+/// A version-2 or version-3 record: every field inline.
+Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
+                         const SymbolRemap& remap, QueryRecord* out,
+                         const std::string& path) {
+  uint8_t bits = r->GetU8();
+  out->text = r->GetString();
+  DecodeRunFields(r, out);
+  DecodeOutcome(r, &out->stats);
+  CQMS_RETURN_IF_ERROR(DecodeAnnotations(r, out, path));
+  if ((bits & kBitParsed) != 0) {
+    CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
+  }
   if ((bits & kBitSigValid) != 0) {
-    SimilaritySignature& sig = out->signature;
-    sig.tables = GetSymbolRun(r);
-    sig.predicate_skeletons = GetSymbolRun(r);
-    sig.attributes = GetSymbolRun(r);
-    sig.projections = GetSymbolRun(r);
-    sig.text_tokens = GetSymbolRun(r);
-    sig.output_rows = GetDeltaU64s(r);
-    sig.output_empty_computed = (bits & kBitOutputEmptyComputed) != 0;
-    sig.valid = true;
-    bool symbols_ok = true;
-    remap.Apply(&sig.tables, &symbols_ok);
-    remap.Apply(&sig.predicate_skeletons, &symbols_ok);
-    remap.Apply(&sig.attributes, &symbols_ok);
-    remap.Apply(&sig.projections, &symbols_ok);
-    remap.Apply(&sig.text_tokens, &symbols_ok);
-    if (!symbols_ok) return CorruptSnapshot(path, "dangling symbol");
+    CQMS_RETURN_IF_ERROR(DecodeSignature(r, bits, remap, &out->signature, path));
   }
-
   // The LSH index re-derives the sketch from the (remapped) signature.
   if (version == 2 && (bits & kBitV2Sketch) != 0) r->Skip(kV2SketchBytes);
+  if (r->failed()) return CorruptSnapshot(path, "record payload");
+  return Status::Ok();
+}
 
+/// A version-4 statement entry, decoded into a record that carries only
+/// the statement's fields; every record referencing the entry starts as
+/// a copy of it.
+Status DecodeStatement(BinaryReader* r, const SymbolRemap& remap,
+                       QueryRecord* out, const std::string& path) {
+  uint8_t bits = r->GetU8();
+  out->text = r->GetString();
+  DecodeOutcome(r, &out->stats);
+  if ((bits & kBitParsed) != 0) {
+    CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
+  }
+  if ((bits & kBitSigValid) != 0) {
+    CQMS_RETURN_IF_ERROR(DecodeSignature(r, bits, remap, &out->signature, path));
+  }
+  if (r->failed()) return CorruptSnapshot(path, "statement payload");
+  return Status::Ok();
+}
+
+/// A version-4 record: a copy of its statement entry completed with the
+/// record's own fields.
+Status DecodeRecord(BinaryReader* r, const std::vector<QueryRecord>& statements,
+                    QueryRecord* out, const std::string& path) {
+  uint64_t statement = r->GetVarint();
+  if (r->failed() || statement >= statements.size()) {
+    return CorruptSnapshot(path, "statement index");
+  }
+  *out = statements[statement];
+  DecodeRunFields(r, out);
+  CQMS_RETURN_IF_ERROR(DecodeAnnotations(r, out, path));
   if (r->failed()) return CorruptSnapshot(path, "record payload");
   return Status::Ok();
 }
@@ -444,7 +570,7 @@ template <typename Writer, typename Source>
 void EncodeSnapshotFile(
     const Source& store, const std::vector<std::string>& table, Symbol limit,
     const std::vector<std::pair<QueryId, Visibility>>& visibility,
-    uint64_t wal_sequence, Writer* w) {
+    const StatementTable& statements, uint64_t wal_sequence, Writer* w) {
   w->PutBytes(kSnapshotV2Magic.data(), kSnapshotV2Magic.size());
   w->PutFixed32(kFormatVersion);
 
@@ -474,9 +600,17 @@ void EncodeSnapshotFile(
   }
   EndSection(w, section);
 
+  const RecordLog& records = store.records();
+  section = BeginSection(w, kSectionStatements);
+  w->PutVarint(statements.first_use.size());
+  for (uint32_t i : statements.first_use) EncodeStatement(w, records[i]);
+  EndSection(w, section);
+
   section = BeginSection(w, kSectionRecords);
-  w->PutVarint(store.size());
-  for (const QueryRecord& r : store.records()) EncodeRecord(w, r);
+  w->PutVarint(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EncodeRecord(w, records[i], statements.entry_of[i]);
+  }
   EndSection(w, section);
 
   section = BeginSection(w, kSectionDurability);
@@ -495,7 +629,8 @@ void EncodeSnapshotFile(
 template <typename Source>
 Status EncodeSnapshotV2Impl(const Source& store, uint64_t wal_sequence,
                             std::string* out) {
-  Symbol limit = ReferencedSymbolLimit(store);
+  const StatementTable statements = BuildStatementTable(store);
+  Symbol limit = ReferencedSymbolLimit(store, statements);
   std::vector<std::string> table = GlobalInterner().ExportTable();
   if (limit > table.size()) {
     // Transient (hash-derived) ids must never reach a stored signature;
@@ -506,10 +641,12 @@ Status EncodeSnapshotV2Impl(const Source& store, uint64_t wal_sequence,
   const auto visibility = NonDefaultVisibility(store);
 
   ByteCounter counter;
-  EncodeSnapshotFile(store, table, limit, visibility, wal_sequence, &counter);
+  EncodeSnapshotFile(store, table, limit, visibility, statements,
+                     wal_sequence, &counter);
   BinaryWriter w;
   w.Reserve(counter.size());
-  EncodeSnapshotFile(store, table, limit, visibility, wal_sequence, &w);
+  EncodeSnapshotFile(store, table, limit, visibility, statements,
+                     wal_sequence, &w);
   *out = w.Take();
   return Status::Ok();
 }
@@ -601,7 +738,9 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
   CQMS_RETURN_IF_ERROR(ReadVersion(data, label, &version));
 
   SymbolRemap remap;
+  std::vector<QueryRecord> statements;
   bool saw_interner = false;
+  bool saw_statements = false;
   bool saw_records = false;
   size_t pos = kSnapshotV2Magic.size() + 4;
   while (true) {
@@ -631,17 +770,47 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
       case kSectionAcl:
         CQMS_RETURN_IF_ERROR(DecodeAcl(&r, store, label));
         break;
-      case kSectionRecords: {
-        if (!saw_interner) {
-          return CorruptSnapshot(label, "records before interner table");
+      case kSectionStatements: {
+        if (version < kStatementTableVersion) break;  // unknown there
+        if (!saw_interner || saw_statements || saw_records) {
+          return CorruptSnapshot(label, "misplaced statement table");
         }
         uint64_t count = r.GetVarint();
-        if (r.failed()) return CorruptSnapshot(label, "record count");
+        if (r.failed() || count > r.remaining()) {
+          return CorruptSnapshot(label, "statement count");
+        }
+        // Not sized from the count: a decoded entry is far larger than
+        // its bytes, so the table grows only with entries that decode.
+        for (uint64_t i = 0; i < count; ++i) {
+          QueryRecord statement;
+          CQMS_RETURN_IF_ERROR(DecodeStatement(&r, remap, &statement, label));
+          statements.push_back(std::move(statement));
+        }
+        if (!r.AtEnd()) return CorruptSnapshot(label, "statements payload");
+        saw_statements = true;
+        break;
+      }
+      case kSectionRecords: {
+        if (!saw_interner || saw_records) {
+          return CorruptSnapshot(label, "misplaced records");
+        }
+        const bool whole = version < kStatementTableVersion;
+        if (!whole && !saw_statements) {
+          return CorruptSnapshot(label, "records before statement table");
+        }
+        // Every record takes at least one byte, so a larger count is
+        // forged; checking it first keeps the reservation bounded by
+        // the input.
+        uint64_t count = r.GetVarint();
+        if (r.failed() || count > r.remaining()) {
+          return CorruptSnapshot(label, "record count");
+        }
         store->ReserveForRestore(count, remap.map.size());
         for (uint64_t i = 0; i < count; ++i) {
           QueryRecord record;
           CQMS_RETURN_IF_ERROR(
-              DecodeRecord(&r, version, remap, &record, label));
+              whole ? DecodeWholeRecord(&r, version, remap, &record, label)
+                    : DecodeRecord(&r, statements, &record, label));
           store->RestoreAppend(std::move(record));
         }
         if (!r.AtEnd()) return CorruptSnapshot(label, "records payload");

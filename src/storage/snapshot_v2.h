@@ -14,14 +14,18 @@ namespace cqms::storage {
 /// them (anything else falls back to the v1 text reader).
 inline constexpr std::string_view kSnapshotV2Magic = "CQMSNAP2";
 
-/// Writes the binary snapshot of `store` to `path` (format version 3 under
+/// Writes the binary snapshot of `store` to `path` (format version 4 under
 /// the "CQMSNAP2" magic), atomically (tmp file + rename). The format —
 /// magic + version, then length-prefixed CRC32-framed sections —
 /// serializes everything the store derived from the query text at
 /// append time: the referenced slice of the global interner table,
-/// per-record similarity-signature Symbol vectors and output-row hashes,
+/// similarity-signature Symbol vectors and output-row hashes,
 /// canonical/skeleton texts, fingerprints, syntactic components, runtime
-/// stats, annotations, and the full ACL. LoadSnapshot can therefore
+/// stats, annotations, and the full ACL. Everything a record derives
+/// from its text and its execution outcome is written once per distinct
+/// statement, in a statement table; each record keeps an index into it
+/// plus its own owner, time, session, flags, quality, execution time and
+/// annotations. LoadSnapshot can therefore
 /// bulk-restore the store — indexes, scoring-column arenas, LSH buckets
 /// (sketched from the stored signatures), feature relations — from one
 /// sequential read, with zero re-parsing and zero re-tokenization. See
@@ -52,7 +56,9 @@ Status SaveSnapshotV2(const ReadViewState& view, const std::string& path,
 /// (it keeps the previous snapshot generation alive across the
 /// publish; see docs/persistence.md), and so does the replication
 /// bootstrap. The image is encoded into one buffer sized exactly up
-/// front, so the encode's peak memory is the image itself. kInternal
+/// front, so the encode's peak memory is the image itself (the statement
+/// table's dedupe keeps a hash per entry and an index per record, never
+/// a copy of an entry). Equal stores encode to equal bytes. kInternal
 /// when a stored signature references a symbol outside the interner
 /// table.
 Status EncodeSnapshotV2(const QueryStore& store, uint64_t wal_sequence,
@@ -63,24 +69,28 @@ Status EncodeSnapshotV2(const ReadViewState& view, uint64_t wal_sequence,
                         std::string* out);
 
 /// Structural validation without mutating any store: magic, a readable
-/// version (2 or 3), section framing and every section CRC. kCorruption on any mismatch.
+/// version (2, 3 or 4), section framing and every section CRC.
+/// kCorruption on any mismatch.
 /// This is how DurableStore::Open decides whether to fall back to the
 /// previous snapshot generation — cheap (one sequential read, no
 /// decode) and it catches exactly the faults retention protects
 /// against (torn writes, bit rot).
 Status VerifySnapshotV2(const std::string& path, Env* env = nullptr);
 
-/// Loads a version-2 or version-3 snapshot into an empty store. Symbols
+/// Loads a version-2, -3 or -4 snapshot into an empty store. Symbols
 /// are remapped through the process-global interner (bulk re-intern of
 /// the stored table slice): in a fresh process the mapping is the
 /// identity; in a process whose interner already diverged, signature
 /// vectors are remapped — still without touching the tokenizer or the
-/// SQL parser. Either way the LSH index sketches each record from its
-/// restored signature; a version-2 record's stored sketch slots are
-/// skipped. Versions above 3 are refused (kIoError), so a snapshot is
-/// never restored by a binary that would misread it. Corruption (bad
-/// magic, section CRC mismatch, truncation,
-/// malformed payload) is rejected with kCorruption; a load that fails
+/// SQL parser. A version-4 statement entry is decoded and remapped once
+/// and copied into every record that references it. Either way the LSH
+/// index sketches each record from its restored signature; a version-2
+/// record's stored sketch slots are skipped. Versions above 4 are
+/// refused (kIoError), so a snapshot is never restored by a binary that
+/// would misread it. Corruption (bad magic, section CRC mismatch,
+/// truncation, malformed payload, a count larger than the bytes left to
+/// hold it, a statement index past the table) is rejected with
+/// kCorruption; a load that fails
 /// mid-restore leaves the store partially populated, so callers must
 /// discard it (the v1 loader has the same contract). `wal_sequence`
 /// (optional) receives the stored durability stamp (0 when absent).

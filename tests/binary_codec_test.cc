@@ -211,6 +211,56 @@ TEST(ByteCounterTest, MatchesWriterSizeForEveryPrimitive) {
   });
 }
 
+// --- byte matcher -----------------------------------------------------------
+
+/// ByteMatcher decides whether an encoder would reproduce a byte string
+/// (the snapshot's statement dedupe), so it must accept exactly the
+/// bytes BinaryWriter writes: every primitive, and nothing shorter,
+/// longer or one bit off.
+TEST(ByteMatcherTest, AcceptsExactlyTheWritersBytes) {
+  auto encode = [](auto* x) {
+    for (uint64_t v : {uint64_t{0}, uint64_t{127}, uint64_t{128},
+                       uint64_t{1} << 35, std::numeric_limits<uint64_t>::max()}) {
+      x->PutVarint(v);
+    }
+    x->PutZigzag(-64);
+    x->PutZigzag(std::numeric_limits<int64_t>::min());
+    x->PutU8(200);
+    x->PutFixed32(0xA1B2C3D4u);
+    x->PutFixed64(0x0102030405060708ull);
+    x->PutDouble(0.5);
+    x->PutString("");
+    x->PutString(std::string(300, 'q'));
+    x->PutBytes("abc", 3);
+    PutDeltaU64s(x, {1, 2, 1000, std::numeric_limits<uint64_t>::max()});
+  };
+  BinaryWriter w;
+  encode(&w);
+  const std::string bytes = w.data();
+
+  ByteMatcher same(bytes);
+  encode(&same);
+  EXPECT_TRUE(same.matched());
+
+  const std::string short_bytes = bytes.substr(0, bytes.size() - 1);
+  ByteMatcher shorter(short_bytes);
+  encode(&shorter);
+  EXPECT_FALSE(shorter.matched());
+
+  const std::string long_bytes = bytes + "x";
+  ByteMatcher longer(long_bytes);
+  encode(&longer);
+  EXPECT_FALSE(longer.matched());
+
+  for (size_t at : {size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
+    std::string flipped = bytes;
+    flipped[at] ^= 0x10;
+    ByteMatcher other(flipped);
+    encode(&other);
+    EXPECT_FALSE(other.matched()) << "byte " << at;
+  }
+}
+
 // --- delta-encoded u64 vectors --------------------------------------------
 
 TEST(DeltaU64Test, RoundTripSortedValues) {

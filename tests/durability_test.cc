@@ -7,8 +7,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/binary_codec.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/cqms.h"
 #include "metaquery/knn.h"
@@ -54,6 +58,65 @@ void WriteFile(const std::string& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
+/// One snapshot section as the writer frames it: id, payload length,
+/// payload, CRC32 of the payload.
+std::string FrameSection(uint8_t id, std::string_view payload) {
+  BinaryWriter w;
+  w.PutU8(id);
+  w.PutFixed64(payload.size());
+  w.PutBytes(payload.data(), payload.size());
+  w.PutFixed32(Crc32(payload));
+  return w.Take();
+}
+
+/// A well-formed snapshot image cut at its section frames, so a test
+/// can edit a payload and re-frame it with a valid CRC.
+struct SnapshotSections {
+  std::string header;  ///< Magic and version.
+  std::vector<std::pair<uint8_t, std::string>> sections;
+
+  explicit SnapshotSections(const std::string& image)
+      : header(image.substr(0, 12)) {
+    size_t pos = header.size();
+    while (pos + 9 <= image.size()) {
+      BinaryReader frame(std::string_view(image).substr(pos + 1, 8));
+      const size_t len = frame.GetFixed64();
+      sections.emplace_back(static_cast<uint8_t>(image[pos]),
+                            image.substr(pos + 9, len));
+      pos += 9 + len + 4;
+    }
+  }
+
+  std::string* Payload(uint8_t id) {
+    for (auto& [section, payload] : sections) {
+      if (section == id) return &payload;
+    }
+    ADD_FAILURE() << "no section " << int{id};
+    return &sections.front().second;
+  }
+
+  std::string Join() const {
+    std::string image = header;
+    for (const auto& [id, payload] : sections) image += FrameSection(id, payload);
+    return image;
+  }
+};
+
+/// `payload` with its leading varint replaced by `value`.
+std::string ReplaceLeadingVarint(const std::string& payload, uint64_t value) {
+  BinaryReader r(payload);
+  r.GetVarint();
+  BinaryWriter w;
+  w.PutVarint(value);
+  return w.data() + payload.substr(payload.size() - r.remaining());
+}
+
+/// The checked-in image the last format-3 writer saved from
+/// BuildCompatLog's store.
+std::string V3FixtureImage() {
+  return ReadFile(std::string(CQMS_TEST_DATA_DIR) + "/snapshot_v3.cqms");
+}
+
 /// A populated database plus a synthetic multi-user log of (at least)
 /// `min_queries` profiled queries — the round-trip corpus.
 struct LogFixture {
@@ -80,6 +143,81 @@ struct LogFixture {
 LogFixture& BigFixture() {
   static LogFixture* fixture = new LogFixture(5000);
   return *fixture;
+}
+
+/// The log behind tests/data/snapshot_v3.cqms: the format-3 writer saved
+/// the store this function builds, in a process of its own, and the
+/// compatibility test rebuilds it here to compare against the restore.
+/// Every value is fixed (hand-set runtime stats and output samples, no
+/// timers, no randomness), so keep the function as it is. Statements
+/// repeat, as in a real lab log; copies of one statement differ in
+/// outcome (the data changed halfway) and in their own fields.
+void BuildCompatLog(QueryStore* store) {
+  store->acl().AddUser("alice", {"oceans"});
+  store->acl().AddUser("bob", {"lakes", "oceans"});
+  store->acl().AddUser("carol", {"lakes"});
+  const std::vector<std::string> statements = {
+      "SELECT temp FROM WaterTemp WHERE temp < 18",
+      "SELECT * FROM CityLocations",
+      "SELECT S.salinity, T.temp FROM WaterSalinity S, WaterTemp T "
+      "WHERE S.loc_x = T.loc_x AND T.temp < 20",
+      "SELEKT broken text",
+      "SELECT city, COUNT(*) FROM CityLocations GROUP BY city "
+      "ORDER BY city LIMIT 5",
+      "SELECT DISTINCT loc_x FROM WaterSalinity WHERE salinity > 30",
+  };
+  const std::string users[] = {"alice", "bob", "carol"};
+  for (int i = 0; i < 36; ++i) {
+    const int epoch = i < 18 ? 0 : 1;
+    QueryRecord r = BuildRecordFromText(statements[(i * 5) % 6], users[i % 3],
+                                        1'000'000 + int64_t{i} * 60'000'000);
+    r.stats.execution_micros = 200 + 17 * i;
+    if (!r.parse_failed()) {
+      r.stats.result_rows = 3 + 2 * epoch;
+      r.stats.rows_scanned = 60 + 20 * epoch;
+      r.stats.plan = "Scan rows=" + std::to_string(r.stats.rows_scanned);
+      r.summary.column_names = {"v"};
+      r.summary.total_rows = r.stats.result_rows;
+      for (uint64_t k = 0; k < r.stats.result_rows; ++k) {
+        r.summary.sample_rows.push_back(
+            {db::Value::Int(static_cast<int64_t>(10 * k) + epoch)});
+      }
+    }
+    store->Append(std::move(r));
+  }
+  // An empty output that was computed, and a failed execution.
+  QueryRecord empty = BuildRecordFromText(
+      "SELECT temp FROM WaterTemp WHERE temp < -100", "bob", 2'200'000'000);
+  empty.stats.rows_scanned = 80;
+  empty.summary.column_names = {"temp"};
+  store->Append(std::move(empty));
+  QueryRecord failed = BuildRecordFromText("SELECT nope FROM Missing", "carol",
+                                           2'300'000'000);
+  failed.stats.succeeded = false;
+  failed.stats.error = "NotFound: table Missing";
+  store->Append(std::move(failed));
+
+  EXPECT_TRUE(store->SetSession(0, 1).ok());
+  EXPECT_TRUE(store->SetSession(6, 1).ok());
+  EXPECT_TRUE(store->SetSession(12, 2).ok());
+  EXPECT_TRUE(store->SetQuality(6, 0.875).ok());
+  EXPECT_TRUE(store->AddFlag(12, kFlagRepaired).ok());
+  EXPECT_TRUE(store->AddFlag(18, kFlagStatsStale).ok());
+  Annotation note;
+  note.author = "bob";
+  note.timestamp = 1'500'000;
+  note.text = "baseline before the recalibration";
+  note.fragment = "temp < 18";
+  EXPECT_TRUE(store->Annotate(6, note).ok());
+  EXPECT_TRUE(store->RewriteQueryText(
+                  24, "SELECT temp FROM WaterTemp WHERE temp < 16")
+                  .ok());
+  EXPECT_TRUE(
+      store->acl().SetVisibility(1, "bob", "bob", Visibility::kPrivate).ok());
+  EXPECT_TRUE(store->acl()
+                  .SetVisibility(2, "carol", "carol", Visibility::kPublic)
+                  .ok());
+  EXPECT_TRUE(store->Delete(30, "alice").ok());
 }
 
 void ExpectSignaturesEqual(const SimilaritySignature& a,
@@ -190,6 +328,20 @@ void ExpectColumnsEqual(const QueryStore& a, const QueryStore& b, QueryId id) {
   for (size_t i = 0; i < oa.size; ++i) EXPECT_EQ(oa.data[i], ob.data[i]);
 }
 
+/// `loaded` holds every record, scoring column, LSH entry and ACL entry
+/// of `saved`.
+void ExpectRestoredLog(const QueryStore& saved, const QueryStore& loaded) {
+  ASSERT_EQ(loaded.size(), saved.size());
+  for (const QueryRecord& r : saved.records()) {
+    ExpectRecordsEqual(r, *loaded.Get(r.id));
+    ExpectColumnsEqual(saved, loaded, r.id);
+    EXPECT_EQ(loaded.acl().GetVisibility(r.id), saved.acl().GetVisibility(r.id))
+        << "id " << r.id;
+  }
+  EXPECT_EQ(loaded.acl().memberships(), saved.acl().memberships());
+  ExpectLshRestored(saved, loaded);
+}
+
 void ExpectResponsesEqual(const metaquery::MetaQueryResponse& a,
                           const metaquery::MetaQueryResponse& b,
                           const std::string& label) {
@@ -241,22 +393,17 @@ TEST(SnapshotV2Test, RoundTripEqualityOnSeededLogWithoutRetokenizing) {
   }
 }
 
-TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
-  LogFixture& f = BigFixture();
-  QueryStore& store = f.store;
-  std::string path = TempPath("cqms_v2_planner.snap");
-  ASSERT_TRUE(SaveSnapshotV2(store, path).ok());
-  QueryStore loaded;
-  ASSERT_TRUE(LoadSnapshot(&loaded, path).ok());
-
-  metaquery::MetaQueryExecutor before(&store);
-  metaquery::MetaQueryExecutor after(&loaded);
+/// Every planner path answers identically over `store` and `loaded`,
+/// byte for byte, for `viewer`.
+void ExpectPlannerAnswersEqual(QueryStore* store, QueryStore* loaded,
+                               const std::string& viewer) {
+  metaquery::MetaQueryExecutor before(store);
+  metaquery::MetaQueryExecutor after(loaded);
   QueryRecord probe = BuildRecordFromText(
       "SELECT T.temp FROM WaterSalinity S, WaterTemp T "
       "WHERE S.loc_x = T.loc_x AND T.temp < 20",
-      "user0", 0, SignatureMode::kTransient);
+      viewer, 0, SignatureMode::kTransient);
 
-  const std::string viewer = "user1";
   {
     metaquery::MetaQueryRequest req;
     req.WithKeywords("salinity temp").Limit(25);
@@ -309,14 +456,23 @@ TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
   }
 
   // Raw kNN entry point too (legacy API surface).
-  auto n_before = metaquery::KnnSearch(store, "user0", probe, 10);
-  auto n_after = metaquery::KnnSearch(loaded, "user0", probe, 10);
+  auto n_before = metaquery::KnnSearch(*store, viewer, probe, 10);
+  auto n_after = metaquery::KnnSearch(*loaded, viewer, probe, 10);
   ASSERT_EQ(n_before.size(), n_after.size());
   for (size_t i = 0; i < n_before.size(); ++i) {
     EXPECT_EQ(n_before[i].id, n_after[i].id);
     EXPECT_EQ(n_before[i].similarity, n_after[i].similarity);
     EXPECT_EQ(n_before[i].score, n_after[i].score);
   }
+}
+
+TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
+  LogFixture& f = BigFixture();
+  std::string path = TempPath("cqms_v2_planner.snap");
+  ASSERT_TRUE(SaveSnapshotV2(f.store, path).ok());
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshot(&loaded, path).ok());
+  ExpectPlannerAnswersEqual(&f.store, &loaded, "user1");
 }
 
 TEST(SnapshotV2Test, MutatedStateSurvivesRoundTrip) {
@@ -482,20 +638,10 @@ TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   BinaryWriter version;
   version.PutFixed32(2);
   file += version.data();
-  auto append_section = [&file](uint8_t id, const std::string& payload) {
-    BinaryWriter frame;
-    frame.PutU8(id);
-    frame.PutFixed64(payload.size());
-    file += frame.data();
-    file += payload;
-    BinaryWriter crc;
-    crc.PutFixed32(Crc32(payload));
-    file += crc.data();
-  };
-  append_section(1, interner.data());
-  append_section(2, acl.data());
-  append_section(3, records.data());
-  append_section(0xFF, std::string());
+  file += FrameSection(1, interner.data());
+  file += FrameSection(2, acl.data());
+  file += FrameSection(3, records.data());
+  file += FrameSection(0xFF, std::string());
 
   std::string path = TempPath("cqms_v2_foreign.snap");
   WriteFile(path, file);
@@ -573,9 +719,9 @@ TEST(SnapshotV2Test, CorruptSnapshotsAreRejected) {
     EXPECT_EQ(LoadSnapshot(&s, path).code(), StatusCode::kIoError);
   }
   {  // The next format version, as a later binary would write it.
-    ASSERT_EQ(good[8], 3);
+    ASSERT_EQ(good[8], 4);
     std::string bad = good;
-    bad[8] = 4;
+    bad[8] = 5;
     WriteFile(path, bad);
     QueryStore s;
     EXPECT_EQ(LoadSnapshot(&s, path).code(), StatusCode::kIoError);
@@ -601,6 +747,188 @@ TEST(SnapshotV2Test, CorruptSnapshotsAreRejected) {
   QueryStore s;
   EXPECT_TRUE(LoadSnapshot(&s, path).ok());
   EXPECT_EQ(s.size(), 2u);
+}
+
+// The compatibility fixture: a version-3 image that the last format-3
+// writer saved from BuildCompatLog's store, in a process of its own.
+// This process interns the names first, so the restore goes through
+// the symbol remap. It must still restore every value, parse nothing,
+// and index and answer like the rebuilt store.
+TEST(SnapshotV2Test, Version3FixtureRestoresTheRebuiltLog) {
+  const std::string image = V3FixtureImage();
+  ASSERT_GT(image.size(), 12u);
+  ASSERT_EQ(image[8], 3);
+  QueryStore rebuilt;
+  BuildCompatLog(&rebuilt);
+
+  uint64_t words_before = ExtractWordsCallCount();
+  uint64_t parses_before = sql::ParseCallCount();
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, image, "v3 fixture").ok());
+  EXPECT_EQ(ExtractWordsCallCount() - words_before, 0u);
+  EXPECT_EQ(sql::ParseCallCount() - parses_before, 0u);
+
+  ExpectRestoredLog(rebuilt, loaded);
+  for (const char* viewer : {"alice", "bob", "carol"}) {
+    ExpectPlannerAnswersEqual(&rebuilt, &loaded, viewer);
+  }
+}
+
+// Format 4 writes each distinct statement once. Copies of a statement
+// that ran before and after a data change (another outcome), or in
+// other sessions and with other qualities, flags and annotations (other
+// own fields), must each restore as saved, and the restored store must
+// encode to the same bytes again.
+TEST(SnapshotV2Test, RepeatedStatementsRestoreFieldForField) {
+  QueryStore store;
+  BuildCompatLog(&store);
+  // Record 18 re-ran record 0's statement after the data changed;
+  // record 6 re-ran it with the same outcome but its own session,
+  // quality and annotation.
+  const QueryRecord& first = *store.Get(0);
+  ASSERT_EQ(store.Get(18)->text, first.text);
+  ASSERT_NE(store.Get(18)->stats.result_rows, first.stats.result_rows);
+  ASSERT_NE(store.Get(18)->signature.output_rows, first.signature.output_rows);
+  ASSERT_EQ(store.Get(6)->text, first.text);
+  ASSERT_EQ(store.Get(6)->signature.output_rows, first.signature.output_rows);
+  ASSERT_NE(store.Get(6)->quality, first.quality);
+  ASSERT_NE(store.Get(6)->annotations.size(), first.annotations.size());
+
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+  ASSERT_EQ(image[8], 4);
+  // A repeat costs a record, not a statement: the statement table and
+  // the records together are smaller than the version-3 records.
+  SnapshotSections v4(image);
+  SnapshotSections v3(V3FixtureImage());
+  EXPECT_LT(v4.Payload(5)->size() + v4.Payload(3)->size(),
+            v3.Payload(3)->size() / 2);
+
+  uint64_t words_before = ExtractWordsCallCount();
+  uint64_t parses_before = sql::ParseCallCount();
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, image, "v4").ok());
+  EXPECT_EQ(ExtractWordsCallCount() - words_before, 0u);
+  EXPECT_EQ(sql::ParseCallCount() - parses_before, 0u);
+  ExpectRestoredLog(store, loaded);
+
+  std::string again;
+  ASSERT_TRUE(EncodeSnapshotV2(loaded, 0, &again).ok());
+  EXPECT_TRUE(again == image) << "the restored store encodes differently";
+}
+
+// A CRC-valid image can still lie about its counts. A Records count of
+// 2^50 used to reach QueryStore::ReserveForRestore and end the process
+// with std::bad_alloc; every count and the statement index must be
+// checked against the bytes that are there and answered with
+// kCorruption.
+TEST(SnapshotV2Test, ForgedCountsAndIndexesAreCorruption) {
+  QueryStore store;
+  BuildCompatLog(&store);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+  auto load = [](const std::string& bytes) {
+    QueryStore s;
+    return LoadSnapshotV2FromString(&s, bytes, "forged").code();
+  };
+  constexpr uint64_t kHuge = uint64_t{1} << 50;
+
+  for (uint8_t section : {3, 5}) {  // Records, Statements
+    SnapshotSections forged(image);
+    std::string* payload = forged.Payload(section);
+    *payload = ReplaceLeadingVarint(*payload, kHuge);
+    EXPECT_EQ(load(forged.Join()), StatusCode::kCorruption)
+        << "section " << int{section};
+  }
+  {  // The version-3 Records count.
+    SnapshotSections forged(V3FixtureImage());
+    std::string* payload = forged.Payload(3);
+    *payload = ReplaceLeadingVarint(*payload, kHuge);
+    EXPECT_EQ(load(forged.Join()), StatusCode::kCorruption);
+  }
+  {  // The first record references one entry past the table.
+    SnapshotSections forged(image);
+    BinaryReader table(*forged.Payload(5));
+    const uint64_t entries = table.GetVarint();
+    std::string* records = forged.Payload(3);
+    BinaryReader r(*records);
+    BinaryWriter count;
+    count.PutVarint(r.GetVarint());
+    *records = count.data() +
+               ReplaceLeadingVarint(records->substr(records->size() -
+                                                    r.remaining()),
+                                    entries);
+    EXPECT_EQ(load(forged.Join()), StatusCode::kCorruption);
+  }
+  {  // Records without the statement table they index into.
+    SnapshotSections forged(image);
+    forged.sections.erase(
+        std::find_if(forged.sections.begin(), forged.sections.end(),
+                     [](const auto& s) { return s.first == 5; }));
+    EXPECT_EQ(load(forged.Join()), StatusCode::kCorruption);
+  }
+  EXPECT_EQ(load(image), StatusCode::kOk);
+}
+
+// Seeded byte-mutation fuzz of the snapshot decoder, over a version-4
+// image and the version-3 fixture. Each mutant's section CRCs are
+// recomputed, so the payload decoders see the mutated bytes rather
+// than the CRC check stopping them. Every load must end in OK or
+// kCorruption: no crash, no abort, nothing a sanitizer reports (CI runs
+// this suite under ASan/UBSan).
+TEST(SnapshotV2Test, SeededMutationFuzzLoadsOrFailsTyped) {
+  QueryStore store;
+  BuildCompatLog(&store);
+  std::string v4;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 7, &v4).ok());
+  constexpr size_t kMutants = 1000;
+  Rng rng(0x534e4150);
+  for (const std::string& image : {v4, V3FixtureImage()}) {
+    size_t loaded = 0;
+    size_t rejected = 0;
+    for (size_t i = 0; i < kMutants; ++i) {
+      SnapshotSections mutant(image);
+      // Any section but the empty End one.
+      std::string& payload =
+          mutant.sections[rng.Uniform(mutant.sections.size() - 1)].second;
+      const uint64_t edits = 1 + rng.Uniform(4);
+      for (uint64_t e = 0; e < edits && !payload.empty(); ++e) {
+        const size_t at = rng.Uniform(payload.size());
+        switch (rng.Uniform(6)) {
+          case 0:  // flip one bit
+            payload[at] ^= static_cast<char>(1u << rng.Uniform(8));
+            break;
+          case 1:  // any byte value
+            payload[at] = static_cast<char>(rng.Uniform(256));
+            break;
+          case 2:  // a varint continuation byte
+            payload[at] = static_cast<char>(0x80 | rng.Uniform(128));
+            break;
+          case 3:  // insert a byte
+            payload.insert(at, 1, static_cast<char>(rng.Uniform(256)));
+            break;
+          case 4:  // drop a span
+            payload.erase(at, 1 + rng.Uniform(8));
+            break;
+          default:  // truncate
+            payload.resize(at);
+            break;
+        }
+      }
+      QueryStore s;
+      Status st = LoadSnapshotV2FromString(&s, mutant.Join(), "mutant");
+      if (st.ok()) {
+        ++loaded;
+      } else {
+        ++rejected;
+        EXPECT_EQ(st.code(), StatusCode::kCorruption) << st;
+      }
+    }
+    // The mutations reached the decoders: most mutants are refused, and
+    // a few (an edited string, timestamp or quality) still load.
+    EXPECT_GT(rejected, kMutants / 2);
+    EXPECT_GT(loaded, 0u);
+  }
 }
 
 /// Applies a representative mutation of every WAL op through a durable

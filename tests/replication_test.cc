@@ -11,6 +11,7 @@
 #include "repl/follower.h"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binary_codec.h"
+#include "common/frame_codec.h"
 #include "core/cqms.h"
 #include "net/wire.h"
 #include "netclient/client.h"
@@ -712,6 +714,189 @@ TEST(ReplicationChaosTest, CorruptedStreamRecoversAndConverges) {
   EXPECT_EQ(ViewBytes(&primary.cqms), ViewBytes(replica_cqms.get()));
   replica.Stop();
   proxy.Stop();
+}
+
+// --- hostile primary -------------------------------------------------------
+
+/// A loopback listener that plays the primary's side of the replication
+/// protocol from a script, through the public net:: codecs, so it can
+/// announce what no real primary would.
+class ScriptedPrimary {
+ public:
+  ScriptedPrimary() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr;
+    memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 8), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+  }
+
+  ~ScriptedPrimary() {
+    CloseConnection();
+    ::close(listen_fd_);
+  }
+  ScriptedPrimary(const ScriptedPrimary&) = delete;
+  ScriptedPrimary& operator=(const ScriptedPrimary&) = delete;
+
+  uint16_t port() const { return port_; }
+  const net::ReplSubscribeRequest& subscription() const { return subscription_; }
+
+  /// Accepts the follower's next connection, answers its handshake, and
+  /// answers its subscription with a snapshot bootstrap. False when no
+  /// follower arrives in time or it says something unexpected.
+  bool AcceptSubscriber() {
+    CloseConnection();
+    if (!WaitReadable(listen_fd_)) return false;
+    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    if (conn_fd_ < 0) return false;
+    decoder_ = FrameDecoder();
+
+    net::RequestEnvelope env;
+    if (!ReadRequest(&env) || env.op != net::Op::kHello) return false;
+    BinaryWriter hello;
+    net::BeginResponse(&hello, env.request_id, net::Op::kHello);
+    net::EncodeHelloResponse(&hello, net::HelloResponse{});
+    Send(hello);
+
+    if (!ReadRequest(&env) || env.op != net::Op::kReplSubscribe) return false;
+    BinaryReader r(env.body);
+    if (!net::DecodeReplSubscribeRequest(&r, &subscription_)) return false;
+    subscribe_id_ = env.request_id;
+    BinaryWriter result;
+    net::BeginResponse(&result, subscribe_id_, net::Op::kReplSubscribe);
+    net::ReplSubscribeResult subscribed;
+    subscribed.snapshot_bootstrap = true;
+    net::EncodeReplSubscribeResult(&result, subscribed);
+    Send(result);
+    return true;
+  }
+
+  void SendSnapshotBegin(uint64_t total_bytes) {
+    net::ReplSnapshotBegin begin;
+    begin.total_bytes = total_bytes;
+    BinaryWriter w = StreamMessage(net::ReplStreamKind::kSnapshotBegin);
+    net::EncodeReplSnapshotBegin(&w, begin);
+    Send(w);
+  }
+
+  void SendSnapshotChunk(std::string data) {
+    net::ReplSnapshotChunk chunk;
+    chunk.data = std::move(data);
+    BinaryWriter w = StreamMessage(net::ReplStreamKind::kSnapshotChunk);
+    net::EncodeReplSnapshotChunk(&w, chunk);
+    Send(w);
+  }
+
+  void SendSnapshotEnd() {
+    Send(StreamMessage(net::ReplStreamKind::kSnapshotEnd));
+  }
+
+  /// True once the follower hangs up.
+  bool WaitForHangUp() {
+    char buf[4096];
+    while (WaitReadable(conn_fd_)) {
+      if (::recv(conn_fd_, buf, sizeof(buf), 0) <= 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  static bool WaitReadable(int fd) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 10000) == 1;
+  }
+
+  bool ReadRequest(net::RequestEnvelope* env) {
+    while (true) {
+      switch (decoder_.Poll(&payload_)) {
+        case FrameDecoder::Next::kFrame:
+          return net::DecodeRequestEnvelope(payload_, env);
+        case FrameDecoder::Next::kError:
+          return false;
+        case FrameDecoder::Next::kNeedMore:
+          break;
+      }
+      char buf[4096];
+      if (!WaitReadable(conn_fd_)) return false;
+      ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      decoder_.Feed(buf, static_cast<size_t>(n));
+    }
+  }
+
+  BinaryWriter StreamMessage(net::ReplStreamKind kind) const {
+    BinaryWriter w;
+    net::BeginResponse(&w, subscribe_id_, net::Op::kReplStream);
+    w.PutU8(static_cast<uint8_t>(kind));
+    return w;
+  }
+
+  /// Best effort: the follower may already have hung up.
+  void Send(const BinaryWriter& w) {
+    std::string frame;
+    AppendFrame(&frame, w.data());
+    size_t sent = 0;
+    while (sent < frame.size()) {
+      ssize_t n = ::send(conn_fd_, frame.data() + sent, frame.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  }
+
+  void CloseConnection() {
+    if (conn_fd_ >= 0) ::close(conn_fd_);
+    conn_fd_ = -1;
+  }
+
+  int listen_fd_ = -1;
+  int conn_fd_ = -1;
+  uint16_t port_ = 0;
+  FrameDecoder decoder_;
+  std::string payload_;
+  uint64_t subscribe_id_ = 0;
+  net::ReplSubscribeRequest subscription_;
+};
+
+// The follower used to reserve the announced bootstrap size before any
+// chunk arrived, so a primary announcing 2^50 bytes ended the follower
+// process with an uncaught exception. The image now grows only with the
+// chunks that arrive, and a stream that overruns its announced size is
+// refused at once. Either way the follower counts a verification
+// failure, hangs up and asks the next connection for a fresh snapshot.
+TEST(ReplicationTest, FollowerRefusesBootstrapSizeTheStreamDoesNotMatch) {
+  ScriptedPrimary primary;
+  Replica replica("127.0.0.1:" + std::to_string(primary.port()),
+                  primary.port());
+
+  ASSERT_TRUE(primary.AcceptSubscriber());
+  primary.SendSnapshotBegin(uint64_t{1} << 50);
+  primary.SendSnapshotChunk(std::string(4096, 'x'));
+  primary.SendSnapshotEnd();
+  EXPECT_TRUE(primary.WaitForHangUp());
+  EXPECT_TRUE(WaitUntil(
+      [&] { return replica.follower->GetStats().crc_failures == 1; }));
+
+  ASSERT_TRUE(primary.AcceptSubscriber());
+  EXPECT_TRUE(primary.subscription().force_snapshot);
+  primary.SendSnapshotBegin(16);
+  primary.SendSnapshotChunk(std::string(64, 'y'));  // no End follows
+  EXPECT_TRUE(primary.WaitForHangUp());
+  EXPECT_TRUE(WaitUntil(
+      [&] { return replica.follower->GetStats().crc_failures == 2; }));
+
+  Follower::Stats stats = replica.follower->GetStats();
+  EXPECT_EQ(stats.snapshots_loaded, 0u);
+  EXPECT_EQ(replica.server->CurrentCqms()->store()->size(), 0u);
+  replica.Stop();
 }
 
 // --- client deadlines ------------------------------------------------------
