@@ -37,9 +37,7 @@ const char* kViewer = "user0";
 struct ConcurrentFixture {
   explicit ConcurrentFixture(size_t log_size)
       : base(new bench::LogFixture(log_size)) {
-    storage::ViewOptions options;
-    options.publish_every = 1;  // worst-case publication churn
-    base->store.EnableViews(options);
+    base->store.EnableViews();  // publishes per mutation: worst-case churn
     probe = storage::BuildRecordFromText(
         "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18", kViewer, 0,
         storage::SignatureMode::kTransient);

@@ -175,9 +175,7 @@ class Cqms {
   /// any number of threads concurrently with this instance's writer
   /// thread (Execute, maintenance, mining). Call from the writer
   /// thread, typically right after construction or restore.
-  void EnableConcurrentReads(storage::ViewOptions options = {}) {
-    store_.EnableViews(options);
-  }
+  void EnableConcurrentReads() { store_.EnableViews(); }
 
   /// Refcounted handle on the latest published view (null until
   /// EnableConcurrentReads) — for long-lived consumers like backups.

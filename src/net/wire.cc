@@ -1,321 +1,241 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 namespace cqms::net {
 
 namespace {
 
-// Shared small-field helpers. Decoders never trust a count further than
-// "each element needs at least one byte": a hostile varint count larger
-// than the remaining buffer is rejected before any reserve/resize, so a
-// 16-byte frame cannot demand a 4 GB allocation.
+// The generic body codec: an Encoder or Decoder is the visitor a field
+// list calls with its members (CQMS_WIRE_FIELDS in wire.h), and each
+// member's C++ type picks its encoding.
 
-bool CheckedCount(BinaryReader* r, uint64_t count) {
-  if (count > r->remaining()) {
-    r->Invalidate();
-    return false;
+/// The last valid value of each enum on the wire (decoders reject
+/// larger bytes).
+constexpr metaquery::ResultOrder LastValue(metaquery::ResultOrder) {
+  return metaquery::ResultOrder::kLogOrder;
+}
+constexpr storage::Visibility LastValue(storage::Visibility) {
+  return storage::Visibility::kPublic;
+}
+constexpr db::ValueType LastValue(db::ValueType) {
+  return db::ValueType::kBool;
+}
+
+template <typename T>
+struct IsOptional : std::false_type {};
+template <typename T>
+struct IsOptional<std::optional<T>> : std::true_type {};
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+template <typename T>
+struct IsPair : std::false_type {};
+template <typename A, typename B>
+struct IsPair<std::pair<A, B>> : std::true_type {};
+
+template <typename T, typename... Us>
+constexpr bool kIsOneOf = (std::is_same_v<T, Us> || ...);
+template <typename T>
+constexpr bool kIsScalar =
+    std::is_arithmetic_v<T> || std::is_enum_v<T> || std::is_same_v<T, std::string>;
+
+/// A vector reserves at most this many elements before they decode: a
+/// count is only trusted as far as "each element needs a byte", so a
+/// 16-byte body cannot make the decoder allocate for billions.
+constexpr uint64_t kMaxReserve = 64;
+
+class Encoder {
+ public:
+  explicit Encoder(BinaryWriter* w) : w_(w) {}
+
+  template <typename... F>
+  void operator()(const F&... fields) {
+    (Put(fields), ...);
   }
-  return true;
-}
 
-void PutBool(BinaryWriter* w, bool v) { w->PutU8(v ? 1 : 0); }
-bool GetBool(BinaryReader* r) { return r->GetU8() != 0; }
+ private:
+  void Put(SinceMinor) {}
+  void Put(Fixed32<const uint32_t> f) { w_->PutFixed32(f.value); }
 
-void PutOptString(BinaryWriter* w, const std::optional<std::string>& v) {
-  PutBool(w, v.has_value());
-  if (v.has_value()) w->PutString(*v);
-}
-
-std::optional<std::string> GetOptString(BinaryReader* r) {
-  if (!GetBool(r)) return std::nullopt;
-  return r->GetString();
-}
-
-void PutOptZigzag(BinaryWriter* w, const std::optional<int64_t>& v) {
-  PutBool(w, v.has_value());
-  if (v.has_value()) w->PutZigzag(*v);
-}
-
-std::optional<int64_t> GetOptZigzag(BinaryReader* r) {
-  if (!GetBool(r)) return std::nullopt;
-  return r->GetZigzag();
-}
-
-void PutOptVarint(BinaryWriter* w, const std::optional<uint64_t>& v) {
-  PutBool(w, v.has_value());
-  if (v.has_value()) w->PutVarint(*v);
-}
-
-std::optional<uint64_t> GetOptVarint(BinaryReader* r) {
-  if (!GetBool(r)) return std::nullopt;
-  return r->GetVarint();
-}
-
-void PutOptInt(BinaryWriter* w, const std::optional<int>& v) {
-  PutBool(w, v.has_value());
-  if (v.has_value()) w->PutZigzag(*v);
-}
-
-std::optional<int> GetOptInt(BinaryReader* r) {
-  if (!GetBool(r)) return std::nullopt;
-  return std::optional<int>(static_cast<int>(r->GetZigzag()));
-}
-
-void PutOptBool(BinaryWriter* w, const std::optional<bool>& v) {
-  PutBool(w, v.has_value());
-  if (v.has_value()) PutBool(w, *v);
-}
-
-std::optional<bool> GetOptBool(BinaryReader* r) {
-  if (!GetBool(r)) return std::nullopt;
-  return GetBool(r);
-}
-
-void PutStrings(BinaryWriter* w, const std::vector<std::string>& v) {
-  w->PutVarint(v.size());
-  for (const std::string& s : v) w->PutString(s);
-}
-
-bool GetStrings(BinaryReader* r, std::vector<std::string>* out) {
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) out->push_back(r->GetString());
-  return !r->failed();
-}
-
-void PutValue(BinaryWriter* w, const db::Value& v) {
-  w->PutU8(static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case db::ValueType::kNull:
-      break;
-    case db::ValueType::kInt:
-      w->PutZigzag(v.AsInt());
-      break;
-    case db::ValueType::kDouble:
-      w->PutDouble(v.AsDouble());
-      break;
-    case db::ValueType::kString:
-      w->PutString(v.AsString());
-      break;
-    case db::ValueType::kBool:
-      PutBool(w, v.AsBool());
-      break;
-  }
-}
-
-bool GetValue(BinaryReader* r, db::Value* out) {
-  uint8_t tag = r->GetU8();
-  if (tag > static_cast<uint8_t>(db::ValueType::kBool)) {
-    r->Invalidate();
-    return false;
-  }
-  switch (static_cast<db::ValueType>(tag)) {
-    case db::ValueType::kNull:
-      *out = db::Value::Null();
-      break;
-    case db::ValueType::kInt:
-      *out = db::Value::Int(r->GetZigzag());
-      break;
-    case db::ValueType::kDouble:
-      *out = db::Value::Double(r->GetDouble());
-      break;
-    case db::ValueType::kString:
-      *out = db::Value::String(r->GetString());
-      break;
-    case db::ValueType::kBool:
-      *out = db::Value::Bool(GetBool(r));
-      break;
-  }
-  return !r->failed();
-}
-
-void PutRanking(BinaryWriter* w, const metaquery::RankingOptions& v) {
-  w->PutDouble(v.w_similarity);
-  w->PutDouble(v.w_popularity);
-  w->PutDouble(v.w_quality);
-  w->PutDouble(v.w_recency);
-  PutBool(w, v.exclude_flagged);
-  w->PutDouble(v.min_similarity);
-}
-
-void GetRanking(BinaryReader* r, metaquery::RankingOptions* v) {
-  v->w_similarity = r->GetDouble();
-  v->w_popularity = r->GetDouble();
-  v->w_quality = r->GetDouble();
-  v->w_recency = r->GetDouble();
-  v->exclude_flagged = GetBool(r);
-  v->min_similarity = r->GetDouble();
-}
-
-void PutFeatureSpec(BinaryWriter* w, const FeatureSpec& v) {
-  PutStrings(w, v.tables);
-  w->PutVarint(v.attributes.size());
-  for (const auto& [rel, attr] : v.attributes) {
-    w->PutString(rel);
-    w->PutString(attr);
-  }
-  w->PutVarint(v.predicates.size());
-  for (const FeatureSpec::Predicate& p : v.predicates) {
-    w->PutString(p.relation);
-    w->PutString(p.attribute);
-    w->PutString(p.op);
-  }
-  PutOptString(w, v.user);
-  PutOptZigzag(w, v.max_execution_micros);
-  PutOptVarint(w, v.max_result_rows);
-  PutOptVarint(w, v.min_result_rows);
-  PutBool(w, v.succeeded_only);
-}
-
-bool GetFeatureSpec(BinaryReader* r, FeatureSpec* v) {
-  if (!GetStrings(r, &v->tables)) return false;
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  v->attributes.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string rel = r->GetString();
-    std::string attr = r->GetString();
-    v->attributes.emplace_back(std::move(rel), std::move(attr));
-  }
-  n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  v->predicates.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FeatureSpec::Predicate p;
-    p.relation = r->GetString();
-    p.attribute = r->GetString();
-    p.op = r->GetString();
-    v->predicates.push_back(std::move(p));
-  }
-  v->user = GetOptString(r);
-  v->max_execution_micros = GetOptZigzag(r);
-  v->max_result_rows = GetOptVarint(r);
-  v->min_result_rows = GetOptVarint(r);
-  v->succeeded_only = GetBool(r);
-  return !r->failed();
-}
-
-void PutStructure(BinaryWriter* w, const metaquery::StructuralPattern& v) {
-  PutStrings(w, v.required_tables);
-  PutStrings(w, v.forbidden_tables);
-  PutStrings(w, v.required_predicate_skeletons);
-  PutStrings(w, v.required_aggregates);
-  PutOptBool(w, v.requires_subquery);
-  PutOptBool(w, v.requires_group_by);
-  PutOptInt(w, v.min_joins);
-  PutOptInt(w, v.max_joins);
-  PutOptInt(w, v.min_nesting_depth);
-}
-
-bool GetStructure(BinaryReader* r, metaquery::StructuralPattern* v) {
-  if (!GetStrings(r, &v->required_tables)) return false;
-  if (!GetStrings(r, &v->forbidden_tables)) return false;
-  if (!GetStrings(r, &v->required_predicate_skeletons)) return false;
-  if (!GetStrings(r, &v->required_aggregates)) return false;
-  v->requires_subquery = GetOptBool(r);
-  v->requires_group_by = GetOptBool(r);
-  v->min_joins = GetOptInt(r);
-  v->max_joins = GetOptInt(r);
-  v->min_nesting_depth = GetOptInt(r);
-  return !r->failed();
-}
-
-void PutDataSpec(BinaryWriter* w, const DataSpec& v) {
-  w->PutVarint(v.examples.size());
-  for (const DataExampleSpec& ex : v.examples) {
-    w->PutVarint(ex.cells.size());
-    for (const db::Value& cell : ex.cells) PutValue(w, cell);
-    PutBool(w, ex.positive);
-  }
-  PutBool(w, v.reexecute);
-  PutBool(w, v.skip_without_summary);
-}
-
-bool GetDataSpec(BinaryReader* r, DataSpec* v) {
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  v->examples.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    DataExampleSpec ex;
-    uint64_t cells = r->GetVarint();
-    if (!CheckedCount(r, cells)) return false;
-    ex.cells.reserve(cells);
-    for (uint64_t c = 0; c < cells; ++c) {
-      db::Value cell;
-      if (!GetValue(r, &cell)) return false;
-      ex.cells.push_back(std::move(cell));
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      w_->PutString(v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w_->PutU8(v ? 1 : 0);
+    } else if constexpr (std::is_same_v<T, uint8_t> || std::is_enum_v<T>) {
+      w_->PutU8(static_cast<uint8_t>(v));
+    } else if constexpr (kIsOneOf<T, uint32_t, uint64_t>) {
+      w_->PutVarint(v);
+    } else if constexpr (kIsOneOf<T, int, int64_t>) {
+      w_->PutZigzag(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w_->PutDouble(v);
+    } else if constexpr (IsOptional<T>::value) {
+      Put(v.has_value());
+      if (v.has_value()) Put(*v);
+    } else if constexpr (IsVector<T>::value) {
+      w_->PutVarint(v.size());
+      for (const auto& e : v) Put(e);
+    } else if constexpr (IsPair<T>::value) {
+      Put(v.first);
+      Put(v.second);
+    } else if constexpr (std::is_same_v<T, db::Value>) {
+      Put(v.type());
+      switch (v.type()) {
+        case db::ValueType::kNull: break;
+        case db::ValueType::kInt: Put(v.AsInt()); break;
+        case db::ValueType::kDouble: Put(v.AsDouble()); break;
+        case db::ValueType::kString: Put(v.AsString()); break;
+        case db::ValueType::kBool: Put(v.AsBool()); break;
+      }
+    } else {
+      WireFields(v, *this);
     }
-    ex.positive = GetBool(r);
-    v->examples.push_back(std::move(ex));
   }
-  v->reexecute = GetBool(r);
-  v->skip_without_summary = GetBool(r);
-  return !r->failed();
-}
 
-void PutSimilaritySpec(BinaryWriter* w, const SimilaritySpec& v) {
-  w->PutString(v.probe_text);
-  w->PutDouble(v.weights.feature);
-  w->PutDouble(v.weights.text);
-  w->PutDouble(v.weights.output);
-  PutBool(w, v.candidates.use_lsh);
-  w->PutVarint(v.candidates.lsh_min_log_size);
-  w->PutVarint(v.candidates.probe_bands);
-}
+  BinaryWriter* w_;
+};
 
-bool GetSimilaritySpec(BinaryReader* r, SimilaritySpec* v) {
-  v->probe_text = r->GetString();
-  v->weights.feature = r->GetDouble();
-  v->weights.text = r->GetDouble();
-  v->weights.output = r->GetDouble();
-  v->candidates.use_lsh = GetBool(r);
-  v->candidates.lsh_min_log_size = r->GetVarint();
-  v->candidates.probe_bands = r->GetVarint();
-  return !r->failed();
-}
+class Decoder {
+ public:
+  explicit Decoder(BinaryReader* r) : r_(r) {}
+
+  /// Reads the fields in order. Like BinaryReader itself it reads on
+  /// past a failure (every read then returns zeros) and leaves the
+  /// verdict to the caller's failed() check: stopping at the first
+  /// failure would put each read behind a chain of branches, which GCC
+  /// prices as unlikely and stops inlining the varint fast path into.
+  template <typename... F>
+  void operator()(F&&... fields) {
+    Read(fields...);
+  }
+
+ private:
+  void Read() {}
+  /// A body that ends where a trailing group starts came from an older
+  /// peer: the group keeps its defaults.
+  template <typename... Rest>
+  void Read(SinceMinor, Rest&... rest) {
+    if (!r_->AtEnd()) Read(rest...);
+  }
+  template <typename F, typename... Rest>
+  void Read(F& first, Rest&... rest) {
+    Get(first);
+    Read(rest...);
+  }
+
+  void Get(Fixed32<uint32_t> f) { f.value = r_->GetFixed32(); }
+
+  template <typename T>
+  void Get(T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      v = r_->GetString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = r_->GetU8() != 0;
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      v = r_->GetU8();
+    } else if constexpr (std::is_enum_v<T>) {
+      uint8_t raw = r_->GetU8();
+      if (raw > static_cast<uint8_t>(LastValue(T{}))) {
+        r_->Invalidate();
+      } else {
+        v = static_cast<T>(raw);
+      }
+    } else if constexpr (kIsOneOf<T, uint32_t, uint64_t>) {
+      v = static_cast<T>(r_->GetVarint());
+    } else if constexpr (kIsOneOf<T, int, int64_t>) {
+      v = static_cast<T>(r_->GetZigzag());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = r_->GetDouble();
+    } else if constexpr (IsOptional<T>::value) {
+      if constexpr (kIsScalar<typename T::value_type>) {
+        if (r_->GetU8() != 0) Get(v.emplace());
+      } else {
+        GetOptionalMessage(v);
+      }
+    } else if constexpr (IsVector<T>::value) {
+      GetVector(v);
+    } else if constexpr (IsPair<T>::value) {
+      Get(v.first);
+      Get(v.second);
+    } else if constexpr (std::is_same_v<T, db::Value>) {
+      db::ValueType type = db::ValueType::kNull;
+      Get(type);
+      switch (type) {
+        case db::ValueType::kNull: v = db::Value::Null(); break;
+        case db::ValueType::kInt: v = db::Value::Int(r_->GetZigzag()); break;
+        case db::ValueType::kDouble: v = db::Value::Double(r_->GetDouble()); break;
+        case db::ValueType::kString: v = db::Value::String(r_->GetString()); break;
+        case db::ValueType::kBool: v = db::Value::Bool(r_->GetU8() != 0); break;
+      }
+    } else {
+      WireFields(v, *this);
+    }
+  }
+
+  // Vectors and optional messages decode out of line, one copy per
+  // element type: inlined into every message they would grow the
+  // translation unit past the point where GCC still inlines the
+  // reader's varint fast path.
+  template <typename T>
+  [[gnu::noinline]] void GetOptionalMessage(std::optional<T>& v) {
+    if (r_->GetU8() != 0) Get(v.emplace());
+  }
+  template <typename T>
+  [[gnu::noinline]] void GetVector(std::vector<T>& v) {
+    uint64_t n = r_->GetVarint();
+    if (n > r_->remaining()) r_->Invalidate();
+    if (r_->failed()) return;
+    v.reserve(std::min(n, kMaxReserve));
+    for (uint64_t i = 0; i < n; ++i) {
+      // Decoded into a local: stores into vector memory could alias the
+      // reader's cursor and force a reload after every field.
+      T e{};
+      Get(e);
+      if (r_->failed()) return;
+      v.push_back(std::move(e));
+    }
+  }
+
+  BinaryReader* r_;
+};
 
 }  // namespace
 
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kHello:
-      return "Hello";
-    case Op::kSearch:
-      return "Search";
-    case Op::kAppend:
-      return "Append";
-    case Op::kRewrite:
-      return "Rewrite";
-    case Op::kAnnotate:
-      return "Annotate";
-    case Op::kSetVisibility:
-      return "SetVisibility";
-    case Op::kDelete:
-      return "Delete";
-    case Op::kRecommend:
-      return "Recommend";
-    case Op::kBrowse:
-      return "Browse";
-    case Op::kShowSession:
-      return "ShowSession";
-    case Op::kStats:
-      return "Stats";
-    case Op::kCheckpoint:
-      return "Checkpoint";
-    case Op::kRegisterUser:
-      return "RegisterUser";
-    case Op::kMaintain:
-      return "Maintain";
-    case Op::kMetricsDump:
-      return "MetricsDump";
-    case Op::kReplSubscribe:
-      return "ReplSubscribe";
-    case Op::kReplStream:
-      return "ReplStream";
-    case Op::kReplAck:
-      return "ReplAck";
+template <typename M>
+void EncodeBody(BinaryWriter* w, const M& m) {
+  Encoder encoder(w);
+  WireFields(m, encoder);
+}
+
+template <typename M>
+bool DecodeBody(BinaryReader* r, M* m) {
+  Decoder decoder(r);
+  WireFields(*m, decoder);
+  return !r->failed();
+}
+
+#define CQMS_NET_INSTANTIATE(M)                            \
+  template void EncodeBody<M>(BinaryWriter*, const M&);    \
+  template bool DecodeBody<M>(BinaryReader*, M*);
+CQMS_NET_MESSAGES(CQMS_NET_INSTANTIATE)
+CQMS_NET_INSTANTIATE(Empty)
+#undef CQMS_NET_INSTANTIATE
+
+constexpr bool OpCodesAreDense() {
+  for (size_t i = 0; i < std::size(kOps); ++i) {
+    if (static_cast<size_t>(kOps[i].op) != i + kMinOp) return false;
   }
-  return "Unknown";
+  return true;
+}
+static_assert(OpCodesAreDense(), "InfoOf indexes kOps by op code");
+
+const char* OpName(Op op) {
+  uint8_t code = static_cast<uint8_t>(op);
+  return code >= kMinOp && code <= kMaxOp ? InfoOf(op).name : "Unknown";
 }
 
 void BeginRequest(BinaryWriter* w, uint64_t request_id, Op op) {
@@ -324,10 +244,7 @@ void BeginRequest(BinaryWriter* w, uint64_t request_id, Op op) {
 }
 
 void BeginResponse(BinaryWriter* w, uint64_t request_id, Op op) {
-  w->PutVarint(request_id);
-  w->PutU8(static_cast<uint8_t>(op));
-  w->PutVarint(static_cast<uint64_t>(StatusCode::kOk));
-  w->PutString("");
+  EncodeErrorResponse(w, request_id, op, Status::Ok());  // an OK head
 }
 
 void EncodeErrorResponse(BinaryWriter* w, uint64_t request_id, Op op,
@@ -362,161 +279,6 @@ bool DecodeResponseEnvelope(std::string_view payload, ResponseEnvelope* out) {
   out->code = static_cast<StatusCode>(code);
   out->body = payload.substr(payload.size() - r.remaining());
   return true;
-}
-
-// --- hello -----------------------------------------------------------------
-
-void EncodeHelloRequest(BinaryWriter* w, const HelloRequest& m) {
-  w->PutVarint(m.protocol_version);
-  w->PutString(m.client_name);
-}
-
-bool DecodeHelloRequest(BinaryReader* r, HelloRequest* m) {
-  m->protocol_version = static_cast<uint32_t>(r->GetVarint());
-  m->client_name = r->GetString();
-  return !r->failed();
-}
-
-void EncodeHelloResponse(BinaryWriter* w, const HelloResponse& m) {
-  w->PutVarint(m.protocol_version);
-  w->PutString(m.server_version);
-  w->PutVarint(m.store_size);
-}
-
-bool DecodeHelloResponse(BinaryReader* r, HelloResponse* m) {
-  m->protocol_version = static_cast<uint32_t>(r->GetVarint());
-  m->server_version = r->GetString();
-  m->store_size = r->GetVarint();
-  return !r->failed();
-}
-
-// --- search ----------------------------------------------------------------
-
-void EncodeSearchRequest(BinaryWriter* w, const SearchRequest& m) {
-  w->PutString(m.viewer);
-  const SearchSpec& s = m.spec;
-  PutBool(w, s.keyword.has_value());
-  if (s.keyword.has_value()) {
-    w->PutString(s.keyword->words);
-    PutBool(w, s.keyword->match_all);
-  }
-  PutOptString(w, s.substring);
-  PutBool(w, s.feature.has_value());
-  if (s.feature.has_value()) PutFeatureSpec(w, *s.feature);
-  PutBool(w, s.structure.has_value());
-  if (s.structure.has_value()) PutStructure(w, *s.structure);
-  PutBool(w, s.data.has_value());
-  if (s.data.has_value()) PutDataSpec(w, *s.data);
-  PutBool(w, s.similarity.has_value());
-  if (s.similarity.has_value()) PutSimilaritySpec(w, *s.similarity);
-  PutRanking(w, s.ranking);
-  w->PutU8(static_cast<uint8_t>(s.order));
-  w->PutVarint(s.limit);
-  // Minor-1 trailing field: old decoders stop before it (their AtEnd
-  // check tolerates trailing bytes only on the server side, which reads
-  // requests through DecodeSearchRequest below and consumes it).
-  PutBool(w, s.want_trace);
-}
-
-bool DecodeSearchRequest(BinaryReader* r, SearchRequest* m) {
-  m->viewer = r->GetString();
-  SearchSpec& s = m->spec;
-  if (GetBool(r)) {
-    s.keyword.emplace();
-    s.keyword->words = r->GetString();
-    s.keyword->match_all = GetBool(r);
-  }
-  s.substring = GetOptString(r);
-  if (GetBool(r)) {
-    s.feature.emplace();
-    if (!GetFeatureSpec(r, &*s.feature)) return false;
-  }
-  if (GetBool(r)) {
-    s.structure.emplace();
-    if (!GetStructure(r, &*s.structure)) return false;
-  }
-  if (GetBool(r)) {
-    s.data.emplace();
-    if (!GetDataSpec(r, &*s.data)) return false;
-  }
-  if (GetBool(r)) {
-    s.similarity.emplace();
-    if (!GetSimilaritySpec(r, &*s.similarity)) return false;
-  }
-  GetRanking(r, &s.ranking);
-  uint8_t order = r->GetU8();
-  if (order > static_cast<uint8_t>(metaquery::ResultOrder::kLogOrder)) {
-    r->Invalidate();
-    return false;
-  }
-  s.order = static_cast<metaquery::ResultOrder>(order);
-  s.limit = r->GetVarint();
-  // Pre-minor-1 clients end the body here; want_trace defaults false.
-  if (!r->AtEnd()) s.want_trace = GetBool(r);
-  return !r->failed();
-}
-
-void EncodeSearchResult(BinaryWriter* w, const SearchResult& m) {
-  w->PutVarint(m.matches.size());
-  for (const SearchResult::Match& match : m.matches) {
-    w->PutZigzag(match.id);
-    w->PutDouble(match.similarity);
-    w->PutDouble(match.score);
-  }
-  w->PutU8(m.generator);
-  w->PutVarint(m.candidates_considered);
-  // Minor-1 trailing block: present-flag, then the trace.
-  PutBool(w, m.trace.has_value());
-  if (m.trace.has_value()) {
-    w->PutString(m.trace->generator);
-    w->PutVarint(m.trace->counters.size());
-    for (const auto& [name, value] : m.trace->counters) {
-      w->PutString(name);
-      w->PutVarint(value);
-    }
-    w->PutVarint(m.trace->spans_micros.size());
-    for (const auto& [name, value] : m.trace->spans_micros) {
-      w->PutString(name);
-      w->PutVarint(value);
-    }
-  }
-}
-
-bool DecodeSearchResult(BinaryReader* r, SearchResult* m) {
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  m->matches.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SearchResult::Match match;
-    match.id = r->GetZigzag();
-    match.similarity = r->GetDouble();
-    match.score = r->GetDouble();
-    m->matches.push_back(match);
-  }
-  m->generator = r->GetU8();
-  m->candidates_considered = r->GetVarint();
-  // Old servers end the body here; no trace then.
-  if (!r->AtEnd() && GetBool(r)) {
-    m->trace.emplace();
-    m->trace->generator = r->GetString();
-    uint64_t nc = r->GetVarint();
-    if (!CheckedCount(r, nc)) return false;
-    m->trace->counters.reserve(nc);
-    for (uint64_t i = 0; i < nc; ++i) {
-      std::string name = r->GetString();
-      uint64_t value = r->GetVarint();
-      m->trace->counters.emplace_back(std::move(name), value);
-    }
-    uint64_t ns = r->GetVarint();
-    if (!CheckedCount(r, ns)) return false;
-    m->trace->spans_micros.reserve(ns);
-    for (uint64_t i = 0; i < ns; ++i) {
-      std::string name = r->GetString();
-      uint64_t value = r->GetVarint();
-      m->trace->spans_micros.emplace_back(std::move(name), value);
-    }
-  }
-  return !r->failed();
 }
 
 metaquery::MetaQueryRequest ToMetaQueryRequest(const SearchSpec& spec,
@@ -564,363 +326,6 @@ metaquery::MetaQueryRequest ToMetaQueryRequest(const SearchSpec& spec,
   req.order = spec.order;
   req.limit = spec.limit;
   return req;
-}
-
-// --- append ----------------------------------------------------------------
-
-void EncodeAppendRequest(BinaryWriter* w, const AppendRequest& m) {
-  w->PutString(m.user);
-  w->PutString(m.sql);
-  PutBool(w, m.execute);
-}
-
-bool DecodeAppendRequest(BinaryReader* r, AppendRequest* m) {
-  m->user = r->GetString();
-  m->sql = r->GetString();
-  m->execute = GetBool(r);
-  return !r->failed();
-}
-
-void EncodeAppendResult(BinaryWriter* w, const AppendResult& m) {
-  w->PutZigzag(m.id);
-  PutBool(w, m.succeeded);
-  w->PutString(m.error);
-  w->PutVarint(m.result_rows);
-  w->PutZigzag(m.exec_micros);
-}
-
-bool DecodeAppendResult(BinaryReader* r, AppendResult* m) {
-  m->id = r->GetZigzag();
-  m->succeeded = GetBool(r);
-  m->error = r->GetString();
-  m->result_rows = r->GetVarint();
-  m->exec_micros = r->GetZigzag();
-  return !r->failed();
-}
-
-// --- small record ops ------------------------------------------------------
-
-void EncodeRewriteRequest(BinaryWriter* w, const RewriteRequest& m) {
-  w->PutZigzag(m.id);
-  w->PutString(m.new_text);
-}
-
-bool DecodeRewriteRequest(BinaryReader* r, RewriteRequest* m) {
-  m->id = r->GetZigzag();
-  m->new_text = r->GetString();
-  return !r->failed();
-}
-
-void EncodeAnnotateRequest(BinaryWriter* w, const AnnotateRequest& m) {
-  w->PutZigzag(m.id);
-  w->PutString(m.author);
-  w->PutString(m.text);
-  w->PutString(m.fragment);
-}
-
-bool DecodeAnnotateRequest(BinaryReader* r, AnnotateRequest* m) {
-  m->id = r->GetZigzag();
-  m->author = r->GetString();
-  m->text = r->GetString();
-  m->fragment = r->GetString();
-  return !r->failed();
-}
-
-void EncodeSetVisibilityRequest(BinaryWriter* w, const SetVisibilityRequest& m) {
-  w->PutString(m.requester);
-  w->PutZigzag(m.id);
-  w->PutU8(static_cast<uint8_t>(m.visibility));
-}
-
-bool DecodeSetVisibilityRequest(BinaryReader* r, SetVisibilityRequest* m) {
-  m->requester = r->GetString();
-  m->id = r->GetZigzag();
-  uint8_t vis = r->GetU8();
-  if (vis > static_cast<uint8_t>(storage::Visibility::kPublic)) {
-    r->Invalidate();
-    return false;
-  }
-  m->visibility = static_cast<storage::Visibility>(vis);
-  return !r->failed();
-}
-
-void EncodeDeleteRequest(BinaryWriter* w, const DeleteRequest& m) {
-  w->PutString(m.requester);
-  w->PutZigzag(m.id);
-  PutBool(w, m.is_admin);
-}
-
-bool DecodeDeleteRequest(BinaryReader* r, DeleteRequest* m) {
-  m->requester = r->GetString();
-  m->id = r->GetZigzag();
-  m->is_admin = GetBool(r);
-  return !r->failed();
-}
-
-void EncodeRegisterUserRequest(BinaryWriter* w, const RegisterUserRequest& m) {
-  w->PutString(m.user);
-  PutStrings(w, m.groups);
-}
-
-bool DecodeRegisterUserRequest(BinaryReader* r, RegisterUserRequest* m) {
-  m->user = r->GetString();
-  return GetStrings(r, &m->groups) && !r->failed();
-}
-
-// --- recommend / browse ----------------------------------------------------
-
-void EncodeRecommendRequest(BinaryWriter* w, const RecommendRequest& m) {
-  w->PutString(m.viewer);
-  w->PutString(m.sql_text);
-  w->PutVarint(m.k);
-}
-
-bool DecodeRecommendRequest(BinaryReader* r, RecommendRequest* m) {
-  m->viewer = r->GetString();
-  m->sql_text = r->GetString();
-  m->k = r->GetVarint();
-  return !r->failed();
-}
-
-void EncodeRecommendResult(BinaryWriter* w, const RecommendResult& m) {
-  w->PutVarint(m.items.size());
-  for (const RecommendationItem& item : m.items) {
-    w->PutZigzag(item.id);
-    w->PutDouble(item.score);
-    w->PutDouble(item.similarity);
-    w->PutString(item.text);
-    w->PutString(item.diff);
-    w->PutString(item.annotation);
-  }
-}
-
-bool DecodeRecommendResult(BinaryReader* r, RecommendResult* m) {
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  m->items.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    RecommendationItem item;
-    item.id = r->GetZigzag();
-    item.score = r->GetDouble();
-    item.similarity = r->GetDouble();
-    item.text = r->GetString();
-    item.diff = r->GetString();
-    item.annotation = r->GetString();
-    m->items.push_back(std::move(item));
-  }
-  return !r->failed();
-}
-
-void EncodeBrowseRequest(BinaryWriter* w, const BrowseRequest& m) {
-  w->PutString(m.viewer);
-  w->PutVarint(m.max_sessions);
-}
-
-bool DecodeBrowseRequest(BinaryReader* r, BrowseRequest* m) {
-  m->viewer = r->GetString();
-  m->max_sessions = r->GetVarint();
-  return !r->failed();
-}
-
-void EncodeShowSessionRequest(BinaryWriter* w, const ShowSessionRequest& m) {
-  w->PutString(m.viewer);
-  w->PutZigzag(m.session_id);
-}
-
-bool DecodeShowSessionRequest(BinaryReader* r, ShowSessionRequest* m) {
-  m->viewer = r->GetString();
-  m->session_id = r->GetZigzag();
-  return !r->failed();
-}
-
-void EncodeTextResult(BinaryWriter* w, const TextResult& m) {
-  w->PutString(m.text);
-}
-
-bool DecodeTextResult(BinaryReader* r, TextResult* m) {
-  m->text = r->GetString();
-  return !r->failed();
-}
-
-// --- stats / admin ---------------------------------------------------------
-
-void EncodeStatsResult(BinaryWriter* w, const StatsResult& m) {
-  w->PutString(m.server_version);
-  w->PutVarint(m.uptime_micros);
-  w->PutVarint(m.active_connections);
-  w->PutVarint(m.total_connections);
-  w->PutVarint(m.rejected_connections);
-  w->PutVarint(m.protocol_errors);
-  w->PutVarint(m.store_size);
-  w->PutVarint(m.published_sequence);
-  w->PutVarint(m.per_op.size());
-  for (const OpStatsRow& row : m.per_op) {
-    w->PutU8(row.op);
-    w->PutVarint(row.count);
-    w->PutVarint(row.errors);
-    w->PutVarint(row.bytes_in);
-    w->PutVarint(row.bytes_out);
-    w->PutVarint(row.p50_micros);
-    w->PutVarint(row.p99_micros);
-    w->PutVarint(row.max_micros);
-  }
-  // Minor-1 trailing fields (durability / maintenance health).
-  PutBool(w, m.durable_read_only);
-  w->PutVarint(m.checkpoint_failure_streak);
-  w->PutVarint(m.checkpoints_backed_off);
-  w->PutVarint(m.arena_garbage_bytes);
-  // Minor-2 trailing fields (replication).
-  w->PutU8(m.role);
-  w->PutString(m.primary_address);
-  PutBool(w, m.repl_connected);
-  w->PutVarint(m.repl_applied_sequence);
-  w->PutVarint(m.repl_primary_sequence);
-  w->PutVarint(m.repl_followers);
-  w->PutVarint(m.repl_min_acked_sequence);
-  w->PutVarint(m.repl_backlog_bytes);
-}
-
-bool DecodeStatsResult(BinaryReader* r, StatsResult* m) {
-  m->server_version = r->GetString();
-  m->uptime_micros = r->GetVarint();
-  m->active_connections = r->GetVarint();
-  m->total_connections = r->GetVarint();
-  m->rejected_connections = r->GetVarint();
-  m->protocol_errors = r->GetVarint();
-  m->store_size = r->GetVarint();
-  m->published_sequence = r->GetVarint();
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  m->per_op.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    OpStatsRow row;
-    row.op = r->GetU8();
-    row.count = r->GetVarint();
-    row.errors = r->GetVarint();
-    row.bytes_in = r->GetVarint();
-    row.bytes_out = r->GetVarint();
-    row.p50_micros = r->GetVarint();
-    row.p99_micros = r->GetVarint();
-    row.max_micros = r->GetVarint();
-    m->per_op.push_back(row);
-  }
-  // Pre-minor-1 servers end the body here; the defaults stand.
-  if (!r->AtEnd()) {
-    m->durable_read_only = GetBool(r);
-    m->checkpoint_failure_streak = r->GetVarint();
-    m->checkpoints_backed_off = r->GetVarint();
-    m->arena_garbage_bytes = r->GetVarint();
-  }
-  // Pre-minor-2 servers end the body here; role 0 = standalone.
-  if (!r->AtEnd()) {
-    m->role = r->GetU8();
-    m->primary_address = r->GetString();
-    m->repl_connected = GetBool(r);
-    m->repl_applied_sequence = r->GetVarint();
-    m->repl_primary_sequence = r->GetVarint();
-    m->repl_followers = r->GetVarint();
-    m->repl_min_acked_sequence = r->GetVarint();
-    m->repl_backlog_bytes = r->GetVarint();
-  }
-  return !r->failed();
-}
-
-void EncodeMaintainRequest(BinaryWriter* w, const MaintainRequest& m) {
-  PutBool(w, m.run_mining);
-}
-
-bool DecodeMaintainRequest(BinaryReader* r, MaintainRequest* m) {
-  m->run_mining = GetBool(r);
-  return !r->failed();
-}
-
-// --- replication -----------------------------------------------------------
-
-void EncodeReplSubscribeRequest(BinaryWriter* w, const ReplSubscribeRequest& m) {
-  w->PutVarint(m.from_sequence);
-  w->PutString(m.follower_name);
-  PutBool(w, m.force_snapshot);
-}
-
-bool DecodeReplSubscribeRequest(BinaryReader* r, ReplSubscribeRequest* m) {
-  m->from_sequence = r->GetVarint();
-  m->follower_name = r->GetString();
-  m->force_snapshot = GetBool(r);
-  return !r->failed();
-}
-
-void EncodeReplSubscribeResult(BinaryWriter* w, const ReplSubscribeResult& m) {
-  PutBool(w, m.snapshot_bootstrap);
-  w->PutVarint(m.primary_sequence);
-}
-
-bool DecodeReplSubscribeResult(BinaryReader* r, ReplSubscribeResult* m) {
-  m->snapshot_bootstrap = GetBool(r);
-  m->primary_sequence = r->GetVarint();
-  return !r->failed();
-}
-
-void EncodeReplFrameBatch(BinaryWriter* w, const ReplFrameBatch& m) {
-  w->PutVarint(m.frames.size());
-  for (const ReplFramed& f : m.frames) {
-    w->PutFixed32(f.crc32);
-    w->PutString(f.frame);
-  }
-  w->PutVarint(m.primary_sequence);
-}
-
-bool DecodeReplFrameBatch(BinaryReader* r, ReplFrameBatch* m) {
-  uint64_t n = r->GetVarint();
-  if (!CheckedCount(r, n)) return false;
-  m->frames.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ReplFramed f;
-    f.crc32 = r->GetFixed32();
-    f.frame = r->GetString();
-    m->frames.push_back(std::move(f));
-  }
-  m->primary_sequence = r->GetVarint();
-  return !r->failed();
-}
-
-void EncodeReplHeartbeat(BinaryWriter* w, const ReplHeartbeat& m) {
-  w->PutVarint(m.primary_sequence);
-}
-
-bool DecodeReplHeartbeat(BinaryReader* r, ReplHeartbeat* m) {
-  m->primary_sequence = r->GetVarint();
-  return !r->failed();
-}
-
-void EncodeReplSnapshotBegin(BinaryWriter* w, const ReplSnapshotBegin& m) {
-  w->PutVarint(m.covered_sequence);
-  w->PutVarint(m.total_bytes);
-  w->PutFixed32(m.crc32);
-}
-
-bool DecodeReplSnapshotBegin(BinaryReader* r, ReplSnapshotBegin* m) {
-  m->covered_sequence = r->GetVarint();
-  m->total_bytes = r->GetVarint();
-  m->crc32 = r->GetFixed32();
-  return !r->failed();
-}
-
-void EncodeReplSnapshotChunk(BinaryWriter* w, const ReplSnapshotChunk& m) {
-  w->PutString(m.data);
-}
-
-bool DecodeReplSnapshotChunk(BinaryReader* r, ReplSnapshotChunk* m) {
-  m->data = r->GetString();
-  return !r->failed();
-}
-
-void EncodeReplAckRequest(BinaryWriter* w, const ReplAckRequest& m) {
-  w->PutVarint(m.acked_sequence);
-}
-
-bool DecodeReplAckRequest(BinaryReader* r, ReplAckRequest* m) {
-  m->acked_sequence = r->GetVarint();
-  return !r->failed();
 }
 
 std::string FormatNotPrimary(const std::string& leader) {

@@ -130,30 +130,11 @@ Result<std::unique_ptr<CqmsClient>> CqmsClient::Connect(const std::string& host,
   if (options.timeout_ms > 0) SetIoTimeout(fd, options.timeout_ms);
 
   std::unique_ptr<CqmsClient> client(new CqmsClient(fd, std::move(options)));
-
-  net::HelloRequest hello;
-  hello.protocol_version = net::kProtocolVersion;
-  hello.client_name = client->options_.client_name;
-  uint64_t id = client->Enqueue(net::Op::kHello, [&](BinaryWriter* w) {
-    net::EncodeHelloRequest(w, hello);
-  });
-  Status s = client->Flush();
-  if (!s.ok()) return s;
-  Result<net::HelloResponse> resp =
-      client->WaitDecoded(id, net::Op::kHello, net::DecodeHelloResponse);
-  if (!resp.ok()) return resp.status();
-  client->hello_ = std::move(resp).value();
+  Result<net::HelloResponse> hello = client->Call<net::Op::kHello>(
+      {net::kProtocolVersion, client->options_.client_name});
+  if (!hello.ok()) return hello.status();
+  client->hello_ = std::move(hello).value();
   return client;
-}
-
-template <typename EncodeBody>
-uint64_t CqmsClient::Enqueue(net::Op op, EncodeBody&& encode) {
-  uint64_t id = next_request_id_++;
-  BinaryWriter w;
-  net::BeginRequest(&w, id, op);
-  encode(&w);
-  AppendFrame(&sendbuf_, w.data());
-  return id;
 }
 
 Status CqmsClient::Flush() {
@@ -214,11 +195,11 @@ Result<std::string> CqmsClient::WaitPayload(uint64_t request_id) {
   }
 }
 
-template <typename T>
-Result<T> CqmsClient::WaitDecoded(uint64_t request_id, net::Op op,
-                                  bool (*decode)(BinaryReader*, T*)) {
-  Result<std::string> payload = WaitPayload(request_id);
-  if (!payload.ok()) return payload.status();
+Status CqmsClient::WaitBody(uint64_t request_id, net::Op op,
+                            std::string* payload, std::string_view* body) {
+  Result<std::string> got = WaitPayload(request_id);
+  if (!got.ok()) return got.status();
+  *payload = std::move(got).value();
   net::ResponseEnvelope env;
   if (!net::DecodeResponseEnvelope(*payload, &env)) {
     return Status::Corruption("malformed response envelope");
@@ -228,225 +209,8 @@ Result<T> CqmsClient::WaitDecoded(uint64_t request_id, net::Op op,
                               std::string(net::OpName(op)) + ", got " +
                               net::OpName(env.op));
   }
-  if (!env.ok()) return env.ToStatus();
-  BinaryReader r(env.body);
-  T out;
-  if (!decode(&r, &out) || !r.AtEnd()) {
-    return Status::Corruption(std::string("malformed ") + net::OpName(op) +
-                              " response body");
-  }
-  return out;
-}
-
-Status CqmsClient::WaitOk(uint64_t request_id, net::Op op) {
-  Result<std::string> payload = WaitPayload(request_id);
-  if (!payload.ok()) return payload.status();
-  net::ResponseEnvelope env;
-  if (!net::DecodeResponseEnvelope(*payload, &env)) {
-    return Status::Corruption("malformed response envelope");
-  }
-  if (env.op != op) return Status::Corruption("response op mismatch");
+  *body = env.body;
   return env.ToStatus();
-}
-
-// --- pipelined sends -------------------------------------------------------
-
-uint64_t CqmsClient::SendSearch(const std::string& viewer,
-                                const net::SearchSpec& spec) {
-  net::SearchRequest req;
-  req.viewer = viewer;
-  req.spec = spec;
-  return Enqueue(net::Op::kSearch,
-                 [&](BinaryWriter* w) { net::EncodeSearchRequest(w, req); });
-}
-
-uint64_t CqmsClient::SendAppend(const net::AppendRequest& request) {
-  return Enqueue(net::Op::kAppend,
-                 [&](BinaryWriter* w) { net::EncodeAppendRequest(w, request); });
-}
-
-uint64_t CqmsClient::SendRecommend(const std::string& viewer,
-                                   const std::string& sql_text, uint64_t k) {
-  net::RecommendRequest req;
-  req.viewer = viewer;
-  req.sql_text = sql_text;
-  req.k = k;
-  return Enqueue(net::Op::kRecommend, [&](BinaryWriter* w) {
-    net::EncodeRecommendRequest(w, req);
-  });
-}
-
-uint64_t CqmsClient::SendStats() {
-  return Enqueue(net::Op::kStats, [](BinaryWriter*) {});
-}
-
-Result<net::SearchResult> CqmsClient::WaitSearch(uint64_t request_id) {
-  return WaitDecoded(request_id, net::Op::kSearch, net::DecodeSearchResult);
-}
-
-Result<net::AppendResult> CqmsClient::WaitAppend(uint64_t request_id) {
-  return WaitDecoded(request_id, net::Op::kAppend, net::DecodeAppendResult);
-}
-
-Result<net::RecommendResult> CqmsClient::WaitRecommend(uint64_t request_id) {
-  return WaitDecoded(request_id, net::Op::kRecommend,
-                     net::DecodeRecommendResult);
-}
-
-Result<net::StatsResult> CqmsClient::WaitStats(uint64_t request_id) {
-  return WaitDecoded(request_id, net::Op::kStats, net::DecodeStatsResult);
-}
-
-// --- one-shot wrappers -----------------------------------------------------
-
-Result<net::SearchResult> CqmsClient::Search(const std::string& viewer,
-                                             const net::SearchSpec& spec) {
-  uint64_t id = SendSearch(viewer, spec);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  return WaitSearch(id);
-}
-
-Result<net::AppendResult> CqmsClient::Append(const net::AppendRequest& request) {
-  uint64_t id = SendAppend(request);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  return WaitAppend(id);
-}
-
-Status CqmsClient::Rewrite(int64_t id, const std::string& new_text) {
-  net::RewriteRequest req;
-  req.id = id;
-  req.new_text = new_text;
-  uint64_t rid = Enqueue(net::Op::kRewrite, [&](BinaryWriter* w) {
-    net::EncodeRewriteRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(rid, net::Op::kRewrite);
-}
-
-Status CqmsClient::Annotate(int64_t id, const std::string& author,
-                            const std::string& text,
-                            const std::string& fragment) {
-  net::AnnotateRequest req;
-  req.id = id;
-  req.author = author;
-  req.text = text;
-  req.fragment = fragment;
-  uint64_t rid = Enqueue(net::Op::kAnnotate, [&](BinaryWriter* w) {
-    net::EncodeAnnotateRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(rid, net::Op::kAnnotate);
-}
-
-Status CqmsClient::SetVisibility(const std::string& requester, int64_t id,
-                                 storage::Visibility visibility) {
-  net::SetVisibilityRequest req;
-  req.requester = requester;
-  req.id = id;
-  req.visibility = visibility;
-  uint64_t rid = Enqueue(net::Op::kSetVisibility, [&](BinaryWriter* w) {
-    net::EncodeSetVisibilityRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(rid, net::Op::kSetVisibility);
-}
-
-Status CqmsClient::Delete(const std::string& requester, int64_t id,
-                          bool is_admin) {
-  net::DeleteRequest req;
-  req.requester = requester;
-  req.id = id;
-  req.is_admin = is_admin;
-  uint64_t rid = Enqueue(net::Op::kDelete, [&](BinaryWriter* w) {
-    net::EncodeDeleteRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(rid, net::Op::kDelete);
-}
-
-Status CqmsClient::RegisterUser(const std::string& user,
-                                const std::vector<std::string>& groups) {
-  net::RegisterUserRequest req;
-  req.user = user;
-  req.groups = groups;
-  uint64_t rid = Enqueue(net::Op::kRegisterUser, [&](BinaryWriter* w) {
-    net::EncodeRegisterUserRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(rid, net::Op::kRegisterUser);
-}
-
-Result<net::RecommendResult> CqmsClient::Recommend(const std::string& viewer,
-                                                   const std::string& sql_text,
-                                                   uint64_t k) {
-  uint64_t id = SendRecommend(viewer, sql_text, k);
-  Status s = Flush();
-  if (!s.ok()) return s;
-  return WaitRecommend(id);
-}
-
-Result<std::string> CqmsClient::Browse(const std::string& viewer,
-                                       uint64_t max_sessions) {
-  net::BrowseRequest req;
-  req.viewer = viewer;
-  req.max_sessions = max_sessions;
-  uint64_t id = Enqueue(net::Op::kBrowse, [&](BinaryWriter* w) {
-    net::EncodeBrowseRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  Result<net::TextResult> text =
-      WaitDecoded(id, net::Op::kBrowse, net::DecodeTextResult);
-  if (!text.ok()) return text.status();
-  return std::move(text->text);
-}
-
-Result<std::string> CqmsClient::ShowSession(const std::string& viewer,
-                                            int64_t session_id) {
-  net::ShowSessionRequest req;
-  req.viewer = viewer;
-  req.session_id = session_id;
-  uint64_t id = Enqueue(net::Op::kShowSession, [&](BinaryWriter* w) {
-    net::EncodeShowSessionRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  Result<net::TextResult> text =
-      WaitDecoded(id, net::Op::kShowSession, net::DecodeTextResult);
-  if (!text.ok()) return text.status();
-  return std::move(text->text);
-}
-
-Result<net::StatsResult> CqmsClient::Stats() {
-  uint64_t id = SendStats();
-  Status s = Flush();
-  if (!s.ok()) return s;
-  return WaitStats(id);
-}
-
-Result<std::string> CqmsClient::MetricsDump() {
-  uint64_t id = Enqueue(net::Op::kMetricsDump, [](BinaryWriter*) {});
-  CQMS_RETURN_IF_ERROR(Flush());
-  Result<net::TextResult> text =
-      WaitDecoded(id, net::Op::kMetricsDump, net::DecodeTextResult);
-  if (!text.ok()) return text.status();
-  return std::move(text->text);
-}
-
-Status CqmsClient::Checkpoint() {
-  uint64_t id = Enqueue(net::Op::kCheckpoint, [](BinaryWriter*) {});
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(id, net::Op::kCheckpoint);
-}
-
-Status CqmsClient::Maintain(bool run_mining) {
-  net::MaintainRequest req;
-  req.run_mining = run_mining;
-  uint64_t id = Enqueue(net::Op::kMaintain, [&](BinaryWriter* w) {
-    net::EncodeMaintainRequest(w, req);
-  });
-  CQMS_RETURN_IF_ERROR(Flush());
-  return WaitOk(id, net::Op::kMaintain);
 }
 
 // --- raw escape hatches ----------------------------------------------------

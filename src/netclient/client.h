@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,12 +33,13 @@ struct ClientOptions {
 };
 
 /// Synchronous client for the CQMS wire protocol (docs/server.md) with
-/// explicit pipelining: every op has a one-shot wrapper (Search, Append,
-/// ...) and a Send*/Wait* pair. Send* encodes the request into a local
-/// buffer and returns its request id; Flush() pushes the batch down the
-/// socket in one write; Wait*(id) blocks for that specific response,
-/// parking any other responses that arrive first (the server answers out
-/// of order: reads overtake writes).
+/// explicit pipelining. Send<op>(request) encodes a request of any op
+/// in the net::CQMS_NET_OPS table into a local buffer and returns its
+/// request id; Flush() pushes the batch down the socket in one write;
+/// Wait<op>(id) blocks for that specific response, parking any other
+/// responses that arrive first (the server answers out of order: reads
+/// overtake writes). Call<op> is the one-shot Send + Flush + Wait, and
+/// each named method below is one Call.
 ///
 /// Not thread-safe: one CqmsClient per thread, or external locking.
 class CqmsClient {
@@ -55,48 +57,123 @@ class CqmsClient {
   /// Handshake results.
   const net::HelloResponse& server_hello() const { return hello_; }
 
-  // --- one-shot synchronous wrappers ---------------------------------------
+  // --- any op --------------------------------------------------------------
 
-  Result<net::SearchResult> Search(const std::string& viewer,
-                                   const net::SearchSpec& spec);
-  Result<net::AppendResult> Append(const net::AppendRequest& request);
-  Status Rewrite(int64_t id, const std::string& new_text);
-  Status Annotate(int64_t id, const std::string& author, const std::string& text,
-                  const std::string& fragment = "");
-  Status SetVisibility(const std::string& requester, int64_t id,
-                       storage::Visibility visibility);
-  Status Delete(const std::string& requester, int64_t id, bool is_admin = false);
-  Status RegisterUser(const std::string& user,
-                      const std::vector<std::string>& groups);
-  Result<net::RecommendResult> Recommend(const std::string& viewer,
-                                         const std::string& sql_text,
-                                         uint64_t k = 5);
-  Result<std::string> Browse(const std::string& viewer,
-                             uint64_t max_sessions = 20);
-  Result<std::string> ShowSession(const std::string& viewer,
-                                  int64_t session_id);
-  Result<net::StatsResult> Stats();
-  /// Prometheus-style exposition text covering every layer's metric
-  /// series plus the server's own per-op counters.
-  Result<std::string> MetricsDump();
-  Status Checkpoint();
-  Status Maintain(bool run_mining = true);
+  template <net::Op kOp>
+  uint64_t Send(const net::RequestOf<kOp>& request) {
+    uint64_t id = next_request_id_++;
+    BinaryWriter w;
+    net::BeginRequest(&w, id, kOp);
+    net::EncodeBody(&w, request);
+    AppendFrame(&sendbuf_, w.data());
+    return id;
+  }
 
-  // --- pipelining ----------------------------------------------------------
+  /// A response decodes from the fields this client knows; trailing
+  /// fields from a newer server are ignored.
+  template <net::Op kOp>
+  Result<net::ResponseOf<kOp>> Wait(uint64_t request_id) {
+    std::string payload;
+    std::string_view body;
+    Status s = WaitBody(request_id, kOp, &payload, &body);
+    if (!s.ok()) return s;
+    net::ResponseOf<kOp> out;
+    BinaryReader r(body);
+    if (!net::DecodeBody(&r, &out)) {
+      return Status::Corruption(std::string("malformed ") + net::OpName(kOp) +
+                                " response body");
+    }
+    return out;
+  }
 
-  uint64_t SendSearch(const std::string& viewer, const net::SearchSpec& spec);
-  uint64_t SendAppend(const net::AppendRequest& request);
-  uint64_t SendRecommend(const std::string& viewer, const std::string& sql_text,
-                         uint64_t k = 5);
-  uint64_t SendStats();
+  template <net::Op kOp>
+  Result<net::ResponseOf<kOp>> Call(const net::RequestOf<kOp>& request) {
+    uint64_t id = Send<kOp>(request);
+    Status s = Flush();
+    if (!s.ok()) return s;
+    return Wait<kOp>(id);
+  }
 
   /// Writes every buffered request down the socket.
   Status Flush();
 
-  Result<net::SearchResult> WaitSearch(uint64_t request_id);
-  Result<net::AppendResult> WaitAppend(uint64_t request_id);
-  Result<net::RecommendResult> WaitRecommend(uint64_t request_id);
-  Result<net::StatsResult> WaitStats(uint64_t request_id);
+  // --- one-shot synchronous wrappers ---------------------------------------
+
+  Result<net::SearchResult> Search(const std::string& viewer,
+                                   const net::SearchSpec& spec) {
+    return Call<net::Op::kSearch>({viewer, spec});
+  }
+  Result<net::AppendResult> Append(const net::AppendRequest& request) {
+    return Call<net::Op::kAppend>(request);
+  }
+  Status Rewrite(int64_t id, const std::string& new_text) {
+    return Call<net::Op::kRewrite>({id, new_text}).status();
+  }
+  Status Annotate(int64_t id, const std::string& author, const std::string& text,
+                  const std::string& fragment = "") {
+    return Call<net::Op::kAnnotate>({id, author, text, fragment}).status();
+  }
+  Status SetVisibility(const std::string& requester, int64_t id,
+                       storage::Visibility visibility) {
+    return Call<net::Op::kSetVisibility>({requester, id, visibility}).status();
+  }
+  Status Delete(const std::string& requester, int64_t id, bool is_admin = false) {
+    return Call<net::Op::kDelete>({requester, id, is_admin}).status();
+  }
+  Status RegisterUser(const std::string& user,
+                      const std::vector<std::string>& groups) {
+    return Call<net::Op::kRegisterUser>({user, groups}).status();
+  }
+  Result<net::RecommendResult> Recommend(const std::string& viewer,
+                                         const std::string& sql_text,
+                                         uint64_t k = 5) {
+    return Call<net::Op::kRecommend>({viewer, sql_text, k});
+  }
+  Result<std::string> Browse(const std::string& viewer,
+                             uint64_t max_sessions = 20) {
+    return Text(Call<net::Op::kBrowse>({viewer, max_sessions}));
+  }
+  Result<std::string> ShowSession(const std::string& viewer,
+                                  int64_t session_id) {
+    return Text(Call<net::Op::kShowSession>({viewer, session_id}));
+  }
+  Result<net::StatsResult> Stats() { return Call<net::Op::kStats>({}); }
+  /// Prometheus-style exposition text covering every layer's metric
+  /// series plus the server's own per-op counters.
+  Result<std::string> MetricsDump() {
+    return Text(Call<net::Op::kMetricsDump>({}));
+  }
+  Status Checkpoint() { return Call<net::Op::kCheckpoint>({}).status(); }
+  Status Maintain(bool run_mining = true) {
+    return Call<net::Op::kMaintain>({run_mining}).status();
+  }
+
+  // --- pipelining ----------------------------------------------------------
+
+  uint64_t SendSearch(const std::string& viewer, const net::SearchSpec& spec) {
+    return Send<net::Op::kSearch>({viewer, spec});
+  }
+  uint64_t SendAppend(const net::AppendRequest& request) {
+    return Send<net::Op::kAppend>(request);
+  }
+  uint64_t SendRecommend(const std::string& viewer, const std::string& sql_text,
+                         uint64_t k = 5) {
+    return Send<net::Op::kRecommend>({viewer, sql_text, k});
+  }
+  uint64_t SendStats() { return Send<net::Op::kStats>({}); }
+
+  Result<net::SearchResult> WaitSearch(uint64_t request_id) {
+    return Wait<net::Op::kSearch>(request_id);
+  }
+  Result<net::AppendResult> WaitAppend(uint64_t request_id) {
+    return Wait<net::Op::kAppend>(request_id);
+  }
+  Result<net::RecommendResult> WaitRecommend(uint64_t request_id) {
+    return Wait<net::Op::kRecommend>(request_id);
+  }
+  Result<net::StatsResult> WaitStats(uint64_t request_id) {
+    return Wait<net::Op::kStats>(request_id);
+  }
 
   /// Raw escape hatches for tests: frame an arbitrary payload / read one
   /// raw response payload.
@@ -121,21 +198,19 @@ class CqmsClient {
  private:
   CqmsClient(int fd, ClientOptions options);
 
-  /// Begins a request in the send buffer and returns its id. The body
-  /// encoder appends to `w` after the envelope.
-  template <typename EncodeBody>
-  uint64_t Enqueue(net::Op op, EncodeBody&& encode);
-
   /// Blocks until the response for `request_id` is available, filing
   /// out-of-order arrivals in `parked_`.
   Result<std::string> WaitPayload(uint64_t request_id);
 
-  /// Decodes a full response payload for `op`: checks the envelope,
-  /// surfaces typed errors, returns the body bytes.
-  template <typename T>
-  Result<T> WaitDecoded(uint64_t request_id, net::Op op,
-                        bool (*decode)(BinaryReader*, T*));
-  Status WaitOk(uint64_t request_id, net::Op op);
+  /// Waits for the response to `request_id`, checks its envelope names
+  /// `op`, surfaces a typed error, and points `body` into `payload`.
+  Status WaitBody(uint64_t request_id, net::Op op, std::string* payload,
+                  std::string_view* body);
+
+  static Result<std::string> Text(Result<net::TextResult> result) {
+    if (!result.ok()) return result.status();
+    return std::move(result->text);
+  }
 
   Status ReadMore();  ///< One blocking read into the decoder.
 

@@ -283,7 +283,7 @@ Status Follower::BootstrapFromSnapshot(netclient::CqmsClient* client,
     force_snapshot_ = true;
     return s;
   }
-  fresh->EnableConcurrentReads(options_.view_options);
+  fresh->EnableConcurrentReads();
   {
     std::lock_guard<std::mutex> lock(mu_);
     live_ = fresh;

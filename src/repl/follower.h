@@ -30,8 +30,6 @@ struct FollowerOptions {
   /// subscription.
   int64_t backoff_initial_ms = 100;
   int64_t backoff_max_ms = 5000;
-  /// View publication knobs for freshly bootstrapped stores.
-  storage::ViewOptions view_options;
 };
 
 /// Follower-side replication engine: one thread that subscribes to the

@@ -5,18 +5,14 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -140,116 +136,6 @@ class CqmsServer::TaskQueue {
   bool stopped_ = false;
 };
 
-// --- pollers ---------------------------------------------------------------
-
-struct PollEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  bool error = false;
-};
-
-class CqmsServer::Poller {
- public:
-  virtual ~Poller() = default;
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  virtual void Wait(int timeout_ms, std::vector<PollEvent>* out) = 0;
-};
-
-/// Portable fallback: rebuilds the pollfd array per wait. O(conns) per
-/// iteration — fine for the connection counts the fallback targets.
-class CqmsServer::PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    want_[fd] = Events(want_read, want_write);
-    return Status::Ok();
-  }
-  Status Update(int fd, bool want_read, bool want_write) override {
-    want_[fd] = Events(want_read, want_write);
-    return Status::Ok();
-  }
-  void Remove(int fd) override { want_.erase(fd); }
-
-  void Wait(int timeout_ms, std::vector<PollEvent>* out) override {
-    fds_.clear();
-    for (const auto& [fd, events] : want_) {
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out->push_back(ev);
-    }
-  }
-
- private:
-  static short Events(bool r, bool w) {
-    return static_cast<short>((r ? POLLIN : 0) | (w ? POLLOUT : 0));
-  }
-  std::unordered_map<int, short> want_;
-  std::vector<pollfd> fds_;
-};
-
-#if defined(__linux__)
-class CqmsServer::EpollPoller : public Poller {
- public:
-  EpollPoller() : ep_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (ep_ >= 0) ::close(ep_);
-  }
-
-  bool valid() const { return ep_ >= 0; }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    epoll_event ev = Event(fd, want_read, want_write);
-    if (epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      return ErrnoStatus("epoll_ctl(ADD)");
-    }
-    return Status::Ok();
-  }
-
-  Status Update(int fd, bool want_read, bool want_write) override {
-    epoll_event ev = Event(fd, want_read, want_write);
-    if (epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return ErrnoStatus("epoll_ctl(MOD)");
-    }
-    return Status::Ok();
-  }
-
-  void Remove(int fd) override { epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
-
-  void Wait(int timeout_ms, std::vector<PollEvent>* out) override {
-    epoll_event events[64];
-    int n = epoll_wait(ep_, events, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      PollEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & EPOLLERR) != 0;
-      out->push_back(ev);
-    }
-  }
-
- private:
-  static epoll_event Event(int fd, bool r, bool w) {
-    epoll_event ev;
-    ev.events = (r ? EPOLLIN : 0u) | (w ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    return ev;
-  }
-  int ep_;
-};
-#endif  // __linux__
-
 // --- lifecycle -------------------------------------------------------------
 
 CqmsServer::CqmsServer(Cqms* cqms, ServerOptions options)
@@ -260,7 +146,10 @@ CqmsServer::CqmsServer(Cqms* cqms, ServerOptions options)
   live_cqms_ = std::shared_ptr<Cqms>(cqms, [](Cqms*) {});
 }
 
-CqmsServer::~CqmsServer() { Shutdown(); }
+CqmsServer::~CqmsServer() {
+  Shutdown();
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+}
 
 std::shared_ptr<Cqms> CqmsServer::current_cqms() const {
   std::lock_guard<std::mutex> lock(cqms_mu_);
@@ -347,21 +236,14 @@ Status CqmsServer::Start() {
   SetNonBlocking(wake_read_fd_);
   SetNonBlocking(wake_write_fd_);
 
-#if defined(__linux__)
-  if (!options_.use_poll) {
-    auto ep = std::make_unique<EpollPoller>();
-    if (ep->valid()) poller_ = std::move(ep);
-  }
-#endif
-  if (poller_ == nullptr) poller_ = std::make_unique<PollPoller>();
-  CQMS_RETURN_IF_ERROR(poller_->Add(listen_fd_, true, false));
-  CQMS_RETURN_IF_ERROR(poller_->Add(wake_read_fd_, true, false));
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
+  CQMS_RETURN_IF_ERROR(Watch(listen_fd_, EPOLL_CTL_ADD, true, false));
+  CQMS_RETURN_IF_ERROR(Watch(wake_read_fd_, EPOLL_CTL_ADD, true, false));
 
   // From here on the server's writer thread owns all mutations; turning
   // on the read-view pipeline now (still single-threaded) is safe.
-  if (!cqms_->store()->views_enabled()) {
-    cqms_->EnableConcurrentReads(options_.view_options);
-  }
+  if (!cqms_->store()->views_enabled()) cqms_->EnableConcurrentReads();
 
   // Primary with durability: tail the WAL into the shipping engine.
   // Installed before any thread exists, so the writer thread observes
@@ -421,6 +303,14 @@ void CqmsServer::Wait() {
   joined_ = true;
 }
 
+Status CqmsServer::Watch(int fd, int ctl, bool want_read, bool want_write) {
+  epoll_event ev;
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (epoll_ctl(epoll_fd_, ctl, fd, &ev) != 0) return ErrnoStatus("epoll_ctl");
+  return Status::Ok();
+}
+
 void CqmsServer::NotifyLoop() {
   if (wake_write_fd_ >= 0) {
     char byte = 'w';
@@ -431,7 +321,7 @@ void CqmsServer::NotifyLoop() {
 // --- event loop ------------------------------------------------------------
 
 void CqmsServer::LoopThread() {
-  std::vector<PollEvent> events;
+  epoll_event events[64];
   std::vector<std::shared_ptr<Connection>> flushable;
   int64_t last_sweep_us = NowMicros();
   int64_t last_heartbeat_us = last_sweep_us;
@@ -441,7 +331,7 @@ void CqmsServer::LoopThread() {
     if (!draining && stop_requested_.load(std::memory_order_acquire)) {
       draining = true;
       if (listen_fd_ >= 0) {
-        poller_->Remove(listen_fd_);
+        epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         ::close(listen_fd_);
         listen_fd_ = -1;
       }
@@ -450,7 +340,7 @@ void CqmsServer::LoopThread() {
       for (auto& [fd, conn] : conns_) {
         if (conn->reading) {
           conn->reading = false;
-          poller_->Update(fd, false, conn->want_write);
+          Watch(fd, EPOLL_CTL_MOD, false, conn->want_write);
         }
       }
     }
@@ -480,28 +370,30 @@ void CqmsServer::LoopThread() {
       }
     }
 
-    events.clear();
-    poller_->Wait(draining ? 10 : 100, &events);
-    for (const PollEvent& ev : events) {
-      if (ev.fd == wake_read_fd_) {
+    int n = epoll_wait(epoll_fd_, events, 64, draining ? 10 : 100);
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == wake_read_fd_) {
         char buf[256];
         while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
         }
         continue;
       }
-      if (ev.fd == listen_fd_) {
+      if (fd == listen_fd_) {
         if (!draining) AcceptNew();
         continue;
       }
-      auto it = conns_.find(ev.fd);
+      auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       std::shared_ptr<Connection> conn = it->second;
-      if (ev.error) {
+      if (events[i].events & EPOLLERR) {
         CloseConn(conn);
         continue;
       }
-      if (ev.writable) FlushConn(conn);
-      if (ev.readable && conns_.count(ev.fd) != 0) HandleReadable(conn);
+      if (events[i].events & EPOLLOUT) FlushConn(conn);
+      if ((events[i].events & (EPOLLIN | EPOLLHUP)) && conns_.count(fd) != 0) {
+        HandleReadable(conn);
+      }
     }
 
     // Idle sweep, at most a few times per second.
@@ -546,7 +438,7 @@ void CqmsServer::AcceptNew() {
     auto conn = std::make_shared<Connection>(options_.max_frame_bytes);
     conn->fd = fd;
     conn->last_active_us = NowMicros();
-    if (!poller_->Add(fd, true, false).ok()) {
+    if (!Watch(fd, EPOLL_CTL_ADD, true, false).ok()) {
       ::close(fd);
       continue;
     }
@@ -596,12 +488,8 @@ void CqmsServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
       CQMS_LOG(kWarn, "conn %llu: framing error: %s",
                static_cast<unsigned long long>(conn->id),
                conn->decoder.error().ToString().c_str());
-      SendError(conn, 0, net::Op::kHello, conn->decoder.error());
-      conn->reading = false;
-      conn->close_after_flush = true;
-      if (conns_.count(conn->fd) != 0) {
-        poller_->Update(conn->fd, false, conn->want_write);
-      }
+      SendPayload(conn, ErrorPayload(0, net::Op::kHello, conn->decoder.error()));
+      CloseAfterFlush(conn);
       break;
     }
     DispatchFrame(conn, std::move(payload));
@@ -618,11 +506,10 @@ void CqmsServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     CQMS_LOG(kWarn, "conn %llu: malformed request envelope (%zu bytes)",
              static_cast<unsigned long long>(conn->id), payload.size());
-    SendError(conn, 0, net::Op::kHello,
-              Status::InvalidArgument("malformed request envelope"));
-    conn->reading = false;
-    conn->close_after_flush = true;
-    poller_->Update(conn->fd, false, conn->want_write);
+    SendPayload(conn, ErrorPayload(0, net::Op::kHello,
+                                   Status::InvalidArgument(
+                                       "malformed request envelope")));
+    CloseAfterFlush(conn);
     return;
   }
 
@@ -631,132 +518,45 @@ void CqmsServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   counters.bytes_in.fetch_add(payload.size() + kFrameHeaderBytes,
                               std::memory_order_relaxed);
 
-  if (!conn->handshaken) {
-    if (env.op != net::Op::kHello) {
-      SendError(conn, env.request_id, env.op,
-                Status::InvalidArgument("handshake required before any op"));
-      conn->reading = false;
-      conn->close_after_flush = true;
-      poller_->Update(conn->fd, false, conn->want_write);
-      return;
-    }
-    net::HelloRequest hello;
-    BinaryReader r(env.body);
-    if (!net::DecodeHelloRequest(&r, &hello) || !r.AtEnd()) {
-      SendError(conn, env.request_id, env.op,
-                Status::InvalidArgument("malformed Hello body"));
-      conn->reading = false;
-      conn->close_after_flush = true;
-      poller_->Update(conn->fd, false, conn->want_write);
-      return;
-    }
-    if (hello.protocol_version != net::kProtocolVersion) {
-      SendError(conn, env.request_id, env.op,
-                Status::Unsupported(
-                    "protocol version mismatch: server speaks " +
-                    std::to_string(net::kProtocolVersion) + ", client sent " +
-                    std::to_string(hello.protocol_version)));
-      conn->reading = false;
-      conn->close_after_flush = true;
-      poller_->Update(conn->fd, false, conn->want_write);
-      return;
-    }
-    conn->handshaken = true;
-    net::HelloResponse resp;
-    resp.protocol_version = net::kProtocolVersion;
-    resp.server_version = kServerVersion;
-    std::shared_ptr<const storage::ReadViewState> view =
-        current_cqms()->CurrentReadView();
-    resp.store_size = view != nullptr ? view->size() : 0;
-    BinaryWriter w;
-    net::BeginResponse(&w, env.request_id, env.op);
-    net::EncodeHelloResponse(&w, resp);
-    SendPayload(conn, w.data());
-    return;
+  const net::OpInfo& info = net::InfoOf(env.op);
+  Status rejected;
+  if (!conn->handshaken && env.op != net::Op::kHello) {
+    rejected = Status::InvalidArgument("handshake required before any op");
+  } else if (stop_requested_.load(std::memory_order_acquire)) {
+    rejected = Status::Unavailable("server is shutting down");
+  } else if (follower_mode() && !info.follower_serves) {
+    // Mutations (and chained replication subscriptions) belong on the
+    // primary; the typed error carries its address so failover clients
+    // redirect without a config lookup.
+    rejected = Status::NotPrimary(net::FormatNotPrimary(options_.follow_primary));
   }
-
-  if (env.op == net::Op::kHello) {
-    SendError(conn, env.request_id, env.op,
-              Status::InvalidArgument("duplicate handshake"));
-    return;
-  }
-
-  if (stop_requested_.load(std::memory_order_acquire)) {
-    SendError(conn, env.request_id, env.op,
-              Status::Unavailable("server is shutting down"));
-    return;
-  }
-
-  if (follower_mode()) {
-    switch (env.op) {
-      case net::Op::kSearch:
-      case net::Op::kRecommend:
-      case net::Op::kBrowse:
-      case net::Op::kShowSession:
-      case net::Op::kStats:
-      case net::Op::kMetricsDump:
-        break;  // Reads serve from the replicated store.
-      default:
-        // Mutations (and chained replication subscriptions) belong on
-        // the primary; the typed error carries its address so failover
-        // clients redirect without a config lookup.
-        SendError(conn, env.request_id, env.op,
-                  Status::NotPrimary(
-                      net::FormatNotPrimary(options_.follow_primary)));
-        return;
-    }
-  }
-
-  if (env.op == net::Op::kReplAck) {
-    // Fire-and-forget progress report from a follower; cheap enough to
-    // absorb inline on the loop thread.
-    net::ReplAckRequest ack;
-    BinaryReader r(env.body);
-    if (!net::DecodeReplAckRequest(&r, &ack) || !r.AtEnd()) {
-      SendError(conn, env.request_id, env.op,
-                Status::InvalidArgument("malformed ReplAck body"));
-      return;
-    }
-    uint64_t follower_id =
-        conn->repl_follower_id.load(std::memory_order_relaxed);
-    if (shipper_ != nullptr && follower_id != 0) {
-      shipper_->Ack(follower_id, ack.acked_sequence);
-    }
-    BinaryWriter w;
-    net::BeginResponse(&w, env.request_id, env.op);
-    SendPayload(conn, w.data());
-    return;
-  }
-
-  if (env.op == net::Op::kStats || env.op == net::Op::kMetricsDump) {
-    // Introspection ops execute inline on the loop thread: they touch
-    // only atomics, never the store, and must answer even when every
-    // worker is wedged behind slow queries.
+  if (!rejected.ok()) {
+    SendPayload(conn, ErrorPayload(env.request_id, env.op, rejected));
+  } else {
     Task task;
     task.conn = conn;
     task.request_id = env.request_id;
     task.op = env.op;
+    task.body.assign(env.body.data(), env.body.size());
     task.enqueue_us = NowMicros();
-    SendPayload(conn, env.op == net::Op::kStats ? HandleStats(task)
-                                                : HandleMetricsDump(task));
-    CountersFor(env.op).RecordLatency(
-        static_cast<uint64_t>(NowMicros() - task.enqueue_us));
-    return;
+    conn->inflight.fetch_add(1, std::memory_order_relaxed);
+    inflight_.fetch_add(1, std::memory_order_acq_rel);
+    switch (info.runs) {
+      case net::Runs::kLoop:
+        // Touches no store (Hello, Stats, MetricsDump, ReplAck): answers
+        // even when every worker is wedged behind slow queries.
+        ExecuteTask(task);
+        break;
+      case net::Runs::kWorker:
+        read_queue_->Push(std::move(task));
+        break;
+      case net::Runs::kWriter:
+        write_queue_->Push(std::move(task));
+        break;
+    }
   }
-
-  Task task;
-  task.conn = conn;
-  task.request_id = env.request_id;
-  task.op = env.op;
-  task.body.assign(env.body.data(), env.body.size());
-  task.enqueue_us = NowMicros();
-  conn->inflight.fetch_add(1, std::memory_order_relaxed);
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (env.op == net::Op::kSearch || env.op == net::Op::kRecommend) {
-    read_queue_->Push(std::move(task));
-  } else {
-    write_queue_->Push(std::move(task));
-  }
+  // No handshake after the first frame: nothing more will be served.
+  if (!conn->handshaken) CloseAfterFlush(conn);
 }
 
 void CqmsServer::SendPayload(const std::shared_ptr<Connection>& conn,
@@ -776,13 +576,20 @@ void CqmsServer::SendPayload(const std::shared_ptr<Connection>& conn,
   NotifyLoop();
 }
 
-void CqmsServer::SendError(const std::shared_ptr<Connection>& conn,
-                           uint64_t request_id, net::Op op,
-                           const Status& error) {
+std::string CqmsServer::ErrorPayload(uint64_t request_id, net::Op op,
+                                     const Status& error) {
   CountersFor(op).errors.fetch_add(1, std::memory_order_relaxed);
   BinaryWriter w;
   net::EncodeErrorResponse(&w, request_id, op, error);
-  SendPayload(conn, w.data());
+  return w.Take();
+}
+
+void CqmsServer::CloseAfterFlush(const std::shared_ptr<Connection>& conn) {
+  conn->reading = false;
+  conn->close_after_flush = true;
+  if (conns_.count(conn->fd) != 0) {
+    Watch(conn->fd, EPOLL_CTL_MOD, false, conn->want_write);
+  }
 }
 
 void CqmsServer::FlushConn(const std::shared_ptr<Connection>& conn) {
@@ -829,7 +636,7 @@ void CqmsServer::FlushConn(const std::shared_ptr<Connection>& conn) {
   bool want_write = !empty;
   if (want_write != conn->want_write) {
     conn->want_write = want_write;
-    poller_->Update(conn->fd, conn->reading, want_write);
+    Watch(conn->fd, EPOLL_CTL_MOD, conn->reading, want_write);
   }
 }
 
@@ -841,7 +648,7 @@ void CqmsServer::CloseConn(const std::shared_ptr<Connection>& conn) {
   if (follower_id != 0 && shipper_ != nullptr) {
     shipper_->RemoveFollower(follower_id);
   }
-  poller_->Remove(conn->fd);
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
     conn->closed = true;
@@ -892,30 +699,23 @@ void CqmsServer::ExecuteTask(const Task& task) {
     task.work();  // Bare writer closure: no connection, no response.
     return;
   }
+  using ServeFn = std::string (CqmsServer::*)(const Task&);
+  static constexpr ServeFn kServe[] = {
+#define CQMS_SERVER_SERVE(name, ...) \
+  &CqmsServer::Serve<net::Op::k##name, &CqmsServer::Handle##name>,
+      CQMS_NET_OPS(CQMS_SERVER_SERVE)
+#undef CQMS_SERVER_SERVE
+  };
   std::string payload;
-  int64_t now = NowMicros();
   if (options_.request_timeout_ms > 0 &&
-      now - task.enqueue_us > options_.request_timeout_ms * 1000) {
-    CountersFor(task.op).errors.fetch_add(1, std::memory_order_relaxed);
-    BinaryWriter w;
-    net::EncodeErrorResponse(
-        &w, task.request_id, task.op,
+      NowMicros() - task.enqueue_us > options_.request_timeout_ms * 1000) {
+    payload = ErrorPayload(
+        task.request_id, task.op,
         Status::DeadlineExceeded("request exceeded queue deadline of " +
                                  std::to_string(options_.request_timeout_ms) +
                                  "ms"));
-    payload = w.Take();
   } else {
-    switch (task.op) {
-      case net::Op::kSearch:
-        payload = HandleSearch(task);
-        break;
-      case net::Op::kRecommend:
-        payload = HandleRecommend(task);
-        break;
-      default:
-        payload = HandleWriterOp(task);
-        break;
-    }
+    payload = (this->*kServe[static_cast<uint8_t>(task.op) - net::kMinOp])(task);
   }
   // An empty payload means the handler streamed its own responses
   // (ReplSubscribe pushes the subscribe result + bootstrap directly).
@@ -931,21 +731,62 @@ void CqmsServer::ExecuteTask(const Task& task) {
   NotifyLoop();
 }
 
-std::string CqmsServer::HandleSearch(const Task& task) {
-  net::SearchRequest req;
+template <net::Op kOp, auto kHandler>
+std::string CqmsServer::Serve(const Task& task) {
+  net::RequestOf<kOp> req;
   BinaryReader r(task.body);
-  auto fail = [&](const Status& s) {
-    CountersFor(task.op).errors.fetch_add(1, std::memory_order_relaxed);
-    BinaryWriter w;
-    net::EncodeErrorResponse(&w, task.request_id, task.op, s);
-    return w.Take();
-  };
-  if (!net::DecodeSearchRequest(&r, &req) || !r.AtEnd()) {
-    return fail(Status::InvalidArgument("malformed Search body"));
+  if (!net::DecodeBody(&r, &req) || !r.AtEnd()) {
+    return ErrorPayload(task.request_id, kOp,
+                        Status::InvalidArgument(std::string("malformed ") +
+                                                net::OpName(kOp) + " body"));
   }
+  auto out = (this->*kHandler)(task, req);
+  if (!out.ok()) return ErrorPayload(task.request_id, kOp, out.status());
+  if constexpr (std::is_same_v<std::decay_t<decltype(*out)>, Answered>) {
+    return std::string();
+  } else {
+    static_assert(std::is_same_v<std::decay_t<decltype(*out)>,
+                                 net::ResponseOf<kOp>>,
+                  "a handler returns its op's response type");
+    BinaryWriter w;
+    net::BeginResponse(&w, task.request_id, kOp);
+    net::EncodeBody(&w, *out);
+    return w.Take();
+  }
+}
+
+namespace {
+
+Result<net::Empty> Done(const Status& s) {
+  if (!s.ok()) return s;
+  return net::Empty{};
+}
+
+}  // namespace
+
+Result<net::HelloResponse> CqmsServer::HandleHello(
+    const Task& task, const net::HelloRequest& req) {
+  if (task.conn->handshaken) {
+    return Status::InvalidArgument("duplicate handshake");
+  }
+  if (req.protocol_version != net::kProtocolVersion) {
+    return Status::Unsupported(
+        "protocol version mismatch: server speaks " +
+        std::to_string(net::kProtocolVersion) + ", client sent " +
+        std::to_string(req.protocol_version));
+  }
+  task.conn->handshaken = true;
+  std::shared_ptr<const storage::ReadViewState> view =
+      current_cqms()->CurrentReadView();
+  return net::HelloResponse{net::kProtocolVersion, kServerVersion,
+                            view != nullptr ? view->size() : 0};
+}
+
+Result<net::SearchResult> CqmsServer::HandleSearch(
+    const Task&, const net::SearchRequest& req) {
   if (req.spec.data.has_value() && req.spec.data->reexecute) {
-    return fail(Status::Unsupported(
-        "query-by-data re-execution is not available over the wire"));
+    return Status::Unsupported(
+        "query-by-data re-execution is not available over the wire");
   }
   storage::QueryRecord probe;
   const storage::QueryRecord* probe_ptr = nullptr;
@@ -980,43 +821,25 @@ std::string CqmsServer::HandleSearch(const Task& task) {
   out.generator = static_cast<uint8_t>(mresp.generator);
   out.candidates_considered = mresp.candidates_considered;
   if (req.spec.want_trace) {
-    out.trace.emplace();
-    out.trace->generator = trace.generator;
-    out.trace->counters = trace.counters;
-    out.trace->spans_micros = trace.spans;
+    out.trace = net::TraceSummary{trace.generator, trace.counters, trace.spans};
   }
-
-  BinaryWriter w;
-  net::BeginResponse(&w, task.request_id, task.op);
-  net::EncodeSearchResult(&w, out);
-  return w.Take();
+  return out;
 }
 
-std::string CqmsServer::HandleRecommend(const Task& task) {
-  net::RecommendRequest req;
-  BinaryReader r(task.body);
-  auto fail = [&](const Status& s) {
-    CountersFor(task.op).errors.fetch_add(1, std::memory_order_relaxed);
-    BinaryWriter w;
-    net::EncodeErrorResponse(&w, task.request_id, task.op, s);
-    return w.Take();
-  };
-  if (!net::DecodeRecommendRequest(&r, &req) || !r.AtEnd()) {
-    return fail(Status::InvalidArgument("malformed Recommend body"));
-  }
-
+Result<net::RecommendResult> CqmsServer::HandleRecommend(
+    const Task&, const net::RecommendRequest& req) {
   // The in-process RecommendationEngine reads live records; here every
   // record fetch goes through a pinned view instead so recommendations
   // never race the writer (same over-fetch + fingerprint-dedup policy).
   storage::QueryRecord probe = storage::BuildRecordFromText(
       req.sql_text, req.viewer, 0, storage::SignatureMode::kTransient);
   if (probe.parse_failed()) {
-    return fail(Status::ParseError("cannot recommend for unparsable text: " +
-                                   probe.stats.error));
+    return Status::ParseError("cannot recommend for unparsable text: " +
+                              probe.stats.error);
   }
   std::shared_ptr<Cqms> cqms = current_cqms();
   std::shared_ptr<const storage::ReadViewState> view = cqms->CurrentReadView();
-  if (view == nullptr) return fail(Status::Internal("read views not enabled"));
+  if (view == nullptr) return Status::Internal("read views not enabled");
 
   metaquery::MetaQueryRequest mreq;
   mreq.SimilarTo(probe);
@@ -1043,165 +866,122 @@ std::string CqmsServer::HandleRecommend(const Task& task) {
     if (!rec->annotations.empty()) item.annotation = rec->annotations.back().text;
     out.items.push_back(std::move(item));
   }
-
-  BinaryWriter w;
-  net::BeginResponse(&w, task.request_id, task.op);
-  net::EncodeRecommendResult(&w, out);
-  return w.Take();
+  return out;
 }
 
-std::string CqmsServer::HandleWriterOp(const Task& task) {
-  BinaryReader r(task.body);
-  BinaryWriter w;
+Result<net::AppendResult> CqmsServer::HandleAppend(
+    const Task&, const net::AppendRequest& req) {
+  if (req.user.empty()) return Status::InvalidArgument("Append requires a user");
   std::shared_ptr<Cqms> cqms = current_cqms();
-  auto fail = [&](const Status& s) {
-    CountersFor(task.op).errors.fetch_add(1, std::memory_order_relaxed);
-    BinaryWriter ew;
-    net::EncodeErrorResponse(&ew, task.request_id, task.op, s);
-    return ew.Take();
-  };
-  auto malformed = [&] {
-    return fail(Status::InvalidArgument(std::string("malformed ") +
-                                        net::OpName(task.op) + " body"));
-  };
-  auto from_status = [&](const Status& s) {
-    if (!s.ok()) return fail(s);
-    BinaryWriter ok;
-    net::BeginResponse(&ok, task.request_id, task.op);
-    return ok.Take();
-  };
-
-  switch (task.op) {
-    case net::Op::kAppend: {
-      net::AppendRequest req;
-      if (!net::DecodeAppendRequest(&r, &req) || !r.AtEnd()) return malformed();
-      if (req.user.empty()) {
-        return fail(Status::InvalidArgument("Append requires a user"));
-      }
-      net::AppendResult result;
-      if (req.execute) {
-        profiler::ProfiledExecution exec = cqms->Execute(req.user, req.sql);
-        result.id = exec.query_id;
-        result.succeeded = exec.stats.succeeded;
-        result.error = exec.stats.error;
-        result.result_rows = exec.stats.result_rows;
-        result.exec_micros = exec.stats.execution_micros;
-      } else {
-        result.id = cqms->profiler().LogOnly(req.sql, req.user);
-        result.succeeded = true;
-      }
-      net::BeginResponse(&w, task.request_id, task.op);
-      net::EncodeAppendResult(&w, result);
-      return w.Take();
-    }
-    case net::Op::kRewrite: {
-      net::RewriteRequest req;
-      if (!net::DecodeRewriteRequest(&r, &req) || !r.AtEnd()) return malformed();
-      return from_status(cqms->store()->RewriteQueryText(req.id, req.new_text));
-    }
-    case net::Op::kAnnotate: {
-      net::AnnotateRequest req;
-      if (!net::DecodeAnnotateRequest(&r, &req) || !r.AtEnd()) return malformed();
-      return from_status(
-          cqms->Annotate(req.id, req.author, req.text, req.fragment));
-    }
-    case net::Op::kSetVisibility: {
-      net::SetVisibilityRequest req;
-      if (!net::DecodeSetVisibilityRequest(&r, &req) || !r.AtEnd()) {
-        return malformed();
-      }
-      return from_status(
-          cqms->SetVisibility(req.requester, req.id, req.visibility));
-    }
-    case net::Op::kDelete: {
-      net::DeleteRequest req;
-      if (!net::DecodeDeleteRequest(&r, &req) || !r.AtEnd()) return malformed();
-      return from_status(cqms->DeleteQuery(req.requester, req.id, req.is_admin));
-    }
-    case net::Op::kRegisterUser: {
-      net::RegisterUserRequest req;
-      if (!net::DecodeRegisterUserRequest(&r, &req) || !r.AtEnd()) {
-        return malformed();
-      }
-      if (req.user.empty()) {
-        return fail(Status::InvalidArgument("RegisterUser requires a user"));
-      }
-      cqms->RegisterUser(req.user, req.groups);
-      return from_status(Status::Ok());
-    }
-    case net::Op::kBrowse: {
-      net::BrowseRequest req;
-      if (!net::DecodeBrowseRequest(&r, &req) || !r.AtEnd()) return malformed();
-      net::TextResult text;
-      text.text = cqms->BrowseLog(req.viewer, req.max_sessions);
-      net::BeginResponse(&w, task.request_id, task.op);
-      net::EncodeTextResult(&w, text);
-      return w.Take();
-    }
-    case net::Op::kShowSession: {
-      net::ShowSessionRequest req;
-      if (!net::DecodeShowSessionRequest(&r, &req) || !r.AtEnd()) {
-        return malformed();
-      }
-      Result<std::string> rendered = cqms->ShowSession(req.viewer, req.session_id);
-      if (!rendered.ok()) return fail(rendered.status());
-      net::TextResult text;
-      text.text = *rendered;
-      net::BeginResponse(&w, task.request_id, task.op);
-      net::EncodeTextResult(&w, text);
-      return w.Take();
-    }
-    case net::Op::kCheckpoint: {
-      if (!r.AtEnd()) return malformed();
-      return from_status(cqms->Checkpoint());
-    }
-    case net::Op::kMaintain: {
-      net::MaintainRequest req;
-      if (!net::DecodeMaintainRequest(&r, &req) || !r.AtEnd()) {
-        return malformed();
-      }
-      cqms->RunMaintenance();
-      if (req.run_mining) cqms->RunMining();
-      return from_status(Status::Ok());
-    }
-    case net::Op::kReplSubscribe: {
-      net::ReplSubscribeRequest req;
-      if (!net::DecodeReplSubscribeRequest(&r, &req) || !r.AtEnd()) {
-        return malformed();
-      }
-      if (shipper_ == nullptr) {
-        return fail(Status::Unsupported(
-            "replication requires durability on the primary "
-            "(--durability-dir)"));
-      }
-      // Running on the writer thread, the store is quiescent: the
-      // shipper can scan the WAL (or encode a snapshot) and register
-      // the follower without a frame slipping in between. It streams
-      // the subscribe response itself; the empty return tells
-      // ExecuteTask not to send one.
-      std::shared_ptr<Connection> conn = task.conn;
-      uint64_t follower_id = shipper_->Subscribe(
-          req, task.request_id,
-          [this, conn](std::string payload) { SendPayload(conn, payload); });
-      conn->repl_follower_id.store(follower_id, std::memory_order_relaxed);
-      return std::string();
-    }
-    default:
-      return fail(Status::Unsupported(std::string("op ") +
-                                      net::OpName(task.op) +
-                                      " is not servable"));
+  net::AppendResult result;
+  if (req.execute) {
+    profiler::ProfiledExecution exec = cqms->Execute(req.user, req.sql);
+    result.id = exec.query_id;
+    result.succeeded = exec.stats.succeeded;
+    result.error = exec.stats.error;
+    result.result_rows = exec.stats.result_rows;
+    result.exec_micros = exec.stats.execution_micros;
+  } else {
+    result.id = cqms->profiler().LogOnly(req.sql, req.user);
+    result.succeeded = true;
   }
+  return result;
 }
 
-std::string CqmsServer::HandleStats(const Task& task) {
-  net::StatsResult stats = StatsSnapshot();
-  BinaryWriter w;
-  net::BeginResponse(&w, task.request_id, task.op);
-  net::EncodeStatsResult(&w, stats);
-  return w.Take();
+Result<net::Empty> CqmsServer::HandleRewrite(const Task&,
+                                             const net::RewriteRequest& req) {
+  return Done(current_cqms()->store()->RewriteQueryText(req.id, req.new_text));
 }
 
-std::string CqmsServer::HandleMetricsDump(const Task& task) {
+Result<net::Empty> CqmsServer::HandleAnnotate(const Task&,
+                                              const net::AnnotateRequest& req) {
+  return Done(
+      current_cqms()->Annotate(req.id, req.author, req.text, req.fragment));
+}
+
+Result<net::Empty> CqmsServer::HandleSetVisibility(
+    const Task&, const net::SetVisibilityRequest& req) {
+  return Done(
+      current_cqms()->SetVisibility(req.requester, req.id, req.visibility));
+}
+
+Result<net::Empty> CqmsServer::HandleDelete(const Task&,
+                                            const net::DeleteRequest& req) {
+  return Done(current_cqms()->DeleteQuery(req.requester, req.id, req.is_admin));
+}
+
+Result<net::Empty> CqmsServer::HandleRegisterUser(
+    const Task&, const net::RegisterUserRequest& req) {
+  if (req.user.empty()) {
+    return Status::InvalidArgument("RegisterUser requires a user");
+  }
+  current_cqms()->RegisterUser(req.user, req.groups);
+  return net::Empty{};
+}
+
+Result<net::TextResult> CqmsServer::HandleBrowse(const Task&,
+                                                 const net::BrowseRequest& req) {
+  return net::TextResult{current_cqms()->BrowseLog(req.viewer, req.max_sessions)};
+}
+
+Result<net::TextResult> CqmsServer::HandleShowSession(
+    const Task&, const net::ShowSessionRequest& req) {
+  Result<std::string> rendered =
+      current_cqms()->ShowSession(req.viewer, req.session_id);
+  if (!rendered.ok()) return rendered.status();
+  return net::TextResult{std::move(rendered).value()};
+}
+
+Result<net::Empty> CqmsServer::HandleCheckpoint(const Task&, const Empty&) {
+  return Done(current_cqms()->Checkpoint());
+}
+
+Result<net::Empty> CqmsServer::HandleMaintain(const Task&,
+                                              const net::MaintainRequest& req) {
+  std::shared_ptr<Cqms> cqms = current_cqms();
+  cqms->RunMaintenance();
+  if (req.run_mining) cqms->RunMining();
+  return net::Empty{};
+}
+
+Result<CqmsServer::Answered> CqmsServer::HandleReplSubscribe(
+    const Task& task, const net::ReplSubscribeRequest& req) {
+  if (shipper_ == nullptr) {
+    return Status::Unsupported(
+        "replication requires durability on the primary (--durability-dir)");
+  }
+  // Running on the writer thread, the store is quiescent: the shipper
+  // can scan the WAL (or encode a snapshot) and register the follower
+  // without a frame slipping in between. It streams the subscribe
+  // response itself.
+  std::shared_ptr<Connection> conn = task.conn;
+  uint64_t follower_id = shipper_->Subscribe(
+      req, task.request_id,
+      [this, conn](std::string payload) { SendPayload(conn, payload); });
+  conn->repl_follower_id.store(follower_id, std::memory_order_relaxed);
+  return Answered{};
+}
+
+Result<net::Empty> CqmsServer::HandleReplStream(const Task&, const Empty&) {
+  return Status::Unsupported("op ReplStream is not servable");
+}
+
+Result<net::Empty> CqmsServer::HandleReplAck(const Task& task,
+                                             const net::ReplAckRequest& req) {
+  uint64_t follower_id =
+      task.conn->repl_follower_id.load(std::memory_order_relaxed);
+  if (shipper_ != nullptr && follower_id != 0) {
+    shipper_->Ack(follower_id, req.acked_sequence);
+  }
+  return net::Empty{};
+}
+
+Result<net::StatsResult> CqmsServer::HandleStats(const Task&, const Empty&) {
+  return StatsSnapshot();
+}
+
+Result<net::TextResult> CqmsServer::HandleMetricsDump(const Task&,
+                                                      const Empty&) {
   // Process-wide registry first (planner, storage, miner, WAL series),
   // then the server's own per-op counters appended in the same
   // exposition dialect so one dump covers every layer.
@@ -1233,13 +1013,7 @@ std::string CqmsServer::HandleMetricsDump(const Task& task) {
     text += "cqms_" + lower + "_p99_micros " + std::to_string(c.Percentile(99)) +
             '\n';
   }
-
-  net::TextResult result;
-  result.text = std::move(text);
-  BinaryWriter w;
-  net::BeginResponse(&w, task.request_id, task.op);
-  net::EncodeTextResult(&w, result);
-  return w.Take();
+  return net::TextResult{std::move(text)};
 }
 
 net::StatsResult CqmsServer::StatsSnapshot() const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/frame_codec.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "core/cqms.h"
 #include "net/wire.h"
@@ -63,10 +64,6 @@ struct ServerOptions {
   /// reading while pipelining is disconnected past this.
   size_t max_outbox_bytes = 64u << 20;
 
-  /// Use the portable poll() loop even where epoll is available
-  /// (exercised in tests; non-Linux builds always take it).
-  bool use_poll = false;
-
   /// Searches slower than this (planner execution, microseconds) are
   /// appended to the slow-query log with their trace summary. 0
   /// disables slow-query logging entirely.
@@ -74,10 +71,6 @@ struct ServerOptions {
   /// JSONL file the slow-query log appends to. Empty with
   /// slow_query_micros set is a Start() error.
   std::string slow_query_log_path;
-
-  /// View publication knobs applied when the server enables concurrent
-  /// reads on its Cqms (no-op if the caller already enabled them).
-  storage::ViewOptions view_options;
 
   /// Non-empty ("host:port") runs the server as a live read replica of
   /// that primary: reads (Search, Recommend, Browse, ShowSession, Stats,
@@ -110,11 +103,12 @@ struct OpCounters {
   uint64_t max_micros() const { return latency.max(); }
 };
 
-/// The CQMS network daemon core: one event-loop thread (epoll, or
-/// poll() as fallback) owning every socket, a worker pool executing
-/// read ops against pinned read views, and one writer thread owning
-/// every mutation — the process-level materialization of the store's
-/// single-writer / multi-reader contract (docs/server.md).
+/// The CQMS network daemon core: one epoll event-loop thread owning
+/// every socket, a worker pool executing read ops against pinned read
+/// views, and one writer thread owning every mutation — the
+/// process-level materialization of the store's single-writer /
+/// multi-reader contract (docs/server.md). Each op's thread and reply
+/// types come from the net::CQMS_NET_OPS table.
 ///
 /// Responses may be sent out of order; clients pipeline batches of
 /// requests and match responses by request id.
@@ -179,10 +173,9 @@ class CqmsServer : public repl::FollowerHost {
  private:
   struct Connection;
   struct Task;
-  class Poller;
-  class EpollPoller;
-  class PollPoller;
   class TaskQueue;
+  /// Returned by a handler that sent its own response frames.
+  struct Answered {};
 
   void LoopThread();
   void WorkerThread();
@@ -190,28 +183,62 @@ class CqmsServer : public repl::FollowerHost {
 
   void AcceptNew();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
+  /// Routes one request by its op's table row: rejects it, runs it
+  /// inline, or queues it for a worker or the writer.
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      std::string payload);
   /// Appends one response frame to the connection's outbox and wakes
   /// the loop (callable from any thread; drops silently once closed).
   void SendPayload(const std::shared_ptr<Connection>& conn,
                    const std::string& payload);
-  void SendError(const std::shared_ptr<Connection>& conn, uint64_t request_id,
-                 net::Op op, const Status& error);
+  /// The one error reply: counts the error, encodes the typed status.
+  std::string ErrorPayload(uint64_t request_id, net::Op op,
+                           const Status& error);
+  /// Stops reading `conn` and closes it once its outbox is flushed.
+  void CloseAfterFlush(const std::shared_ptr<Connection>& conn);
+  /// (Re)arms epoll interest in `fd` (EPOLL_CTL_ADD or _MOD).
+  Status Watch(int fd, int ctl, bool want_read, bool want_write);
   /// Writes pending outbox bytes; arms/disarms EPOLLOUT. Loop thread.
   void FlushConn(const std::shared_ptr<Connection>& conn);
   void CloseConn(const std::shared_ptr<Connection>& conn);
   void SweepIdle();
   void NotifyLoop();
 
-  // Handlers. Read handlers run on workers against pinned views; write
-  // handlers run on the single writer thread.
-  std::string HandleSearch(const Task& task);
-  std::string HandleRecommend(const Task& task);
-  std::string HandleWriterOp(const Task& task);
-  std::string HandleStats(const Task& task);
-  std::string HandleMetricsDump(const Task& task);
+  /// Runs a request (any thread), then sends its reply and updates the
+  /// op's counters.
   void ExecuteTask(const Task& task);
+  /// The single request path: decode the body (it must be used up),
+  /// call the op's handler, encode its result or the typed error.
+  template <net::Op kOp, auto kHandler>
+  std::string Serve(const Task& task);
+
+  // One handler per row of the op table, Handle<name>: it gets the
+  // decoded request and returns the response or an error. Worker ops
+  // run against pinned read views; writer ops on the writer thread.
+  using Empty = net::Empty;
+  Result<net::HelloResponse> HandleHello(const Task&, const net::HelloRequest&);
+  Result<net::SearchResult> HandleSearch(const Task&, const net::SearchRequest&);
+  Result<net::AppendResult> HandleAppend(const Task&, const net::AppendRequest&);
+  Result<Empty> HandleRewrite(const Task&, const net::RewriteRequest&);
+  Result<Empty> HandleAnnotate(const Task&, const net::AnnotateRequest&);
+  Result<Empty> HandleSetVisibility(const Task&,
+                                    const net::SetVisibilityRequest&);
+  Result<Empty> HandleDelete(const Task&, const net::DeleteRequest&);
+  Result<net::RecommendResult> HandleRecommend(const Task&,
+                                               const net::RecommendRequest&);
+  Result<net::TextResult> HandleBrowse(const Task&, const net::BrowseRequest&);
+  Result<net::TextResult> HandleShowSession(const Task&,
+                                            const net::ShowSessionRequest&);
+  Result<net::StatsResult> HandleStats(const Task&, const Empty&);
+  Result<Empty> HandleCheckpoint(const Task&, const Empty&);
+  Result<Empty> HandleRegisterUser(const Task&,
+                                   const net::RegisterUserRequest&);
+  Result<Empty> HandleMaintain(const Task&, const net::MaintainRequest&);
+  Result<net::TextResult> HandleMetricsDump(const Task&, const Empty&);
+  Result<Answered> HandleReplSubscribe(const Task&,
+                                       const net::ReplSubscribeRequest&);
+  Result<Empty> HandleReplStream(const Task&, const Empty&);
+  Result<Empty> HandleReplAck(const Task&, const net::ReplAckRequest&);
 
   OpCounters& CountersFor(net::Op op);
   const OpCounters& CountersFor(net::Op op) const;
@@ -232,8 +259,8 @@ class CqmsServer : public repl::FollowerHost {
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
+  int epoll_fd_ = -1;
 
-  std::unique_ptr<Poller> poller_;
   std::thread loop_thread_;
   std::vector<std::thread> worker_threads_;
   std::thread writer_thread_;

@@ -50,7 +50,6 @@ void Usage(const char* argv0) {
                "                         (default 500, 0 = off)\n"
                "  --demo-rows N          populate the demo lake schema with N\n"
                "                         rows per table (so Append can execute)\n"
-               "  --use-poll             use the portable poll() event loop\n"
                "  --log-level LEVEL      debug|info|warn|error (default info)\n"
                "  --slow-query-micros N  log searches slower than N us (0 = off)\n"
                "  --slow-query-log PATH  JSONL file for the slow-query log\n",
@@ -104,8 +103,6 @@ int main(int argc, char** argv) {
       options.repl_heartbeat_ms = static_cast<int64_t>(n);
     } else if (arg == "--demo-rows" && ParseSize(next(), &n)) {
       demo_rows = n;
-    } else if (arg == "--use-poll") {
-      options.use_poll = true;
     } else if (arg == "--log-level") {
       cqms::obs::LogLevel level;
       const char* text = next();
@@ -175,7 +172,6 @@ int main(int argc, char** argv) {
     fopts.primary_host = ep->host;
     fopts.primary_port = ep->port;
     fopts.name = options.host + ":" + std::to_string(options.port);
-    fopts.view_options = options.view_options;
     // Non-owning alias: `cqms` outlives both server and follower.
     std::shared_ptr<cqms::Cqms> live(&cqms, [](cqms::Cqms*) {});
     follower = std::make_unique<cqms::repl::Follower>(&server, std::move(live),

@@ -489,8 +489,7 @@ VisibilityCache& QueryStore::CacheFor(const std::string& viewer) const {
 
 // --- read-view publication -------------------------------------------------
 
-void QueryStore::EnableViews(ViewOptions options) {
-  view_options_ = options;
+void QueryStore::EnableViews() {
   if (!views_enabled_) {
     views_enabled_ = true;
     acl_view_tick_ = std::make_unique<AclViewTick>(this);
@@ -503,8 +502,7 @@ void QueryStore::MutationTick() {
   ++mutations_;
   if (!views_enabled_) return;
   ++unpublished_mutations_;
-  if (publish_batch_depth_ > 0) return;
-  if (unpublished_mutations_ >= view_options_.publish_every) PublishView();
+  if (publish_batch_depth_ == 0) PublishView();
 }
 
 void QueryStore::PublishView() {

@@ -25,18 +25,6 @@
 
 namespace cqms::storage {
 
-/// Knobs of the epoch-published read-view pipeline
-/// (QueryStore::EnableViews; docs/concurrency.md).
-struct ViewOptions {
-  /// Publish a fresh view after every N applied mutations. 1 = every
-  /// mutation becomes immediately visible to new readers; larger values
-  /// amortize the O(log size) snapshot copy across a write burst at the
-  /// cost of readers lagging up to N-1 mutations. Background cycles
-  /// additionally batch to one publish per cycle via ScopedPublishBatch
-  /// regardless of this setting.
-  size_t publish_every = 1;
-};
-
 /// The CQMS Query Storage (Figure 4): an append-only log of profiled
 /// queries with secondary indexes, plus the Figure-1 feature relations
 /// materialized as tables of an embedded `db::Database` so that SQL
@@ -242,12 +230,11 @@ class QueryStore {
   // --- concurrent read views (docs/concurrency.md) -------------------------
 
   /// Turns on the epoch-published read-view pipeline and publishes the
-  /// first view immediately. From here on, every applied mutation ticks
-  /// the publication counter and (subject to `options.publish_every`
-  /// and any active ScopedPublishBatch) republishes a fresh immutable
-  /// snapshot for readers. Calling again just applies the new options
-  /// and republishes. Single-writer: call from the writer thread.
-  void EnableViews(ViewOptions options = {});
+  /// first view immediately. From here on, every applied mutation
+  /// republishes a fresh immutable snapshot for readers (once per
+  /// ScopedPublishBatch while one is active). Calling again just
+  /// republishes. Single-writer: call from the writer thread.
+  void EnableViews();
 
   bool views_enabled() const { return views_enabled_; }
 
@@ -324,9 +311,8 @@ class QueryStore {
   /// record and rebuilds every derived structure from it.
   QueryId FinishAppend(QueryRecord record);
   /// Bumps the mutation counter and, when views are enabled and no
-  /// ScopedPublishBatch is active, republishes once publish_every
-  /// unpublished mutations have accumulated. Called at the end of every
-  /// successful state-changing mutation.
+  /// ScopedPublishBatch is active, republishes. Called at the end of
+  /// every successful state-changing mutation.
   void MutationTick();
   /// Adds `record.id` to every feature-derived index; the LSH entry is
   /// keyed by ComputeMinHashSketch(record.signature).
@@ -380,7 +366,6 @@ class QueryStore {
 
   // --- read-view publication state (writer-side unless noted) ------------
   bool views_enabled_ = false;
-  ViewOptions view_options_;
   /// Total successful mutations (records + ACL); stamped into views.
   uint64_t mutations_ = 0;
   uint64_t unpublished_mutations_ = 0;

@@ -197,22 +197,6 @@ TEST(ReadViewTest, PinnedViewIsSnapshotIsolated) {
   EXPECT_TRUE(store.Get(a)->HasFlag(kFlagObsolete));
 }
 
-TEST(ReadViewTest, PublishEveryBatchesMutations) {
-  QueryStore store;
-  ViewOptions options;
-  options.publish_every = 4;
-  store.EnableViews(options);
-  uint64_t seq0 = store.published_sequence();
-  for (int i = 0; i < 3; ++i) {
-    store.Append(BuildRecordFromText("SELECT " + std::to_string(i), "u", i + 1));
-  }
-  EXPECT_EQ(store.published_sequence(), seq0);  // 3 < publish_every
-  store.Append(BuildRecordFromText("SELECT 99", "u", 99));
-  EXPECT_EQ(store.published_sequence(), seq0 + 1);
-  PinnedView view = store.PinView();
-  EXPECT_EQ(view->size(), 4u);
-}
-
 TEST(ReadViewTest, ScopedPublishBatchDefersToScopeExit) {
   QueryStore store;
   store.EnableViews();

@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "netclient/client.h"
 #include "storage/record_builder.h"
+#include "wire_corpus.h"
 #include "workload/synthetic.h"
 
 namespace cqms::server {
@@ -135,6 +136,38 @@ std::string FrameHello(uint32_t version) {
   std::string out;
   AppendFrame(&out, w.data());
   return out;
+}
+
+/// A well-formed request body of type M: every optional present, edge
+/// values throughout (tests/wire_corpus.h).
+template <typename M>
+std::string WellFormedBody() {
+  M m{};
+  if constexpr (!std::is_same_v<M, net::Empty>) {
+    m = wiretest::Filled<M>(wiretest::Filler::Mode::kEdges, /*seed=*/1);
+  }
+  BinaryWriter w;
+  net::EncodeBody(&w, m);
+  return w.Take();
+}
+
+/// One well-formed request body for each op of the table.
+std::string RequestBody(net::Op op) {
+  switch (op) {
+#define CQMS_TEST_REQUEST_BODY(name, code, request, ...) \
+  case net::Op::k##name:                                \
+    return WellFormedBody<net::request>();
+    CQMS_NET_OPS(CQMS_TEST_REQUEST_BODY)
+#undef CQMS_TEST_REQUEST_BODY
+  }
+  return "";
+}
+
+std::string RequestPayload(uint64_t request_id, net::Op op,
+                           const std::string& body) {
+  BinaryWriter w;
+  net::BeginRequest(&w, request_id, op);
+  return w.Take() + body;
 }
 
 // --- oracle equality -------------------------------------------------------
@@ -345,7 +378,11 @@ TEST(ServerTest, RandomBytesAndBitFlipsNeverCrashTheServer) {
   ServerFixture fx(options, /*log_queries=*/6);
   Rng rng(20260808);
 
-  for (int round = 0; round < 40; ++round) {
+  // Three rounds per op of the table: pure noise, a well-formed request
+  // of that op with one bit flipped in its frame (the CRC catches it),
+  // and one with a bit flipped in its payload before framing (the CRC
+  // holds, so the envelope and body decoders see the damage).
+  for (size_t round = 0; round < 3 * std::size(net::kOps); ++round) {
     RawConn conn(fx.server->port());
     ASSERT_TRUE(conn.connected());
     std::string bytes;
@@ -356,20 +393,19 @@ TEST(ServerTest, RandomBytesAndBitFlipsNeverCrashTheServer) {
         bytes.push_back(static_cast<char>(rng.Next() & 0xFF));
       }
     } else {
-      // A well-formed handshake followed by a well-formed Search frame
-      // with one random bit flipped somewhere.
-      bytes = FrameHello(net::kProtocolVersion);
-      BinaryWriter w;
-      net::BeginRequest(&w, 2, net::Op::kSearch);
-      net::SearchRequest req;
-      req.viewer = "alice";
-      req.spec.keyword = net::KeywordSpec{"sensors", true};
-      net::EncodeSearchRequest(&w, req);
+      const net::Op op = net::kOps[round / 3].op;
+      std::string payload = RequestPayload(2, op, RequestBody(op));
       std::string frame;
-      AppendFrame(&frame, w.data());
-      size_t bit = rng.Uniform(frame.size() * 8);
-      frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-      bytes += frame;
+      if (round % 3 == 2) {
+        size_t bit = rng.Uniform(payload.size() * 8);
+        payload[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        AppendFrame(&frame, payload);
+      } else {
+        AppendFrame(&frame, payload);
+        size_t bit = rng.Uniform(frame.size() * 8);
+        frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+      }
+      bytes = FrameHello(net::kProtocolVersion) + frame;
     }
     conn.Write(bytes);
     // Either a typed error arrives and the server disconnects, or the
@@ -385,6 +421,47 @@ TEST(ServerTest, RandomBytesAndBitFlipsNeverCrashTheServer) {
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_GE(stats->protocol_errors, 10u);
+}
+
+// Every request body must be used up exactly, including the bodies of
+// the ops the event-loop thread answers inline.
+TEST(ServerTest, LoopOpsRejectTrailingRequestBytes) {
+  ServerFixture fx(ServerOptions{}, /*log_queries=*/4);
+  auto client = fx.Client();
+  ASSERT_NE(client, nullptr);
+  size_t loop_ops = 0;
+  for (const net::OpInfo& info : net::kOps) {
+    if (info.runs != net::Runs::kLoop) continue;
+    ++loop_ops;
+    ASSERT_TRUE(client
+                    ->SendRawPayload(RequestPayload(
+                        9, info.op, RequestBody(info.op) + std::string(1, '\0')))
+                    .ok());
+    auto raw = client->ReadRawPayload();
+    ASSERT_TRUE(raw.ok()) << info.name << ": " << raw.status();
+    net::ResponseEnvelope env;
+    ASSERT_TRUE(net::DecodeResponseEnvelope(*raw, &env));
+    EXPECT_EQ(env.op, info.op);
+    EXPECT_EQ(env.code, StatusCode::kInvalidArgument) << info.name;
+  }
+  EXPECT_GE(loop_ops, 4u);  // Hello, Stats, MetricsDump, ReplAck at least
+
+  // A handshake with a trailing byte is refused, then disconnected.
+  RawConn conn(fx.server->port());
+  ASSERT_TRUE(conn.connected());
+  BinaryWriter hello;
+  net::EncodeHelloRequest(&hello, net::HelloRequest{});
+  std::string frame;
+  AppendFrame(&frame, RequestPayload(1, net::Op::kHello, hello.data() + "x"));
+  conn.Write(frame);
+  std::string raw = conn.DrainUntilClose();
+  FrameDecoder decoder(kDefaultMaxFrameBytes);
+  decoder.Feed(raw.data(), raw.size());
+  std::string payload;
+  ASSERT_EQ(decoder.Poll(&payload), FrameDecoder::Next::kFrame);
+  net::ResponseEnvelope env;
+  ASSERT_TRUE(net::DecodeResponseEnvelope(payload, &env));
+  EXPECT_EQ(env.code, StatusCode::kInvalidArgument);
 }
 
 TEST(ServerTest, OversizedFrameIsATypedErrorThenDisconnect) {
@@ -456,34 +533,6 @@ TEST(ServerTest, MaxConnsRejectsTheOverflowConnection) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->rejected_connections, 1u);
   EXPECT_LE(stats->active_connections, 2u);
-}
-
-// --- poll() fallback -------------------------------------------------------
-
-TEST(ServerTest, PollFallbackServesTheSameProtocol) {
-  ServerOptions options;
-  options.use_poll = true;
-  ServerFixture fx(options, /*log_queries=*/8);
-  auto client = fx.Client();
-  ASSERT_NE(client, nullptr);
-
-  net::SearchSpec spec;
-  spec.keyword = net::KeywordSpec{"sensors", true};
-  auto wire = client->Search("alice", spec);
-  ASSERT_TRUE(wire.ok()) << wire.status();
-  metaquery::MetaQueryResponse oracle =
-      fx.cqms.Search("alice", net::ToMetaQueryRequest(spec, nullptr));
-  ASSERT_EQ(wire->matches.size(), oracle.matches.size());
-  for (size_t i = 0; i < oracle.matches.size(); ++i) {
-    EXPECT_EQ(wire->matches[i].id, oracle.matches[i].id);
-  }
-
-  net::AppendRequest append;
-  append.user = "bob";
-  append.sql = "SELECT * FROM Species";
-  auto appended = client->Append(append);
-  ASSERT_TRUE(appended.ok()) << appended.status();
-  EXPECT_TRUE(appended->succeeded);
 }
 
 // --- graceful shutdown -----------------------------------------------------
