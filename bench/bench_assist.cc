@@ -73,12 +73,12 @@ double CompletionHitRate(bench::LogFixture& f, miner::QueryMiner& miner,
   engine.set_use_association_rules(use_context);
   size_t trials = 0, hits = 0;
   for (const auto& record : f.store.records()) {
-    if (record.parse_failed() || record.components.tables.size() < 2) continue;
+    if (record.parse_failed() || record.components->tables.size() < 2) continue;
     if (trials >= 300) break;  // cap work per measurement
-    const std::string& hidden = record.components.tables.back();
+    const std::string& hidden = record.components->tables.back();
     std::string partial = "SELECT * FROM ";
-    for (size_t i = 0; i + 1 < record.components.tables.size(); ++i) {
-      partial += record.components.tables[i] + ", ";
+    for (size_t i = 0; i + 1 < record.components->tables.size(); ++i) {
+      partial += record.components->tables[i] + ", ";
     }
     auto suggestions = engine.Complete(record.user, partial, k);
     ++trials;
@@ -134,8 +134,9 @@ void BM_RecommendationGuidanceRecall(benchmark::State& state) {
       for (size_t i = 1; i < session.size(); ++i) {
         const storage::QueryRecord* r = f.store.Get(session[i]);
         if (r != nullptr && !r->parse_failed() &&
-            r->skeleton_fingerprint != first->skeleton_fingerprint) {
-          later_skeletons.insert(r->skeleton_fingerprint);
+            r->statement().skeleton_fingerprint !=
+                first->statement().skeleton_fingerprint) {
+          later_skeletons.insert(r->statement().skeleton_fingerprint);
         }
       }
       if (later_skeletons.empty()) continue;
@@ -148,11 +149,12 @@ void BM_RecommendationGuidanceRecall(benchmark::State& state) {
       size_t distinct_seen = 0;
       for (const auto& rec : *recs) {
         const storage::QueryRecord* r = f.store.Get(rec.id);
-        if (r == nullptr || r->skeleton_fingerprint == first->skeleton_fingerprint) {
+        if (r == nullptr || r->statement().skeleton_fingerprint ==
+                                first->statement().skeleton_fingerprint) {
           continue;
         }
         if (++distinct_seen > 5) break;
-        if (later_skeletons.count(r->skeleton_fingerprint) > 0) {
+        if (later_skeletons.count(r->statement().skeleton_fingerprint) > 0) {
           ++hits;
           break;
         }

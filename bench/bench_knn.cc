@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -61,7 +63,9 @@ void BM_KnnLsh(benchmark::State& state) {
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["lsh_candidates"] = static_cast<double>(
-      f.store.LshCandidates(storage::ComputeMinHashSketch(probe.signature))
+      f.store
+          .LshCandidates(
+              storage::ComputeMinHashSketch(probe.statement().signature))
           .size());
 }
 BENCHMARK(BM_KnnLsh)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"queries"});
@@ -149,13 +153,24 @@ void BM_KnnSimilarityMix(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnSimilarityMix)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"mix"});
 
+/// Bytes the allocator has handed out and not had back: chunks carved
+/// from the arenas (uordblks) plus chunks above the mmap threshold
+/// (hblkhd), which glibc moves as it frees large blocks.
+int64_t HeapInUse() {
+  struct mallinfo2 info = mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+
 // Cold-start restore cost per snapshot format. format=1 is the v1 text
 // reader, which re-profiles every record from its text (parse,
 // canonicalize, collect components, tokenize, intern); format=2 is the
 // binary restore, which bulk-loads the precomputed state from one
 // sequential read. Both sketch every record from its signature while
 // rebuilding the LSH index. Their ratio at 20k queries is the binary
-// format's cold-start speedup.
+// format's cold-start speedup. heap_bytes_per_query is the heap growth
+// of one restore into an empty store (the file buffer is freed by then)
+// per restored record: the in-memory cost of a logged query, which a CI
+// step gates at 20k.
 void BM_SnapshotLoad(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   const bool v2 = state.range(1) == 2;
@@ -174,8 +189,10 @@ void BM_SnapshotLoad(benchmark::State& state) {
   const double bytes_per_query =
       static_cast<double>(std::filesystem::file_size(path)) /
       static_cast<double>(f.store.size());
+  double heap_bytes_per_query = 0;
   for (auto _ : state) {
     uint64_t words_before = ExtractWordsCallCount();
+    const int64_t heap_before = HeapInUse();
     storage::QueryStore loaded;
     Status s = storage::LoadSnapshot(&loaded, path);
     if (!s.ok()) {
@@ -183,6 +200,8 @@ void BM_SnapshotLoad(benchmark::State& state) {
       state.SkipWithError("snapshot load failed");
       return;
     }
+    heap_bytes_per_query = static_cast<double>(HeapInUse() - heap_before) /
+                           static_cast<double>(loaded.size());
     // The binary restore promises zero re-tokenization at any log size;
     // enforce it here at 20k where the durability tests run smaller.
     if (v2 && ExtractWordsCallCount() != words_before) {
@@ -195,6 +214,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
   std::remove(path.c_str());
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["bytes_per_query"] = bytes_per_query;
+  state.counters["heap_bytes_per_query"] = heap_bytes_per_query;
 }
 BENCHMARK(BM_SnapshotLoad)
     ->Args({1000, 1})

@@ -172,7 +172,7 @@ std::vector<Correction> CorrectionEngine::SuggestPredicateRelaxations(
       if (!store_->Visible(viewer, id)) continue;
       const storage::QueryRecord* r = store_->Get(id);
       if (r == nullptr || !r->stats.succeeded || r->stats.result_rows == 0) continue;
-      for (const sql::PredicateFeature& logged : r->components.predicates) {
+      for (const sql::PredicateFeature& logged : r->components->predicates) {
         if (logged.Skeleton() == skeleton && logged.constant != pred.constant) {
           ++constant_votes[logged.constant];
         }

@@ -21,7 +21,9 @@ std::vector<uint64_t> UserSkeletons(const storage::QueryStore& store,
   out.reserve(store.QueriesByUser(user).size());
   for (storage::QueryId id : store.QueriesByUser(user)) {
     const storage::QueryRecord* r = store.Get(id);
-    if (r != nullptr && !r->parse_failed()) out.push_back(r->skeleton_fingerprint);
+    if (r != nullptr && !r->parse_failed()) {
+      out.push_back(r->statement().skeleton_fingerprint);
+    }
   }
   SortUnique(&out);
   return out;

@@ -49,7 +49,7 @@ std::string RenderSessionAscii(const storage::QueryStore& store,
     out += "  [q" + std::to_string(id) + " " +
            MinuteOffset(session.start, r->timestamp) + "] " +
            Truncate(r->parse_failed() ? r->text + "  (parse error)"
-                                      : r->canonical_text,
+                                      : r->statement().canonical_text,
                     max_text_width) +
            "\n";
     auto it = edge_from.find(id);

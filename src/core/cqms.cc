@@ -58,8 +58,8 @@ bool Cqms::ShouldRequestAnnotation(storage::QueryId id,
   const storage::QueryRecord* r = store_.Get(id);
   if (r == nullptr || r->parse_failed()) return false;
   if (!r->annotations.empty()) return false;
-  return r->components.tables.size() >= table_threshold ||
-         r->components.has_subquery;
+  return r->components->tables.size() >= table_threshold ||
+         r->components->has_subquery;
 }
 
 Result<std::string> Cqms::ShowSession(const std::string& viewer,

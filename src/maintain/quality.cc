@@ -22,7 +22,7 @@ double ComputeQuality(const storage::QueryRecord& record,
   double efficiency = 1.0 / (1.0 + 0.145 * std::log1p(ms));
 
   // Simplicity: component count mapped to (0,1].
-  const auto& c = record.components;
+  const sql::QueryComponents& c = record.components;
   double complexity = static_cast<double>(
       c.tables.size() + c.predicates.size() + c.projections.size() +
       2 * c.max_nesting_depth);

@@ -106,14 +106,15 @@ bool FeatureQuery::MatchesRecord(const storage::QueryRecord& r) const {
   // Verify indexed conditions exactly against the current record, never
   // trusting a posting list the candidate may have come from.
   for (const std::string& t : tables_) {
-    if (std::find(r.components.tables.begin(), r.components.tables.end(), t) ==
-        r.components.tables.end()) {
+    const std::vector<std::string>& tables = r.components->tables;
+    if (std::find(tables.begin(), tables.end(), t) == tables.end()) {
       return false;
     }
   }
   for (const auto& [rel, attr] : attributes_) {
-    if (std::find(r.components.attributes.begin(), r.components.attributes.end(),
-                  std::make_pair(rel, attr)) == r.components.attributes.end()) {
+    const auto& attributes = r.components->attributes;
+    if (std::find(attributes.begin(), attributes.end(),
+                  std::make_pair(rel, attr)) == attributes.end()) {
       return false;
     }
   }
@@ -121,7 +122,7 @@ bool FeatureQuery::MatchesRecord(const storage::QueryRecord& r) const {
   // attribute was referenced somewhere).
   for (const auto& pc : predicates_) {
     bool found = false;
-    for (const auto& p : r.components.predicates) {
+    for (const auto& p : r.components->predicates) {
       if (p.relation == pc.relation && p.attribute == pc.attribute &&
           (pc.op.empty() || p.op == pc.op)) {
         found = true;

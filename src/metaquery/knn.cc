@@ -52,12 +52,13 @@ KnnCandidates KnnCandidateIds(const storage::StoreView& store,
                               const storage::QueryRecord& probe,
                               const CandidateOptions& options) {
   KnnCandidates out;
-  if (!probe.parse_failed() && !probe.components.tables.empty()) {
+  const storage::SimilaritySignature& signature = probe.statement().signature;
+  if (!probe.parse_failed() && !probe.components->tables.empty()) {
     // The probe's sketch is derived here, once per request, and only
     // when the LSH path can run.
     storage::MinHashSketch sketch;
     if (options.use_lsh && store.size() >= options.lsh_min_log_size) {
-      sketch = storage::ComputeMinHashSketch(probe.signature);
+      sketch = storage::ComputeMinHashSketch(signature);
     }
     if (sketch.valid && !sketch.empty()) {
       out.ids = store.LshCandidates(sketch, options.probe_bands);
@@ -75,9 +76,9 @@ KnnCandidates KnnCandidateIds(const storage::StoreView& store,
     // lists are keyed by (transient probes resolve known tables to their
     // real ids, so unseen tables simply have no postings). Hand-built
     // records without a signature fall back to the string lookup.
-    out.ids = probe.signature.valid
-                  ? store.QueriesUsingAnyTableSymbol(probe.signature.tables)
-                  : store.QueriesUsingAnyTable(probe.components.tables);
+    out.ids = signature.valid
+                  ? store.QueriesUsingAnyTableSymbol(signature.tables)
+                  : store.QueriesUsingAnyTable(probe.components->tables);
     out.source = KnnCandidateSource::kTableUnion;
     Series().table_union_fallbacks->Increment();
     return out;

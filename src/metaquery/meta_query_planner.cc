@@ -214,7 +214,8 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       request.feature.has_value() &&
       (resp.generator != CandidateGenerator::kPostingIntersection ||
        !request.feature->IndexCovered());
-  const bool probe_sig_valid = probe != nullptr && probe->signature.valid;
+  const bool probe_sig_valid =
+      probe != nullptr && probe->statement().signature.valid;
   SignatureView probe_view;
   if (probe_sig_valid) probe_view = ViewOfSignature(*probe);
   const std::string lowered_needle =

@@ -38,7 +38,7 @@ std::set<std::string> AttributeSet(const sql::QueryComponents& c) {
 }  // namespace
 
 SignatureView ViewOfSignature(const storage::QueryRecord& record) {
-  const storage::SimilaritySignature& sig = record.signature;
+  const storage::SimilaritySignature& sig = record.statement().signature;
   SignatureView v;
   v.tables = sig.tables.data();
   v.n_tables = sig.tables.size();
@@ -191,7 +191,7 @@ double OutputSimilarity(const storage::OutputSummary& a,
 
 double CombinedSimilarity(const storage::QueryRecord& a, const storage::QueryRecord& b,
                           const SimilarityWeights& weights) {
-  if (!a.signature.valid || !b.signature.valid) {
+  if (!a.statement().signature.valid || !b.statement().signature.valid) {
     return CombinedSimilarityReference(a, b, weights);
   }
   return CombinedSimilarity(ViewOfSignature(a), ViewOfSignature(b), weights);

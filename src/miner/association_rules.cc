@@ -15,14 +15,14 @@ using Itemset = std::vector<std::string>;  // sorted
 Itemset ItemsOf(const storage::QueryRecord& record,
                 const AssociationMinerOptions& options) {
   std::set<std::string> items;
-  for (const std::string& t : record.components.tables) items.insert("t:" + t);
+  for (const std::string& t : record.components->tables) items.insert("t:" + t);
   if (options.include_predicates) {
-    for (const auto& p : record.components.predicates) {
+    for (const auto& p : record.components->predicates) {
       if (!p.is_join) items.insert("p:" + p.Skeleton());
     }
   }
   if (options.include_attributes) {
-    for (const auto& [rel, attr] : record.components.attributes) {
+    for (const auto& [rel, attr] : record.components->attributes) {
       items.insert("a:" + rel + "." + attr);
     }
   }

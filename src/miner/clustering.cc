@@ -25,7 +25,8 @@ std::vector<storage::MinHashSketch> BuildPruningIndex(
   std::vector<storage::MinHashSketch> sketches;
   sketches.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    sketches.push_back(storage::ComputeMinHashSketch(records[i]->signature));
+    sketches.push_back(
+        storage::ComputeMinHashSketch(records[i]->statement().signature));
     local->Insert(static_cast<storage::QueryId>(i), sketches.back());
   }
   return sketches;

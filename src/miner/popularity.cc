@@ -29,11 +29,11 @@ void PopularityTracker::Build(const storage::QueryStore& store, Micros now,
   for (const storage::QueryRecord& r : store.records()) {
     if (r.HasFlag(storage::kFlagDeleted) || r.parse_failed()) continue;
     double w = Decay(std::max<Micros>(0, now - r.timestamp));
-    for (const std::string& t : r.components.tables) table_scores_[t] += w;
-    for (const auto& [rel, attr] : r.components.attributes) {
+    for (const std::string& t : r.components->tables) table_scores_[t] += w;
+    for (const auto& [rel, attr] : r.components->attributes) {
       attribute_scores_[rel + "." + attr] += w;
     }
-    skeleton_scores_[r.skeleton_fingerprint] += w;
+    skeleton_scores_[r.statement().skeleton_fingerprint] += w;
     fingerprint_scores_[r.fingerprint] += w;
     if (track_contributions_) contributions_[r.id] = ContributionOf(r);
   }
@@ -42,12 +42,12 @@ void PopularityTracker::Build(const storage::QueryStore& store, Micros now,
 PopularityTracker::Contribution PopularityTracker::ContributionOf(
     const storage::QueryRecord& record) {
   Contribution c;
-  c.tables = record.components.tables;
-  c.attribute_keys.reserve(record.components.attributes.size());
-  for (const auto& [rel, attr] : record.components.attributes) {
+  c.tables = record.components->tables;
+  c.attribute_keys.reserve(record.components->attributes.size());
+  for (const auto& [rel, attr] : record.components->attributes) {
     c.attribute_keys.push_back(rel + "." + attr);
   }
-  c.skeleton_fp = record.skeleton_fingerprint;
+  c.skeleton_fp = record.statement().skeleton_fingerprint;
   c.fingerprint = record.fingerprint;
   return c;
 }

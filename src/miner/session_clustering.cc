@@ -20,7 +20,9 @@ std::vector<uint64_t> SessionSkeletons(const storage::QueryStore& store,
   out.reserve(session.queries.size());
   for (storage::QueryId id : session.queries) {
     const storage::QueryRecord* r = store.Get(id);
-    if (r != nullptr && !r->parse_failed()) out.push_back(r->skeleton_fingerprint);
+    if (r != nullptr && !r->parse_failed()) {
+      out.push_back(r->statement().skeleton_fingerprint);
+    }
   }
   SortUnique(&out);
   return out;

@@ -35,6 +35,18 @@ bool PredicateFeature::operator==(const PredicateFeature& other) const {
          rhs_relation == other.rhs_relation && rhs_attribute == other.rhs_attribute;
 }
 
+bool QueryComponents::operator==(const QueryComponents& other) const {
+  return tables == other.tables && attributes == other.attributes &&
+         projections == other.projections && predicates == other.predicates &&
+         group_by == other.group_by && order_by == other.order_by &&
+         aggregates == other.aggregates &&
+         has_subquery == other.has_subquery &&
+         has_distinct == other.has_distinct &&
+         select_star == other.select_star && num_joins == other.num_joins &&
+         num_tables == other.num_tables &&
+         max_nesting_depth == other.max_nesting_depth && limit == other.limit;
+}
+
 namespace {
 
 /// Per-statement-scope collector. Each subquery gets its own scope with

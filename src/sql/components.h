@@ -52,6 +52,8 @@ struct QueryComponents {
   int num_tables = 0;      ///< Total FROM entries (with duplicates).
   int max_nesting_depth = 0;  ///< 0 for flat queries.
   std::optional<int64_t> limit;
+
+  bool operator==(const QueryComponents& other) const;
 };
 
 /// Extracts `QueryComponents` from a statement. Aliases are resolved

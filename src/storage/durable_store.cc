@@ -374,7 +374,7 @@ void DurableStore::OnAppend(const QueryRecord& record) {
 }
 
 void DurableStore::OnRewrite(QueryId id, const std::string& new_text) {
-  Log(wal::EncodeRewrite(id, new_text, store_->Get(id)->signature));
+  Log(wal::EncodeRewrite(id, new_text, store_->Get(id)->statement().signature));
 }
 
 void DurableStore::OnAnnotate(QueryId id, const Annotation& annotation) {

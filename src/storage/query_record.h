@@ -76,6 +76,8 @@ struct SimilaritySignature {
   /// signature is fine to compare against interned ones but must not be
   /// stored: QueryStore::Append recomputes it in interned mode.
   bool transient = false;
+
+  bool operator==(const SimilaritySignature& other) const;
 };
 
 /// A user note attached to a whole query or a fragment of it (§2.1).
@@ -99,56 +101,104 @@ enum QueryFlags : uint32_t {
   kFlagDeleted = 1u << 4,       ///< Tombstoned by its owner or an admin.
 };
 
-/// One logged query with all profiled features. Copyable (the parse tree
-/// is shared, immutable after profiling); the copy operations are
-/// user-provided only to read `ast` atomically — see the member.
-struct QueryRecord {
-  QueryRecord() = default;
-  /// Member-wise except `ast`, which is read through the shared_ptr
-  /// atomic-access free functions: the copy-on-write clone in
-  /// QueryStore::GetMutable copies a record that concurrent readers of
-  /// a published view may be lazily materializing through Ast() at the
-  /// same moment. Keep the member list in sync with the fields below.
-  QueryRecord(const QueryRecord& other);
-  QueryRecord& operator=(const QueryRecord& other);
-  QueryRecord(QueryRecord&&) = default;
-  QueryRecord& operator=(QueryRecord&&) = default;
+/// The parse tree of a Statement: set when the statement is built from
+/// its text, or parsed from the text on first use (statements restored
+/// from a binary snapshot, which persist every parse-derived feature but
+/// not the tree). Copies read the source's pointer atomically — a writer
+/// cloning a shared Statement may copy one that a reader of a published
+/// view is materializing at the same moment.
+class LazyParseTree {
+ public:
+  LazyParseTree() = default;
+  explicit LazyParseTree(std::shared_ptr<const sql::SelectStatement> tree)
+      : tree_(std::move(tree)) {}
+  LazyParseTree(const LazyParseTree& other);
+  LazyParseTree& operator=(const LazyParseTree& other);
 
+  /// The tree, parsing `text` on first use. Null when `text` does not
+  /// parse. Thread-safe: materialization is a set-once compare-and-swap,
+  /// so concurrent callers agree on one tree, kept alive by this object.
+  const sql::SelectStatement* Get(const std::string& text) const;
+
+ private:
+  mutable std::shared_ptr<const sql::SelectStatement> tree_;
+};
+
+/// Everything a logged query derives from its text. A QueryStore shares
+/// one Statement among all of its records with an equal one (see
+/// QueryStore::Append), so a statement re-run a thousand times is held
+/// once. Immutable once a stored record holds it; writers edit a
+/// record's statement only through QueryRecord::MutableStatement, which
+/// clones a shared one first.
+struct Statement {
+  /// The text the fields below derive from and Ast() parses; equal to
+  /// the `text` of every record holding this statement.
+  std::string text;
+  /// True when `text` parsed (the tree may still be unmaterialized).
+  bool text_parses = false;
+  std::string canonical_text;  ///< See sql::CanonicalText.
+  std::string skeleton;        ///< Canonical text with constants stripped.
+  uint64_t skeleton_fingerprint = 0;
+  /// Syntactic features (empty when the query does not parse).
+  sql::QueryComponents components;
+  /// Interned similarity features; computed in BuildRecordFromText for
+  /// probe records and (re)finalized by QueryStore::Append once the
+  /// profiler has attached the output summary. The MinHash sketch is a
+  /// pure function of it (ComputeMinHashSketch) and is not stored: the
+  /// LshIndex, the kNN probe and the clustering pair pruning derive it
+  /// where they use it.
+  SimilaritySignature signature;
+  LazyParseTree tree;
+
+  /// The parse tree (see LazyParseTree); null for parse failures, and
+  /// for a corrupt snapshot whose parsed bit lied about the text.
+  const sql::SelectStatement* Ast() const {
+    return text_parses ? tree.Get(text) : nullptr;
+  }
+
+  /// Exact equality of every field but `tree`, a cache of `text`.
+  bool operator==(const Statement& other) const;
+};
+
+/// Read-only handle on the sql::QueryComponents of a record's shared
+/// Statement: binds to `const sql::QueryComponents&`, and `->` reaches
+/// the members.
+class ComponentsRef {
+ public:
+  operator const sql::QueryComponents&() const { return *components_; }
+  const sql::QueryComponents* operator->() const { return components_; }
+
+ private:
+  friend struct QueryRecord;
+  explicit ComponentsRef(const sql::QueryComponents* components)
+      : components_(components) {}
+
+  const sql::QueryComponents* components_;
+};
+
+/// One logged query: the fields of this run, plus a shared pointer to
+/// the Statement its text derives. Copies share the statement and the
+/// parse tree; they copy only the per-run fields below.
+struct QueryRecord {
+ private:
+  /// Never null: a default-constructed record holds a shared empty
+  /// statement (unparsed, no signature). Declared before `components`,
+  /// which points into it.
+  std::shared_ptr<Statement> statement_ = EmptyStatement();
+
+ public:
   QueryId id = kInvalidQueryId;
   std::string text;              ///< Raw text as submitted.
-  std::string canonical_text;    ///< See sql::CanonicalText.
-  std::string skeleton;          ///< Canonical text with constants stripped.
+  /// Fnv1a64 of the statement's canonical text (0 for parse failures).
   uint64_t fingerprint = 0;
-  uint64_t skeleton_fingerprint = 0;
   std::string user;
   Micros timestamp = 0;
 
-  /// Parsed statement; null for queries that failed to parse — and for
-  /// records restored from a binary snapshot, which persist every
-  /// parse-derived feature but not the tree itself. Consumers that need
-  /// the tree must go through Ast(), which materializes it on demand;
-  /// use parse_failed() (not a null check here) to test parsability.
-  /// Concurrency: Ast() is the only code that writes this member on a
-  /// shared record (set-once, via the shared_ptr atomic free functions);
-  /// builder/rewrite code assigns it plainly, but only on records no
-  /// reader can hold yet (pre-append, or the writer's post-COW clone).
-  mutable std::shared_ptr<const sql::SelectStatement> ast;
-  /// True when `text` is known to parse even while `ast` is not
-  /// materialized (binary-snapshot restore). Set by BuildRecordFromText
-  /// and the snapshot loader.
-  bool text_parses = false;
-  /// Syntactic features (empty when the query does not parse).
-  sql::QueryComponents components;
+  /// statement().components, read-only.
+  ComponentsRef components{&statement_->components};
 
   RuntimeStats stats;
   OutputSummary summary;
-  /// Interned similarity features; computed in BuildRecordFromText for
-  /// probe records and (re)finalized by QueryStore::Append once the
-  /// profiler has attached the output summary. The record's MinHash
-  /// sketch is a pure function of it (ComputeMinHashSketch) and is not
-  /// stored: the LshIndex, the kNN probe and the clustering pair
-  /// pruning derive it where they use it.
-  SimilaritySignature signature;
   std::vector<Annotation> annotations;
 
   SessionId session_id = kInvalidSessionId;
@@ -157,22 +207,34 @@ struct QueryRecord {
   /// Quality score in [0,1] maintained by Query Maintenance (§4.4).
   double quality = 0.5;
 
-  bool HasFlag(QueryFlags f) const { return (flags & f) != 0; }
-  /// text_parses is tested first so that when it is true — the only
-  /// state in which a concurrent Ast() call may be writing `ast` —
-  /// the short-circuit never reads the pointer (race-free without
-  /// paying for an atomic load on this hot predicate).
-  bool parse_failed() const { return !text_parses && ast == nullptr; }
+  const Statement& statement() const { return *statement_; }
 
-  /// The parse tree, re-parsing `text` on first use for records restored
-  /// from a binary snapshot. Null for parse failures — callers must
-  /// null-check even after a parse_failed() test, since a corrupt
-  /// snapshot could carry a parsed bit with unparsable text.
-  /// Thread-safe on shared (published-view) records: the lazy
-  /// materialization is a set-once compare-and-swap, so concurrent
-  /// callers agree on one tree and the returned pointer stays valid for
-  /// the record's lifetime.
-  const sql::SelectStatement* Ast() const;
+  /// Writer-side edit access to the statement of a record no reader can
+  /// hold yet (pre-append, or the writer's post-copy-on-write clone).
+  /// Clones the statement first unless this record is its only holder,
+  /// so other records, QueryStore's sharing table and published views
+  /// never see the edit.
+  Statement* MutableStatement();
+
+  bool HasFlag(QueryFlags f) const { return (flags & f) != 0; }
+  bool parse_failed() const { return !statement_->text_parses; }
+
+  /// The shared statement's parse tree (Statement::Ast). Null for parse
+  /// failures — callers must null-check even after a parse_failed()
+  /// test, since a corrupt snapshot could carry a parsed bit with
+  /// unparsable text. The pointer stays valid while any record holds
+  /// the statement.
+  const sql::SelectStatement* Ast() const { return statement_->Ast(); }
+
+ private:
+  /// QueryStore points records at the statements it shares.
+  friend class QueryStore;
+
+  void set_statement(std::shared_ptr<Statement> statement) {
+    statement_ = std::move(statement);
+    components = ComponentsRef(&statement_->components);
+  }
+  static std::shared_ptr<Statement> EmptyStatement();
 };
 
 }  // namespace cqms::storage

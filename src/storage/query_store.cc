@@ -107,7 +107,8 @@ QueryId QueryStore::Append(QueryRecord record) {
   // hash-derived ids the keyword index must not see — both get the full
   // interned computation. Callers must not edit `text` between
   // BuildRecordFromText and Append.
-  if (record.signature.valid && !record.signature.transient) {
+  const SimilaritySignature& signature = record.statement().signature;
+  if (signature.valid && !signature.transient) {
     UpdateOutputSignature(&record);
   } else {
     ComputeSimilaritySignature(&record);
@@ -145,6 +146,7 @@ QueryId QueryStore::RestoreAppend(QueryRecord record) {
 QueryId QueryStore::FinishAppend(QueryRecord record) {
   record.id = static_cast<QueryId>(records_.size());
   max_timestamp_ = std::max(max_timestamp_, record.timestamp);
+  ShareStatement(&record);
   records_.push_back(std::make_shared<QueryRecord>(std::move(record)));
   const QueryRecord& stored = records_.back();
   IndexRecord(stored);
@@ -152,7 +154,39 @@ QueryId QueryStore::FinishAppend(QueryRecord record) {
   if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
   scoring_.AppendRecord(stored, slot, GlobalInterner().Intern(stored.user));
   if (!feature_rows_lazy_) InsertFeatureRows(stored);
+  UpdateSharingGauges();
   return stored.id;
+}
+
+void QueryStore::ShareStatement(QueryRecord* record) {
+  auto it = statements_.find(record->statement_.get());
+  if (it == statements_.end()) {
+    it = statements_
+             .emplace(record->statement_.get(),
+                      StatementEntry{record->statement_, 0})
+             .first;
+  } else if (it->second.statement != record->statement_) {
+    record->set_statement(it->second.statement);
+  }
+  ++it->second.records;
+}
+
+void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
+  auto it = statements_.find(&before);
+  if (it != statements_.end() && --it->second.records == 0) {
+    statements_.erase(it);
+  }
+  ShareStatement(record);
+  UpdateSharingGauges();
+}
+
+void QueryStore::UpdateSharingGauges() const {
+  static obs::Gauge* records =
+      obs::MetricsRegistry::Global().GetGauge("cqms_store_records");
+  static obs::Gauge* statements =
+      obs::MetricsRegistry::Global().GetGauge("cqms_store_statements");
+  records->Set(static_cast<int64_t>(records_.size()));
+  statements->Set(static_cast<int64_t>(statements_.size()));
 }
 
 void QueryStore::MaterializeFeatureRows() const {
@@ -161,49 +195,54 @@ void QueryStore::MaterializeFeatureRows() const {
 }
 
 void QueryStore::IndexRecord(const QueryRecord& record) {
+  const Statement& statement = record.statement();
+  const SimilaritySignature& signature = statement.signature;
   // Table and attribute posting lists are keyed by the signature's
   // interned Symbols (sorted, deduplicated) — no re-hashing of strings.
-  for (Symbol t : record.signature.tables) {
+  for (Symbol t : signature.tables) {
     InsertSorted(&postings_.by_table[t], record.id);
   }
-  for (Symbol a : record.signature.attributes) {
+  for (Symbol a : signature.attributes) {
     InsertSorted(&postings_.by_attribute[a], record.id);
   }
   InsertSorted(&postings_.by_user[record.user], record.id);
   // The signature's token vector is exactly the deduplicated
   // ExtractWords(text), already interned — reuse it.
-  for (Symbol token : record.signature.text_tokens) {
+  for (Symbol token : signature.text_tokens) {
     InsertSorted(&postings_.by_keyword[token], record.id);
   }
   if (!record.parse_failed()) {
-    InsertSorted(&postings_.by_skeleton[record.skeleton_fingerprint], record.id);
+    InsertSorted(&postings_.by_skeleton[statement.skeleton_fingerprint],
+                 record.id);
     InsertSorted(&postings_.by_fingerprint[record.fingerprint], record.id);
   }
-  lsh_.Insert(record.id, ComputeMinHashSketch(record.signature));
+  lsh_.Insert(record.id, ComputeMinHashSketch(signature));
 }
 
 void QueryStore::UnindexRecord(const QueryRecord& record) {
-  for (Symbol t : record.signature.tables) {
+  const Statement& statement = record.statement();
+  const SimilaritySignature& signature = statement.signature;
+  for (Symbol t : signature.tables) {
     auto it = postings_.by_table.find(t);
     if (it != postings_.by_table.end()) EraseSorted(&it->second, record.id);
   }
-  for (Symbol a : record.signature.attributes) {
+  for (Symbol a : signature.attributes) {
     auto it = postings_.by_attribute.find(a);
     if (it != postings_.by_attribute.end()) EraseSorted(&it->second, record.id);
   }
-  for (Symbol token : record.signature.text_tokens) {
+  for (Symbol token : signature.text_tokens) {
     auto it = postings_.by_keyword.find(token);
     if (it != postings_.by_keyword.end()) EraseSorted(&it->second, record.id);
   }
   if (!record.parse_failed()) {
-    auto it = postings_.by_skeleton.find(record.skeleton_fingerprint);
+    auto it = postings_.by_skeleton.find(statement.skeleton_fingerprint);
     if (it != postings_.by_skeleton.end()) EraseSorted(&it->second, record.id);
     auto fit = postings_.by_fingerprint.find(record.fingerprint);
     if (fit != postings_.by_fingerprint.end()) {
       EraseSorted(&fit->second, record.id);
     }
   }
-  lsh_.Remove(record.id, ComputeMinHashSketch(record.signature));
+  lsh_.Remove(record.id, ComputeMinHashSketch(signature));
 }
 
 void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
@@ -215,14 +254,14 @@ void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
        Value::Bool(record.stats.succeeded)});
   (void)s;
   if (record.parse_failed()) return;
-  for (const std::string& t : record.components.tables) {
+  for (const std::string& t : record.components->tables) {
     s = datasources_table_->Append({Value::Int(record.id), Value::String(t)});
   }
-  for (const auto& [rel, attr] : record.components.attributes) {
+  for (const auto& [rel, attr] : record.components->attributes) {
     s = attributes_table_->Append(
         {Value::Int(record.id), Value::String(attr), Value::String(rel)});
   }
-  for (const auto& p : record.components.predicates) {
+  for (const auto& p : record.components->predicates) {
     s = predicates_table_->Append(
         {Value::Int(record.id), Value::String(p.attribute),
          Value::String(p.relation), Value::String(p.op),
@@ -242,8 +281,8 @@ QueryRecord* QueryStore::GetMutable(QueryId id) {
   // Copy-on-write: a use count above one means a published view still
   // references this record; clone so its readers keep the old state.
   // With views disabled the count is always one and this is plain
-  // access. (The clone's ast copy is atomic — see QueryRecord's copy
-  // constructor.)
+  // access. The clone shares the Statement (and its parse tree, which
+  // readers may be materializing): only the per-run fields are copied.
   if (slot.use_count() > 1) slot = std::make_shared<QueryRecord>(*slot);
   return slot.get();
 }
@@ -321,18 +360,24 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   if (old_slot != ScoringColumns::kNoPopularitySlot) {
     scoring_.ReleaseSlotRef(old_slot);
   }
+  // The rewrite keeps the record's summary and so the output part of its
+  // signature. Snapshots and the WAL persist the hashes but not the
+  // summary, so a restored record has none: it keeps the hashes it was
+  // restored with.
+  const Statement& before = r->statement();
+  std::vector<uint64_t> kept_rows = before.signature.output_rows;
+  const bool kept_empty_computed = before.signature.output_empty_computed;
   r->text = std::move(rebuilt.text);
-  r->canonical_text = std::move(rebuilt.canonical_text);
-  r->skeleton = std::move(rebuilt.skeleton);
   r->fingerprint = rebuilt.fingerprint;
-  r->skeleton_fingerprint = rebuilt.skeleton_fingerprint;
-  r->components = std::move(rebuilt.components);
-  r->ast = std::move(rebuilt.ast);
-  r->text_parses = rebuilt.text_parses;
   // BuildRecordFromText already interned the new text's signature; only
-  // the preserved output summary's contribution needs recomputing.
-  r->signature = std::move(rebuilt.signature);
-  UpdateOutputSignature(r);
+  // the output part needs setting.
+  r->set_statement(std::move(rebuilt.statement_));
+  if (r->summary.column_names.empty()) {
+    SetOutputSignature(r, std::move(kept_rows), kept_empty_computed);
+  } else {
+    UpdateOutputSignature(r);
+  }
+  Reshare(r, before);
 
   // Purge this query's feature rows and reinsert from the new AST —
   // unless a restore deferred the rows entirely, in which case the
@@ -422,7 +467,8 @@ Status QueryStore::SetQuality(QueryId id, double quality) {
 Status QueryStore::SyncOutputSignature(QueryId id) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  UpdateOutputSignature(r);
+  const Statement& before = r->statement();
+  if (UpdateOutputSignature(r)) Reshare(r, before);
   // A stats refresh usually re-executes to the same output; firing the
   // change feed for a no-op sync would needlessly invalidate the
   // miner's distance cache for exactly the popular, window-resident
@@ -439,8 +485,10 @@ Status QueryStore::RestoreOutputSignature(QueryId id,
                                           bool output_empty_computed) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  r->signature.output_rows = std::move(output_rows);
-  r->signature.output_empty_computed = output_empty_computed;
+  const Statement& before = r->statement();
+  if (SetOutputSignature(r, std::move(output_rows), output_empty_computed)) {
+    Reshare(r, before);
+  }
   scoring_.SyncOutput(*r);
   MutationTick();
   return Status::Ok();

@@ -58,7 +58,9 @@ class QueryStore {
   /// signature (the output summary is attached by the profiler after
   /// BuildRecordFromText, so the signature is recomputed here) and
   /// updating every index, the scoring columns and the feature
-  /// relations. Returns the id.
+  /// relations. A record whose Statement equals one already stored is
+  /// pointed at that one, so the store holds each distinct statement
+  /// once. Returns the id.
   QueryId Append(QueryRecord record);
 
   /// Pre-sizes the secondary-index hash tables, the LSH buckets and the
@@ -93,9 +95,15 @@ class QueryStore {
   /// Writer-side mutable access. When read views are enabled and a
   /// published view still shares the record, it is cloned first
   /// (copy-on-write) so readers of the old view keep an unchanged
-  /// record; with views disabled this is plain access, no copies.
+  /// record; with views disabled this is plain access, no copies. The
+  /// clone copies the per-run fields and shares the Statement; edit the
+  /// statement only through the store's mutators, which re-point the
+  /// record.
   QueryRecord* GetMutable(QueryId id);
   size_t size() const { return records_.size(); }
+  /// Distinct Statements the live records share (each record holds one;
+  /// records with equal statements hold the same one).
+  size_t statement_count() const { return statements_.size(); }
   const RecordLog& records() const { return records_; }
 
   /// Largest timestamp ever appended (0 when empty). Maintained by
@@ -180,9 +188,12 @@ class QueryStore {
   /// query repair after schema evolution, §4.4). Parse-derived fields,
   /// the similarity signature and feature-relation rows are rebuilt;
   /// user, timestamp, stats, output summary, session and annotations are
-  /// preserved. Stale secondary-index entries (old tables, attributes,
-  /// keywords, skeleton, fingerprint) are purged, so index lookups never
-  /// return the record under features it no longer has.
+  /// preserved, and so are the signature's output-row hashes (refolded
+  /// from the summary, or kept as restored when the record has none).
+  /// The record moves to the new text's Statement; records sharing its
+  /// old one keep it. Stale secondary-index entries (old tables,
+  /// attributes, keywords, skeleton, fingerprint) are purged, so index
+  /// lookups never return the record under features it no longer has.
   Status RewriteQueryText(QueryId id, const std::string& new_text);
   Status AddFlag(QueryId id, QueryFlags flag);
   Status ClearFlag(QueryId id, QueryFlags flag);
@@ -307,9 +318,23 @@ class QueryStore {
   /// like record mutations do.
   class AclViewTick;
 
-  /// Shared tail of Append / RestoreAppend: assigns the id, stores the
-  /// record and rebuilds every derived structure from it.
+  /// Shared tail of Append / RestoreAppend (and so of WAL replay and
+  /// follower apply): assigns the id, points the record at the shared
+  /// equal Statement (ShareStatement), stores it and rebuilds every
+  /// derived structure from it.
   QueryId FinishAppend(QueryRecord record);
+  /// Points `record` at the live Statement equal to its own, or enters
+  /// its own into the sharing table when there is none; counts the
+  /// record on the entry.
+  void ShareStatement(QueryRecord* record);
+  /// Re-shares live record `record` after an edit moved it off `before`,
+  /// the statement it held: uncounts it from `before`'s entry (dropping
+  /// the entry with its last record), then ShareStatement. `before` must
+  /// still be in the table, which keeps it alive until here.
+  void Reshare(QueryRecord* record, const Statement& before);
+  /// Mirrors records_.size() and statements_.size() into the
+  /// cqms_store_records / cqms_store_statements gauges.
+  void UpdateSharingGauges() const;
   /// Bumps the mutation counter and, when views are enabled and no
   /// ScopedPublishBatch is active, republishes. Called at the end of
   /// every successful state-changing mutation.
@@ -345,6 +370,30 @@ class QueryStore {
   db::Table* attributes_table_ = nullptr;
   db::Table* predicates_table_ = nullptr;
   Micros max_timestamp_ = 0;
+
+  /// One live distinct Statement and the live records pointing at it.
+  struct StatementEntry {
+    std::shared_ptr<Statement> statement;
+    uint32_t records = 0;
+  };
+  /// Buckets by text; equality is exact field equality (Statement::
+  /// operator==), short-cut when both sides are the same object.
+  struct StatementHash {
+    size_t operator()(const Statement* s) const {
+      return std::hash<std::string_view>()(s->text);
+    }
+  };
+  struct StatementEqual {
+    bool operator()(const Statement* a, const Statement* b) const {
+      return a == b || *a == *b;
+    }
+  };
+  /// The sharing table: every live record's Statement, keyed by the
+  /// entry's own pointer. Published views may still hold statements
+  /// whose entry is gone (their records keep them alive).
+  std::unordered_map<const Statement*, StatementEntry, StatementHash,
+                     StatementEqual>
+      statements_;
 
   /// The six feature posting lists, as the copyable value a view
   /// publication snapshots wholesale (see PostingIndex for keying).

@@ -31,10 +31,12 @@ void ComputeSimilaritySignature(QueryRecord* record, SignatureMode mode) {
     return mode == SignatureMode::kInterned ? interner.Intern(s)
                                             : TransientSymbol(interner, s);
   };
+  Statement* statement = record->MutableStatement();
+  statement->text = record->text;
   SimilaritySignature sig;
 
-  if (!record->parse_failed()) {
-    const sql::QueryComponents& c = record->components;
+  if (statement->text_parses) {
+    const sql::QueryComponents& c = statement->components;
     sig.tables.reserve(c.tables.size());
     for (const std::string& t : c.tables) sig.tables.push_back(sym(t));
     sig.predicate_skeletons.reserve(c.predicates.size());
@@ -62,22 +64,35 @@ void ComputeSimilaritySignature(QueryRecord* record, SignatureMode mode) {
 
   sig.valid = true;
   sig.transient = mode == SignatureMode::kTransient;
-  record->signature = std::move(sig);
+  statement->signature = std::move(sig);
   UpdateOutputSignature(record);
 }
 
-void UpdateOutputSignature(QueryRecord* record) {
-  SimilaritySignature& sig = record->signature;
+bool UpdateOutputSignature(QueryRecord* record) {
   const OutputSummary& summary = record->summary;
-  sig.output_rows.clear();
-  sig.output_rows.reserve(summary.sample_rows.size());
+  std::vector<uint64_t> rows;
+  rows.reserve(summary.sample_rows.size());
   for (const db::Row& r : summary.sample_rows) {
-    sig.output_rows.push_back(Fnv1a64(db::RowToString(r)));
+    rows.push_back(Fnv1a64(db::RowToString(r)));
   }
-  SortUnique(&sig.output_rows);
-  sig.output_empty_computed = summary.sample_rows.empty() &&
-                              summary.total_rows == 0 &&
-                              !summary.column_names.empty();
+  SortUnique(&rows);
+  return SetOutputSignature(
+      record, std::move(rows),
+      summary.sample_rows.empty() && summary.total_rows == 0 &&
+          !summary.column_names.empty());
+}
+
+bool SetOutputSignature(QueryRecord* record, std::vector<uint64_t> output_rows,
+                        bool output_empty_computed) {
+  const SimilaritySignature& current = record->statement().signature;
+  if (current.output_rows == output_rows &&
+      current.output_empty_computed == output_empty_computed) {
+    return false;
+  }
+  SimilaritySignature& sig = record->MutableStatement()->signature;
+  sig.output_rows = std::move(output_rows);
+  sig.output_empty_computed = output_empty_computed;
+  return true;
 }
 
 QueryRecord BuildRecordFromText(std::string text, std::string user,
@@ -86,23 +101,24 @@ QueryRecord BuildRecordFromText(std::string text, std::string user,
   record.text = std::move(text);
   record.user = std::move(user);
   record.timestamp = timestamp;
+  Statement* statement = record.MutableStatement();
 
   auto parsed = sql::Parse(record.text);
-  if (!parsed.ok()) {
+  if (parsed.ok()) {
+    std::shared_ptr<const sql::SelectStatement> ast =
+        std::move(parsed).value();
+    sql::CanonicalForms canonical = sql::CanonicalTextAndSkeleton(*ast);
+    record.fingerprint = Fnv1a64(canonical.text);
+    statement->skeleton_fingerprint = Fnv1a64(canonical.skeleton);
+    statement->canonical_text = std::move(canonical.text);
+    statement->skeleton = std::move(canonical.skeleton);
+    statement->components = sql::CollectComponents(*ast);
+    statement->tree = LazyParseTree(std::move(ast));
+    statement->text_parses = true;
+  } else {
     record.stats.succeeded = false;
     record.stats.error = parsed.status().ToString();
-    ComputeSimilaritySignature(&record, mode);
-    return record;
   }
-  std::shared_ptr<const sql::SelectStatement> ast = std::move(parsed).value();
-  sql::CanonicalForms canonical = sql::CanonicalTextAndSkeleton(*ast);
-  record.fingerprint = Fnv1a64(canonical.text);
-  record.skeleton_fingerprint = Fnv1a64(canonical.skeleton);
-  record.canonical_text = std::move(canonical.text);
-  record.skeleton = std::move(canonical.skeleton);
-  record.components = sql::CollectComponents(*ast);
-  record.ast = std::move(ast);
-  record.text_parses = true;
   ComputeSimilaritySignature(&record, mode);
   return record;
 }

@@ -2,6 +2,7 @@
 #define CQMS_STORAGE_RECORD_BUILDER_H_
 
 #include <string>
+#include <vector>
 
 #include "storage/query_record.h"
 
@@ -21,10 +22,10 @@ enum class SignatureMode {
   kTransient,
 };
 
-/// Builds the parse-derived fields of a QueryRecord from raw SQL text:
-/// parse tree, canonical text, skeleton, fingerprints, and syntactic
-/// components. Queries that fail to parse still produce a record (raw
-/// text only, `parse_failed() == true`) — the paper's profiler logs every
+/// Builds a QueryRecord and its Statement from raw SQL text: parse tree,
+/// canonical text, skeleton, fingerprints, and syntactic components.
+/// Queries that fail to parse still produce a record (raw text only,
+/// `parse_failed() == true`) — the paper's profiler logs every
 /// submission, and failed attempts feed the correction engine.
 ///
 /// Runtime stats and the output summary are the caller's (profiler's)
@@ -34,19 +35,27 @@ QueryRecord BuildRecordFromText(std::string text, std::string user,
                                 Micros timestamp,
                                 SignatureMode mode = SignatureMode::kInterned);
 
-/// (Re)computes `record.signature` from the record's current text,
-/// components and output summary. Idempotent; called by
-/// BuildRecordFromText and by QueryStore::Append (for hand-built or
-/// transient-signature records, after the profiler attached summaries).
+/// (Re)computes the signature of `record`'s statement from the record's
+/// text, the statement's components and the record's output summary.
+/// Idempotent; called by BuildRecordFromText and by QueryStore::Append
+/// (for hand-built or transient-signature records). A hand-built record's
+/// statement takes the record's text.
 void ComputeSimilaritySignature(QueryRecord* record,
                                 SignatureMode mode = SignatureMode::kInterned);
 
 /// Recomputes only the output-derived signature fields (`output_rows`,
 /// `output_empty_computed`) from `record->summary`, leaving the token
-/// vectors untouched. Requires a previously computed signature; Append
-/// and RefreshStatistics use it to fold in a late-attached or replaced
-/// summary without redoing tokenization and interning.
-void UpdateOutputSignature(QueryRecord* record);
+/// vectors untouched (SetOutputSignature). Requires a previously
+/// computed signature; Append and RefreshStatistics use it to fold in a
+/// late-attached or replaced summary without redoing tokenization and
+/// interning. Returns whether they changed.
+bool UpdateOutputSignature(QueryRecord* record);
+
+/// Sets the output-derived signature fields of `record`'s statement,
+/// cloning a shared statement only when they differ from its current
+/// ones. Returns whether they differed.
+bool SetOutputSignature(QueryRecord* record, std::vector<uint64_t> output_rows,
+                        bool output_empty_computed);
 
 }  // namespace cqms::storage
 

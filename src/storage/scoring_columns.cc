@@ -26,7 +26,7 @@ void ScoringColumns::Reserve(size_t records) {
 
 ScoringColumns::SignatureRef ScoringColumns::PackRecord(
     const QueryRecord& record) {
-  const SimilaritySignature& sig = record.signature;
+  const SimilaritySignature& sig = record.statement().signature;
   SignatureRef ref;
   ref.begin = static_cast<uint32_t>(sym_arena_.size());
   // Signature vectors are bounded by the tokens of one SQL statement, so
@@ -96,7 +96,7 @@ void ScoringColumns::RewriteRecord(const QueryRecord& record,
 bool ScoringColumns::SyncOutput(const QueryRecord& record) {
   size_t idx = static_cast<size_t>(record.id);
   SignatureRef& ref = sig_[idx];
-  const SimilaritySignature& sig = record.signature;
+  const SimilaritySignature& sig = record.statement().signature;
   // Stats refresh usually re-executes to the same output; reuse the
   // existing run when the hashes are unchanged instead of orphaning it.
   bool unchanged =

@@ -142,11 +142,13 @@ void EndSection(ByteCounter* w, size_t) { w->PutFixed32(0); }
 /// its execution outcome.
 template <typename Writer>
 void EncodeStatement(Writer* w, const QueryRecord& r) {
+  const Statement& statement = r.statement();
+  const SimilaritySignature& signature = statement.signature;
   const bool parsed = !r.parse_failed();
   uint8_t bits = 0;
   if (parsed) bits |= kBitParsed;
-  if (r.signature.valid) bits |= kBitSigValid;
-  if (r.signature.output_empty_computed) bits |= kBitOutputEmptyComputed;
+  if (signature.valid) bits |= kBitSigValid;
+  if (signature.output_empty_computed) bits |= kBitOutputEmptyComputed;
   w->PutU8(bits);
   w->PutString(r.text);
 
@@ -157,11 +159,11 @@ void EncodeStatement(Writer* w, const QueryRecord& r) {
   w->PutString(r.stats.plan);
 
   if (parsed) {
-    w->PutString(r.canonical_text);
-    w->PutString(r.skeleton);
+    w->PutString(statement.canonical_text);
+    w->PutString(statement.skeleton);
     w->PutFixed64(r.fingerprint);
-    w->PutFixed64(r.skeleton_fingerprint);
-    const sql::QueryComponents& c = r.components;
+    w->PutFixed64(statement.skeleton_fingerprint);
+    const sql::QueryComponents& c = statement.components;
     PutStringList(w, c.tables);
     w->PutVarint(c.attributes.size());
     for (const auto& [rel, attr] : c.attributes) {
@@ -194,13 +196,13 @@ void EncodeStatement(Writer* w, const QueryRecord& r) {
     if (c.limit.has_value()) w->PutZigzag(*c.limit);
   }
 
-  if (r.signature.valid) {
-    PutSymbolRun(w, r.signature.tables);
-    PutSymbolRun(w, r.signature.predicate_skeletons);
-    PutSymbolRun(w, r.signature.attributes);
-    PutSymbolRun(w, r.signature.projections);
-    PutSymbolRun(w, r.signature.text_tokens);
-    PutDeltaU64s(w, r.signature.output_rows);
+  if (signature.valid) {
+    PutSymbolRun(w, signature.tables);
+    PutSymbolRun(w, signature.predicate_skeletons);
+    PutSymbolRun(w, signature.attributes);
+    PutSymbolRun(w, signature.projections);
+    PutSymbolRun(w, signature.text_tokens);
+    PutDeltaU64s(w, signature.output_rows);
   }
 }
 
@@ -285,7 +287,7 @@ Symbol ReferencedSymbolLimit(const Source& store,
     if (!symbols.empty()) limit = std::max(limit, symbols.back() + 1);
   };
   for (uint32_t i : statements.first_use) {
-    const SimilaritySignature& s = store.records()[i].signature;
+    const SimilaritySignature& s = store.records()[i].statement().signature;
     bump(s.tables);
     bump(s.predicate_skeletons);
     bump(s.attributes);
@@ -424,15 +426,16 @@ Status DecodeAnnotations(BinaryReader* r, QueryRecord* out,
 }
 
 /// Canonical text, skeleton, fingerprints and components of a parsed
-/// statement.
+/// statement, into `out` and its (unshared) statement.
 Status DecodeParsedFeatures(BinaryReader* r, QueryRecord* out,
                             const std::string& path) {
-  out->text_parses = true;  // ast stays null; Ast() re-parses lazily
-  out->canonical_text = r->GetString();
-  out->skeleton = r->GetString();
+  Statement* statement = out->MutableStatement();
+  statement->text_parses = true;  // the tree stays unparsed until Ast()
+  statement->canonical_text = r->GetString();
+  statement->skeleton = r->GetString();
   out->fingerprint = r->GetFixed64();
-  out->skeleton_fingerprint = r->GetFixed64();
-  sql::QueryComponents& c = out->components;
+  statement->skeleton_fingerprint = r->GetFixed64();
+  sql::QueryComponents& c = statement->components;
   c.tables = GetStringList(r);
   uint64_t attr_count = r->GetVarint();
   if (r->failed() || attr_count > r->remaining()) {
@@ -497,12 +500,19 @@ Status DecodeSignature(BinaryReader* r, uint8_t bits, const SymbolRemap& remap,
   return Status::Ok();
 }
 
-/// A version-2 or version-3 record: every field inline.
+/// The raw text, into `out` and its (unshared) statement.
+void DecodeText(BinaryReader* r, QueryRecord* out) {
+  out->text = r->GetString();
+  out->MutableStatement()->text = out->text;
+}
+
+/// A version-2 or version-3 record: every field inline. Each record gets
+/// its own statement; QueryStore::RestoreAppend shares equal ones.
 Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
                          const SymbolRemap& remap, QueryRecord* out,
                          const std::string& path) {
   uint8_t bits = r->GetU8();
-  out->text = r->GetString();
+  DecodeText(r, out);
   DecodeRunFields(r, out);
   DecodeOutcome(r, &out->stats);
   CQMS_RETURN_IF_ERROR(DecodeAnnotations(r, out, path));
@@ -510,7 +520,8 @@ Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
     CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
   }
   if ((bits & kBitSigValid) != 0) {
-    CQMS_RETURN_IF_ERROR(DecodeSignature(r, bits, remap, &out->signature, path));
+    CQMS_RETURN_IF_ERROR(DecodeSignature(
+        r, bits, remap, &out->MutableStatement()->signature, path));
   }
   // The LSH index re-derives the sketch from the (remapped) signature.
   if (version == 2 && (bits & kBitV2Sketch) != 0) r->Skip(kV2SketchBytes);
@@ -519,18 +530,19 @@ Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
 }
 
 /// A version-4 statement entry, decoded into a record that carries only
-/// the statement's fields; every record referencing the entry starts as
-/// a copy of it.
+/// the entry's fields; every record referencing the entry starts as a
+/// copy of it, so all of them hold the entry's one Statement.
 Status DecodeStatement(BinaryReader* r, const SymbolRemap& remap,
                        QueryRecord* out, const std::string& path) {
   uint8_t bits = r->GetU8();
-  out->text = r->GetString();
+  DecodeText(r, out);
   DecodeOutcome(r, &out->stats);
   if ((bits & kBitParsed) != 0) {
     CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
   }
   if ((bits & kBitSigValid) != 0) {
-    CQMS_RETURN_IF_ERROR(DecodeSignature(r, bits, remap, &out->signature, path));
+    CQMS_RETURN_IF_ERROR(DecodeSignature(
+        r, bits, remap, &out->MutableStatement()->signature, path));
   }
   if (r->failed()) return CorruptSnapshot(path, "statement payload");
   return Status::Ok();

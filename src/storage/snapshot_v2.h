@@ -83,7 +83,9 @@ Status VerifySnapshotV2(const std::string& path, Env* env = nullptr);
 /// identity; in a process whose interner already diverged, signature
 /// vectors are remapped — still without touching the tokenizer or the
 /// SQL parser. A version-4 statement entry is decoded and remapped once
-/// and copied into every record that references it. Either way the LSH
+/// into one Statement that every record referencing it shares (each
+/// record copies only the entry's fingerprint and outcome); QueryStore
+/// shares equal version-2/3 statements the same way. Either way the LSH
 /// index sketches each record from its restored signature; a version-2
 /// record's stored sketch slots are skipped. Versions above 4 are
 /// refused (kIoError), so a snapshot is never restored by a binary that

@@ -70,8 +70,8 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
         // WAL-tail records too. RestoreAppend trusts the patched
         // signature instead of refolding the (absent) summary the way
         // Append would.
-        record.signature.output_rows = std::move(output_rows);
-        record.signature.output_empty_computed = output_empty_computed;
+        SetOutputSignature(&record, std::move(output_rows),
+                           output_empty_computed);
         id = store->RestoreAppend(std::move(record));
       } else {
         // Original was logged without parsing (text-only profiling level
@@ -190,8 +190,9 @@ std::string EncodeAppend(const QueryRecord& record) {
   w.PutU8(record.stats.succeeded ? 1 : 0);
   w.PutString(record.stats.error);
   w.PutString(record.stats.plan);
-  PutDeltaU64s(&w, record.signature.output_rows);
-  w.PutU8(record.signature.output_empty_computed ? 1 : 0);
+  const SimilaritySignature& signature = record.statement().signature;
+  PutDeltaU64s(&w, signature.output_rows);
+  w.PutU8(signature.output_empty_computed ? 1 : 0);
   w.PutVarint(static_cast<uint64_t>(record.id));
   return w.Take();
 }

@@ -198,7 +198,8 @@ TEST_F(AssistFixture, RecommendationsDeduplicateByFingerprint) {
   ASSERT_TRUE(recs.ok());
   std::set<std::string> texts;
   for (const auto& r : *recs) {
-    EXPECT_TRUE(texts.insert(h_->store.Get(r.id)->canonical_text).second)
+    EXPECT_TRUE(
+        texts.insert(h_->store.Get(r.id)->statement().canonical_text).second)
         << "duplicate recommendation: " << r.text;
   }
 }

@@ -120,7 +120,7 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
   std::vector<MinHashSketch> sketches;
   std::vector<std::vector<QueryId>> expected;
   for (const QueryRecord& p : probes) {
-    sketches.push_back(ComputeMinHashSketch(p.signature));
+    sketches.push_back(ComputeMinHashSketch(p.statement().signature));
     expected.push_back(store.lsh().Candidates(sketches.back()));
   }
 
@@ -147,23 +147,51 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
 // --- QueryRecord::Ast(): set-once lazy materialization --------------------
 
 TEST(QueryRecordTest, ConcurrentAstMaterializationAgrees) {
-  QueryRecord r = BuildRecordFromText(
-      "SELECT t.a FROM sensors t WHERE t.a > 5", "u", 1);
-  ASSERT_TRUE(r.text_parses);
-  r.ast = nullptr;  // simulate a snapshot-restored record (tree dropped)
-  ASSERT_FALSE(r.parse_failed());
+  // A snapshot restore leaves each statement's tree unparsed, and every
+  // record of the statement shares it: readers materialize it through
+  // Ast() on whichever record they hold, while the writer rewrites one
+  // record (copy-on-write clones it, sharing the statement being
+  // materialized, then re-points the clone).
+  constexpr int kRecords = 16;
+  QueryStore source;
+  for (int i = 0; i < kRecords; ++i) {
+    source.Append(BuildRecordFromText(
+        "SELECT t.a FROM sensors t WHERE t.a > 5", "u", i + 1));
+  }
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(source, 0, &image).ok());
+  QueryStore store;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&store, image, "ast-race").ok());
+  ASSERT_EQ(store.statement_count(), 1u);
+  ASSERT_FALSE(store.Get(0)->parse_failed());
+  store.EnableViews();
+  std::shared_ptr<const ReadViewState> view = store.SharedView();
 
   constexpr int kThreads = 8;
-  std::vector<const sql::SelectStatement*> seen(kThreads, nullptr);
+  std::vector<const sql::SelectStatement*> seen(kThreads * kRecords, nullptr);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() { seen[static_cast<size_t>(t)] = r.Ast(); });
+    threads.emplace_back([&, t]() {
+      for (int i = 0; i < kRecords; ++i) {
+        const int id = (i + t) % kRecords;  // each reader its own order
+        seen[static_cast<size_t>(t * kRecords + id)] = view->Get(id)->Ast();
+      }
+    });
   }
+  const QueryId rewritten = 3;
+  ASSERT_TRUE(
+      store.RewriteQueryText(rewritten, "SELECT t.b FROM sensors t").ok());
   for (std::thread& th : threads) th.join();
+
   ASSERT_NE(seen[0], nullptr);
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(seen[static_cast<size_t>(t)], seen[0]);  // one winner, shared
+  for (const sql::SelectStatement* tree : seen) {
+    EXPECT_EQ(tree, seen[0]);  // one winner, shared by every record
   }
+  // Only the rewritten record moved to a statement of its own.
+  EXPECT_EQ(store.statement_count(), 2u);
+  EXPECT_EQ(store.Get(0)->Ast(), seen[0]);
+  EXPECT_NE(&store.Get(rewritten)->statement(), &store.Get(0)->statement());
+  EXPECT_EQ(view->Get(rewritten)->Ast(), seen[0]);
 }
 
 // --- read-view publication semantics --------------------------------------

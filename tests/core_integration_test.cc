@@ -162,7 +162,7 @@ TEST_F(CqmsIntegrationTest, MaintenanceLifecycleAfterSchemaChange) {
   q.UsesTable("LakeTemp");
   EXPECT_EQ(system_->metaquery().ByFeature("alice", q).size(), 1u);
   // And it still executes through the traditional path.
-  EXPECT_TRUE(system_->database()->Execute(*rec->ast).ok());
+  EXPECT_TRUE(system_->database()->Execute(*rec->Ast()).ok());
 }
 
 TEST_F(CqmsIntegrationTest, PersistenceThroughFacade) {

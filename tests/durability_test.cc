@@ -235,10 +235,11 @@ void ExpectSignaturesEqual(const SimilaritySignature& a,
 void ExpectRecordsEqual(const QueryRecord& a, const QueryRecord& b) {
   ASSERT_EQ(a.id, b.id);
   EXPECT_EQ(a.text, b.text);
-  EXPECT_EQ(a.canonical_text, b.canonical_text);
-  EXPECT_EQ(a.skeleton, b.skeleton);
+  EXPECT_EQ(a.statement().canonical_text, b.statement().canonical_text);
+  EXPECT_EQ(a.statement().skeleton, b.statement().skeleton);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.skeleton_fingerprint, b.skeleton_fingerprint);
+  EXPECT_EQ(a.statement().skeleton_fingerprint,
+            b.statement().skeleton_fingerprint);
   EXPECT_EQ(a.user, b.user);
   EXPECT_EQ(a.timestamp, b.timestamp);
   EXPECT_EQ(a.session_id, b.session_id);
@@ -281,7 +282,7 @@ void ExpectRecordsEqual(const QueryRecord& a, const QueryRecord& b) {
   EXPECT_EQ(ca.max_nesting_depth, cb.max_nesting_depth);
   EXPECT_EQ(ca.limit, cb.limit);
 
-  ExpectSignaturesEqual(a.signature, b.signature, a.id);
+  ExpectSignaturesEqual(a.statement().signature, b.statement().signature, a.id);
 }
 
 /// The LSH half of a round trip. Sketches are not persisted: the loaded
@@ -291,7 +292,7 @@ void ExpectRecordsEqual(const QueryRecord& a, const QueryRecord& b) {
 void ExpectLshRestored(const QueryStore& saved, const QueryStore& loaded) {
   size_t indexed = 0;
   for (const QueryRecord& r : loaded.records()) {
-    MinHashSketch sketch = ComputeMinHashSketch(r.signature);
+    MinHashSketch sketch = ComputeMinHashSketch(r.statement().signature);
     if (sketch.empty()) continue;  // empty sketches are never indexed
     EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(r.id, sketch)) << "id " << r.id;
     ++indexed;
@@ -512,19 +513,25 @@ TEST(SnapshotV2Test, MutatedStateSurvivesRoundTrip) {
 TEST(SnapshotV2Test, LazyAstMaterializesForMaintenance) {
   Harness h;
   QueryId id = h.Log("alice", "SELECT temp FROM WaterTemp WHERE temp < 18");
+  QueryRecord copy = *h.store.Get(id);
+  copy.user = "bob";
+  QueryId rerun = h.store.Append(copy);
   std::string path = TempPath("cqms_v2_lazy_ast.snap");
   ASSERT_TRUE(SaveSnapshotV2(h.store, path).ok());
   QueryStore loaded;
+  uint64_t parses_before = sql::ParseCallCount();
   ASSERT_TRUE(LoadSnapshot(&loaded, path).ok());
+  EXPECT_EQ(sql::ParseCallCount(), parses_before);  // restored unparsed
 
   const QueryRecord* r = loaded.Get(id);
   EXPECT_FALSE(r->parse_failed());
-  EXPECT_EQ(r->ast, nullptr);  // restored without parsing
-  uint64_t parses_before = sql::ParseCallCount();
   ASSERT_NE(r->Ast(), nullptr);  // first consumer pays one parse
   EXPECT_EQ(sql::ParseCallCount() - parses_before, 1u);
   EXPECT_NE(r->Ast(), nullptr);
   EXPECT_EQ(sql::ParseCallCount() - parses_before, 1u);  // memoized
+  // The re-run shares the statement, and so the tree.
+  EXPECT_EQ(loaded.Get(rerun)->Ast(), r->Ast());
+  EXPECT_EQ(sql::ParseCallCount() - parses_before, 1u);
   EXPECT_FALSE(r->parse_failed());
 }
 
@@ -656,15 +663,15 @@ TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   // resolves the names, and the signature stays sorted.
   EXPECT_EQ(loaded.QueriesWithKeyword("zz_remap_bbb"),
             (std::vector<QueryId>{0, 1}));
-  ASSERT_EQ(r->signature.text_tokens.size(), 3u);
+  const std::vector<Symbol>& tokens = r->statement().signature.text_tokens;
+  ASSERT_EQ(tokens.size(), 3u);
   for (size_t i = 1; i < 3; ++i) {
-    EXPECT_LT(r->signature.text_tokens[i - 1], r->signature.text_tokens[i]);
+    EXPECT_LT(tokens[i - 1], tokens[i]);
   }
   for (const std::string& name : names) {
     Symbol s = GlobalInterner().Find(name);
     ASSERT_NE(s, kInvalidSymbol);
-    EXPECT_TRUE(std::binary_search(r->signature.text_tokens.begin(),
-                                   r->signature.text_tokens.end(), s))
+    EXPECT_TRUE(std::binary_search(tokens.begin(), tokens.end(), s))
         << name;
   }
 
@@ -676,9 +683,9 @@ TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   EXPECT_EQ(parsed->session_id, 4);
   EXPECT_EQ(parsed->quality, 0.75);
   EXPECT_EQ(parsed->fingerprint, 0x1111u);
-  EXPECT_EQ(parsed->components.tables,
+  EXPECT_EQ(parsed->components->tables,
             (std::vector<std::string>{"zz_remap_bbb"}));
-  EXPECT_EQ(parsed->signature.tables,
+  EXPECT_EQ(parsed->statement().signature.tables,
             (std::vector<Symbol>{GlobalInterner().Find("zz_remap_bbb")}));
   EXPECT_EQ(loaded.QueriesUsingTable("zz_remap_bbb"),
             (std::vector<QueryId>{1}));
@@ -686,7 +693,8 @@ TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   // The stored slots were discarded: both records are indexed, once per
   // band, under the sketch of their remapped signatures — nothing else.
   for (QueryId id : {QueryId{0}, QueryId{1}}) {
-    MinHashSketch derived = ComputeMinHashSketch(loaded.Get(id)->signature);
+    MinHashSketch derived =
+        ComputeMinHashSketch(loaded.Get(id)->statement().signature);
     ASSERT_TRUE(derived.valid);
     EXPECT_NE(derived.mins[0], 0xDEADBEEFu) << "id " << id;
     EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(id, derived)) << "id " << id;
@@ -788,9 +796,11 @@ TEST(SnapshotV2Test, RepeatedStatementsRestoreFieldForField) {
   const QueryRecord& first = *store.Get(0);
   ASSERT_EQ(store.Get(18)->text, first.text);
   ASSERT_NE(store.Get(18)->stats.result_rows, first.stats.result_rows);
-  ASSERT_NE(store.Get(18)->signature.output_rows, first.signature.output_rows);
+  const std::vector<uint64_t>& first_rows =
+      first.statement().signature.output_rows;
+  ASSERT_NE(store.Get(18)->statement().signature.output_rows, first_rows);
   ASSERT_EQ(store.Get(6)->text, first.text);
-  ASSERT_EQ(store.Get(6)->signature.output_rows, first.signature.output_rows);
+  ASSERT_EQ(store.Get(6)->statement().signature.output_rows, first_rows);
   ASSERT_NE(store.Get(6)->quality, first.quality);
   ASSERT_NE(store.Get(6)->annotations.size(), first.annotations.size());
 
@@ -812,9 +822,112 @@ TEST(SnapshotV2Test, RepeatedStatementsRestoreFieldForField) {
   EXPECT_EQ(sql::ParseCallCount() - parses_before, 0u);
   ExpectRestoredLog(store, loaded);
 
+  // Records 0 and 6 come from one entry and share its Statement; record
+  // 18's other output is another statement.
+  EXPECT_EQ(&loaded.Get(6)->statement(), &loaded.Get(0)->statement());
+  EXPECT_NE(&loaded.Get(18)->statement(), &loaded.Get(0)->statement());
+  EXPECT_EQ(loaded.statement_count(), store.statement_count());
+
   std::string again;
   ASSERT_TRUE(EncodeSnapshotV2(loaded, 0, &again).ok());
   EXPECT_TRUE(again == image) << "the restored store encodes differently";
+}
+
+/// The statement-table entry each record of a format-4 `image`
+/// references, in id order (the leading varint of each record).
+std::vector<uint64_t> RecordEntries(const std::string& image) {
+  SnapshotSections sections(image);
+  BinaryReader r(*sections.Payload(3));
+  std::vector<uint64_t> entries(r.GetVarint());
+  for (uint64_t& entry : entries) {
+    entry = r.GetVarint();
+    r.GetString();  // user
+    r.GetZigzag();  // timestamp
+    r.GetZigzag();  // session
+    r.GetVarint();  // flags
+    r.GetDouble();  // quality
+    r.GetZigzag();  // execution time
+    for (uint64_t n = r.GetVarint(); n > 0; --n) {
+      r.GetString();  // author
+      r.GetZigzag();  // timestamp
+      r.GetString();  // text
+      r.GetString();  // fragment
+    }
+  }
+  EXPECT_TRUE(r.AtEnd() && !r.failed());
+  return entries;
+}
+
+// A restore points every record of one statement-table entry at one
+// Statement, and entries that differ only in outcome (which stays per
+// record) share one too: the loaded store holds exactly one Statement
+// per distinct statement, as the store that saved it did, and encodes
+// to the same bytes again.
+TEST(SnapshotV2Test, RestoreSharesOneStatementPerDistinctStatement) {
+  LogFixture& f = BigFixture();
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(f.store, 0, &image).ok());
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, image, "sharing").ok());
+
+  const std::vector<uint64_t> entries = RecordEntries(image);
+  ASSERT_EQ(entries.size(), loaded.size());
+  std::map<uint64_t, const Statement*> statement_of_entry;
+  std::map<std::string, std::vector<const Statement*>> statements_by_text;
+  for (const QueryRecord& r : loaded.records()) {
+    auto [it, first] = statement_of_entry.emplace(
+        entries[static_cast<size_t>(r.id)], &r.statement());
+    EXPECT_EQ(it->second, &r.statement()) << "id " << r.id;
+    std::vector<const Statement*>& same_text = statements_by_text[r.text];
+    if (std::find(same_text.begin(), same_text.end(), &r.statement()) ==
+        same_text.end()) {
+      same_text.push_back(&r.statement());
+    }
+  }
+  size_t distinct = 0;
+  for (const auto& [text, statements] : statements_by_text) {
+    for (size_t i = 0; i < statements.size(); ++i) {
+      for (size_t j = i + 1; j < statements.size(); ++j) {
+        EXPECT_FALSE(*statements[i] == *statements[j]) << text;
+      }
+    }
+    distinct += statements.size();
+  }
+  EXPECT_EQ(loaded.statement_count(), distinct);
+  EXPECT_EQ(loaded.statement_count(), f.store.statement_count());
+  EXPECT_LT(loaded.statement_count(), statement_of_entry.size() + 1);
+  EXPECT_LT(loaded.statement_count(), loaded.size() / 2);  // lab logs repeat
+
+  std::string again;
+  ASSERT_TRUE(EncodeSnapshotV2(loaded, 0, &again).ok());
+  EXPECT_TRUE(again == image) << "the restored store encodes differently";
+}
+
+// Snapshots and the WAL persist a record's output-row hashes but not its
+// output summary. A rewrite (query repair) keeps the summary, so it must
+// keep the hashes of a restored record too: the same rewrite before and
+// after a restart leaves the same signature.
+TEST(SnapshotV2Test, RewriteAfterRestoreKeepsOutputSignature) {
+  Harness h;
+  QueryId rows = h.Log("alice", "SELECT temp FROM WaterTemp WHERE temp < 18");
+  QueryId none = h.Log("alice", "SELECT temp FROM WaterTemp WHERE temp < -99");
+  ASSERT_FALSE(h.store.Get(rows)->statement().signature.output_rows.empty());
+  ASSERT_TRUE(h.store.Get(none)->statement().signature.output_empty_computed);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(h.store, 0, &image).ok());
+  QueryStore restored;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&restored, image, "rewrite").ok());
+
+  for (QueryId id : {rows, none}) {
+    const std::string repaired =
+        h.store.Get(id)->text + " ORDER BY temp";
+    ASSERT_TRUE(h.store.RewriteQueryText(id, repaired).ok());
+    ASSERT_TRUE(restored.RewriteQueryText(id, repaired).ok());
+    ExpectSignaturesEqual(h.store.Get(id)->statement().signature,
+                          restored.Get(id)->statement().signature, id);
+  }
+  EXPECT_FALSE(restored.Get(rows)->statement().signature.output_rows.empty());
+  EXPECT_TRUE(restored.Get(none)->statement().signature.output_empty_computed);
 }
 
 // A CRC-valid image can still lie about its counts. A Records count of
@@ -979,9 +1092,10 @@ void ExpectStoresEquivalent(const QueryStore& a, const QueryStore& b,
       // Output-similarity ranking state survives WAL replay too (the
       // hashes ride in kAppend/kRewrite frames even though summaries
       // do not).
-      EXPECT_EQ(r.signature.output_rows, o->signature.output_rows);
-      EXPECT_EQ(r.signature.output_empty_computed,
-                o->signature.output_empty_computed);
+      EXPECT_EQ(r.statement().signature.output_rows,
+                o->statement().signature.output_rows);
+      EXPECT_EQ(r.statement().signature.output_empty_computed,
+                o->statement().signature.output_empty_computed);
     }
     ASSERT_EQ(r.annotations.size(), o->annotations.size());
     for (size_t i = 0; i < r.annotations.size(); ++i) {

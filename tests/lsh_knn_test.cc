@@ -141,12 +141,14 @@ TEST(MinHashSketchTest, SqlKeywordsAreNotSketchElements) {
   // disjoint even though raw token Jaccard is well above zero.
   QueryRecord a = storage::BuildRecordFromText("SELECT alpha FROM Tweedle", "u", 0);
   QueryRecord b = storage::BuildRecordFromText("SELECT beta FROM Deedle", "u", 0);
-  EXPECT_GT(TextSimilarity(a.signature, b.signature), 0.2);
+  const SimilaritySignature& sa = a.statement().signature;
+  const SimilaritySignature& sb = b.statement().signature;
+  EXPECT_GT(TextSimilarity(sa, sb), 0.2);
   EXPECT_DOUBLE_EQ(
-      SortedJaccard(SketchElements(a.signature), SketchElements(b.signature)),
+      SortedJaccard(SketchElements(sa), SketchElements(sb)),
       0.0);
-  EXPECT_LT(EstimateJaccard(ComputeMinHashSketch(a.signature),
-                            ComputeMinHashSketch(b.signature)),
+  EXPECT_LT(EstimateJaccard(ComputeMinHashSketch(sa),
+                            ComputeMinHashSketch(sb)),
             0.05);
 }
 
@@ -296,9 +298,10 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
     // The point of LSH: per probe the candidate set is no larger than
     // what the table index would have scored...
     size_t lsh_candidates =
-        h.store.LshCandidates(ComputeMinHashSketch(probe.signature)).size();
+        h.store.LshCandidates(ComputeMinHashSketch(probe.statement().signature))
+            .size();
     size_t table_candidates =
-        h.store.QueriesUsingAnyTable(probe.components.tables).size();
+        h.store.QueriesUsingAnyTable(probe.components->tables).size();
     EXPECT_LE(lsh_candidates, table_candidates) << sql;
     total_lsh_candidates += lsh_candidates;
     total_table_candidates += table_candidates;
@@ -359,7 +362,8 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   QueryId id = h.Log("user0", "SELECT temp FROM WaterTemp WHERE temp < 20");
   QueryId other = h.Log("user0", "SELECT name FROM Species");
   ASSERT_NE(id, storage::kInvalidQueryId);
-  MinHashSketch old_sketch = ComputeMinHashSketch(h.store.Get(id)->signature);
+  MinHashSketch old_sketch =
+      ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   ASSERT_TRUE(old_sketch.valid);
   ASSERT_TRUE(h.store.lsh().ContainsExactlyOnce(id, old_sketch));
   size_t entries_before = h.store.lsh().entry_count();
@@ -370,7 +374,8 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
                       id, "SELECT salinity FROM WaterSalinity WHERE salinity > 3")
                   .ok());
 
-  MinHashSketch new_sketch = ComputeMinHashSketch(h.store.Get(id)->signature);
+  MinHashSketch new_sketch =
+      ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   // The record is findable under its new sketch, exactly once per band...
   EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, new_sketch));
   // ...the old sketch's buckets no longer hold it...
@@ -389,7 +394,7 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), id));
   // The untouched record is still indexed under its own sketch.
   EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
-      other, ComputeMinHashSketch(h.store.Get(other)->signature)));
+      other, ComputeMinHashSketch(h.store.Get(other)->statement().signature)));
 }
 
 TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
@@ -404,7 +409,7 @@ TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
     ASSERT_TRUE(h.store.RewriteQueryText(id, sql).ok());
     EXPECT_EQ(h.store.lsh().entry_count(), h.store.lsh().bands());
     EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
-        id, ComputeMinHashSketch(h.store.Get(id)->signature)));
+        id, ComputeMinHashSketch(h.store.Get(id)->statement().signature)));
   }
 }
 
@@ -412,7 +417,7 @@ TEST(LshLifecycleTest, StatsRefreshKeepsLshConsistent) {
   Harness h(50);
   QueryId id = h.Log("u", "SELECT * FROM WaterTemp WHERE temp > 90");
   MinHashSketch sketch_before =
-      ComputeMinHashSketch(h.store.Get(id)->signature);
+      ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   size_t entries_before = h.store.lsh().entry_count();
 
   maintain::MaintenanceOptions opts;
@@ -433,7 +438,8 @@ TEST(LshLifecycleTest, StatsRefreshKeepsLshConsistent) {
   // The refresh replaced the output summary, but output rows are not
   // sketch elements: the sketch is bit-identical, the record is still
   // indexed exactly once per band, and no postings appeared or vanished.
-  MinHashSketch sketch_after = ComputeMinHashSketch(h.store.Get(id)->signature);
+  MinHashSketch sketch_after =
+      ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   EXPECT_EQ(sketch_after.mins, sketch_before.mins);
   EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, sketch_after));
   EXPECT_EQ(h.store.lsh().entry_count(), entries_before);
@@ -487,12 +493,13 @@ TEST(LshLifecycleTest, TransientProbeSketchIsRebuiltOnAppend) {
   QueryRecord probe = storage::BuildRecordFromText(
       "SELECT temp, zzlshnovelcol FROM WaterTemp WHERE zzlshnovelcol = 1",
       "user0", 0, storage::SignatureMode::kTransient);
-  MinHashSketch transient_sketch = ComputeMinHashSketch(probe.signature);
+  MinHashSketch transient_sketch =
+      ComputeMinHashSketch(probe.statement().signature);
   ASSERT_TRUE(transient_sketch.valid);
 
   QueryId id = h.store.Append(std::move(probe));
   MinHashSketch stored_sketch =
-      ComputeMinHashSketch(h.store.Get(id)->signature);
+      ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   // The transient sketch hashed probe-local ids for the novel column;
   // the stored record's sketch uses the interned ids and is what the
   // index was fed.

@@ -129,9 +129,9 @@ TEST(MaintenanceTest, AutoRepairRewritesRenamedReferences) {
   const storage::QueryRecord* r = h.store.Get(id);
   EXPECT_TRUE(r->HasFlag(storage::kFlagRepaired));
   EXPECT_FALSE(r->HasFlag(storage::kFlagSchemaBroken));
-  EXPECT_EQ(r->components.tables, (std::vector<std::string>{"laketemp"}));
+  EXPECT_EQ(r->components->tables, (std::vector<std::string>{"laketemp"}));
   // The repaired query executes.
-  EXPECT_TRUE(h.database.Execute(*r->ast).ok());
+  EXPECT_TRUE(h.database.Execute(*r->Ast()).ok());
 }
 
 TEST(MaintenanceTest, RepairDisabledJustFlags) {
@@ -304,9 +304,9 @@ TEST(MaintenanceTest, RunAllCompactsScoringArenasPastThreshold) {
     EXPECT_EQ(std::string(h.store.scoring().lowered_text(id)),
               ToLower(r->text));
     auto tables = h.store.scoring().tables(id);
-    ASSERT_EQ(tables.size, r->signature.tables.size());
+    ASSERT_EQ(tables.size, r->statement().signature.tables.size());
     for (size_t t = 0; t < tables.size; ++t) {
-      EXPECT_EQ(tables.data[t], r->signature.tables[t]);
+      EXPECT_EQ(tables.data[t], r->statement().signature.tables[t]);
     }
   }
 }

@@ -242,8 +242,8 @@ TEST(CombinedRequestTest, KeywordTableSimilarityMatchesBruteForce) {
       continue;
     }
     if (r.parse_failed() ||
-        std::find(r.components.tables.begin(), r.components.tables.end(),
-                  "watertemp") == r.components.tables.end()) {
+        std::find(r.components->tables.begin(), r.components->tables.end(),
+                  "watertemp") == r.components->tables.end()) {
       continue;
     }
     double sim = CombinedSimilarity(probe, r);

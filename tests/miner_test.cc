@@ -113,9 +113,9 @@ TEST(ClusteringTest, KMedoidsSeparatesStructurallyDistinctGroups) {
   // Every cluster must be pure: all members share their FROM table.
   for (const auto& cluster : c.clusters) {
     ASSERT_FALSE(cluster.empty());
-    const auto& first_tables = h.store.Get(cluster[0])->components.tables;
+    const auto& first_tables = h.store.Get(cluster[0])->components->tables;
     for (QueryId id : cluster) {
-      EXPECT_EQ(h.store.Get(id)->components.tables, first_tables);
+      EXPECT_EQ(h.store.Get(id)->components->tables, first_tables);
     }
   }
 }
@@ -261,7 +261,8 @@ TEST(PopularityTest, TopQueriesForTableDeduplicates) {
   p.Build(h.store, h.clock.Now());
   auto top = p.TopQueriesForTable(h.store, "watertemp", 5);
   ASSERT_EQ(top.size(), 2u);  // two distinct canonical forms
-  EXPECT_EQ(h.store.Get(top[0])->canonical_text, "SELECT * FROM watertemp");
+  EXPECT_EQ(h.store.Get(top[0])->statement().canonical_text,
+            "SELECT * FROM watertemp");
 }
 
 TEST(TutorialTest, GeneratesSectionsWithExamplesAndMistakes) {

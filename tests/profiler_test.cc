@@ -95,7 +95,7 @@ TEST(ProfilerTest, LevelFeaturesExtractsComponentsButNoSummary) {
       h.profiler->ExecuteAndProfile("SELECT * FROM WaterTemp", "u");
   const storage::QueryRecord* r = h.store.Get(e.query_id);
   EXPECT_FALSE(r->parse_failed());
-  EXPECT_EQ(r->components.tables.size(), 1u);
+  EXPECT_EQ(r->components->tables.size(), 1u);
   EXPECT_TRUE(r->summary.column_names.empty());
 }
 

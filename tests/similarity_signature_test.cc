@@ -41,16 +41,16 @@ TEST(InternerTest, AssignsStableIds) {
 TEST(SimilaritySignatureTest, BuildRecordComputesSignature) {
   QueryRecord r = storage::BuildRecordFromText(
       "SELECT temp FROM WaterTemp WHERE temp < 20", "u", 0);
-  ASSERT_TRUE(r.signature.valid);
-  EXPECT_EQ(r.signature.tables.size(), 1u);
-  EXPECT_FALSE(r.signature.text_tokens.empty());
-  EXPECT_TRUE(std::is_sorted(r.signature.text_tokens.begin(),
-                             r.signature.text_tokens.end()));
+  ASSERT_TRUE(r.statement().signature.valid);
+  EXPECT_EQ(r.statement().signature.tables.size(), 1u);
+  EXPECT_FALSE(r.statement().signature.text_tokens.empty());
+  EXPECT_TRUE(std::is_sorted(r.statement().signature.text_tokens.begin(),
+                             r.statement().signature.text_tokens.end()));
   // Unparsable text still gets a text-token signature.
   QueryRecord broken = storage::BuildRecordFromText("SELEC nonsense FRM", "u", 0);
-  ASSERT_TRUE(broken.signature.valid);
-  EXPECT_TRUE(broken.signature.tables.empty());
-  EXPECT_FALSE(broken.signature.text_tokens.empty());
+  ASSERT_TRUE(broken.statement().signature.valid);
+  EXPECT_TRUE(broken.statement().signature.tables.empty());
+  EXPECT_FALSE(broken.statement().signature.text_tokens.empty());
 }
 
 TEST(SimilaritySignatureTest, IdenticalAndDisjointPairs) {
@@ -60,11 +60,14 @@ TEST(SimilaritySignatureTest, IdenticalAndDisjointPairs) {
       "SELECT temp FROM WaterTemp WHERE temp < 20", "u", 0);
   QueryRecord c = storage::BuildRecordFromText(
       "SELECT name FROM Species WHERE name = 'carp'", "u", 0);
-  EXPECT_DOUBLE_EQ(FeatureSimilarity(a.signature, b.signature), 1.0);
-  EXPECT_DOUBLE_EQ(TextSimilarity(a.signature, b.signature), 1.0);
-  EXPECT_LT(FeatureSimilarity(a.signature, c.signature), 0.2);
+  const storage::SimilaritySignature& sa = a.statement().signature;
+  const storage::SimilaritySignature& sb = b.statement().signature;
+  const storage::SimilaritySignature& sc = c.statement().signature;
+  EXPECT_DOUBLE_EQ(FeatureSimilarity(sa, sb), 1.0);
+  EXPECT_DOUBLE_EQ(TextSimilarity(sa, sb), 1.0);
+  EXPECT_LT(FeatureSimilarity(sa, sc), 0.2);
   // Only SQL keywords overlap (select/from/where = 3 of 9 tokens).
-  EXPECT_NEAR(TextSimilarity(a.signature, c.signature), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(TextSimilarity(sa, sc), 1.0 / 3.0, 1e-12);
 }
 
 /// The workhorse: every pairwise combined similarity over a mixed
@@ -112,8 +115,8 @@ std::vector<Neighbor> ReferenceKnn(const storage::QueryStore& store,
                                    const SimilarityWeights& weights,
                                    const RankingOptions& ranking) {
   std::set<QueryId> candidates;
-  if (!probe.parse_failed() && !probe.components.tables.empty()) {
-    for (const std::string& t : probe.components.tables) {
+  if (!probe.parse_failed() && !probe.components->tables.empty()) {
+    for (const std::string& t : probe.components->tables) {
       for (QueryId id : store.QueriesUsingTable(t)) candidates.insert(id);
     }
   } else {
@@ -217,8 +220,8 @@ TEST(SimilaritySignatureTest, TransientProbesDoNotGrowInterner) {
       "SELECT temp, zzneverloggedcol FROM WaterTemp WHERE zzneverloggedcol = 1",
       "user0", 0, storage::SignatureMode::kTransient);
   EXPECT_EQ(GlobalInterner().size(), interned_before);
-  ASSERT_TRUE(probe.signature.valid);
-  EXPECT_TRUE(probe.signature.transient);
+  ASSERT_TRUE(probe.statement().signature.valid);
+  EXPECT_TRUE(probe.statement().signature.transient);
 
   // Known tokens resolve to real interner ids, so probe-vs-log similarity
   // still matches the string reference exactly.
@@ -229,7 +232,7 @@ TEST(SimilaritySignatureTest, TransientProbesDoNotGrowInterner) {
   // Appending a transient-signature record re-interns it, so the keyword
   // index never sees hash-derived ids.
   storage::QueryId id = h.store.Append(std::move(probe));
-  EXPECT_FALSE(h.store.Get(id)->signature.transient);
+  EXPECT_FALSE(h.store.Get(id)->statement().signature.transient);
   EXPECT_GT(GlobalInterner().size(), interned_before);
   EXPECT_EQ(h.store.QueriesWithKeyword("zzneverloggedcol").size(), 1u);
 }
@@ -255,7 +258,7 @@ TEST(SimilaritySignatureTest, RewritePurgesStaleIndexEntries) {
   QueryId id = h.Log("user0", "SELECT temp FROM WaterTemp WHERE temp < 20");
   ASSERT_NE(id, storage::kInvalidQueryId);
   const QueryRecord* before = h.store.Get(id);
-  uint64_t old_skeleton = before->skeleton_fingerprint;
+  uint64_t old_skeleton = before->statement().skeleton_fingerprint;
 
   auto contains = [](const std::vector<QueryId>& ids, QueryId target) {
     return std::find(ids.begin(), ids.end(), target) != ids.end();
@@ -277,7 +280,9 @@ TEST(SimilaritySignatureTest, RewritePurgesStaleIndexEntries) {
   EXPECT_TRUE(contains(h.store.QueriesWithKeyword("watersalinity"), id));
   const QueryRecord* after = h.store.Get(id);
   EXPECT_TRUE(
-      contains(h.store.QueriesWithSkeleton(after->skeleton_fingerprint), id));
+      contains(h.store.QueriesWithSkeleton(
+                   after->statement().skeleton_fingerprint),
+               id));
 
   // Posting lists stay sorted after a mid-log reinsertion.
   h.Log("user0", "SELECT salinity FROM WaterSalinity");
@@ -334,8 +339,8 @@ TEST(SimilaritySignatureTest, TextOnlyRecordsGetSignaturesOnAppend) {
   ASSERT_NE(id, storage::kInvalidQueryId);
   const QueryRecord* r = h.store.Get(id);
   ASSERT_TRUE(r->parse_failed());  // kTextOnly skips parsing.
-  ASSERT_TRUE(r->signature.valid);
-  EXPECT_FALSE(r->signature.text_tokens.empty());
+  ASSERT_TRUE(r->statement().signature.valid);
+  EXPECT_FALSE(r->statement().signature.text_tokens.empty());
 
   QueryRecord probe = storage::BuildRecordFromText(
       "SELECT temp FROM WaterTemp WHERE temp < 25", "user0", 0);

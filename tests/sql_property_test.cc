@@ -91,10 +91,10 @@ TEST_P(CorpusTest, OneCanonicalizationYieldsBothPrintings) {
   EXPECT_EQ(forms.skeleton, CanonicalSkeleton(**stmt));
   // The record builder's fingerprints hash these texts directly.
   storage::QueryRecord r = storage::BuildRecordFromText(GetParam(), "u", 0);
-  EXPECT_EQ(r.canonical_text, forms.text);
-  EXPECT_EQ(r.skeleton, forms.skeleton);
+  EXPECT_EQ(r.statement().canonical_text, forms.text);
+  EXPECT_EQ(r.statement().skeleton, forms.skeleton);
   EXPECT_EQ(r.fingerprint, Fingerprint(**stmt));
-  EXPECT_EQ(r.skeleton_fingerprint, SkeletonFingerprint(**stmt));
+  EXPECT_EQ(r.statement().skeleton_fingerprint, SkeletonFingerprint(**stmt));
 }
 
 TEST_P(CorpusTest, CloneIsDeepAndEqual) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
+#include "obs/metrics.h"
 #include "storage/persistence.h"
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
@@ -19,10 +21,10 @@ TEST(RecordBuilderTest, BuildsAllDerivedFields) {
   EXPECT_EQ(r.user, "alice");
   EXPECT_EQ(r.timestamp, 123);
   EXPECT_NE(r.fingerprint, 0u);
-  EXPECT_NE(r.skeleton_fingerprint, 0u);
-  EXPECT_NE(r.canonical_text.find("watertemp"), std::string::npos);
-  EXPECT_NE(r.skeleton.find("?"), std::string::npos);
-  ASSERT_EQ(r.components.tables.size(), 1u);
+  EXPECT_NE(r.statement().skeleton_fingerprint, 0u);
+  EXPECT_NE(r.statement().canonical_text.find("watertemp"), std::string::npos);
+  EXPECT_NE(r.statement().skeleton.find("?"), std::string::npos);
+  ASSERT_EQ(r.components->tables.size(), 1u);
 }
 
 TEST(RecordBuilderTest, ParseFailureKeepsText) {
@@ -82,7 +84,8 @@ TEST(QueryStoreTest, SkeletonIndexGroupsConstantVariants) {
       BuildRecordFromText("SELECT * FROM t WHERE x < 22", "u", 1));
   QueryId b = store.Append(
       BuildRecordFromText("SELECT * FROM t WHERE x < 18", "u", 2));
-  EXPECT_EQ(store.QueriesWithSkeleton(store.Get(a)->skeleton_fingerprint),
+  EXPECT_EQ(store.QueriesWithSkeleton(
+                store.Get(a)->statement().skeleton_fingerprint),
             (std::vector<QueryId>{a, b}));
 }
 
@@ -174,7 +177,7 @@ TEST(QueryStoreTest, RewriteQueryTextRebuildsEverything) {
   ASSERT_TRUE(store.RewriteQueryText(id, "SELECT temp FROM NewName WHERE temp < 9")
                   .ok());
   const QueryRecord* r = store.Get(id);
-  EXPECT_EQ(r->components.tables, (std::vector<std::string>{"newname"}));
+  EXPECT_EQ(r->components->tables, (std::vector<std::string>{"newname"}));
   EXPECT_EQ(r->user, "u");
   EXPECT_EQ(r->timestamp, 1);
   // Feature relations: old table gone, new present.
@@ -185,6 +188,116 @@ TEST(QueryStoreTest, RewriteQueryTextRebuildsEverything) {
   EXPECT_EQ(rows->rows[0][0].AsString(), "newname");
   // Rewrite to unparsable text is rejected.
   EXPECT_FALSE(store.RewriteQueryText(id, "SELEKT").ok());
+}
+
+// --- statement sharing ------------------------------------------------------
+
+/// A record of `sql` whose output summary holds the rows `values`.
+QueryRecord RecordWithOutput(const std::string& sql, const std::string& user,
+                             const std::vector<int64_t>& values) {
+  QueryRecord r = BuildRecordFromText(sql, user, 1);
+  r.summary.column_names = {"temp"};
+  r.summary.total_rows = values.size();
+  for (int64_t v : values) r.summary.sample_rows.push_back({db::Value::Int(v)});
+  return r;
+}
+
+int64_t GaugeValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetGauge(name)->value();
+}
+
+TEST(StatementSharingTest, AppendSharesOnlyEqualStatements) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  QueryId a = store.Append(BuildRecordFromText(sql, "alice", 1));
+  QueryId b = store.Append(BuildRecordFromText(sql, "bob", 2));
+  EXPECT_EQ(&store.Get(a)->statement(), &store.Get(b)->statement());
+  EXPECT_EQ(store.statement_count(), 1u);
+
+  // Same text, other output-row hashes: a statement of its own, shared
+  // in turn by a second run with that output.
+  QueryId c = store.Append(RecordWithOutput(sql, "carol", {17, 12}));
+  QueryId d = store.Append(RecordWithOutput(sql, "dave", {12, 17}));
+  EXPECT_NE(&store.Get(c)->statement(), &store.Get(a)->statement());
+  EXPECT_EQ(&store.Get(d)->statement(), &store.Get(c)->statement());
+
+  // Same text and features, but not known to parse (as a snapshot's
+  // parsed bit can say): not equal either.
+  QueryRecord unparsed = BuildRecordFromText(sql, "erin", 3);
+  unparsed.MutableStatement()->text_parses = false;
+  ASSERT_TRUE(unparsed.statement().signature.valid);
+  QueryId e = store.Append(std::move(unparsed));
+  EXPECT_NE(&store.Get(e)->statement(), &store.Get(a)->statement());
+  EXPECT_TRUE(store.Get(e)->parse_failed());
+
+  EXPECT_EQ(store.statement_count(), 3u);
+  EXPECT_EQ(GaugeValue("cqms_store_records"), 5);
+  EXPECT_EQ(GaugeValue("cqms_store_statements"), 3);
+}
+
+TEST(StatementSharingTest, MutatorsRepointOnlyTheRecordTheyTouch) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  store.EnableViews();  // copy-on-write clones must re-share too
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(store.Append(RecordWithOutput(sql, "u", {17, 12})));
+  }
+  const Statement shared = store.Get(ids[0])->statement();  // a copy
+  const MinHashSketch sketch = ComputeMinHashSketch(shared.signature);
+  ASSERT_EQ(store.statement_count(), 1u);
+
+  std::vector<QueryId> touched;
+  auto expect_untouched = [&](QueryId moved, const char* step) {
+    touched.push_back(moved);
+    for (QueryId id : ids) {
+      if (std::find(touched.begin(), touched.end(), id) != touched.end()) {
+        continue;
+      }
+      const QueryRecord* r = store.Get(id);
+      EXPECT_EQ(&r->statement(), &store.Get(ids[0])->statement()) << step;
+      EXPECT_TRUE(r->statement() == shared) << step << " id " << id;
+      auto has = [id](const std::vector<QueryId>& v) {
+        return std::find(v.begin(), v.end(), id) != v.end();
+      };
+      EXPECT_TRUE(has(store.QueriesUsingTable("watertemp"))) << step;
+      EXPECT_TRUE(has(store.QueriesWithKeyword("temp"))) << step;
+      EXPECT_TRUE(has(store.QueriesWithSkeleton(shared.skeleton_fingerprint)))
+          << step;
+      EXPECT_TRUE(store.lsh().ContainsExactlyOnce(id, sketch)) << step;
+    }
+  };
+
+  ASSERT_TRUE(store.RewriteQueryText(ids[1], "SELECT lake FROM LakeTemp").ok());
+  EXPECT_NE(&store.Get(ids[1])->statement(), &store.Get(ids[0])->statement());
+  EXPECT_EQ(store.Get(ids[1])->components->tables,
+            (std::vector<std::string>{"laketemp"}));
+  EXPECT_EQ(store.statement_count(), 2u);
+  expect_untouched(ids[1], "rewrite");
+
+  QueryRecord* r = store.GetMutable(ids[2]);
+  r->summary.sample_rows.pop_back();
+  r->summary.total_rows = 1;
+  ASSERT_TRUE(store.SyncOutputSignature(ids[2]).ok());
+  EXPECT_EQ(store.Get(ids[2])->statement().signature.output_rows.size(), 1u);
+  EXPECT_EQ(store.statement_count(), 3u);
+  expect_untouched(ids[2], "sync");
+
+  ASSERT_TRUE(store.RestoreOutputSignature(ids[3], {7}, false).ok());
+  EXPECT_EQ(store.Get(ids[3])->statement().signature.output_rows,
+            (std::vector<uint64_t>{7}));
+  EXPECT_EQ(store.statement_count(), 4u);
+  expect_untouched(ids[3], "restore");
+
+  // Moving the last record of a statement onto an existing one drops
+  // the entry it leaves.
+  ASSERT_TRUE(store.RestoreOutputSignature(
+                       ids[3], shared.signature.output_rows,
+                       shared.signature.output_empty_computed)
+                  .ok());
+  EXPECT_EQ(&store.Get(ids[3])->statement(), &store.Get(ids[0])->statement());
+  EXPECT_EQ(store.statement_count(), 3u);
+  EXPECT_EQ(GaugeValue("cqms_store_statements"), 3);
 }
 
 TEST(PersistenceTest, SaveLoadRoundTrip) {
