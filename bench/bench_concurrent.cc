@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "bench_util.h"
@@ -131,16 +132,25 @@ BENCHMARK(BM_PinView)->Arg(5000)->ArgNames({"queries"});
 /// Writer-side publication cost: one full copy-on-publish snapshot of
 /// the scoring columns, posting lists, LSH index and ACL at this log
 /// size (the record log itself is shared by pointer).
+/// view_heap_bytes_per_query is the heap growth of holding one more
+/// published view, per logged query: the size of that copy.
 void BM_PublishView(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();
   for (auto _ : state) {
     f.store.PublishView();
   }
+  std::shared_ptr<const storage::ReadViewState> held = f.store.SharedView();
+  const int64_t heap_before = bench::HeapInUse();
+  f.store.PublishView();
+  const int64_t view_bytes = bench::HeapInUse() - heap_before;
+  held.reset();
   state.counters["log_size"] = static_cast<double>(f.store.size());
+  state.counters["view_heap_bytes_per_query"] =
+      static_cast<double>(view_bytes) / static_cast<double>(f.store.size());
 }
 BENCHMARK(BM_PublishView)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"queries"});
+    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
 
 }  // namespace
 }  // namespace cqms

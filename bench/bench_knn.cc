@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <malloc.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -153,14 +151,6 @@ void BM_KnnSimilarityMix(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnSimilarityMix)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"mix"});
 
-/// Bytes the allocator has handed out and not had back: chunks carved
-/// from the arenas (uordblks) plus chunks above the mmap threshold
-/// (hblkhd), which glibc moves as it frees large blocks.
-int64_t HeapInUse() {
-  struct mallinfo2 info = mallinfo2();
-  return static_cast<int64_t>(info.uordblks + info.hblkhd);
-}
-
 // Cold-start restore cost per snapshot format. format=1 is the v1 text
 // reader, which re-profiles every record from its text (parse,
 // canonicalize, collect components, tokenize, intern); format=2 is the
@@ -192,7 +182,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
   double heap_bytes_per_query = 0;
   for (auto _ : state) {
     uint64_t words_before = ExtractWordsCallCount();
-    const int64_t heap_before = HeapInUse();
+    const int64_t heap_before = bench::HeapInUse();
     storage::QueryStore loaded;
     Status s = storage::LoadSnapshot(&loaded, path);
     if (!s.ok()) {
@@ -200,8 +190,9 @@ void BM_SnapshotLoad(benchmark::State& state) {
       state.SkipWithError("snapshot load failed");
       return;
     }
-    heap_bytes_per_query = static_cast<double>(HeapInUse() - heap_before) /
-                           static_cast<double>(loaded.size());
+    heap_bytes_per_query =
+        static_cast<double>(bench::HeapInUse() - heap_before) /
+        static_cast<double>(loaded.size());
     // The binary restore promises zero re-tokenization at any log size;
     // enforce it here at 20k where the durability tests run smaller.
     if (v2 && ExtractWordsCallCount() != words_before) {

@@ -1,6 +1,9 @@
 #ifndef CQMS_BENCH_BENCH_UTIL_H_
 #define CQMS_BENCH_BENCH_UTIL_H_
 
+#include <malloc.h>
+
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -12,6 +15,14 @@
 #include "workload/synthetic.h"
 
 namespace cqms::bench {
+
+/// Bytes the allocator has handed out and not had back: chunks carved
+/// from the arenas (uordblks) plus chunks above the mmap threshold
+/// (hblkhd), which glibc moves as it frees large blocks.
+inline int64_t HeapInUse() {
+  struct mallinfo2 info = mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
 
 /// A populated database plus a query log of (at least) the requested
 /// size, generated by the synthetic scientific workload. Fixtures are

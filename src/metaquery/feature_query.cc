@@ -54,18 +54,18 @@ std::vector<storage::QueryId> FeatureQuery::Evaluate(
     const storage::QueryStore& store, const std::string& viewer) const {
   // Candidate generation: intersect the most selective index lists we
   // have; fall back to a full scan if no indexed condition is present.
-  std::vector<const std::vector<storage::QueryId>*> lists;
+  std::vector<std::vector<storage::QueryId>> lists;
   for (const std::string& t : tables_) {
-    lists.push_back(&store.QueriesUsingTable(t));
+    lists.push_back(store.QueriesUsingTable(t));
   }
   for (const auto& [rel, attr] : attributes_) {
-    lists.push_back(&store.QueriesUsingAttribute(rel, attr));
+    lists.push_back(store.QueriesUsingAttribute(rel, attr));
   }
   for (const auto& p : predicates_) {
-    lists.push_back(&store.QueriesUsingAttribute(p.relation, p.attribute));
+    lists.push_back(store.QueriesUsingAttribute(p.relation, p.attribute));
   }
   if (user_.has_value()) {
-    lists.push_back(&store.QueriesByUser(*user_));
+    lists.push_back(store.QueriesByUser(*user_));
   }
 
   std::vector<storage::QueryId> candidates;
@@ -74,12 +74,12 @@ std::vector<storage::QueryId> FeatureQuery::Evaluate(
     for (const auto& r : store.records()) candidates.push_back(r.id);
   } else {
     std::sort(lists.begin(), lists.end(),
-              [](const auto* a, const auto* b) { return a->size() < b->size(); });
-    candidates = *lists[0];
+              [](const auto& a, const auto& b) { return a.size() < b.size(); });
+    candidates = std::move(lists[0]);
     for (size_t i = 1; i < lists.size() && !candidates.empty(); ++i) {
       std::vector<storage::QueryId> next;
       std::set_intersection(candidates.begin(), candidates.end(),
-                            lists[i]->begin(), lists[i]->end(),
+                            lists[i].begin(), lists[i].end(),
                             std::back_inserter(next));
       candidates = std::move(next);
     }

@@ -61,7 +61,7 @@ KnnCandidates KnnCandidateIds(const storage::StoreView& store,
       sketch = storage::ComputeMinHashSketch(signature);
     }
     if (sketch.valid && !sketch.empty()) {
-      out.ids = store.LshCandidates(sketch, options.probe_bands);
+      out.statements = store.lsh().Candidates(sketch, options.probe_bands);
       out.source = KnnCandidateSource::kLshBuckets;
       const KnnSeries& s = Series();
       s.lsh_probes->Increment();
@@ -69,16 +69,19 @@ KnnCandidates KnnCandidateIds(const storage::StoreView& store,
       s.lsh_bands_probed->Add(options.probe_bands == 0
                                   ? index_bands
                                   : std::min(options.probe_bands, index_bands));
-      s.lsh_candidates->Add(out.ids.size());
+      // Counted in records, the unit the series always had.
+      s.lsh_candidates->Add(store.postings().RecordCount(out.statements));
       return out;
     }
     // The probe signature's tables are the interned Symbols the posting
     // lists are keyed by (transient probes resolve known tables to their
     // real ids, so unseen tables simply have no postings). Hand-built
     // records without a signature fall back to the string lookup.
-    out.ids = signature.valid
-                  ? store.QueriesUsingAnyTableSymbol(signature.tables)
-                  : store.QueriesUsingAnyTable(probe.components->tables);
+    const storage::PostingIndex& postings = store.postings();
+    out.statements =
+        signature.valid
+            ? postings.StatementsUsingAnyTableSymbol(signature.tables)
+            : postings.StatementsUsingAnyTable(probe.components->tables);
     out.source = KnnCandidateSource::kTableUnion;
     Series().table_union_fallbacks->Increment();
     return out;
@@ -116,7 +119,8 @@ std::vector<Neighbor> KnnSearchReference(
     const SimilarityWeights& weights, const RankingOptions& ranking,
     const CandidateOptions& candidate_options) {
   KnnCandidates generated = KnnCandidateIds(store, probe, candidate_options);
-  std::vector<storage::QueryId> candidates = std::move(generated.ids);
+  std::vector<storage::QueryId> candidates =
+      store.postings().RecordsOf(generated.statements);
   if (generated.full_scan()) {
     candidates.resize(store.size());
     std::iota(candidates.begin(), candidates.end(), storage::QueryId{0});

@@ -46,14 +46,15 @@ struct CandidateOptions {
 enum class KnnCandidateSource {
   kLshBuckets,  ///< MinHash band buckets (approximate, sub-linear).
   kTableUnion,  ///< Union of the probe's table posting lists (exact).
-  kFullScan,    ///< Table-less probe: every record.
+  kFullScan,    ///< Table-less probe: every statement.
 };
 
-/// Candidate set for one probe. For a full scan, `ids` is left empty and
-/// the caller iterates the whole log (avoids materializing an iota
-/// vector per query).
+/// Candidate statements for one probe, ascending; their records are the
+/// candidate records (PostingIndex::RecordsOf). For a full scan,
+/// `statements` is left empty and the caller walks every live
+/// statement.
 struct KnnCandidates {
-  std::vector<storage::QueryId> ids;
+  std::vector<storage::StatementId> statements;
   KnnCandidateSource source = KnnCandidateSource::kFullScan;
   bool full_scan() const { return source == KnnCandidateSource::kFullScan; }
 };
@@ -98,8 +99,8 @@ std::vector<Neighbor> KnnSearch(const storage::QueryStore& store,
                                 const CandidateOptions& candidates = {});
 
 /// The pre-planner scoring loop, kept verbatim as the ground-truth
-/// reference: reads candidates through the record deque and the
-/// fingerprint hash index instead of the scoring columns. The planner
+/// reference: scores every candidate record through the record deque
+/// and QueryStore::PopularityOf instead of the scoring columns. The planner
 /// equality suite asserts KnnSearch == KnnSearchReference on every
 /// probe; do not optimize this.
 std::vector<Neighbor> KnnSearchReference(const storage::QueryStore& store,

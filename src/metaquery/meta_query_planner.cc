@@ -15,15 +15,17 @@ namespace cqms::metaquery {
 using storage::QueryId;
 using storage::QueryRecord;
 using storage::ScoringColumns;
+using storage::StatementId;
 
 namespace {
 
 // Per-generator registry series, resolved once per process so an
-// Execute pays exactly three relaxed fetch_adds plus two for the
+// Execute pays exactly four relaxed fetch_adds plus two for the
 // visibility-cache tallies — nothing name-keyed on the hot path.
 struct PlannerSeries {
   obs::Counter* queries;
-  obs::Counter* candidates;
+  obs::Counter* candidates;  ///< Records.
+  obs::Counter* statements;  ///< Distinct statements evaluated.
   obs::Counter* matches;
 };
 
@@ -33,6 +35,7 @@ PlannerSeries MakeSeries(const char* label) {
   PlannerSeries s;
   s.queries = reg.GetCounter("cqms_planner_queries_total" + tag);
   s.candidates = reg.GetCounter("cqms_planner_candidates_total" + tag);
+  s.statements = reg.GetCounter("cqms_planner_statements_total" + tag);
   s.matches = reg.GetCounter("cqms_planner_matches_total" + tag);
   return s;
 }
@@ -74,6 +77,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   MetaQueryResponse resp;
   const storage::StoreView& store = view_;
   const ScoringColumns& cols = store.scoring();
+  const storage::PostingIndex& postings = store.postings();
 
   // Tracing is opt-in per request; with trace == nullptr the only cost
   // below is one timer start and a handful of relaxed counter adds.
@@ -110,20 +114,25 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   if (request.substring.has_value() && request.substring->empty()) return resp;
 
   // --- gather every posting list the predicates are backed by ----------
-  std::deque<std::vector<QueryId>> owned;  // storage for materialized unions
-  std::vector<const std::vector<QueryId>*> lists;
+  // Feature lists hold statement ids. The user list holds record ids; it
+  // contributes the statements its records hold, and narrows each
+  // candidate statement to that user's records.
+  std::deque<std::vector<StatementId>> owned;  // materialized unions
+  std::vector<const std::vector<StatementId>*> lists;
   if (request.keyword.has_value()) {
     if (request.keyword->match_all) {
       for (Symbol s : keyword_syms) {
-        const std::vector<QueryId>& ids = store.QueriesWithKeywordSymbol(s);
+        const std::vector<StatementId>& ids =
+            postings.StatementsWithKeywordSymbol(s);
         if (ids.empty()) return resp;
         lists.push_back(&ids);
       }
     } else {
       // match-any: one union list, still intersectable with the rest.
-      std::vector<QueryId> merged;
+      std::vector<StatementId> merged;
       for (Symbol s : keyword_syms) {
-        const std::vector<QueryId>& ids = store.QueriesWithKeywordSymbol(s);
+        const std::vector<StatementId>& ids =
+            postings.StatementsWithKeywordSymbol(s);
         merged.insert(merged.end(), ids.begin(), ids.end());
       }
       SortUnique(&merged);
@@ -132,24 +141,37 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       lists.push_back(&owned.back());
     }
   }
+  Symbol user_filter = kInvalidSymbol;
+  bool by_user = false;
   if (request.feature.has_value()) {
     const FeatureQuery& f = *request.feature;
     for (const std::string& t : f.tables()) {
-      lists.push_back(&store.QueriesUsingTable(t));
+      lists.push_back(&postings.StatementsUsingTable(t));
     }
     for (const auto& [rel, attr] : f.attributes()) {
-      lists.push_back(&store.QueriesUsingAttribute(rel, attr));
+      lists.push_back(&postings.StatementsUsingAttribute(rel, attr));
     }
     for (const auto& pc : f.predicates()) {
-      lists.push_back(&store.QueriesUsingAttribute(pc.relation, pc.attribute));
+      lists.push_back(
+          &postings.StatementsUsingAttribute(pc.relation, pc.attribute));
     }
     if (f.user().has_value()) {
-      lists.push_back(&store.QueriesByUser(*f.user()));
+      by_user = true;
+      // The owner column holds each record's interned user, so the
+      // per-record user check is one Symbol compare.
+      user_filter = GlobalInterner().Find(*f.user());
+      std::vector<StatementId> held;
+      for (QueryId id : postings.ByUser(*f.user())) {
+        held.push_back(cols.statement_of(id));
+      }
+      SortUnique(&held);
+      owned.push_back(std::move(held));
+      lists.push_back(&owned.back());
     }
   }
   if (request.structure.has_value()) {
     for (const std::string& t : request.structure->required_tables) {
-      lists.push_back(&store.QueriesUsingTable(t));
+      lists.push_back(&postings.StatementsUsingTable(t));
     }
   }
 
@@ -158,7 +180,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   // --- choose the candidate generator ----------------------------------
   const QueryRecord* probe =
       request.similarity.has_value() ? request.similarity->probe : nullptr;
-  std::vector<QueryId> candidates;
+  std::vector<StatementId> candidates;
   bool full_scan = false;
   if (!lists.empty()) {
     // Exact generator: intersect smallest-first; the smallest list is
@@ -168,7 +190,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
               [](const auto* a, const auto* b) { return a->size() < b->size(); });
     candidates = *lists[0];
     for (size_t i = 1; i < lists.size() && !candidates.empty(); ++i) {
-      std::vector<QueryId> next;
+      std::vector<StatementId> next;
       std::set_intersection(candidates.begin(), candidates.end(),
                             lists[i]->begin(), lists[i]->end(),
                             std::back_inserter(next));
@@ -178,7 +200,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     KnnCandidates kc =
         KnnCandidateIds(store, *probe, request.similarity->candidates);
     full_scan = kc.full_scan();
-    candidates = std::move(kc.ids);
+    candidates = std::move(kc.statements);
     switch (kc.source) {
       case KnnCandidateSource::kLshBuckets:
         resp.generator = CandidateGenerator::kLshBuckets;
@@ -194,10 +216,9 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     full_scan = true;
     resp.generator = CandidateGenerator::kFullScan;
   }
-  resp.candidates_considered = full_scan ? store.size() : candidates.size();
   span("generate_candidates");
 
-  // --- one filter + scoring pass over the candidates -------------------
+  // --- filter + score: once per statement, then per record -------------
   const bool score_mode = request.order == ResultOrder::kScore;
   // Keyword membership is implied when the keyword posting lists were
   // part of the intersection (today: always, keywords are always
@@ -229,23 +250,44 @@ MetaQueryResponse MetaQueryPlanner::Execute(
 
   std::vector<MetaQueryMatch> matched;
   if (!full_scan) matched.reserve(std::min<size_t>(candidates.size(), 1024));
+  uint64_t candidate_records = 0;
+  uint64_t statements_evaluated = 0;
+  // One statement's records that passed the cheap record checks.
+  std::vector<QueryId> passing;
 
-  auto consider = [&](QueryId id) {
-    if (!visibility->VisibleId(id)) return;
-    uint32_t flags = cols.flags(id);
-    if (request.ranking.exclude_flagged &&
-        (flags & (storage::kFlagSchemaBroken | storage::kFlagObsolete)) != 0) {
-      return;
+  auto consider = [&](StatementId s) {
+    // Cheap record checks first, so a statement none of whose records
+    // the viewer may see is never scored.
+    passing.clear();
+    size_t statement_candidates = 0;
+    for (QueryId id : postings.RecordsOf(s)) {
+      if (by_user && cols.owner(id) != user_filter) continue;
+      ++statement_candidates;
+      if (!visibility->VisibleId(id)) continue;
+      if (request.ranking.exclude_flagged &&
+          (cols.flags(id) &
+           (storage::kFlagSchemaBroken | storage::kFlagObsolete)) != 0) {
+        continue;
+      }
+      passing.push_back(id);
     }
+    if (statement_candidates == 0) return;
+    candidate_records += statement_candidates;
+    ++statements_evaluated;
+    if (passing.empty()) return;
+
+    // Statement checks: they read only what the statement's records
+    // share, so they run once for all of them.
+    const ScoringColumns::StatementRow row = cols.statement_row(s);
     if (recheck_keyword) {
       if (request.keyword->match_all) {
-        for (Symbol s : keyword_syms) {
-          if (!cols.TokenPresent(id, s)) return;
+        for (Symbol k : keyword_syms) {
+          if (!row.TokenPresent(k)) return;
         }
       } else {
         bool any = false;
-        for (Symbol s : keyword_syms) {
-          if (cols.TokenPresent(id, s)) {
+        for (Symbol k : keyword_syms) {
+          if (row.TokenPresent(k)) {
             any = true;
             break;
           }
@@ -254,71 +296,97 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       }
     }
     if (request.substring.has_value() &&
-        cols.lowered_text(id).find(lowered_needle) == std::string_view::npos) {
+        row.lowered_text().find(lowered_needle) == std::string_view::npos) {
       return;
     }
-    // Predicates below need the record struct; fetch it lazily so pure
-    // keyword/substring/similarity requests never leave the columns.
     if (request.structure.has_value() &&
-        !MatchesPattern(*store.Get(id), *request.structure)) {
+        !MatchesPattern(*store.Get(passing.front()), *request.structure)) {
       return;
     }
-    if (recheck_feature && !request.feature->MatchesRecord(*store.Get(id))) {
-      return;
-    }
+    // The columnar similarity is a function of the statement. Its
+    // record-path fallback also reads each record's own output summary,
+    // so that one runs per record below.
+    const bool sim_per_record =
+        probe != nullptr && !(probe_sig_valid && row.signature_valid());
     double sim = 0;
-    if (probe != nullptr) {
-      sim = probe_sig_valid && cols.signature_valid(id)
-                ? CombinedSimilarity(probe_view, ViewOfColumns(cols, id),
-                                     request.similarity->weights)
-                : CombinedSimilarity(*probe, *store.Get(id),
-                                     request.similarity->weights);
+    if (probe != nullptr && !sim_per_record) {
+      sim = CombinedSimilarity(probe_view, ViewOfStatement(row),
+                               request.similarity->weights);
       if (sim < request.ranking.min_similarity) return;
     }
-    // Most expensive last: query-by-data may re-execute the query.
-    if (request.data.has_value() &&
-        !RecordSatisfiesDataExamples(*store.Get(id), request.data->examples,
-                                     request.data->options)) {
-      return;
+    const double popularity =
+        score_mode
+            ? std::log1p(static_cast<double>(row.popularity())) * inv_log_size
+            : 0;
+
+    // The remaining record checks, most expensive last: query-by-data
+    // may re-execute the query.
+    for (QueryId id : passing) {
+      if (recheck_feature && !request.feature->MatchesRecord(*store.Get(id))) {
+        continue;
+      }
+      double record_sim = sim;
+      if (sim_per_record) {
+        record_sim = CombinedSimilarity(*probe, *store.Get(id),
+                                        request.similarity->weights);
+        if (record_sim < request.ranking.min_similarity) continue;
+      }
+      if (request.data.has_value() &&
+          !RecordSatisfiesDataExamples(*store.Get(id), request.data->examples,
+                                       request.data->options)) {
+        continue;
+      }
+      MetaQueryMatch m;
+      m.id = id;
+      m.similarity = record_sim;
+      if (score_mode) {
+        double recency = max_ts > 0 ? static_cast<double>(cols.timestamp(id)) /
+                                          static_cast<double>(max_ts)
+                                    : 0;
+        m.score = request.ranking.w_similarity * record_sim +
+                  request.ranking.w_popularity * popularity +
+                  request.ranking.w_quality * cols.quality(id) +
+                  request.ranking.w_recency * recency;
+      }
+      matched.push_back(m);
     }
-    MetaQueryMatch m;
-    m.id = id;
-    m.similarity = sim;
-    if (score_mode) {
-      double popularity =
-          std::log1p(static_cast<double>(cols.popularity(id))) * inv_log_size;
-      double recency = max_ts > 0 ? static_cast<double>(cols.timestamp(id)) /
-                                        static_cast<double>(max_ts)
-                                  : 0;
-      m.score = request.ranking.w_similarity * sim +
-                request.ranking.w_popularity * popularity +
-                request.ranking.w_quality * cols.quality(id) +
-                request.ranking.w_recency * recency;
-    }
-    matched.push_back(m);
   };
 
   if (full_scan) {
-    const QueryId n = static_cast<QueryId>(store.size());
-    for (QueryId id = 0; id < n; ++id) consider(id);
+    // Every live statement; released ids have no records.
+    const size_t bound = postings.records_of.size();
+    for (size_t s = 0; s < bound; ++s) consider(static_cast<StatementId>(s));
   } else {
-    for (QueryId id : candidates) consider(id);
+    for (StatementId s : candidates) consider(s);
   }
+  resp.candidates_considered = full_scan ? store.size() : candidate_records;
   span("filter_score");
   const size_t matched_prefilter = matched.size();
 
+  // Matches come out grouped by statement; both orders are total (ids
+  // are unique), so the answer does not depend on the walk order.
+  const size_t keep = request.limit == 0
+                          ? matched.size()
+                          : std::min(request.limit, matched.size());
+  auto rank = [&](auto before) {
+    if (keep == matched.size()) {
+      std::sort(matched.begin(), matched.end(), before);
+    } else {
+      std::partial_sort(matched.begin(), matched.begin() + keep,
+                        matched.end(), before);
+    }
+  };
   if (score_mode) {
-    size_t keep = request.limit == 0 ? matched.size()
-                                     : std::min(request.limit, matched.size());
-    std::partial_sort(matched.begin(), matched.begin() + keep, matched.end(),
-                      [](const MetaQueryMatch& a, const MetaQueryMatch& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.id < b.id;
-                      });
-    matched.resize(keep);
-  } else if (request.limit != 0 && matched.size() > request.limit) {
-    matched.resize(request.limit);
+    rank([](const MetaQueryMatch& a, const MetaQueryMatch& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.id < b.id;
+    });
+  } else {
+    rank([](const MetaQueryMatch& a, const MetaQueryMatch& b) {
+      return a.id < b.id;
+    });
   }
+  matched.resize(keep);
   span("rank");
   resp.matches = std::move(matched);
 
@@ -328,12 +396,14 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   const PlannerSeries& series = SeriesFor(resp.generator);
   series.queries->Increment();
   series.candidates->Add(resp.candidates_considered);
+  series.statements->Add(statements_evaluated);
   series.matches->Add(resp.matches.size());
   VisibilityHitsCounter()->Add(vis_hits);
   VisibilityMissesCounter()->Add(vis_misses);
   if (trace != nullptr) {
     trace->generator = CandidateGeneratorName(resp.generator);
     trace->Count("candidates", resp.candidates_considered);
+    trace->Count("statements", statements_evaluated);
     trace->Count("matches_prefilter", matched_prefilter);
     trace->Count("matches", resp.matches.size());
     trace->Count("visibility_cache_hits", vis_hits);

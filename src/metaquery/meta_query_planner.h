@@ -26,14 +26,20 @@ namespace cqms::metaquery {
 ///      lists exist: it can miss true conjunction matches, and an exact
 ///      generator of bounded size is already available.
 ///   3. Full scan only as last resort (substring / data / structure
-///      predicates with no required tables).
+///      predicates with no required tables): every live statement.
 ///
-/// Candidates then stream through one filter + scoring loop that reads
-/// the store's ScoringColumns (contiguous hot fields, packed signature
-/// spans, slot-indexed popularity) instead of the record deque; the
-/// record struct is touched only for the predicates that need it
-/// (feature / structure / data). Visibility is resolved exactly once per
-/// candidate through the caller's VisibilityCache.
+/// Every generator yields statements (the posting lists and the LSH
+/// index are keyed by StatementId). For each candidate statement the
+/// cheap per-record checks run first — user, visibility (once per
+/// record, through the caller's VisibilityCache) and flags — and a
+/// statement with a surviving record is then checked once against what
+/// its records share: keyword, substring, structure and similarity, read
+/// from the store's ScoringColumns (packed signature spans, lowered
+/// text, slot-indexed popularity). Only its surviving records pay the
+/// remaining per-run checks (feature run stats, data examples). A
+/// record's score adds its own quality and recency to its statement's
+/// similarity and popularity. Log-order answers are sorted by record id
+/// before the limit applies.
 class MetaQueryPlanner {
  public:
   /// Plans against the live store (single-threaded path). `store` must

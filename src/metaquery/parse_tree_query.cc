@@ -59,12 +59,13 @@ std::vector<storage::QueryId> StructuralSearch(const storage::QueryStore& store,
   std::vector<storage::QueryId> out;
   if (!pattern.required_tables.empty()) {
     // Prune candidates by the rarest required table.
-    const std::vector<storage::QueryId>* smallest = nullptr;
-    for (const std::string& t : pattern.required_tables) {
-      const auto& ids = store.QueriesUsingTable(t);
-      if (smallest == nullptr || ids.size() < smallest->size()) smallest = &ids;
+    std::vector<storage::QueryId> smallest;
+    for (size_t i = 0; i < pattern.required_tables.size(); ++i) {
+      std::vector<storage::QueryId> ids =
+          store.QueriesUsingTable(pattern.required_tables[i]);
+      if (i == 0 || ids.size() < smallest.size()) smallest = std::move(ids);
     }
-    for (storage::QueryId id : *smallest) {
+    for (storage::QueryId id : smallest) {
       const storage::QueryRecord* r = store.Get(id);
       if (r != nullptr && store.Visible(viewer, id) && MatchesPattern(*r, pattern)) {
         out.push_back(id);

@@ -57,30 +57,35 @@ SignatureView ViewOfSignature(const storage::QueryRecord& record) {
   return v;
 }
 
-SignatureView ViewOfColumns(const storage::ScoringColumns& cols,
-                            storage::QueryId id) {
+SignatureView ViewOfStatement(
+    const storage::ScoringColumns::StatementRow& row) {
   SignatureView v;
-  storage::ScoringColumns::SymbolSpan s = cols.tables(id);
+  storage::ScoringColumns::SymbolSpan s = row.tables();
   v.tables = s.data;
   v.n_tables = s.size;
-  s = cols.skeletons(id);
+  s = row.skeletons();
   v.skeletons = s.data;
   v.n_skeletons = s.size;
-  s = cols.attributes(id);
+  s = row.attributes();
   v.attributes = s.data;
   v.n_attributes = s.size;
-  s = cols.projections(id);
+  s = row.projections();
   v.projections = s.data;
   v.n_projections = s.size;
-  s = cols.tokens(id);
+  s = row.tokens();
   v.tokens = s.data;
   v.n_tokens = s.size;
-  storage::ScoringColumns::HashSpan h = cols.output_rows(id);
+  storage::ScoringColumns::HashSpan h = row.output_rows();
   v.output_rows = h.data;
   v.n_output = h.size;
-  v.output_empty_computed = cols.output_empty_computed(id);
-  v.parsed = !cols.parse_failed(id);
+  v.output_empty_computed = row.output_empty_computed();
+  v.parsed = !row.parse_failed();
   return v;
+}
+
+SignatureView ViewOfColumns(const storage::ScoringColumns& cols,
+                            storage::QueryId id) {
+  return ViewOfStatement(cols.row_of(id));
 }
 
 double FeatureSimilarity(const SignatureView& a, const SignatureView& b) {

@@ -76,11 +76,14 @@ struct SignatureView {
 /// the view (pointers borrow its vectors).
 SignatureView ViewOfSignature(const storage::QueryRecord& record);
 
-/// View of one record read from the scoring columns — same shape,
+/// View of one statement's row in the scoring columns — same shape,
 /// different backing memory (the shared arenas), identical scores. Only
-/// meaningful while cols.signature_valid(id); callers fall back to the
+/// meaningful while row.signature_valid(); callers fall back to the
 /// record path otherwise. Invalidated by arena compaction and by any
-/// mutation of the record, like every other span the columns hand out.
+/// mutation of the columns, like every other span the columns hand out.
+SignatureView ViewOfStatement(const storage::ScoringColumns::StatementRow& row);
+
+/// ViewOfStatement of the statement record `id` holds.
 SignatureView ViewOfColumns(const storage::ScoringColumns& cols,
                             storage::QueryId id);
 

@@ -16,20 +16,20 @@ std::vector<storage::QueryId> KeywordSearch(const storage::QueryStore& store,
 
   if (match_all) {
     // Intersect posting lists, smallest first.
-    std::vector<const std::vector<storage::QueryId>*> lists;
+    std::vector<std::vector<storage::QueryId>> lists;
     lists.reserve(tokens.size());
     for (const std::string& t : tokens) {
-      lists.push_back(&store.QueriesWithKeyword(t));
-      if (lists.back()->empty()) return out;
+      lists.push_back(store.QueriesWithKeyword(t));
+      if (lists.back().empty()) return out;
     }
     std::sort(lists.begin(), lists.end(),
-              [](const auto* a, const auto* b) { return a->size() < b->size(); });
-    std::vector<storage::QueryId> current = *lists[0];
+              [](const auto& a, const auto& b) { return a.size() < b.size(); });
+    std::vector<storage::QueryId> current = std::move(lists[0]);
     for (size_t i = 1; i < lists.size() && !current.empty(); ++i) {
       std::vector<storage::QueryId> next;
-      // Posting lists are in ascending id order by construction.
-      std::set_intersection(current.begin(), current.end(), lists[i]->begin(),
-                            lists[i]->end(), std::back_inserter(next));
+      // Record-id lookups are in ascending id order.
+      std::set_intersection(current.begin(), current.end(), lists[i].begin(),
+                            lists[i].end(), std::back_inserter(next));
       current = std::move(next);
     }
     for (storage::QueryId id : current) {
@@ -41,7 +41,7 @@ std::vector<storage::QueryId> KeywordSearch(const storage::QueryStore& store,
   // match-any: union.
   std::vector<storage::QueryId> merged;
   for (const std::string& t : tokens) {
-    const auto& ids = store.QueriesWithKeyword(t);
+    std::vector<storage::QueryId> ids = store.QueriesWithKeyword(t);
     merged.insert(merged.end(), ids.begin(), ids.end());
   }
   std::sort(merged.begin(), merged.end());

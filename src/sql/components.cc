@@ -101,12 +101,12 @@ class Collector {
     // FROM join conditions are predicates too.
     for (const TableRef& tr : stmt.from) {
       if (tr.join_condition) {
-        CollectPredicates(*tr.join_condition, resolve, depth);
+        CollectPredicates(*tr.join_condition, resolve);
         CollectExprAttributes(*tr.join_condition, resolve, depth);
       }
     }
     if (stmt.where) {
-      CollectPredicates(*stmt.where, resolve, depth);
+      CollectPredicates(*stmt.where, resolve);
       CollectExprAttributes(*stmt.where, resolve, depth);
     }
     for (const auto& g : stmt.group_by) {
@@ -114,7 +114,7 @@ class Collector {
       CollectExprAttributes(*g, resolve, depth);
     }
     if (stmt.having) {
-      CollectPredicates(*stmt.having, resolve, depth);
+      CollectPredicates(*stmt.having, resolve);
       CollectExprAttributes(*stmt.having, resolve, depth);
     }
     for (const auto& o : stmt.order_by) {
@@ -192,7 +192,7 @@ class Collector {
   }
 
   template <typename Resolve>
-  void CollectPredicates(const Expr& root, const Resolve& resolve, int depth) {
+  void CollectPredicates(const Expr& root, const Resolve& resolve) {
     PrintOptions canon;
     canon.lowercase_identifiers = true;
     for (const Expr* conjunct : SplitConjuncts(&root)) {

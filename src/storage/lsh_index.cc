@@ -33,19 +33,19 @@ uint64_t LshIndex::BandKey(const MinHashSketch& sketch, size_t band) const {
   return key;
 }
 
-void LshIndex::Reserve(size_t records) {
-  for (auto& band : buckets_) band.reserve(records);
+void LshIndex::Reserve(size_t statements) {
+  for (auto& band : buckets_) band.reserve(statements);
 }
 
-void LshIndex::Insert(QueryId id, const MinHashSketch& sketch) {
+void LshIndex::Insert(StatementId id, const MinHashSketch& sketch) {
   if (!sketch.valid || sketch.empty()) return;
   for (size_t band = 0; band < params_.bands; ++band) {
     InsertSorted(&buckets_[band][BandKey(sketch, band)], id);
   }
-  id_bound_ = std::max(id_bound_, id + 1);
+  id_bound_ = std::max(id_bound_, static_cast<size_t>(id) + 1);
 }
 
-void LshIndex::Remove(QueryId id, const MinHashSketch& sketch) {
+void LshIndex::Remove(StatementId id, const MinHashSketch& sketch) {
   if (!sketch.valid || sketch.empty()) return;
   for (size_t band = 0; band < params_.bands; ++band) {
     auto it = buckets_[band].find(BandKey(sketch, band));
@@ -55,10 +55,10 @@ void LshIndex::Remove(QueryId id, const MinHashSketch& sketch) {
   }
 }
 
-std::vector<QueryId> LshIndex::Candidates(const MinHashSketch& sketch,
-                                          size_t probe_bands,
-                                          LshProbeScratch* scratch) const {
-  std::vector<QueryId> out;
+std::vector<StatementId> LshIndex::Candidates(const MinHashSketch& sketch,
+                                              size_t probe_bands,
+                                              LshProbeScratch* scratch) const {
+  std::vector<StatementId> out;
   if (!sketch.valid || sketch.empty()) return out;
   if (scratch == nullptr) {
     // Per-thread scratch: safe to share across indexes because the
@@ -75,14 +75,14 @@ std::vector<QueryId> LshIndex::Candidates(const MinHashSketch& sketch,
   // with no per-call zeroing or allocation (the table grows once to the
   // id bound and is invalidated by bumping the epoch).
   const uint64_t epoch = ++scratch->epoch_;
-  if (scratch->seen_epoch_.size() < static_cast<size_t>(id_bound_)) {
-    scratch->seen_epoch_.resize(static_cast<size_t>(id_bound_), 0);
+  if (scratch->seen_epoch_.size() < id_bound_) {
+    scratch->seen_epoch_.resize(id_bound_, 0);
   }
   for (size_t band = 0; band < limit; ++band) {
     auto it = buckets_[band].find(BandKey(sketch, band));
     if (it == buckets_[band].end()) continue;
-    for (QueryId id : it->second) {
-      uint64_t& stamp = scratch->seen_epoch_[static_cast<size_t>(id)];
+    for (StatementId id : it->second) {
+      uint64_t& stamp = scratch->seen_epoch_[id];
       if (stamp != epoch) {
         stamp = epoch;
         out.push_back(id);
@@ -101,7 +101,8 @@ size_t LshIndex::entry_count() const {
   return total;
 }
 
-bool LshIndex::ContainsExactlyOnce(QueryId id, const MinHashSketch& sketch) const {
+bool LshIndex::ContainsExactlyOnce(StatementId id,
+                                   const MinHashSketch& sketch) const {
   if (!sketch.valid || sketch.empty()) return false;
   for (size_t band = 0; band < params_.bands; ++band) {
     auto it = buckets_[band].find(BandKey(sketch, band));

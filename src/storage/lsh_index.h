@@ -31,7 +31,7 @@ struct LshParams {
 
 /// Candidate-dedup scratch for LshIndex::Candidates: an epoch-stamped
 /// id table (seen[id] == epoch marks ids already emitted by the current
-/// probe) that avoids zeroing or allocating an O(log size) bitmap per
+/// probe) that avoids zeroing or allocating an O(statements) bitmap per
 /// call. The scratch used to live as `mutable` state inside the index,
 /// which made the `const` Candidates call write shared memory — a data
 /// race the moment two readers probe the same (or a published-view copy
@@ -50,15 +50,16 @@ class LshProbeScratch {
 };
 
 /// Locality-sensitive index over MinHash sketches: per band, a hash map
-/// from the band's slot values to the sorted posting list of query ids
-/// whose sketch matches them. Maintained incrementally by
-/// QueryStore::Append / RewriteQueryText with the same stale-entry purge
-/// discipline as the table/attribute/keyword indexes: a record is never
-/// findable under a sketch it no longer has.
+/// from the band's slot values to the sorted posting list of statement
+/// ids whose sketch matches them. Every record of a statement has the
+/// statement's sketch, so QueryStore indexes each live statement once
+/// (when it gains its first record) and removes it when its last record
+/// moves off, with the same stale-entry purge discipline as the
+/// table/attribute/keyword indexes.
 ///
-/// Empty sketches (records with zero sketch elements) are not indexed —
-/// they carry no locality signal and would collide with every other
-/// empty record.
+/// Empty sketches (statements with zero sketch elements) are not
+/// indexed — they carry no locality signal and would collide with every
+/// other empty one.
 ///
 /// Thread model: all const methods (Candidates included) are safe to
 /// call from any number of concurrent readers — the index holds no
@@ -67,50 +68,50 @@ class LshIndex {
  public:
   explicit LshIndex(LshParams params = {});
 
-  /// Pre-sizes every band's bucket map for about `records` indexed
+  /// Pre-sizes every band's bucket map for about `statements` indexed
   /// sketches (bulk snapshot restore).
-  void Reserve(size_t records);
+  void Reserve(size_t statements);
 
   /// Adds `id` under every band bucket of `sketch`. No-op for invalid
   /// or empty sketches.
-  void Insert(QueryId id, const MinHashSketch& sketch);
+  void Insert(StatementId id, const MinHashSketch& sketch);
 
   /// Removes `id` from every band bucket of `sketch` (which must be the
-  /// sketch it was inserted under). Empties are pruned so rewritten
-  /// records leave no tombstone buckets behind.
-  void Remove(QueryId id, const MinHashSketch& sketch);
+  /// sketch it was inserted under). Empties are pruned so released
+  /// statements leave no tombstone buckets behind.
+  void Remove(StatementId id, const MinHashSketch& sketch);
 
-  /// Sorted, deduplicated ids sharing at least one band bucket with
-  /// `sketch`. `probe_bands` limits the lookup to the first N bands
+  /// Sorted, deduplicated statement ids sharing at least one band
+  /// bucket with `sketch`. `probe_bands` limits the lookup to the first N bands
   /// (0 = all) — fewer bands is faster but lowers recall. `scratch` is
   /// the caller's dedup table; nullptr uses this thread's scratch.
-  std::vector<QueryId> Candidates(const MinHashSketch& sketch,
-                                  size_t probe_bands = 0,
-                                  LshProbeScratch* scratch = nullptr) const;
+  std::vector<StatementId> Candidates(const MinHashSketch& sketch,
+                                      size_t probe_bands = 0,
+                                      LshProbeScratch* scratch = nullptr) const;
 
   size_t bands() const { return params_.bands; }
   size_t rows() const { return params_.rows; }
 
-  /// Total postings across all buckets. An indexed record contributes
-  /// exactly bands() postings, so this equals bands() * indexed-record
-  /// count whenever the index is consistent — the lifecycle tests
-  /// assert on it.
+  /// Total postings across all buckets. An indexed statement
+  /// contributes exactly bands() postings, so this equals bands() *
+  /// indexed-statement count whenever the index is consistent — the
+  /// lifecycle tests assert on it.
   size_t entry_count() const;
 
   /// True when `id` is present in the bucket of *every* band of
-  /// `sketch` exactly once — i.e. the record is indexed under this
+  /// `sketch` exactly once — i.e. the statement is indexed under this
   /// sketch with no duplicates (test/debug helper).
-  bool ContainsExactlyOnce(QueryId id, const MinHashSketch& sketch) const;
+  bool ContainsExactlyOnce(StatementId id, const MinHashSketch& sketch) const;
 
  private:
   uint64_t BandKey(const MinHashSketch& sketch, size_t band) const;
 
   LshParams params_;
   /// One bucket map per band.
-  std::vector<std::unordered_map<uint64_t, std::vector<QueryId>>> buckets_;
+  std::vector<std::unordered_map<uint64_t, std::vector<StatementId>>> buckets_;
   /// Exclusive upper bound on inserted ids, sizing the dedup scratch in
   /// Candidates.
-  QueryId id_bound_ = 0;
+  size_t id_bound_ = 0;
 };
 
 }  // namespace cqms::storage

@@ -17,6 +17,10 @@ namespace cqms::storage {
 /// Identifier of a logged query within a QueryStore.
 using QueryId = int64_t;
 
+/// Dense identifier of a distinct live Statement within a QueryStore.
+/// Ids of statements whose last record moved off are reused.
+using StatementId = uint32_t;
+
 /// Identifier of a query session (assigned by the miner's sessionizer).
 using SessionId = int64_t;
 

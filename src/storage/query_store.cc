@@ -119,7 +119,8 @@ QueryId QueryStore::Append(QueryRecord record) {
   return id;
 }
 
-void QueryStore::ReserveForRestore(size_t records, size_t symbols) {
+void QueryStore::ReserveForRestore(size_t records, size_t statements,
+                                   size_t symbols) {
   // Defer the feature-relation rebuild: the SQL meta-query surface is
   // touched far less often than the cold-start path, so its rows
   // materialize on first feature_db() access instead of inside the
@@ -128,13 +129,14 @@ void QueryStore::ReserveForRestore(size_t records, size_t symbols) {
   postings_.by_table.reserve(symbols);
   postings_.by_attribute.reserve(symbols);
   postings_.by_keyword.reserve(symbols);
-  postings_.by_skeleton.reserve(records);
-  postings_.by_fingerprint.reserve(records);
-  pop_slot_of_.reserve(records);
+  postings_.by_skeleton.reserve(statements);
+  postings_.records_of.reserve(statements);
+  statements_.reserve(statements);
+  pop_slot_of_.reserve(statements);
   // by_user is deliberately not pre-sized: distinct users are orders
   // of magnitude fewer than records, so its rehashing is noise.
-  lsh_.Reserve(records);
-  scoring_.Reserve(records);
+  lsh_.Reserve(statements);
+  scoring_.Reserve(records, statements);
 }
 
 QueryId QueryStore::RestoreAppend(QueryRecord record) {
@@ -146,37 +148,61 @@ QueryId QueryStore::RestoreAppend(QueryRecord record) {
 QueryId QueryStore::FinishAppend(QueryRecord record) {
   record.id = static_cast<QueryId>(records_.size());
   max_timestamp_ = std::max(max_timestamp_, record.timestamp);
-  ShareStatement(&record);
+  const StatementId statement = ShareStatement(&record);
   records_.push_back(std::make_shared<QueryRecord>(std::move(record)));
   const QueryRecord& stored = records_.back();
-  IndexRecord(stored);
-  uint32_t slot = PopularitySlotFor(stored);
-  if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
-  scoring_.AppendRecord(stored, slot, GlobalInterner().Intern(stored.user));
+  InsertSorted(&postings_.by_user[stored.user], stored.id);
+  scoring_.AppendRecord(stored, statement,
+                        GlobalInterner().Intern(stored.user));
   if (!feature_rows_lazy_) InsertFeatureRows(stored);
   UpdateSharingGauges();
   return stored.id;
 }
 
-void QueryStore::ShareStatement(QueryRecord* record) {
+StatementId QueryStore::ShareStatement(QueryRecord* record) {
   auto it = statements_.find(record->statement_.get());
   if (it == statements_.end()) {
+    StatementId id;
+    if (free_statement_ids_.empty()) {
+      id = static_cast<StatementId>(postings_.records_of.size());
+      postings_.records_of.emplace_back();
+    } else {
+      id = free_statement_ids_.back();
+      free_statement_ids_.pop_back();
+    }
     it = statements_
              .emplace(record->statement_.get(),
-                      StatementEntry{record->statement_, 0})
+                      StatementEntry{record->statement_, id})
              .first;
+    IndexStatement(id, *record);
   } else if (it->second.statement != record->statement_) {
     record->set_statement(it->second.statement);
   }
-  ++it->second.records;
+  const StatementId id = it->second.id;
+  InsertSorted(&postings_.records_of[id], record->id);
+  const uint32_t slot = scoring_.statement_pop_slot(id);
+  if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
+  return id;
 }
 
 void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
   auto it = statements_.find(&before);
-  if (it != statements_.end() && --it->second.records == 0) {
-    statements_.erase(it);
+  if (it != statements_.end()) {
+    const StatementId old = it->second.id;
+    std::vector<QueryId>& records = postings_.records_of[old];
+    EraseSorted(&records, record->id);
+    const uint32_t slot = scoring_.statement_pop_slot(old);
+    if (slot != ScoringColumns::kNoPopularitySlot) {
+      scoring_.ReleaseSlotRef(slot);
+    }
+    if (records.empty()) {
+      std::vector<QueryId>().swap(records);
+      UnindexStatement(old, before);
+      free_statement_ids_.push_back(old);
+      statements_.erase(it);
+    }
   }
-  ShareStatement(record);
+  scoring_.SetRecordStatement(record->id, ShareStatement(record));
   UpdateSharingGauges();
 }
 
@@ -194,55 +220,49 @@ void QueryStore::MaterializeFeatureRows() const {
   for (const QueryRecord& r : records_) InsertFeatureRows(r);
 }
 
-void QueryStore::IndexRecord(const QueryRecord& record) {
+void QueryStore::IndexStatement(StatementId id, const QueryRecord& record) {
   const Statement& statement = record.statement();
   const SimilaritySignature& signature = statement.signature;
   // Table and attribute posting lists are keyed by the signature's
   // interned Symbols (sorted, deduplicated) — no re-hashing of strings.
   for (Symbol t : signature.tables) {
-    InsertSorted(&postings_.by_table[t], record.id);
+    InsertSorted(&postings_.by_table[t], id);
   }
   for (Symbol a : signature.attributes) {
-    InsertSorted(&postings_.by_attribute[a], record.id);
+    InsertSorted(&postings_.by_attribute[a], id);
   }
-  InsertSorted(&postings_.by_user[record.user], record.id);
   // The signature's token vector is exactly the deduplicated
   // ExtractWords(text), already interned — reuse it.
   for (Symbol token : signature.text_tokens) {
-    InsertSorted(&postings_.by_keyword[token], record.id);
+    InsertSorted(&postings_.by_keyword[token], id);
   }
-  if (!record.parse_failed()) {
-    InsertSorted(&postings_.by_skeleton[statement.skeleton_fingerprint],
-                 record.id);
-    InsertSorted(&postings_.by_fingerprint[record.fingerprint], record.id);
+  if (statement.text_parses) {
+    InsertSorted(&postings_.by_skeleton[statement.skeleton_fingerprint], id);
   }
-  lsh_.Insert(record.id, ComputeMinHashSketch(signature));
+  lsh_.Insert(id, ComputeMinHashSketch(signature));
+  scoring_.SetStatement(id, statement, PopularitySlotFor(record));
 }
 
-void QueryStore::UnindexRecord(const QueryRecord& record) {
-  const Statement& statement = record.statement();
+void QueryStore::UnindexStatement(StatementId id, const Statement& statement) {
   const SimilaritySignature& signature = statement.signature;
-  for (Symbol t : signature.tables) {
-    auto it = postings_.by_table.find(t);
-    if (it != postings_.by_table.end()) EraseSorted(&it->second, record.id);
-  }
-  for (Symbol a : signature.attributes) {
-    auto it = postings_.by_attribute.find(a);
-    if (it != postings_.by_attribute.end()) EraseSorted(&it->second, record.id);
-  }
+  // Erases `id` from the list under `key`, dropping the list when it
+  // empties so churned keys leave no empty vectors behind.
+  auto erase = [id](auto* map, const auto& key) {
+    auto it = map->find(key);
+    if (it == map->end()) return;
+    EraseSorted(&it->second, id);
+    if (it->second.empty()) map->erase(it);
+  };
+  for (Symbol t : signature.tables) erase(&postings_.by_table, t);
+  for (Symbol a : signature.attributes) erase(&postings_.by_attribute, a);
   for (Symbol token : signature.text_tokens) {
-    auto it = postings_.by_keyword.find(token);
-    if (it != postings_.by_keyword.end()) EraseSorted(&it->second, record.id);
+    erase(&postings_.by_keyword, token);
   }
-  if (!record.parse_failed()) {
-    auto it = postings_.by_skeleton.find(statement.skeleton_fingerprint);
-    if (it != postings_.by_skeleton.end()) EraseSorted(&it->second, record.id);
-    auto fit = postings_.by_fingerprint.find(record.fingerprint);
-    if (fit != postings_.by_fingerprint.end()) {
-      EraseSorted(&fit->second, record.id);
-    }
+  if (statement.text_parses) {
+    erase(&postings_.by_skeleton, statement.skeleton_fingerprint);
   }
-  lsh_.Remove(record.id, ComputeMinHashSketch(signature));
+  lsh_.Remove(id, ComputeMinHashSketch(signature));
+  scoring_.ReleaseStatement(id);
 }
 
 void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
@@ -287,62 +307,44 @@ QueryRecord* QueryStore::GetMutable(QueryId id) {
   return slot.get();
 }
 
-const std::vector<QueryId>& QueryStore::QueriesUsingTable(
+std::vector<QueryId> QueryStore::QueriesUsingTable(
     const std::string& table) const {
-  return postings_.UsingTable(table);
-}
-
-const std::vector<QueryId>& QueryStore::QueriesUsingTableSymbol(
-    Symbol table) const {
-  return postings_.UsingTableSymbol(table);
+  return postings_.RecordsOf(postings_.StatementsUsingTable(table));
 }
 
 std::vector<QueryId> QueryStore::QueriesUsingAnyTable(
     const std::vector<std::string>& tables) const {
-  return postings_.UsingAnyTable(tables);
+  return postings_.RecordsOf(postings_.StatementsUsingAnyTable(tables));
 }
 
-std::vector<QueryId> QueryStore::QueriesUsingAnyTableSymbol(
-    const std::vector<Symbol>& tables) const {
-  return postings_.UsingAnyTableSymbol(tables);
-}
-
-const std::vector<QueryId>& QueryStore::QueriesUsingAttribute(
+std::vector<QueryId> QueryStore::QueriesUsingAttribute(
     const std::string& relation, const std::string& attribute) const {
-  return postings_.UsingAttribute(relation, attribute);
-}
-
-const std::vector<QueryId>& QueryStore::QueriesUsingAttributeSymbol(
-    Symbol qualified) const {
-  return postings_.UsingAttributeSymbol(qualified);
+  return postings_.RecordsOf(
+      postings_.StatementsUsingAttribute(relation, attribute));
 }
 
 const std::vector<QueryId>& QueryStore::QueriesByUser(const std::string& user) const {
   return postings_.ByUser(user);
 }
 
-const std::vector<QueryId>& QueryStore::QueriesWithKeyword(
+std::vector<QueryId> QueryStore::QueriesWithKeyword(
     const std::string& word) const {
-  return postings_.WithKeyword(word);
+  return postings_.RecordsOf(postings_.StatementsWithKeyword(word));
 }
 
-const std::vector<QueryId>& QueryStore::QueriesWithKeywordSymbol(
-    Symbol token) const {
-  return postings_.WithKeywordSymbol(token);
-}
-
-const std::vector<QueryId>& QueryStore::QueriesWithSkeleton(
+std::vector<QueryId> QueryStore::QueriesWithSkeleton(
     uint64_t skeleton_fp) const {
-  return postings_.WithSkeleton(skeleton_fp);
+  return postings_.RecordsOf(postings_.StatementsWithSkeleton(skeleton_fp));
 }
 
 std::vector<QueryId> QueryStore::LshCandidates(const MinHashSketch& sketch,
                                                size_t probe_bands) const {
-  return lsh_.Candidates(sketch, probe_bands);
+  return postings_.RecordsOf(lsh_.Candidates(sketch, probe_bands));
 }
 
 uint64_t QueryStore::PopularityOf(uint64_t fingerprint) const {
-  return postings_.PopularityOf(fingerprint);
+  auto it = pop_slot_of_.find(fingerprint);
+  return it == pop_slot_of_.end() ? 0 : scoring_.slot_count(it->second);
 }
 
 Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
@@ -352,13 +354,6 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   QueryRecord rebuilt = BuildRecordFromText(new_text, r->user, r->timestamp);
   if (rebuilt.parse_failed()) {
     return Status::ParseError("repaired text does not parse: " + rebuilt.stats.error);
-  }
-  // Purge index entries derived from the old text before replacing it,
-  // so the record is never findable under features it no longer has.
-  UnindexRecord(*r);
-  uint32_t old_slot = scoring_.pop_slot(id);
-  if (old_slot != ScoringColumns::kNoPopularitySlot) {
-    scoring_.ReleaseSlotRef(old_slot);
   }
   // The rewrite keeps the record's summary and so the output part of its
   // signature. Snapshots and the WAL persist the hashes but not the
@@ -394,10 +389,6 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
       }
     }
   }
-  IndexRecord(*r);
-  uint32_t slot = PopularitySlotFor(*r);
-  if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
-  scoring_.RewriteRecord(*r, slot);
   if (!feature_rows_lazy_) InsertFeatureRows(*r);
   for (StoreListener* l : listeners_) l->OnRewrite(id, r->text);
   MutationTick();
@@ -468,12 +459,12 @@ Status QueryStore::SyncOutputSignature(QueryId id) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
   const Statement& before = r->statement();
-  if (UpdateOutputSignature(r)) Reshare(r, before);
   // A stats refresh usually re-executes to the same output; firing the
   // change feed for a no-op sync would needlessly invalidate the
   // miner's distance cache for exactly the popular, window-resident
   // records maintenance refreshes most often.
-  if (scoring_.SyncOutput(*r)) {
+  if (UpdateOutputSignature(r)) {
+    Reshare(r, before);
     for (StoreListener* l : listeners_) l->OnSyncOutputSignature(id);
     MutationTick();
   }
@@ -489,7 +480,6 @@ Status QueryStore::RestoreOutputSignature(QueryId id,
   if (SetOutputSignature(r, std::move(output_rows), output_empty_computed)) {
     Reshare(r, before);
   }
-  scoring_.SyncOutput(*r);
   MutationTick();
   return Status::Ok();
 }

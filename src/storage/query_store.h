@@ -64,10 +64,11 @@ class QueryStore {
   QueryId Append(QueryRecord record);
 
   /// Pre-sizes the secondary-index hash tables, the LSH buckets and the
-  /// scoring columns for a bulk restore of `records` records referencing
-  /// `symbols` distinct signature Symbols — incremental rehashing while
-  /// a snapshot streams in costs a measurable slice of cold-start.
-  void ReserveForRestore(size_t records, size_t symbols);
+  /// scoring columns for a bulk restore of `records` records over about
+  /// `statements` distinct statements referencing `symbols` distinct
+  /// signature Symbols — incremental rehashing while a snapshot streams
+  /// in costs a measurable slice of cold-start.
+  void ReserveForRestore(size_t records, size_t statements, size_t symbols);
 
   /// Bulk-restore entry for the binary snapshot loader: appends a fully
   /// materialized record — signature, fingerprints, components all
@@ -111,48 +112,35 @@ class QueryStore {
   Micros max_timestamp() const { return max_timestamp_; }
 
   // --- secondary indexes ---------------------------------------------------
-  // Table and attribute posting lists are keyed by the interned Symbol of
-  // the (lower-case) table / "rel.attr" name — the same ids the similarity
-  // signatures carry — so index maintenance reuses the signature's
-  // interning work and the meta-query planner intersects posting lists
-  // without hashing a single string.
+  // The feature posting lists and the LSH index hold StatementIds (see
+  // PostingIndex); the record-id lookups below expand them to ascending
+  // record ids. Table and attribute lists are keyed by the interned
+  // Symbol of the (lower-case) table / "rel.attr" name — the same ids
+  // the similarity signatures carry — so index maintenance reuses the
+  // signature's interning work and the meta-query planner intersects
+  // posting lists without hashing a single string.
+
+  /// The statement-keyed posting lists and statement -> records lists.
+  const PostingIndex& postings() const { return postings_; }
 
   /// Ids of queries whose FROM (at any nesting level) references `table`.
-  const std::vector<QueryId>& QueriesUsingTable(const std::string& table) const;
+  std::vector<QueryId> QueriesUsingTable(const std::string& table) const;
 
-  /// Symbol-keyed variant: `table` is the interned lower-case table name
-  /// (e.g. a probe signature's tables entry). Unknown symbols — including
-  /// hash-derived transient ids — return the empty list.
-  const std::vector<QueryId>& QueriesUsingTableSymbol(Symbol table) const;
-
-  /// Sorted, deduplicated union of QueriesUsingTable over `tables` —
-  /// kNN candidate generation. Concatenates the posting lists into one
-  /// flat vector and sort+uniques it (no per-id node allocations, unlike
-  /// a std::set union).
+  /// Sorted union of QueriesUsingTable over `tables`.
   std::vector<QueryId> QueriesUsingAnyTable(
       const std::vector<std::string>& tables) const;
 
-  /// Symbol-keyed union, for probes that carry an interned signature.
-  std::vector<QueryId> QueriesUsingAnyTableSymbol(
-      const std::vector<Symbol>& tables) const;
-
   /// Ids of queries referencing relation.attribute.
-  const std::vector<QueryId>& QueriesUsingAttribute(const std::string& relation,
-                                                    const std::string& attribute) const;
-
-  /// Symbol-keyed variant: `qualified` is the interned "rel.attr" string.
-  const std::vector<QueryId>& QueriesUsingAttributeSymbol(Symbol qualified) const;
+  std::vector<QueryId> QueriesUsingAttribute(
+      const std::string& relation, const std::string& attribute) const;
 
   const std::vector<QueryId>& QueriesByUser(const std::string& user) const;
 
   /// Ids of queries whose text contains `word` (lower-cased token).
-  const std::vector<QueryId>& QueriesWithKeyword(const std::string& word) const;
-
-  /// Symbol-keyed variant for callers that already resolved the token.
-  const std::vector<QueryId>& QueriesWithKeywordSymbol(Symbol token) const;
+  std::vector<QueryId> QueriesWithKeyword(const std::string& word) const;
 
   /// Ids sharing a structure skeleton (same query modulo constants).
-  const std::vector<QueryId>& QueriesWithSkeleton(uint64_t skeleton_fp) const;
+  std::vector<QueryId> QueriesWithSkeleton(uint64_t skeleton_fp) const;
 
   /// Sorted ids whose MinHash sketch shares at least one LSH band
   /// bucket with `sketch` — the sub-linear kNN candidate set.
@@ -164,20 +152,22 @@ class QueryStore {
   const LshIndex& lsh() const { return lsh_; }
 
   /// How many logged queries share this exact canonical fingerprint —
-  /// the popularity count used by ranking functions.
+  /// the popularity count used by ranking functions (read from the
+  /// scoring columns' per-fingerprint counts).
   uint64_t PopularityOf(uint64_t fingerprint) const;
 
-  /// Columnar copies of the hot scoring fields (flags, quality,
-  /// timestamp, owner, popularity slot, packed signature spans, lowered
-  /// text), maintained through every mutation path. The meta-query
-  /// scoring loop reads candidates from here instead of the record deque.
+  /// Columnar copies of the hot scoring fields (per record: flags,
+  /// quality, timestamp, owner, statement id; per statement: popularity
+  /// slot, packed signature spans, lowered text), maintained through
+  /// every mutation path. The meta-query scoring loop reads candidates
+  /// from here instead of the record deque.
   const ScoringColumns& scoring() const { return scoring_; }
 
-  /// Rebuilds the scoring-column arenas, dropping the garbage orphaned
-  /// by rewrites and output refreshes; returns bytes reclaimed. Spans
-  /// and string_views previously handed out by scoring() are
-  /// invalidated (like a rehash). Maintenance invokes this when
-  /// arena_garbage() crosses its threshold.
+  /// Rebuilds the scoring-column arenas, dropping the runs of statements
+  /// released by rewrites and output refreshes; returns bytes
+  /// reclaimed. Spans and string_views previously handed out by
+  /// scoring() are invalidated (like a rehash). Maintenance invokes this
+  /// when arena_garbage() crosses its threshold.
   size_t CompactScoringArenas() { return scoring_.Compact(); }
 
   // --- record mutation -------------------------------------------------------
@@ -191,9 +181,9 @@ class QueryStore {
   /// preserved, and so are the signature's output-row hashes (refolded
   /// from the summary, or kept as restored when the record has none).
   /// The record moves to the new text's Statement; records sharing its
-  /// old one keep it. Stale secondary-index entries (old tables,
-  /// attributes, keywords, skeleton, fingerprint) are purged, so index
-  /// lookups never return the record under features it no longer has.
+  /// old one keep it. The old statement leaves the indexes with its last
+  /// record, so index lookups never return the record under features it
+  /// no longer has.
   Status RewriteQueryText(QueryId id, const std::string& new_text);
   Status AddFlag(QueryId id, QueryFlags flag);
   Status ClearFlag(QueryId id, QueryFlags flag);
@@ -201,16 +191,17 @@ class QueryStore {
   Status SetQuality(QueryId id, double quality);
 
   /// Recomputes the output-derived signature fields of `id` from its
-  /// current summary and mirrors them into the scoring columns. Callers
-  /// that replace a record's output summary in place (maintenance stats
-  /// refresh) must use this instead of calling UpdateOutputSignature on
-  /// the record directly, or the columnar copy goes stale.
+  /// current summary and re-points the record at the matching statement
+  /// (indexes and scoring columns follow). Callers that replace a
+  /// record's output summary in place (maintenance stats refresh) must
+  /// use this instead of calling UpdateOutputSignature on the record
+  /// directly, or the columnar copy goes stale.
   Status SyncOutputSignature(QueryId id);
 
   /// Restore-grade variant for WAL replay: sets the output-derived
   /// signature fields directly — the summary they were computed from is
-  /// not persisted — and mirrors them into the scoring columns. Never
-  /// notifies the listener.
+  /// not persisted — and re-points the record like SyncOutputSignature.
+  /// Never notifies the listener.
   Status RestoreOutputSignature(QueryId id, std::vector<uint64_t> output_rows,
                                 bool output_empty_computed);
 
@@ -310,9 +301,6 @@ class QueryStore {
   }
 
  private:
-  /// StoreView's live-store facade points straight at postings_.
-  friend class StoreView;
-
   /// Internal StoreListener registered on acl_ by EnableViews so ACL
   /// mutations (AddUser, SetVisibility) tick the publication counter
   /// like record mutations do.
@@ -324,13 +312,16 @@ class QueryStore {
   /// derived structure from it.
   QueryId FinishAppend(QueryRecord record);
   /// Points `record` at the live Statement equal to its own, or enters
-  /// its own into the sharing table when there is none; counts the
-  /// record on the entry.
-  void ShareStatement(QueryRecord* record);
+  /// its own into the sharing table (with a fresh id, indexed) when
+  /// there is none; adds the record to the statement's records and
+  /// popularity count. Returns the statement's id.
+  StatementId ShareStatement(QueryRecord* record);
   /// Re-shares live record `record` after an edit moved it off `before`,
-  /// the statement it held: uncounts it from `before`'s entry (dropping
-  /// the entry with its last record), then ShareStatement. `before` must
-  /// still be in the table, which keeps it alive until here.
+  /// the statement it held: removes it from `before`'s records (when it
+  /// was the last one, unindexes the statement, frees its id and drops
+  /// the entry), then ShareStatement and re-points the scoring row.
+  /// `before` must still be in the table, which keeps it alive until
+  /// here.
   void Reshare(QueryRecord* record, const Statement& before);
   /// Mirrors records_.size() and statements_.size() into the
   /// cqms_store_records / cqms_store_statements gauges.
@@ -339,14 +330,16 @@ class QueryStore {
   /// ScopedPublishBatch is active, republishes. Called at the end of
   /// every successful state-changing mutation.
   void MutationTick();
-  /// Adds `record.id` to every feature-derived index; the LSH entry is
-  /// keyed by ComputeMinHashSketch(record.signature).
-  void IndexRecord(const QueryRecord& record);
-  /// Removes `record.id` from every feature-derived index (tables,
-  /// attributes, keywords, skeleton, fingerprint, LSH) using the
-  /// record's *current* features, re-deriving the sketch it was indexed
-  /// under; called before RewriteQueryText replaces them.
-  void UnindexRecord(const QueryRecord& record);
+  /// Adds statement `id` to every feature-derived index and packs its
+  /// scoring row; the LSH entry is keyed by
+  /// ComputeMinHashSketch(statement.signature). `record` is the
+  /// statement's first record (its fingerprint names the popularity
+  /// slot).
+  void IndexStatement(StatementId id, const QueryRecord& record);
+  /// Removes statement `id` from every feature-derived index (tables,
+  /// attributes, keywords, skeleton, LSH), re-deriving the sketch it was
+  /// indexed under, and releases its scoring row.
+  void UnindexStatement(StatementId id, const Statement& statement);
   void InsertFeatureRows(const QueryRecord& record) const;
   /// Rebuilds every feature-relation row from the current records —
   /// the deferred half of a bulk restore.
@@ -371,10 +364,11 @@ class QueryStore {
   db::Table* predicates_table_ = nullptr;
   Micros max_timestamp_ = 0;
 
-  /// One live distinct Statement and the live records pointing at it.
+  /// One live distinct Statement; its records are
+  /// postings_.records_of[id].
   struct StatementEntry {
     std::shared_ptr<Statement> statement;
-    uint32_t records = 0;
+    StatementId id = 0;
   };
   /// Buckets by text; equality is exact field equality (Statement::
   /// operator==), short-cut when both sides are the same object.
@@ -394,8 +388,11 @@ class QueryStore {
   std::unordered_map<const Statement*, StatementEntry, StatementHash,
                      StatementEqual>
       statements_;
+  /// Ids of released statements, reused (last freed first) before new
+  /// ids are minted.
+  std::vector<StatementId> free_statement_ids_;
 
-  /// The six feature posting lists, as the copyable value a view
+  /// The feature posting lists, as the copyable value a view
   /// publication snapshots wholesale (see PostingIndex for keying).
   PostingIndex postings_;
   std::unordered_map<uint64_t, uint32_t> pop_slot_of_;
@@ -404,7 +401,6 @@ class QueryStore {
   /// Registration-ordered; tiny (the WAL plus the miner's tracker), so
   /// a vector scan beats any indexed structure.
   std::vector<StoreListener*> listeners_;
-  std::vector<QueryId> empty_;
 
   /// Live-path visibility-cache pool (CacheFor), keyed like
   /// ReadViewState::caches_.
@@ -439,7 +435,7 @@ class QueryStore {
 
 inline StoreView::StoreView(const QueryStore& store)
     : store_(&store),
-      postings_(&store.postings_),
+      postings_(&store.postings()),
       scoring_(&store.scoring()),
       lsh_(&store.lsh()),
       acl_(&store.acl()) {}

@@ -1,5 +1,7 @@
 #include "storage/read_view.h"
 
+#include <algorithm>
+
 #include "common/sorted_vector.h"
 #include "common/string_util.h"
 #include "storage/query_store.h"
@@ -8,102 +10,114 @@ namespace cqms::storage {
 
 namespace {
 
-const std::vector<QueryId>& EmptyIds() {
-  static const std::vector<QueryId> empty;
+template <typename Id>
+const std::vector<Id>& Empty() {
+  static const std::vector<Id> empty;
   return empty;
+}
+
+template <typename Key>
+const std::vector<StatementId>& Lookup(
+    const std::unordered_map<Key, std::vector<StatementId>>& map,
+    const Key& key) {
+  auto it = map.find(key);
+  return it == map.end() ? Empty<StatementId>() : it->second;
 }
 
 }  // namespace
 
-const std::vector<QueryId>& PostingIndex::UsingTable(
+const std::vector<StatementId>& PostingIndex::StatementsUsingTable(
     const std::string& table) const {
   // Find() never inserts, so probing unseen names cannot grow the
   // global interner.
-  return UsingTableSymbol(GlobalInterner().Find(ToLower(table)));
+  return StatementsUsingTableSymbol(GlobalInterner().Find(ToLower(table)));
 }
 
-const std::vector<QueryId>& PostingIndex::UsingTableSymbol(
+const std::vector<StatementId>& PostingIndex::StatementsUsingTableSymbol(
     Symbol table) const {
-  if (table == kInvalidSymbol) return EmptyIds();
-  auto it = by_table.find(table);
-  return it == by_table.end() ? EmptyIds() : it->second;
+  if (table == kInvalidSymbol) return Empty<StatementId>();
+  return Lookup(by_table, table);
 }
 
-std::vector<QueryId> PostingIndex::UsingAnyTable(
+std::vector<StatementId> PostingIndex::StatementsUsingAnyTable(
     const std::vector<std::string>& tables) const {
-  std::vector<QueryId> out;
-  if (tables.size() == 1) {
-    out = UsingTable(tables[0]);
-    return out;
-  }
-  size_t total = 0;
-  for (const std::string& t : tables) total += UsingTable(t).size();
-  out.reserve(total);
+  std::vector<Symbol> symbols;
+  symbols.reserve(tables.size());
   for (const std::string& t : tables) {
-    const std::vector<QueryId>& ids = UsingTable(t);
-    out.insert(out.end(), ids.begin(), ids.end());
+    symbols.push_back(GlobalInterner().Find(ToLower(t)));
   }
-  SortUnique(&out);
-  return out;
+  return StatementsUsingAnyTableSymbol(symbols);
 }
 
-std::vector<QueryId> PostingIndex::UsingAnyTableSymbol(
+std::vector<StatementId> PostingIndex::StatementsUsingAnyTableSymbol(
     const std::vector<Symbol>& tables) const {
-  std::vector<QueryId> out;
+  std::vector<StatementId> out;
   if (tables.size() == 1) {
-    out = UsingTableSymbol(tables[0]);
+    out = StatementsUsingTableSymbol(tables[0]);
     return out;
   }
   size_t total = 0;
-  for (Symbol t : tables) total += UsingTableSymbol(t).size();
+  for (Symbol t : tables) total += StatementsUsingTableSymbol(t).size();
   out.reserve(total);
   for (Symbol t : tables) {
-    const std::vector<QueryId>& ids = UsingTableSymbol(t);
+    const std::vector<StatementId>& ids = StatementsUsingTableSymbol(t);
     out.insert(out.end(), ids.begin(), ids.end());
   }
   SortUnique(&out);
   return out;
 }
 
-const std::vector<QueryId>& PostingIndex::UsingAttribute(
+const std::vector<StatementId>& PostingIndex::StatementsUsingAttribute(
     const std::string& relation, const std::string& attribute) const {
-  return UsingAttributeSymbol(
-      GlobalInterner().Find(ToLower(relation) + "." + ToLower(attribute)));
+  Symbol qualified =
+      GlobalInterner().Find(ToLower(relation) + "." + ToLower(attribute));
+  if (qualified == kInvalidSymbol) return Empty<StatementId>();
+  return Lookup(by_attribute, qualified);
 }
 
-const std::vector<QueryId>& PostingIndex::UsingAttributeSymbol(
-    Symbol qualified) const {
-  if (qualified == kInvalidSymbol) return EmptyIds();
-  auto it = by_attribute.find(qualified);
-  return it == by_attribute.end() ? EmptyIds() : it->second;
-}
-
-const std::vector<QueryId>& PostingIndex::ByUser(const std::string& user) const {
-  auto it = by_user.find(user);
-  return it == by_user.end() ? EmptyIds() : it->second;
-}
-
-const std::vector<QueryId>& PostingIndex::WithKeyword(
+const std::vector<StatementId>& PostingIndex::StatementsWithKeyword(
     const std::string& word) const {
-  return WithKeywordSymbol(GlobalInterner().Find(ToLower(word)));
+  return StatementsWithKeywordSymbol(GlobalInterner().Find(ToLower(word)));
 }
 
-const std::vector<QueryId>& PostingIndex::WithKeywordSymbol(
+const std::vector<StatementId>& PostingIndex::StatementsWithKeywordSymbol(
     Symbol token) const {
-  if (token == kInvalidSymbol) return EmptyIds();
-  auto it = by_keyword.find(token);
-  return it == by_keyword.end() ? EmptyIds() : it->second;
+  if (token == kInvalidSymbol) return Empty<StatementId>();
+  return Lookup(by_keyword, token);
 }
 
-const std::vector<QueryId>& PostingIndex::WithSkeleton(
+const std::vector<StatementId>& PostingIndex::StatementsWithSkeleton(
     uint64_t skeleton_fp) const {
-  auto it = by_skeleton.find(skeleton_fp);
-  return it == by_skeleton.end() ? EmptyIds() : it->second;
+  return Lookup(by_skeleton, skeleton_fp);
 }
 
-uint64_t PostingIndex::PopularityOf(uint64_t fingerprint) const {
-  auto it = by_fingerprint.find(fingerprint);
-  return it == by_fingerprint.end() ? 0 : it->second.size();
+const std::vector<QueryId>& PostingIndex::ByUser(
+    const std::string& user) const {
+  auto it = by_user.find(user);
+  return it == by_user.end() ? Empty<QueryId>() : it->second;
+}
+
+const std::vector<QueryId>& PostingIndex::RecordsOf(StatementId s) const {
+  return s < records_of.size() ? records_of[s] : Empty<QueryId>();
+}
+
+std::vector<QueryId> PostingIndex::RecordsOf(
+    const std::vector<StatementId>& statements) const {
+  std::vector<QueryId> out;
+  out.reserve(RecordCount(statements));
+  for (StatementId s : statements) {
+    const std::vector<QueryId>& ids = RecordsOf(s);
+    out.insert(out.end(), ids.begin(), ids.end());
+  }
+  if (statements.size() > 1) std::sort(out.begin(), out.end());
+  return out;
+}
+
+size_t PostingIndex::RecordCount(
+    const std::vector<StatementId>& statements) const {
+  size_t total = 0;
+  for (StatementId s : statements) total += RecordsOf(s).size();
+  return total;
 }
 
 // Out-of-line: ~map<..., unique_ptr<VisibilityCache>> needs the

@@ -24,37 +24,57 @@ class QueryStore;
 class ReadViewState;
 class VisibilityCache;
 
-/// The QueryStore's six feature posting lists as one copyable value.
-/// The store maintains the live instance through Append / Rewrite /
-/// Delete; publishing a read view copies it wholesale, so every lookup
-/// below works identically against the live store and a frozen view.
-/// Symbol-keyed maps use the same interned ids the similarity
+/// The QueryStore's feature posting lists as one copyable value. The
+/// store maintains the live instance through Append / Rewrite / output
+/// refreshes; publishing a read view copies it wholesale, so every
+/// lookup below works identically against the live store and a frozen
+/// view. Symbol-keyed maps use the same interned ids the similarity
 /// signatures carry (see QueryStore's index commentary).
+///
+/// Feature lists hold StatementIds: a statement is indexed once, when
+/// it gains its first record, and unindexed when its last record moves
+/// off. `records_of` expands a statement to its records (deleted ones
+/// included: visibility filters them). `by_user` is per record.
 struct PostingIndex {
-  std::unordered_map<Symbol, std::vector<QueryId>> by_table;
-  std::unordered_map<Symbol, std::vector<QueryId>> by_attribute;
+  std::unordered_map<Symbol, std::vector<StatementId>> by_table;
+  std::unordered_map<Symbol, std::vector<StatementId>> by_attribute;
+  std::unordered_map<Symbol, std::vector<StatementId>> by_keyword;
+  std::unordered_map<uint64_t, std::vector<StatementId>> by_skeleton;
   std::unordered_map<std::string, std::vector<QueryId>> by_user;
-  std::unordered_map<Symbol, std::vector<QueryId>> by_keyword;
-  std::unordered_map<uint64_t, std::vector<QueryId>> by_skeleton;
-  std::unordered_map<uint64_t, std::vector<QueryId>> by_fingerprint;
+  /// Ascending ids of each statement's records; empty for ids no live
+  /// statement holds.
+  std::vector<std::vector<QueryId>> records_of;
 
-  // Lookups mirror the QueryStore query API; unknown keys (including
-  // kInvalidSymbol from probing strings the interner never saw) return
-  // a shared empty list.
-  const std::vector<QueryId>& UsingTable(const std::string& table) const;
-  const std::vector<QueryId>& UsingTableSymbol(Symbol table) const;
-  std::vector<QueryId> UsingAnyTable(
+  // Statement lookups; unknown keys (including kInvalidSymbol from
+  // probing strings the interner never saw) return a shared empty list.
+  const std::vector<StatementId>& StatementsUsingTable(
+      const std::string& table) const;
+  const std::vector<StatementId>& StatementsUsingTableSymbol(
+      Symbol table) const;
+  /// Sorted, deduplicated union over `tables` — kNN candidate
+  /// generation.
+  std::vector<StatementId> StatementsUsingAnyTable(
       const std::vector<std::string>& tables) const;
-  std::vector<QueryId> UsingAnyTableSymbol(
+  std::vector<StatementId> StatementsUsingAnyTableSymbol(
       const std::vector<Symbol>& tables) const;
-  const std::vector<QueryId>& UsingAttribute(
+  const std::vector<StatementId>& StatementsUsingAttribute(
       const std::string& relation, const std::string& attribute) const;
-  const std::vector<QueryId>& UsingAttributeSymbol(Symbol qualified) const;
+  const std::vector<StatementId>& StatementsWithKeyword(
+      const std::string& word) const;
+  const std::vector<StatementId>& StatementsWithKeywordSymbol(
+      Symbol token) const;
+  const std::vector<StatementId>& StatementsWithSkeleton(
+      uint64_t skeleton_fp) const;
+
   const std::vector<QueryId>& ByUser(const std::string& user) const;
-  const std::vector<QueryId>& WithKeyword(const std::string& word) const;
-  const std::vector<QueryId>& WithKeywordSymbol(Symbol token) const;
-  const std::vector<QueryId>& WithSkeleton(uint64_t skeleton_fp) const;
-  uint64_t PopularityOf(uint64_t fingerprint) const;
+  /// The records of statement `s` (empty for an unknown id).
+  const std::vector<QueryId>& RecordsOf(StatementId s) const;
+  /// Ascending ids of every record of `statements` (a statement's
+  /// records belong to no other, so the expansion has no duplicates).
+  std::vector<QueryId> RecordsOf(
+      const std::vector<StatementId>& statements) const;
+  /// RecordsOf(statements).size(), without materializing it.
+  size_t RecordCount(const std::vector<StatementId>& statements) const;
 };
 
 /// Uniform read facade over either the live QueryStore or a published
@@ -73,46 +93,7 @@ class StoreView {
   /// Frozen-view facade; defined below ReadViewState.
   explicit StoreView(const ReadViewState& view);
 
-  // Posting-list lookups — straight delegation, no branching.
-  const std::vector<QueryId>& QueriesUsingTable(const std::string& table) const {
-    return postings_->UsingTable(table);
-  }
-  const std::vector<QueryId>& QueriesUsingTableSymbol(Symbol table) const {
-    return postings_->UsingTableSymbol(table);
-  }
-  std::vector<QueryId> QueriesUsingAnyTable(
-      const std::vector<std::string>& tables) const {
-    return postings_->UsingAnyTable(tables);
-  }
-  std::vector<QueryId> QueriesUsingAnyTableSymbol(
-      const std::vector<Symbol>& tables) const {
-    return postings_->UsingAnyTableSymbol(tables);
-  }
-  const std::vector<QueryId>& QueriesUsingAttribute(
-      const std::string& relation, const std::string& attribute) const {
-    return postings_->UsingAttribute(relation, attribute);
-  }
-  const std::vector<QueryId>& QueriesByUser(const std::string& user) const {
-    return postings_->ByUser(user);
-  }
-  const std::vector<QueryId>& QueriesWithKeyword(const std::string& word) const {
-    return postings_->WithKeyword(word);
-  }
-  const std::vector<QueryId>& QueriesWithKeywordSymbol(Symbol token) const {
-    return postings_->WithKeywordSymbol(token);
-  }
-  const std::vector<QueryId>& QueriesWithSkeleton(uint64_t skeleton_fp) const {
-    return postings_->WithSkeleton(skeleton_fp);
-  }
-  uint64_t PopularityOf(uint64_t fingerprint) const {
-    return postings_->PopularityOf(fingerprint);
-  }
-  std::vector<QueryId> LshCandidates(const MinHashSketch& sketch,
-                                     size_t probe_bands = 0,
-                                     LshProbeScratch* scratch = nullptr) const {
-    return lsh_->Candidates(sketch, probe_bands, scratch);
-  }
-
+  const PostingIndex& postings() const { return *postings_; }
   const ScoringColumns& scoring() const { return *scoring_; }
   const LshIndex& lsh() const { return *lsh_; }
   const AccessControl& acl() const { return *acl_; }
@@ -142,7 +123,7 @@ class StoreView {
 /// One published, immutable snapshot of everything the read path
 /// touches: the record log (as shared_ptr copies — records themselves
 /// are shared with the store, copy-on-write protected), the scoring
-/// columns, the six posting lists, the LSH index and the ACL. Built by
+/// columns, the posting lists, the LSH index and the ACL. Built by
 /// QueryStore::PublishView on the writer thread; after publication it
 /// is never mutated (the per-viewer visibility-cache pool below is
 /// internally synchronized memoization, not state), so any number of

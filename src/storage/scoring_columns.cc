@@ -12,21 +12,29 @@ uint16_t Clamp16(size_t n) {
   return static_cast<uint16_t>(std::min<size_t>(n, 0xFFFF));
 }
 
+size_t RunBytes(const ScoringColumns::SignatureRef& ref) {
+  return sizeof(Symbol) * (static_cast<size_t>(ref.n_tables) +
+                           ref.n_skeletons + ref.n_attributes +
+                           ref.n_projections + ref.n_tokens) +
+         sizeof(uint64_t) * ref.n_output + ref.text_len;
+}
+
 }  // namespace
 
-void ScoringColumns::Reserve(size_t records) {
+void ScoringColumns::Reserve(size_t records, size_t statements) {
   flags_.reserve(records);
   quality_.reserve(records);
   timestamp_.reserve(records);
   owner_.reserve(records);
-  pop_slot_.reserve(records);
-  sig_.reserve(records);
-  pop_counts_.reserve(records);
+  stmt_.reserve(records);
+  sig_.reserve(statements);
+  stmt_pop_slot_.reserve(statements);
+  pop_counts_.reserve(statements);
 }
 
-ScoringColumns::SignatureRef ScoringColumns::PackRecord(
-    const QueryRecord& record) {
-  const SimilaritySignature& sig = record.statement().signature;
+void ScoringColumns::SetStatement(StatementId s, const Statement& statement,
+                                  uint32_t pop_slot) {
+  const SimilaritySignature& sig = statement.signature;
   SignatureRef ref;
   ref.begin = static_cast<uint32_t>(sym_arena_.size());
   // Signature vectors are bounded by the tokens of one SQL statement, so
@@ -58,71 +66,43 @@ ScoringColumns::SignatureRef ScoringColumns::PackRecord(
   out_arena_.insert(out_arena_.end(), sig.output_rows.begin(),
                     sig.output_rows.end());
 
-  std::string lowered = ToLower(record.text);
+  std::string lowered = ToLower(statement.text);
   ref.text_begin = static_cast<uint32_t>(text_arena_.size());
   ref.text_len = static_cast<uint32_t>(lowered.size());
   text_arena_ += lowered;
 
   ref.bits = 0;
   if (sig.valid && !clamped) ref.bits |= kSigValid;
-  if (!record.parse_failed()) ref.bits |= kSigParsed;
+  if (statement.text_parses) ref.bits |= kSigParsed;
   if (sig.output_empty_computed) ref.bits |= kSigOutputEmptyComputed;
-  return ref;
+
+  if (s >= sig_.size()) {
+    sig_.resize(static_cast<size_t>(s) + 1);
+    stmt_pop_slot_.resize(static_cast<size_t>(s) + 1, kNoPopularitySlot);
+  }
+  sig_[s] = ref;
+  stmt_pop_slot_[s] = pop_slot;
 }
 
-void ScoringColumns::AppendRecord(const QueryRecord& record, uint32_t pop_slot,
-                                  Symbol owner) {
+void ScoringColumns::ReleaseStatement(StatementId s) {
+  arena_garbage_ += RunBytes(sig_[s]);
+  sig_[s] = SignatureRef();
+  stmt_pop_slot_[s] = kNoPopularitySlot;
+}
+
+void ScoringColumns::AppendRecord(const QueryRecord& record,
+                                  StatementId statement, Symbol owner) {
   flags_.push_back(record.flags);
   quality_.push_back(record.quality);
   timestamp_.push_back(record.timestamp);
   owner_.push_back(owner);
-  pop_slot_.push_back(pop_slot);
-  sig_.push_back(PackRecord(record));
-}
-
-void ScoringColumns::RewriteRecord(const QueryRecord& record,
-                                   uint32_t pop_slot) {
-  size_t idx = static_cast<size_t>(record.id);
-  const SignatureRef& old = sig_[idx];
-  arena_garbage_ += sizeof(Symbol) * (old.n_tables + old.n_skeletons +
-                                      old.n_attributes + old.n_projections +
-                                      old.n_tokens) +
-                    sizeof(uint64_t) * old.n_output + old.text_len;
-  pop_slot_[idx] = pop_slot;
-  flags_[idx] = record.flags;
-  sig_[idx] = PackRecord(record);
-}
-
-bool ScoringColumns::SyncOutput(const QueryRecord& record) {
-  size_t idx = static_cast<size_t>(record.id);
-  SignatureRef& ref = sig_[idx];
-  const SimilaritySignature& sig = record.statement().signature;
-  // Stats refresh usually re-executes to the same output; reuse the
-  // existing run when the hashes are unchanged instead of orphaning it.
-  bool unchanged =
-      ref.n_output == sig.output_rows.size() &&
-      std::equal(sig.output_rows.begin(), sig.output_rows.end(),
-                 out_arena_.begin() + ref.out_begin);
-  if (!unchanged) {
-    arena_garbage_ += sizeof(uint64_t) * ref.n_output;
-    ref.out_begin = static_cast<uint32_t>(out_arena_.size());
-    ref.n_output = static_cast<uint32_t>(sig.output_rows.size());
-    out_arena_.insert(out_arena_.end(), sig.output_rows.begin(),
-                      sig.output_rows.end());
-  }
-  const uint8_t old_bits = ref.bits;
-  if (sig.output_empty_computed) {
-    ref.bits |= kSigOutputEmptyComputed;
-  } else {
-    ref.bits &= static_cast<uint8_t>(~kSigOutputEmptyComputed);
-  }
-  return !unchanged || ref.bits != old_bits;
+  stmt_.push_back(statement);
 }
 
 size_t ScoringColumns::Compact() {
   // Size the fresh arenas exactly: one pass summing the live runs, one
-  // pass copying them. Directory entries are rewritten in id order, so
-  // the compacted arenas are also append-ordered again.
+  // pass copying them. Released rows are all zero and copy nothing, and
+  // rows are rewritten in statement-id order.
   size_t live_syms = 0, live_out = 0, live_text = 0;
   for (const SignatureRef& ref : sig_) {
     live_syms += static_cast<size_t>(ref.n_tables) + ref.n_skeletons +
@@ -168,8 +148,8 @@ uint32_t ScoringColumns::NewPopularitySlot() {
   return static_cast<uint32_t>(pop_counts_.size() - 1);
 }
 
-bool ScoringColumns::TokenPresent(QueryId id, Symbol token) const {
-  SymbolSpan span = tokens(id);
+bool ScoringColumns::StatementRow::TokenPresent(Symbol token) const {
+  SymbolSpan span = tokens();
   return std::binary_search(span.data, span.data + span.size, token);
 }
 

@@ -11,35 +11,35 @@
 
 namespace cqms::storage {
 
-/// Columnar copies of every record field the meta-query scoring loop
-/// touches, maintained by QueryStore alongside its secondary indexes.
+/// Columnar copies of every field the meta-query scoring loop touches,
+/// maintained by QueryStore alongside its secondary indexes.
 ///
 /// The kNN/ranking inner loop visits thousands of candidates per call;
-/// reading each one through the record deque costs a scattered ~500-byte
-/// struct touch plus one heap hop per signature vector plus a
-/// fingerprint hash lookup for popularity — the ~200ns/candidate
-/// memory-bound profile the roadmap describes. This side-table packs the
-/// hot fields the loop actually reads into parallel vectors (one
-/// contiguous row per record) and concatenates every record's signature
-/// into two shared arenas, so scoring streams cache lines instead of
-/// chasing pointers:
+/// reading each one through the record deque costs a scattered struct
+/// touch plus one heap hop per signature vector plus a fingerprint hash
+/// lookup for popularity. This side-table packs the hot fields into
+/// parallel vectors and concatenates the signatures into shared arenas,
+/// so scoring streams cache lines instead of chasing pointers. Fields
+/// that derive from a record's text live once per distinct statement
+/// (QueryStore's dense StatementId); the per-run fields live per record:
 ///
-///   - flags / quality / timestamp / owner-Symbol scalars,
-///   - a popularity *slot* index into a shared per-fingerprint count
-///     vector (popularity becomes two dependent array loads, no hashing),
-///   - the similarity signature as spans into a Symbol arena plus an
-///     output-row-hash arena,
-///   - the lower-cased query text in a character arena (substring scans
-///     stop re-lowercasing the whole log per call).
+///   - per record: flags / quality / timestamp / owner-Symbol scalars
+///     and the record's StatementId;
+///   - per statement: the similarity signature as spans into a Symbol
+///     arena plus an output-row-hash arena, the lower-cased text in a
+///     character arena (substring scans stop re-lowercasing the log per
+///     call), and a popularity *slot* index into a shared
+///     per-fingerprint count vector (popularity becomes two dependent
+///     array loads, no hashing).
 ///
-/// Coherence: QueryStore updates the columns in Append, RewriteQueryText,
-/// flag/quality mutators and SyncOutputSignature. A rewrite re-packs the
-/// record's arena runs at the arena tail and orphans the old runs
-/// (rewrites are rare repair events; `arena_garbage()` reports the dead
-/// volume should compaction ever become worthwhile).
+/// Coherence: QueryStore packs a statement's row when the statement
+/// gains its first record and releases it when the last one moves off
+/// (rewrite or output refresh); those edits only re-point the record.
+/// A released row's runs stay in the arenas as garbage (`arena_garbage()`)
+/// until Compact() reclaims them.
 class ScoringColumns {
  public:
-  /// pop_slot value for records that carry no canonical fingerprint
+  /// Popularity slot of statements that carry no canonical fingerprint
   /// (parse failures); their popularity reads as 0.
   static constexpr uint32_t kNoPopularitySlot = 0xFFFFFFFFu;
 
@@ -48,13 +48,13 @@ class ScoringColumns {
   static constexpr uint8_t kSigParsed = 1u << 1;
   static constexpr uint8_t kSigOutputEmptyComputed = 1u << 2;
 
-  /// Packed directory entry locating one record's signature inside the
-  /// arenas. Section order in the Symbol arena: tables, predicate
+  /// Packed directory entry locating one statement's signature inside
+  /// the arenas. Section order in the Symbol arena: tables, predicate
   /// skeletons, attributes, projections, text tokens — each sorted
-  /// ascending and deduplicated, exactly the record's
-  /// SimilaritySignature vectors.
+  /// ascending and deduplicated, exactly the statement's
+  /// SimilaritySignature vectors. All zero for a released statement id.
   struct SignatureRef {
-    uint32_t begin = 0;  ///< First Symbol of this record's runs.
+    uint32_t begin = 0;  ///< First Symbol of this statement's runs.
     uint16_t n_tables = 0;
     uint16_t n_skeletons = 0;
     uint16_t n_attributes = 0;
@@ -76,30 +76,90 @@ class ScoringColumns {
     size_t size = 0;
   };
 
+  /// Read handle on one statement's row. Invalidated, like the spans it
+  /// hands out, by Compact() and by any mutation of the columns.
+  class StatementRow {
+   public:
+    bool signature_valid() const { return (ref_->bits & kSigValid) != 0; }
+    bool parse_failed() const { return (ref_->bits & kSigParsed) == 0; }
+    bool output_empty_computed() const {
+      return (ref_->bits & kSigOutputEmptyComputed) != 0;
+    }
+    SymbolSpan tables() const { return {syms(), ref_->n_tables}; }
+    SymbolSpan skeletons() const {
+      return {syms() + ref_->n_tables, ref_->n_skeletons};
+    }
+    SymbolSpan attributes() const {
+      return {syms() + ref_->n_tables + ref_->n_skeletons,
+              ref_->n_attributes};
+    }
+    SymbolSpan projections() const {
+      return {syms() + ref_->n_tables + ref_->n_skeletons + ref_->n_attributes,
+              ref_->n_projections};
+    }
+    SymbolSpan tokens() const {
+      return {syms() + ref_->n_tables + ref_->n_skeletons +
+                  ref_->n_attributes + ref_->n_projections,
+              ref_->n_tokens};
+    }
+    HashSpan output_rows() const {
+      return {cols_->out_arena_.data() + ref_->out_begin, ref_->n_output};
+    }
+    /// The statement's text, lower-cased once when the row was packed.
+    std::string_view lowered_text() const {
+      return std::string_view(cols_->text_arena_.data() + ref_->text_begin,
+                              ref_->text_len);
+    }
+    /// Canonical-duplicate count of the statement's fingerprint over
+    /// every stored record (0 for parse failures).
+    uint64_t popularity() const {
+      return pop_slot_ == kNoPopularitySlot ? 0 : cols_->pop_counts_[pop_slot_];
+    }
+    /// True when the (sorted) token section contains `token`.
+    bool TokenPresent(Symbol token) const;
+
+   private:
+    friend class ScoringColumns;
+    StatementRow(const ScoringColumns* cols, StatementId s)
+        : cols_(cols),
+          ref_(&cols->sig_[s]),
+          pop_slot_(cols->stmt_pop_slot_[s]) {}
+    const Symbol* syms() const {
+      return cols_->sym_arena_.data() + ref_->begin;
+    }
+
+    const ScoringColumns* cols_;
+    const SignatureRef* ref_;
+    uint32_t pop_slot_;
+  };
+
+  /// Records with a row.
   size_t size() const { return flags_.size(); }
 
   // --- maintenance (QueryStore only) --------------------------------------
 
-  /// Pre-sizes the per-record column vectors for `records` rows (bulk
-  /// snapshot restore; arenas still grow on demand).
-  void Reserve(size_t records);
+  /// Pre-sizes the per-record and per-statement vectors (bulk snapshot
+  /// restore; arenas still grow on demand).
+  void Reserve(size_t records, size_t statements);
 
-  /// Appends the columnar row of a just-stored record. `record.id` must
+  /// Packs the row of statement `s` (a new or reused id): signature runs
+  /// and lowered text go to the arena tails.
+  void SetStatement(StatementId s, const Statement& statement,
+                    uint32_t pop_slot);
+
+  /// Orphans the runs of a statement that lost its last record; they
+  /// count as arena_garbage() until Compact().
+  void ReleaseStatement(StatementId s);
+
+  /// Appends the per-run row of a just-stored record. `record.id` must
   /// equal size(). `owner` is the interned record.user.
-  void AppendRecord(const QueryRecord& record, uint32_t pop_slot, Symbol owner);
+  void AppendRecord(const QueryRecord& record, StatementId statement,
+                    Symbol owner);
 
-  /// Re-packs a rewritten record: new signature runs and lowered text go
-  /// to the arena tails, the popularity slot is replaced. Scalars that
-  /// RewriteQueryText preserves (quality, timestamp, owner) are kept.
-  void RewriteRecord(const QueryRecord& record, uint32_t pop_slot);
-
-  /// Refreshes only the output-derived signature section after a summary
-  /// replacement (maintenance stats refresh). Returns whether anything
-  /// actually changed (hash run or the empty-computed bit) — a stats
-  /// refresh usually re-executes to the same output, and callers use
-  /// this to skip change-feed notifications for no-op syncs.
-  bool SyncOutput(const QueryRecord& record);
-
+  /// Re-points a record at the statement it now holds.
+  void SetRecordStatement(QueryId id, StatementId statement) {
+    stmt_[static_cast<size_t>(id)] = statement;
+  }
   void SetFlags(QueryId id, uint32_t flags) {
     flags_[static_cast<size_t>(id)] = flags;
   }
@@ -111,6 +171,10 @@ class ScoringColumns {
   uint32_t NewPopularitySlot();
   void AddSlotRef(uint32_t slot) { ++pop_counts_[slot]; }
   void ReleaseSlotRef(uint32_t slot) { --pop_counts_[slot]; }
+  uint64_t slot_count(uint32_t slot) const { return pop_counts_[slot]; }
+  uint32_t statement_pop_slot(StatementId s) const {
+    return stmt_pop_slot_[s];
+  }
 
   // --- hot reads ----------------------------------------------------------
 
@@ -120,89 +184,63 @@ class ScoringColumns {
     return timestamp_[static_cast<size_t>(id)];
   }
   Symbol owner(QueryId id) const { return owner_[static_cast<size_t>(id)]; }
-  uint32_t pop_slot(QueryId id) const {
-    return pop_slot_[static_cast<size_t>(id)];
-  }
-  /// Canonical-duplicate count of the record's fingerprint (0 for parse
-  /// failures) — equals QueryStore::PopularityOf(record.fingerprint).
-  uint64_t popularity(QueryId id) const {
-    uint32_t slot = pop_slot_[static_cast<size_t>(id)];
-    return slot == kNoPopularitySlot ? 0 : pop_counts_[slot];
+  StatementId statement_of(QueryId id) const {
+    return stmt_[static_cast<size_t>(id)];
   }
 
+  StatementRow statement_row(StatementId s) const {
+    return StatementRow(this, s);
+  }
+  /// The row of the statement record `id` holds.
+  StatementRow row_of(QueryId id) const {
+    return statement_row(statement_of(id));
+  }
+
+  // Per-record shorthands for row_of(id).
+  uint64_t popularity(QueryId id) const { return row_of(id).popularity(); }
   bool signature_valid(QueryId id) const {
-    return (sig_[static_cast<size_t>(id)].bits & kSigValid) != 0;
+    return row_of(id).signature_valid();
   }
-  bool parse_failed(QueryId id) const {
-    return (sig_[static_cast<size_t>(id)].bits & kSigParsed) == 0;
-  }
+  bool parse_failed(QueryId id) const { return row_of(id).parse_failed(); }
   bool output_empty_computed(QueryId id) const {
-    return (sig_[static_cast<size_t>(id)].bits & kSigOutputEmptyComputed) != 0;
+    return row_of(id).output_empty_computed();
   }
-
-  SymbolSpan tables(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {sym_arena_.data() + s.begin, s.n_tables};
-  }
-  SymbolSpan skeletons(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {sym_arena_.data() + s.begin + s.n_tables, s.n_skeletons};
-  }
-  SymbolSpan attributes(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {sym_arena_.data() + s.begin + s.n_tables + s.n_skeletons,
-            s.n_attributes};
-  }
+  SymbolSpan tables(QueryId id) const { return row_of(id).tables(); }
+  SymbolSpan skeletons(QueryId id) const { return row_of(id).skeletons(); }
+  SymbolSpan attributes(QueryId id) const { return row_of(id).attributes(); }
   SymbolSpan projections(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {sym_arena_.data() + s.begin + s.n_tables + s.n_skeletons +
-                s.n_attributes,
-            s.n_projections};
+    return row_of(id).projections();
   }
-  SymbolSpan tokens(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {sym_arena_.data() + s.begin + s.n_tables + s.n_skeletons +
-                s.n_attributes + s.n_projections,
-            s.n_tokens};
-  }
-  HashSpan output_rows(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return {out_arena_.data() + s.out_begin, s.n_output};
-  }
-
-  /// The record's query text, lower-cased once at append/rewrite time.
+  SymbolSpan tokens(QueryId id) const { return row_of(id).tokens(); }
+  HashSpan output_rows(QueryId id) const { return row_of(id).output_rows(); }
   std::string_view lowered_text(QueryId id) const {
-    const SignatureRef& s = sig_[static_cast<size_t>(id)];
-    return std::string_view(text_arena_.data() + s.text_begin, s.text_len);
+    return row_of(id).lowered_text();
   }
 
-  /// True when the record's (sorted) token section contains `token`.
-  bool TokenPresent(QueryId id, Symbol token) const;
-
-  /// Dead arena bytes (Symbol runs, output hashes and lowered text)
-  /// orphaned by rewrites and output refreshes — the signal the
-  /// maintenance pass compares against its compaction threshold.
+  /// Dead arena bytes (Symbol runs, output hashes and lowered text) of
+  /// released statements — the signal the maintenance pass compares
+  /// against its compaction threshold.
   size_t arena_garbage() const { return arena_garbage_; }
 
-  /// Rebuilds the three arenas in id order, dropping every orphaned
-  /// run, and resets arena_garbage() to zero. Returns the bytes
-  /// reclaimed. Invalidates any outstanding SymbolSpan/HashSpan/
+  /// Rebuilds the three arenas in statement-id order, dropping every
+  /// orphaned run, and resets arena_garbage() to zero. Returns the bytes
+  /// reclaimed. Invalidates any outstanding StatementRow, span or
   /// string_view handed out by the accessors (like a rehash); callers
   /// hold none across mutations, so maintenance runs this safely
   /// between queries.
   size_t Compact();
 
  private:
-  /// Appends signature runs + lowered text at the arena tails and
-  /// returns the directory entry describing them.
-  SignatureRef PackRecord(const QueryRecord& record);
-
+  // Per record.
   std::vector<uint32_t> flags_;
   std::vector<double> quality_;
   std::vector<int64_t> timestamp_;
   std::vector<Symbol> owner_;
-  std::vector<uint32_t> pop_slot_;
+  std::vector<StatementId> stmt_;
+  // Per statement id.
   std::vector<SignatureRef> sig_;
+  std::vector<uint32_t> stmt_pop_slot_;
+
   std::vector<uint64_t> pop_counts_;  ///< Count per popularity slot.
   std::vector<Symbol> sym_arena_;
   std::vector<uint64_t> out_arena_;

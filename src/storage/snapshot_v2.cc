@@ -817,7 +817,10 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         if (r.failed() || count > r.remaining()) {
           return CorruptSnapshot(label, "record count");
         }
-        store->ReserveForRestore(count, remap.map.size());
+        // A format-4 image names its statement count; older ones hold
+        // at most one statement per record.
+        store->ReserveForRestore(count, whole ? count : statements.size(),
+                                 remap.map.size());
         for (uint64_t i = 0; i < count; ++i) {
           QueryRecord record;
           CQMS_RETURN_IF_ERROR(

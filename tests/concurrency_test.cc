@@ -118,7 +118,7 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
   }
 
   std::vector<MinHashSketch> sketches;
-  std::vector<std::vector<QueryId>> expected;
+  std::vector<std::vector<StatementId>> expected;
   for (const QueryRecord& p : probes) {
     sketches.push_back(ComputeMinHashSketch(p.statement().signature));
     expected.push_back(store.lsh().Candidates(sketches.back()));
@@ -131,7 +131,7 @@ TEST(LshScratchTest, ConcurrentCandidatesMatchSerial) {
       LshProbeScratch scratch;  // caller-owned, reused across probes
       for (int iter = 0; iter < 50; ++iter) {
         size_t pi = static_cast<size_t>((t + iter) % probes.size());
-        std::vector<QueryId> got =
+        std::vector<StatementId> got =
             store.lsh().Candidates(sketches[pi], 0, &scratch);
         if (got != expected[pi]) mismatches.fetch_add(1);
         // Also exercise the thread_local fallback path.
@@ -212,14 +212,20 @@ TEST(ReadViewTest, PinnedViewIsSnapshotIsolated) {
   // The pinned view still shows the pre-mutation world.
   EXPECT_EQ(view->size(), 1u);
   EXPECT_FALSE(view->Get(a)->HasFlag(kFlagObsolete));  // COW protected
-  EXPECT_EQ(view->postings().UsingTable("plants").size(), 0u);
+  EXPECT_EQ(view->postings()
+                .RecordsOf(view->postings().StatementsUsingTable("plants"))
+                .size(),
+            0u);
 
   // A fresh pin sees everything.
   PinnedView fresh = store.PinView();
   EXPECT_GT(fresh->sequence(), pinned_seq);
   EXPECT_EQ(fresh->size(), 2u);
   EXPECT_TRUE(fresh->Get(a)->HasFlag(kFlagObsolete));
-  EXPECT_EQ(fresh->postings().UsingTable("plants").size(), 1u);
+  EXPECT_EQ(fresh->postings()
+                .RecordsOf(fresh->postings().StatementsUsingTable("plants"))
+                .size(),
+            1u);
 
   // The live store saw the mutations all along.
   EXPECT_TRUE(store.Get(a)->HasFlag(kFlagObsolete));
@@ -259,7 +265,10 @@ TEST(ReadViewTest, SharedViewOutlivesRetirement) {
   }
   EXPECT_EQ(held->sequence(), held_seq);
   EXPECT_EQ(held->size(), 1u);
-  EXPECT_EQ(held->postings().UsingTable("sensors").size(), 1u);
+  EXPECT_EQ(held->postings()
+                .RecordsOf(held->postings().StatementsUsingTable("sensors"))
+                .size(),
+            1u);
   EXPECT_EQ(store.SharedView()->size(), 21u);
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -286,18 +287,19 @@ void ExpectRecordsEqual(const QueryRecord& a, const QueryRecord& b) {
 }
 
 /// The LSH half of a round trip. Sketches are not persisted: the loaded
-/// store must index every record under the sketch of its restored
-/// signature, exactly once per band, and hold exactly as many postings
-/// as the store that was saved.
+/// store must index every record's statement under the sketch of its
+/// restored signature, exactly once per band, and hold exactly as many
+/// postings as the store that was saved.
 void ExpectLshRestored(const QueryStore& saved, const QueryStore& loaded) {
-  size_t indexed = 0;
+  std::set<StatementId> indexed;
   for (const QueryRecord& r : loaded.records()) {
     MinHashSketch sketch = ComputeMinHashSketch(r.statement().signature);
     if (sketch.empty()) continue;  // empty sketches are never indexed
-    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(r.id, sketch)) << "id " << r.id;
-    ++indexed;
+    const StatementId s = loaded.scoring().statement_of(r.id);
+    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(s, sketch)) << "id " << r.id;
+    indexed.insert(s);
   }
-  EXPECT_EQ(loaded.lsh().entry_count(), indexed * loaded.lsh().bands());
+  EXPECT_EQ(loaded.lsh().entry_count(), indexed.size() * loaded.lsh().bands());
   EXPECT_EQ(loaded.lsh().entry_count(), saved.lsh().entry_count());
 }
 
@@ -690,14 +692,18 @@ TEST(SnapshotV2Test, LegacyV2SnapshotSkipsSketchBlobsAndRemapsSymbols) {
   EXPECT_EQ(loaded.QueriesUsingTable("zz_remap_bbb"),
             (std::vector<QueryId>{1}));
 
-  // The stored slots were discarded: both records are indexed, once per
-  // band, under the sketch of their remapped signatures — nothing else.
+  // The stored slots were discarded: both records' statements (two
+  // distinct ones) are indexed, once per band, under the sketch of their
+  // remapped signatures — nothing else.
+  EXPECT_NE(loaded.scoring().statement_of(0), loaded.scoring().statement_of(1));
   for (QueryId id : {QueryId{0}, QueryId{1}}) {
     MinHashSketch derived =
         ComputeMinHashSketch(loaded.Get(id)->statement().signature);
     ASSERT_TRUE(derived.valid);
     EXPECT_NE(derived.mins[0], 0xDEADBEEFu) << "id " << id;
-    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(id, derived)) << "id " << id;
+    EXPECT_TRUE(loaded.lsh().ContainsExactlyOnce(
+        loaded.scoring().statement_of(id), derived))
+        << "id " << id;
   }
   EXPECT_EQ(loaded.lsh().entry_count(), 2 * loaded.lsh().bands());
   EXPECT_TRUE(loaded.acl().GroupsOf("ruser").count("rgroup") > 0);

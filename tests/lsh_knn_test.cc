@@ -36,7 +36,13 @@ using storage::QueryId;
 using storage::QueryRecord;
 using storage::SimilaritySignature;
 using storage::SketchElements;
+using storage::StatementId;
 using testing_util::Harness;
+
+/// The statement record `id` holds — the key the LshIndex files it under.
+StatementId StatementOf(const Harness& h, QueryId id) {
+  return h.store.scoring().statement_of(id);
+}
 
 /// Builds a signature whose only elements are the given table Symbols
 /// (the tables field is not keyword-filtered, so the element set is
@@ -192,16 +198,16 @@ TEST(LshIndexTest, InsertRemoveCandidates) {
   index.Insert(1, near);
   EXPECT_EQ(index.entry_count(), 3 * index.bands());
 
-  std::vector<QueryId> c = index.Candidates(near);
-  EXPECT_TRUE(std::binary_search(c.begin(), c.end(), QueryId{1}));
+  std::vector<StatementId> c = index.Candidates(near);
+  EXPECT_TRUE(std::binary_search(c.begin(), c.end(), StatementId{1}));
   // A near-duplicate sketch lands in (almost surely) some shared band.
-  EXPECT_TRUE(std::binary_search(c.begin(), c.end(), QueryId{2}));
-  EXPECT_FALSE(std::binary_search(c.begin(), c.end(), QueryId{3}));
+  EXPECT_TRUE(std::binary_search(c.begin(), c.end(), StatementId{2}));
+  EXPECT_FALSE(std::binary_search(c.begin(), c.end(), StatementId{3}));
 
   index.Remove(2, near2);
   EXPECT_EQ(index.entry_count(), 2 * index.bands());
   c = index.Candidates(near);
-  EXPECT_FALSE(std::binary_search(c.begin(), c.end(), QueryId{2}));
+  EXPECT_FALSE(std::binary_search(c.begin(), c.end(), StatementId{2}));
 
   // Empty sketches are not indexable and yield no candidates.
   MinHashSketch empty;
@@ -365,7 +371,8 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   MinHashSketch old_sketch =
       ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   ASSERT_TRUE(old_sketch.valid);
-  ASSERT_TRUE(h.store.lsh().ContainsExactlyOnce(id, old_sketch));
+  ASSERT_TRUE(h.store.lsh().ContainsExactlyOnce(StatementOf(h, id),
+                                                old_sketch));
   size_t entries_before = h.store.lsh().entry_count();
   EXPECT_EQ(entries_before, 2 * h.store.lsh().bands());
 
@@ -376,14 +383,17 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
 
   MinHashSketch new_sketch =
       ComputeMinHashSketch(h.store.Get(id)->statement().signature);
-  // The record is findable under its new sketch, exactly once per band...
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, new_sketch));
+  // The record's statement is findable under its new sketch, exactly
+  // once per band...
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(StatementOf(h, id),
+                                                new_sketch));
   // ...the old sketch's buckets no longer hold it...
-  EXPECT_FALSE(h.store.lsh().ContainsExactlyOnce(id, old_sketch));
+  EXPECT_FALSE(h.store.lsh().ContainsExactlyOnce(StatementOf(h, id),
+                                                 old_sketch));
   std::vector<QueryId> via_old = h.store.LshCandidates(old_sketch);
   EXPECT_FALSE(std::binary_search(via_old.begin(), via_old.end(), id));
   // ...and the global posting count proves nothing leaked: still
-  // exactly bands() postings per indexed record.
+  // exactly bands() postings per indexed statement.
   EXPECT_EQ(h.store.lsh().entry_count(), 2 * h.store.lsh().bands());
 
   // Candidate lists stay duplicate-free and sorted after the re-index.
@@ -394,7 +404,8 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), id));
   // The untouched record is still indexed under its own sketch.
   EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
-      other, ComputeMinHashSketch(h.store.Get(other)->statement().signature)));
+      StatementOf(h, other),
+      ComputeMinHashSketch(h.store.Get(other)->statement().signature)));
 }
 
 TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
@@ -409,7 +420,8 @@ TEST(LshLifecycleTest, RepeatedRewritesNeverAccumulateEntries) {
     ASSERT_TRUE(h.store.RewriteQueryText(id, sql).ok());
     EXPECT_EQ(h.store.lsh().entry_count(), h.store.lsh().bands());
     EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(
-        id, ComputeMinHashSketch(h.store.Get(id)->statement().signature)));
+        StatementOf(h, id),
+        ComputeMinHashSketch(h.store.Get(id)->statement().signature)));
   }
 }
 
@@ -441,7 +453,8 @@ TEST(LshLifecycleTest, StatsRefreshKeepsLshConsistent) {
   MinHashSketch sketch_after =
       ComputeMinHashSketch(h.store.Get(id)->statement().signature);
   EXPECT_EQ(sketch_after.mins, sketch_before.mins);
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, sketch_after));
+  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(StatementOf(h, id),
+                                                sketch_after));
   EXPECT_EQ(h.store.lsh().entry_count(), entries_before);
 }
 
@@ -504,7 +517,8 @@ TEST(LshLifecycleTest, TransientProbeSketchIsRebuiltOnAppend) {
   // the stored record's sketch uses the interned ids and is what the
   // index was fed.
   EXPECT_NE(stored_sketch.mins, transient_sketch.mins);
-  EXPECT_TRUE(h.store.lsh().ContainsExactlyOnce(id, stored_sketch));
+  EXPECT_TRUE(
+      h.store.lsh().ContainsExactlyOnce(StatementOf(h, id), stored_sketch));
 }
 
 }  // namespace

@@ -11,13 +11,17 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/sorted_vector.h"
 #include "common/string_util.h"
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
+#include "storage/minhash.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -450,11 +454,330 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
 
 TEST(ScoringColumnsCoherenceTest, PopularityEqualsFingerprintIndex) {
   Harness& h = BigLog();
+  // Counted here, off the record structs: every stored record (deleted
+  // ones too) that parsed, per canonical fingerprint.
+  std::unordered_map<uint64_t, uint64_t> count;
   for (const QueryRecord& r : h.store.records()) {
-    EXPECT_EQ(h.store.scoring().popularity(r.id),
-              r.parse_failed() ? 0 : h.store.PopularityOf(r.fingerprint))
+    if (!r.parse_failed()) ++count[r.fingerprint];
+  }
+  for (const QueryRecord& r : h.store.records()) {
+    const uint64_t want = r.parse_failed() ? 0 : count[r.fingerprint];
+    EXPECT_EQ(h.store.scoring().popularity(r.id), want) << "id " << r.id;
+    EXPECT_EQ(h.store.PopularityOf(r.fingerprint), count[r.fingerprint])
         << "id " << r.id;
-    if (r.id > 200) break;  // spot-check a prefix; the full log is uniform
+  }
+}
+
+// --- statement-keyed planner vs a record-at-a-time oracle ----------------
+
+/// A log of 30 distinct statements, each run 10-13 times by owners in and
+/// out of a group, with deleted, flagged, private and public records.
+/// Records are hand-built with a fixed output summary per statement, so
+/// every re-run shares its statement exactly.
+class RerunLog {
+ public:
+  RerunLog() {
+    store.acl().AddUser("alice", {"lab"});
+    store.acl().AddUser("bob", {"lab"});
+    store.acl().AddUser("carol", {"field"});
+    store.acl().AddUser("eve", {});
+    const char* templates[] = {
+        "SELECT lake, temp FROM WaterTemp WHERE temp < ",
+        "SELECT * FROM WaterSalinity WHERE salinity > ",
+        "SELECT T.lake, S.salinity FROM WaterTemp T, WaterSalinity S "
+        "WHERE T.loc_x = S.loc_x AND T.temp < ",
+        "SELECT city FROM CityLocations WHERE pop > ",
+        "SELECT lake, AVG(temp) FROM WaterTemp GROUP BY lake HAVING "
+        "AVG(temp) > ",
+    };
+    const char* owners[] = {"alice", "bob", "carol", "dave"};
+    std::vector<std::string> texts;
+    for (const char* t : templates) {
+      for (int c = 0; c < 6; ++c) texts.push_back(t + std::to_string(c * 7));
+    }
+    Rng rng(16);
+    // Interleave the re-runs so a statement's records are spread over
+    // the log rather than contiguous.
+    std::vector<size_t> runs;
+    for (size_t i = 0; i < texts.size(); ++i) {
+      for (size_t k = 0; k < 10 + i % 4; ++k) runs.push_back(i);
+    }
+    for (size_t i = runs.size(); i > 1; --i) {
+      std::swap(runs[i - 1], runs[rng.Uniform(i)]);
+    }
+    Micros ts = 1'000'000;
+    for (size_t i : runs) {
+      ts += 1 + rng.Uniform(1000);
+      QueryRecord r = storage::BuildRecordFromText(
+          texts[i], owners[rng.Uniform(4)], ts);
+      r.summary.column_names = {"c"};
+      r.summary.total_rows = 2;
+      r.summary.sample_rows = {{db::Value::Int(static_cast<int64_t>(i % 3))},
+                               {db::Value::Int(7)}};
+      store.Append(std::move(r));
+    }
+    for (QueryId id = 0; id < static_cast<QueryId>(store.size()); ++id) {
+      const std::string owner = store.Get(id)->user;
+      const uint64_t roll = rng.Uniform(100);
+      Status s;
+      if (roll < 8) {
+        s = store.Delete(id, owner);
+      } else if (roll < 16) {
+        s = store.AddFlag(id, storage::kFlagObsolete);
+      } else if (roll < 20) {
+        s = store.AddFlag(id, storage::kFlagSchemaBroken);
+      } else if (roll < 32) {
+        s = store.acl().SetVisibility(id, owner, owner,
+                                      storage::Visibility::kPrivate);
+      } else if (roll < 44) {
+        s = store.acl().SetVisibility(id, owner, owner,
+                                      storage::Visibility::kPublic);
+      }
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      if (rng.Uniform(4) == 0) {
+        EXPECT_TRUE(
+            store.SetQuality(id, static_cast<double>(rng.Uniform(100)) / 100)
+                .ok());
+      }
+    }
+  }
+
+  storage::QueryStore store;
+};
+
+struct OracleAnswer {
+  std::vector<MetaQueryMatch> matches;
+  size_t candidates = 0;
+  CandidateGenerator generator = CandidateGenerator::kFullScan;
+};
+
+bool HasAll(const std::vector<std::string>& have,
+            const std::vector<std::string>& want) {
+  for (const std::string& w : want) {
+    if (std::find(have.begin(), have.end(), w) == have.end()) return false;
+  }
+  return true;
+}
+
+/// The planner's contract evaluated one record at a time, straight off
+/// the record structs and the ACL, for requests without data examples.
+/// Generator choice follows the planner's documented policy. Exact
+/// generators select by brute force; the LSH generator probes a
+/// record-keyed LshIndex built here; popularity is counted here.
+OracleAnswer RecordAtATime(const storage::QueryStore& store,
+                           const std::string& viewer,
+                           const MetaQueryRequest& request) {
+  OracleAnswer out;
+  const QueryRecord* probe =
+      request.similarity.has_value() ? request.similarity->probe : nullptr;
+  const FeatureQuery* feature =
+      request.feature.has_value() ? &*request.feature : nullptr;
+  std::vector<std::string> words;
+  if (request.keyword.has_value()) {
+    words = ExtractWords(request.keyword->words);
+  }
+
+  // Index-backed conditions: what the exact generator selects by.
+  const bool indexed =
+      request.keyword.has_value() ||
+      (feature != nullptr &&
+       (!feature->tables().empty() || !feature->attributes().empty() ||
+        !feature->predicates().empty() || feature->user().has_value())) ||
+      (request.structure.has_value() &&
+       !request.structure->required_tables.empty());
+  auto index_match = [&](const QueryRecord& r) {
+    if (request.keyword.has_value()) {
+      std::vector<std::string> tokens = ExtractWords(r.text);
+      bool all = true, any = false;
+      for (const std::string& w : words) {
+        bool in = std::find(tokens.begin(), tokens.end(), w) != tokens.end();
+        all = all && in;
+        any = any || in;
+      }
+      if (request.keyword->match_all ? !all : !any) return false;
+    }
+    const std::vector<std::string>& tables = r.components->tables;
+    if (feature != nullptr) {
+      if (!HasAll(tables, feature->tables())) return false;
+      for (const auto& attr : feature->attributes()) {
+        const auto& have = r.components->attributes;
+        if (std::find(have.begin(), have.end(), attr) == have.end()) {
+          return false;
+        }
+      }
+      if (feature->user().has_value() && r.user != *feature->user()) {
+        return false;
+      }
+    }
+    if (request.structure.has_value() &&
+        !HasAll(tables, request.structure->required_tables)) {
+      return false;
+    }
+    return true;
+  };
+
+  std::vector<QueryId> candidates;
+  if (indexed) {
+    out.generator = CandidateGenerator::kPostingIntersection;
+    for (const QueryRecord& r : store.records()) {
+      if (index_match(r)) candidates.push_back(r.id);
+    }
+  } else if (probe != nullptr && !probe->components->tables.empty()) {
+    const CandidateOptions& options = request.similarity->candidates;
+    storage::MinHashSketch sketch =
+        storage::ComputeMinHashSketch(probe->statement().signature);
+    if (options.use_lsh && store.size() >= options.lsh_min_log_size &&
+        sketch.valid && !sketch.empty()) {
+      out.generator = CandidateGenerator::kLshBuckets;
+      storage::LshIndex by_record(
+          storage::LshParams{store.lsh().bands(), store.lsh().rows()});
+      for (const QueryRecord& r : store.records()) {
+        by_record.Insert(
+            static_cast<storage::StatementId>(r.id),
+            storage::ComputeMinHashSketch(r.statement().signature));
+      }
+      for (storage::StatementId id :
+           by_record.Candidates(sketch, options.probe_bands)) {
+        candidates.push_back(static_cast<QueryId>(id));
+      }
+    } else {
+      out.generator = CandidateGenerator::kTableUnion;
+      for (const QueryRecord& r : store.records()) {
+        if (SortedIntersects(r.statement().signature.tables,
+                             probe->statement().signature.tables)) {
+          candidates.push_back(r.id);
+        }
+      }
+    }
+  } else {
+    for (const QueryRecord& r : store.records()) candidates.push_back(r.id);
+  }
+  out.candidates = candidates.size();
+
+  std::unordered_map<uint64_t, uint64_t> popularity;
+  for (const QueryRecord& r : store.records()) {
+    if (!r.parse_failed()) ++popularity[r.fingerprint];
+  }
+  const Micros max_ts = std::max<Micros>(1, store.max_timestamp());
+  const double inv_log_size =
+      1.0 / std::log1p(static_cast<double>(store.size()) + 1.0);
+  const RankingOptions& ranking = request.ranking;
+  for (QueryId id : candidates) {
+    const QueryRecord& r = *store.Get(id);
+    if (!store.Visible(viewer, id)) continue;
+    if (ranking.exclude_flagged && (r.HasFlag(storage::kFlagSchemaBroken) ||
+                                    r.HasFlag(storage::kFlagObsolete))) {
+      continue;
+    }
+    if (!index_match(r)) continue;
+    if (request.substring.has_value() &&
+        !ContainsIgnoreCase(r.text, *request.substring)) {
+      continue;
+    }
+    if (request.structure.has_value() &&
+        !MatchesPattern(r, *request.structure)) {
+      continue;
+    }
+    if (feature != nullptr && !feature->MatchesRecord(r)) continue;
+    double sim = 0;
+    if (probe != nullptr) {
+      sim = CombinedSimilarity(*probe, r, request.similarity->weights);
+      if (sim < ranking.min_similarity) continue;
+    }
+    MetaQueryMatch m{id, sim, 0};
+    if (request.order == ResultOrder::kScore) {
+      const uint64_t pop = r.parse_failed() ? 0 : popularity[r.fingerprint];
+      double pop_term = std::log1p(static_cast<double>(pop)) * inv_log_size;
+      double recency =
+          static_cast<double>(r.timestamp) / static_cast<double>(max_ts);
+      m.score = ranking.w_similarity * sim + ranking.w_popularity * pop_term +
+                ranking.w_quality * r.quality + ranking.w_recency * recency;
+    }
+    out.matches.push_back(m);
+  }
+  std::sort(out.matches.begin(), out.matches.end(),
+            [&](const MetaQueryMatch& a, const MetaQueryMatch& b) {
+              if (request.order == ResultOrder::kScore && a.score != b.score) {
+                return a.score > b.score;
+              }
+              return a.id < b.id;
+            });
+  if (request.limit != 0 && out.matches.size() > request.limit) {
+    out.matches.resize(request.limit);
+  }
+  return out;
+}
+
+TEST(StatementPlannerOracleTest, EveryGeneratorOrderLimitAndViewer) {
+  RerunLog log;
+  const storage::QueryStore& store = log.store;
+  ASSERT_EQ(store.statement_count(), 30u);
+  for (storage::StatementId s = 0; s < 30; ++s) {
+    ASSERT_GE(store.postings().RecordsOf(s).size(), 10u) << s;
+  }
+  QueryRecord probe = storage::BuildRecordFromText(
+      "SELECT T.lake, S.salinity FROM WaterTemp T, WaterSalinity S "
+      "WHERE T.loc_x = S.loc_x AND T.temp < 10",
+      "alice", 0, storage::SignatureMode::kTransient);
+  CandidateOptions force_lsh;
+  force_lsh.lsh_min_log_size = 0;
+  CandidateOptions no_lsh;
+  no_lsh.use_lsh = false;
+  RankingOptions loose;
+  loose.min_similarity = 0.2;
+
+  struct Case {
+    const char* label;
+    CandidateGenerator generator;
+    MetaQueryRequest request;
+  };
+  std::vector<Case> cases(6);
+  cases[0] = {"intersection", CandidateGenerator::kPostingIntersection, {}};
+  cases[0].request.WithKeywords("temp").WithFeature(
+      FeatureQuery().UsesTable("WaterTemp"));
+  cases[1] = {"intersection+user", CandidateGenerator::kPostingIntersection,
+              {}};
+  cases[1].request.WithFeature(FeatureQuery().UsesTable("WaterTemp").ByUser(
+      "bob"));
+  cases[2] = {"user only", CandidateGenerator::kPostingIntersection, {}};
+  cases[2].request.WithFeature(FeatureQuery().ByUser("carol")).SimilarTo(probe);
+  cases[3] = {"lsh", CandidateGenerator::kLshBuckets, {}};
+  cases[3].request.SimilarTo(probe, {}, force_lsh).RankedBy(loose);
+  cases[4] = {"table union", CandidateGenerator::kTableUnion, {}};
+  cases[4].request.SimilarTo(probe, {}, no_lsh);
+  cases[5] = {"full scan", CandidateGenerator::kFullScan, {}};
+  cases[5].request.WithSubstring("LAKE");
+
+  MetaQueryPlanner planner(&store);
+  for (Case& c : cases) {
+    for (bool log_order : {false, true}) {
+      c.request.order =
+          log_order ? ResultOrder::kLogOrder : ResultOrder::kScore;
+      for (size_t limit : {0u, 1u, 7u}) {
+        c.request.limit = limit;
+        for (const char* viewer : {"alice", "bob", "eve"}) {
+          const std::string label = std::string(c.label) +
+                                    (log_order ? " / log" : " / score") +
+                                    " / limit " + std::to_string(limit) +
+                                    " / " + viewer;
+          MetaQueryResponse got = planner.Execute(viewer, c.request);
+          OracleAnswer want = RecordAtATime(store, viewer, c.request);
+          EXPECT_EQ(got.generator, c.generator) << label;
+          EXPECT_EQ(want.generator, c.generator) << label;
+          EXPECT_EQ(got.candidates_considered, want.candidates) << label;
+          ASSERT_EQ(got.matches.size(), want.matches.size()) << label;
+          for (size_t i = 0; i < want.matches.size(); ++i) {
+            EXPECT_EQ(got.matches[i].id, want.matches[i].id) << label;
+            EXPECT_EQ(got.matches[i].similarity, want.matches[i].similarity)
+                << label;
+            EXPECT_EQ(got.matches[i].score, want.matches[i].score) << label;
+          }
+          if (limit == 0) {
+            EXPECT_FALSE(want.matches.empty()) << label;
+          }
+        }
+      }
+    }
   }
 }
 

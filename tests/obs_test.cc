@@ -471,7 +471,9 @@ TEST(TraceCorrectnessTest, LshBucketsPath) {
   metaquery::KnnCandidates cands =
       metaquery::KnnCandidateIds(h.store, probe, copts);
   EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kLshBuckets);
-  EXPECT_EQ(trace.CounterOr("candidates"), cands.ids.size());
+  EXPECT_EQ(trace.CounterOr("candidates"),
+            h.store.postings().RecordCount(cands.statements));
+  EXPECT_EQ(trace.CounterOr("statements"), cands.statements.size());
 }
 
 TEST(TraceCorrectnessTest, TableUnionPath) {
@@ -491,7 +493,9 @@ TEST(TraceCorrectnessTest, TableUnionPath) {
   metaquery::KnnCandidates cands =
       metaquery::KnnCandidateIds(h.store, probe, copts);
   EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kTableUnion);
-  EXPECT_EQ(trace.CounterOr("candidates"), cands.ids.size());
+  EXPECT_EQ(trace.CounterOr("candidates"),
+            h.store.postings().RecordCount(cands.statements));
+  EXPECT_EQ(trace.CounterOr("statements"), cands.statements.size());
 }
 
 TEST(TraceCorrectnessTest, FullScanPath) {
@@ -501,9 +505,10 @@ TEST(TraceCorrectnessTest, FullScanPath) {
   MetaQueryResponse resp = RunTraced(req, "user1", &trace);
   EXPECT_EQ(resp.generator, CandidateGenerator::kFullScan);
 
-  // Full scan considers every record in the store.
+  // Full scan considers every record in the store, and every statement.
   Harness& h = TraceLog();
   EXPECT_EQ(trace.CounterOr("candidates"), h.store.size());
+  EXPECT_EQ(trace.CounterOr("statements"), h.store.statement_count());
 }
 
 TEST(TraceCorrectnessTest, PlannerRegistrySeriesAdvance) {

@@ -605,7 +605,9 @@ TEST(ServerTest, InFlightRequestsCompleteDuringShutdown) {
   size_t returned = 0;
   for (uint64_t id : ids) {
     auto r = client->WaitSearch(id);
-    if (r.ok()) EXPECT_FALSE(r->matches.empty());
+    if (r.ok()) {
+      EXPECT_FALSE(r->matches.empty());
+    }
     ++returned;
   }
   EXPECT_EQ(returned, ids.size());

@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
+#include "storage/minhash.h"
 #include "storage/persistence.h"
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
@@ -264,7 +272,9 @@ TEST(StatementSharingTest, MutatorsRepointOnlyTheRecordTheyTouch) {
       EXPECT_TRUE(has(store.QueriesWithKeyword("temp"))) << step;
       EXPECT_TRUE(has(store.QueriesWithSkeleton(shared.skeleton_fingerprint)))
           << step;
-      EXPECT_TRUE(store.lsh().ContainsExactlyOnce(id, sketch)) << step;
+      const StatementId statement = store.scoring().statement_of(id);
+      EXPECT_EQ(statement, store.scoring().statement_of(ids[0])) << step;
+      EXPECT_TRUE(store.lsh().ContainsExactlyOnce(statement, sketch)) << step;
     }
   };
 
@@ -493,6 +503,223 @@ TEST(QueryStoreTest, CompactScoringArenasPreservesEveryRow) {
   }
   // Compacting a clean store is a no-op.
   EXPECT_EQ(h.store.CompactScoringArenas(), 0u);
+}
+
+// --- statement-keyed indexes ----------------------------------------------
+
+template <typename Key>
+std::map<Key, std::vector<StatementId>> Ordered(
+    const std::unordered_map<Key, std::vector<StatementId>>& index) {
+  return {index.begin(), index.end()};
+}
+
+/// Checks every statement-keyed structure against the records: each live
+/// statement (one some record holds) is indexed exactly once, under its
+/// own features, with its records, scoring row and popularity; nothing
+/// names a released id.
+void ExpectIndexesOnLiveStatements(const QueryStore& store,
+                                   const std::string& step) {
+  const PostingIndex& postings = store.postings();
+  const ScoringColumns& cols = store.scoring();
+  std::map<StatementId, std::vector<QueryId>> live;
+  std::unordered_map<uint64_t, uint64_t> popularity;
+  for (const QueryRecord& r : store.records()) {
+    live[cols.statement_of(r.id)].push_back(r.id);
+    if (!r.parse_failed()) ++popularity[r.fingerprint];
+  }
+  EXPECT_EQ(live.size(), store.statement_count()) << step;
+
+  std::map<Symbol, std::vector<StatementId>> tables, attributes, keywords;
+  std::map<uint64_t, std::vector<StatementId>> skeletons;
+  size_t sketched = 0;
+  for (const auto& [s, ids] : live) {
+    EXPECT_EQ(postings.RecordsOf(s), ids) << step << " statement " << s;
+    const QueryRecord& first = *store.Get(ids[0]);
+    const Statement& statement = first.statement();
+    for (QueryId id : ids) {
+      EXPECT_EQ(&store.Get(id)->statement(), &statement) << step << " " << id;
+    }
+    const SimilaritySignature& sig = statement.signature;
+    for (Symbol t : sig.tables) tables[t].push_back(s);
+    for (Symbol a : sig.attributes) attributes[a].push_back(s);
+    for (Symbol k : sig.text_tokens) keywords[k].push_back(s);
+    if (statement.text_parses) {
+      skeletons[statement.skeleton_fingerprint].push_back(s);
+    }
+    MinHashSketch sketch = ComputeMinHashSketch(sig);
+    if (!sketch.empty()) {
+      EXPECT_TRUE(store.lsh().ContainsExactlyOnce(s, sketch)) << step;
+      ++sketched;
+    }
+    ScoringColumns::StatementRow row = cols.statement_row(s);
+    EXPECT_EQ(std::string(row.lowered_text()), ToLower(statement.text))
+        << step;
+    ScoringColumns::SymbolSpan t = row.tables();
+    EXPECT_EQ(std::vector<Symbol>(t.data, t.data + t.size), sig.tables)
+        << step;
+    ScoringColumns::HashSpan o = row.output_rows();
+    EXPECT_EQ(std::vector<uint64_t>(o.data, o.data + o.size), sig.output_rows)
+        << step;
+    EXPECT_EQ(row.output_empty_computed(), sig.output_empty_computed) << step;
+    EXPECT_EQ(row.popularity(),
+              first.parse_failed() ? 0 : popularity[first.fingerprint])
+        << step;
+  }
+  // Each posting list holds exactly the live statements with its
+  // feature: no released id, no stale key, no empty list.
+  EXPECT_EQ(Ordered(postings.by_table), tables) << step;
+  EXPECT_EQ(Ordered(postings.by_attribute), attributes) << step;
+  EXPECT_EQ(Ordered(postings.by_keyword), keywords) << step;
+  EXPECT_EQ(Ordered(postings.by_skeleton), skeletons) << step;
+  EXPECT_EQ(store.lsh().entry_count(), sketched * store.lsh().bands()) << step;
+  for (StatementId s = 0; s < postings.records_of.size(); ++s) {
+    if (live.count(s) != 0) continue;
+    EXPECT_TRUE(postings.RecordsOf(s).empty()) << step << " released " << s;
+    EXPECT_TRUE(cols.statement_row(s).lowered_text().empty()) << step;
+    EXPECT_EQ(cols.statement_row(s).tables().size, 0u) << step;
+  }
+}
+
+/// The record-id answers a view gives for a fixed set of lookups.
+std::vector<std::vector<QueryId>> ViewAnswers(const ReadViewState& view,
+                                              const MinHashSketch& probe) {
+  const PostingIndex& p = view.postings();
+  std::vector<std::vector<QueryId>> out;
+  for (const char* table : {"watertemp", "watersalinity", "citylocations"}) {
+    out.push_back(p.RecordsOf(p.StatementsUsingTable(table)));
+  }
+  for (const char* word : {"temp", "salinity", "city", "lake"}) {
+    out.push_back(p.RecordsOf(p.StatementsWithKeyword(word)));
+  }
+  out.push_back(p.RecordsOf(view.lsh().Candidates(probe)));
+  for (QueryId id = 0; id < static_cast<QueryId>(view.size()); ++id) {
+    out.push_back(p.RecordsOf(view.scoring().statement_of(id)));
+  }
+  return out;
+}
+
+TEST(StatementIndexTest, SeededMutationMixIndexesOnlyLiveStatements) {
+  const std::vector<std::string> texts = {
+      "SELECT temp FROM WaterTemp WHERE temp < 18",
+      "SELECT lake, temp FROM WaterTemp WHERE temp > 4",
+      "SELECT * FROM WaterSalinity WHERE salinity > 2",
+      "SELECT T.lake, S.salinity FROM WaterTemp T, WaterSalinity S "
+      "WHERE T.loc_x = S.loc_x",
+      "SELECT city FROM CityLocations WHERE pop > 1000",
+      "SELECT city, state FROM CityLocations",
+      "SELECT lake FROM WaterTemp GROUP BY lake",
+      "SELEKT broken text",
+  };
+  const char* users[] = {"alice", "bob", "carol"};
+  QueryStore store;
+  store.EnableViews();
+  Rng rng(1609);
+  auto pick_text = [&] { return texts[rng.Uniform(texts.size())]; };
+  auto pick_rows = [&] {
+    std::vector<int64_t> rows;
+    for (int64_t v = 0; v < 3; ++v) {
+      if (rng.Uniform(2) == 0) rows.push_back(v);
+    }
+    return rows;
+  };
+  for (int i = 0; i < 30; ++i) {
+    store.Append(RecordWithOutput(pick_text(), users[rng.Uniform(3)],
+                                  pick_rows()));
+  }
+  ExpectIndexesOnLiveStatements(store, "initial");
+  const MinHashSketch probe = ComputeMinHashSketch(
+      BuildRecordFromText(texts[1], "alice", 0).statement().signature);
+  std::shared_ptr<const ReadViewState> pinned = store.SharedView();
+  const std::vector<std::vector<QueryId>> pinned_answers =
+      ViewAnswers(*pinned, probe);
+
+  size_t most_live = store.statement_count();
+  size_t released = 0;
+  for (int step = 1; step <= 600; ++step) {
+    const QueryId id = static_cast<QueryId>(rng.Uniform(store.size()));
+    const size_t statements = store.statement_count();
+    switch (rng.Uniform(6)) {
+      case 0:
+      case 1:
+        store.Append(RecordWithOutput(pick_text(), users[rng.Uniform(3)],
+                                      pick_rows()));
+        break;
+      case 2:
+        // Unparsable texts are rejected and change nothing.
+        (void)store.RewriteQueryText(id, pick_text());
+        break;
+      case 3: {
+        QueryRecord* r = store.GetMutable(id);
+        r->summary = RecordWithOutput(texts[0], "x", pick_rows()).summary;
+        ASSERT_TRUE(store.SyncOutputSignature(id).ok());
+        break;
+      }
+      case 4: {
+        std::vector<uint64_t> rows;
+        if (rng.Uniform(2) == 0) rows.push_back(rng.Uniform(3));
+        ASSERT_TRUE(
+            store.RestoreOutputSignature(id, rows, rng.Uniform(2) == 0).ok());
+        break;
+      }
+      case 5:
+        ASSERT_TRUE(store.Delete(id, "", /*is_admin=*/true).ok());
+        break;
+    }
+    if (store.statement_count() < statements) ++released;
+    most_live = std::max(most_live, store.statement_count());
+    if (step % 50 == 0) {
+      ExpectIndexesOnLiveStatements(store, "step " + std::to_string(step));
+    }
+  }
+  // Statements were released along the way, and their ids were reused:
+  // an id is minted only when every lower one is live.
+  EXPECT_GT(released, 0u);
+  EXPECT_EQ(store.postings().records_of.size(), most_live);
+  // The view pinned before the mix still answers as it did.
+  EXPECT_EQ(ViewAnswers(*pinned, probe), pinned_answers);
+}
+
+TEST(StatementIndexTest, ReusedIdNeverReturnsThePreviousRecords) {
+  const std::string old_text = "SELECT temp FROM WaterTemp WHERE temp < 3";
+  QueryStore store;
+  store.EnableViews();
+  QueryId a0 = store.Append(BuildRecordFromText(old_text, "u", 1));
+  QueryId a1 = store.Append(BuildRecordFromText(old_text, "v", 2));
+  store.Append(BuildRecordFromText("SELECT city FROM CityLocations", "u", 3));
+  const StatementId a = store.scoring().statement_of(a0);
+  ASSERT_EQ(store.scoring().statement_of(a1), a);
+  const MinHashSketch old_sketch =
+      ComputeMinHashSketch(store.Get(a0)->statement().signature);
+  std::shared_ptr<const ReadViewState> pinned = store.SharedView();
+
+  // The first move leaves statement a live; the second releases it, and
+  // the new statement it moves to takes a's id.
+  ASSERT_TRUE(
+      store.RewriteQueryText(a0, "SELECT salinity FROM WaterSalinity").ok());
+  ASSERT_TRUE(store.RewriteQueryText(a1, "SELECT lake FROM LakeTemp").ok());
+  ASSERT_EQ(store.scoring().statement_of(a1), a);
+  EXPECT_EQ(store.postings().RecordsOf(a), (std::vector<QueryId>{a1}));
+  EXPECT_TRUE(store.QueriesUsingTable("watertemp").empty());
+  EXPECT_TRUE(store.QueriesWithKeyword("temp").empty());
+  EXPECT_EQ(store.QueriesUsingTable("laketemp"), (std::vector<QueryId>{a1}));
+  for (QueryId id : store.LshCandidates(old_sketch)) {
+    EXPECT_NE(id, a0);
+    EXPECT_NE(id, a1);
+  }
+  EXPECT_EQ(std::string(store.scoring().statement_row(a).lowered_text()),
+            "select lake from laketemp");
+  ExpectIndexesOnLiveStatements(store, "after reuse");
+
+  // The view pinned before the reuse answers as it did.
+  const PostingIndex& old = pinned->postings();
+  EXPECT_EQ(old.RecordsOf(a), (std::vector<QueryId>{a0, a1}));
+  EXPECT_EQ(old.RecordsOf(old.StatementsUsingTable("watertemp")),
+            (std::vector<QueryId>{a0, a1}));
+  EXPECT_TRUE(old.StatementsUsingTable("laketemp").empty());
+  EXPECT_EQ(old.RecordsOf(pinned->lsh().Candidates(old_sketch)),
+            (std::vector<QueryId>{a0, a1}));
+  EXPECT_EQ(std::string(pinned->scoring().statement_row(a).lowered_text()),
+            ToLower(old_text));
 }
 
 TEST(ProfilerIntegrationTest, ProfilerPopulatesStore) {
