@@ -3,12 +3,18 @@
 // The paper's first requirement: the Query Profiler "does not impose
 // significant runtime overhead". We measure end-to-end latency of the
 // same query mix at every profiling level, against raw execution.
-// Expected shape: kTextOnly ~ raw; kFeatures adds parsing+extraction;
-// kFull adds summarization; all small relative to query execution.
+// BM_ProfiledExecution cycles through four statements, so after its
+// first four iterations every run is a re-run: kFeatures and kFull share
+// the logged statement and execute its parse tree (no parse, no
+// feature extraction), kTextOnly parses to execute, and kFull adds
+// summarization. All should stay small relative to query execution.
+// BM_RecordBuildOnly prices the from-scratch derivation a new text pays.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
+#include "sql/parser.h"
 #include "storage/record_builder.h"
 
 namespace cqms {
@@ -84,6 +90,62 @@ void BM_StoreAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAppend);
+
+// Set-up log generation, the in-process twin of e2ebench's
+// `setup.generate_s`: a lab shaped like its explore workload (40 users
+// in 5 groups, a 30-row lake database, seed 1) runs its sessions through
+// the profiler, which executes, profiles and appends every statement.
+// Most runs re-run a logged text. `derivations_per_record` is the share
+// of runs that derived their statement from scratch (the distinct-text
+// share when each text is derived once), and `parses_per_record` the SQL
+// parses per logged run.
+void BM_GenerateLog(benchmark::State& state) {
+  workload::WorkloadOptions options;
+  options.num_users = 40;
+  options.num_groups = 5;
+  options.num_sessions = static_cast<size_t>(state.range(0));
+  options.seed = 1;
+  obs::Counter* derivations = obs::MetricsRegistry::Global().GetCounter(
+      "cqms_statement_derivations_total{path=\"profile\"}");
+  size_t records = 0;
+  size_t statements = 0;
+  uint64_t derived = 0;
+  uint64_t parses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    SimulatedClock clock(1'600'000'000'000'000);
+    db::Database database(&clock);
+    Status s = workload::PopulateLakeDatabase(&database, 30);
+    (void)s;
+    auto store = std::make_unique<storage::QueryStore>();
+    profiler::QueryProfiler profiler(&database, store.get(), &clock);
+    workload::RegisterUsers(store.get(), options);
+    const uint64_t derived_before = derivations->value();
+    const uint64_t parses_before = sql::ParseCallCount();
+    state.ResumeTiming();
+    workload::GroundTruth truth =
+        workload::GenerateLog(&profiler, store.get(), &clock, options);
+    benchmark::DoNotOptimize(truth);
+    state.PauseTiming();
+    derived = derivations->value() - derived_before;
+    parses = sql::ParseCallCount() - parses_before;
+    records = store->size();
+    statements = store->statement_count();
+    store.reset();  // the teardown is not part of the set-up
+    state.ResumeTiming();
+  }
+  state.counters["records"] = static_cast<double>(records);
+  state.counters["statements"] = static_cast<double>(statements);
+  state.counters["derivations_per_record"] =
+      static_cast<double>(derived) / static_cast<double>(records);
+  state.counters["parses_per_record"] =
+      static_cast<double>(parses) / static_cast<double>(records);
+}
+BENCHMARK(BM_GenerateLog)
+    ->ArgName("sessions")
+    ->Arg(1000)
+    ->Arg(8000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqms

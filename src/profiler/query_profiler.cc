@@ -6,14 +6,17 @@ namespace cqms::profiler {
 
 namespace {
 
-/// A text-only record skips parsing entirely (kTextOnly level).
-storage::QueryRecord BuildTextOnlyRecord(std::string text, std::string user,
-                                         Micros timestamp) {
-  storage::QueryRecord record;
-  record.text = std::move(text);
-  record.user = std::move(user);
-  record.timestamp = timestamp;
-  return record;
+/// Executes `parsed`, timing the engine's execution alone into
+/// `*elapsed` (0 when the text did not parse).
+Result<db::QueryResult> ExecuteTimed(const db::Database& database,
+                                     const storage::ParsedTree& parsed,
+                                     Micros* elapsed) {
+  *elapsed = 0;
+  if (!parsed.ok()) return parsed.status();
+  WallTimer timer;
+  Result<db::QueryResult> exec = database.Execute(**parsed);
+  *elapsed = timer.ElapsedMicros();
+  return exec;
 }
 
 }  // namespace
@@ -27,10 +30,32 @@ ProfiledExecution QueryProfiler::ExecuteAndProfile(std::string_view sql_text,
                                                    const std::string& user) {
   ProfiledExecution out;
   const Micros submitted_at = clock_->Now();
+  const bool logs = options_.level != ProfilingLevel::kOff;
+  const bool derives = options_.level == ProfilingLevel::kFeatures ||
+                       options_.level == ProfilingLevel::kFull;
 
-  WallTimer timer;
-  auto exec = database_->ExecuteSql(sql_text);
-  const Micros elapsed = timer.ElapsedMicros();
+  // A re-run shares the live statement of its text and executes that
+  // statement's tree when one is materialized; a statement restored from
+  // a snapshot has none, and a private tree is parsed for this run only
+  // (materializing the shared one would grow every restored statement a
+  // client re-runs). A new text is parsed once, and the record is built
+  // from the tree that executed.
+  storage::QueryRecord record;
+  if (logs) {
+    record.text = std::string(sql_text);
+    record.user = user;
+    record.timestamp = submitted_at;
+  }
+  const bool shared =
+      derives &&
+      store_->ShareLiveStatement(&record, storage::StatementPath::kProfile);
+  std::shared_ptr<const sql::SelectStatement> tree;
+  if (shared) tree = record.statement().tree.IfMaterialized();
+  storage::ParsedTree parsed = tree != nullptr
+                                   ? storage::ParsedTree(std::move(tree))
+                                   : storage::ParseText(sql_text);
+  Micros elapsed = 0;
+  Result<db::QueryResult> exec = ExecuteTimed(*database_, parsed, &elapsed);
 
   out.stats.execution_micros = elapsed;
   if (exec.ok()) {
@@ -44,13 +69,13 @@ ProfiledExecution QueryProfiler::ExecuteAndProfile(std::string_view sql_text,
   }
 
   // Log per level.
-  if (options_.level != ProfilingLevel::kOff &&
-      (exec.ok() || options_.log_failed_queries)) {
-    storage::QueryRecord record =
-        options_.level == ProfilingLevel::kTextOnly
-            ? BuildTextOnlyRecord(std::string(sql_text), user, submitted_at)
-            : storage::BuildRecordFromText(std::string(sql_text), user,
-                                           submitted_at);
+  if (logs && (exec.ok() || options_.log_failed_queries)) {
+    // A text-only record (kTextOnly) keeps no parse-derived features:
+    // Append computes its signature from the text alone.
+    if (derives && !shared) {
+      record = storage::BuildRecordFromTree(std::move(record.text), user,
+                                            submitted_at, std::move(parsed));
+    }
     record.stats = out.stats;
     if (options_.level == ProfilingLevel::kFull && exec.ok()) {
       record.summary = SummarizeOutput(*exec, elapsed, options_.summarizer);
@@ -64,9 +89,9 @@ ProfiledExecution QueryProfiler::ExecuteAndProfile(std::string_view sql_text,
 
 storage::QueryId QueryProfiler::LogOnly(std::string_view sql_text,
                                         const std::string& user) {
-  storage::QueryRecord record = storage::BuildRecordFromText(
-      std::string(sql_text), user, clock_->Now());
-  return store_->Append(std::move(record));
+  return store_->Append(store_->RecordForText(std::string(sql_text), user,
+                                              clock_->Now(),
+                                              storage::StatementPath::kLogOnly));
 }
 
 }  // namespace cqms::profiler

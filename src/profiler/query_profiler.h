@@ -51,11 +51,19 @@ class QueryProfiler {
   /// (parse/bind/runtime) are reported through `stats.succeeded` /
   /// `stats.error` and are still logged (when `log_failed_queries`),
   /// because failed attempts feed the correction engine.
+  ///
+  /// A run parses its text at most once. At kFeatures and kFull a re-run
+  /// of a logged text shares its live Statement (no parse, canonical
+  /// form, components or interning; QueryStore::ShareLiveStatement), and
+  /// a new text is parsed once, executed, and derived from that tree.
+  /// `stats.execution_micros` times the engine's execution of the
+  /// parsed statement alone, as maintenance's stats refresh does.
   ProfiledExecution ExecuteAndProfile(std::string_view sql_text,
                                       const std::string& user);
 
   /// Logs a query without executing it (used when importing historical
-  /// logs whose results are unknown).
+  /// logs whose results are unknown). A logged text shares its live
+  /// Statement, as in ExecuteAndProfile.
   storage::QueryId LogOnly(std::string_view sql_text, const std::string& user);
 
   const ProfilerOptions& options() const { return options_; }

@@ -49,6 +49,11 @@ const sql::SelectStatement* LazyParseTree::Get(const std::string& text) const {
   return cur.get();
 }
 
+std::shared_ptr<const sql::SelectStatement> LazyParseTree::IfMaterialized()
+    const {
+  return std::atomic_load_explicit(&tree_, std::memory_order_acquire);
+}
+
 bool Statement::operator==(const Statement& other) const {
   return text == other.text && text_parses == other.text_parses &&
          canonical_text == other.canonical_text && skeleton == other.skeleton &&

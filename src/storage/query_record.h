@@ -31,6 +31,7 @@ constexpr SessionId kInvalidSessionId = -1;
 /// cardinality, execution time, and the query execution plan are already
 /// incorporated in existing query profilers").
 struct RuntimeStats {
+  /// The engine's execution of the parsed statement, without the parse.
   Micros execution_micros = 0;
   uint64_t result_rows = 0;
   uint64_t rows_scanned = 0;
@@ -123,6 +124,12 @@ class LazyParseTree {
   /// parse. Thread-safe: materialization is a set-once compare-and-swap,
   /// so concurrent callers agree on one tree, kept alive by this object.
   const sql::SelectStatement* Get(const std::string& text) const;
+
+  /// The tree when some caller has already set or materialized it, else
+  /// null. Never parses, so it leaves an unmaterialized tree that way
+  /// (a profiled re-run of a restored statement parses a private tree
+  /// rather than growing the shared one). Thread-safe like Get.
+  std::shared_ptr<const sql::SelectStatement> IfMaterialized() const;
 
  private:
   mutable std::shared_ptr<const sql::SelectStatement> tree_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/sorted_vector.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -17,6 +18,26 @@ using db::ColumnDef;
 using db::TableSchema;
 using db::Value;
 using db::ValueType;
+
+// Per-path derivation and reuse counters, resolved once per process.
+struct StatementPathSeries {
+  obs::Counter* derivations;
+  obs::Counter* reuses;
+};
+
+StatementPathSeries MakeSeries(const char* label) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const std::string tag = std::string("{path=\"") + label + "\"}";
+  return {reg.GetCounter("cqms_statement_derivations_total" + tag),
+          reg.GetCounter("cqms_statement_reuses_total" + tag)};
+}
+
+const StatementPathSeries& SeriesFor(StatementPath path) {
+  static const StatementPathSeries series[4] = {
+      MakeSeries("profile"), MakeSeries("log_only"), MakeSeries("wal"),
+      MakeSeries("rewrite")};
+  return series[static_cast<int>(path)];
+}
 
 }  // namespace
 
@@ -117,6 +138,42 @@ QueryId QueryStore::Append(QueryRecord record) {
   for (StoreListener* l : listeners_) l->OnAppend(records_.back());
   MutationTick();
   return id;
+}
+
+bool QueryStore::ShareLiveStatement(QueryRecord* record,
+                                    StatementPath path) const {
+  if (!statements_.empty()) {
+    // The table hashes by text: every statement with this text is in
+    // the bucket a probe holding only the text hashes to.
+    Statement probe;
+    probe.text = record->text;
+    const size_t bucket = statements_.bucket(&probe);
+    for (auto it = statements_.begin(bucket); it != statements_.end(bucket);
+         ++it) {
+      const Statement& live = *it->first;
+      if (live.text == record->text && live.text_parses &&
+          live.signature.valid && !live.signature.transient) {
+        record->set_statement(it->second.statement);
+        record->fingerprint = Fnv1a64(live.canonical_text);
+        SeriesFor(path).reuses->Increment();
+        return true;
+      }
+    }
+  }
+  SeriesFor(path).derivations->Increment();
+  return false;
+}
+
+QueryRecord QueryStore::RecordForText(std::string text, std::string user,
+                                      Micros timestamp,
+                                      StatementPath path) const {
+  QueryRecord record;
+  record.text = std::move(text);
+  record.user = std::move(user);
+  record.timestamp = timestamp;
+  if (ShareLiveStatement(&record, path)) return record;
+  return BuildRecordFromText(std::move(record.text), std::move(record.user),
+                             timestamp);
 }
 
 void QueryStore::ReserveForRestore(size_t records, size_t statements,
@@ -351,7 +408,10 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
 
-  QueryRecord rebuilt = BuildRecordFromText(new_text, r->user, r->timestamp);
+  // Repairs map many records onto a few repaired texts: a text already
+  // live shares its statement instead of being derived again.
+  QueryRecord rebuilt =
+      RecordForText(new_text, r->user, r->timestamp, StatementPath::kRewrite);
   if (rebuilt.parse_failed()) {
     return Status::ParseError("repaired text does not parse: " + rebuilt.stats.error);
   }
@@ -364,8 +424,8 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   const bool kept_empty_computed = before.signature.output_empty_computed;
   r->text = std::move(rebuilt.text);
   r->fingerprint = rebuilt.fingerprint;
-  // BuildRecordFromText already interned the new text's signature; only
-  // the output part needs setting.
+  // The new text's signature is already interned; only the output part
+  // needs setting.
   r->set_statement(std::move(rebuilt.statement_));
   if (r->summary.column_names.empty()) {
     SetOutputSignature(r, std::move(kept_rows), kept_empty_computed);

@@ -25,6 +25,11 @@
 
 namespace cqms::storage {
 
+/// The logging path that asks a QueryStore for a statement: the `path`
+/// label (`profile`, `log_only`, `wal`, `rewrite`) of
+/// cqms_statement_derivations_total and cqms_statement_reuses_total.
+enum class StatementPath { kProfile, kLogOnly, kWal, kRewrite };
+
 /// The CQMS Query Storage (Figure 4): an append-only log of profiled
 /// queries with secondary indexes, plus the Figure-1 feature relations
 /// materialized as tables of an embedded `db::Database` so that SQL
@@ -62,6 +67,25 @@ class QueryStore {
   /// pointed at that one, so the store holds each distinct statement
   /// once. Returns the id.
   QueryId Append(QueryRecord record);
+
+  /// Points `record` at a live statement whose text is exactly
+  /// `record->text`, and sets the record's fingerprint, so the run skips
+  /// the parse, canonicalization, components and interning that
+  /// BuildRecordFromText would redo. Only a statement that parsed and
+  /// carries an interned signature qualifies, never a text-only one. Any
+  /// such statement will do: only its text-derived fields are reused,
+  /// and Append folds in the record's own output part (cloning the
+  /// statement only when that part differs). Returns false, leaving the
+  /// record as it was, when none is live; the caller then derives the
+  /// statement. Counts a reuse or a derivation under `path`. Writer
+  /// thread only.
+  bool ShareLiveStatement(QueryRecord* record, StatementPath path) const;
+
+  /// A record of `text` by `user` at `timestamp` whose statement is a
+  /// live one (ShareLiveStatement) or, for a text no live statement has,
+  /// derived by BuildRecordFromText. Writer thread only.
+  QueryRecord RecordForText(std::string text, std::string user,
+                            Micros timestamp, StatementPath path) const;
 
   /// Pre-sizes the secondary-index hash tables, the LSH buckets and the
   /// scoring columns for a bulk restore of `records` records over about
@@ -370,7 +394,8 @@ class QueryStore {
     std::shared_ptr<Statement> statement;
     StatementId id = 0;
   };
-  /// Buckets by text; equality is exact field equality (Statement::
+  /// Buckets by text, so ShareLiveStatement finds a text's statements
+  /// in one bucket; equality is exact field equality (Statement::
   /// operator==), short-cut when both sides are the same object.
   struct StatementHash {
     size_t operator()(const Statement* s) const {

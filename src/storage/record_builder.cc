@@ -97,13 +97,26 @@ bool SetOutputSignature(QueryRecord* record, std::vector<uint64_t> output_rows,
 
 QueryRecord BuildRecordFromText(std::string text, std::string user,
                                 Micros timestamp, SignatureMode mode) {
+  ParsedTree parsed = ParseText(text);
+  return BuildRecordFromTree(std::move(text), std::move(user), timestamp,
+                             std::move(parsed), mode);
+}
+
+ParsedTree ParseText(std::string_view text) {
+  auto parsed = sql::Parse(text);
+  if (!parsed.ok()) return parsed.status();
+  return std::shared_ptr<const sql::SelectStatement>(std::move(parsed).value());
+}
+
+QueryRecord BuildRecordFromTree(std::string text, std::string user,
+                                Micros timestamp, ParsedTree parsed,
+                                SignatureMode mode) {
   QueryRecord record;
   record.text = std::move(text);
   record.user = std::move(user);
   record.timestamp = timestamp;
   Statement* statement = record.MutableStatement();
 
-  auto parsed = sql::Parse(record.text);
   if (parsed.ok()) {
     std::shared_ptr<const sql::SelectStatement> ast =
         std::move(parsed).value();

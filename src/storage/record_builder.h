@@ -1,9 +1,12 @@
 #ifndef CQMS_STORAGE_RECORD_BUILDER_H_
 #define CQMS_STORAGE_RECORD_BUILDER_H_
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "storage/query_record.h"
 
 namespace cqms::storage {
@@ -22,6 +25,10 @@ enum class SignatureMode {
   kTransient,
 };
 
+/// The outcome of parsing a statement's text: a tree the executor and
+/// the record's Statement can share, or the parse error.
+using ParsedTree = Result<std::shared_ptr<const sql::SelectStatement>>;
+
 /// Builds a QueryRecord and its Statement from raw SQL text: parse tree,
 /// canonical text, skeleton, fingerprints, and syntactic components.
 /// Queries that fail to parse still produce a record (raw text only,
@@ -31,8 +38,24 @@ enum class SignatureMode {
 /// Runtime stats and the output summary are the caller's (profiler's)
 /// responsibility. Use kTransient for probe records that are compared but
 /// never appended (kNN-as-you-type, recommendations).
+///
+/// Equivalent to BuildRecordFromTree(text, ..., ParseText(text)); the
+/// profiler calls the two steps itself so that it executes the tree it
+/// derives the record from.
 QueryRecord BuildRecordFromText(std::string text, std::string user,
                                 Micros timestamp,
+                                SignatureMode mode = SignatureMode::kInterned);
+
+/// The parse step of BuildRecordFromText: sql::Parse(text), with the
+/// tree made shareable.
+ParsedTree ParseText(std::string_view text);
+
+/// The build step of BuildRecordFromText: derives the record's Statement
+/// from `parsed`, the outcome of ParseText(text). The statement keeps the
+/// tree; a parse error gives the raw-text record, with the error in
+/// `stats.error`.
+QueryRecord BuildRecordFromTree(std::string text, std::string user,
+                                Micros timestamp, ParsedTree parsed,
                                 SignatureMode mode = SignatureMode::kInterned);
 
 /// (Re)computes the signature of `record`'s statement from the record's

@@ -57,9 +57,11 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
       QueryRecord record;
       QueryId id;
       if (parsed) {
-        // Replaying the tail re-tokenizes — bounded by the checkpoint
-        // interval, unlike the snapshot body.
-        record = BuildRecordFromText(std::move(text), std::move(user), ts);
+        // A text some live record already has shares that statement;
+        // only a new text is parsed and tokenized. Either way the cost
+        // is bounded by the checkpoint interval, unlike the snapshot body.
+        record = store->RecordForText(std::move(text), std::move(user), ts,
+                                      StatementPath::kWal);
         record.session_id = session;
         record.flags = flags;
         record.quality = quality;

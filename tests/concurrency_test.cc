@@ -17,11 +17,13 @@
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
+#include "profiler/query_profiler.h"
 #include "storage/epoch.h"
 #include "storage/minhash.h"
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
 #include "storage/snapshot_v2.h"
+#include "workload/synthetic.h"
 
 namespace cqms::storage {
 namespace {
@@ -192,6 +194,70 @@ TEST(QueryRecordTest, ConcurrentAstMaterializationAgrees) {
   EXPECT_EQ(store.Get(0)->Ast(), seen[0]);
   EXPECT_NE(&store.Get(rewritten)->statement(), &store.Get(0)->statement());
   EXPECT_EQ(view->Get(rewritten)->Ast(), seen[0]);
+}
+
+TEST(QueryRecordTest, ReadersMaterializeTreesWhileWriterProfilesReRuns) {
+  // After a restore every statement's tree is unparsed. Readers
+  // materialize trees through Ast() on pinned views while the writer
+  // profiles re-runs of the same statements: each re-run shares the
+  // statement and executes its tree once a reader has set it, or a
+  // private tree until then.
+  SimulatedClock clock(1);
+  db::Database database(&clock);
+  ASSERT_TRUE(workload::PopulateLakeDatabase(&database, 30).ok());
+  // One output row each, stored completely, so every re-run's output
+  // part equals the restored one.
+  const std::vector<std::string> texts = {
+      "SELECT COUNT(*) FROM WaterTemp WHERE temp < 18",
+      "SELECT MAX(temp) FROM WaterTemp",
+      "SELECT COUNT(*) FROM CityLocations",
+      "SELECT MIN(salinity) FROM WaterSalinity WHERE loc_x > 2",
+  };
+  QueryStore source;
+  profiler::QueryProfiler source_profiler(&database, &source, &clock);
+  for (const std::string& text : texts) {
+    ASSERT_TRUE(source_profiler.ExecuteAndProfile(text, "alice").stats.succeeded);
+  }
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(source, 0, &image).ok());
+  QueryStore store;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&store, image, "rerun-race").ok());
+  store.EnableViews();
+  profiler::QueryProfiler profiler(&database, &store, &clock);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> missing_trees{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&]() {
+      while (!done.load(std::memory_order_acquire)) {
+        PinnedView view = store.PinView();
+        for (size_t id = 0; id < view->size(); ++id) {
+          if (view->Get(static_cast<QueryId>(id))->Ast() == nullptr) {
+            missing_trees.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  constexpr size_t kRuns = 200;
+  for (size_t i = 0; i < kRuns; ++i) {
+    profiler::ProfiledExecution e =
+        profiler.ExecuteAndProfile(texts[i % texts.size()], "bob");
+    EXPECT_TRUE(e.stats.succeeded);
+    EXPECT_EQ(e.result.rows.size(), 1u);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& th : readers) th.join();
+
+  EXPECT_EQ(missing_trees.load(), 0);
+  ASSERT_EQ(store.size(), texts.size() + kRuns);
+  EXPECT_EQ(store.statement_count(), texts.size());
+  for (QueryId id = 0; id < static_cast<QueryId>(store.size()); ++id) {
+    const QueryRecord* first = store.Get(id % static_cast<QueryId>(texts.size()));
+    EXPECT_EQ(&store.Get(id)->statement(), &first->statement()) << id;
+    EXPECT_EQ(store.Get(id)->Ast(), first->Ast()) << id;
+  }
 }
 
 // --- read-view publication semantics --------------------------------------

@@ -31,7 +31,9 @@
 namespace cqms::storage {
 namespace {
 
+using testing_util::CountsOf;
 using testing_util::Harness;
+using testing_util::PathCounts;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -1218,6 +1220,64 @@ TEST(WalTest, CrashBetweenSnapshotWriteAndWalTruncationIsIdempotent) {
   ASSERT_TRUE(again.Open().ok());
   EXPECT_EQ(again.replay_stats().records_applied, 1u);
   ExpectStoresEquivalent(h2.store, h3.store);
+}
+
+TEST(WalTest, ReplayOfRepeatedStatementsDerivesEachTextOnce) {
+  std::string dir = TempPath("cqms_wal_repeats");
+  RemoveDurableFiles(dir);
+
+  Harness h(30);
+  workload::WorkloadOptions options;
+  options.num_users = 12;
+  options.num_groups = 3;
+  options.num_sessions = 60;
+  options.seed = 23;
+  const std::string repaired = "SELECT lake FROM WaterTemp WHERE temp = 1234";
+  std::set<std::string> texts;
+  size_t parsed_appends = 0;
+  {
+    DurableStore durable(&h.store, dir);
+    ASSERT_TRUE(durable.Open().ok());
+    workload::RegisterUsers(&h.store, options);
+    workload::GenerateLog(h.profiler.get(), &h.store, &h.clock, options);
+    h.profiler->LogOnly(h.store.Get(0)->text, "user1");  // an import
+    for (const QueryRecord& r : h.store.records()) {
+      if (r.parse_failed()) continue;
+      texts.insert(r.text);
+      ++parsed_appends;
+    }
+    // Two repairs onto one new text.
+    ASSERT_TRUE(h.store.RewriteQueryText(1, repaired).ok());
+    ASSERT_TRUE(h.store.RewriteQueryText(2, repaired).ok());
+  }
+  ASSERT_GE(parsed_appends, texts.size() + 100);  // many re-runs
+
+  Harness h2(30);
+  const PathCounts wal_before = CountsOf("wal");
+  const PathCounts rewrite_before = CountsOf("rewrite");
+  const uint64_t parses_before = sql::ParseCallCount();
+  DurableStore recovered(&h2.store, dir);
+  ASSERT_TRUE(recovered.Open().ok());
+  const PathCounts wal_after = CountsOf("wal");
+  const PathCounts rewrite_after = CountsOf("rewrite");
+  // Each distinct text is parsed once: a repeated one shares the
+  // statement its first replayed record derived.
+  EXPECT_EQ(wal_after.derivations - wal_before.derivations, texts.size());
+  EXPECT_EQ(wal_after.reuses - wal_before.reuses,
+            parsed_appends - texts.size());
+  EXPECT_EQ(rewrite_after.derivations - rewrite_before.derivations, 1u);
+  EXPECT_EQ(rewrite_after.reuses - rewrite_before.reuses, 1u);
+  EXPECT_EQ(sql::ParseCallCount() - parses_before, texts.size() + 1);
+
+  ExpectStoresEquivalent(h.store, h2.store);
+  EXPECT_EQ(h2.store.statement_count(), h.store.statement_count());
+  for (const QueryRecord& r : h.store.records()) {
+    EXPECT_TRUE(h2.store.Get(r.id)->statement() == r.statement()) << r.id;
+  }
+  std::string primary_image, replayed_image;
+  ASSERT_TRUE(EncodeSnapshotV2(h.store, 0, &primary_image).ok());
+  ASSERT_TRUE(EncodeSnapshotV2(h2.store, 0, &replayed_image).ok());
+  EXPECT_TRUE(primary_image == replayed_image);
 }
 
 TEST(WalTest, TornInitialHeaderRecoversToEmpty) {

@@ -20,7 +20,9 @@
 namespace cqms::storage {
 namespace {
 
+using testing_util::CountsOf;
 using testing_util::Harness;
+using testing_util::PathCounts;
 
 TEST(RecordBuilderTest, BuildsAllDerivedFields) {
   QueryRecord r = BuildRecordFromText(
@@ -720,6 +722,129 @@ TEST(StatementIndexTest, ReusedIdNeverReturnsThePreviousRecords) {
             (std::vector<QueryId>{a0, a1}));
   EXPECT_EQ(std::string(pinned->scoring().statement_row(a).lowered_text()),
             ToLower(old_text));
+}
+
+// --- live-statement lookup (derive once) -----------------------------------
+
+TEST(LiveStatementTest, TakesOnlyAParsedStatementOfTheExactText) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  const PathCounts before = CountsOf("log_only");
+  QueryRecord probe;
+  probe.text = sql;
+  EXPECT_FALSE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+
+  // A text-only run of the text (kTextOnly) holds a statement that is not
+  // known to parse: never taken.
+  QueryRecord text_only;
+  text_only.text = sql;
+  text_only.user = "alice";
+  store.Append(std::move(text_only));
+  ASSERT_TRUE(store.Get(0)->parse_failed());
+  ASSERT_TRUE(store.Get(0)->statement().signature.valid);
+  EXPECT_FALSE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+  EXPECT_TRUE(probe.parse_failed());
+  EXPECT_EQ(probe.fingerprint, 0u);
+
+  const QueryId parsed = store.Append(BuildRecordFromText(sql, "bob", 2));
+  // Same canonical form, other text: not the exact text.
+  QueryRecord other;
+  other.text = "select temp from WaterTemp where temp < 18";
+  EXPECT_FALSE(store.ShareLiveStatement(&other, StatementPath::kLogOnly));
+
+  ASSERT_TRUE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+  EXPECT_EQ(&probe.statement(), &store.Get(parsed)->statement());
+  EXPECT_EQ(probe.fingerprint, store.Get(parsed)->fingerprint);
+  const PathCounts after = CountsOf("log_only");
+  EXPECT_EQ(after.derivations - before.derivations, 3u);
+  EXPECT_EQ(after.reuses - before.reuses, 1u);
+}
+
+TEST(LiveStatementTest, RunWithOtherOutputMovesToAStatementOfItsOwn) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  const QueryId a = store.Append(RecordWithOutput(sql, "alice", {17, 12}));
+  const Statement before = store.Get(a)->statement();  // a copy
+
+  QueryRecord rerun =
+      store.RecordForText(sql, "bob", 2, StatementPath::kProfile);
+  ASSERT_EQ(&rerun.statement(), &store.Get(a)->statement());
+  rerun.summary.column_names = {"temp"};
+  rerun.summary.total_rows = 1;
+  rerun.summary.sample_rows.push_back({db::Value::Int(9)});
+  const QueryId b = store.Append(std::move(rerun));
+
+  // The shared statement kept its output part; the run's own part went
+  // to a clone, equal to a from-scratch derivation with that output.
+  EXPECT_TRUE(store.Get(a)->statement() == before);
+  EXPECT_NE(&store.Get(b)->statement(), &store.Get(a)->statement());
+  QueryRecord fresh = BuildRecordFromText(sql, "bob", 2);
+  fresh.summary = store.Get(b)->summary;
+  UpdateOutputSignature(&fresh);
+  EXPECT_TRUE(store.Get(b)->statement() == fresh.statement());
+  EXPECT_EQ(store.statement_count(), 2u);
+
+  // A third run with the first output shares the first statement again.
+  QueryRecord third = store.RecordForText(sql, "carol", 3, StatementPath::kProfile);
+  third.summary = store.Get(a)->summary;
+  const QueryId c = store.Append(std::move(third));
+  EXPECT_EQ(&store.Get(c)->statement(), &store.Get(a)->statement());
+  EXPECT_EQ(store.statement_count(), 2u);
+}
+
+TEST(LiveStatementTest, ReleasedStatementIsDerivedAfresh) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  const QueryId id = store.Append(BuildRecordFromText(sql, "alice", 1));
+  const QueryRecord held = *store.Get(id);  // keeps the old statement alive
+  // The text's only record is rewritten away: its statement leaves the
+  // sharing table and its id is released.
+  ASSERT_TRUE(
+      store.RewriteQueryText(id, "SELECT temp FROM LakeTemp WHERE temp < 18")
+          .ok());
+  ASSERT_EQ(store.statement_count(), 1u);
+
+  const PathCounts before = CountsOf("log_only");
+  QueryRecord again = store.RecordForText(sql, "bob", 2, StatementPath::kLogOnly);
+  EXPECT_EQ(CountsOf("log_only").derivations - before.derivations, 1u);
+  EXPECT_EQ(CountsOf("log_only").reuses, before.reuses);
+  EXPECT_NE(&again.statement(), &held.statement());
+  EXPECT_TRUE(again.statement() == held.statement());
+  const QueryId appended = store.Append(std::move(again));
+  EXPECT_NE(&store.Get(appended)->statement(), &held.statement());
+  EXPECT_TRUE(store.Get(appended)->statement() ==
+              BuildRecordFromText(sql, "bob", 2).statement());
+  EXPECT_EQ(store.statement_count(), 2u);
+  ExpectIndexesOnLiveStatements(store, "after re-deriving");
+}
+
+TEST(LiveStatementTest, RewritesOntoOneRepairedTextDeriveItOnce) {
+  QueryStore store;
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(store.Append(BuildRecordFromText(
+        "SELECT temp FROM WaterTemp WHERE temp < " + std::to_string(10 + i),
+        "u", i)));
+  }
+  const std::string repaired = "SELECT temp FROM LakeTemp WHERE temp < 10";
+  const PathCounts before = CountsOf("rewrite");
+  for (QueryId id : ids) ASSERT_TRUE(store.RewriteQueryText(id, repaired).ok());
+  const PathCounts after = CountsOf("rewrite");
+  EXPECT_EQ(after.derivations - before.derivations, 1u);
+  EXPECT_EQ(after.reuses - before.reuses, 4u);
+  EXPECT_EQ(store.statement_count(), 1u);
+  const QueryRecord fresh = BuildRecordFromText(repaired, "u", 0);
+  for (QueryId id : ids) {
+    EXPECT_EQ(store.Get(id)->text, repaired);
+    EXPECT_TRUE(store.Get(id)->statement() == fresh.statement()) << id;
+    EXPECT_EQ(store.Get(id)->fingerprint, fresh.fingerprint);
+  }
+  ExpectIndexesOnLiveStatements(store, "after repairs");
+
+  // An unparsable repair is still refused with the parse error.
+  Status bad = store.RewriteQueryText(ids[0], "SELEKT temp");
+  EXPECT_EQ(bad.code(), StatusCode::kParseError);
+  EXPECT_NE(bad.ToString().find("expected keyword SELECT"), std::string::npos);
 }
 
 TEST(ProfilerIntegrationTest, ProfilerPopulatesStore) {

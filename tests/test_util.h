@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "db/database.h"
+#include "obs/metrics.h"
 #include "profiler/query_profiler.h"
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
@@ -38,6 +39,21 @@ struct Harness {
     return e.query_id;
   }
 };
+
+/// The statement derivations and reuses counted so far on one logging
+/// path (`profile`, `log_only`, `wal`, `rewrite`). The counters are
+/// process-wide, so tests compare differences.
+struct PathCounts {
+  uint64_t derivations = 0;
+  uint64_t reuses = 0;
+};
+
+inline PathCounts CountsOf(const std::string& path) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const std::string tag = "{path=\"" + path + "\"}";
+  return {reg.GetCounter("cqms_statement_derivations_total" + tag)->value(),
+          reg.GetCounter("cqms_statement_reuses_total" + tag)->value()};
+}
 
 }  // namespace cqms::testing_util
 
