@@ -1,7 +1,6 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -13,10 +12,20 @@ namespace cqms::db {
 
 namespace {
 
-/// An intermediate relation flowing between executor stages.
-struct Intermediate {
+/// An intermediate relation flowing between executor stages: tuples of
+/// base-row pointers, `width` per tuple (one per FROM source), stored
+/// flat. Scans, filters and joins pass pointers to the tables' rows, and
+/// only projection builds output rows. A null pointer is a source an
+/// outer join null-extended, or one not joined yet; its columns read as
+/// NULL.
+struct Relation {
   Layout layout;
-  std::vector<Row> rows;
+  size_t width = 1;
+  std::vector<const Row*> slots;
+
+  size_t size() const { return slots.size() / width; }
+  const Row* const* tuple(size_t i) const { return slots.data() + i * width; }
+  void Append(const Row* const* t) { slots.insert(slots.end(), t, t + width); }
 };
 
 /// How an expression's column references relate to a layout.
@@ -40,7 +49,7 @@ BindInfo AnalyzeBinding(const sql::Expr& expr, const Layout& layout) {
         } else if (idx < 0) {
           info.resolvable = false;
         } else {
-          info.qualifiers.insert(layout.slot(idx).first);
+          info.qualifiers.insert(layout.slot(idx).qualifier);
         }
       },
       /*enter_subqueries=*/false);
@@ -57,10 +66,21 @@ bool AllJoinsInner(const sql::SelectStatement& stmt) {
   return true;
 }
 
+/// Grouping and DISTINCT equality: same arity, and every value compares
+/// equal (NULLs equal each other).
+bool RowsEqual(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].Compare(b[i]) != 0) return false;
+  }
+  return true;
+}
+
 /// Aggregate accumulator for one aggregate call within one group.
 struct AggAccum {
   int64_t star_count = 0;       ///< Rows seen (COUNT(*)).
   int64_t non_null = 0;         ///< Non-null inputs.
+  bool non_numeric = false;     ///< Some non-null input was not a number.
   bool sum_is_double = false;
   int64_t int_sum = 0;
   double double_sum = 0;
@@ -76,6 +96,8 @@ struct AggAccum {
       if (v.type() == ValueType::kDouble) sum_is_double = true;
       if (v.type() == ValueType::kInt) int_sum += v.AsInt();
       double_sum += v.AsDouble();
+    } else {
+      non_numeric = true;
     }
     if (min_value.is_null() || v.Compare(min_value) < 0) min_value = v;
     if (max_value.is_null() || v.Compare(max_value) > 0) max_value = v;
@@ -88,14 +110,16 @@ struct AggAccum {
       if (want_distinct) return Value::Int(static_cast<int64_t>(distinct.size()));
       return Value::Int(non_null);
     }
-    if (func == "SUM") {
+    if (func == "SUM" || func == "AVG") {
+      if (non_numeric) return Status::ExecutionError(func + " over non-numeric");
       if (non_null == 0) return Value::Null();
+    }
+    if (func == "SUM") {
       if (want_distinct) {
         double s = 0;
         bool dbl = false;
         int64_t is = 0;
         for (const Value& v : distinct) {
-          if (!v.is_numeric()) return Status::ExecutionError("SUM over non-numeric");
           if (v.type() == ValueType::kDouble) dbl = true;
           else is += v.AsInt();
           s += v.AsDouble();
@@ -106,12 +130,10 @@ struct AggAccum {
     }
     if (func == "AVG") {
       if (want_distinct) {
-        if (distinct.empty()) return Value::Null();
         double s = 0;
         for (const Value& v : distinct) s += v.AsDouble();
         return Value::Double(s / static_cast<double>(distinct.size()));
       }
-      if (non_null == 0) return Value::Null();
       return Value::Double(double_sum / static_cast<double>(non_null));
     }
     if (func == "MIN") return min_value;
@@ -125,6 +147,14 @@ struct AggSpec {
   std::string key;             ///< Canonical printed call text.
   const sql::Expr* call;       ///< The call expression.
   bool is_star = false;        ///< COUNT(*).
+};
+
+/// One output unit of an aggregation: a representative tuple of its group
+/// (all-NULL for an aggregate over empty input) and the group's aggregate
+/// values.
+struct GroupOut {
+  const Row* const* tuple;
+  std::map<std::string, Value> aggregates;
 };
 
 class ExecutorImpl {
@@ -159,23 +189,33 @@ class ExecutorImpl {
                                     const Env* outer) {
     DepthGuard guard(&depth_);
     // ---- FROM: scans -----------------------------------------------------
-    std::vector<Intermediate> scans;
+    // A scan of source i holds a pointer to every row of its table, in
+    // slot i of a tuple wide enough for every source.
+    const size_t width = std::max<size_t>(1, stmt.from.size());
+    std::vector<Relation> scans;
     Layout full_layout;
-    for (const sql::TableRef& tr : stmt.from) {
+    for (size_t si = 0; si < stmt.from.size(); ++si) {
+      const sql::TableRef& tr = stmt.from[si];
       const Table* table = db_->GetTable(tr.table);
       if (table == nullptr) {
         return Status::BindError("unknown table: " + ToLower(tr.table));
       }
-      Intermediate scan;
+      Relation scan;
+      scan.width = width;
       std::string qualifier = ToLower(tr.EffectiveName());
-      for (const ColumnDef& col : table->schema().columns()) {
-        scan.layout.Add(qualifier, col.name);
-        full_layout.Add(qualifier, col.name);
+      const std::vector<ColumnDef>& columns = table->schema().columns();
+      for (size_t c = 0; c < columns.size(); ++c) {
+        scan.layout.Add(qualifier, columns[c].name, static_cast<int>(si),
+                        static_cast<int>(c));
+        full_layout.Add(qualifier, columns[c].name, static_cast<int>(si),
+                        static_cast<int>(c));
       }
-      scan.rows = table->rows();
-      rows_scanned_ += scan.rows.size();
-      Plan("scan " + ToLower(tr.table) + " (" +
-           std::to_string(scan.rows.size()) + " rows)");
+      const std::vector<Row>& rows = table->rows();
+      scan.slots.assign(rows.size() * width, nullptr);
+      for (size_t r = 0; r < rows.size(); ++r) scan.slots[r * width + si] = &rows[r];
+      rows_scanned_ += rows.size();
+      Plan("scan " + ToLower(tr.table) + " (" + std::to_string(rows.size()) +
+           " rows)");
       scans.push_back(std::move(scan));
     }
 
@@ -210,9 +250,9 @@ class ExecutorImpl {
     }
 
     // ---- Joins -------------------------------------------------------------
-    Intermediate acc;
+    Relation acc;
     if (stmt.from.empty()) {
-      acc.rows.push_back(Row{});  // single empty row: SELECT 1+1
+      acc.slots.push_back(nullptr);  // one empty tuple: SELECT 1+1
     } else {
       acc = std::move(scans[0]);
       for (size_t i = 1; i < scans.size(); ++i) {
@@ -234,8 +274,8 @@ class ExecutorImpl {
           }
         }
         CQMS_ASSIGN_OR_RETURN(
-            acc, JoinStep(std::move(acc), std::move(scans[i]), tr.join_type,
-                          join_preds, outer, ToLower(tr.table)));
+            acc, JoinStep(std::move(acc), scans[i], i, std::move(combined),
+                          tr.join_type, join_preds, outer, ToLower(tr.table)));
       }
     }
 
@@ -251,29 +291,30 @@ class ExecutorImpl {
     CollectAggSpecs(stmt, &agg_specs);
     const bool aggregate_mode = !agg_specs.empty() || !stmt.group_by.empty();
 
-    // Output units: each unit is (representative env row, agg values).
-    std::vector<UnitOut> units;
-
+    // In aggregate mode each output unit is a group; otherwise it is a
+    // tuple of `acc`.
+    std::vector<const Row*> null_tuple;  // represents an empty aggregate
+    std::vector<GroupOut> groups;
     if (aggregate_mode) {
+      null_tuple.assign(width, nullptr);
       Plan("aggregate " + std::to_string(agg_specs.size()) + " function(s), " +
            std::to_string(stmt.group_by.size()) + " group key(s)");
-      CQMS_ASSIGN_OR_RETURN(units, BuildGroups(stmt, acc, agg_specs, outer));
+      CQMS_ASSIGN_OR_RETURN(
+          groups, BuildGroups(stmt, acc, agg_specs, null_tuple.data(), outer));
       // HAVING.
       if (stmt.having) {
-        std::vector<UnitOut> kept;
-        for (UnitOut& u : units) {
-          Env env{&acc.layout, &u.rep_row, outer, &u.aggregates};
+        size_t kept = 0;
+        for (size_t gi = 0; gi < groups.size(); ++gi) {
+          Env env{&acc.layout, groups[gi].tuple, outer, &groups[gi].aggregates};
           CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(*stmt.having, env));
-          if (pass) kept.push_back(std::move(u));
+          if (!pass) continue;
+          if (kept != gi) groups[kept] = std::move(groups[gi]);
+          ++kept;
         }
-        units = std::move(kept);
-      }
-    } else {
-      units.reserve(acc.rows.size());
-      for (Row& r : acc.rows) {
-        units.push_back(UnitOut{std::move(r), {}});
+        groups.resize(kept);
       }
     }
+    const size_t num_units = aggregate_mode ? groups.size() : acc.size();
 
     // ---- Projection ----------------------------------------------------------
     QueryResult result;
@@ -292,7 +333,7 @@ class ExecutorImpl {
           }
           for (int s : slots) {
             outputs.push_back({nullptr, s});
-            result.column_names.push_back(acc.layout.slot(s).second);
+            result.column_names.push_back(acc.layout.slot(s).column);
           }
         } else {
           if (acc.layout.size() == 0) {
@@ -300,7 +341,7 @@ class ExecutorImpl {
           }
           for (size_t s = 0; s < acc.layout.size(); ++s) {
             outputs.push_back({nullptr, static_cast<int>(s)});
-            result.column_names.push_back(acc.layout.slot(s).second);
+            result.column_names.push_back(acc.layout.slot(s).column);
           }
         }
         continue;
@@ -315,45 +356,43 @@ class ExecutorImpl {
       }
     }
 
-    result.rows.reserve(units.size());
-    std::vector<Row> order_keys;
-    const bool need_order = !stmt.order_by.empty();
-    if (need_order) order_keys.reserve(units.size());
-
-    for (UnitOut& u : units) {
-      Env env{&acc.layout, &u.rep_row, outer,
-              aggregate_mode ? &u.aggregates : nullptr};
+    // Each output row is built once, here; ORDER BY keys go to one flat
+    // array, `num_keys` per row.
+    const size_t num_keys = stmt.order_by.size();
+    std::vector<Value> order_keys;
+    order_keys.reserve(num_units * num_keys);
+    result.rows.reserve(num_units);
+    for (size_t u = 0; u < num_units; ++u) {
+      const Env env =
+          aggregate_mode
+              ? Env{&acc.layout, groups[u].tuple, outer, &groups[u].aggregates}
+              : Env{&acc.layout, acc.tuple(u), outer, nullptr};
       Row out;
       out.reserve(outputs.size());
       for (const OutputExpr& oe : outputs) {
         if (oe.expr == nullptr) {
-          out.push_back(u.rep_row[oe.star_slot]);
+          out.push_back(acc.layout.Read(env.tuple, oe.star_slot));
         } else {
           CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*oe.expr, env));
           out.push_back(std::move(v));
         }
       }
-      if (need_order) {
-        Row keys;
-        keys.reserve(stmt.order_by.size());
-        for (const sql::OrderItem& oi : stmt.order_by) {
-          CQMS_ASSIGN_OR_RETURN(
-              Value v, EvalOrderExpr(*oi.expr, env, stmt.select_items, out));
-          keys.push_back(std::move(v));
-        }
-        order_keys.push_back(std::move(keys));
+      for (const sql::OrderItem& oi : stmt.order_by) {
+        CQMS_ASSIGN_OR_RETURN(
+            Value v, EvalOrderExpr(*oi.expr, env, stmt.select_items, out));
+        order_keys.push_back(std::move(v));
       }
       result.rows.push_back(std::move(out));
     }
 
     // ---- ORDER BY -------------------------------------------------------------
-    if (need_order) {
-      Plan("sort " + std::to_string(stmt.order_by.size()) + " key(s)");
+    if (num_keys > 0) {
+      Plan("sort " + std::to_string(num_keys) + " key(s)");
       std::vector<size_t> perm(result.rows.size());
       for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
       std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-        for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-          int cmp = order_keys[a][k].Compare(order_keys[b][k]);
+        for (size_t k = 0; k < num_keys; ++k) {
+          int cmp = order_keys[a * num_keys + k].Compare(order_keys[b * num_keys + k]);
           if (cmp != 0) return stmt.order_by[k].descending ? cmp > 0 : cmp < 0;
         }
         return false;
@@ -398,32 +437,34 @@ class ExecutorImpl {
     return result;
   }
 
-  // Applies `predicate` to every row of `rel` in place.
-  Status FilterInPlace(Intermediate* rel, const sql::Expr& predicate,
+  /// Keeps the tuples of `rel` that satisfy `predicate`, compacting them
+  /// in place.
+  Status FilterInPlace(Relation* rel, const sql::Expr& predicate,
                        const Env* outer) {
-    std::vector<Row> kept;
-    kept.reserve(rel->rows.size());
-    for (Row& r : rel->rows) {
-      Env env{&rel->layout, &r, outer, nullptr};
+    const size_t width = rel->width;
+    const size_t n = rel->size();
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      Env env{&rel->layout, rel->tuple(i), outer, nullptr};
       CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(predicate, env));
-      if (pass) kept.push_back(std::move(r));
+      if (!pass) continue;
+      if (kept != i) {
+        std::copy_n(rel->tuple(i), width, rel->slots.begin() + kept * width);
+      }
+      ++kept;
     }
-    rel->rows = std::move(kept);
+    rel->slots.resize(kept * width);
     return Status::Ok();
   }
 
   static Layout CombineLayouts(const Layout& a, const Layout& b) {
     Layout out;
-    for (size_t i = 0; i < a.size(); ++i) out.Add(a.slot(i).first, a.slot(i).second);
-    for (size_t i = 0; i < b.size(); ++i) out.Add(b.slot(i).first, b.slot(i).second);
-    return out;
-  }
-
-  static Row ConcatRows(const Row& a, const Row& b) {
-    Row out;
-    out.reserve(a.size() + b.size());
-    out.insert(out.end(), a.begin(), a.end());
-    out.insert(out.end(), b.begin(), b.end());
+    for (const Layout* l : {&a, &b}) {
+      for (size_t i = 0; i < l->size(); ++i) {
+        const Slot& s = l->slot(i);
+        out.Add(s.qualifier, s.column, s.source, s.index);
+      }
+    }
     return out;
   }
 
@@ -449,12 +490,16 @@ class ExecutorImpl {
     return {-1, -1};
   }
 
-  Result<Intermediate> JoinStep(Intermediate left, Intermediate right,
-                                sql::JoinType join_type,
-                                const std::vector<const sql::Expr*>& preds,
-                                const Env* outer, const std::string& label) {
-    Intermediate out;
-    out.layout = CombineLayouts(left.layout, right.layout);
+  /// Joins `right`, the scan of FROM source `source`, onto `left`. Each
+  /// candidate tuple is assembled in one scratch buffer, and only those
+  /// passing every residual predicate are appended to the output.
+  Result<Relation> JoinStep(Relation left, const Relation& right, size_t source,
+                            Layout combined, sql::JoinType join_type,
+                            const std::vector<const sql::Expr*>& preds,
+                            const Env* outer, const std::string& label) {
+    Relation out;
+    out.layout = std::move(combined);
+    out.width = left.width;
 
     // Find a hash-join key among the predicates.
     int left_key = -1, right_key = -1;
@@ -477,74 +522,74 @@ class ExecutorImpl {
 
     const bool is_left = join_type == sql::JoinType::kLeft;
     const bool is_right = join_type == sql::JoinType::kRight;
-    std::vector<bool> right_matched(is_right ? right.rows.size() : 0, false);
+    const size_t num_right = right.size();
+    std::vector<bool> right_matched(is_right ? num_right : 0, false);
 
-    auto match_row = [&](const Row& combined) -> Result<bool> {
-      Env env{&out.layout, &combined, outer, nullptr};
+    // Left tuples have no row for `source` yet, so a left tuple that
+    // matches nothing is appended as is, null-extended.
+    std::vector<const Row*> scratch(out.width, nullptr);
+    const Env env{&out.layout, scratch.data(), outer, nullptr};
+    auto try_pair = [&](const Row* const* left_tuple, size_t ri) -> Result<bool> {
+      std::copy_n(left_tuple, out.width, scratch.begin());
+      scratch[source] = right.tuple(ri)[source];
       for (const sql::Expr* p : residual) {
         CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(*p, env));
         if (!pass) return false;
       }
+      out.Append(scratch.data());
+      if (is_right) right_matched[ri] = true;
       return true;
     };
 
     if (left_key >= 0) {
-      // Hash join: build on the right side, probe with the left.
-      std::unordered_map<uint64_t, std::vector<size_t>> ht;
-      ht.reserve(right.rows.size() * 2);
-      for (size_t i = 0; i < right.rows.size(); ++i) {
-        const Value& v = right.rows[i][right_key];
+      // Hash join: build on the right side, probe with the left. Entries
+      // sort by key hash, and the rows of one hash stay in row order.
+      std::vector<std::pair<uint64_t, size_t>> entries;
+      entries.reserve(num_right);
+      for (size_t ri = 0; ri < num_right; ++ri) {
+        const Value& v = right.layout.Read(right.tuple(ri), right_key);
         if (v.is_null()) continue;  // NULL keys never join.
-        ht[v.Hash()].push_back(i);
+        entries.emplace_back(v.Hash(), ri);
       }
-      for (const Row& lrow : left.rows) {
+      std::sort(entries.begin(), entries.end());
+      for (size_t li = 0; li < left.size(); ++li) {
+        const Row* const* left_tuple = left.tuple(li);
         bool matched = false;
-        const Value& key = lrow[left_key];
+        const Value& key = left.layout.Read(left_tuple, left_key);
         if (!key.is_null()) {
-          auto it = ht.find(key.Hash());
-          if (it != ht.end()) {
-            for (size_t ri : it->second) {
-              ++rows_scanned_;
-              if (key.Compare(right.rows[ri][right_key]) != 0) continue;
-              Row combined = ConcatRows(lrow, right.rows[ri]);
-              CQMS_ASSIGN_OR_RETURN(bool pass, match_row(combined));
-              if (!pass) continue;
-              matched = true;
-              if (is_right) right_matched[ri] = true;
-              out.rows.push_back(std::move(combined));
-            }
+          const uint64_t h = key.Hash();
+          auto it = std::lower_bound(entries.begin(), entries.end(),
+                                     std::make_pair(h, size_t{0}));
+          for (; it != entries.end() && it->first == h; ++it) {
+            ++rows_scanned_;
+            const Value& right_value =
+                right.layout.Read(right.tuple(it->second), right_key);
+            if (key.Compare(right_value) != 0) continue;
+            CQMS_ASSIGN_OR_RETURN(bool pass, try_pair(left_tuple, it->second));
+            matched = matched || pass;
           }
         }
-        if (is_left && !matched) {
-          Row nulls(right.layout.size(), Value::Null());
-          out.rows.push_back(ConcatRows(lrow, nulls));
-        }
+        if (is_left && !matched) out.Append(left_tuple);
       }
     } else {
       // Nested-loop join.
-      for (const Row& lrow : left.rows) {
+      for (size_t li = 0; li < left.size(); ++li) {
+        const Row* const* left_tuple = left.tuple(li);
         bool matched = false;
-        for (size_t ri = 0; ri < right.rows.size(); ++ri) {
+        for (size_t ri = 0; ri < num_right; ++ri) {
           ++rows_scanned_;
-          Row combined = ConcatRows(lrow, right.rows[ri]);
-          CQMS_ASSIGN_OR_RETURN(bool pass, match_row(combined));
-          if (!pass) continue;
-          matched = true;
-          if (is_right) right_matched[ri] = true;
-          out.rows.push_back(std::move(combined));
+          CQMS_ASSIGN_OR_RETURN(bool pass, try_pair(left_tuple, ri));
+          matched = matched || pass;
         }
-        if (is_left && !matched) {
-          Row nulls(right.layout.size(), Value::Null());
-          out.rows.push_back(ConcatRows(lrow, nulls));
-        }
+        if (is_left && !matched) out.Append(left_tuple);
       }
     }
 
+    // A right row that matched nothing joins no left source: those read
+    // as NULL.
     if (is_right) {
-      for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        if (right_matched[ri]) continue;
-        Row nulls(left.layout.size(), Value::Null());
-        out.rows.push_back(ConcatRows(nulls, right.rows[ri]));
+      for (size_t ri = 0; ri < num_right; ++ri) {
+        if (!right_matched[ri]) out.Append(right.tuple(ri));
       }
     }
     return out;
@@ -581,55 +626,42 @@ class ExecutorImpl {
     for (const sql::OrderItem& oi : stmt.order_by) visit(oi.expr.get());
   }
 
-  struct UnitOut {
-    Row rep_row;
-    std::map<std::string, Value> aggregates;
-  };
-
-  Result<std::vector<UnitOut>> BuildGroups(const sql::SelectStatement& stmt,
-                                           const Intermediate& acc,
-                                           const std::vector<AggSpec>& specs,
-                                           const Env* outer) {
+  /// Groups the tuples of `acc` by the GROUP BY keys and finalizes every
+  /// aggregate per group. A group's representative tuple is its first.
+  Result<std::vector<GroupOut>> BuildGroups(const sql::SelectStatement& stmt,
+                                            const Relation& acc,
+                                            const std::vector<AggSpec>& specs,
+                                            const Row* const* null_tuple,
+                                            const Env* outer) {
     struct Group {
       Row key;
-      Row rep_row;
+      const Row* const* tuple;
       std::vector<AggAccum> accums;
     };
-    // Master list owns the groups (std::deque: stable element addresses);
-    // the hash table maps key hashes to indices into it.
-    std::deque<Group> order;
+    // `order` owns the groups in first-seen order; the hash table maps
+    // key hashes to indices into it.
+    std::vector<Group> order;
     std::unordered_map<uint64_t, std::vector<size_t>> groups;
 
-    for (const Row& r : acc.rows) {
-      Env env{&acc.layout, &r, outer, nullptr};
-      Row key;
-      key.reserve(stmt.group_by.size());
+    Row key;  // reused: a key is copied only when it starts a group
+    for (size_t ti = 0; ti < acc.size(); ++ti) {
+      Env env{&acc.layout, acc.tuple(ti), outer, nullptr};
+      key.clear();
       for (const auto& g : stmt.group_by) {
         CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*g, env));
         key.push_back(std::move(v));
       }
-      uint64_t h = HashRow(key);
-      auto& bucket = groups[h];
+      auto& bucket = groups[HashRow(key)];
       Group* group = nullptr;
       for (size_t gi : bucket) {
-        Group& g = order[gi];
-        if (g.key.size() == key.size()) {
-          bool equal = true;
-          for (size_t i = 0; i < key.size(); ++i) {
-            if (g.key[i].Compare(key[i]) != 0) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            group = &g;
-            break;
-          }
+        if (RowsEqual(order[gi].key, key)) {
+          group = &order[gi];
+          break;
         }
       }
       if (group == nullptr) {
         bucket.push_back(order.size());
-        order.push_back(Group{key, r, std::vector<AggAccum>(specs.size())});
+        order.push_back(Group{key, env.tuple, std::vector<AggAccum>(specs.size())});
         group = &order.back();
       }
       // Accumulate.
@@ -644,11 +676,10 @@ class ExecutorImpl {
       }
     }
 
-    std::vector<UnitOut> units;
+    std::vector<GroupOut> units;
     if (order.empty() && stmt.group_by.empty()) {
       // Aggregate over empty input: one group of empty accumulators.
-      UnitOut u;
-      u.rep_row = Row(acc.layout.size(), Value::Null());
+      GroupOut u{null_tuple, {}};
       for (const AggSpec& s : specs) {
         AggAccum empty;
         CQMS_ASSIGN_OR_RETURN(
@@ -662,8 +693,7 @@ class ExecutorImpl {
 
     units.reserve(order.size());
     for (const Group& g : order) {
-      UnitOut u;
-      u.rep_row = g.rep_row;
+      GroupOut u{g.tuple, {}};
       for (size_t si = 0; si < specs.size(); ++si) {
         CQMS_ASSIGN_OR_RETURN(
             Value v, g.accums[si].Finalize(specs[si].call->function_name,
@@ -700,20 +730,10 @@ class ExecutorImpl {
     std::vector<Row> out;
     out.reserve(rows->size());
     for (Row& r : *rows) {
-      uint64_t h = HashRow(r);
-      auto& bucket = seen[h];
+      auto& bucket = seen[HashRow(r)];
       bool dup = false;
       for (size_t idx : bucket) {
-        const Row& prev = out[idx];
-        if (prev.size() != r.size()) continue;
-        bool equal = true;
-        for (size_t i = 0; i < r.size(); ++i) {
-          if (prev[i].Compare(r[i]) != 0) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) {
+        if (RowsEqual(out[idx], r)) {
           dup = true;
           break;
         }
@@ -746,14 +766,17 @@ Status ValidateSelectInScope(const sql::SelectStatement& stmt,
                              const ValidateScope* parent, const Catalog& catalog) {
   ValidateScope scope;
   scope.parent = parent;
-  for (const sql::TableRef& tr : stmt.from) {
+  for (size_t si = 0; si < stmt.from.size(); ++si) {
+    const sql::TableRef& tr = stmt.from[si];
     const TableSchema* schema = catalog.FindTable(tr.table);
     if (schema == nullptr) {
       return Status::BindError("unknown table: " + ToLower(tr.table));
     }
     std::string qualifier = ToLower(tr.EffectiveName());
-    for (const ColumnDef& col : schema->columns()) {
-      scope.layout.Add(qualifier, col.name);
+    const std::vector<ColumnDef>& columns = schema->columns();
+    for (size_t c = 0; c < columns.size(); ++c) {
+      scope.layout.Add(qualifier, columns[c].name, static_cast<int>(si),
+                       static_cast<int>(c));
     }
   }
   for (const sql::SelectItem& item : stmt.select_items) {

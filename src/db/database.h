@@ -46,6 +46,16 @@ struct QueryResult {
 /// conditions (essential for the paper's Figure-1 style meta-queries that
 /// self-join the Attributes feature relation), then grouping/aggregation,
 /// HAVING, projection, DISTINCT, ORDER BY, LIMIT/OFFSET, UNION.
+///
+/// Execution materializes late. Until projection, an intermediate relation
+/// is a list of tuples holding one pointer per FROM source into that
+/// table's stored rows (null where an outer join null-extended the
+/// source): scans copy no rows, filters drop pointer tuples in place, a
+/// join appends only the combinations that pass its predicates, and a
+/// group keeps a representative tuple. Projection then builds each output
+/// row once. `Execute` therefore reads table rows in place, and the
+/// tables must not change during a call; every caller runs on the thread
+/// that mutates them (the server's writer thread).
 class Database {
  public:
   explicit Database(const Clock* clock = nullptr) : catalog_(clock) {}

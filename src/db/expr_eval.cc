@@ -21,12 +21,19 @@ int ToTernary(const Value& v) {
 
 }  // namespace
 
+const Value& Layout::Read(const Row* const* tuple, size_t i) const {
+  static const Value kNull;
+  const Slot& slot = slots_[i];
+  const Row* row = tuple[slot.source];
+  return row == nullptr ? kNull : (*row)[slot.index];
+}
+
 int Layout::Find(const std::string& qualifier, const std::string& column) const {
   int found = -1;
   for (size_t i = 0; i < slots_.size(); ++i) {
-    const auto& [q, c] = slots_[i];
-    if (c != column) continue;
-    if (!qualifier.empty() && q != qualifier) continue;
+    const Slot& s = slots_[i];
+    if (s.column != column) continue;
+    if (!qualifier.empty() && s.qualifier != qualifier) continue;
     if (found >= 0) return -2;  // ambiguous
     found = static_cast<int>(i);
   }
@@ -36,7 +43,7 @@ int Layout::Find(const std::string& qualifier, const std::string& column) const 
 std::vector<int> Layout::SlotsForQualifier(const std::string& qualifier) const {
   std::vector<int> out;
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].first == qualifier) out.push_back(static_cast<int>(i));
+    if (slots_[i].qualifier == qualifier) out.push_back(static_cast<int>(i));
   }
   return out;
 }
@@ -72,7 +79,7 @@ Result<Value> Evaluator::EvalColumn(const sql::Expr& expr, const Env& env) const
     if (idx == -2) {
       return Status::BindError("ambiguous column reference: " + column);
     }
-    if (idx >= 0) return (*e->row)[idx];
+    if (idx >= 0) return e->layout->Read(e->tuple, idx);
   }
   return Status::BindError("unknown column: " +
                            (qualifier.empty() ? column : qualifier + "." + column));

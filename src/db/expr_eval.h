@@ -14,17 +14,31 @@ namespace cqms::db {
 
 struct QueryResult;
 
-/// Describes how the columns of an intermediate row are addressed:
-/// slot i answers to (qualifier, column), both lower-cased. The qualifier
-/// is the table alias if present, else the table name.
+/// One addressable column of an intermediate tuple: it answers to
+/// (qualifier, column), both lower-cased, and reads column `index` of the
+/// tuple's row for FROM source `source`. The qualifier is the table alias
+/// if present, else the table name.
+struct Slot {
+  std::string qualifier;
+  std::string column;
+  int source = 0;
+  int index = 0;
+};
+
+/// Describes how the columns of an intermediate tuple are addressed. A
+/// tuple holds one base-row pointer per FROM source; a null pointer stands
+/// for a source an outer join null-extended, and its columns read as NULL.
 class Layout {
  public:
-  void Add(std::string qualifier, std::string column) {
-    slots_.push_back({std::move(qualifier), std::move(column)});
+  void Add(std::string qualifier, std::string column, int source, int index) {
+    slots_.push_back({std::move(qualifier), std::move(column), source, index});
   }
 
   size_t size() const { return slots_.size(); }
-  const std::pair<std::string, std::string>& slot(size_t i) const { return slots_[i]; }
+  const Slot& slot(size_t i) const { return slots_[i]; }
+
+  /// The value of slot `i` in `tuple`, read in place from its source row.
+  const Value& Read(const Row* const* tuple, size_t i) const;
 
   /// Finds the slot for a (possibly unqualified) column reference.
   /// Returns the slot index, -1 when not found, -2 when ambiguous.
@@ -34,16 +48,17 @@ class Layout {
   std::vector<int> SlotsForQualifier(const std::string& qualifier) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> slots_;
+  std::vector<Slot> slots_;
 };
 
-/// Evaluation environment: a row interpreted through a layout, chained to
-/// an optional parent environment so correlated subqueries can see outer
-/// rows. Aggregate contexts additionally expose computed aggregate values
-/// keyed by their canonical printed expression.
+/// Evaluation environment: a tuple of base rows interpreted through a
+/// layout, chained to an optional parent environment so correlated
+/// subqueries can see outer tuples. Aggregate contexts additionally
+/// expose computed aggregate values keyed by their canonical printed
+/// expression.
 struct Env {
   const Layout* layout = nullptr;
-  const Row* row = nullptr;
+  const Row* const* tuple = nullptr;
   const Env* parent = nullptr;
   /// Aggregate values by canonical printed call text, e.g. "AVG(t.temp)".
   const std::map<std::string, Value>* aggregates = nullptr;

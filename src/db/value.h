@@ -16,7 +16,9 @@ enum class ValueType { kNull, kInt, kDouble, kString, kBool };
 const char* ValueTypeToString(ValueType t);
 
 /// A dynamically typed SQL value with three-valued-logic-aware
-/// comparisons. Small enough to copy freely.
+/// comparisons. Not small: a Value is 64 bytes with an inline
+/// std::string, and copying a string longer than the small-string buffer
+/// allocates, so hot paths read values in place (see Database).
 class Value {
  public:
   Value() : type_(ValueType::kNull) {}

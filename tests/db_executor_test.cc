@@ -165,6 +165,57 @@ TEST(ExecutorTest, CountDistinct) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 3);
 }
 
+/// Runs `sql`, which must fail with an ExecutionError naming its
+/// aggregate.
+void ExpectNonNumericAggregateError(const std::string& sql,
+                                    const std::string& func) {
+  Database db = MakeLakeDb();
+  auto r = db.ExecuteSql(sql);
+  ASSERT_FALSE(r.ok()) << sql;
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+  EXPECT_NE(r.status().message().find(func + " over non-numeric"),
+            std::string::npos)
+      << r.status();
+}
+
+TEST(ExecutorTest, SumOverStringsIsExecutionError) {
+  ExpectNonNumericAggregateError("SELECT SUM(lake) FROM WaterTemp", "SUM");
+}
+
+TEST(ExecutorTest, SumDistinctOverStringsIsExecutionError) {
+  ExpectNonNumericAggregateError("SELECT SUM(DISTINCT lake) FROM WaterTemp",
+                                 "SUM");
+}
+
+TEST(ExecutorTest, AvgOverStringsIsExecutionError) {
+  ExpectNonNumericAggregateError("SELECT AVG(lake) FROM WaterTemp", "AVG");
+}
+
+TEST(ExecutorTest, AvgDistinctOverStringsIsExecutionError) {
+  ExpectNonNumericAggregateError("SELECT AVG(DISTINCT lake) FROM WaterTemp",
+                                 "AVG");
+}
+
+TEST(ExecutorTest, SumAndAvgSkipNulls) {
+  Database db = MakeLakeDb();
+  // Two of the four WaterTemp rows find no salinity row at their loc_x.
+  QueryResult r = Exec(db,
+                      "SELECT SUM(S.salinity), AVG(S.salinity), "
+                      "AVG(DISTINCT S.salinity) FROM WaterTemp T LEFT JOIN "
+                      "WaterSalinity S ON T.loc_x = S.loc_x");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.rows[0][0].AsDouble(), 0.7);
+  EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 0.35);
+  EXPECT_DOUBLE_EQ(r.rows[0][2].AsDouble(), 0.35);
+  // A string column whose every input is NULL sums to NULL, not an error.
+  r = Exec(db,
+           "SELECT SUM(S.lake), AVG(S.lake) FROM WaterTemp T LEFT JOIN "
+           "WaterSalinity S ON T.loc_x = S.loc_x AND S.loc_x > 100");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_TRUE(r.rows[0][0].is_null());
+  EXPECT_TRUE(r.rows[0][1].is_null());
+}
+
 TEST(ExecutorTest, OrderByDescendingAndLimit) {
   Database db = MakeLakeDb();
   QueryResult r =
