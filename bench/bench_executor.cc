@@ -39,16 +39,28 @@ std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
 // Kept out of line: inlined into a call site, GCC would pair the
-// `new` there with the `free` here and warn of a mismatch.
+// `new` there with the `free` here and warn of a mismatch. The nothrow
+// form (std::stable_sort's buffer) is replaced too, so that every block
+// these deletes free came from malloc, also where a sanitizer runtime
+// supplies the forms left unreplaced.
 __attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -274,8 +274,8 @@ class ExecutorImpl {
           }
         }
         CQMS_ASSIGN_OR_RETURN(
-            acc, JoinStep(std::move(acc), scans[i], i, std::move(combined),
-                          tr.join_type, join_preds, outer, ToLower(tr.table)));
+            acc, JoinStep(acc, scans[i], i, std::move(combined), tr.join_type,
+                          join_preds, outer, ToLower(tr.table)));
       }
     }
 
@@ -493,7 +493,8 @@ class ExecutorImpl {
   /// Joins `right`, the scan of FROM source `source`, onto `left`. Each
   /// candidate tuple is assembled in one scratch buffer, and only those
   /// passing every residual predicate are appended to the output.
-  Result<Relation> JoinStep(Relation left, const Relation& right, size_t source,
+  Result<Relation> JoinStep(const Relation& left, const Relation& right,
+                            size_t source,
                             Layout combined, sql::JoinType join_type,
                             const std::vector<const sql::Expr*>& preds,
                             const Env* outer, const std::string& label) {
