@@ -194,6 +194,105 @@ const char* const kEdgeCases[] = {
     "SELECT T.nope FROM WaterTemp T WHERE 1 = 0",
 };
 
+/// Name resolution, aggregate lookup, literal and function edges, and
+/// LIMIT without ORDER BY: shapes where an executor that resolves names,
+/// aggregates and functions once per block, or stops projecting early,
+/// could differ from one that resolves them on every row. Its constant
+/// was recorded with the executor that looked every column up by name and
+/// every aggregate up by its printed call, on every row.
+const char* const kBindingEdgeCases[] = {
+    // Mixed-case identifiers, qualified by alias and by table name.
+    "SELECT t.LAKE, WATERTEMP.Temp FROM WaterTemp, WaterSalinity t "
+    "WHERE WaterTemp.LOC_X = T.loc_x AND t.Salinity > 0.3",
+    "SELECT Lake, COUNT(*) FROM WATERTEMP GROUP BY LAKE ORDER BY lake",
+    // A correlated subquery whose columns shadow the outer ones.
+    "SELECT T.lake, (SELECT COUNT(*) FROM WaterSalinity S WHERE "
+    "lake = T.lake AND loc_x > T.loc_x) AS n FROM WaterTemp T ORDER BY n, "
+    "T.lake",
+    "SELECT lake, temp FROM WaterTemp T WHERE temp > (SELECT AVG(temp) "
+    "FROM WaterTemp W WHERE W.lake = T.lake)",
+    "SELECT lake FROM WaterTemp T WHERE EXISTS (SELECT 1 FROM CityLocations "
+    "C WHERE pop > temp * 30000)",
+    "SELECT lake FROM WaterTemp WHERE EXISTS (SELECT 1 FROM WaterSalinity S, "
+    "Species P WHERE lake = 'Union')",
+    // A subquery that names an outer aggregate by its text.
+    "SELECT lake, (SELECT MAX(count_obs) FROM Species P WHERE "
+    "P.count_obs < COUNT(*)) FROM WaterTemp GROUP BY lake",
+    "SELECT lake, COUNT(*), (SELECT MAX(count_obs) FROM Species P WHERE "
+    "P.count_obs < COUNT(*) * 5) FROM WaterTemp GROUP BY lake",
+    "SELECT lake, COUNT(*) FROM WaterTemp GROUP BY lake HAVING EXISTS "
+    "(SELECT 1 FROM Species P WHERE P.count_obs > COUNT(*) * 10)",
+    "SELECT lake FROM WaterTemp GROUP BY lake HAVING EXISTS "
+    "(SELECT 1 FROM Species P WHERE P.count_obs > COUNT(*))",
+    "SELECT lake, (SELECT COUNT(*) FROM Species P WHERE P.lake = W.lake "
+    "HAVING COUNT(*) > 0) FROM WaterTemp W GROUP BY lake",
+    // Aggregates where no aggregation context holds them.
+    "SELECT lake FROM WaterTemp WHERE COUNT(*) > 1",
+    "SELECT lake, COUNT(*) FROM WaterTemp WHERE MAX(temp) > 1 GROUP BY lake",
+    "SELECT lake FROM WaterTemp WHERE 1 = 0 AND COUNT(*) > 1",
+    "SELECT lake FROM WaterTemp T WHERE T.nope = 1 AND MAX(T.temp) > 1",
+    "SELECT SUM(COUNT(*)) FROM WaterTemp",
+    "SELECT COUNT(*) FROM WaterTemp GROUP BY COUNT(*)",
+    "SELECT T.lake FROM WaterTemp T JOIN WaterSalinity S ON COUNT(*) > 1",
+    // One aggregate text repeated in SELECT, HAVING and ORDER BY.
+    "SELECT lake, AVG(temp) FROM WaterTemp GROUP BY lake "
+    "HAVING AVG(temp) > 10 ORDER BY AVG(temp) DESC",
+    "SELECT lake, CASE WHEN COUNT(*) > 5 THEN 'many' ELSE 'few' END, "
+    "MAX(temp) - MIN(temp) FROM WaterTemp GROUP BY lake "
+    "HAVING COUNT(*) > 1 ORDER BY MAX(temp) - MIN(temp), COUNT(*)",
+    // Every literal kind inside predicates.
+    "SELECT lake, temp FROM WaterTemp WHERE temp > 12.5 AND loc_x <> 2 AND "
+    "lake <> 'Union' AND (temp = NULL) IS NULL AND TRUE",
+    "SELECT lake FROM WaterTemp WHERE FALSE OR loc_x IN (1, 3, NULL) OR "
+    "temp BETWEEN 20.5 AND 22 OR lake LIKE 'S%'",
+    "SELECT lake, loc_x * 2.5, -temp, 'x' || lake, NOT (temp > 15) "
+    "FROM WaterTemp WHERE lake = 'Washington' OR lake = 'Sammamish'",
+    // Wrong-arity and unknown functions, over rows and over no rows.
+    "SELECT UPPER(lake, lake) FROM WaterTemp",
+    "SELECT UPPER(lake, lake) FROM WaterTemp WHERE 1 = 0",
+    "SELECT FOO(lake) FROM WaterTemp",
+    "SELECT FOO(lake) FROM WaterTemp WHERE 1 = 0",
+    "SELECT lake FROM WaterTemp WHERE FOO(temp) > 1",
+    "SELECT UPPER(nope, lake) FROM WaterTemp",
+    "SELECT LOWER(lake), LENGTH(lake), ABS(loc_x - 3), ROUND(temp, 1), "
+    "SUBSTR(lake, 2, 3), COALESCE(NULL, lake) FROM WaterTemp LIMIT 3",
+    // Lazy errors behind short circuits and untaken branches.
+    "SELECT lake FROM WaterTemp WHERE 1 = 1 OR nope = 1",
+    "SELECT CASE WHEN 1 = 1 THEN lake ELSE nope END FROM WaterTemp",
+    // LIMIT without ORDER BY: over a join, with an OFFSET past the end,
+    // with DISTINCT, and before a UNION.
+    "SELECT T.lake, S.salinity FROM WaterTemp T, WaterSalinity S "
+    "WHERE T.loc_x = S.loc_x LIMIT 5",
+    "SELECT * FROM WaterTemp T, WaterSalinity S WHERE T.temp < 20 LIMIT 7 "
+    "OFFSET 2",
+    "SELECT T.lake, S.salinity FROM WaterTemp T, WaterSalinity S "
+    "LIMIT 5 OFFSET 100000",
+    "SELECT DISTINCT T.lake FROM WaterTemp T, WaterSalinity S LIMIT 3",
+    "SELECT lake FROM WaterTemp LIMIT 2 UNION SELECT lake FROM Species",
+    "SELECT lake FROM WaterTemp UNION ALL SELECT lake FROM Species LIMIT 2",
+    "SELECT * FROM WaterTemp T LEFT JOIN WaterSalinity S "
+    "ON T.loc_x = S.loc_x AND S.salinity > 0.5 LIMIT 4",
+    "SELECT lake, 1, T.temp FROM WaterTemp T LIMIT 0",
+    "SELECT lake AS l FROM WaterTemp ORDER BY l LIMIT 3",
+    "SELECT lake, COUNT(*) FROM WaterTemp GROUP BY lake LIMIT 1",
+    "SELECT P.lake FROM Species P WHERE P.lake IN (SELECT T.lake FROM "
+    "WaterTemp T, WaterSalinity S WHERE T.temp > S.salinity LIMIT 1)",
+    "SELECT lake, (SELECT P.species FROM Species P WHERE P.lake = T.lake "
+    "LIMIT 1) FROM WaterTemp T",
+    // LIMIT 0 over an unknown column, and LIMIT 1 over a projection that
+    // fails only on a later row: both still fail.
+    "SELECT nope FROM WaterTemp LIMIT 0",
+    "SELECT CASE WHEN temp < 10 THEN lake + 1 ELSE temp END FROM WaterTemp "
+    "LIMIT 1",
+    // ORDER BY aliases, before and after a star.
+    "SELECT temp AS lake FROM WaterTemp ORDER BY lake LIMIT 4",
+    "SELECT *, temp AS t FROM WaterTemp ORDER BY t",
+    "SELECT temp AS t, * FROM WaterTemp ORDER BY t DESC LIMIT 3",
+    // One qualifier naming two FROM sources.
+    "SELECT X.lake FROM WaterTemp X, Species X WHERE X.temp > X.count_obs",
+    "SELECT * FROM WaterTemp, WaterTemp WHERE WaterTemp.temp > 20",
+};
+
 TEST(ExecutorGoldenTest, SeededStreamOnSmallAndLargeLakeDb) {
   const std::vector<std::string> texts = StreamTexts();
   ASSERT_GT(texts.size(), 300u);
@@ -216,6 +315,15 @@ TEST(ExecutorGoldenTest, EdgeCasesOnSmallLakeDb) {
   Digest digest;
   for (const char* text : kEdgeCases) digest.AddExecution(db.ExecuteSql(text));
   EXPECT_EQ(digest.value(), 0x6c0c627d7568dba2ULL);
+}
+
+TEST(ExecutorGoldenTest, BindingEdgeCasesOnSmallLakeDb) {
+  const Database db = MakeLakeDb(30);
+  Digest digest;
+  for (const char* text : kBindingEdgeCases) {
+    digest.AddExecution(db.ExecuteSql(text));
+  }
+  EXPECT_EQ(digest.value(), 0x877d4cf83f0ab787ULL);
 }
 
 }  // namespace
