@@ -3,8 +3,9 @@
 //
 // BM_ExecuteShape times one statement per shape of the synthetic
 // exploration workload on a 30-row lake database (e2ebench's
-// `--demo-rows 30`), from a tree parsed beforehand; the cross join is the
-// shape that dominates the set-up stream's executor time.
+// `--demo-rows 30`), from a tree parsed beforehand; the cross joins, with
+// and without LIMIT, are the shapes that dominate the set-up stream's
+// executor time.
 // BM_ExecuteSetupStream replays the seeded set-up stream of a 40-user lab
 // (the workload BM_GenerateLog profiles) from pre-parsed trees, without
 // the profiler and the store.
@@ -117,6 +118,12 @@ BENCHMARK_CAPTURE(BM_ExecuteShape, cross_join,
 BENCHMARK_CAPTURE(BM_ExecuteShape, cross_join_3col,
                   "SELECT T.lake, T.temp, S.salinity FROM WaterTemp T, "
                   "WaterSalinity S WHERE T.temp < 20");
+BENCHMARK_CAPTURE(BM_ExecuteShape, cross_join_limit,
+                  "SELECT * FROM WaterTemp T, WaterSalinity S "
+                  "WHERE T.temp < 20 LIMIT 20");
+BENCHMARK_CAPTURE(BM_ExecuteShape, cross_join_3col_limit,
+                  "SELECT T.lake, T.temp, S.salinity FROM WaterTemp T, "
+                  "WaterSalinity S WHERE T.temp < 20 LIMIT 20");
 BENCHMARK_CAPTURE(BM_ExecuteShape, hash_join,
                   "SELECT R.ts, R.value FROM Sensors N, Readings R "
                   "WHERE N.sensor_id = R.sensor_id");

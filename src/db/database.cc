@@ -28,12 +28,15 @@ struct Relation {
   void Append(const Row* const* t) { slots.insert(slots.end(), t, t + width); }
 };
 
-/// How an expression's column references relate to a layout.
+/// How an expression's column references bind to a layout, for deciding
+/// where a WHERE conjunct is evaluated.
 struct BindInfo {
-  bool resolvable = true;        ///< Every column ref found in the layout.
+  bool resolvable = true;        ///< Every column ref binds in the layout.
   bool ambiguous = false;        ///< Some ref matched multiple slots.
   bool has_subquery = false;     ///< Conservative: treat as non-pushable.
-  std::set<std::string> qualifiers;  ///< Qualifiers of resolved slots.
+  /// Qualifier of the first bound slot; whether any other differs.
+  const std::string* qualifier = nullptr;
+  bool mixed_qualifiers = false;
 };
 
 BindInfo AnalyzeBinding(const sql::Expr& expr, const Layout& layout) {
@@ -43,13 +46,18 @@ BindInfo AnalyzeBinding(const sql::Expr& expr, const Layout& layout) {
       [&](sql::Expr* e) {
         if (e->subquery) info.has_subquery = true;
         if (e->kind != sql::ExprKind::kColumnRef) return;
-        int idx = layout.Find(ToLower(e->table), ToLower(e->column));
+        int idx = BindColumnSlot(*e, layout);
         if (idx == -2) {
           info.ambiguous = true;
         } else if (idx < 0) {
           info.resolvable = false;
         } else {
-          info.qualifiers.insert(layout.slot(idx).qualifier);
+          const std::string& q = layout.slot(idx).qualifier;
+          if (info.qualifier == nullptr) {
+            info.qualifier = &q;
+          } else if (*info.qualifier != q) {
+            info.mixed_qualifiers = true;
+          }
         }
       },
       /*enter_subqueries=*/false);
@@ -82,6 +90,7 @@ struct AggAccum {
   int64_t non_null = 0;         ///< Non-null inputs.
   bool non_numeric = false;     ///< Some non-null input was not a number.
   bool sum_is_double = false;
+  bool int_sum_overflow = false;  ///< `int_sum` left int64's range.
   int64_t int_sum = 0;
   double double_sum = 0;
   Value min_value;              ///< Null until first input.
@@ -94,7 +103,10 @@ struct AggAccum {
     if (want_distinct) distinct.insert(v);
     if (v.is_numeric()) {
       if (v.type() == ValueType::kDouble) sum_is_double = true;
-      if (v.type() == ValueType::kInt) int_sum += v.AsInt();
+      if (v.type() == ValueType::kInt &&
+          __builtin_add_overflow(int_sum, v.AsInt(), &int_sum)) {
+        int_sum_overflow = true;
+      }
       double_sum += v.AsDouble();
     } else {
       non_numeric = true;
@@ -118,15 +130,20 @@ struct AggAccum {
       if (want_distinct) {
         double s = 0;
         bool dbl = false;
+        bool overflow = false;
         int64_t is = 0;
         for (const Value& v : distinct) {
           if (v.type() == ValueType::kDouble) dbl = true;
-          else is += v.AsInt();
+          else if (__builtin_add_overflow(is, v.AsInt(), &is)) overflow = true;
           s += v.AsDouble();
         }
-        return dbl ? Value::Double(s) : Value::Int(is);
+        if (dbl) return Value::Double(s);
+        if (overflow) return Status::ExecutionError("integer overflow");
+        return Value::Int(is);
       }
-      return sum_is_double ? Value::Double(double_sum) : Value::Int(int_sum);
+      if (sum_is_double) return Value::Double(double_sum);
+      if (int_sum_overflow) return Status::ExecutionError("integer overflow");
+      return Value::Int(int_sum);
     }
     if (func == "AVG") {
       if (want_distinct) {
@@ -142,19 +159,12 @@ struct AggAccum {
   }
 };
 
-/// One distinct aggregate call appearing in the statement.
-struct AggSpec {
-  std::string key;             ///< Canonical printed call text.
-  const sql::Expr* call;       ///< The call expression.
-  bool is_star = false;        ///< COUNT(*).
-};
-
 /// One output unit of an aggregation: a representative tuple of its group
 /// (all-NULL for an aggregate over empty input) and the group's aggregate
-/// values.
+/// values, indexed like the block's `AggSpec`s.
 struct GroupOut {
   const Row* const* tuple;
-  std::map<std::string, Value> aggregates;
+  std::vector<Value> aggregates;
 };
 
 class ExecutorImpl {
@@ -183,6 +193,19 @@ class ExecutorImpl {
     explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
     ~DepthGuard() { --*depth_; }
     int* depth_;
+  };
+
+  /// One output column: a slot read in place, or a bound expression.
+  struct OutputExpr {
+    int slot = -1;                   ///< >= 0: read this slot of the unit
+    const BoundExpr* bound = nullptr;  ///< otherwise: evaluate this
+  };
+
+  /// One ORDER BY key: a select-list alias names projected column
+  /// `output`; any other key is evaluated in the unit's environment.
+  struct OrderKey {
+    int output = -1;
+    BoundExpr bound;
   };
 
   Result<QueryResult> ExecuteSelect(const sql::SelectStatement& stmt,
@@ -226,21 +249,23 @@ class ExecutorImpl {
     const bool pushable = !stmt.from.empty() && AllJoinsInner(stmt);
 
     if (pushable) {
-      // Push single-table conjuncts into their scans.
+      // Push single-table conjuncts into their scans, bound against the
+      // scan's own layout.
       for (size_t ci = 0; ci < where_conjuncts.size(); ++ci) {
         const sql::Expr& conjunct = *where_conjuncts[ci];
         BindInfo info = AnalyzeBinding(conjunct, full_layout);
         if (info.ambiguous) {
           return Status::BindError("ambiguous column reference in WHERE");
         }
-        if (!info.resolvable || info.has_subquery || info.qualifiers.size() != 1) {
+        if (!info.resolvable || info.has_subquery || info.qualifier == nullptr ||
+            info.mixed_qualifiers) {
           continue;
         }
-        const std::string& q = *info.qualifiers.begin();
         for (size_t si = 0; si < scans.size(); ++si) {
-          if (ToLower(stmt.from[si].EffectiveName()) != q) continue;
-          CQMS_RETURN_IF_ERROR(
-              FilterInPlace(&scans[si], conjunct, outer));
+          if (ToLower(stmt.from[si].EffectiveName()) != *info.qualifier) continue;
+          const BoundExpr bound =
+              Bind(conjunct, Env{&scans[si].layout, nullptr, outer});
+          CQMS_RETURN_IF_ERROR(FilterInPlace(&scans[si], bound, outer));
           Plan("scan " + ToLower(stmt.from[si].table) + " [pushdown: " +
                sql::PrintExpr(conjunct, {}) + "]");
           conjunct_used[ci] = true;
@@ -280,16 +305,21 @@ class ExecutorImpl {
     }
 
     // ---- Residual WHERE ----------------------------------------------------
+    const Env acc_scope{&acc.layout, nullptr, outer};
     for (size_t ci = 0; ci < where_conjuncts.size(); ++ci) {
       if (conjunct_used[ci]) continue;
       Plan("filter " + sql::PrintExpr(*where_conjuncts[ci], {}));
-      CQMS_RETURN_IF_ERROR(FilterInPlace(&acc, *where_conjuncts[ci], outer));
+      CQMS_RETURN_IF_ERROR(
+          FilterInPlace(&acc, Bind(*where_conjuncts[ci], acc_scope), outer));
     }
 
     // ---- Aggregation detection --------------------------------------------
     std::vector<AggSpec> agg_specs;
     CollectAggSpecs(stmt, &agg_specs);
     const bool aggregate_mode = !agg_specs.empty() || !stmt.group_by.empty();
+    // HAVING, the select list and ORDER BY see the group's aggregates.
+    const Env unit_scope{&acc.layout, nullptr, outer,
+                         aggregate_mode ? &agg_specs : nullptr};
 
     // In aggregate mode each output unit is a group; otherwise it is a
     // tuple of `acc`.
@@ -299,14 +329,16 @@ class ExecutorImpl {
       null_tuple.assign(width, nullptr);
       Plan("aggregate " + std::to_string(agg_specs.size()) + " function(s), " +
            std::to_string(stmt.group_by.size()) + " group key(s)");
-      CQMS_ASSIGN_OR_RETURN(
-          groups, BuildGroups(stmt, acc, agg_specs, null_tuple.data(), outer));
+      CQMS_ASSIGN_OR_RETURN(groups, BuildGroups(stmt, acc, agg_specs,
+                                                null_tuple.data(), acc_scope));
       // HAVING.
       if (stmt.having) {
+        const BoundExpr having = Bind(*stmt.having, unit_scope);
         size_t kept = 0;
         for (size_t gi = 0; gi < groups.size(); ++gi) {
-          Env env{&acc.layout, groups[gi].tuple, outer, &groups[gi].aggregates};
-          CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(*stmt.having, env));
+          const Env env{&acc.layout, groups[gi].tuple, outer, &agg_specs,
+                        groups[gi].aggregates.data()};
+          CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(having, env));
           if (!pass) continue;
           if (kept != gi) groups[kept] = std::move(groups[gi]);
           ++kept;
@@ -318,10 +350,8 @@ class ExecutorImpl {
 
     // ---- Projection ----------------------------------------------------------
     QueryResult result;
-    struct OutputExpr {
-      const sql::Expr* expr = nullptr;  // null => star slot
-      int star_slot = -1;
-    };
+    std::vector<BoundExpr> bound_items;
+    bound_items.reserve(stmt.select_items.size());
     std::vector<OutputExpr> outputs;
     for (const sql::SelectItem& item : stmt.select_items) {
       if (item.is_star) {
@@ -332,7 +362,7 @@ class ExecutorImpl {
             return Status::BindError("unknown qualifier in select list: " + qualifier);
           }
           for (int s : slots) {
-            outputs.push_back({nullptr, s});
+            outputs.push_back({s, nullptr});
             result.column_names.push_back(acc.layout.slot(s).column);
           }
         } else {
@@ -340,13 +370,20 @@ class ExecutorImpl {
             return Status::BindError("SELECT * with no FROM clause");
           }
           for (size_t s = 0; s < acc.layout.size(); ++s) {
-            outputs.push_back({nullptr, static_cast<int>(s)});
+            outputs.push_back({static_cast<int>(s), nullptr});
             result.column_names.push_back(acc.layout.slot(s).column);
           }
         }
         continue;
       }
-      outputs.push_back({item.expr.get(), -1});
+      bound_items.push_back(Bind(*item.expr, unit_scope));
+      const BoundExpr& bound = bound_items.back();
+      // A column of this block's tuple is projected like a star slot.
+      if (bound.kind == BoundExpr::Kind::kSlot && bound.depth == 0) {
+        outputs.push_back({bound.index, nullptr});
+      } else {
+        outputs.push_back({-1, &bound});
+      }
       if (!item.alias.empty()) {
         result.column_names.push_back(ToLower(item.alias));
       } else if (item.expr->kind == sql::ExprKind::kColumnRef) {
@@ -355,32 +392,53 @@ class ExecutorImpl {
         result.column_names.push_back(sql::PrintExpr(*item.expr, {}));
       }
     }
+    const std::vector<OrderKey> order_by = BindOrderBy(stmt, unit_scope);
+
+    // Without ORDER BY, DISTINCT or aggregation, OFFSET+LIMIT units are
+    // all the result keeps. When every output is a read that cannot fail,
+    // projecting the rest could raise no error either, so projection
+    // stops there. Scans, filters and joins above ran in full.
+    size_t units_to_project = num_units;
+    if (stmt.limit.has_value() && order_by.empty() && !stmt.distinct &&
+        !aggregate_mode &&
+        std::all_of(outputs.begin(), outputs.end(), [](const OutputExpr& oe) {
+          return oe.bound == nullptr || oe.bound->IsRead();
+        })) {
+      const size_t off = static_cast<size_t>(
+          std::max<int64_t>(0, stmt.offset.value_or(0)));
+      const size_t lim = static_cast<size_t>(std::max<int64_t>(0, *stmt.limit));
+      units_to_project = std::min(num_units, off + lim);
+    }
 
     // Each output row is built once, here; ORDER BY keys go to one flat
     // array, `num_keys` per row.
-    const size_t num_keys = stmt.order_by.size();
+    const size_t num_keys = order_by.size();
     std::vector<Value> order_keys;
-    order_keys.reserve(num_units * num_keys);
-    result.rows.reserve(num_units);
-    for (size_t u = 0; u < num_units; ++u) {
+    order_keys.reserve(units_to_project * num_keys);
+    result.rows.reserve(units_to_project);
+    for (size_t u = 0; u < units_to_project; ++u) {
       const Env env =
           aggregate_mode
-              ? Env{&acc.layout, groups[u].tuple, outer, &groups[u].aggregates}
-              : Env{&acc.layout, acc.tuple(u), outer, nullptr};
+              ? Env{&acc.layout, groups[u].tuple, outer, &agg_specs,
+                    groups[u].aggregates.data()}
+              : Env{&acc.layout, acc.tuple(u), outer};
       Row out;
       out.reserve(outputs.size());
       for (const OutputExpr& oe : outputs) {
-        if (oe.expr == nullptr) {
-          out.push_back(acc.layout.Read(env.tuple, oe.star_slot));
+        if (oe.bound == nullptr) {
+          out.push_back(acc.layout.Read(env.tuple, oe.slot));
         } else {
-          CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*oe.expr, env));
+          CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*oe.bound, env));
           out.push_back(std::move(v));
         }
       }
-      for (const sql::OrderItem& oi : stmt.order_by) {
-        CQMS_ASSIGN_OR_RETURN(
-            Value v, EvalOrderExpr(*oi.expr, env, stmt.select_items, out));
-        order_keys.push_back(std::move(v));
+      for (const OrderKey& key : order_by) {
+        if (key.output >= 0) {
+          order_keys.push_back(out[key.output]);
+        } else {
+          CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(key.bound, env));
+          order_keys.push_back(std::move(v));
+        }
       }
       result.rows.push_back(std::move(out));
     }
@@ -437,15 +495,15 @@ class ExecutorImpl {
     return result;
   }
 
-  /// Keeps the tuples of `rel` that satisfy `predicate`, compacting them
-  /// in place.
-  Status FilterInPlace(Relation* rel, const sql::Expr& predicate,
+  /// Keeps the tuples of `rel` that satisfy `predicate`, bound against
+  /// `rel->layout`, compacting them in place.
+  Status FilterInPlace(Relation* rel, const BoundExpr& predicate,
                        const Env* outer) {
     const size_t width = rel->width;
     const size_t n = rel->size();
     size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
-      Env env{&rel->layout, rel->tuple(i), outer, nullptr};
+      const Env env{&rel->layout, rel->tuple(i), outer};
       CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(predicate, env));
       if (!pass) continue;
       if (kept != i) {
@@ -468,25 +526,26 @@ class ExecutorImpl {
     return out;
   }
 
-  /// Detects `left_col = right_col` equi-predicates where one side binds
-  /// in `a` and the other in `b`. Returns slot indices or {-1,-1}.
-  static std::pair<int, int> FindEquiSlots(const sql::Expr& pred, const Layout& a,
-                                           const Layout& b) {
-    if (pred.kind != sql::ExprKind::kBinary || pred.bop != sql::BinaryOp::kEq) {
+  /// Detects a `left_col = right_col` equi-predicate with one side in each
+  /// join input. `pred` is bound against the step's combined layout: the
+  /// left input's `left_size` slots, then the right input's. Returns slot
+  /// indices into the left and right layouts, or {-1,-1}.
+  static std::pair<int, int> FindEquiSlots(const BoundExpr& pred,
+                                           size_t left_size) {
+    if (pred.kind != BoundExpr::Kind::kBinary ||
+        pred.expr->bop != sql::BinaryOp::kEq) {
       return {-1, -1};
     }
-    const sql::Expr* l = pred.left.get();
-    const sql::Expr* r = pred.right.get();
-    if (l == nullptr || r == nullptr) return {-1, -1};
-    if (l->kind != sql::ExprKind::kColumnRef || r->kind != sql::ExprKind::kColumnRef) {
-      return {-1, -1};
-    }
-    int la = a.Find(ToLower(l->table), ToLower(l->column));
-    int lb = b.Find(ToLower(l->table), ToLower(l->column));
-    int ra = a.Find(ToLower(r->table), ToLower(r->column));
-    int rb = b.Find(ToLower(r->table), ToLower(r->column));
-    if (la >= 0 && rb >= 0 && lb == -1 && ra == -1) return {la, rb};
-    if (ra >= 0 && lb >= 0 && rb == -1 && la == -1) return {ra, lb};
+    auto local_slot = [](const BoundExpr& side) {
+      return side.kind == BoundExpr::Kind::kSlot && side.depth == 0 ? side.index
+                                                                   : -1;
+    };
+    const int l = local_slot(pred.children[0]);
+    const int r = local_slot(pred.children[1]);
+    const int split = static_cast<int>(left_size);
+    if (l < 0 || r < 0) return {-1, -1};
+    if (l < split && r >= split) return {l, r - split};
+    if (r < split && l >= split) return {r, l - split};
     return {-1, -1};
   }
 
@@ -502,19 +561,23 @@ class ExecutorImpl {
     out.layout = std::move(combined);
     out.width = left.width;
 
-    // Find a hash-join key among the predicates.
+    // Bind every predicate against the combined layout, and take the
+    // first equi-predicate across the inputs as the hash-join key.
+    const Env scope{&out.layout, nullptr, outer};
     int left_key = -1, right_key = -1;
-    std::vector<const sql::Expr*> residual;
+    std::vector<BoundExpr> residual;
+    residual.reserve(preds.size());
     for (const sql::Expr* p : preds) {
+      BoundExpr bound = Bind(*p, scope);
       if (left_key < 0) {
-        auto [lk, rk] = FindEquiSlots(*p, left.layout, right.layout);
+        auto [lk, rk] = FindEquiSlots(bound, left.layout.size());
         if (lk >= 0) {
           left_key = lk;
           right_key = rk;
           continue;
         }
       }
-      residual.push_back(p);
+      residual.push_back(std::move(bound));
     }
     Plan(std::string(left_key >= 0 ? "hash join " : "nested-loop join ") +
          label +
@@ -529,12 +592,12 @@ class ExecutorImpl {
     // Left tuples have no row for `source` yet, so a left tuple that
     // matches nothing is appended as is, null-extended.
     std::vector<const Row*> scratch(out.width, nullptr);
-    const Env env{&out.layout, scratch.data(), outer, nullptr};
+    const Env env{&out.layout, scratch.data(), outer};
     auto try_pair = [&](const Row* const* left_tuple, size_t ri) -> Result<bool> {
       std::copy_n(left_tuple, out.width, scratch.begin());
       scratch[source] = right.tuple(ri)[source];
-      for (const sql::Expr* p : residual) {
-        CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(*p, env));
+      for (const BoundExpr& p : residual) {
+        CQMS_ASSIGN_OR_RETURN(bool pass, evaluator_.EvalPredicate(p, env));
         if (!pass) return false;
       }
       out.Append(scratch.data());
@@ -610,15 +673,18 @@ class ExecutorImpl {
               return;
             }
             std::string key = sql::PrintExpr(*e, {});
-            for (const AggSpec& s : *specs) {
-              if (s.key == key) return;
+            for (AggSpec& s : *specs) {
+              if (s.key == key) {
+                s.calls.push_back(e);
+                return;
+              }
             }
             AggSpec spec;
             spec.key = std::move(key);
-            spec.call = e;
+            spec.calls.push_back(e);
             spec.is_star =
                 !e->args.empty() && e->args[0]->kind == sql::ExprKind::kStar;
-            specs->push_back(spec);
+            specs->push_back(std::move(spec));
           },
           /*enter_subqueries=*/false);
     };
@@ -629,28 +695,44 @@ class ExecutorImpl {
 
   /// Groups the tuples of `acc` by the GROUP BY keys and finalizes every
   /// aggregate per group. A group's representative tuple is its first.
+  /// Keys and aggregate arguments are bound in `scope`, which holds no
+  /// aggregates of this block.
   Result<std::vector<GroupOut>> BuildGroups(const sql::SelectStatement& stmt,
                                             const Relation& acc,
                                             const std::vector<AggSpec>& specs,
                                             const Row* const* null_tuple,
-                                            const Env* outer) {
+                                            const Env& scope) {
     struct Group {
       Row key;
       const Row* const* tuple;
       std::vector<AggAccum> accums;
     };
+    std::vector<BoundExpr> keys;
+    keys.reserve(stmt.group_by.size());
+    for (const auto& g : stmt.group_by) keys.push_back(Bind(*g, scope));
+    // The argument each spec accumulates; a kind-less placeholder for
+    // COUNT(*) and argument-less calls, which read none.
+    std::vector<BoundExpr> args(specs.size());
+    for (size_t si = 0; si < specs.size(); ++si) {
+      const sql::Expr& call = *specs[si].calls[0];
+      if (!specs[si].is_star && !call.args.empty()) {
+        args[si] = Bind(*call.args[0], scope);
+      }
+    }
+
     // `order` owns the groups in first-seen order; the hash table maps
     // key hashes to indices into it.
     std::vector<Group> order;
     std::unordered_map<uint64_t, std::vector<size_t>> groups;
 
     Row key;  // reused: a key is copied only when it starts a group
+    Value scratch;
     for (size_t ti = 0; ti < acc.size(); ++ti) {
-      Env env{&acc.layout, acc.tuple(ti), outer, nullptr};
+      const Env env{scope.layout, acc.tuple(ti), scope.parent};
       key.clear();
-      for (const auto& g : stmt.group_by) {
-        CQMS_ASSIGN_OR_RETURN(Value v, evaluator_.Eval(*g, env));
-        key.push_back(std::move(v));
+      for (const BoundExpr& k : keys) {
+        CQMS_ASSIGN_OR_RETURN(const Value* v, evaluator_.Operand(k, env, &scratch));
+        key.push_back(*v);
       }
       auto& bucket = groups[HashRow(key)];
       Group* group = nullptr;
@@ -669,61 +751,69 @@ class ExecutorImpl {
       for (size_t si = 0; si < specs.size(); ++si) {
         AggAccum& a = group->accums[si];
         ++a.star_count;
-        if (specs[si].is_star) continue;
-        if (specs[si].call->args.empty()) continue;
-        CQMS_ASSIGN_OR_RETURN(Value v,
-                              evaluator_.Eval(*specs[si].call->args[0], env));
-        a.AddValue(v, specs[si].call->distinct_arg);
+        if (args[si].expr == nullptr) continue;
+        CQMS_ASSIGN_OR_RETURN(const Value* v,
+                              evaluator_.Operand(args[si], env, &scratch));
+        a.AddValue(*v, specs[si].calls[0]->distinct_arg);
       }
     }
+
+    auto finalize = [&](const std::vector<AggAccum>& accums,
+                        const Row* const* tuple) -> Result<GroupOut> {
+      GroupOut u{tuple, {}};
+      u.aggregates.reserve(specs.size());
+      for (size_t si = 0; si < specs.size(); ++si) {
+        const sql::Expr& call = *specs[si].calls[0];
+        CQMS_ASSIGN_OR_RETURN(
+            Value v, accums[si].Finalize(call.function_name, specs[si].is_star,
+                                         call.distinct_arg));
+        u.aggregates.push_back(std::move(v));
+      }
+      return u;
+    };
 
     std::vector<GroupOut> units;
     if (order.empty() && stmt.group_by.empty()) {
       // Aggregate over empty input: one group of empty accumulators.
-      GroupOut u{null_tuple, {}};
-      for (const AggSpec& s : specs) {
-        AggAccum empty;
-        CQMS_ASSIGN_OR_RETURN(
-            Value v, empty.Finalize(s.call->function_name, s.is_star,
-                                    s.call->distinct_arg));
-        u.aggregates[s.key] = std::move(v);
-      }
+      CQMS_ASSIGN_OR_RETURN(
+          GroupOut u, finalize(std::vector<AggAccum>(specs.size()), null_tuple));
       units.push_back(std::move(u));
       return units;
     }
 
     units.reserve(order.size());
     for (const Group& g : order) {
-      GroupOut u{g.tuple, {}};
-      for (size_t si = 0; si < specs.size(); ++si) {
-        CQMS_ASSIGN_OR_RETURN(
-            Value v, g.accums[si].Finalize(specs[si].call->function_name,
-                                           specs[si].is_star,
-                                           specs[si].call->distinct_arg));
-        u.aggregates[specs[si].key] = std::move(v);
-      }
+      CQMS_ASSIGN_OR_RETURN(GroupOut u, finalize(g.accums, g.tuple));
       units.push_back(std::move(u));
     }
     return units;
   }
 
-  /// Evaluates an ORDER BY expression: a bare column that matches a
-  /// select-list alias refers to the projected value; everything else is
-  /// evaluated in the unit environment.
-  Result<Value> EvalOrderExpr(const sql::Expr& expr, const Env& env,
-                              const std::vector<sql::SelectItem>& items,
-                              const Row& projected) {
-    if (expr.kind == sql::ExprKind::kColumnRef && expr.table.empty()) {
-      size_t out_idx = 0;
-      for (const sql::SelectItem& item : items) {
-        if (item.is_star) break;  // star expansion shifts indices; skip aliases
-        if (!item.alias.empty() && EqualsIgnoreCase(item.alias, expr.column)) {
-          return projected[out_idx];
+  /// Binds the ORDER BY keys. A bare column that matches a select-list
+  /// alias names the projected value; everything else is evaluated in the
+  /// unit environment.
+  static std::vector<OrderKey> BindOrderBy(const sql::SelectStatement& stmt,
+                                           const Env& scope) {
+    std::vector<OrderKey> keys;
+    keys.reserve(stmt.order_by.size());
+    for (const sql::OrderItem& oi : stmt.order_by) {
+      const sql::Expr& expr = *oi.expr;
+      OrderKey key;
+      if (expr.kind == sql::ExprKind::kColumnRef && expr.table.empty()) {
+        int out_idx = 0;
+        for (const sql::SelectItem& item : stmt.select_items) {
+          if (item.is_star) break;  // star expansion shifts indices; skip aliases
+          if (!item.alias.empty() && EqualsIgnoreCase(item.alias, expr.column)) {
+            key.output = out_idx;
+            break;
+          }
+          ++out_idx;
         }
-        ++out_idx;
       }
+      if (key.output < 0) key.bound = Bind(expr, scope);
+      keys.push_back(std::move(key));
     }
-    return evaluator_.Eval(expr, env);
+    return keys;
   }
 
   static void DeduplicateRows(std::vector<Row>* rows) {

@@ -73,11 +73,14 @@ uint64_t Value::Hash() const {
       return HashMix(static_cast<uint64_t>(int_));
     case ValueType::kDouble: {
       // Hash ints and integral doubles identically so cross-type
-      // grouping matches Compare()==0.
+      // grouping matches Compare()==0. Only a double inside int64's range
+      // converts; inf, NaN and larger magnitudes hash by their bits.
       double d = double_;
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
-        return HashMix(static_cast<uint64_t>(as_int));
+      if (d >= -0x1p63 && d < 0x1p63) {
+        int64_t as_int = static_cast<int64_t>(d);
+        if (static_cast<double>(as_int) == d) {
+          return HashMix(static_cast<uint64_t>(as_int));
+        }
       }
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));

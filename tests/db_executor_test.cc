@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "db/database.h"
 #include "sql/parser.h"
 
@@ -214,6 +219,131 @@ TEST(ExecutorTest, SumAndAvgSkipNulls) {
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_TRUE(r.rows[0][0].is_null());
   EXPECT_TRUE(r.rows[0][1].is_null());
+}
+
+/// Runs `sql`, which must fail with ExecutionError "integer overflow".
+void ExpectIntegerOverflow(const Database& db, const std::string& sql) {
+  auto r = db.ExecuteSql(sql);
+  ASSERT_FALSE(r.ok()) << sql;
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+  EXPECT_EQ(r.status().message(), "integer overflow") << sql;
+}
+
+/// A one-column INT table `T` holding `values`.
+Database MakeIntTable(const std::vector<int64_t>& values) {
+  Database db;
+  EXPECT_TRUE(db.CreateTable(TableSchema("T", {{"v", ValueType::kInt}})).ok());
+  for (int64_t v : values) EXPECT_TRUE(db.Insert("T", {Value::Int(v)}).ok());
+  return db;
+}
+
+// No literal spells INT64_MIN; this expression computes it.
+const std::string kInt64Min = "(-9223372036854775807 - 1)";
+
+TEST(IntegerOverflowTest, Addition) {
+  Database db;
+  ExpectIntegerOverflow(db, "SELECT 9223372036854775807 + 1");
+  ExpectIntegerOverflow(db, "SELECT " + kInt64Min + " + -1");
+  EXPECT_EQ(Exec(db, "SELECT 9223372036854775806 + 1").rows[0][0].AsInt(),
+            INT64_MAX);
+}
+
+TEST(IntegerOverflowTest, Subtraction) {
+  Database db;
+  ExpectIntegerOverflow(db, "SELECT -9223372036854775807 - 2");
+  ExpectIntegerOverflow(db, "SELECT 9223372036854775807 - -1");
+  EXPECT_EQ(Exec(db, "SELECT " + kInt64Min).rows[0][0].AsInt(), INT64_MIN);
+}
+
+TEST(IntegerOverflowTest, Multiplication) {
+  Database db;
+  ExpectIntegerOverflow(db, "SELECT 4611686018427387904 * 2");
+  ExpectIntegerOverflow(db, "SELECT " + kInt64Min + " * -1");
+  EXPECT_EQ(Exec(db, "SELECT 4611686018427387903 * 2").rows[0][0].AsInt(),
+            INT64_MAX - 1);
+}
+
+TEST(IntegerOverflowTest, Division) {
+  Database db;
+  // The exactness test once computed INT64_MIN % -1, which traps.
+  ExpectIntegerOverflow(db, "SELECT " + kInt64Min + " / -1");
+  EXPECT_EQ(Exec(db, "SELECT 9223372036854775807 / -1").rows[0][0].AsInt(),
+            -INT64_MAX);
+  EXPECT_EQ(Exec(db, "SELECT " + kInt64Min + " / 1").rows[0][0].AsInt(),
+            INT64_MIN);
+  EXPECT_DOUBLE_EQ(Exec(db, "SELECT 7 / 2").rows[0][0].AsDouble(), 3.5);
+}
+
+TEST(IntegerOverflowTest, ModuloByMinusOneIsZero) {
+  Database db;
+  QueryResult r = Exec(db, "SELECT " + kInt64Min + " % -1, 7 % -1, -7 % 3");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].type(), ValueType::kInt);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 0);
+  EXPECT_EQ(r.rows[0][2].AsInt(), -1);
+}
+
+TEST(IntegerOverflowTest, Negation) {
+  Database db;
+  ExpectIntegerOverflow(db, "SELECT -" + kInt64Min);
+  Database t = MakeIntTable({INT64_MIN + 1});
+  EXPECT_EQ(Exec(t, "SELECT -v FROM T").rows[0][0].AsInt(), INT64_MAX);
+}
+
+TEST(IntegerOverflowTest, Abs) {
+  Database db;
+  ExpectIntegerOverflow(db, "SELECT ABS(" + kInt64Min + ")");
+  EXPECT_EQ(Exec(db, "SELECT ABS(-9223372036854775807)").rows[0][0].AsInt(),
+            INT64_MAX);
+}
+
+TEST(IntegerOverflowTest, Sum) {
+  Database db = MakeIntTable({INT64_MAX, INT64_MAX, 5});
+  ExpectIntegerOverflow(db, "SELECT SUM(v) FROM T");
+  ExpectIntegerOverflow(db, "SELECT SUM(9223372036854775807) FROM T");
+  // A double input makes the sum a double, which does not overflow.
+  EXPECT_EQ(Exec(db, "SELECT SUM(v + 0.5) FROM T").rows[0][0].type(),
+            ValueType::kDouble);
+  EXPECT_EQ(Exec(db, "SELECT SUM(v) FROM T WHERE v < 10").rows[0][0].AsInt(), 5);
+}
+
+TEST(IntegerOverflowTest, SumDistinct) {
+  Database db = MakeIntTable({INT64_MAX, INT64_MAX, 5});
+  ExpectIntegerOverflow(db, "SELECT SUM(DISTINCT v) FROM T");
+  Database fits = MakeIntTable({INT64_MAX - 5, INT64_MAX - 5, 5});
+  EXPECT_EQ(Exec(fits, "SELECT SUM(DISTINCT v) FROM T").rows[0][0].AsInt(),
+            INT64_MAX);
+}
+
+TEST(ExecutorTest, GroupingOverInfiniteAndHugeDoubles) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("D", {{"d", ValueType::kDouble}})).ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("I", {{"i", ValueType::kInt}})).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {1.0, inf, -inf, 1e300, inf, 1e300, -inf}) {
+    ASSERT_TRUE(db.Insert("D", {Value::Double(d)}).ok());
+  }
+  ASSERT_TRUE(db.Insert("I", {Value::Int(1)}).ok());
+
+  QueryResult r = Exec(db, "SELECT d, COUNT(*) FROM D GROUP BY d");
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows[0][0].AsDouble(), 1.0);
+  EXPECT_EQ(r.rows[1][0].AsDouble(), inf);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 2);
+  EXPECT_EQ(r.rows[2][0].AsDouble(), -inf);
+  EXPECT_EQ(r.rows[2][1].AsInt(), 2);
+  EXPECT_EQ(r.rows[3][0].AsDouble(), 1e300);
+  EXPECT_EQ(r.rows[3][1].AsInt(), 2);
+
+  EXPECT_EQ(Exec(db, "SELECT DISTINCT d FROM D").rows.size(), 4u);
+  // Every product overflows to +-inf.
+  EXPECT_EQ(Exec(db, "SELECT DISTINCT d * 1e308 * 1e308 FROM D").rows.size(), 2u);
+  // 1 still groups with 1.0, and hash-joins with it.
+  EXPECT_EQ(Exec(db, "SELECT d FROM D WHERE d = 1 UNION SELECT i FROM I")
+                .rows.size(),
+            1u);
+  EXPECT_EQ(Exec(db, "SELECT D.d FROM D, I WHERE D.d = I.i").rows.size(), 1u);
 }
 
 TEST(ExecutorTest, OrderByDescendingAndLimit) {

@@ -292,6 +292,26 @@ TEST(ServerTest, WriteOpsLandInTheStore) {
   EXPECT_EQ(ck.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ServerTest, OverflowingAppendFailsAndTheConnectionLives) {
+  ServerFixture fx;
+  auto client = fx.Client();
+  ASSERT_NE(client, nullptr);
+
+  // INT64_MIN / -1 once trapped in the writer and killed the daemon.
+  net::AppendRequest append;
+  append.user = "alice";
+  append.sql = "SELECT (-9223372036854775807 - 1) / -1";
+  auto appended = client->Append(append);
+  ASSERT_TRUE(appended.ok()) << appended.status();
+  EXPECT_FALSE(appended->succeeded);
+  EXPECT_NE(appended->error.find("integer overflow"), std::string::npos)
+      << appended->error;
+
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->store_size, 25u);
+}
+
 // --- pipelining ------------------------------------------------------------
 
 TEST(ServerTest, PipelinedBatchCompletesOutOfOrderWaits) {
