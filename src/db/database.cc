@@ -710,8 +710,8 @@ class ExecutorImpl {
     std::vector<BoundExpr> keys;
     keys.reserve(stmt.group_by.size());
     for (const auto& g : stmt.group_by) keys.push_back(Bind(*g, scope));
-    // The argument each spec accumulates; a kind-less placeholder for
-    // COUNT(*) and argument-less calls, which read none.
+    // The argument each spec accumulates. COUNT(*) and a call without an
+    // argument read none; their entry stays unbound (`expr` null).
     std::vector<BoundExpr> args(specs.size());
     for (size_t si = 0; si < specs.size(); ++si) {
       const sql::Expr& call = *specs[si].calls[0];

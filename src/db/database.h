@@ -47,15 +47,31 @@ struct QueryResult {
 /// self-join the Attributes feature relation), then grouping/aggregation,
 /// HAVING, projection, DISTINCT, ORDER BY, LIMIT/OFFSET, UNION.
 ///
+/// Each SELECT block is bound once per execution, before its row loops:
+/// every expression is bound against the layout of the stage that
+/// evaluates it (a pushed-down filter against its scan, a join predicate
+/// against that step's combined layout, WHERE, GROUP BY keys and
+/// aggregate arguments against the joined relation, and HAVING, the
+/// select list and ORDER BY with the group's aggregates as well). A
+/// column reference becomes a (depth, slot) pair, a literal a Value, an
+/// aggregate call an index into its group's values, and a function its
+/// kind; the row loops look up no name. A name that does not bind fails
+/// only when it is evaluated, so a clause over no rows still succeeds. A
+/// subquery is bound each time it runs, against its outer environments.
+///
 /// Execution materializes late. Until projection, an intermediate relation
 /// is a list of tuples holding one pointer per FROM source into that
 /// table's stored rows (null where an outer join null-extended the
 /// source): scans copy no rows, filters drop pointer tuples in place, a
 /// join appends only the combinations that pass its predicates, and a
 /// group keeps a representative tuple. Projection then builds each output
-/// row once. `Execute` therefore reads table rows in place, and the
-/// tables must not change during a call; every caller runs on the thread
-/// that mutates them (the server's writer thread).
+/// row once. Without ORDER BY, DISTINCT or aggregation, and when every
+/// output is a slot or constant read (which cannot fail), it builds only
+/// the OFFSET+LIMIT rows the block keeps; scans, filters and joins still
+/// run in full, so `rows_scanned` and their errors do not depend on LIMIT.
+/// `Execute` reads table rows in place, and the tables must not change
+/// during a call; every caller runs on the thread that mutates them (the
+/// server's writer thread).
 class Database {
  public:
   explicit Database(const Clock* clock = nullptr) : catalog_(clock) {}

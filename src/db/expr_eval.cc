@@ -22,6 +22,30 @@ int ToTernary(const Value& v) {
   return -1;
 }
 
+Value FromTernary(int t) { return t < 0 ? Value::Null() : Value::Bool(t == 1); }
+
+bool IsComparison(sql::BinaryOp op) {
+  return op == sql::BinaryOp::kEq || op == sql::BinaryOp::kNeq ||
+         op == sql::BinaryOp::kLt || op == sql::BinaryOp::kLe ||
+         op == sql::BinaryOp::kGt || op == sql::BinaryOp::kGe;
+}
+
+/// Comparison `op` over two operands in three-valued logic: unknown when
+/// either is NULL.
+int CompareTernary(sql::BinaryOp op, const Value& lv, const Value& rv) {
+  using sql::BinaryOp;
+  if (lv.is_null() || rv.is_null()) return -1;
+  const int cmp = lv.Compare(rv);
+  switch (op) {
+    case BinaryOp::kEq: return cmp == 0;
+    case BinaryOp::kNeq: return cmp != 0;
+    case BinaryOp::kLt: return cmp < 0;
+    case BinaryOp::kLe: return cmp <= 0;
+    case BinaryOp::kGt: return cmp > 0;
+    default: return cmp >= 0;
+  }
+}
+
 Status IntegerOverflow() { return Status::ExecutionError("integer overflow"); }
 
 /// The environment `depth` parents up from `env`.
@@ -245,30 +269,46 @@ Result<const Value*> Evaluator::Operand(const BoundExpr& expr, const Env& env,
   return scratch;
 }
 
+Result<int> Evaluator::EvalTernary(const BoundExpr& expr, const Env& env) const {
+  using sql::BinaryOp;
+  if (expr.kind == Kind::kBinary) {
+    const BinaryOp op = expr.expr->bop;
+    // AND/OR get short-circuit Kleene treatment.
+    if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+      CQMS_ASSIGN_OR_RETURN(int l, EvalTernary(expr.children[0], env));
+      if (op == BinaryOp::kAnd && l == 0) return 0;
+      if (op == BinaryOp::kOr && l == 1) return 1;
+      CQMS_ASSIGN_OR_RETURN(int r, EvalTernary(expr.children[1], env));
+      if (op == BinaryOp::kAnd) {
+        if (r == 0) return 0;
+        return l == 1 && r == 1 ? 1 : -1;
+      }
+      if (r == 1) return 1;
+      return l == 0 && r == 0 ? 0 : -1;
+    }
+    if (IsComparison(op)) {
+      Value left_scratch, right_scratch;
+      CQMS_ASSIGN_OR_RETURN(const Value* lv,
+                            Operand(expr.children[0], env, &left_scratch));
+      CQMS_ASSIGN_OR_RETURN(const Value* rv,
+                            Operand(expr.children[1], env, &right_scratch));
+      return CompareTernary(op, *lv, *rv);
+    }
+  }
+  Value scratch;
+  CQMS_ASSIGN_OR_RETURN(const Value* v, Operand(expr, env, &scratch));
+  return ToTernary(*v);
+}
+
 Result<Value> Evaluator::EvalBinary(const BoundExpr& expr, const Env& env) const {
   using sql::BinaryOp;
   const BinaryOp op = expr.expr->bop;
-  Value left_scratch, right_scratch;
-  // AND/OR get short-circuit Kleene treatment.
-  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-    CQMS_ASSIGN_OR_RETURN(const Value* lv,
-                          Operand(expr.children[0], env, &left_scratch));
-    int l = ToTernary(*lv);
-    if (op == BinaryOp::kAnd && l == 0) return Value::Bool(false);
-    if (op == BinaryOp::kOr && l == 1) return Value::Bool(true);
-    CQMS_ASSIGN_OR_RETURN(const Value* rv,
-                          Operand(expr.children[1], env, &right_scratch));
-    int r = ToTernary(*rv);
-    if (op == BinaryOp::kAnd) {
-      if (r == 0) return Value::Bool(false);
-      if (l == 1 && r == 1) return Value::Bool(true);
-      return Value::Null();
-    }
-    if (r == 1) return Value::Bool(true);
-    if (l == 0 && r == 0) return Value::Bool(false);
-    return Value::Null();
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr || IsComparison(op)) {
+    CQMS_ASSIGN_OR_RETURN(int t, EvalTernary(expr, env));
+    return FromTernary(t);
   }
 
+  Value left_scratch, right_scratch;
   CQMS_ASSIGN_OR_RETURN(const Value* left,
                         Operand(expr.children[0], env, &left_scratch));
   CQMS_ASSIGN_OR_RETURN(const Value* right,
@@ -325,23 +365,6 @@ Result<Value> Evaluator::EvalBinary(const BoundExpr& expr, const Env& env) const
         case BinaryOp::kAdd: return Value::Double(a + b);
         case BinaryOp::kSub: return Value::Double(a - b);
         default: return Value::Double(a * b);
-      }
-    }
-    case BinaryOp::kEq:
-    case BinaryOp::kNeq:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe: {
-      if (lv.is_null() || rv.is_null()) return Value::Null();
-      int cmp = lv.Compare(rv);
-      switch (op) {
-        case BinaryOp::kEq: return Value::Bool(cmp == 0);
-        case BinaryOp::kNeq: return Value::Bool(cmp != 0);
-        case BinaryOp::kLt: return Value::Bool(cmp < 0);
-        case BinaryOp::kLe: return Value::Bool(cmp <= 0);
-        case BinaryOp::kGt: return Value::Bool(cmp > 0);
-        default: return Value::Bool(cmp >= 0);
       }
     }
     case BinaryOp::kLike:
@@ -594,9 +617,8 @@ Result<Value> Evaluator::Eval(const BoundExpr& expr, const Env& env) const {
 }
 
 Result<bool> Evaluator::EvalPredicate(const BoundExpr& expr, const Env& env) const {
-  Value scratch;
-  CQMS_ASSIGN_OR_RETURN(const Value* v, Operand(expr, env, &scratch));
-  return ToTernary(*v) == 1;
+  CQMS_ASSIGN_OR_RETURN(int t, EvalTernary(expr, env));
+  return t == 1;
 }
 
 }  // namespace cqms::db

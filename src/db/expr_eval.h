@@ -173,6 +173,9 @@ class Evaluator {
   static bool LikeMatch(const std::string& text, const std::string& pattern);
 
  private:
+  /// `expr` in three-valued logic (-1 unknown, 0 false, 1 true), without
+  /// building a Value for AND, OR and comparisons.
+  Result<int> EvalTernary(const BoundExpr& expr, const Env& env) const;
   Result<Value> EvalBinary(const BoundExpr& expr, const Env& env) const;
   Result<Value> EvalFunction(const BoundExpr& expr, const Env& env) const;
 
