@@ -1,7 +1,6 @@
 #ifndef CQMS_DB_EXPR_EVAL_H_
 #define CQMS_DB_EXPR_EVAL_H_
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
