@@ -489,6 +489,32 @@ TEST(ExecutorTest, UnknownColumnIsBindError) {
   EXPECT_EQ(r.status().code(), StatusCode::kBindError);
 }
 
+// A name, aggregate or function that does not bind fails only where it is
+// evaluated: behind a filter that keeps no rows, the statement succeeds.
+TEST(ExecutorTest, UnboundNamesFailOnlyWhenEvaluated) {
+  Database db = MakeLakeDb();
+  const std::pair<const char*, StatusCode> cases[] = {
+      {"SELECT lake FROM WaterTemp WHERE bogus", StatusCode::kBindError},
+      {"SELECT lake FROM WaterTemp WHERE COUNT(*) > 1", StatusCode::kBindError},
+      {"SELECT bogus FROM WaterTemp", StatusCode::kBindError},
+      {"SELECT FOO(lake) FROM WaterTemp", StatusCode::kExecutionError},
+      {"SELECT UPPER(lake, lake) FROM WaterTemp", StatusCode::kExecutionError},
+  };
+  for (const auto& [sql, code] : cases) {
+    auto r = db.ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), code) << sql;
+    // The WHERE of every case ends up as its own conjunct after 1 = 0.
+    std::string guarded(sql);
+    const size_t where = guarded.find(" WHERE ");
+    guarded = where == std::string::npos
+                  ? guarded + " WHERE 1 = 0"
+                  : guarded.substr(0, where) + " WHERE 1 = 0 AND" +
+                        guarded.substr(where + 6);
+    EXPECT_EQ(Exec(db, guarded).rows.size(), 0u) << guarded;
+  }
+}
+
 TEST(ExecutorTest, RowsScannedIsReported) {
   Database db = MakeLakeDb();
   QueryResult r = Exec(db, "SELECT * FROM WaterTemp");
