@@ -5,7 +5,8 @@
 // exploration workload on a 30-row lake database (e2ebench's
 // `--demo-rows 30`), from a tree parsed beforehand; the cross joins, with
 // and without LIMIT, are the shapes that dominate the set-up stream's
-// executor time.
+// executor time; the correlated subqueries price a subquery's per-row
+// fixed cost.
 // BM_ExecuteSetupStream replays the seeded set-up stream of a 40-user lab
 // (the workload BM_GenerateLog profiles) from pre-parsed trees, without
 // the profiler and the store.
@@ -135,6 +136,15 @@ BENCHMARK_CAPTURE(BM_ExecuteShape, in_list_group,
                   "SELECT lake, SUM(count_obs) AS total FROM Species "
                   "WHERE species IN ('salmon', 'trout', 'perch') "
                   "GROUP BY lake HAVING SUM(count_obs) > 10");
+// Correlated subqueries run once per outer row, so their fixed cost
+// (plan text, bound trees, layouts) is paid 30 times per statement.
+BENCHMARK_CAPTURE(BM_ExecuteShape, correlated_exists,
+                  "SELECT T.lake FROM WaterTemp T WHERE EXISTS "
+                  "(SELECT 1 FROM CityLocations C "
+                  "WHERE C.pop > T.temp * 30000)");
+BENCHMARK_CAPTURE(BM_ExecuteShape, correlated_count,
+                  "SELECT T.lake, (SELECT COUNT(*) FROM CityLocations C "
+                  "WHERE C.pop > T.temp * 30000) AS n FROM WaterTemp T");
 
 /// The seeded set-up stream of `sessions` sessions, in submission order,
 /// as trees parsed once per distinct text. Unparsable texts are left out:

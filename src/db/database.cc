@@ -182,11 +182,15 @@ class ExecutorImpl {
   }
 
  private:
-  /// Appends one operator line to the recorded plan. Only the top-level
-  /// statement is recorded; (possibly correlated, repeatedly executed)
-  /// subqueries would bloat the plan text.
-  void Plan(const std::string& line) {
-    if (depth_ == 1) plan_ += line + "\n";
+  /// Appends one operator line, formatted by `line()`, to the recorded
+  /// plan. Only the top-level statement is recorded; (possibly
+  /// correlated, repeatedly executed) subqueries would bloat the plan
+  /// text, so below it the line is not even formatted.
+  template <typename Line>
+  void Plan(const Line& line) {
+    if (depth_ != 1) return;
+    plan_ += line();
+    plan_ += '\n';
   }
 
   struct DepthGuard {
@@ -237,8 +241,10 @@ class ExecutorImpl {
       scan.slots.assign(rows.size() * width, nullptr);
       for (size_t r = 0; r < rows.size(); ++r) scan.slots[r * width + si] = &rows[r];
       rows_scanned_ += rows.size();
-      Plan("scan " + ToLower(tr.table) + " (" + std::to_string(rows.size()) +
-           " rows)");
+      Plan([&] {
+        return "scan " + ToLower(tr.table) + " (" +
+               std::to_string(rows.size()) + " rows)";
+      });
       scans.push_back(std::move(scan));
     }
 
@@ -266,8 +272,10 @@ class ExecutorImpl {
           const BoundExpr bound =
               Bind(conjunct, Env{&scans[si].layout, nullptr, outer});
           CQMS_RETURN_IF_ERROR(FilterInPlace(&scans[si], bound, outer));
-          Plan("scan " + ToLower(stmt.from[si].table) + " [pushdown: " +
-               sql::PrintExpr(conjunct, {}) + "]");
+          Plan([&] {
+            return "scan " + ToLower(stmt.from[si].table) + " [pushdown: " +
+                   sql::PrintExpr(conjunct, {}) + "]";
+          });
           conjunct_used[ci] = true;
           break;
         }
@@ -308,7 +316,9 @@ class ExecutorImpl {
     const Env acc_scope{&acc.layout, nullptr, outer};
     for (size_t ci = 0; ci < where_conjuncts.size(); ++ci) {
       if (conjunct_used[ci]) continue;
-      Plan("filter " + sql::PrintExpr(*where_conjuncts[ci], {}));
+      Plan([&] {
+        return "filter " + sql::PrintExpr(*where_conjuncts[ci], {});
+      });
       CQMS_RETURN_IF_ERROR(
           FilterInPlace(&acc, Bind(*where_conjuncts[ci], acc_scope), outer));
     }
@@ -327,8 +337,11 @@ class ExecutorImpl {
     std::vector<GroupOut> groups;
     if (aggregate_mode) {
       null_tuple.assign(width, nullptr);
-      Plan("aggregate " + std::to_string(agg_specs.size()) + " function(s), " +
-           std::to_string(stmt.group_by.size()) + " group key(s)");
+      Plan([&] {
+        return "aggregate " + std::to_string(agg_specs.size()) +
+               " function(s), " + std::to_string(stmt.group_by.size()) +
+               " group key(s)";
+      });
       CQMS_ASSIGN_OR_RETURN(groups, BuildGroups(stmt, acc, agg_specs,
                                                 null_tuple.data(), acc_scope));
       // HAVING.
@@ -445,7 +458,7 @@ class ExecutorImpl {
 
     // ---- ORDER BY -------------------------------------------------------------
     if (num_keys > 0) {
-      Plan("sort " + std::to_string(num_keys) + " key(s)");
+      Plan([&] { return "sort " + std::to_string(num_keys) + " key(s)"; });
       std::vector<size_t> perm(result.rows.size());
       for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
       std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
@@ -463,7 +476,7 @@ class ExecutorImpl {
 
     // ---- DISTINCT ---------------------------------------------------------------
     if (stmt.distinct) {
-      Plan("distinct");
+      Plan([] { return "distinct"; });
       DeduplicateRows(&result.rows);
     }
 
@@ -477,14 +490,14 @@ class ExecutorImpl {
       }
     }
     if (stmt.limit.has_value()) {
-      Plan("limit " + std::to_string(*stmt.limit));
+      Plan([&] { return "limit " + std::to_string(*stmt.limit); });
       size_t lim = static_cast<size_t>(std::max<int64_t>(0, *stmt.limit));
       if (result.rows.size() > lim) result.rows.resize(lim);
     }
 
     // ---- UNION ------------------------------------------------------------------
     if (stmt.union_next) {
-      Plan(stmt.union_all ? "union all" : "union (dedup)");
+      Plan([&] { return stmt.union_all ? "union all" : "union (dedup)"; });
       CQMS_ASSIGN_OR_RETURN(QueryResult rest, ExecuteSelect(*stmt.union_next, outer));
       if (rest.column_names.size() != result.column_names.size()) {
         return Status::ExecutionError("UNION arms have different arity");
@@ -579,10 +592,12 @@ class ExecutorImpl {
       }
       residual.push_back(std::move(bound));
     }
-    Plan(std::string(left_key >= 0 ? "hash join " : "nested-loop join ") +
-         label +
-         (residual.empty() ? "" : " [+" + std::to_string(residual.size()) +
-                                      " residual pred(s)]"));
+    Plan([&] {
+      return std::string(left_key >= 0 ? "hash join " : "nested-loop join ") +
+             label +
+             (residual.empty() ? "" : " [+" + std::to_string(residual.size()) +
+                                          " residual pred(s)]");
+    });
 
     const bool is_left = join_type == sql::JoinType::kLeft;
     const bool is_right = join_type == sql::JoinType::kRight;

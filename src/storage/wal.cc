@@ -1,10 +1,10 @@
 #include "storage/wal.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/binary_codec.h"
 #include "obs/metrics.h"
-#include "storage/persistence.h"
 #include "storage/record_builder.h"
 
 namespace cqms::storage {
@@ -15,6 +15,8 @@ constexpr std::string_view kWalMagic = "CQMSWAL1";
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kHeaderSize = 8 + 4;
 constexpr size_t kFrameOverhead = 4 + 4;  // length + CRC
+/// How much of a log the readers buffer at once (see FrameReader).
+constexpr size_t kReadWindow = size_t{1} << 20;
 
 std::string WalHeader() {
   std::string header(kWalMagic);
@@ -27,6 +29,122 @@ std::string WalHeader() {
 Status CorruptWal(const std::string& path, const std::string& what) {
   return Status::Corruption("corrupt WAL (" + what + "): " + path);
 }
+
+/// Reads a log's frames in file order through one reused buffer of
+/// kReadWindow bytes, so restart replay and follower catch-up hold a
+/// window of the log in memory, not the whole file. A frame larger than
+/// the window is read whole, on its own. A log no larger than the window
+/// is read with one Size and one Read.
+class FrameReader {
+ public:
+  FrameReader(std::string path, Env* env)
+      : path_(std::move(path)), env_(env != nullptr ? env : Env::Default()) {}
+
+  /// Opens the log and checks its header. A missing or empty log, and a
+  /// torn prefix of the header (a crash during the very first header
+  /// write: nothing was ever committed), open with no frames; `size()`
+  /// counts the torn bytes. Anything else that short, or without the
+  /// magic, is not our file.
+  Status Open() {
+    if (!env_->FileExists(path_)) return Status::Ok();  // fresh deployment
+    CQMS_RETURN_IF_ERROR(env_->NewRandomAccessFile(path_, &file_));
+    CQMS_RETURN_IF_ERROR(file_->Size(&size_));
+    CQMS_RETURN_IF_ERROR(ReadAt(0, std::min<uint64_t>(size_, kReadWindow)));
+    if (size_ == 0) return Status::Ok();
+    if (size_ < kHeaderSize) {
+      if (WalHeader().compare(0, window_.size(), window_) == 0) {
+        return Status::Ok();
+      }
+      return CorruptWal(path_, "bad header");
+    }
+    if (window_.compare(0, kWalMagic.size(), kWalMagic) != 0) {
+      return CorruptWal(path_, "bad header");
+    }
+    BinaryReader header(View(kWalMagic.size(), 4));
+    const uint32_t version = header.GetFixed32();
+    if (version != kWalVersion) {
+      return Status::IoError("unsupported WAL version " +
+                             std::to_string(version) + ": " + path_);
+    }
+    end_ = kHeaderSize;
+    return Status::Ok();
+  }
+
+  /// Advances to the next intact frame. `*more` turns false at the end
+  /// of the committed prefix: the end of the log, or a torn frame or one
+  /// that fails its CRC. Every frame's CRC is checked, including frames
+  /// the caller then skips.
+  Status Next(bool* more) {
+    *more = false;
+    if (end_ == 0) return Status::Ok();  // no header: nothing committed
+    // The end of the log, or a torn frame header.
+    if (size_ - end_ < kFrameOverhead) return Status::Ok();
+    CQMS_RETURN_IF_ERROR(Fill(end_, kFrameOverhead));
+    BinaryReader frame(View(end_, kFrameOverhead));
+    const uint32_t len = frame.GetFixed32();
+    const uint32_t stored_crc = frame.GetFixed32();
+    if (size_ - end_ - kFrameOverhead < len) return Status::Ok();  // torn
+    CQMS_RETURN_IF_ERROR(Fill(end_, kFrameOverhead + len));
+    payload_ = View(end_ + kFrameOverhead, len);
+    if (Crc32(payload_) != stored_crc) return Status::Ok();  // torn/corrupt
+    body_ = BinaryReader(payload_);
+    sequence_ = body_.GetVarint();
+    if (body_.failed()) return CorruptWal(path_, "missing sequence");
+    end_ += kFrameOverhead + len;
+    *more = true;
+    return Status::Ok();
+  }
+
+  /// The current frame: its sequence, its whole payload (sequence
+  /// included) and a reader positioned just past the sequence. Valid
+  /// until the next call to Next.
+  uint64_t sequence() const { return sequence_; }
+  std::string_view payload() const { return payload_; }
+  BinaryReader* body() { return &body_; }
+
+  /// Offset just past the current frame: past the header before the
+  /// first frame, 0 when the log has no intact header.
+  uint64_t end() const { return end_; }
+  uint64_t size() const { return size_; }
+
+ private:
+  /// Makes bytes [offset, offset + n) of the log readable through View,
+  /// reading a new window at `offset` when they are not all buffered.
+  /// Callers have checked that the log holds them.
+  Status Fill(uint64_t offset, size_t n) {
+    if (offset >= window_offset_ &&
+        offset + n <= window_offset_ + window_.size()) {
+      return Status::Ok();
+    }
+    const uint64_t window = std::min<uint64_t>(kReadWindow, size_ - offset);
+    return ReadAt(offset, std::max<uint64_t>(n, window));
+  }
+
+  /// Reads `n` bytes at `offset` into the window; a short read means the
+  /// log changed under us.
+  Status ReadAt(uint64_t offset, uint64_t n) {
+    CQMS_RETURN_IF_ERROR(file_->Read(offset, static_cast<size_t>(n), &window_));
+    if (window_.size() != n) return Status::IoError("read failed: " + path_);
+    window_offset_ = offset;
+    return Status::Ok();
+  }
+
+  std::string_view View(uint64_t offset, size_t n) const {
+    return std::string_view(window_).substr(
+        static_cast<size_t>(offset - window_offset_), n);
+  }
+
+  std::string path_;
+  Env* env_;
+  std::unique_ptr<RandomAccessFile> file_;
+  uint64_t size_ = 0;
+  std::string window_;  ///< The log's bytes from window_offset_ on.
+  uint64_t window_offset_ = 0;
+  uint64_t end_ = 0;
+  uint64_t sequence_ = 0;
+  std::string_view payload_;
+  BinaryReader body_{std::string_view()};
+};
 
 }  // namespace
 
@@ -424,50 +542,15 @@ Status WalWriter::Append(std::string_view payload) {
 
 Status ReplayWal(const std::string& path, QueryStore* store,
                  WalReplayStats* stats, uint64_t min_sequence, Env* env) {
-  if (env == nullptr) env = Env::Default();
   *stats = WalReplayStats{};
-  if (!env->FileExists(path)) {
-    return Status::Ok();  // no log yet: fresh deployment
-  }
-  std::string file;
-  CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
-  if (file.empty()) return Status::Ok();
-  if (file.size() < kHeaderSize) {
-    // A crash during the very first header write leaves a short prefix
-    // of the header: nothing was ever committed, so recover to empty
-    // rather than refusing. Anything else this short is not our file.
-    if (WalHeader().compare(0, file.size(), file) == 0) {
-      stats->torn_bytes = file.size();
-      return Status::Ok();
-    }
-    return CorruptWal(path, "bad header");
-  }
-  if (file.compare(0, kWalMagic.size(), kWalMagic) != 0) {
-    return CorruptWal(path, "bad header");
-  }
-  {
-    BinaryReader header(std::string_view(file).substr(kWalMagic.size(), 4));
-    uint32_t version = header.GetFixed32();
-    if (version != kWalVersion) {
-      return Status::IoError("unsupported WAL version " +
-                             std::to_string(version) + ": " + path);
-    }
-  }
-
-  std::string_view view(file);
-  size_t pos = kHeaderSize;
-  stats->bytes_valid = pos;
-  while (pos < file.size()) {
-    if (file.size() - pos < kFrameOverhead) break;  // torn frame header
-    BinaryReader frame(view.substr(pos, kFrameOverhead));
-    uint32_t len = frame.GetFixed32();
-    uint32_t stored_crc = frame.GetFixed32();
-    if (file.size() - pos - kFrameOverhead < len) break;  // torn payload
-    std::string_view payload = view.substr(pos + kFrameOverhead, len);
-    if (Crc32(payload) != stored_crc) break;  // torn / corrupted frame
-    BinaryReader r(payload);
-    uint64_t sequence = r.GetVarint();
-    if (r.failed()) return CorruptWal(path, "missing sequence");
+  FrameReader frames(path, env);
+  CQMS_RETURN_IF_ERROR(frames.Open());
+  stats->bytes_valid = frames.end();
+  for (;;) {
+    bool more = false;
+    CQMS_RETURN_IF_ERROR(frames.Next(&more));
+    if (!more) break;
+    const uint64_t sequence = frames.sequence();
     stats->max_sequence = std::max(stats->max_sequence, sequence);
     if (stats->min_sequence == 0 || sequence < stats->min_sequence) {
       stats->min_sequence = sequence;
@@ -478,45 +561,27 @@ Status ReplayWal(const std::string& path, QueryStore* store,
       // vouched for the frame; don't re-apply it.
       ++stats->records_skipped;
     } else {
-      CQMS_RETURN_IF_ERROR(ApplyWalRecord(&r, store, path));
-      if (!r.AtEnd()) return CorruptWal(path, "trailing payload bytes");
+      BinaryReader* r = frames.body();
+      CQMS_RETURN_IF_ERROR(ApplyWalRecord(r, store, path));
+      if (!r->AtEnd()) return CorruptWal(path, "trailing payload bytes");
       ++stats->records_applied;
     }
-    pos += kFrameOverhead + len;
-    stats->bytes_valid = pos;
+    stats->bytes_valid = frames.end();
   }
-  stats->torn_bytes = file.size() - stats->bytes_valid;
+  stats->torn_bytes = frames.size() - stats->bytes_valid;
   return Status::Ok();
 }
 
 Status ScanWalFrames(
     const std::string& path, Env* env,
     const std::function<bool(uint64_t sequence, std::string_view frame)>& fn) {
-  if (env == nullptr) env = Env::Default();
-  if (!env->FileExists(path)) return Status::Ok();
-  std::string file;
-  CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
-  if (file.size() < kHeaderSize) return Status::Ok();  // torn header
-  if (file.compare(0, kWalMagic.size(), kWalMagic) != 0) {
-    return CorruptWal(path, "bad header");
+  FrameReader frames(path, env);
+  CQMS_RETURN_IF_ERROR(frames.Open());
+  for (;;) {
+    bool more = false;
+    CQMS_RETURN_IF_ERROR(frames.Next(&more));
+    if (!more || !fn(frames.sequence(), frames.payload())) return Status::Ok();
   }
-  std::string_view view(file);
-  size_t pos = kHeaderSize;
-  while (pos < file.size()) {
-    if (file.size() - pos < kFrameOverhead) break;
-    BinaryReader header(view.substr(pos, kFrameOverhead));
-    uint32_t len = header.GetFixed32();
-    uint32_t stored_crc = header.GetFixed32();
-    if (file.size() - pos - kFrameOverhead < len) break;
-    std::string_view payload = view.substr(pos + kFrameOverhead, len);
-    if (Crc32(payload) != stored_crc) break;
-    BinaryReader r(payload);
-    uint64_t sequence = r.GetVarint();
-    if (r.failed()) return CorruptWal(path, "missing sequence");
-    if (!fn(sequence, payload)) return Status::Ok();
-    pos += kFrameOverhead + len;
-  }
-  return Status::Ok();
 }
 
 }  // namespace cqms::storage

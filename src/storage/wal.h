@@ -152,6 +152,8 @@ struct WalReplayStats {
 /// including a record-type tag this build does not know, which a newer
 /// writer could have produced — and fails the replay with kCorruption.
 /// A missing file replays zero records successfully (fresh deployment).
+/// The log is read through a window of 1 MiB (a larger frame is read
+/// whole), so replay memory does not grow with the log.
 Status ReplayWal(const std::string& path, QueryStore* store,
                  WalReplayStats* stats, uint64_t min_sequence = 0,
                  Env* env = nullptr);
@@ -166,10 +168,11 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
 /// Iterates the intact frames of the log at `path` without applying
 /// them, calling `fn(sequence, frame)` in file order where `frame` is
 /// the full frame payload (varint sequence included) exactly as
-/// WalWriter::Append framed it. Stops early when `fn` returns false. A
-/// torn tail ends the scan silently (same tolerance as ReplayWal); a
-/// missing file scans zero frames successfully. Used by the WAL shipper
-/// to stream catch-up frames to a subscribing follower.
+/// WalWriter::Append framed it. `frame` views the reader's window and is
+/// valid only inside the call. Stops early when `fn` returns false. The
+/// header, torn-tail and missing-file rules and the read window are
+/// ReplayWal's. Used by the WAL shipper to stream catch-up frames to a
+/// subscribing follower.
 Status ScanWalFrames(
     const std::string& path, Env* env,
     const std::function<bool(uint64_t sequence, std::string_view frame)>& fn);

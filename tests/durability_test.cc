@@ -20,12 +20,14 @@
 #include "metaquery/meta_query_executor.h"
 #include "sql/parser.h"
 #include "storage/durable_store.h"
+#include "storage/fault_env.h"
 #include "storage/minhash.h"
 #include "storage/persistence.h"
 #include "storage/record_builder.h"
 #include "storage/snapshot_v2.h"
 #include "storage/wal.h"
 #include "test_util.h"
+#include "wal_reference.h"
 #include "workload/synthetic.h"
 
 namespace cqms::storage {
@@ -1302,6 +1304,477 @@ TEST(WalTest, TornInitialHeaderRecoversToEmpty) {
   Harness h2;
   DurableStore foreign(&h2.store, dir);
   EXPECT_EQ(foreign.Open().code(), StatusCode::kCorruption);
+}
+
+// ---- The WAL read window ---------------------------------------------------
+// ReplayWal (restart) and ScanWalFrames (follower catch-up) read a log
+// through a window of 1 MiB, and read a larger frame whole. These tests
+// hold them to the whole-buffer oracle in wal_reference.h where a frame,
+// a frame header or damage straddles a window's edge.
+
+constexpr uint64_t kReadWindow = uint64_t{1} << 20;
+
+/// Forwards to `base`, recording the largest positional read.
+class ReadCountingEnv : public Env {
+ public:
+  explicit ReadCountingEnv(Env* base) : base_(base) {}
+
+  size_t max_read() const { return max_read_; }
+
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    std::unique_ptr<RandomAccessFile> base;
+    CQMS_RETURN_IF_ERROR(base_->NewRandomAccessFile(path, &base));
+    *file = std::make_unique<File>(std::move(base), &max_read_);
+    return Status::Ok();
+  }
+  Status NewWritableFile(const std::string& path, WriteMode mode,
+                         std::unique_ptr<WritableFile>* file) override {
+    return base_->NewWritableFile(path, mode, file);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_->GetFileSize(path, size);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+  Status CreateDirIfMissing(const std::string& dir) override {
+    return base_->CreateDirIfMissing(dir);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+  Status ListDir(const std::string& dir,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(dir, names);
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(std::unique_ptr<RandomAccessFile> base, size_t* max_read)
+        : base_(std::move(base)), max_read_(max_read) {}
+    Status Size(uint64_t* size) override { return base_->Size(size); }
+    Status Read(uint64_t offset, size_t n, std::string* out) override {
+      *max_read_ = std::max(*max_read_, n);
+      return base_->Read(offset, n, out);
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    size_t* max_read_;
+  };
+
+  Env* base_;
+  size_t max_read_ = 0;
+};
+
+/// Creates `path` on `env` with `bytes` as its flushed content.
+void PutFile(FaultInjectingEnv* env, const std::string& path,
+             const std::string& bytes) {
+  ASSERT_TRUE(env->CreateDirIfMissing(DirnameOf(path)).ok());
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(
+      env->NewWritableFile(path, Env::WriteMode::kTruncate, &file).ok());
+  ASSERT_TRUE(file->Append(bytes).ok());
+  ASSERT_TRUE(file->Flush().ok());
+}
+
+/// One frame of a log: where it starts and its size, header included.
+struct FrameSpan {
+  uint64_t offset = 0;
+  uint64_t size = 0;
+};
+
+/// A log written through a durable store, with its frames' places and
+/// an encoding of the store that wrote it.
+struct WindowedLog {
+  std::string bytes;
+  std::string image;
+  std::vector<FrameSpan> frames;
+  FrameSpan largest;
+};
+
+/// Writes a seeded 40-user lab log in steps: each step generates
+/// `sessions` more sessions, then annotates the newest query with a note
+/// of `note_bytes` bytes (none when 0).
+WindowedLog* WriteWalLog(
+    const std::vector<std::pair<size_t, size_t>>& steps) {
+  FaultInjectingEnv env;
+  Harness h(30);
+  DurabilityOptions options;
+  options.env = &env;
+  DurableStore durable(&h.store, "/db", options);
+  EXPECT_TRUE(durable.Open().ok());
+  workload::WorkloadOptions w;
+  w.num_users = 40;
+  w.num_groups = 5;
+  workload::RegisterUsers(&h.store, w);
+  for (const auto& [sessions, note_bytes] : steps) {
+    w.num_sessions = sessions;
+    ++w.seed;
+    workload::GenerateLog(h.profiler.get(), &h.store, &h.clock, w);
+    if (note_bytes == 0) continue;
+    Annotation note;
+    note.author = "user1";
+    note.timestamp = static_cast<Micros>(w.seed);
+    note.text = std::string(note_bytes, 'n');
+    EXPECT_TRUE(
+        h.store.Annotate(static_cast<QueryId>(h.store.size() - 1), note).ok());
+  }
+
+  auto* out = new WindowedLog;
+  EXPECT_TRUE(env.ReadBack("/db/wal.log", &out->bytes).ok());
+  EXPECT_TRUE(EncodeSnapshotV2(h.store, 0, &out->image).ok());
+  for (uint64_t pos = testing_util::kWalHeaderSize;
+       pos + testing_util::kWalFrameOverhead <= out->bytes.size();) {
+    BinaryReader len(std::string_view(out->bytes).substr(pos, 4));
+    FrameSpan frame{pos, testing_util::kWalFrameOverhead + len.GetFixed32()};
+    if (frame.size > out->largest.size) out->largest = frame;
+    out->frames.push_back(frame);
+    pos += frame.size;
+  }
+  return out;
+}
+
+/// More than 3 MiB: 1,300 sessions, a note larger than the read window,
+/// then 200 more sessions.
+const WindowedLog& BigWalLog() {
+  static const WindowedLog* log =
+      WriteWalLog({{1300, kReadWindow + kReadWindow / 4}, {200, 0}});
+  return *log;
+}
+
+/// About 1.7 MiB in a few hundred frames, so a replay is cheap: short
+/// runs of sessions around notes of 0.2, 1.1 and 0.3 MiB.
+const WindowedLog& FuzzWalLog() {
+  static const WindowedLog* log = WriteWalLog(
+      {{10, 200 << 10}, {10, 1100 << 10}, {10, 300 << 10}, {10, 0}});
+  return *log;
+}
+
+/// The most any single read of a log may ask for.
+uint64_t ReadBound(const WindowedLog& log) {
+  return std::max(kReadWindow, log.largest.size);
+}
+
+/// A frame of exactly `size` bytes, header included, that annotates
+/// query 0: filler that moves the frames behind it.
+std::string FillerFrame(uint64_t size) {
+  for (uint64_t text = size; text-- > 0;) {
+    Annotation note;
+    note.author = "filler";
+    note.text = std::string(text, 'f');
+    BinaryWriter payload;
+    payload.PutVarint(1);  // sequence
+    std::string p = payload.Take() + wal::EncodeAnnotate(0, note);
+    if (p.size() + testing_util::kWalFrameOverhead != size) continue;
+    BinaryWriter frame;
+    frame.PutFixed32(static_cast<uint32_t>(p.size()));
+    frame.PutFixed32(Crc32(p));
+    return frame.Take() + p;
+  }
+  ADD_FAILURE() << "no filler frame of " << size << " bytes";
+  return "";
+}
+
+/// The big log with a filler frame inserted so that a frame of at least
+/// `min_size` bytes starts `before` bytes ahead of `boundary`, and so
+/// straddles it.
+std::string StraddleAt(uint64_t boundary, uint64_t before,
+                       uint64_t min_size) {
+  const WindowedLog& log = BigWalLog();
+  const uint64_t start = boundary - before;
+  for (size_t i = log.frames.size(); i-- > 0;) {
+    const FrameSpan& f = log.frames[i];
+    if (f.offset + 64 > start || f.size < min_size) continue;
+    return log.bytes.substr(0, f.offset) + FillerFrame(start - f.offset) +
+           log.bytes.substr(f.offset);
+  }
+  ADD_FAILURE() << "no frame to move across " << boundary;
+  return log.bytes;
+}
+
+/// What one replay into an empty store left: status, stats, and the
+/// store's snapshot encoding.
+struct ReplayOutcome {
+  Status status;
+  WalReplayStats stats;
+  std::string image;
+};
+
+ReplayOutcome WindowedReplay(Env* env, const std::string& path,
+                             uint64_t min_sequence = 0) {
+  ReplayOutcome out;
+  QueryStore store;
+  out.status = ReplayWal(path, &store, &out.stats, min_sequence, env);
+  EXPECT_TRUE(EncodeSnapshotV2(store, 0, &out.image).ok());
+  return out;
+}
+
+ReplayOutcome ReferenceReplay(const std::string& bytes, const std::string& path,
+                              uint64_t min_sequence = 0) {
+  ReplayOutcome out;
+  QueryStore store;
+  out.status = testing_util::ReferenceReplayWal(bytes, path, &store,
+                                                &out.stats, min_sequence);
+  EXPECT_TRUE(EncodeSnapshotV2(store, 0, &out.image).ok());
+  return out;
+}
+
+void ExpectSameStats(const WalReplayStats& got, const WalReplayStats& want) {
+  EXPECT_EQ(got.records_applied, want.records_applied);
+  EXPECT_EQ(got.records_skipped, want.records_skipped);
+  EXPECT_EQ(got.max_sequence, want.max_sequence);
+  EXPECT_EQ(got.min_sequence, want.min_sequence);
+  EXPECT_EQ(got.bytes_valid, want.bytes_valid);
+  EXPECT_EQ(got.torn_bytes, want.torn_bytes);
+}
+
+void ExpectSameOutcome(const ReplayOutcome& got, const ReplayOutcome& want) {
+  EXPECT_EQ(got.status.code(), want.status.code());
+  EXPECT_EQ(got.status.message(), want.status.message());
+  ExpectSameStats(got.stats, want.stats);
+  EXPECT_TRUE(got.image == want.image) << "stores differ";
+}
+
+TEST(WalWindowTest, ReplayReadsThroughABoundedWindow) {
+  const WindowedLog& log = BigWalLog();
+  ASSERT_GE(log.bytes.size(), 3 * kReadWindow);
+  ASSERT_GT(log.largest.size, kReadWindow);
+  FaultInjectingEnv disk;
+  PutFile(&disk, "/db/wal.log", log.bytes);
+  ReadCountingEnv env(&disk);
+
+  const ReplayOutcome got = WindowedReplay(&env, "/db/wal.log");
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_EQ(got.stats.records_applied, log.frames.size());
+  EXPECT_EQ(got.stats.torn_bytes, 0u);
+  EXPECT_TRUE(got.image == log.image) << "replayed store differs";
+  ExpectSameOutcome(got, ReferenceReplay(log.bytes, "/db/wal.log"));
+  // The frame larger than the window was read whole, on its own; every
+  // other read was at most a window.
+  EXPECT_EQ(env.max_read(), ReadBound(log));
+}
+
+TEST(WalWindowTest, DamageAcrossAWindowEdgeMatchesTheWholeBufferReplay) {
+  const WindowedLog& log = BigWalLog();
+  const uint64_t edge = kReadWindow;  // the first window's end
+  struct Case {
+    const char* name;
+    std::string bytes;
+    bool damaged;
+  };
+  std::vector<Case> cases;
+  // A frame 16 bytes before the edge, cut 8 bytes past it.
+  cases.push_back({"torn frame", StraddleAt(edge, 16, 64), true});
+  cases.back().bytes.resize(edge + 8);
+  // The same frame, one payload byte past the edge flipped.
+  cases.push_back({"crc flip", StraddleAt(edge, 16, 64), true});
+  cases.back().bytes[edge + 4] ^= 0x10;
+  // A frame header split 3 / 5 bytes by the edge, intact and then cut.
+  cases.push_back({"split header", StraddleAt(edge, 3, 16), false});
+  cases.push_back({"short header", StraddleAt(edge, 3, 16), true});
+  cases.back().bytes.resize(edge + 2);
+  // The frame larger than the window, cut halfway and with its last
+  // byte flipped.
+  cases.push_back({"torn large frame",
+                   log.bytes.substr(0, log.largest.offset + log.largest.size / 2),
+                   true});
+  cases.push_back({"crc flip in large frame", log.bytes, true});
+  cases.back().bytes[log.largest.offset + log.largest.size - 1] ^= 0x01;
+
+  FaultInjectingEnv disk;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    const std::string dir = "/case" + std::to_string(i);
+    const std::string path = dir + "/wal.log";
+    PutFile(&disk, path, cases[i].bytes);
+    const ReplayOutcome want = ReferenceReplay(cases[i].bytes, path);
+    ASSERT_TRUE(want.status.ok()) << want.status;
+    EXPECT_EQ(want.stats.torn_bytes > 0, cases[i].damaged);
+
+    // Restart on the damaged log: Open replays it and cuts the torn tail.
+    ReadCountingEnv env(&disk);
+    DurabilityOptions options;
+    options.env = &env;
+    QueryStore store;
+    DurableStore durable(&store, dir, options);
+    ASSERT_TRUE(durable.Open().ok());
+    ExpectSameStats(durable.replay_stats(), want.stats);
+    uint64_t size = 0;
+    ASSERT_TRUE(disk.GetFileSize(path, &size).ok());
+    EXPECT_EQ(size, want.stats.bytes_valid);
+    std::string image;
+    ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+    EXPECT_TRUE(image == want.image) << "stores differ";
+    EXPECT_LE(env.max_read(), ReadBound(log));
+  }
+}
+
+TEST(WalWindowTest, ScanYieldsTheWholeBufferFramesAndStopsWhenAsked) {
+  const WindowedLog& log = BigWalLog();
+  const std::string path = "/db/wal.log";
+  FaultInjectingEnv disk;
+  PutFile(&disk, path, log.bytes);
+  ReadCountingEnv env(&disk);
+
+  std::vector<std::pair<uint64_t, std::string>> want;
+  ASSERT_TRUE(testing_util::ReferenceScanWalFrames(log.bytes, path, &want).ok());
+  ASSERT_EQ(want.size(), log.frames.size());
+  std::vector<std::pair<uint64_t, std::string>> got;
+  ASSERT_TRUE(ScanWalFrames(path, &env,
+                            [&](uint64_t sequence, std::string_view frame) {
+                              got.emplace_back(sequence, std::string(frame));
+                              return true;
+                            })
+                  .ok());
+  EXPECT_TRUE(got == want) << got.size() << " frames, want " << want.size();
+  EXPECT_EQ(env.max_read(), ReadBound(log));
+
+  // The scan stops at the first false.
+  for (const size_t stop_at : {size_t{1}, want.size() / 2, want.size()}) {
+    size_t calls = 0;
+    ASSERT_TRUE(ScanWalFrames(path, &env,
+                              [&](uint64_t, std::string_view) {
+                                return ++calls < stop_at;
+                              })
+                    .ok());
+    EXPECT_EQ(calls, stop_at);
+  }
+}
+
+TEST(WalWindowTest, VersionTwoHeaderFailsReplayAndScan) {
+  const std::string path = "/db/wal.log";
+  std::string bytes = BigWalLog().bytes.substr(0, 4096);
+  bytes[8] = 2;  // the little-endian version field
+  FaultInjectingEnv disk;
+  PutFile(&disk, path, bytes);
+
+  const ReplayOutcome got = WindowedReplay(&disk, path);
+  EXPECT_EQ(got.status.code(), StatusCode::kIoError);
+  EXPECT_EQ(got.status.message(), "unsupported WAL version 2: " + path);
+  ExpectSameOutcome(got, ReferenceReplay(bytes, path));
+  size_t frames = 0;
+  const Status scan = ScanWalFrames(path, &disk, [&](uint64_t, std::string_view) {
+    ++frames;
+    return true;
+  });
+  EXPECT_EQ(scan.code(), StatusCode::kIoError);
+  EXPECT_EQ(scan.message(), got.status.message());
+  EXPECT_EQ(frames, 0u);
+}
+
+// Seeded byte-mutation fuzz of WAL replay over a multi-window log:
+// flipped bytes, payload edits with a recomputed CRC (so the record
+// decoders see them), cuts at random offsets and around window edges,
+// and forged length and CRC fields. A quarter of the replays treat a
+// prefix of the log as covered by a snapshot. Every replay must end in
+// OK or a typed error and match the whole-buffer oracle exactly: status
+// code and message, stats and the replayed store. So must every scan.
+// CI runs this suite under ASan/UBSan.
+TEST(WalTest, SeededMutationFuzzMatchesTheWholeBufferReplay) {
+  const WindowedLog& log = FuzzWalLog();
+  ASSERT_GT(log.bytes.size(), kReadWindow + kReadWindow / 2);
+  ASSERT_GT(log.largest.size, kReadWindow);
+  const std::string path = "/fuzz/wal.log";
+  constexpr size_t kMutants = 120;
+  Rng rng(0x57414c46);
+  FaultInjectingEnv disk;
+  std::map<StatusCode, size_t> outcomes;
+  size_t torn = 0;
+  for (size_t i = 0; i < kMutants; ++i) {
+    std::string m = log.bytes;
+    const FrameSpan& f = log.frames[rng.Uniform(log.frames.size())];
+    auto set_fixed32 = [&](uint64_t at, uint32_t v) {
+      BinaryWriter w;
+      w.PutFixed32(v);
+      m.replace(at, 4, w.data());
+    };
+    auto fix_crc = [&](uint64_t len) {
+      set_fixed32(f.offset + 4,
+                  Crc32(std::string_view(m).substr(f.offset + 8, len)));
+    };
+    const uint64_t rest = m.size() - f.offset - testing_util::kWalFrameOverhead;
+    const uint64_t kind = rng.Uniform(7);
+    SCOPED_TRACE("mutant " + std::to_string(i) + " kind " +
+                 std::to_string(kind));
+    switch (kind) {
+      case 0:  // flip a bit anywhere, header included
+        m[rng.Uniform(m.size())] ^= static_cast<char>(1u << rng.Uniform(8));
+        break;
+      case 1: {  // edit a payload byte; the CRC still vouches for it
+        m[f.offset + 8 + rng.Uniform(f.size - 8)] =
+            static_cast<char>(rng.Uniform(256));
+        fix_crc(f.size - 8);
+        break;
+      }
+      case 2:  // cut anywhere
+        m.resize(rng.Uniform(m.size() + 1));
+        break;
+      case 3: {  // cut just around the first window's end, or the frame
+                 // larger than the window, which is read on its own
+        const uint64_t edges[] = {kReadWindow, log.largest.offset,
+                                  log.largest.offset + log.largest.size};
+        m.resize(std::min<uint64_t>(
+            m.size(), edges[rng.Uniform(3)] - 9 + rng.Uniform(19)));
+        break;
+      }
+      case 4: {  // forge the length: 0, huge, one past the end, or random
+        const uint32_t lens[] = {0, 0xFFFFFFFFu,
+                                 static_cast<uint32_t>(rest + 1),
+                                 static_cast<uint32_t>(rng.Uniform(rest + 1))};
+        set_fixed32(f.offset, lens[rng.Uniform(4)]);
+        break;
+      }
+      case 5: {  // forge the length within the log and re-sign the span
+        const uint64_t len = rng.Uniform(std::min<uint64_t>(rest, 4096) + 1);
+        set_fixed32(f.offset, static_cast<uint32_t>(len));
+        fix_crc(len);
+        break;
+      }
+      default:  // forge the CRC
+        set_fixed32(f.offset + 4, rng.Bernoulli(0.5)
+                                      ? 0u
+                                      : static_cast<uint32_t>(rng.Next()));
+        break;
+    }
+    PutFile(&disk, path, m);
+    const uint64_t covered =
+        rng.Bernoulli(0.25) ? rng.Uniform(log.frames.size()) : 0;
+    const ReplayOutcome got = WindowedReplay(&disk, path, covered);
+    ExpectSameOutcome(got, ReferenceReplay(m, path, covered));
+    EXPECT_NE(got.status.code(), StatusCode::kInternal) << got.status;
+    ++outcomes[got.status.code()];
+    if (got.stats.torn_bytes > 0) ++torn;
+
+    std::vector<std::pair<uint64_t, std::string>> want_frames, got_frames;
+    const Status want_scan =
+        testing_util::ReferenceScanWalFrames(m, path, &want_frames);
+    const Status got_scan =
+        ScanWalFrames(path, &disk, [&](uint64_t sequence, std::string_view frame) {
+          got_frames.emplace_back(sequence, std::string(frame));
+          return true;
+        });
+    EXPECT_EQ(got_scan.code(), want_scan.code());
+    EXPECT_EQ(got_scan.message(), want_scan.message());
+    EXPECT_TRUE(got_frames == want_frames) << "scans differ";
+  }
+  // The mutations reached every outcome: clean replays, torn tails, and
+  // failures typed by the frame and record decoders.
+  EXPECT_GT(outcomes[StatusCode::kOk], 0u);
+  EXPECT_GT(outcomes[StatusCode::kCorruption], 0u);
+  EXPECT_GT(torn, 0u);
 }
 
 TEST(MigrationTest, V1SnapshotLoadsAndCheckpointsToV2) {
