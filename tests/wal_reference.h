@@ -104,10 +104,11 @@ inline Status ReferenceReplayWal(std::string_view file,
 }
 
 /// ScanWalFrames over a log held whole in `file`: every intact frame's
-/// (sequence, payload), in file order, into `frames`.
+/// (sequence, payload), in file order, into `frames`. The payloads view
+/// `file`.
 inline Status ReferenceScanWalFrames(
     std::string_view file, const std::string& path,
-    std::vector<std::pair<uint64_t, std::string>>* frames) {
+    std::vector<std::pair<uint64_t, std::string_view>>* frames) {
   frames->clear();
   size_t pos = 0;
   CQMS_RETURN_IF_ERROR(ReferenceWalHeader(file, path, &pos));
@@ -122,7 +123,7 @@ inline Status ReferenceScanWalFrames(
     BinaryReader r(payload);
     const uint64_t sequence = r.GetVarint();
     if (r.failed()) return ReferenceCorruptWal(path, "missing sequence");
-    frames->emplace_back(sequence, std::string(payload));
+    frames->emplace_back(sequence, payload);
     pos += kWalFrameOverhead + len;
   }
   return Status::Ok();
