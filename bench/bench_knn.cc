@@ -15,8 +15,8 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
-#include "metaquery/knn.h"
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_reference.h"
 #include "storage/minhash.h"
 #include "storage/persistence.h"
 #include "storage/record_builder.h"
@@ -29,6 +29,15 @@ const char* kProbe =
     "SELECT T.temp FROM WaterSalinity S, WaterTemp T "
     "WHERE S.loc_x = T.loc_x AND T.temp < 20";
 
+/// The top `k` matches for `probe` through a planner on the live store.
+metaquery::MetaQueryResponse Knn(
+    const storage::QueryStore& store, const storage::QueryRecord& probe,
+    size_t k, const metaquery::SimilarityWeights& weights = {},
+    const metaquery::CandidateOptions& candidates = {}) {
+  return metaquery::MetaQueryPlanner(&store).Execute(
+      "user0", metaquery::KnnRequest(probe, k, weights, candidates));
+}
+
 void BM_KnnByLogSize(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
@@ -37,8 +46,7 @@ void BM_KnnByLogSize(benchmark::State& state) {
   metaquery::CandidateOptions exhaustive;
   exhaustive.use_lsh = false;
   for (auto _ : state) {
-    auto neighbors =
-        metaquery::KnnSearch(f.store, "user0", probe, 10, {}, {}, exhaustive);
+    auto neighbors = Knn(f.store, probe, 10, {}, exhaustive);
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
@@ -55,8 +63,7 @@ void BM_KnnLsh(benchmark::State& state) {
   metaquery::CandidateOptions lsh;
   lsh.lsh_min_log_size = 0;  // measure the LSH path at every size
   for (auto _ : state) {
-    auto neighbors =
-        metaquery::KnnSearch(f.store, "user0", probe, 10, {}, {}, lsh);
+    auto neighbors = Knn(f.store, probe, 10, {}, lsh);
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
@@ -68,10 +75,11 @@ void BM_KnnLsh(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnLsh)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"queries"});
 
-// The pre-columnar scoring loop (KnnSearchReference reads candidates
-// through the record deque and the fingerprint hash index) on the same
-// LSH candidates — the denominator of the columnar-scoring speedup
-// BM_KnnLsh / BM_KnnLshReference tracks per PR.
+// The pre-columnar scoring loop (KnnSearchReference, from the tests'
+// reference implementations, reads candidates through the record deque
+// and the fingerprint hash index) on the same LSH candidates — the
+// denominator of the columnar-scoring speedup BM_KnnLsh /
+// BM_KnnLshReference tracks per PR.
 void BM_KnnLshReference(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
@@ -124,8 +132,7 @@ void BM_KnnByK(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(5000);
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
   for (auto _ : state) {
-    auto neighbors = metaquery::KnnSearch(f.store, "user0", probe,
-                                          static_cast<size_t>(state.range(0)));
+    auto neighbors = Knn(f.store, probe, static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(neighbors);
   }
 }
@@ -145,7 +152,7 @@ void BM_KnnSimilarityMix(benchmark::State& state) {
     weights.output = 0;
   }  // else default combined mix
   for (auto _ : state) {
-    auto neighbors = metaquery::KnnSearch(f.store, "user0", probe, 10, weights);
+    auto neighbors = Knn(f.store, probe, 10, weights);
     benchmark::DoNotOptimize(neighbors);
   }
 }

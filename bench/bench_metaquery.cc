@@ -1,8 +1,9 @@
 // E2 — Meta-query latency (paper Figure 1 / §2.2, §4.2).
 //
 // The paper requires interactive meta-querying. We measure, across log
-// sizes: keyword search (inverted index), substring scan, native
-// query-by-feature (index intersection), and the same Figure-1 search
+// sizes, one-predicate requests through the planner: keyword search
+// (inverted index), substring scan, native query-by-feature (index
+// intersection) and structural search; and the same Figure-1 search
 // expressed as SQL over the feature relations (self-joining Attributes),
 // including the auto-generated variant from a partial query.
 // Expected shape: index-backed paths stay sub-millisecond as the log
@@ -13,6 +14,7 @@
 
 #include "bench_util.h"
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_reference.h"
 #include "sql/parser.h"
 
 namespace cqms {
@@ -20,14 +22,18 @@ namespace {
 
 const char* kViewer = "user0";
 
+using metaquery::LogOrderRequest;
+
 void BM_KeywordSearch(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   metaquery::MetaQueryExecutor executor(&f.store);
+  const metaquery::MetaQueryRequest request =
+      LogOrderRequest().WithKeywords("salinity temp");
   size_t found = 0;
   for (auto _ : state) {
-    auto ids = executor.Keyword(kViewer, "salinity temp");
-    found = ids.size();
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute(kViewer, request);
+    found = response.matches.size();
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["hits"] = static_cast<double>(found);
@@ -37,9 +43,11 @@ BENCHMARK(BM_KeywordSearch)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"querie
 void BM_SubstringSearch(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   metaquery::MetaQueryExecutor executor(&f.store);
+  const metaquery::MetaQueryRequest request =
+      LogOrderRequest().WithSubstring("loc_x = T.loc_x");
   for (auto _ : state) {
-    auto ids = executor.Substring(kViewer, "loc_x = T.loc_x");
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute(kViewer, request);
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
 }
@@ -53,11 +61,13 @@ void BM_FeatureQueryNative(benchmark::State& state) {
       .UsesAttribute("watertemp", "temp")
       .HasPredicateOn("watertemp", "temp", "<")
       .SucceededOnly();
+  const metaquery::MetaQueryRequest request =
+      LogOrderRequest().WithFeature(query);
   size_t found = 0;
   for (auto _ : state) {
-    auto ids = executor.ByFeature(kViewer, query);
-    found = ids.size();
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute(kViewer, request);
+    found = response.matches.size();
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["hits"] = static_cast<double>(found);
@@ -109,9 +119,11 @@ void BM_StructuralSearch(benchmark::State& state) {
   pattern.required_tables = {"watertemp"};
   pattern.required_predicate_skeletons = {"watertemp.temp < ?"};
   pattern.min_joins = 1;
+  const metaquery::MetaQueryRequest request =
+      LogOrderRequest().WithStructure(pattern);
   for (auto _ : state) {
-    auto ids = executor.ByStructure(kViewer, pattern);
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute(kViewer, request);
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
 }

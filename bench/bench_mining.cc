@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "metaquery_reference.h"
 #include "miner/query_miner.h"
 #include "workload/synthetic.h"
 

@@ -1,17 +1,19 @@
 // E3 — Query-by-data (paper §2.2).
 //
 // "All queries whose output includes Lake Washington but not Lake
-// Union": finds queries by conditions on their *outputs*. We measure the
-// summary-only fast path vs the exact path with re-execution fallback,
-// across log sizes — the efficiency/exactness trade-off the paper calls
-// "a challenging problem". Expected shape: summary-only scales with log
-// size alone; re-execution adds cost proportional to the number of
-// incomplete summaries.
+// Union": finds queries by conditions on their *outputs*, as a data
+// request through the planner. We measure the summary-only fast path vs
+// the exact path with re-execution fallback, across log sizes — the
+// efficiency/exactness trade-off the paper calls "a challenging
+// problem". Expected shape: summary-only scales with log size alone;
+// re-execution adds cost proportional to the number of incomplete
+// summaries.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "metaquery/query_by_data.h"
+#include "metaquery/meta_query_executor.h"
+#include "metaquery_reference.h"
 
 namespace cqms {
 namespace {
@@ -26,12 +28,15 @@ std::vector<metaquery::DataExample> LakeExamples() {
 void BM_QueryByDataSummaryOnly(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   auto examples = LakeExamples();
+  metaquery::MetaQueryExecutor executor(&f.store);
   metaquery::QueryByDataOptions options;  // no re-execution
+  const metaquery::MetaQueryRequest request =
+      metaquery::LogOrderRequest().WithData(examples, options);
   size_t hits = 0;
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, options);
-    hits = ids.size();
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute("user0", request);
+    hits = response.matches.size();
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["hits"] = static_cast<double>(hits);
@@ -44,11 +49,14 @@ void BM_QueryByDataWithReexecution(benchmark::State& state) {
   auto examples = LakeExamples();
   metaquery::QueryByDataOptions options;
   options.reexecute_on = &f.database;
+  metaquery::MetaQueryExecutor executor(&f.store);
+  const metaquery::MetaQueryRequest request =
+      metaquery::LogOrderRequest().WithData(examples, options);
   size_t hits = 0;
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, options);
-    hits = ids.size();
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute("user0", request);
+    hits = response.matches.size();
+    benchmark::DoNotOptimize(response);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["hits"] = static_cast<double>(hits);
@@ -64,9 +72,12 @@ void BM_ExampleCountSweep(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     examples.push_back({{db::Value::String(lakes[i % 6])}, i % 2 == 0});
   }
+  metaquery::MetaQueryExecutor executor(&f.store);
+  const metaquery::MetaQueryRequest request =
+      metaquery::LogOrderRequest().WithData(examples);
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, {});
-    benchmark::DoNotOptimize(ids);
+    auto response = executor.Execute("user0", request);
+    benchmark::DoNotOptimize(response);
   }
 }
 BENCHMARK(BM_ExampleCountSweep)->Arg(1)->Arg(4)->Arg(8)->ArgNames({"examples"});

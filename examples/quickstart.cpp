@@ -52,7 +52,10 @@ int main() {
   system.RunMining();
 
   // --- Search & Browse mode: find queries, view sessions ---------------
-  auto hits = system.metaquery().Keyword("alice", "temp");
+  cqms::metaquery::MetaQueryRequest keyword;
+  keyword.WithKeywords("temp").InLogOrder();
+  keyword.ranking.exclude_flagged = false;
+  auto hits = system.Search("alice", keyword).matches;
   std::printf("\nkeyword search 'temp' found %zu queries\n", hits.size());
   std::printf("%s", system.BrowseLog("alice").c_str());
 

@@ -46,8 +46,12 @@ Result<std::vector<Recommendation>> RecommendationEngine::Recommend(
   }
 
   // Over-fetch to survive dedup/session filtering.
-  std::vector<metaquery::Neighbor> neighbors = executor_.Knn(
-      viewer, probe, k * 4 + 8, options.weights, options.ranking);
+  metaquery::MetaQueryRequest request;
+  request.SimilarTo(probe, options.weights)
+      .RankedBy(options.ranking)
+      .Limit(k * 4 + 8);
+  const metaquery::MetaQueryResponse response =
+      executor_.Execute(viewer, request);
 
   std::vector<uint64_t> viewer_skeletons;
   std::unordered_map<std::string, std::vector<uint64_t>> author_skeletons;
@@ -57,7 +61,7 @@ Result<std::vector<Recommendation>> RecommendationEngine::Recommend(
 
   std::vector<Recommendation> out;
   std::set<uint64_t> seen_fingerprints;
-  for (const metaquery::Neighbor& n : neighbors) {
+  for (const metaquery::MetaQueryMatch& n : response.matches) {
     if (out.size() >= k) break;
     const storage::QueryRecord* r = store_->Get(n.id);
     if (r == nullptr || r->parse_failed()) continue;

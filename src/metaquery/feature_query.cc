@@ -50,51 +50,6 @@ FeatureQuery& FeatureQuery::SucceededOnly() {
   return *this;
 }
 
-std::vector<storage::QueryId> FeatureQuery::Evaluate(
-    const storage::QueryStore& store, const std::string& viewer) const {
-  // Candidate generation: intersect the most selective index lists we
-  // have; fall back to a full scan if no indexed condition is present.
-  std::vector<std::vector<storage::QueryId>> lists;
-  for (const std::string& t : tables_) {
-    lists.push_back(store.QueriesUsingTable(t));
-  }
-  for (const auto& [rel, attr] : attributes_) {
-    lists.push_back(store.QueriesUsingAttribute(rel, attr));
-  }
-  for (const auto& p : predicates_) {
-    lists.push_back(store.QueriesUsingAttribute(p.relation, p.attribute));
-  }
-  if (user_.has_value()) {
-    lists.push_back(store.QueriesByUser(*user_));
-  }
-
-  std::vector<storage::QueryId> candidates;
-  if (lists.empty()) {
-    candidates.reserve(store.size());
-    for (const auto& r : store.records()) candidates.push_back(r.id);
-  } else {
-    std::sort(lists.begin(), lists.end(),
-              [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    candidates = std::move(lists[0]);
-    for (size_t i = 1; i < lists.size() && !candidates.empty(); ++i) {
-      std::vector<storage::QueryId> next;
-      std::set_intersection(candidates.begin(), candidates.end(),
-                            lists[i].begin(), lists[i].end(),
-                            std::back_inserter(next));
-      candidates = std::move(next);
-    }
-  }
-
-  std::vector<storage::QueryId> out;
-  for (storage::QueryId id : candidates) {
-    if (!store.Visible(viewer, id)) continue;
-    const storage::QueryRecord* r = store.Get(id);
-    if (r == nullptr) continue;
-    if (MatchesRecord(*r)) out.push_back(id);
-  }
-  return out;
-}
-
 bool FeatureQuery::MatchesRecord(const storage::QueryRecord& r) const {
   if (succeeded_only_ && !r.stats.succeeded) return false;
   if (max_execution_micros_ && r.stats.execution_micros > *max_execution_micros_) {

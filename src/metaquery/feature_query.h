@@ -13,9 +13,10 @@
 namespace cqms::metaquery {
 
 /// Programmatic query-by-feature (§2.2): conjunctive conditions over the
-/// extracted feature relations, evaluated through the store's indexes.
-/// This is the native fast path; the equivalent SQL meta-query path runs
-/// against `QueryStore::feature_db()` (see GenerateCorrelationMetaQuery).
+/// extracted feature relations. The meta-query planner evaluates one
+/// (MetaQueryRequest::WithFeature) through the store's indexes; the
+/// equivalent SQL meta-query path runs against `QueryStore::feature_db()`
+/// (see GenerateMetaQueryFromPartial).
 class FeatureQuery {
  public:
   /// Query must read from `table` (any nesting level).
@@ -39,16 +40,10 @@ class FeatureQuery {
   FeatureQuery& MinResultRows(uint64_t rows);
   FeatureQuery& SucceededOnly();
 
-  /// Evaluates against the store, returning ids visible to `viewer` in
-  /// log order. Table/attribute conditions drive index lookups; the rest
-  /// filter.
-  std::vector<storage::QueryId> Evaluate(const storage::QueryStore& store,
-                                         const std::string& viewer) const;
-
   /// Exact per-record check of every condition except visibility —
   /// verified against the record's *current* features, never the index
-  /// (the meta-query planner and Evaluate share this filter). True for a
-  /// record this query accepts.
+  /// (the meta-query planner's recheck). True for a record this query
+  /// accepts.
   bool MatchesRecord(const storage::QueryRecord& record) const;
 
   struct PredicateCondition {

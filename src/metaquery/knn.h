@@ -1,10 +1,8 @@
 #ifndef CQMS_METAQUERY_KNN_H_
 #define CQMS_METAQUERY_KNN_H_
 
-#include <string>
 #include <vector>
 
-#include "metaquery/similarity.h"
 #include "storage/query_store.h"
 
 namespace cqms::metaquery {
@@ -42,11 +40,18 @@ struct CandidateOptions {
   size_t probe_bands = 0;
 };
 
-/// Which structure produced a similarity candidate set.
-enum class KnnCandidateSource {
-  kLshBuckets,  ///< MinHash band buckets (approximate, sub-linear).
-  kTableUnion,  ///< Union of the probe's table posting lists (exact).
-  kFullScan,    ///< Table-less probe: every statement.
+/// Which candidate generator the meta-query planner chose
+/// (introspection/tests; the wire carries its value).
+enum class CandidateGenerator {
+  /// Intersection of Symbol-keyed posting lists (keyword / table /
+  /// attribute / user predicates) — exact.
+  kPostingIntersection,
+  /// MinHash/LSH band buckets for a similarity probe — approximate.
+  kLshBuckets,
+  /// Union of the probe's table posting lists — exact.
+  kTableUnion,
+  /// Every record — the last resort.
+  kFullScan,
 };
 
 /// Candidate statements for one probe, ascending; their records are the
@@ -55,70 +60,25 @@ enum class KnnCandidateSource {
 /// statement.
 struct KnnCandidates {
   std::vector<storage::StatementId> statements;
-  KnnCandidateSource source = KnnCandidateSource::kFullScan;
-  bool full_scan() const { return source == KnnCandidateSource::kFullScan; }
+  /// kLshBuckets, kTableUnion or kFullScan.
+  CandidateGenerator source = CandidateGenerator::kFullScan;
+  bool full_scan() const { return source == CandidateGenerator::kFullScan; }
 };
 
-/// Shared candidate generation for similarity probes — the one policy
-/// both the legacy kNN entry point and the meta-query planner use, so
-/// their results agree by construction. Large logs: LSH bucket lookup
-/// over the probe's MinHash sketch — sub-linear and approximate:
+/// Candidate generation for similarity probes: the meta-query planner's
+/// similarity generator, which the reference kNN in the tests calls too,
+/// so their candidate sets agree by construction. Large logs: LSH bucket
+/// lookup over the probe's MinHash sketch — sub-linear and approximate:
 /// neighbors below the banding's similarity threshold can be missed,
 /// which the default banding accepts because query-log top-k is
 /// dominated by near-duplicate re-renders (docs/lsh_tuning.md has the
 /// recall knobs). Small logs (or LSH disabled): the exhaustive
-/// table-index union via the probe signature's interned table Symbols.
-/// Probes with no tables scan the whole log either way.
+/// table-index union over the probe signature's interned table Symbols.
+/// Probes with no tables scan the whole log either way. The probe must
+/// carry a computed signature, as BuildRecordFromText's records do.
 KnnCandidates KnnCandidateIds(const storage::StoreView& store,
                               const storage::QueryRecord& probe,
                               const CandidateOptions& options);
-
-/// Live-store convenience (wraps the store in a StoreView facade).
-KnnCandidates KnnCandidateIds(const storage::QueryStore& store,
-                              const storage::QueryRecord& probe,
-                              const CandidateOptions& options);
-
-/// One kNN result.
-struct Neighbor {
-  storage::QueryId id = storage::kInvalidQueryId;
-  double similarity = 0;  ///< Raw combined similarity in [0,1].
-  double score = 0;       ///< Ranked score (similarity + boosts).
-};
-
-/// Finds the k logged queries most similar to `probe`, visible to
-/// `viewer`, ranked by the composite score. Candidate generation is
-/// governed by `candidates` (see KnnCandidateIds). Since the unified
-/// meta-query redesign this is a thin wrapper: it builds a
-/// one-predicate MetaQueryRequest and runs it through the
-/// MetaQueryPlanner's columnar scoring loop.
-std::vector<Neighbor> KnnSearch(const storage::QueryStore& store,
-                                const std::string& viewer,
-                                const storage::QueryRecord& probe, size_t k,
-                                const SimilarityWeights& weights = {},
-                                const RankingOptions& ranking = {},
-                                const CandidateOptions& candidates = {});
-
-/// The pre-planner scoring loop, kept verbatim as the ground-truth
-/// reference: scores every candidate record through the record deque
-/// and QueryStore::PopularityOf instead of the scoring columns. The planner
-/// equality suite asserts KnnSearch == KnnSearchReference on every
-/// probe; do not optimize this.
-std::vector<Neighbor> KnnSearchReference(const storage::QueryStore& store,
-                                         const std::string& viewer,
-                                         const storage::QueryRecord& probe,
-                                         size_t k,
-                                         const SimilarityWeights& weights = {},
-                                         const RankingOptions& ranking = {},
-                                         const CandidateOptions& candidates = {});
-
-/// Convenience: builds a transient probe record from SQL text (not
-/// logged), then searches. Fails on unparsable text.
-Result<std::vector<Neighbor>> KnnSearchText(const storage::QueryStore& store,
-                                            const std::string& viewer,
-                                            const std::string& sql_text, size_t k,
-                                            const SimilarityWeights& weights = {},
-                                            const RankingOptions& ranking = {},
-                                            const CandidateOptions& candidates = {});
 
 }  // namespace cqms::metaquery
 

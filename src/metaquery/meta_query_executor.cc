@@ -1,8 +1,7 @@
 #include "metaquery/meta_query_executor.h"
 
 #include <algorithm>
-
-#include "storage/record_builder.h"
+#include <vector>
 
 namespace cqms::metaquery {
 
@@ -47,17 +46,6 @@ Result<db::QueryResult> MetaQueryExecutor::Sql(const std::string& viewer,
     result.rows = std::move(kept);
   }
   return result;
-}
-
-Result<std::vector<Neighbor>> MetaQueryExecutor::KnnText(
-    const std::string& viewer, const std::string& sql_text, size_t k,
-    const SimilarityWeights& weights, const RankingOptions& ranking) const {
-  storage::QueryRecord probe = storage::BuildRecordFromText(
-      sql_text, viewer, 0, storage::SignatureMode::kTransient);
-  if (probe.parse_failed()) {
-    return Status::ParseError("probe query does not parse: " + probe.stats.error);
-  }
-  return Knn(viewer, probe, k, weights, ranking);
 }
 
 }  // namespace cqms::metaquery

@@ -2,15 +2,11 @@
 #define CQMS_METAQUERY_META_QUERY_EXECUTOR_H_
 
 #include <string>
-#include <vector>
 
-#include "metaquery/feature_query.h"
-#include "metaquery/knn.h"
+#include "common/result.h"
+#include "db/database.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
-#include "metaquery/parse_tree_query.h"
-#include "metaquery/query_by_data.h"
-#include "metaquery/text_search.h"
 #include "storage/query_store.h"
 
 namespace cqms::metaquery {
@@ -20,13 +16,13 @@ namespace cqms::metaquery {
 /// keyword, complex feature/structure conditions, output conditions, and
 /// kNN — with access control applied on every path.
 ///
-/// Since the unified redesign there is exactly one pipeline behind it:
-/// every method builds a MetaQueryRequest (a conjunction of composable
-/// predicates plus one RankingOptions) and hands it to the
-/// MetaQueryPlanner. Call `Execute` directly to *combine* predicates —
-/// "queries touching `lineage` with skeleton X, similar to this probe,
-/// ranked by popularity" is one request — which the per-class wrappers
-/// cannot express.
+/// There is exactly one pipeline behind it: `Execute` hands a
+/// MetaQueryRequest (a conjunction of composable predicates plus one
+/// RankingOptions) to the MetaQueryPlanner. One class is one predicate
+/// (docs/metaquery_api.md lists the request for each), and a request
+/// may *combine* them — "queries touching `lineage` with skeleton X,
+/// similar to this probe, ranked by popularity" is one request. `Sql`
+/// is the one path beside it: SQL over the feature relations.
 ///
 /// Thread model: the executor itself is stateless (Execute never
 /// mutates it), so one executor serves any number of concurrent caller
@@ -48,36 +44,8 @@ class MetaQueryExecutor {
   MetaQueryResponse Execute(const std::string& viewer,
                             const MetaQueryRequest& request) const;
 
-  // --- legacy per-class entry points: thin one-predicate wrappers ------
-
-  // Class 1: keyword / substring.
-  std::vector<storage::QueryId> Keyword(const std::string& viewer,
-                                        const std::string& words,
-                                        bool match_all = true) const {
-    MetaQueryRequest request;
-    request.WithKeywords(words, match_all).InLogOrder();
-    request.ranking.exclude_flagged = false;
-    return Execute(viewer, request).Ids();
-  }
-  std::vector<storage::QueryId> Substring(const std::string& viewer,
-                                          const std::string& needle) const {
-    MetaQueryRequest request;
-    request.WithSubstring(needle).InLogOrder();
-    request.ranking.exclude_flagged = false;
-    return Execute(viewer, request).Ids();
-  }
-
-  // Class 2a: feature conditions (programmatic).
-  std::vector<storage::QueryId> ByFeature(const std::string& viewer,
-                                          const FeatureQuery& query) const {
-    MetaQueryRequest request;
-    request.WithFeature(query).InLogOrder();
-    request.ranking.exclude_flagged = false;
-    return Execute(viewer, request).Ids();
-  }
-
-  // Class 2b: feature conditions (SQL over the feature relations).
-  /// Runs arbitrary SQL against the Figure-1 feature relations. When the
+  /// Class 2b, feature conditions as SQL: runs arbitrary SQL against the
+  /// Figure-1 feature relations. When the
   /// result exposes a `qid` column, rows whose query is not visible to
   /// `viewer` are removed — SQL meta-querying cannot bypass the ACL.
   /// Live-store only (the feature database is not part of published
@@ -85,46 +53,6 @@ class MetaQueryExecutor {
   /// mutations.
   Result<db::QueryResult> Sql(const std::string& viewer,
                               const std::string& meta_sql) const;
-
-  // Class 2c: parse-tree structure conditions.
-  std::vector<storage::QueryId> ByStructure(const std::string& viewer,
-                                            const StructuralPattern& pattern) const {
-    MetaQueryRequest request;
-    request.WithStructure(pattern).InLogOrder();
-    request.ranking.exclude_flagged = false;
-    return Execute(viewer, request).Ids();
-  }
-
-  // Class 3: conditions on query outputs.
-  std::vector<storage::QueryId> ByData(const std::string& viewer,
-                                       const std::vector<DataExample>& examples,
-                                       const QueryByDataOptions& options = {}) const {
-    MetaQueryRequest request;
-    request.WithData(examples, options).InLogOrder();
-    request.ranking.exclude_flagged = false;
-    return Execute(viewer, request).Ids();
-  }
-
-  // Class 4: kNN.
-  std::vector<Neighbor> Knn(const std::string& viewer,
-                            const storage::QueryRecord& probe, size_t k,
-                            const SimilarityWeights& weights = {},
-                            const RankingOptions& ranking = {}) const {
-    if (k == 0) return {};
-    MetaQueryRequest request;
-    request.SimilarTo(probe, weights).RankedBy(ranking).Limit(k);
-    MetaQueryResponse resp = Execute(viewer, request);
-    std::vector<Neighbor> out;
-    out.reserve(resp.matches.size());
-    for (const MetaQueryMatch& m : resp.matches) {
-      out.push_back({m.id, m.similarity, m.score});
-    }
-    return out;
-  }
-  Result<std::vector<Neighbor>> KnnText(const std::string& viewer,
-                                        const std::string& sql_text, size_t k,
-                                        const SimilarityWeights& weights = {},
-                                        const RankingOptions& ranking = {}) const;
 
  private:
   const storage::QueryStore* store_;

@@ -99,7 +99,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   std::vector<Symbol> keyword_syms;
   if (request.keyword.has_value()) {
     std::vector<std::string> words = ExtractWords(request.keyword->words);
-    if (words.empty()) return resp;  // KeywordSearch semantics: no match.
+    if (words.empty()) return resp;  // No extractable token: no match.
     for (const std::string& w : words) {
       Symbol s = GlobalInterner().Find(w);
       if (s == kInvalidSymbol) {
@@ -110,7 +110,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     }
     if (keyword_syms.empty()) return resp;  // match-any, all unknown.
   }
-  // An empty substring needle matches nothing (SubstringSearch semantics).
+  // An empty substring needle matches nothing.
   if (request.substring.has_value() && request.substring->empty()) return resp;
 
   // --- gather every posting list the predicates are backed by ----------
@@ -201,17 +201,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
         KnnCandidateIds(store, *probe, request.similarity->candidates);
     full_scan = kc.full_scan();
     candidates = std::move(kc.statements);
-    switch (kc.source) {
-      case KnnCandidateSource::kLshBuckets:
-        resp.generator = CandidateGenerator::kLshBuckets;
-        break;
-      case KnnCandidateSource::kTableUnion:
-        resp.generator = CandidateGenerator::kTableUnion;
-        break;
-      case KnnCandidateSource::kFullScan:
-        resp.generator = CandidateGenerator::kFullScan;
-        break;
-    }
+    resp.generator = kc.source;
   } else {
     full_scan = true;
     resp.generator = CandidateGenerator::kFullScan;
@@ -220,30 +210,23 @@ MetaQueryResponse MetaQueryPlanner::Execute(
 
   // --- filter + score: once per statement, then per record -------------
   const bool score_mode = request.order == ResultOrder::kScore;
-  // Keyword membership is implied when the keyword posting lists were
-  // part of the intersection (today: always, keywords are always
-  // indexed); the guard keeps correctness if generator policy evolves.
-  const bool recheck_keyword =
-      request.keyword.has_value() &&
-      resp.generator != CandidateGenerator::kPostingIntersection;
-  // Same trust argument for the feature conditions: when the candidates
-  // came from intersecting this query's own posting lists and every
-  // condition is index-backed (IndexCovered), membership is already
-  // exact — the indexes are purged on rewrite — so the per-candidate
-  // record fetch is pure overhead.
+  // A keyword predicate always adds its posting lists to the
+  // intersection, so keyword membership needs no recheck. The feature
+  // conditions need none either when the candidates came from
+  // intersecting this query's own posting lists and every condition is
+  // index-backed (IndexCovered): membership is already exact — the
+  // indexes are purged on rewrite — so the per-candidate record fetch
+  // is pure overhead.
   const bool recheck_feature =
       request.feature.has_value() &&
       (resp.generator != CandidateGenerator::kPostingIntersection ||
        !request.feature->IndexCovered());
-  const bool probe_sig_valid =
-      probe != nullptr && probe->statement().signature.valid;
   SignatureView probe_view;
-  if (probe_sig_valid) probe_view = ViewOfSignature(*probe);
+  if (probe != nullptr) probe_view = ViewOfSignature(*probe);
   const std::string lowered_needle =
       request.substring.has_value() ? ToLower(*request.substring) : std::string();
 
-  // Loop-invariant ranking normalizers, hoisted (identical arithmetic to
-  // the kNN reference path).
+  // Loop-invariant ranking normalizers, hoisted.
   const Micros max_ts = std::max<Micros>(1, store.max_timestamp());
   const double inv_log_size =
       1.0 / std::log1p(static_cast<double>(store.size()) + 1.0);
@@ -279,22 +262,6 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     // Statement checks: they read only what the statement's records
     // share, so they run once for all of them.
     const ScoringColumns::StatementRow row = cols.statement_row(s);
-    if (recheck_keyword) {
-      if (request.keyword->match_all) {
-        for (Symbol k : keyword_syms) {
-          if (!row.TokenPresent(k)) return;
-        }
-      } else {
-        bool any = false;
-        for (Symbol k : keyword_syms) {
-          if (row.TokenPresent(k)) {
-            any = true;
-            break;
-          }
-        }
-        if (!any) return;
-      }
-    }
     if (request.substring.has_value() &&
         row.lowered_text().find(lowered_needle) == std::string_view::npos) {
       return;
@@ -303,14 +270,15 @@ MetaQueryResponse MetaQueryPlanner::Execute(
         !MatchesPattern(*store.Get(passing.front()), *request.structure)) {
       return;
     }
-    // The columnar similarity is a function of the statement. Its
-    // record-path fallback also reads each record's own output summary,
-    // so that one runs per record below.
-    const bool sim_per_record =
-        probe != nullptr && !(probe_sig_valid && row.signature_valid());
+    // Similarity is a function of the statement. A row whose runs
+    // overflowed the columns' u16 lengths is not valid there; its
+    // records' shared signature holds the full runs.
     double sim = 0;
-    if (probe != nullptr && !sim_per_record) {
-      sim = CombinedSimilarity(probe_view, ViewOfStatement(row),
+    if (probe != nullptr) {
+      const SignatureView statement_view =
+          row.signature_valid() ? ViewOfStatement(row)
+                                : ViewOfSignature(*store.Get(passing.front()));
+      sim = CombinedSimilarity(probe_view, statement_view,
                                request.similarity->weights);
       if (sim < request.ranking.min_similarity) return;
     }
@@ -325,12 +293,6 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       if (recheck_feature && !request.feature->MatchesRecord(*store.Get(id))) {
         continue;
       }
-      double record_sim = sim;
-      if (sim_per_record) {
-        record_sim = CombinedSimilarity(*probe, *store.Get(id),
-                                        request.similarity->weights);
-        if (record_sim < request.ranking.min_similarity) continue;
-      }
       if (request.data.has_value() &&
           !RecordSatisfiesDataExamples(*store.Get(id), request.data->examples,
                                        request.data->options)) {
@@ -338,12 +300,12 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       }
       MetaQueryMatch m;
       m.id = id;
-      m.similarity = record_sim;
+      m.similarity = sim;
       if (score_mode) {
         double recency = max_ts > 0 ? static_cast<double>(cols.timestamp(id)) /
                                           static_cast<double>(max_ts)
                                     : 0;
-        m.score = request.ranking.w_similarity * record_sim +
+        m.score = request.ranking.w_similarity * sim +
                   request.ranking.w_popularity * popularity +
                   request.ranking.w_quality * cols.quality(id) +
                   request.ranking.w_recency * recency;

@@ -19,12 +19,12 @@ namespace cqms::metaquery {
 ///      intersected smallest-first — the smallest list bounds the
 ///      candidate count, and intersections keep conjunction semantics
 ///      exact. An empty required list short-circuits to zero results.
-///   2. Otherwise, a similarity probe generates candidates exactly like
-///      legacy kNN (shared KnnCandidateIds): LSH band buckets on large
-///      logs (approximate by contract), else the probe's table-posting
-///      union. The LSH generator is deliberately *not* used when posting
-///      lists exist: it can miss true conjunction matches, and an exact
-///      generator of bounded size is already available.
+///   2. Otherwise, a similarity probe generates candidates through
+///      KnnCandidateIds: LSH band buckets on large logs (approximate by
+///      contract), else the probe's table-posting union. The LSH
+///      generator is deliberately *not* used when posting lists exist:
+///      it can miss true conjunction matches, and an exact generator of
+///      bounded size is already available.
 ///   3. Full scan only as last resort (substring / data / structure
 ///      predicates with no required tables): every live statement.
 ///
@@ -33,10 +33,11 @@ namespace cqms::metaquery {
 /// cheap per-record checks run first — user, visibility (once per
 /// record, through the caller's VisibilityCache) and flags — and a
 /// statement with a surviving record is then checked once against what
-/// its records share: keyword, substring, structure and similarity, read
-/// from the store's ScoringColumns (packed signature spans, lowered
-/// text, slot-indexed popularity). Only its surviving records pay the
-/// remaining per-run checks (feature run stats, data examples). A
+/// its records share: substring, structure and similarity, read from
+/// the store's ScoringColumns (packed signature spans, lowered text,
+/// slot-indexed popularity; a row whose runs overflowed the columns is
+/// scored from its records' signature). Only its surviving records pay
+/// the remaining per-run checks (feature run stats, data examples). A
 /// record's score adds its own quality and recency to its statement's
 /// similarity and popularity. Log-order answers are sorted by record id
 /// before the limit applies.
@@ -60,7 +61,8 @@ class MetaQueryPlanner {
   MetaQueryResponse Execute(const MetaQueryRequest& request,
                             storage::VisibilityCache* visibility) const;
 
-  /// Convenience overload with a call-local visibility cache.
+  /// Convenience overload: the visibility cache comes from the backing
+  /// store's or view's per-(viewer, thread) pool (CacheFor).
   MetaQueryResponse Execute(const std::string& viewer,
                             const MetaQueryRequest& request) const;
 

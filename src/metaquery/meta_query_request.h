@@ -16,15 +16,15 @@
 namespace cqms::metaquery {
 
 /// Keyword-search predicate: every (or any) extracted word must appear in
-/// the logged query's text tokens. Matches KeywordSearch semantics: a
-/// request whose `words` yields no extractable tokens matches nothing.
+/// the logged query's text tokens. A request whose `words` yields no
+/// extractable tokens matches nothing.
 struct KeywordPredicate {
   std::string words;
   bool match_all = true;
 };
 
-/// Query-by-data predicate (see QueryByData): the logged query's output
-/// must satisfy every labeled example.
+/// Query-by-data predicate (see RecordSatisfiesDataExamples): the logged
+/// query's output must satisfy every labeled example.
 struct DataPredicate {
   std::vector<DataExample> examples;
   QueryByDataOptions options;
@@ -32,8 +32,9 @@ struct DataPredicate {
 
 /// Similarity-to-probe predicate. `probe` is borrowed and must outlive
 /// the request's execution (it is typically a stack-local built by
-/// BuildRecordFromText in kTransient mode). Candidates below
-/// RankingOptions::min_similarity are dropped.
+/// BuildRecordFromText in kTransient mode). The probe must carry a
+/// computed similarity signature, which BuildRecordFromText always
+/// provides. Candidates below RankingOptions::min_similarity are dropped.
 struct SimilarityPredicate {
   const storage::QueryRecord* probe = nullptr;
   SimilarityWeights weights;
@@ -47,8 +48,8 @@ enum class ResultOrder {
   /// Ranked by the composite score (similarity, popularity, quality,
   /// recency — see RankingOptions), ties broken by ascending id.
   kScore,
-  /// Ascending query id (log order), no scoring — what the class 1-3
-  /// legacy entry points return.
+  /// Ascending query id (log order), no scoring — the order of a
+  /// keyword, substring, feature, structure or data search.
   kLogOrder,
 };
 
@@ -56,8 +57,8 @@ enum class ResultOrder {
 /// plus one ranking policy — the paper's §2.3 ask ("ranking functions
 /// that combine similarity measures with other desired properties") as
 /// an API. Every predicate is optional; an empty request matches every
-/// visible query. The legacy MetaQueryExecutor entry points are now
-/// one-predicate instances of this type.
+/// visible query. Each meta-query class is a one-predicate instance of
+/// this type (docs/metaquery_api.md lists them).
 ///
 /// Example — "queries touching `lineage` with skeleton X, similar to
 /// this probe, ranked by popularity":
@@ -73,7 +74,7 @@ enum class ResultOrder {
 struct MetaQueryRequest {
   std::optional<KeywordPredicate> keyword;
   /// Case-insensitive substring of the raw query text. An empty needle
-  /// matches nothing (legacy SubstringSearch semantics).
+  /// matches nothing.
   std::optional<std::string> substring;
   std::optional<FeatureQuery> feature;
   std::optional<StructuralPattern> structure;
@@ -111,19 +112,6 @@ struct MetaQueryRequest {
   MetaQueryRequest& RankedBy(const RankingOptions& options);
   MetaQueryRequest& InLogOrder();
   MetaQueryRequest& Limit(size_t n);
-};
-
-/// Which candidate generator the planner chose (introspection/tests).
-enum class CandidateGenerator {
-  /// Intersection of Symbol-keyed posting lists (keyword / table /
-  /// attribute / user predicates) — exact.
-  kPostingIntersection,
-  /// MinHash/LSH band buckets for a similarity probe — approximate.
-  kLshBuckets,
-  /// Union of the probe's table posting lists — exact.
-  kTableUnion,
-  /// Every record — the last resort.
-  kFullScan,
 };
 
 /// Stable lower_snake name for traces / exposition labels.

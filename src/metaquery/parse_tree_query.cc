@@ -53,32 +53,4 @@ bool MatchesPattern(const storage::QueryRecord& record,
   return true;
 }
 
-std::vector<storage::QueryId> StructuralSearch(const storage::QueryStore& store,
-                                               const std::string& viewer,
-                                               const StructuralPattern& pattern) {
-  std::vector<storage::QueryId> out;
-  if (!pattern.required_tables.empty()) {
-    // Prune candidates by the rarest required table.
-    std::vector<storage::QueryId> smallest;
-    for (size_t i = 0; i < pattern.required_tables.size(); ++i) {
-      std::vector<storage::QueryId> ids =
-          store.QueriesUsingTable(pattern.required_tables[i]);
-      if (i == 0 || ids.size() < smallest.size()) smallest = std::move(ids);
-    }
-    for (storage::QueryId id : smallest) {
-      const storage::QueryRecord* r = store.Get(id);
-      if (r != nullptr && store.Visible(viewer, id) && MatchesPattern(*r, pattern)) {
-        out.push_back(id);
-      }
-    }
-    return out;
-  }
-  for (const storage::QueryRecord& r : store.records()) {
-    if (store.Visible(viewer, r.id) && MatchesPattern(r, pattern)) {
-      out.push_back(r.id);
-    }
-  }
-  return out;
-}
-
 }  // namespace cqms::metaquery

@@ -33,12 +33,6 @@ struct StructuralPattern {
 bool MatchesPattern(const storage::QueryRecord& record,
                     const StructuralPattern& pattern);
 
-/// All visible queries matching the pattern, in log order. Uses the
-/// table index for candidate pruning when `required_tables` is non-empty.
-std::vector<storage::QueryId> StructuralSearch(const storage::QueryStore& store,
-                                               const std::string& viewer,
-                                               const StructuralPattern& pattern);
-
 }  // namespace cqms::metaquery
 
 #endif  // CQMS_METAQUERY_PARSE_TREE_QUERY_H_

@@ -59,16 +59,4 @@ bool RecordSatisfiesDataExamples(const storage::QueryRecord& r,
   return false;
 }
 
-std::vector<storage::QueryId> QueryByData(const storage::QueryStore& store,
-                                          const std::string& viewer,
-                                          const std::vector<DataExample>& examples,
-                                          const QueryByDataOptions& options) {
-  std::vector<storage::QueryId> out;
-  for (const storage::QueryRecord& r : store.records()) {
-    if (!store.Visible(viewer, r.id)) continue;
-    if (RecordSatisfiesDataExamples(r, examples, options)) out.push_back(r.id);
-  }
-  return out;
-}
-
 }  // namespace cqms::metaquery

@@ -34,21 +34,15 @@ struct QueryByDataOptions {
 /// some row cell).
 bool RowMatchesExample(const db::Row& row, const db::Row& example);
 
-/// Per-record core of QueryByData, shared with the meta-query planner:
-/// true when `record` (already known visible) satisfies every example
-/// under `options` — failed/unparsed queries never match; complete
-/// summaries decide directly; inconclusive summaries re-execute when a
-/// database is provided, else follow `skip_without_summary`.
+/// The meta-query planner's query-by-data check: true when `record`
+/// (already known visible) satisfies every example under `options` —
+/// failed/unparsed queries never match; complete summaries decide
+/// directly; inconclusive summaries re-execute when a database is
+/// provided, else follow `skip_without_summary`. Queries are
+/// classifiers; examples are the labeled training tuples.
 bool RecordSatisfiesDataExamples(const storage::QueryRecord& record,
                                  const std::vector<DataExample>& examples,
                                  const QueryByDataOptions& options);
-
-/// Finds visible queries whose output satisfies all examples. Queries
-/// are classifiers; examples are the labeled training tuples.
-std::vector<storage::QueryId> QueryByData(const storage::QueryStore& store,
-                                          const std::string& viewer,
-                                          const std::vector<DataExample>& examples,
-                                          const QueryByDataOptions& options = {});
 
 }  // namespace cqms::metaquery
 

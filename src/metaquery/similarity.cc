@@ -1,41 +1,10 @@
 #include "metaquery/similarity.h"
 
 #include <algorithm>
-#include <set>
-#include <vector>
 
-#include "common/string_util.h"
 #include "sql/diff.h"
 
 namespace cqms::metaquery {
-
-namespace {
-
-double Jaccard(const std::set<std::string>& a, const std::set<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t inter = 0;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  for (const auto& x : small) {
-    if (large.count(x) > 0) ++inter;
-  }
-  size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-std::set<std::string> PredicateSkeletons(const sql::QueryComponents& c) {
-  std::set<std::string> out;
-  for (const auto& p : c.predicates) out.insert(p.Skeleton());
-  return out;
-}
-
-std::set<std::string> AttributeSet(const sql::QueryComponents& c) {
-  std::set<std::string> out;
-  for (const auto& [rel, attr] : c.attributes) out.insert(rel + "." + attr);
-  return out;
-}
-
-}  // namespace
 
 SignatureView ViewOfSignature(const storage::QueryRecord& record) {
   const storage::SimilaritySignature& sig = record.statement().signature;
@@ -81,11 +50,6 @@ SignatureView ViewOfStatement(
   v.output_empty_computed = row.output_empty_computed();
   v.parsed = !row.parse_failed();
   return v;
-}
-
-SignatureView ViewOfColumns(const storage::ScoringColumns& cols,
-                            storage::QueryId id) {
-  return ViewOfStatement(cols.row_of(id));
 }
 
 double FeatureSimilarity(const SignatureView& a, const SignatureView& b) {
@@ -134,95 +98,9 @@ double CombinedSimilarity(const SignatureView& a, const SignatureView& b,
   return total_weight == 0 ? 0 : total / total_weight;
 }
 
-double FeatureSimilarity(const storage::SimilaritySignature& a,
-                         const storage::SimilaritySignature& b) {
-  double tables = SortedJaccard(a.tables, b.tables);
-  double preds = SortedJaccard(a.predicate_skeletons, b.predicate_skeletons);
-  double attrs = SortedJaccard(a.attributes, b.attributes);
-  double projs = SortedJaccard(a.projections, b.projections);
-  return 0.35 * tables + 0.30 * preds + 0.20 * attrs + 0.15 * projs;
-}
-
-double TextSimilarity(const storage::SimilaritySignature& a,
-                      const storage::SimilaritySignature& b) {
-  return SortedJaccard(a.text_tokens, b.text_tokens);
-}
-
-double OutputSimilarity(const storage::SimilaritySignature& a,
-                        const storage::SimilaritySignature& b) {
-  if (a.output_rows.empty() && b.output_rows.empty()) {
-    if (a.output_empty_computed && b.output_empty_computed) return 1.0;
-    return -1.0;
-  }
-  if (a.output_rows.empty() || b.output_rows.empty()) return -1.0;
-  return SortedJaccard(a.output_rows, b.output_rows);
-}
-
-double FeatureSimilarity(const sql::QueryComponents& a, const sql::QueryComponents& b) {
-  std::set<std::string> ta(a.tables.begin(), a.tables.end());
-  std::set<std::string> tb(b.tables.begin(), b.tables.end());
-  std::set<std::string> pa(a.projections.begin(), a.projections.end());
-  std::set<std::string> pb(b.projections.begin(), b.projections.end());
-  double tables = Jaccard(ta, tb);
-  double preds = Jaccard(PredicateSkeletons(a), PredicateSkeletons(b));
-  double attrs = Jaccard(AttributeSet(a), AttributeSet(b));
-  double projs = Jaccard(pa, pb);
-  return 0.35 * tables + 0.30 * preds + 0.20 * attrs + 0.15 * projs;
-}
-
-double TextSimilarity(const storage::QueryRecord& a, const storage::QueryRecord& b) {
-  auto wa = ExtractWords(a.text);
-  auto wb = ExtractWords(b.text);
-  return Jaccard(std::set<std::string>(wa.begin(), wa.end()),
-                 std::set<std::string>(wb.begin(), wb.end()));
-}
-
-double OutputSimilarity(const storage::OutputSummary& a,
-                        const storage::OutputSummary& b) {
-  if (a.sample_rows.empty() && b.sample_rows.empty()) {
-    // Two empty outputs are trivially identical if both were computed.
-    if (a.total_rows == 0 && b.total_rows == 0 && !a.column_names.empty() &&
-        !b.column_names.empty()) {
-      return 1.0;
-    }
-    return -1.0;
-  }
-  if (a.sample_rows.empty() || b.sample_rows.empty()) return -1.0;
-  std::set<std::string> ha, hb;
-  for (const db::Row& r : a.sample_rows) ha.insert(db::RowToString(r));
-  for (const db::Row& r : b.sample_rows) hb.insert(db::RowToString(r));
-  return Jaccard(ha, hb);
-}
-
 double CombinedSimilarity(const storage::QueryRecord& a, const storage::QueryRecord& b,
                           const SimilarityWeights& weights) {
-  if (!a.statement().signature.valid || !b.statement().signature.valid) {
-    return CombinedSimilarityReference(a, b, weights);
-  }
   return CombinedSimilarity(ViewOfSignature(a), ViewOfSignature(b), weights);
-}
-
-double CombinedSimilarityReference(const storage::QueryRecord& a,
-                                   const storage::QueryRecord& b,
-                                   const SimilarityWeights& weights) {
-  double total_weight = 0;
-  double total = 0;
-  if (!a.parse_failed() && !b.parse_failed() && weights.feature > 0) {
-    total += weights.feature * FeatureSimilarity(a.components, b.components);
-    total_weight += weights.feature;
-  }
-  if (weights.text > 0) {
-    total += weights.text * TextSimilarity(a, b);
-    total_weight += weights.text;
-  }
-  if (weights.output > 0) {
-    double out_sim = OutputSimilarity(a.summary, b.summary);
-    if (out_sim >= 0) {
-      total += weights.output * out_sim;
-      total_weight += weights.output;
-    }
-  }
-  return total_weight == 0 ? 0 : total / total_weight;
 }
 
 double NormalizedEditDistance(const sql::QueryComponents& a,

@@ -43,8 +43,7 @@ double SpanJaccard(const T* a, size_t na, const T* b, size_t nb) {
 }
 
 /// Jaccard over two sorted, deduplicated vectors via a single linear
-/// merge — the allocation-free kernel every signature measure shares.
-/// Both-empty pairs score 1.0 (matching the string-set reference path).
+/// merge. Both-empty pairs score 1.0.
 template <typename T>
 double SortedJaccard(const std::vector<T>& a, const std::vector<T>& b) {
   return SpanJaccard(a.data(), a.size(), b.data(), b.size());
@@ -78,14 +77,11 @@ SignatureView ViewOfSignature(const storage::QueryRecord& record);
 
 /// View of one statement's row in the scoring columns — same shape,
 /// different backing memory (the shared arenas), identical scores. Only
-/// meaningful while row.signature_valid(); callers fall back to the
-/// record path otherwise. Invalidated by arena compaction and by any
-/// mutation of the columns, like every other span the columns hand out.
+/// meaningful while row.signature_valid(); for a row whose runs
+/// overflowed the columns, callers read ViewOfSignature of one of its
+/// records instead. Invalidated by arena compaction and by any mutation
+/// of the columns, like every other span the columns hand out.
 SignatureView ViewOfStatement(const storage::ScoringColumns::StatementRow& row);
-
-/// ViewOfStatement of the statement record `id` holds.
-SignatureView ViewOfColumns(const storage::ScoringColumns& cols,
-                            storage::QueryId id);
 
 /// Feature overlap (tables, predicate skeletons, attributes, projections).
 double FeatureSimilarity(const SignatureView& a, const SignatureView& b);
@@ -101,51 +97,11 @@ double OutputSimilarity(const SignatureView& a, const SignatureView& b);
 double CombinedSimilarity(const SignatureView& a, const SignatureView& b,
                           const SimilarityWeights& weights);
 
-// --- signature fast path ---------------------------------------------------
-// These overloads operate on the precomputed, interned SimilaritySignature
-// and perform no allocations; they are the kNN / clustering inner loop.
-// Scores are identical to the string-based reference overloads below
-// (asserted to 1e-12 by similarity_signature_test).
-
-/// Feature overlap on interned sorted vectors.
-double FeatureSimilarity(const storage::SimilaritySignature& a,
-                         const storage::SimilaritySignature& b);
-
-/// Token overlap on interned sorted vectors.
-double TextSimilarity(const storage::SimilaritySignature& a,
-                      const storage::SimilaritySignature& b);
-
-/// Output-sample overlap on sorted row hashes; -1 when unavailable.
-double OutputSimilarity(const storage::SimilaritySignature& a,
-                        const storage::SimilaritySignature& b);
-
-// --- string-based reference path -------------------------------------------
-
-/// Jaccard-style overlap of syntactic features: tables, predicate
-/// skeletons, referenced attributes and projections. In [0, 1].
-double FeatureSimilarity(const sql::QueryComponents& a, const sql::QueryComponents& b);
-
-/// Token-set Jaccard over the query texts (cheap proxy for string
-/// similarity; robust to formatting). In [0, 1].
-double TextSimilarity(const storage::QueryRecord& a, const storage::QueryRecord& b);
-
-/// Overlap of sampled output rows — the paper's "comparing queries as
-/// black-boxes" (§4.1). Jaccard over row hashes of the stored samples.
-/// Returns -1 when either side has no usable summary.
-double OutputSimilarity(const storage::OutputSummary& a, const storage::OutputSummary& b);
-
-/// Weighted combination; skips (and renormalizes away) measures that are
-/// unavailable for this pair. In [0, 1]. Dispatches to the signature fast
-/// path when both records carry a valid signature (always true for logged
-/// and probe records), else falls back to CombinedSimilarityReference.
+/// Weighted combination for two records, in [0, 1]: the view kernel
+/// over ViewOfSignature of each. Every stored record and every probe
+/// BuildRecordFromText makes carries a computed signature.
 double CombinedSimilarity(const storage::QueryRecord& a, const storage::QueryRecord& b,
                           const SimilarityWeights& weights = {});
-
-/// The string-based combination, kept as the ground-truth reference for
-/// equivalence tests and for records without signatures.
-double CombinedSimilarityReference(const storage::QueryRecord& a,
-                                   const storage::QueryRecord& b,
-                                   const SimilarityWeights& weights = {});
 
 /// Structural distance in "number of edits" between two queries,
 /// normalized to [0, 1] by the total component count. 0 = identical

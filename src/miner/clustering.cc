@@ -1,9 +1,7 @@
 #include "miner/clustering.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <map>
 
 #include "common/rng.h"
 #include "common/sorted_vector.h"
@@ -32,12 +30,11 @@ std::vector<storage::MinHashSketch> BuildPruningIndex(
   return sketches;
 }
 
-/// Shared pair enumeration of both matrix implementations: below
-/// `sketch_prune_min_points` every (i, j < i) pair, otherwise only
-/// pairs co-bucketed by the BuildPruningIndex banding. Because the
-/// enumeration depends only on the records' current signatures — never
-/// on cache state — the dense and cached paths score exactly the same
-/// pair set, which is what makes them bit-identical. `score(i, j)` must
+/// The pair enumeration of a full build: below `sketch_prune_min_points`
+/// every (i, j < i) pair, otherwise only pairs co-bucketed by the
+/// BuildPruningIndex banding. The enumeration depends only on the
+/// records' current signatures — never on cache state — so a build
+/// scores the same pair set whatever the cache holds. `score(i, j)` must
 /// return the pair's distance; the matrix is initialized to 1.0
 /// (pruned) or 0.0 (exact) here.
 template <typename ScoreFn>
@@ -80,55 +77,35 @@ std::vector<const storage::QueryRecord*> ResolveRecords(
 
 /// Pair scorer of the cached matrix: reads signatures from the scoring
 /// columns' shared arenas (contiguous — no per-record vector chasing in
-/// the hot loop) and falls back to the record dispatch for rows the
-/// columns mark invalid. This is exactly the dispatch the dense oracle's
-/// CombinedSimilarity(record, record) performs, over the same data, so
-/// the two paths stay bit-identical.
+/// the hot loop), and a row the columns mark invalid (its runs
+/// overflowed them) from its record's signature. Both are views of the
+/// same data through the one similarity kernel.
 class ColumnarPairScorer {
  public:
   ColumnarPairScorer(const storage::QueryStore& store,
                      const std::vector<storage::QueryId>& ids,
                      const std::vector<const storage::QueryRecord*>& records,
                      const metaquery::SimilarityWeights& weights)
-      : records_(records), weights_(weights) {
+      : weights_(weights) {
     const storage::ScoringColumns& cols = store.scoring();
-    views_.resize(ids.size());
-    column_valid_.resize(ids.size());
+    views_.reserve(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      column_valid_[i] = cols.signature_valid(ids[i]);
-      if (column_valid_[i]) views_[i] = metaquery::ViewOfColumns(cols, ids[i]);
+      views_.push_back(cols.signature_valid(ids[i])
+                           ? metaquery::ViewOfStatement(cols.row_of(ids[i]))
+                           : metaquery::ViewOfSignature(*records[i]));
     }
   }
 
   double Distance(size_t i, size_t j) const {
-    if (column_valid_[i] && column_valid_[j]) {
-      return 1.0 - metaquery::CombinedSimilarity(views_[i], views_[j], weights_);
-    }
-    return 1.0 -
-           metaquery::CombinedSimilarity(*records_[i], *records_[j], weights_);
+    return 1.0 - metaquery::CombinedSimilarity(views_[i], views_[j], weights_);
   }
 
  private:
-  const std::vector<const storage::QueryRecord*>& records_;
   metaquery::SimilarityWeights weights_;
   std::vector<metaquery::SignatureView> views_;
-  std::vector<char> column_valid_;
 };
 
 }  // namespace
-
-DenseDistanceMatrix::DenseDistanceMatrix(
-    const storage::QueryStore& store, const std::vector<storage::QueryId>& ids,
-    const metaquery::SimilarityWeights& weights,
-    size_t sketch_prune_min_points) {
-  n_ = ids.size();
-  auto records = ResolveRecords(store, ids);
-  FillPairDistances(records, sketch_prune_min_points, &data_,
-                    [&](size_t i, size_t j) {
-                      return 1.0 - metaquery::CombinedSimilarity(
-                                       *records[i], *records[j], weights);
-                    });
-}
 
 void CachedDistanceMatrix::BuildFull(const storage::QueryStore& store,
                                      const std::vector<storage::QueryId>& ids,
@@ -152,13 +129,6 @@ void CachedDistanceMatrix::BuildFull(const storage::QueryStore& store,
         ++stats_.pairs_computed;
         return d;
       });
-}
-
-CachedDistanceMatrix::CachedDistanceMatrix(
-    const storage::QueryStore& store, const std::vector<storage::QueryId>& ids,
-    const metaquery::SimilarityWeights& weights, size_t sketch_prune_min_points,
-    DistanceCache* cache) {
-  BuildFull(store, ids, weights, sketch_prune_min_points, cache);
 }
 
 CachedDistanceMatrix::CachedDistanceMatrix(
@@ -368,99 +338,6 @@ Clustering KMedoidsFromDistances(const DistanceSource& dist,
   }
   out.BuildMemberIndex();
   return out;
-}
-
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options) {
-  DenseDistanceMatrix dist(store, ids, options.weights,
-                           options.sketch_prune_min_points);
-  return KMedoidsFromDistances(dist, ids, options);
-}
-
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options, DistanceCache* cache,
-                           CachedDistanceMatrix::BuildStats* stats) {
-  if (cache == nullptr) return KMedoidsCluster(store, ids, options);
-  CachedDistanceMatrix dist(store, ids, options.weights,
-                            options.sketch_prune_min_points, cache);
-  if (stats != nullptr) *stats = dist.build_stats();
-  return KMedoidsFromDistances(dist, ids, options);
-}
-
-Clustering AgglomerativeFromDistances(const DistanceSource& dist,
-                                      const std::vector<storage::QueryId>& ids,
-                                      double max_distance) {
-  Clustering out;
-  if (ids.empty()) return out;
-  const size_t n = ids.size();
-
-  // Union-find over points; single linkage = union every pair within
-  // threshold (equivalent to connected components of the threshold graph).
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (dist.at(i, j) <= max_distance) {
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-
-  std::map<size_t, std::vector<size_t>> components;
-  for (size_t i = 0; i < n; ++i) components[find(i)].push_back(i);
-  for (auto& [root, members] : components) {
-    // Medoid: member with minimal total distance.
-    size_t best = members[0];
-    double best_total = std::numeric_limits<double>::infinity();
-    for (size_t i : members) {
-      double total = 0;
-      for (size_t j : members) total += dist.at(i, j);
-      if (total < best_total) {
-        best_total = total;
-        best = i;
-      }
-    }
-    std::vector<storage::QueryId> cluster;
-    cluster.reserve(members.size());
-    for (size_t i : members) cluster.push_back(ids[i]);
-    out.clusters.push_back(std::move(cluster));
-    out.medoids.push_back(ids[best]);
-  }
-  out.BuildMemberIndex();
-  return out;
-}
-
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights,
-                                size_t sketch_prune_min_points) {
-  DenseDistanceMatrix dist(store, ids, weights, sketch_prune_min_points);
-  return AgglomerativeFromDistances(dist, ids, max_distance);
-}
-
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights,
-                                size_t sketch_prune_min_points,
-                                DistanceCache* cache) {
-  if (cache == nullptr) {
-    return AgglomerativeCluster(store, ids, max_distance, weights,
-                                sketch_prune_min_points);
-  }
-  CachedDistanceMatrix dist(store, ids, weights, sketch_prune_min_points,
-                            cache);
-  return AgglomerativeFromDistances(dist, ids, max_distance);
 }
 
 }  // namespace cqms::miner

@@ -35,10 +35,9 @@ struct Clustering {
 
 /// Dense pairwise distances over one clustering input subset, indexed
 /// by *position* in the ids vector the subclass was built from. The
-/// k-medoids and agglomerative passes consume this interface; the two
-/// implementations differ only in where each scored pair's distance
-/// comes from (fresh computation vs. the persistent DistanceCache), so
-/// their matrices — and therefore the clusterings — are bit-identical.
+/// k-medoids and agglomerative passes consume this interface.
+/// CachedDistanceMatrix is the implementation the miner uses; the tests
+/// hold a from-scratch matrix it must equal bit for bit.
 class DistanceSource {
  public:
   virtual ~DistanceSource() = default;
@@ -53,24 +52,6 @@ class DistanceSource {
 
   size_t n_ = 0;
   std::vector<double> data_;
-};
-
-/// Throwaway matrix scoring every pair fresh — the test oracle the
-/// cache-backed path is asserted bit-identical against. Below
-/// `sketch_prune_min_points` every pair is scored exactly (dense O(n^2)
-/// over the precomputed signatures). At or above it, the records'
-/// MinHash sketches prune the pair enumeration: only pairs sharing at
-/// least one LSH band bucket are scored, and the rest are approximated
-/// by the maximal distance 1.0 — a conservative overestimate that only
-/// touches pairs the sketches already deem dissimilar, so threshold
-/// clustering and medoid selection are virtually unaffected while the
-/// scored-pair count drops from n^2 to near-linear on clustered logs.
-class DenseDistanceMatrix : public DistanceSource {
- public:
-  DenseDistanceMatrix(const storage::QueryStore& store,
-                      const std::vector<storage::QueryId>& ids,
-                      const metaquery::SimilarityWeights& weights,
-                      size_t sketch_prune_min_points);
 };
 
 /// A dense matrix retained from the previous refresh together with the
@@ -89,9 +70,17 @@ struct RetainedMatrix {
   bool valid = false;
 };
 
-/// The incremental-refresh matrix: identical pair enumeration, but each
-/// scored pair is served in preference order — bulk-copied from the
-/// retained previous matrix (both endpoints unchanged), looked up in
+/// The miner's incremental-refresh matrix. Below
+/// `sketch_prune_min_points` every pair is scored exactly (dense O(n^2)
+/// over the precomputed signatures). At or above it, the records'
+/// MinHash sketches prune the pair enumeration: only pairs sharing at
+/// least one LSH band bucket are scored, and the rest are approximated
+/// by the maximal distance 1.0 — a conservative overestimate that only
+/// touches pairs the sketches already deem dissimilar, so threshold
+/// clustering and medoid selection are virtually unaffected while the
+/// scored-pair count drops from n^2 to near-linear on clustered logs.
+/// Each scored pair is served in preference order — bulk-copied from
+/// the retained previous matrix (both endpoints unchanged), looked up in
 /// the persistent DistanceCache, and only computed (then inserted) on a
 /// miss. On an append-heavy refresh nearly everything copies or hits,
 /// which is what turns the mining pass's per-run O(n^2) similarity bill
@@ -104,11 +93,6 @@ class CachedDistanceMatrix : public DistanceSource {
     size_t pairs_computed = 0;    ///< ... computed fresh (and cached).
     size_t pairs_copied = 0;      ///< Pairs bulk-copied from the retained matrix.
   };
-
-  CachedDistanceMatrix(const storage::QueryStore& store,
-                       const std::vector<storage::QueryId>& ids,
-                       const metaquery::SimilarityWeights& weights,
-                       size_t sketch_prune_min_points, DistanceCache* cache);
 
   /// Reuse-aware build: `previous` may be null/invalid (full build);
   /// `dirty` (sorted) lists ids whose signatures changed since
@@ -146,7 +130,7 @@ struct KMedoidsOptions {
   metaquery::SimilarityWeights weights;
   /// From this many points on, the distance matrix scores only pairs
   /// whose MinHash sketches share an LSH band bucket; the rest are
-  /// approximated as maximally distant (see DenseDistanceMatrix). 0
+  /// approximated as maximally distant (see CachedDistanceMatrix). 0
   /// disables pruning. Small inputs stay exact either way.
   size_t sketch_prune_min_points = 512;
 };
@@ -158,41 +142,6 @@ struct KMedoidsOptions {
 Clustering KMedoidsFromDistances(const DistanceSource& dist,
                                  const std::vector<storage::QueryId>& ids,
                                  const KMedoidsOptions& options);
-
-/// Convenience wrapper: fresh dense matrix (the oracle path).
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options = {});
-
-/// Cache-backed wrapper: distances come from (and warm) `cache`; null
-/// falls back to the dense oracle.
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options, DistanceCache* cache,
-                           CachedDistanceMatrix::BuildStats* stats = nullptr);
-
-/// Single-linkage agglomerative clustering over the given distances:
-/// merges clusters while the closest pair is within `max_distance`. No
-/// k needed; used when the number of query groups is unknown.
-Clustering AgglomerativeFromDistances(const DistanceSource& dist,
-                                      const std::vector<storage::QueryId>& ids,
-                                      double max_distance);
-
-/// Dense-oracle wrapper. `sketch_prune_min_points` as in
-/// KMedoidsOptions: large inputs score only sketch-co-bucketed pairs.
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights = {},
-                                size_t sketch_prune_min_points = 512);
-
-/// Cache-backed wrapper; null cache falls back to the dense oracle.
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights,
-                                size_t sketch_prune_min_points,
-                                DistanceCache* cache);
 
 }  // namespace cqms::miner
 

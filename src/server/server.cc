@@ -828,9 +828,10 @@ Result<net::SearchResult> CqmsServer::HandleSearch(
 
 Result<net::RecommendResult> CqmsServer::HandleRecommend(
     const Task&, const net::RecommendRequest& req) {
-  // The in-process RecommendationEngine reads live records; here every
-  // record fetch goes through a pinned view instead so recommendations
-  // never race the writer (same over-fetch + fingerprint-dedup policy).
+  // The in-process RecommendationEngine reads live records; here the
+  // ranking and every record fetch read the one view this handler holds,
+  // so recommendations never race the writer and never mix two states
+  // (same over-fetch + fingerprint-dedup policy).
   storage::QueryRecord probe = storage::BuildRecordFromText(
       req.sql_text, req.viewer, 0, storage::SignatureMode::kTransient);
   if (probe.parse_failed()) {
@@ -844,7 +845,9 @@ Result<net::RecommendResult> CqmsServer::HandleRecommend(
   metaquery::MetaQueryRequest mreq;
   mreq.SimilarTo(probe);
   mreq.Limit(req.k * 4 + 8);
-  metaquery::MetaQueryResponse mresp = cqms->Search(req.viewer, mreq);
+  metaquery::MetaQueryResponse mresp =
+      metaquery::MetaQueryPlanner{storage::StoreView(*view)}.Execute(
+          mreq, &view->CacheFor(req.viewer));
 
   net::RecommendResult out;
   std::vector<uint64_t> seen_fingerprints;

@@ -369,11 +369,6 @@ std::vector<QueryId> QueryStore::QueriesUsingTable(
   return postings_.RecordsOf(postings_.StatementsUsingTable(table));
 }
 
-std::vector<QueryId> QueryStore::QueriesUsingAnyTable(
-    const std::vector<std::string>& tables) const {
-  return postings_.RecordsOf(postings_.StatementsUsingAnyTable(tables));
-}
-
 std::vector<QueryId> QueryStore::QueriesUsingAttribute(
     const std::string& relation, const std::string& attribute) const {
   return postings_.RecordsOf(

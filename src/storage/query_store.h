@@ -103,7 +103,11 @@ class QueryStore {
   /// mutation); the only interner touches are resolving the owner name
   /// for the scoring columns and the sketch's keyword-exclusion lookups.
   /// Callers are responsible for the record being internally
-  /// consistent (LoadSnapshot's CRC framing).
+  /// consistent (LoadSnapshot's CRC framing), and it must carry a
+  /// computed, interned signature: every stored record does (Append
+  /// computes one), and the read path scores records through it. The
+  /// snapshot loader rejects an image whose statement lacks one, and
+  /// WAL replay builds each record from its text.
   QueryId RestoreAppend(QueryRecord record);
 
   /// Registers a mutation observer (the write-ahead log, the miner's
@@ -149,10 +153,6 @@ class QueryStore {
 
   /// Ids of queries whose FROM (at any nesting level) references `table`.
   std::vector<QueryId> QueriesUsingTable(const std::string& table) const;
-
-  /// Sorted union of QueriesUsingTable over `tables`.
-  std::vector<QueryId> QueriesUsingAnyTable(
-      const std::vector<std::string>& tables) const;
 
   /// Ids of queries referencing relation.attribute.
   std::vector<QueryId> QueriesUsingAttribute(

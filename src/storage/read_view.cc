@@ -39,16 +39,6 @@ const std::vector<StatementId>& PostingIndex::StatementsUsingTableSymbol(
   return Lookup(by_table, table);
 }
 
-std::vector<StatementId> PostingIndex::StatementsUsingAnyTable(
-    const std::vector<std::string>& tables) const {
-  std::vector<Symbol> symbols;
-  symbols.reserve(tables.size());
-  for (const std::string& t : tables) {
-    symbols.push_back(GlobalInterner().Find(ToLower(t)));
-  }
-  return StatementsUsingAnyTableSymbol(symbols);
-}
-
 std::vector<StatementId> PostingIndex::StatementsUsingAnyTableSymbol(
     const std::vector<Symbol>& tables) const {
   std::vector<StatementId> out;

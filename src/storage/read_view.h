@@ -53,8 +53,6 @@ struct PostingIndex {
       Symbol table) const;
   /// Sorted, deduplicated union over `tables` — kNN candidate
   /// generation.
-  std::vector<StatementId> StatementsUsingAnyTable(
-      const std::vector<std::string>& tables) const;
   std::vector<StatementId> StatementsUsingAnyTableSymbol(
       const std::vector<Symbol>& tables) const;
   const std::vector<StatementId>& StatementsUsingAttribute(

@@ -148,9 +148,4 @@ uint32_t ScoringColumns::NewPopularitySlot() {
   return static_cast<uint32_t>(pop_counts_.size() - 1);
 }
 
-bool ScoringColumns::StatementRow::TokenPresent(Symbol token) const {
-  SymbolSpan span = tokens();
-  return std::binary_search(span.data, span.data + span.size, token);
-}
-
 }  // namespace cqms::storage

@@ -115,8 +115,6 @@ class ScoringColumns {
     uint64_t popularity() const {
       return pop_slot_ == kNoPopularitySlot ? 0 : cols_->pop_counts_[pop_slot_];
     }
-    /// True when the (sorted) token section contains `token`.
-    bool TokenPresent(Symbol token) const;
 
    private:
     friend class ScoringColumns;

@@ -479,9 +479,14 @@ Status DecodeParsedFeatures(BinaryReader* r, QueryRecord* out,
 }
 
 /// The five Symbol runs and the output-row hashes, remapped into this
-/// process's interner.
+/// process's interner. Every writer has stored a signature with each
+/// statement, so an entry without one is corrupt: the read path scores
+/// every stored record through its signature.
 Status DecodeSignature(BinaryReader* r, uint8_t bits, const SymbolRemap& remap,
                        SimilaritySignature* sig, const std::string& path) {
+  if ((bits & kBitSigValid) == 0) {
+    return CorruptSnapshot(path, "missing signature");
+  }
   sig->tables = GetSymbolRun(r);
   sig->predicate_skeletons = GetSymbolRun(r);
   sig->attributes = GetSymbolRun(r);
@@ -519,10 +524,8 @@ Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
   if ((bits & kBitParsed) != 0) {
     CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
   }
-  if ((bits & kBitSigValid) != 0) {
-    CQMS_RETURN_IF_ERROR(DecodeSignature(
-        r, bits, remap, &out->MutableStatement()->signature, path));
-  }
+  CQMS_RETURN_IF_ERROR(DecodeSignature(
+      r, bits, remap, &out->MutableStatement()->signature, path));
   // The LSH index re-derives the sketch from the (remapped) signature.
   if (version == 2 && (bits & kBitV2Sketch) != 0) r->Skip(kV2SketchBytes);
   if (r->failed()) return CorruptSnapshot(path, "record payload");
@@ -540,10 +543,8 @@ Status DecodeStatement(BinaryReader* r, const SymbolRemap& remap,
   if ((bits & kBitParsed) != 0) {
     CQMS_RETURN_IF_ERROR(DecodeParsedFeatures(r, out, path));
   }
-  if ((bits & kBitSigValid) != 0) {
-    CQMS_RETURN_IF_ERROR(DecodeSignature(
-        r, bits, remap, &out->MutableStatement()->signature, path));
-  }
+  CQMS_RETURN_IF_ERROR(DecodeSignature(
+      r, bits, remap, &out->MutableStatement()->signature, path));
   if (r->failed()) return CorruptSnapshot(path, "statement payload");
   return Status::Ok();
 }

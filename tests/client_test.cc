@@ -3,7 +3,7 @@
 #include "client/browse.h"
 #include "common/string_util.h"
 #include "client/session_view.h"
-#include "miner/clustering.h"
+#include "metaquery_reference.h"
 #include "miner/sessionizer.h"
 #include "test_util.h"
 

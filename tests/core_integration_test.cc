@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cqms.h"
+#include "metaquery_reference.h"
 #include "workload/synthetic.h"
 
 namespace cqms {
@@ -70,8 +71,9 @@ TEST_F(CqmsIntegrationTest, SearchAndBrowseMode) {
   system_->RunMining();
 
   // Keyword search.
-  auto ids = system_->metaquery().Keyword("bob", "salinity");
-  EXPECT_EQ(ids.size(), 1u);  // bob shares alice's group
+  auto hits = system_->Search(
+      "bob", metaquery::LogOrderRequest().WithKeywords("salinity"));
+  EXPECT_EQ(hits.matches.size(), 1u);  // bob shares alice's group
 
   // SQL meta-query over the feature relations.
   auto rows = system_->metaquery().Sql(
@@ -160,7 +162,9 @@ TEST_F(CqmsIntegrationTest, MaintenanceLifecycleAfterSchemaChange) {
   // The repaired query is findable under the new table name.
   metaquery::FeatureQuery q;
   q.UsesTable("LakeTemp");
-  EXPECT_EQ(system_->metaquery().ByFeature("alice", q).size(), 1u);
+  auto found =
+      system_->Search("alice", metaquery::LogOrderRequest().WithFeature(q));
+  EXPECT_EQ(found.matches.size(), 1u);
   // And it still executes through the traditional path.
   EXPECT_TRUE(system_->database()->Execute(*rec->Ast()).ok());
 }

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/cqms.h"
-#include "metaquery/knn.h"
 #include "metaquery/meta_query_executor.h"
 #include "sql/parser.h"
 #include "storage/durable_store.h"
@@ -463,15 +462,6 @@ void ExpectPlannerAnswersEqual(QueryStore* store, QueryStore* loaded,
                          after.Execute(viewer, req), "combined");
   }
 
-  // Raw kNN entry point too (legacy API surface).
-  auto n_before = metaquery::KnnSearch(*store, viewer, probe, 10);
-  auto n_after = metaquery::KnnSearch(*loaded, viewer, probe, 10);
-  ASSERT_EQ(n_before.size(), n_after.size());
-  for (size_t i = 0; i < n_before.size(); ++i) {
-    EXPECT_EQ(n_before[i].id, n_after[i].id);
-    EXPECT_EQ(n_before[i].similarity, n_after[i].similarity);
-    EXPECT_EQ(n_before[i].score, n_after[i].score);
-  }
 }
 
 TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
@@ -1052,6 +1042,66 @@ TEST(SnapshotV2Test, SeededMutationFuzzLoadsOrFailsTyped) {
     // a few (an edited string, timestamp or quality) still load.
     EXPECT_GT(rejected, kMutants / 2);
     EXPECT_GT(loaded, 0u);
+  }
+}
+
+/// A well-framed image holding one logged parse failure whose signature
+/// is missing: the format-4 statement entry, or the format-3 record,
+/// carries neither the signature bit nor a signature.
+std::string ImageWithoutSignature(uint32_t version) {
+  BinaryWriter statement;  // bits (neither parsed nor signed), text
+  statement.PutU8(0);
+  statement.PutString("SELEKT zz_unsigned");
+  BinaryWriter run;  // user, timestamp, session, flags, quality, micros
+  run.PutString("ruser");
+  run.PutZigzag(1234);
+  run.PutZigzag(-1);
+  run.PutVarint(0);
+  run.PutDouble(0.5);
+  run.PutZigzag(10);
+  BinaryWriter outcome;  // result rows, rows scanned, succeeded, error, plan
+  outcome.PutVarint(0);
+  outcome.PutVarint(0);
+  outcome.PutU8(0);
+  outcome.PutString("parse error");
+  outcome.PutString("");
+  const std::string zero(1, '\0'), one(1, '\1');  // one-byte varints
+  BinaryWriter header;
+  header.PutFixed32(version);
+  std::string file = "CQMSNAP2" + header.data();
+  file += FrameSection(1, zero);         // interner: no symbols
+  file += FrameSection(2, zero + zero);  // ACL: no users, no overrides
+  if (version >= 4) {
+    file += FrameSection(5, one + statement.data() + outcome.data());
+    // One record of statement 0, no annotations.
+    file += FrameSection(3, one + zero + run.data() + zero);
+  } else {
+    file += FrameSection(
+        3, one + statement.data() + run.data() + outcome.data() + zero);
+  }
+  return file + FrameSection(0xFF, std::string());
+}
+
+// Every writer has stored a signature with each statement, and the read
+// path scores every record through it, so an image without one is
+// corrupt, from a string and from a file alike.
+TEST(SnapshotV2Test, MissingSignatureIsCorruption) {
+  for (uint32_t version : {4u, 3u}) {
+    SCOPED_TRACE("format " + std::to_string(version));
+    const std::string image = ImageWithoutSignature(version);
+    QueryStore from_string;
+    Status s = LoadSnapshotV2FromString(&from_string, image, "unsigned");
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+    EXPECT_NE(s.message().find("missing signature"), std::string::npos) << s;
+
+    const std::string path = TempPath("cqms_unsigned.snap");
+    WriteFile(path, image);
+    EXPECT_TRUE(VerifySnapshotV2(path).ok());
+    QueryStore from_file;
+    s = LoadSnapshotV2(&from_file, path);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+    EXPECT_NE(s.message().find("missing signature"), std::string::npos) << s;
+    std::remove(path.c_str());
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "common/string_util.h"
 #include "miner/distance_cache.h"
+#include "metaquery_reference.h"
 #include "miner/query_miner.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
@@ -341,6 +342,11 @@ TEST(DistanceCacheTest, CachedMatrixMatchesDenseOracleAcrossMutations) {
                             std::to_string(i % 7),
                         kMicrosPerSecond));
   }
+  // A statement whose runs overflow its scoring row: the cached matrix
+  // scores it from its record's signature.
+  ids.push_back(h.store.Append(storage::BuildRecordFromText(
+      testing_util::OverflowingStatementText(), "user0", 1)));
+  ASSERT_FALSE(h.store.scoring().signature_valid(ids.back()));
   metaquery::SimilarityWeights weights;
   DistanceCache cache;
 
@@ -348,7 +354,8 @@ TEST(DistanceCacheTest, CachedMatrixMatchesDenseOracleAcrossMutations) {
                                   CachedDistanceMatrix::BuildStats* stats) {
     SCOPED_TRACE(label);
     DenseDistanceMatrix dense(h.store, ids, weights, 512);
-    CachedDistanceMatrix cached(h.store, ids, weights, 512, &cache);
+    CachedDistanceMatrix cached(h.store, ids, weights, 512, &cache,
+                                /*previous=*/nullptr, /*dirty=*/{});
     *stats = cached.build_stats();
     ASSERT_EQ(cached.size(), dense.size());
     for (size_t i = 0; i < dense.size(); ++i) {

@@ -15,9 +15,8 @@
 
 #include "common/rng.h"
 #include "maintain/query_maintenance.h"
-#include "metaquery/knn.h"
-#include "metaquery/similarity.h"
-#include "miner/clustering.h"
+#include "metaquery/meta_query_planner.h"
+#include "metaquery_reference.h"
 #include "storage/lsh_index.h"
 #include "storage/minhash.h"
 #include "storage/record_builder.h"
@@ -38,6 +37,16 @@ using storage::SimilaritySignature;
 using storage::SketchElements;
 using storage::StatementId;
 using testing_util::Harness;
+
+/// The planner's top `k` matches for `probe`, its candidates generated
+/// under `candidates`.
+std::vector<MetaQueryMatch> Knn(const Harness& h, const QueryRecord& probe,
+                                size_t k,
+                                const CandidateOptions& candidates = {}) {
+  return MetaQueryPlanner(&h.store)
+      .Execute("user0", KnnRequest(probe, k, {}, candidates))
+      .matches;
+}
 
 /// The statement record `id` holds — the key the LshIndex files it under.
 StatementId StatementOf(const Harness& h, QueryId id) {
@@ -149,7 +158,7 @@ TEST(MinHashSketchTest, SqlKeywordsAreNotSketchElements) {
   QueryRecord b = storage::BuildRecordFromText("SELECT beta FROM Deedle", "u", 0);
   const SimilaritySignature& sa = a.statement().signature;
   const SimilaritySignature& sb = b.statement().signature;
-  EXPECT_GT(TextSimilarity(sa, sb), 0.2);
+  EXPECT_GT(TextSimilarity(ViewOfSignature(a), ViewOfSignature(b)), 0.2);
   EXPECT_DOUBLE_EQ(
       SortedJaccard(SketchElements(sa), SketchElements(sb)),
       0.0);
@@ -289,15 +298,14 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
     ASSERT_FALSE(probe.parse_failed()) << sql;
     // The default path must actually take the LSH branch on this log.
     ASSERT_GE(h.store.size(), CandidateOptions{}.lsh_min_log_size);
-    std::vector<Neighbor> lsh = KnnSearch(h.store, "user0", probe, k);
-    std::vector<Neighbor> reference =
-        KnnSearch(h.store, "user0", probe, k, {}, {}, exhaustive);
+    std::vector<MetaQueryMatch> lsh = Knn(h, probe, k);
+    std::vector<MetaQueryMatch> reference = Knn(h, probe, k, exhaustive);
     ASSERT_EQ(reference.size(), k) << sql;
 
     std::set<QueryId> reference_ids;
-    for (const Neighbor& n : reference) reference_ids.insert(n.id);
+    for (const MetaQueryMatch& n : reference) reference_ids.insert(n.id);
     size_t hits = 0;
-    for (const Neighbor& n : lsh) hits += reference_ids.count(n.id);
+    for (const MetaQueryMatch& n : lsh) hits += reference_ids.count(n.id);
     recall_sum += static_cast<double>(hits) / static_cast<double>(k);
     ++probes;
 
@@ -306,8 +314,9 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
     size_t lsh_candidates =
         h.store.LshCandidates(ComputeMinHashSketch(probe.statement().signature))
             .size();
-    size_t table_candidates =
-        h.store.QueriesUsingAnyTable(probe.components->tables).size();
+    size_t table_candidates = h.store.postings().RecordCount(
+        KnnCandidateIds(storage::StoreView(h.store), probe, exhaustive)
+            .statements);
     EXPECT_LE(lsh_candidates, table_candidates) << sql;
     total_lsh_candidates += lsh_candidates;
     total_table_candidates += table_candidates;
@@ -333,9 +342,8 @@ TEST(LshKnnRecallTest, FallbackBelowThresholdIsExactlyBruteForce) {
     QueryRecord probe = storage::BuildRecordFromText(
         sql, "user0", 0, storage::SignatureMode::kTransient);
     ASSERT_FALSE(probe.parse_failed()) << sql;
-    std::vector<Neighbor> defaulted = KnnSearch(h.store, "user0", probe, 10);
-    std::vector<Neighbor> reference =
-        KnnSearch(h.store, "user0", probe, 10, {}, {}, exhaustive);
+    std::vector<MetaQueryMatch> defaulted = Knn(h, probe, 10);
+    std::vector<MetaQueryMatch> reference = Knn(h, probe, 10, exhaustive);
     ASSERT_EQ(defaulted.size(), reference.size()) << sql;
     for (size_t i = 0; i < defaulted.size(); ++i) {
       EXPECT_EQ(defaulted[i].id, reference[i].id) << sql << " i=" << i;
@@ -355,10 +363,9 @@ TEST(LshKnnRecallTest, DeletedRecordsStayInvisibleThroughLsh) {
       storage::SignatureMode::kTransient);
   CandidateOptions force_lsh;
   force_lsh.lsh_min_log_size = 0;
-  std::vector<Neighbor> result =
-      KnnSearch(h.store, "user0", probe, 10, {}, {}, force_lsh);
+  std::vector<MetaQueryMatch> result = Knn(h, probe, 10, force_lsh);
   ASSERT_FALSE(result.empty());
-  for (const Neighbor& n : result) EXPECT_NE(n.id, id);
+  for (const MetaQueryMatch& n : result) EXPECT_NE(n.id, id);
 }
 
 // --- satellite 3: lifecycle keeps the LshIndex consistent ----------------

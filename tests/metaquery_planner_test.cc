@@ -1,7 +1,8 @@
 // Unified MetaQuery planner tests: (1) an equality suite asserting that
-// every legacy single-predicate entry point returns exactly the same
-// results through the planner pipeline as the pre-planner reference
-// implementations on a seeded ~5k synthetic log, (2) combined-predicate
+// every single-predicate request returns exactly the same results
+// through the planner pipeline as the pre-planner reference
+// implementations (metaquery_reference.h) on a seeded ~5k synthetic log,
+// (2) combined-predicate
 // requests checked against a brute-force filter-then-rank reference,
 // (3) planner generator selection, (4) the executor-owned persistent
 // VisibilityCache re-checking after ACL mutations, and (5) scoring-column
@@ -21,6 +22,7 @@
 #include "common/string_util.h"
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
+#include "metaquery_reference.h"
 #include "storage/minhash.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
@@ -61,19 +63,20 @@ const char* kProbes[] = {
 
 const char* kViewers[] = {"user0", "user3", "user7"};
 
-void ExpectNeighborsEqual(const std::vector<Neighbor>& got,
-                          const std::vector<Neighbor>& want,
-                          const std::string& label) {
+/// Exact equality: the planner and the references share the similarity
+/// kernel and the ranking arithmetic.
+void ExpectMatchesEqual(const std::vector<MetaQueryMatch>& got,
+                        const std::vector<MetaQueryMatch>& want,
+                        const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << label << " rank " << i;
-    EXPECT_DOUBLE_EQ(got[i].similarity, want[i].similarity)
-        << label << " rank " << i;
-    EXPECT_DOUBLE_EQ(got[i].score, want[i].score) << label << " rank " << i;
+    EXPECT_EQ(got[i].similarity, want[i].similarity) << label << " rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << label << " rank " << i;
   }
 }
 
-// --- equality suite: every legacy entry point through the planner --------
+// --- equality suite: every meta-query class through the planner ----------
 
 TEST(PlannerEqualityTest, KeywordMatchesLegacyOn5kLog) {
   Harness& h = BigLog();
@@ -84,7 +87,9 @@ TEST(PlannerEqualityTest, KeywordMatchesLegacyOn5kLog) {
   for (const char* viewer : kViewers) {
     for (const char* words : word_sets) {
       for (bool match_all : {true, false}) {
-        EXPECT_EQ(executor.Keyword(viewer, words, match_all),
+        MetaQueryRequest request = LogOrderRequest();
+        request.WithKeywords(words, match_all);
+        EXPECT_EQ(executor.Execute(viewer, request).Ids(),
                   KeywordSearch(h.store, viewer, words, match_all))
             << viewer << " / " << words << " match_all=" << match_all;
       }
@@ -110,7 +115,10 @@ TEST(PlannerEqualityTest, SubstringMatchesBruteForceOn5kLog) {
           }
         }
       }
-      EXPECT_EQ(executor.Substring(viewer, needle), brute)
+      EXPECT_EQ(
+          executor.Execute(viewer, LogOrderRequest().WithSubstring(needle))
+              .Ids(),
+          brute)
           << viewer << " / '" << needle << "'";
       EXPECT_EQ(SubstringSearch(h.store, viewer, needle), brute)
           << viewer << " / '" << needle << "'";
@@ -130,8 +138,10 @@ TEST(PlannerEqualityTest, FeatureQueryMatchesLegacyOn5kLog) {
   queries.emplace_back().UsesTable("NoSuchTable");
   for (const char* viewer : kViewers) {
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(executor.ByFeature(viewer, queries[i]),
-                queries[i].Evaluate(h.store, viewer))
+      MetaQueryRequest request = LogOrderRequest();
+      request.WithFeature(queries[i]);
+      EXPECT_EQ(executor.Execute(viewer, request).Ids(),
+                EvaluateFeatureQuery(queries[i], h.store, viewer))
           << viewer << " / feature query " << i;
     }
   }
@@ -150,7 +160,9 @@ TEST(PlannerEqualityTest, StructuralMatchesLegacyOn5kLog) {
   patterns[3].max_joins = 3;
   for (const char* viewer : kViewers) {
     for (size_t i = 0; i < patterns.size(); ++i) {
-      EXPECT_EQ(executor.ByStructure(viewer, patterns[i]),
+      MetaQueryRequest request = LogOrderRequest();
+      request.WithStructure(patterns[i]);
+      EXPECT_EQ(executor.Execute(viewer, request).Ids(),
                 StructuralSearch(h.store, viewer, patterns[i]))
           << viewer << " / pattern " << i;
     }
@@ -165,7 +177,9 @@ TEST(PlannerEqualityTest, QueryByDataMatchesLegacyOn5kLog) {
   examples.push_back({{db::Value::String("Union")}, false});
   QueryByDataOptions options;  // summaries only; no re-execution
   for (const char* viewer : kViewers) {
-    EXPECT_EQ(executor.ByData(viewer, examples, options),
+    MetaQueryRequest request = LogOrderRequest();
+    request.WithData(examples, options);
+    EXPECT_EQ(executor.Execute(viewer, request).Ids(),
               QueryByData(h.store, viewer, examples, options))
         << viewer;
   }
@@ -182,14 +196,9 @@ TEST(PlannerEqualityTest, KnnMatchesReferenceOn5kLog) {
       for (size_t k : {1u, 10u, 50u}) {
         std::string label = std::string(viewer) + " / k=" +
                             std::to_string(k) + " / " + text;
-        // Through the executor (persistent cache)...
-        ExpectNeighborsEqual(executor.Knn(viewer, probe, k),
-                             KnnSearchReference(h.store, viewer, probe, k),
-                             label + " (executor)");
-        // ...and through the free function (call-local cache).
-        ExpectNeighborsEqual(KnnSearch(h.store, viewer, probe, k),
-                             KnnSearchReference(h.store, viewer, probe, k),
-                             label + " (free fn)");
+        ExpectMatchesEqual(
+            executor.Execute(viewer, KnnRequest(probe, k)).matches,
+            KnnSearchReference(h.store, viewer, probe, k), label);
       }
     }
   }
@@ -201,8 +210,10 @@ TEST(PlannerEqualityTest, KnnExhaustivePathMatchesReference) {
   exhaustive.use_lsh = false;
   QueryRecord probe = storage::BuildRecordFromText(
       kProbes[0], "user0", 0, storage::SignatureMode::kTransient);
-  ExpectNeighborsEqual(
-      KnnSearch(h.store, "user0", probe, 25, {}, {}, exhaustive),
+  ExpectMatchesEqual(
+      MetaQueryPlanner(&h.store)
+          .Execute("user0", KnnRequest(probe, 25, {}, exhaustive))
+          .matches,
       KnnSearchReference(h.store, "user0", probe, 25, {}, {}, exhaustive),
       "exhaustive");
 }
@@ -372,21 +383,28 @@ TEST(VisibilityCacheInvalidationTest, CachedViewerRechecksAfterGroupChange) {
   QueryId q = h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 20");
   MetaQueryExecutor executor(&h.store);
 
+  auto keyword = [&](const std::string& viewer) {
+    return executor.Execute(viewer, LogOrderRequest().WithKeywords("watertemp"))
+        .Ids();
+  };
+
   // Cache eve's (negative) decision.
-  EXPECT_TRUE(executor.Keyword("eve", "watertemp").empty());
-  EXPECT_TRUE(executor.Knn("eve", *h.store.Get(q), 5).empty());
+  EXPECT_TRUE(keyword("eve").empty());
+  EXPECT_TRUE(
+      executor.Execute("eve", KnnRequest(*h.store.Get(q), 5)).matches.empty());
 
   // eve joins alice's group: the cached decision must be re-checked.
   h.store.acl().AddUser("eve", {"lab"});
-  EXPECT_EQ(executor.Keyword("eve", "watertemp"), (std::vector<QueryId>{q}));
-  EXPECT_FALSE(executor.Knn("eve", *h.store.Get(q), 5).empty());
+  EXPECT_EQ(keyword("eve"), (std::vector<QueryId>{q}));
+  EXPECT_FALSE(
+      executor.Execute("eve", KnnRequest(*h.store.Get(q), 5)).matches.empty());
 
   // Owner makes the query private: cached positive must drop too.
   ASSERT_TRUE(h.store.acl()
                   .SetVisibility(q, "alice", "alice", storage::Visibility::kPrivate)
                   .ok());
-  EXPECT_TRUE(executor.Keyword("eve", "watertemp").empty());
-  EXPECT_EQ(executor.Keyword("alice", "watertemp"),
+  EXPECT_TRUE(keyword("eve").empty());
+  EXPECT_EQ(keyword("alice"),
             (std::vector<QueryId>{q}));  // owners always see their own
 }
 
@@ -406,10 +424,12 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
       "SELECT * FROM WaterTemp WHERE temp < 19", "alice", 0,
       storage::SignatureMode::kTransient);
 
+  auto knn = [&] {
+    return executor.Execute("alice", KnnRequest(probe, 10)).matches;
+  };
   auto check = [&](const std::string& label) {
-    ExpectNeighborsEqual(executor.Knn("alice", probe, 10),
-                         KnnSearchReference(h.store, "alice", probe, 10),
-                         label);
+    ExpectMatchesEqual(knn(), KnnSearchReference(h.store, "alice", probe, 10),
+                       label);
   };
   check("initial");
 
@@ -418,18 +438,14 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
 
   ASSERT_TRUE(h.store.AddFlag(ids[0], storage::kFlagObsolete).ok());
   check("after AddFlag");
-  for (const Neighbor& n : executor.Knn("alice", probe, 10)) {
-    EXPECT_NE(n.id, ids[0]);
-  }
+  for (const MetaQueryMatch& n : knn()) EXPECT_NE(n.id, ids[0]);
 
   ASSERT_TRUE(h.store.ClearFlag(ids[0], storage::kFlagObsolete).ok());
   check("after ClearFlag");
 
   ASSERT_TRUE(h.store.Delete(ids[2], "alice").ok());
   check("after Delete");
-  for (const Neighbor& n : executor.Knn("alice", probe, 10)) {
-    EXPECT_NE(n.id, ids[2]);
-  }
+  for (const MetaQueryMatch& n : knn()) EXPECT_NE(n.id, ids[2]);
 
   // Rewrite: popularity slots move, arena re-packs, lowered text updates.
   ASSERT_TRUE(
@@ -438,9 +454,12 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
   check("after RewriteQueryText");
   EXPECT_EQ(h.store.scoring().popularity(ids[1]),
             h.store.PopularityOf(h.store.Get(ids[1])->fingerprint));
-  EXPECT_EQ(executor.Substring("bob", "watersalinity"),
-            (std::vector<QueryId>{ids[1]}));
-  EXPECT_TRUE(executor.Substring("bob", "temp < 21").empty());
+  auto substring = [&](const std::string& needle) {
+    return executor.Execute("bob", LogOrderRequest().WithSubstring(needle))
+        .Ids();
+  };
+  EXPECT_EQ(substring("watersalinity"), (std::vector<QueryId>{ids[1]}));
+  EXPECT_TRUE(substring("temp < 21").empty());
 
   // Stats refresh path: summary replaced through SyncOutputSignature.
   QueryRecord* r = h.store.GetMutable(ids[3]);
@@ -779,6 +798,66 @@ TEST(StatementPlannerOracleTest, EveryGeneratorOrderLimitAndViewer) {
       }
     }
   }
+}
+
+// --- a statement whose runs overflow its scoring row ---------------------
+
+TEST(OverflowedRowTest, PlannerScoresTheStatementSignature) {
+  storage::QueryStore store;
+  store.acl().AddUser("alice", {"lab"});
+  store.acl().AddUser("bob", {"lab"});
+  store.acl().AddUser("eve", {"other"});
+  const char* texts[] = {
+      "SELECT * FROM WaterTemp WHERE temp < 20",
+      "SELECT * FROM WaterTemp WHERE temp IN (1, 2, 3)",
+      "SELECT lake, temp FROM WaterTemp WHERE temp IN (4, 8)",
+      "SELECT lake FROM WaterTemp GROUP BY lake",
+      "SELECT * FROM WaterSalinity WHERE salinity > 5",
+  };
+  Micros ts = 1'000'000;
+  for (const char* text : texts) {
+    store.Append(storage::BuildRecordFromText(text, "bob", ts++));
+  }
+  // Two runs of the long statement; alice cannot see eve's, so the
+  // planner reads the statement's signature through the one she can.
+  QueryRecord overflowing = storage::BuildRecordFromText(
+      testing_util::OverflowingStatementText(), "eve", ts++);
+  const QueryId hidden = store.Append(overflowing);
+  overflowing.user = "alice";
+  overflowing.timestamp = ts++;
+  const QueryId shown = store.Append(overflowing);
+  ASSERT_EQ(store.Get(shown)->statement().signature.text_tokens.size(),
+            70006u);
+  ASSERT_FALSE(store.scoring().signature_valid(shown));
+  ASSERT_EQ(store.scoring().statement_of(hidden),
+            store.scoring().statement_of(shown));
+
+  QueryRecord probe = storage::BuildRecordFromText(
+      "SELECT * FROM WaterTemp WHERE temp IN (4, 5, 6)", "alice", 0,
+      storage::SignatureMode::kTransient);
+  const SimilarityWeights text_heavy{0.2, 0.8, 0.0};
+  MetaQueryPlanner planner(&store);
+
+  auto ranks_shown = [&](const std::vector<MetaQueryMatch>& matches) {
+    return std::any_of(matches.begin(), matches.end(),
+                       [&](const MetaQueryMatch& m) { return m.id == shown; });
+  };
+
+  const std::vector<MetaQueryMatch> want =
+      KnnSearchReference(store, "alice", probe, 10, text_heavy);
+  ASSERT_TRUE(ranks_shown(want));
+  ExpectMatchesEqual(
+      planner.Execute("alice", KnnRequest(probe, 10, text_heavy)).matches,
+      want, "knn");
+
+  MetaQueryRequest combined;
+  combined.WithKeywords("watertemp temp").SimilarTo(probe, text_heavy);
+  const OracleAnswer oracle = RecordAtATime(store, "alice", combined);
+  const MetaQueryResponse got = planner.Execute("alice", combined);
+  EXPECT_EQ(got.generator, oracle.generator);
+  EXPECT_EQ(got.candidates_considered, oracle.candidates);
+  ASSERT_TRUE(ranks_shown(oracle.matches));
+  ExpectMatchesEqual(got.matches, oracle.matches, "keyword+similarity");
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "assist/recommend.h"
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_reference.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -81,41 +83,57 @@ class MetaQueryFixture : public ::testing::Test {
     executor_ = std::make_unique<MetaQueryExecutor>(&h_->store);
   }
 
+  std::vector<QueryId> Search(const std::string& viewer,
+                              const MetaQueryRequest& request) const {
+    return executor_->Execute(viewer, request).Ids();
+  }
+
+  /// The top `k` matches for `sql_text`, which must parse.
+  std::vector<MetaQueryMatch> Knn(const std::string& viewer,
+                                  const std::string& sql_text,
+                                  size_t k) const {
+    storage::QueryRecord probe = storage::BuildRecordFromText(
+        sql_text, viewer, 0, storage::SignatureMode::kTransient);
+    EXPECT_FALSE(probe.parse_failed()) << sql_text;
+    return executor_->Execute(viewer, KnnRequest(probe, k)).matches;
+  }
+
   std::unique_ptr<Harness> h_;
   std::unique_ptr<MetaQueryExecutor> executor_;
   QueryId correlate_, city_, agg_, nested_;
 };
 
 TEST_F(MetaQueryFixture, KeywordSearchMatchesAllWords) {
-  auto ids = executor_->Keyword("alice", "salinity temp");
+  auto ids = Search("alice", LogOrderRequest().WithKeywords("salinity temp"));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
   // match-any unions.
-  auto any = executor_->Keyword("alice", "salinity city", /*match_all=*/false);
+  auto any = Search("alice", LogOrderRequest().WithKeywords(
+                                 "salinity city", /*match_all=*/false));
   EXPECT_EQ(any.size(), 2u);
 }
 
 TEST_F(MetaQueryFixture, KeywordSearchRespectsAcl) {
-  auto ids = executor_->Keyword("eve", "salinity");
+  auto ids = Search("eve", LogOrderRequest().WithKeywords("salinity"));
   EXPECT_TRUE(ids.empty());  // eve shares no group with alice
 }
 
 TEST_F(MetaQueryFixture, SubstringSearch) {
-  auto ids = executor_->Substring("bob", "ORDER BY pop");
+  auto ids = Search("bob", LogOrderRequest().WithSubstring("ORDER BY pop"));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
-  EXPECT_TRUE(executor_->Substring("bob", "zzz").empty());
+  EXPECT_TRUE(Search("bob", LogOrderRequest().WithSubstring("zzz")).empty());
 }
 
 TEST_F(MetaQueryFixture, FeatureQueryByTableAndPredicate) {
   FeatureQuery q;
   q.UsesTable("WaterTemp").HasPredicateOn("watertemp", "temp", "<");
-  auto ids = executor_->ByFeature("alice", q);
+  auto ids = Search("alice", LogOrderRequest().WithFeature(q));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
 }
 
 TEST_F(MetaQueryFixture, FeatureQueryRuntimeConditions) {
   FeatureQuery q;
   q.UsesTable("CityLocations").SucceededOnly().MinResultRows(1);
-  auto ids = executor_->ByFeature("bob", q);
+  auto ids = Search("bob", LogOrderRequest().WithFeature(q));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
 }
 
@@ -158,29 +176,30 @@ TEST_F(MetaQueryFixture, GeneratedMetaQueryRequiresTables) {
 TEST_F(MetaQueryFixture, StructuralSearchByJoinsAndAggregates) {
   StructuralPattern joins;
   joins.min_joins = 1;
-  auto ids = executor_->ByStructure("alice", joins);
+  auto ids = Search("alice", LogOrderRequest().WithStructure(joins));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
 
   StructuralPattern agg;
   agg.required_aggregates = {"AVG"};
   agg.requires_group_by = true;
-  EXPECT_EQ(executor_->ByStructure("alice", agg),
+  EXPECT_EQ(Search("alice", LogOrderRequest().WithStructure(agg)),
             (std::vector<QueryId>{agg_}));
 
   StructuralPattern nested;
   nested.requires_subquery = true;
-  EXPECT_EQ(executor_->ByStructure("alice", nested),
+  EXPECT_EQ(Search("alice", LogOrderRequest().WithStructure(nested)),
             (std::vector<QueryId>{nested_}));
 
   StructuralPattern skel;
   skel.required_predicate_skeletons = {"watertemp.temp < ?"};
-  EXPECT_EQ(executor_->ByStructure("alice", skel),
+  EXPECT_EQ(Search("alice", LogOrderRequest().WithStructure(skel)),
             (std::vector<QueryId>{correlate_}));
 
   StructuralPattern forbidden;
   forbidden.required_tables = {"watertemp"};
   forbidden.forbidden_tables = {"watersalinity"};
-  auto no_salinity = executor_->ByStructure("alice", forbidden);
+  auto no_salinity =
+      Search("alice", LogOrderRequest().WithStructure(forbidden));
   EXPECT_EQ(no_salinity, (std::vector<QueryId>{agg_, nested_}));
 }
 
@@ -190,12 +209,13 @@ TEST_F(MetaQueryFixture, QueryByDataPositiveAndNegative) {
   examples.push_back({{db::Value::String("Seattle")}, true});
   QueryByDataOptions opts;
   opts.reexecute_on = &h_->database;
-  auto ids = executor_->ByData("bob", examples, opts);
+  auto ids = Search("bob", LogOrderRequest().WithData(examples, opts));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
 
   // Negative example: exclude Seattle -> the city query drops out.
   examples.push_back({{db::Value::String("Seattle")}, false});
-  EXPECT_TRUE(executor_->ByData("bob", examples, opts).empty());
+  EXPECT_TRUE(
+      Search("bob", LogOrderRequest().WithData(examples, opts)).empty());
 }
 
 TEST_F(MetaQueryFixture, QueryByDataLakeWashingtonScenario) {
@@ -209,38 +229,37 @@ TEST_F(MetaQueryFixture, QueryByDataLakeWashingtonScenario) {
   // Log a query that provably matches (includes Washington, not Union).
   QueryId filtered = h_->Log(
       "alice", "SELECT lake FROM WaterTemp WHERE lake = 'Washington'");
-  auto ids = executor_->ByData("alice", examples, opts);
+  auto ids = Search("alice", LogOrderRequest().WithData(examples, opts));
   EXPECT_NE(std::find(ids.begin(), ids.end(), filtered), ids.end());
   // The per-lake aggregate outputs Union too, so it must be excluded.
   EXPECT_EQ(std::find(ids.begin(), ids.end(), agg_), ids.end());
 }
 
 TEST_F(MetaQueryFixture, KnnFindsStructuralNeighbors) {
-  auto neighbors = executor_->KnnText(
-      "alice",
-      "SELECT T.temp FROM WaterSalinity S, WaterTemp T WHERE "
-      "S.loc_x = T.loc_x AND T.temp < 20",
-      2);
-  ASSERT_TRUE(neighbors.ok());
-  ASSERT_FALSE(neighbors->empty());
-  EXPECT_EQ((*neighbors)[0].id, correlate_);
-  EXPECT_GT((*neighbors)[0].similarity, 0.5);
+  auto neighbors = Knn("alice",
+                       "SELECT T.temp FROM WaterSalinity S, WaterTemp T WHERE "
+                       "S.loc_x = T.loc_x AND T.temp < 20",
+                       2);
+  ASSERT_FALSE(neighbors.empty());
+  EXPECT_EQ(neighbors[0].id, correlate_);
+  EXPECT_GT(neighbors[0].similarity, 0.5);
 }
 
 TEST_F(MetaQueryFixture, KnnRespectsAclAndFlags) {
-  auto for_eve = executor_->KnnText("eve", "SELECT * FROM WaterTemp", 5);
-  ASSERT_TRUE(for_eve.ok());
-  EXPECT_TRUE(for_eve->empty());
+  EXPECT_TRUE(Knn("eve", "SELECT * FROM WaterTemp", 5).empty());
 
   ASSERT_TRUE(h_->store.AddFlag(agg_, storage::kFlagObsolete).ok());
-  auto neighbors = executor_->KnnText(
-      "alice", "SELECT lake, AVG(temp) FROM WaterTemp GROUP BY lake", 10);
-  ASSERT_TRUE(neighbors.ok());
-  for (const Neighbor& n : *neighbors) EXPECT_NE(n.id, agg_);
+  auto neighbors =
+      Knn("alice", "SELECT lake, AVG(temp) FROM WaterTemp GROUP BY lake", 10);
+  for (const MetaQueryMatch& n : neighbors) EXPECT_NE(n.id, agg_);
 }
 
 TEST_F(MetaQueryFixture, KnnUnparsableProbeFails) {
-  EXPECT_FALSE(executor_->KnnText("alice", "SELEKT", 3).ok());
+  // A similarity request takes a built probe; the text entry point that
+  // builds one refuses text that does not parse.
+  assist::RecommendationEngine engine(&h_->store, nullptr);
+  EXPECT_EQ(engine.Recommend("alice", "SELEKT", 3).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(RowMatchTest, SubsetSemantics) {

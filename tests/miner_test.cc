@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "client/session_view.h"
+#include "metaquery_reference.h"
 #include "miner/query_miner.h"
 #include "miner/tutorial.h"
 #include "test_util.h"

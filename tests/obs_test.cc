@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "metaquery/meta_query_planner.h"
-#include "metaquery/text_search.h"
+#include "metaquery_reference.h"
 #include "net/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -443,13 +443,13 @@ TEST(TraceCorrectnessTest, PostingIntersectionPath) {
   MetaQueryResponse resp = RunTraced(req, "user1", &trace);
   EXPECT_EQ(resp.generator, CandidateGenerator::kPostingIntersection);
 
-  // Oracle recount: the legacy keyword entry point returns the same
+  // Oracle recount: the reference keyword search returns the same
   // matches in log order; its size is the trace's "matches".
   Harness& h = TraceLog();
-  std::vector<storage::QueryId> legacy =
+  std::vector<storage::QueryId> reference =
       metaquery::KeywordSearch(h.store, "user1", "lake temp", true);
-  EXPECT_EQ(trace.CounterOr("matches"), legacy.size());
-  EXPECT_EQ(resp.Ids(), legacy);
+  EXPECT_EQ(trace.CounterOr("matches"), reference.size());
+  EXPECT_EQ(resp.Ids(), reference);
 }
 
 TEST(TraceCorrectnessTest, LshBucketsPath) {
@@ -469,8 +469,8 @@ TEST(TraceCorrectnessTest, LshBucketsPath) {
   // Oracle recount: the shared generator must report the same candidate
   // set size the trace recorded.
   metaquery::KnnCandidates cands =
-      metaquery::KnnCandidateIds(h.store, probe, copts);
-  EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kLshBuckets);
+      metaquery::KnnCandidateIds(storage::StoreView(h.store), probe, copts);
+  EXPECT_EQ(cands.source, metaquery::CandidateGenerator::kLshBuckets);
   EXPECT_EQ(trace.CounterOr("candidates"),
             h.store.postings().RecordCount(cands.statements));
   EXPECT_EQ(trace.CounterOr("statements"), cands.statements.size());
@@ -491,8 +491,8 @@ TEST(TraceCorrectnessTest, TableUnionPath) {
   EXPECT_EQ(resp.generator, CandidateGenerator::kTableUnion);
 
   metaquery::KnnCandidates cands =
-      metaquery::KnnCandidateIds(h.store, probe, copts);
-  EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kTableUnion);
+      metaquery::KnnCandidateIds(storage::StoreView(h.store), probe, copts);
+  EXPECT_EQ(cands.source, metaquery::CandidateGenerator::kTableUnion);
   EXPECT_EQ(trace.CounterOr("candidates"),
             h.store.postings().RecordCount(cands.statements));
   EXPECT_EQ(trace.CounterOr("statements"), cands.statements.size());

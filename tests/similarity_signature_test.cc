@@ -11,7 +11,8 @@
 
 #include "common/interner.h"
 #include "maintain/query_maintenance.h"
-#include "metaquery/knn.h"
+#include "metaquery/meta_query_planner.h"
+#include "metaquery_reference.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -60,9 +61,9 @@ TEST(SimilaritySignatureTest, IdenticalAndDisjointPairs) {
       "SELECT temp FROM WaterTemp WHERE temp < 20", "u", 0);
   QueryRecord c = storage::BuildRecordFromText(
       "SELECT name FROM Species WHERE name = 'carp'", "u", 0);
-  const storage::SimilaritySignature& sa = a.statement().signature;
-  const storage::SimilaritySignature& sb = b.statement().signature;
-  const storage::SimilaritySignature& sc = c.statement().signature;
+  const SignatureView sa = ViewOfSignature(a);
+  const SignatureView sb = ViewOfSignature(b);
+  const SignatureView sc = ViewOfSignature(c);
   EXPECT_DOUBLE_EQ(FeatureSimilarity(sa, sb), 1.0);
   EXPECT_DOUBLE_EQ(TextSimilarity(sa, sb), 1.0);
   EXPECT_LT(FeatureSimilarity(sa, sc), 0.2);
@@ -109,11 +110,11 @@ TEST(SimilaritySignatureTest, MatchesReferencePathOnSyntheticWorkload) {
 /// Brute-force reference kNN: full candidate generation with a std::set,
 /// per-call max_ts scan, store.Visible, and reference similarity — the
 /// pre-signature implementation, kept here as executable specification.
-std::vector<Neighbor> ReferenceKnn(const storage::QueryStore& store,
-                                   const std::string& viewer,
-                                   const QueryRecord& probe, size_t k,
-                                   const SimilarityWeights& weights,
-                                   const RankingOptions& ranking) {
+std::vector<MetaQueryMatch> ReferenceKnn(const storage::QueryStore& store,
+                                         const std::string& viewer,
+                                         const QueryRecord& probe, size_t k,
+                                         const SimilarityWeights& weights,
+                                         const RankingOptions& ranking) {
   std::set<QueryId> candidates;
   if (!probe.parse_failed() && !probe.components->tables.empty()) {
     for (const std::string& t : probe.components->tables) {
@@ -125,7 +126,7 @@ std::vector<Neighbor> ReferenceKnn(const storage::QueryStore& store,
   Micros max_ts = 1;
   for (const auto& r : store.records()) max_ts = std::max(max_ts, r.timestamp);
 
-  std::vector<Neighbor> scored;
+  std::vector<MetaQueryMatch> scored;
   for (QueryId id : candidates) {
     if (!store.Visible(viewer, id)) continue;
     const QueryRecord* r = store.Get(id);
@@ -147,7 +148,7 @@ std::vector<Neighbor> ReferenceKnn(const storage::QueryStore& store,
   }
   size_t keep = std::min(k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
+                    [](const MetaQueryMatch& a, const MetaQueryMatch& b) {
                       if (a.score != b.score) return a.score > b.score;
                       return a.id < b.id;
                     });
@@ -172,9 +173,12 @@ TEST(SimilaritySignatureTest, KnnMatchesBruteForceReference) {
     QueryRecord probe = storage::BuildRecordFromText(sql, "user0", 0);
     ASSERT_FALSE(probe.parse_failed()) << sql;
     for (size_t k : {1u, 10u, 50u}) {
-      std::vector<Neighbor> fast = KnnSearch(h.store, "user0", probe, k);
-      std::vector<Neighbor> reference = ReferenceKnn(h.store, "user0", probe, k,
-                                                     {}, {});
+      std::vector<MetaQueryMatch> fast =
+          MetaQueryPlanner(&h.store)
+              .Execute("user0", KnnRequest(probe, k))
+              .matches;
+      std::vector<MetaQueryMatch> reference =
+          ReferenceKnn(h.store, "user0", probe, k, {}, {});
       ASSERT_EQ(fast.size(), reference.size()) << sql << " k=" << k;
       for (size_t i = 0; i < fast.size(); ++i) {
         EXPECT_EQ(fast[i].id, reference[i].id) << sql << " k=" << k << " i=" << i;
@@ -198,8 +202,11 @@ TEST(SimilaritySignatureTest, KnnDeterministicAndRanked) {
 
   QueryRecord probe = storage::BuildRecordFromText(
       "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18", "user1", 0);
-  std::vector<Neighbor> first = KnnSearch(h.store, "user1", probe, 10);
-  std::vector<Neighbor> second = KnnSearch(h.store, "user1", probe, 10);
+  MetaQueryPlanner planner(&h.store);
+  std::vector<MetaQueryMatch> first =
+      planner.Execute("user1", KnnRequest(probe, 10)).matches;
+  std::vector<MetaQueryMatch> second =
+      planner.Execute("user1", KnnRequest(probe, 10)).matches;
   ASSERT_FALSE(first.empty());
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {

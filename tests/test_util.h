@@ -40,6 +40,16 @@ struct Harness {
   }
 };
 
+/// SELECT * FROM WaterTemp WHERE temp IN (0, 1, ..., 69999): 70,006
+/// distinct text tokens, more than a scoring-column row's u16 run length
+/// holds, so the row of its statement is not signature-valid and the
+/// read path scores it from its records' signature.
+inline std::string OverflowingStatementText() {
+  std::string text = "SELECT * FROM WaterTemp WHERE temp IN (0";
+  for (int i = 1; i < 70000; ++i) text += ", " + std::to_string(i);
+  return text + ")";
+}
+
 /// The statement derivations and reuses counted so far on one logging
 /// path (`profile`, `log_only`, `wal`, `rewrite`). The counters are
 /// process-wide, so tests compare differences.
