@@ -323,6 +323,9 @@ inline MetaQueryRequest KnnRequest(const storage::QueryRecord& probe, size_t k,
   request.SimilarTo(probe, weights, candidates).Limit(k);
   return request;
 }
+MetaQueryRequest KnnRequest(storage::QueryRecord&& probe, size_t k,
+                            const SimilarityWeights& weights = {},
+                            const CandidateOptions& candidates = {}) = delete;
 
 /// The pre-planner kNN scoring loop: the planner's candidates
 /// (KnnCandidateIds), each record scored through the record log and
