@@ -35,8 +35,9 @@ BENCHMARK(BM_CompletionLatency)
 
 void BM_RecommendationLatency(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
-  miner::QueryMiner& miner = bench::GetMinedFixture(static_cast<size_t>(state.range(0)));
-  assist::RecommendationEngine engine(&f.store, &miner);
+  // Times the mined log (sessions assigned), as the completion series do.
+  bench::GetMinedFixture(static_cast<size_t>(state.range(0)));
+  assist::RecommendationEngine engine(&f.store);
   for (auto _ : state) {
     auto recs = engine.Recommend(
         "user0",
@@ -119,8 +120,8 @@ BENCHMARK(BM_CompletionHitRate)
 /// the workload generator labels sessions.
 void BM_RecommendationGuidanceRecall(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(5000);
-  miner::QueryMiner& miner = bench::GetMinedFixture(5000);
-  assist::RecommendationEngine engine(&f.store, &miner);
+  bench::GetMinedFixture(5000);  // the mined log, as above
+  assist::RecommendationEngine engine(&f.store);
   double recall = 0;
   for (auto _ : state) {
     size_t trials = 0, hits = 0;

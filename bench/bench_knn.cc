@@ -223,6 +223,29 @@ BENCHMARK(BM_SnapshotLoad)
     ->Args({20000, 2})
     ->ArgNames({"queries", "format"});
 
+// The checkpoint's encoder without the file write: one format-4 image of
+// the fixture log, built in memory.
+void BM_SnapshotSave(benchmark::State& state) {
+  bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
+  std::string image;
+  for (auto _ : state) {
+    Status s = storage::EncodeSnapshotV2(f.store, 0, &image);
+    if (!s.ok()) {
+      state.SkipWithError("snapshot encode failed");
+      return;
+    }
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["log_size"] = static_cast<double>(f.store.size());
+  state.counters["bytes_per_query"] =
+      static_cast<double>(image.size()) / static_cast<double>(f.store.size());
+}
+BENCHMARK(BM_SnapshotSave)
+    ->Arg(20000)
+    ->ArgNames({"queries"})
+    ->Unit(benchmark::kMillisecond);
+
 // Pairwise similarity micro-costs, the kNN inner loop.
 void BM_PairwiseSimilarity(benchmark::State& state) {
   storage::QueryRecord a = storage::BuildRecordFromText(kProbe, "u", 0);

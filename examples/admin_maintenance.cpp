@@ -50,7 +50,7 @@ int main() {
   for (auto id : evolution.repaired_ids) {
     const auto* r = system.store()->Get(id);
     std::printf("  repaired q%lld: %s\n", static_cast<long long>(id),
-                r->text.substr(0, 70).c_str());
+                r->text->substr(0, 70).c_str());
     if (evolution.repaired_ids.size() > 3 && id == evolution.repaired_ids[2]) {
       std::printf("  ... (%zu more)\n", evolution.repaired_ids.size() - 3);
       break;

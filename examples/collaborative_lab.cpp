@@ -127,7 +127,7 @@ int main() {
   for (const auto& m : combined.matches) {
     std::printf("  [%.2f] q%lld: %s\n", m.score,
                 static_cast<long long>(m.id),
-                system.store()->Get(m.id)->text.substr(0, 60).c_str());
+                system.store()->Get(m.id)->text->substr(0, 60).c_str());
   }
   return 0;
 }

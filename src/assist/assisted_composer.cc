@@ -8,7 +8,7 @@ AssistedComposer::AssistedComposer(const storage::QueryStore* store,
                                    AssistOptions options)
     : completion_(store, miner, &database->catalog()),
       correction_(store, database),
-      recommendation_(store, miner),
+      recommendation_(store),
       options_(options) {}
 
 AssistResponse AssistedComposer::Assist(const std::string& viewer,

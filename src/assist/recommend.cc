@@ -31,9 +31,8 @@ std::vector<uint64_t> UserSkeletons(const storage::QueryStore& store,
 
 }  // namespace
 
-RecommendationEngine::RecommendationEngine(const storage::QueryStore* store,
-                                           const miner::QueryMiner* miner)
-    : store_(store), miner_(miner), executor_(store) {}
+RecommendationEngine::RecommendationEngine(const storage::QueryStore* store)
+    : store_(store), executor_(store) {}
 
 Result<std::vector<Recommendation>> RecommendationEngine::Recommend(
     const std::string& viewer, const std::string& sql_text, size_t k,

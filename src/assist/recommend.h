@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "metaquery/meta_query_executor.h"
-#include "miner/query_miner.h"
 #include "storage/query_store.h"
 
 namespace cqms::assist {
@@ -26,8 +25,9 @@ struct RecommendOptions {
   metaquery::RankingOptions ranking;
   /// §4.3: "query recommendations can be limited to queries from users
   /// who have similar query session patterns as the current user". When
-  /// set (and a miner is available), candidates from users sharing no
-  /// session skeleton with the viewer are discarded.
+  /// set, candidates from authors none of whose logged queries shares a
+  /// structure skeleton with one of the viewer's are discarded (read from
+  /// the store's records).
   bool restrict_to_similar_sessions = false;
   /// Collapse recommendations that share a canonical fingerprint.
   bool deduplicate = true;
@@ -36,10 +36,8 @@ struct RecommendOptions {
 /// Full-query recommendation engine (§2.3).
 class RecommendationEngine {
  public:
-  /// `store` must outlive the engine; `miner` may be null (disables the
-  /// session-pattern restriction).
-  RecommendationEngine(const storage::QueryStore* store,
-                       const miner::QueryMiner* miner = nullptr);
+  /// `store` must outlive the engine.
+  explicit RecommendationEngine(const storage::QueryStore* store);
 
   /// Recommends up to `k` logged queries similar to `sql_text` (a full
   /// or partially composed query; it must parse). Results are visible to
@@ -50,7 +48,6 @@ class RecommendationEngine {
 
  private:
   const storage::QueryStore* store_;
-  const miner::QueryMiner* miner_;
   /// Runs the kNN request through the unified planner pipeline; owning
   /// the executor keeps its per-viewer visibility caches warm across
   /// keystrokes (recommendations fire on every pause in typing).

@@ -45,7 +45,7 @@ Status Cqms::Annotate(storage::QueryId id, const std::string& author,
   if (!fragment.empty()) {
     const storage::QueryRecord* r = store_.Get(id);
     if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-    if (r->text.find(fragment) == std::string::npos) {
+    if (r->text->find(fragment) == std::string::npos) {
       return Status::InvalidArgument(
           "fragment is not a substring of the query text");
     }

@@ -140,13 +140,15 @@ MaintenanceReport QueryMaintenance::RefreshStatistics() {
       // Execution now fails (e.g. data-dependent): record and move on.
       r->stats.succeeded = false;
       r->stats.error = exec.status().ToString();
+      Status shared = store_->ShareRunStrings(id);
+      (void)shared;
       Status s = store_->ClearFlag(id, storage::kFlagStatsStale);
       (void)s;
       ++report.stats_refreshed;
       continue;
     }
     r->stats.succeeded = true;
-    r->stats.error.clear();
+    r->stats.error = std::string();
     r->stats.execution_micros = timer.ElapsedMicros();
     r->stats.result_rows = exec->rows.size();
     r->stats.rows_scanned = exec->rows_scanned;
@@ -154,8 +156,11 @@ MaintenanceReport QueryMaintenance::RefreshStatistics() {
     r->summary = profiler::SummarizeOutput(*exec, r->stats.execution_micros);
     // The cached signature hashes the output sample; rebuild that part —
     // through the store, so the columnar copy scoring reads stays in sync.
+    // Then share the new plan with the runs of the record's statement.
     Status sync = store_->SyncOutputSignature(id);
     (void)sync;
+    Status shared = store_->ShareRunStrings(id);
+    (void)shared;
     Status s = store_->ClearFlag(id, storage::kFlagStatsStale);
     (void)s;
     ++report.stats_refreshed;

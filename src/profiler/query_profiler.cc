@@ -41,14 +41,9 @@ ProfiledExecution QueryProfiler::ExecuteAndProfile(std::string_view sql_text,
   // client re-runs). A new text is parsed once, and the record is built
   // from the tree that executed.
   storage::QueryRecord record;
-  if (logs) {
-    record.text = std::string(sql_text);
-    record.user = user;
-    record.timestamp = submitted_at;
-  }
   const bool shared =
-      derives &&
-      store_->ShareLiveStatement(&record, storage::StatementPath::kProfile);
+      derives && store_->ShareLiveStatement(sql_text, &record,
+                                            storage::StatementPath::kProfile);
   std::shared_ptr<const sql::SelectStatement> tree;
   if (shared) tree = record.statement().tree.IfMaterialized();
   storage::ParsedTree parsed = tree != nullptr
@@ -73,8 +68,12 @@ ProfiledExecution QueryProfiler::ExecuteAndProfile(std::string_view sql_text,
     // A text-only record (kTextOnly) keeps no parse-derived features:
     // Append computes its signature from the text alone.
     if (derives && !shared) {
-      record = storage::BuildRecordFromTree(std::move(record.text), user,
+      record = storage::BuildRecordFromTree(std::string(sql_text), user,
                                             submitted_at, std::move(parsed));
+    } else {
+      if (!derives) record.MutableStatement()->text = std::string(sql_text);
+      record.user = user;
+      record.timestamp = submitted_at;
     }
     record.stats = out.stats;
     if (options_.level == ProfilingLevel::kFull && exec.ok()) {

@@ -129,17 +129,23 @@ Status LoadSnapshotV1(QueryStore* store, std::istream& in,
       if (current == kInvalidQueryId) return Status::IoError("S before Q");
       QueryRecord* r = store->GetMutable(current);
       int succeeded;
+      std::string error;
       ls >> r->stats.execution_micros >> r->stats.result_rows >>
           r->stats.rows_scanned >> succeeded;
-      if (!ls || !read_field(ls, &r->stats.error)) {
+      if (!ls || !read_field(ls, &error)) {
         return Status::IoError("corrupt S line in " + path);
       }
       r->stats.succeeded = succeeded != 0;
+      r->stats.error = std::move(error);
+      CQMS_RETURN_IF_ERROR(store->ShareRunStrings(current));
     } else if (tag == "P") {
       if (current == kInvalidQueryId) return Status::IoError("P before Q");
-      if (!read_field(ls, &store->GetMutable(current)->stats.plan)) {
+      std::string plan;
+      if (!read_field(ls, &plan)) {
         return Status::IoError("corrupt P line in " + path);
       }
+      store->GetMutable(current)->stats.plan = std::move(plan);
+      CQMS_RETURN_IF_ERROR(store->ShareRunStrings(current));
     } else if (tag == "A") {
       if (current == kInvalidQueryId) return Status::IoError("A before Q");
       Annotation a;

@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "common/interner.h"
+#include "common/shared_string.h"
 #include "db/value.h"
 #include "sql/ast.h"
 #include "sql/components.h"
@@ -29,17 +30,19 @@ constexpr SessionId kInvalidSessionId = -1;
 
 /// Runtime features captured by the Query Profiler (§4.1: "result
 /// cardinality, execution time, and the query execution plan are already
-/// incorporated in existing query profilers").
+/// incorporated in existing query profilers"). The two strings are
+/// shared: a QueryStore points every stored run of a statement whose
+/// error or plan equals an earlier run's at that run's copy.
 struct RuntimeStats {
   /// The engine's execution of the parsed statement, without the parse.
   Micros execution_micros = 0;
   uint64_t result_rows = 0;
   uint64_t rows_scanned = 0;
   bool succeeded = true;
-  std::string error;  ///< Status string for failed queries.
+  SharedString error;  ///< Status string for failed queries.
   /// Execution plan text captured from the engine (one operator per
   /// line: scans with pushed-down filters, join strategy, aggregation...).
-  std::string plan;
+  SharedString plan;
 };
 
 /// Stored summary of a query's output — the paper's semantic query
@@ -171,6 +174,24 @@ struct Statement {
   bool operator==(const Statement& other) const;
 };
 
+/// Read-only handle on the text of a record's shared Statement: reads
+/// like a `const std::string` (see StringReader). Not assignable: a
+/// writer sets the text through the statement (QueryRecord::
+/// MutableStatement), and the record re-points the handle whenever it
+/// changes statements.
+class TextRef : public StringReader<TextRef> {
+ public:
+  const std::string& str() const { return *text_; }
+
+ private:
+  friend struct QueryRecord;
+  explicit TextRef(const std::string* text) : text_(text) {}
+  TextRef(const TextRef&) = default;
+  TextRef& operator=(const TextRef&) = default;
+
+  const std::string* text_;
+};
+
 /// Read-only handle on the sql::QueryComponents of a record's shared
 /// Statement: binds to `const sql::QueryComponents&`, and `->` reaches
 /// the members.
@@ -189,20 +210,24 @@ class ComponentsRef {
 
 /// One logged query: the fields of this run, plus a shared pointer to
 /// the Statement its text derives. Copies share the statement and the
-/// parse tree; they copy only the per-run fields below.
+/// parse tree, and the owner, error and plan strings; they copy only
+/// the per-run scalars, the output summary and the annotations.
 struct QueryRecord {
  private:
   /// Never null: a default-constructed record holds a shared empty
-  /// statement (unparsed, no signature). Declared before `components`,
-  /// which points into it.
+  /// statement (unparsed, no signature). Declared before `text` and
+  /// `components`, which point into it.
   std::shared_ptr<Statement> statement_ = EmptyStatement();
 
  public:
   QueryId id = kInvalidQueryId;
-  std::string text;              ///< Raw text as submitted.
+  /// statement().text, read-only: the raw text as submitted.
+  TextRef text{&statement_->text};
   /// Fnv1a64 of the statement's canonical text (0 for parse failures).
   uint64_t fingerprint = 0;
-  std::string user;
+  /// The owner. A QueryStore points every stored record of one owner at
+  /// one copy.
+  SharedString user;
   Micros timestamp = 0;
 
   /// statement().components, read-only.
@@ -224,7 +249,7 @@ struct QueryRecord {
   /// hold yet (pre-append, or the writer's post-copy-on-write clone).
   /// Clones the statement first unless this record is its only holder,
   /// so other records, QueryStore's sharing table and published views
-  /// never see the edit.
+  /// never see the edit. A hand-built record sets its text here.
   Statement* MutableStatement();
 
   bool HasFlag(QueryFlags f) const { return (flags & f) != 0; }
@@ -243,6 +268,7 @@ struct QueryRecord {
 
   void set_statement(std::shared_ptr<Statement> statement) {
     statement_ = std::move(statement);
+    text = TextRef(&statement_->text);
     components = ComponentsRef(&statement_->components);
   }
   static std::shared_ptr<Statement> EmptyStatement();

@@ -140,24 +140,18 @@ QueryId QueryStore::Append(QueryRecord record) {
   return id;
 }
 
-bool QueryStore::ShareLiveStatement(QueryRecord* record,
+bool QueryStore::ShareLiveStatement(std::string_view text,
+                                    QueryRecord* record,
                                     StatementPath path) const {
-  if (!statements_.empty()) {
-    // The table hashes by text: every statement with this text is in
-    // the bucket a probe holding only the text hashes to.
-    Statement probe;
-    probe.text = record->text;
-    const size_t bucket = statements_.bucket(&probe);
-    for (auto it = statements_.begin(bucket); it != statements_.end(bucket);
-         ++it) {
-      const Statement& live = *it->first;
-      if (live.text == record->text && live.text_parses &&
-          live.signature.valid && !live.signature.transient) {
-        record->set_statement(it->second.statement);
-        record->fingerprint = Fnv1a64(live.canonical_text);
-        SeriesFor(path).reuses->Increment();
-        return true;
-      }
+  auto [it, end] = statements_.equal_range(text);
+  for (; it != end; ++it) {
+    const Statement& live = *it->second.statement;
+    if (live.text_parses && live.signature.valid &&
+        !live.signature.transient) {
+      record->set_statement(it->second.statement);
+      record->fingerprint = Fnv1a64(live.canonical_text);
+      SeriesFor(path).reuses->Increment();
+      return true;
     }
   }
   SeriesFor(path).derivations->Increment();
@@ -168,12 +162,12 @@ QueryRecord QueryStore::RecordForText(std::string text, std::string user,
                                       Micros timestamp,
                                       StatementPath path) const {
   QueryRecord record;
-  record.text = std::move(text);
+  if (!ShareLiveStatement(text, &record, path)) {
+    return BuildRecordFromText(std::move(text), std::move(user), timestamp);
+  }
   record.user = std::move(user);
   record.timestamp = timestamp;
-  if (ShareLiveStatement(&record, path)) return record;
-  return BuildRecordFromText(std::move(record.text), std::move(record.user),
-                             timestamp);
+  return record;
 }
 
 void QueryStore::ReserveForRestore(size_t records, size_t statements,
@@ -206,9 +200,12 @@ QueryId QueryStore::FinishAppend(QueryRecord record) {
   record.id = static_cast<QueryId>(records_.size());
   max_timestamp_ = std::max(max_timestamp_, record.timestamp);
   const StatementId statement = ShareStatement(&record);
+  // One copy of each owner name: the owner's first record holds it.
+  std::vector<QueryId>& owned = postings_.by_user[record.user];
+  if (!owned.empty()) record.user = records_[owned.front()].user;
+  InsertSorted(&owned, record.id);
   records_.push_back(std::make_shared<QueryRecord>(std::move(record)));
   const QueryRecord& stored = records_.back();
-  InsertSorted(&postings_.by_user[stored.user], stored.id);
   scoring_.AppendRecord(stored, statement,
                         GlobalInterner().Intern(stored.user));
   if (!feature_rows_lazy_) InsertFeatureRows(stored);
@@ -217,8 +214,17 @@ QueryId QueryStore::FinishAppend(QueryRecord record) {
 }
 
 StatementId QueryStore::ShareStatement(QueryRecord* record) {
-  auto it = statements_.find(record->statement_.get());
-  if (it == statements_.end()) {
+  const Statement& mine = *record->statement_;
+  StatementEntry* entry = nullptr;
+  auto [it, end] = statements_.equal_range(mine.text);
+  for (; it != end; ++it) {
+    const Statement& live = *it->second.statement;
+    if (&live == &mine || live == mine) {
+      entry = &it->second;
+      break;
+    }
+  }
+  if (entry == nullptr) {
     StatementId id;
     if (free_statement_ids_.empty()) {
       id = static_cast<StatementId>(postings_.records_of.size());
@@ -227,25 +233,42 @@ StatementId QueryStore::ShareStatement(QueryRecord* record) {
       id = free_statement_ids_.back();
       free_statement_ids_.pop_back();
     }
-    it = statements_
-             .emplace(record->statement_.get(),
-                      StatementEntry{record->statement_, id})
-             .first;
+    entry = &statements_
+                 .emplace(std::string_view(mine.text),
+                          StatementEntry{record->statement_, id, {}, {}})
+                 ->second;
     IndexStatement(id, *record);
-  } else if (it->second.statement != record->statement_) {
-    record->set_statement(it->second.statement);
+  } else if (entry->statement != record->statement_) {
+    record->set_statement(entry->statement);
   }
-  const StatementId id = it->second.id;
+  ShareRunStrings(record, entry);
+  const StatementId id = entry->id;
   InsertSorted(&postings_.records_of[id], record->id);
   const uint32_t slot = scoring_.statement_pop_slot(id);
   if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
   return id;
 }
 
+QueryStore::SharingTable::iterator QueryStore::EntryOf(
+    const Statement& statement) {
+  auto [it, end] = statements_.equal_range(statement.text);
+  for (; it != end; ++it) {
+    if (it->second.statement.get() == &statement) return it;
+  }
+  return statements_.end();
+}
+
+void QueryStore::ShareRunStrings(QueryRecord* record, StatementEntry* entry) {
+  for (auto [mine, shared] : {std::pair(&record->stats.error, &entry->error),
+                              std::pair(&record->stats.plan, &entry->plan)}) {
+    if (!mine->empty() && !mine->ShareIfEqual(*shared)) *shared = *mine;
+  }
+}
+
 void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
-  auto it = statements_.find(&before);
-  if (it != statements_.end()) {
-    const StatementId old = it->second.id;
+  auto entry = EntryOf(before);
+  if (entry != statements_.end()) {
+    const StatementId old = entry->second.id;
     std::vector<QueryId>& records = postings_.records_of[old];
     EraseSorted(&records, record->id);
     const uint32_t slot = scoring_.statement_pop_slot(old);
@@ -256,7 +279,7 @@ void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
       std::vector<QueryId>().swap(records);
       UnindexStatement(old, before);
       free_statement_ids_.push_back(old);
-      statements_.erase(it);
+      statements_.erase(entry);
     }
   }
   scoring_.SetRecordStatement(record->id, ShareStatement(record));
@@ -404,9 +427,10 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
 
   // Repairs map many records onto a few repaired texts: a text already
-  // live shares its statement instead of being derived again.
+  // live shares its statement instead of being derived again. Only the
+  // statement and the fingerprint are taken from the rebuilt record.
   QueryRecord rebuilt =
-      RecordForText(new_text, r->user, r->timestamp, StatementPath::kRewrite);
+      RecordForText(new_text, std::string(), 0, StatementPath::kRewrite);
   if (rebuilt.parse_failed()) {
     return Status::ParseError("repaired text does not parse: " + rebuilt.stats.error);
   }
@@ -417,10 +441,9 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   const Statement& before = r->statement();
   std::vector<uint64_t> kept_rows = before.signature.output_rows;
   const bool kept_empty_computed = before.signature.output_empty_computed;
-  r->text = std::move(rebuilt.text);
   r->fingerprint = rebuilt.fingerprint;
   // The new text's signature is already interned; only the output part
-  // needs setting.
+  // needs setting. Re-pointing the statement re-points `text`.
   r->set_statement(std::move(rebuilt.statement_));
   if (r->summary.column_names.empty()) {
     SetOutputSignature(r, std::move(kept_rows), kept_empty_computed);
@@ -523,6 +546,14 @@ Status QueryStore::SyncOutputSignature(QueryId id) {
     for (StoreListener* l : listeners_) l->OnSyncOutputSignature(id);
     MutationTick();
   }
+  return Status::Ok();
+}
+
+Status QueryStore::ShareRunStrings(QueryId id) {
+  QueryRecord* r = GetMutable(id);
+  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
+  auto entry = EntryOf(r->statement());
+  if (entry != statements_.end()) ShareRunStrings(r, &entry->second);
   return Status::Ok();
 }
 

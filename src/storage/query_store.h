@@ -68,18 +68,18 @@ class QueryStore {
   /// once. Returns the id.
   QueryId Append(QueryRecord record);
 
-  /// Points `record` at a live statement whose text is exactly
-  /// `record->text`, and sets the record's fingerprint, so the run skips
-  /// the parse, canonicalization, components and interning that
-  /// BuildRecordFromText would redo. Only a statement that parsed and
-  /// carries an interned signature qualifies, never a text-only one. Any
-  /// such statement will do: only its text-derived fields are reused,
-  /// and Append folds in the record's own output part (cloning the
-  /// statement only when that part differs). Returns false, leaving the
-  /// record as it was, when none is live; the caller then derives the
-  /// statement. Counts a reuse or a derivation under `path`. Writer
-  /// thread only.
-  bool ShareLiveStatement(QueryRecord* record, StatementPath path) const;
+  /// Points `record` at a live statement whose text is exactly `text`,
+  /// and sets the record's fingerprint, so the run skips the parse,
+  /// canonicalization, components and interning that BuildRecordFromText
+  /// would redo. Only a statement that parsed and carries an interned
+  /// signature qualifies, never a text-only one. Any such statement will
+  /// do: only its text-derived fields are reused, and Append folds in the
+  /// record's own output part (cloning the statement only when that part
+  /// differs). Returns false, leaving the record as it was, when none is
+  /// live; the caller then derives the statement. Counts a reuse or a
+  /// derivation under `path`. Writer thread only.
+  bool ShareLiveStatement(std::string_view text, QueryRecord* record,
+                          StatementPath path) const;
 
   /// A record of `text` by `user` at `timestamp` whose statement is a
   /// live one (ShareLiveStatement) or, for a text no live statement has,
@@ -222,6 +222,15 @@ class QueryStore {
   /// directly, or the columnar copy goes stale.
   Status SyncOutputSignature(QueryId id);
 
+  /// Points the error and plan of `id` at the copies the runs of its
+  /// statement already share, where they are equal; otherwise its own
+  /// become the ones later runs share. Every path that stores or
+  /// re-points a record does this itself; callers that replace a
+  /// record's stats in place through GetMutable (maintenance stats
+  /// refresh) call it after the edit. An in-place stats edit is
+  /// refreshable state, so no listener fires (see StoreListener).
+  Status ShareRunStrings(QueryId id);
+
   /// Restore-grade variant for WAL replay: sets the output-derived
   /// signature fields directly — the summary they were computed from is
   /// not persisted — and re-points the record like SyncOutputSignature.
@@ -330,16 +339,36 @@ class QueryStore {
   /// like record mutations do.
   class AclViewTick;
 
+  /// One live distinct Statement; its records are
+  /// postings_.records_of[id]. `error` and `plan` are the copies its
+  /// runs share (ShareRunStrings): the last non-empty value a run of
+  /// the statement stored.
+  struct StatementEntry {
+    std::shared_ptr<Statement> statement;
+    StatementId id = 0;
+    SharedString error;
+    SharedString plan;
+  };
+  /// See statements_.
+  using SharingTable =
+      std::unordered_multimap<std::string_view, StatementEntry>;
+
   /// Shared tail of Append / RestoreAppend (and so of WAL replay and
   /// follower apply): assigns the id, points the record at the shared
-  /// equal Statement (ShareStatement), stores it and rebuilds every
-  /// derived structure from it.
+  /// equal Statement (ShareStatement) and at its owner's copy of the
+  /// owner name, stores it and rebuilds every derived structure from it.
   QueryId FinishAppend(QueryRecord record);
   /// Points `record` at the live Statement equal to its own, or enters
   /// its own into the sharing table (with a fresh id, indexed) when
   /// there is none; adds the record to the statement's records and
-  /// popularity count. Returns the statement's id.
+  /// popularity count, and shares the statement's run strings
+  /// (ShareRunStrings). Returns the statement's id.
   StatementId ShareStatement(QueryRecord* record);
+  /// The sharing-table entry holding exactly `statement`, or end().
+  SharingTable::iterator EntryOf(const Statement& statement);
+  /// Points `record`'s error and plan at `entry`'s copies where equal;
+  /// a non-empty value that differs becomes the entry's copy.
+  static void ShareRunStrings(QueryRecord* record, StatementEntry* entry);
   /// Re-shares live record `record` after an edit moved it off `before`,
   /// the statement it held: removes it from `before`'s records (when it
   /// was the last one, unindexes the statement, frees its id and drops
@@ -388,31 +417,14 @@ class QueryStore {
   db::Table* predicates_table_ = nullptr;
   Micros max_timestamp_ = 0;
 
-  /// One live distinct Statement; its records are
-  /// postings_.records_of[id].
-  struct StatementEntry {
-    std::shared_ptr<Statement> statement;
-    StatementId id = 0;
-  };
-  /// Buckets by text, so ShareLiveStatement finds a text's statements
-  /// in one bucket; equality is exact field equality (Statement::
-  /// operator==), short-cut when both sides are the same object.
-  struct StatementHash {
-    size_t operator()(const Statement* s) const {
-      return std::hash<std::string_view>()(s->text);
-    }
-  };
-  struct StatementEqual {
-    bool operator()(const Statement* a, const Statement* b) const {
-      return a == b || *a == *b;
-    }
-  };
-  /// The sharing table: every live record's Statement, keyed by the
-  /// entry's own pointer. Published views may still hold statements
+  /// The sharing table: every live record's Statement, keyed by its
+  /// text (a view of the entry's own statement's text), so
+  /// ShareLiveStatement finds a text's statements without building one.
+  /// Statements with one text but different output parts are separate
+  /// entries; ShareStatement tells them apart by exact field equality
+  /// (Statement::operator==). Published views may still hold statements
   /// whose entry is gone (their records keep them alive).
-  std::unordered_map<const Statement*, StatementEntry, StatementHash,
-                     StatementEqual>
-      statements_;
+  SharingTable statements_;
   /// Ids of released statements, reused (last freed first) before new
   /// ids are minted.
   std::vector<StatementId> free_statement_ids_;

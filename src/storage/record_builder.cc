@@ -32,7 +32,6 @@ void ComputeSimilaritySignature(QueryRecord* record, SignatureMode mode) {
                                             : TransientSymbol(interner, s);
   };
   Statement* statement = record->MutableStatement();
-  statement->text = record->text;
   SimilaritySignature sig;
 
   if (statement->text_parses) {
@@ -57,7 +56,7 @@ void ComputeSimilaritySignature(QueryRecord* record, SignatureMode mode) {
     SortUnique(&sig.projections);
   }
 
-  std::vector<std::string> words = ExtractWords(record->text);
+  std::vector<std::string> words = ExtractWords(statement->text);
   sig.text_tokens.reserve(words.size());
   for (const std::string& w : words) sig.text_tokens.push_back(sym(w));
   SortUnique(&sig.text_tokens);
@@ -112,10 +111,10 @@ QueryRecord BuildRecordFromTree(std::string text, std::string user,
                                 Micros timestamp, ParsedTree parsed,
                                 SignatureMode mode) {
   QueryRecord record;
-  record.text = std::move(text);
   record.user = std::move(user);
   record.timestamp = timestamp;
   Statement* statement = record.MutableStatement();
+  statement->text = std::move(text);
 
   if (parsed.ok()) {
     std::shared_ptr<const sql::SelectStatement> ast =

@@ -58,11 +58,10 @@ QueryRecord BuildRecordFromTree(std::string text, std::string user,
                                 Micros timestamp, ParsedTree parsed,
                                 SignatureMode mode = SignatureMode::kInterned);
 
-/// (Re)computes the signature of `record`'s statement from the record's
-/// text, the statement's components and the record's output summary.
+/// (Re)computes the signature of `record`'s statement from the
+/// statement's text and components and the record's output summary.
 /// Idempotent; called by BuildRecordFromText and by QueryStore::Append
-/// (for hand-built or transient-signature records). A hand-built record's
-/// statement takes the record's text.
+/// (for hand-built or transient-signature records).
 void ComputeSimilaritySignature(QueryRecord* record,
                                 SignatureMode mode = SignatureMode::kInterned);
 

@@ -235,18 +235,43 @@ struct StatementTable {
   std::vector<uint32_t> first_use;
 };
 
-/// Deduplicates statements by the bytes EncodeStatement writes. The map
-/// holds a hash per entry, not the entry: a hash match is confirmed by
-/// matching the entry's first record against the candidate's bytes, so
-/// the table's memory stays a few words per record.
+/// True when EncodeStatement writes equal bytes for `a` and `b`, two
+/// records holding one Statement: the fields it writes that can differ
+/// under one statement are equal. The shared strings usually compare by
+/// address.
+bool SameEntryFields(const QueryRecord& a, const QueryRecord& b) {
+  return a.stats.result_rows == b.stats.result_rows &&
+         a.stats.rows_scanned == b.stats.rows_scanned &&
+         a.stats.succeeded == b.stats.succeeded &&
+         a.stats.error == b.stats.error && a.stats.plan == b.stats.plan &&
+         a.fingerprint == b.fingerprint;
+}
+
+/// Deduplicates statements by the bytes EncodeStatement writes. A record
+/// whose Statement object last used an entry whose first record has the
+/// same entry fields (SameEntryFields) reuses it without being encoded.
+/// Any other record is encoded and hashed; the map holds a hash per
+/// entry, not the entry: a hash match is confirmed by matching the
+/// entry's first record against the candidate's bytes, so the table's
+/// memory stays a few words per record.
 template <typename Source>  // QueryStore or ReadViewState
 StatementTable BuildStatementTable(const Source& store) {
   const RecordLog& records = store.records();
   StatementTable table;
   table.entry_of.reserve(records.size());
   std::unordered_multimap<size_t, uint32_t> entries_by_hash;
+  std::unordered_map<const Statement*, uint32_t> last_entry_of;
   BinaryWriter bytes;
   for (size_t i = 0; i < records.size(); ++i) {
+    uint32_t& last = last_entry_of
+                         .try_emplace(&records[i].statement(),
+                                      static_cast<uint32_t>(-1))
+                         .first->second;
+    if (last != static_cast<uint32_t>(-1) &&
+        SameEntryFields(records[table.first_use[last]], records[i])) {
+      table.entry_of.push_back(last);
+      continue;
+    }
     bytes.Clear();
     EncodeStatement(&bytes, records[i]);
     const size_t hash = std::hash<std::string_view>()(bytes.data());
@@ -265,6 +290,7 @@ StatementTable BuildStatementTable(const Source& store) {
       entries_by_hash.emplace(hash, entry);
     }
     table.entry_of.push_back(entry);
+    last = entry;
   }
   return table;
 }
@@ -505,10 +531,9 @@ Status DecodeSignature(BinaryReader* r, uint8_t bits, const SymbolRemap& remap,
   return Status::Ok();
 }
 
-/// The raw text, into `out` and its (unshared) statement.
+/// The raw text, into the (unshared) statement of `out`.
 void DecodeText(BinaryReader* r, QueryRecord* out) {
-  out->text = r->GetString();
-  out->MutableStatement()->text = out->text;
+  out->MutableStatement()->text = r->GetString();
 }
 
 /// A version-2 or version-3 record: every field inline. Each record gets
@@ -534,7 +559,8 @@ Status DecodeWholeRecord(BinaryReader* r, uint32_t version,
 
 /// A version-4 statement entry, decoded into a record that carries only
 /// the entry's fields; every record referencing the entry starts as a
-/// copy of it, so all of them hold the entry's one Statement.
+/// copy of it, so all of them hold the entry's one Statement and its
+/// one copy of the error and the plan.
 Status DecodeStatement(BinaryReader* r, const SymbolRemap& remap,
                        QueryRecord* out, const std::string& path) {
   uint8_t bits = r->GetU8();

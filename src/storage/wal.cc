@@ -198,7 +198,7 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
         // or unparsable text that BuildRecordFromText degraded); Append
         // computes the signature exactly as it did originally. Such
         // records never carry an output summary.
-        record.text = std::move(text);
+        record.MutableStatement()->text = std::move(text);
         record.user = std::move(user);
         record.timestamp = ts;
         record.session_id = session;

@@ -176,7 +176,7 @@ TEST_F(AssistFixture, PredicateRelaxationForEmptyResults) {
 }
 
 TEST_F(AssistFixture, RecommendationsRankSimilarLoggedQueries) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs = engine.Recommend(
       "alice",
       "SELECT T.temp FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x",
@@ -186,12 +186,12 @@ TEST_F(AssistFixture, RecommendationsRankSimilarLoggedQueries) {
   // The top recommendation is a correlate-template query.
   const storage::QueryRecord* top = h_->store.Get((*recs)[0].id);
   ASSERT_NE(top, nullptr);
-  EXPECT_NE(top->text.find("WaterSalinity"), std::string::npos);
+  EXPECT_NE(top->text->find("WaterSalinity"), std::string::npos);
   EXPECT_FALSE((*recs)[0].diff.empty());
 }
 
 TEST_F(AssistFixture, RecommendationsDeduplicateByFingerprint) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   // Log the same query many times.
   for (int i = 0; i < 5; ++i) h_->Log("alice", "SELECT lake FROM WaterTemp");
   auto recs = engine.Recommend("alice", "SELECT lake FROM WaterTemp", 10);
@@ -208,7 +208,7 @@ TEST_F(AssistFixture, RecommendationCarriesAnnotation) {
   QueryId id = h_->Log("alice", "SELECT lake, temp FROM WaterTemp WHERE temp < 14");
   ASSERT_TRUE(
       h_->store.Annotate(id, {"alice", 0, "cold-water probe", ""}).ok());
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs =
       engine.Recommend("alice", "SELECT lake, temp FROM WaterTemp WHERE temp < 13", 1);
   ASSERT_TRUE(recs.ok());
@@ -223,7 +223,7 @@ TEST_F(AssistFixture, SessionPatternRestrictionFiltersStrangers) {
 
   RecommendOptions opts;
   opts.restrict_to_similar_sessions = true;
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs = engine.Recommend("alice", "SELECT sensor_id FROM Sensors", 5, opts);
   ASSERT_TRUE(recs.ok());
   for (const auto& r : *recs) {
@@ -232,7 +232,7 @@ TEST_F(AssistFixture, SessionPatternRestrictionFiltersStrangers) {
 }
 
 TEST_F(AssistFixture, RecommendationRequiresParsableProbe) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   EXPECT_FALSE(engine.Recommend("alice", "SELEKT", 3).ok());
 }
 

@@ -904,6 +904,80 @@ TEST(SnapshotV2Test, RestoreSharesOneStatementPerDistinctStatement) {
   EXPECT_TRUE(again == image) << "the restored store encodes differently";
 }
 
+// A restore holds one copy of each repeated string, as the store that
+// saved the image did: a format-4 record starts as a copy of its entry,
+// and a format-3 record (the checked-in fixture) takes the copy an
+// earlier run of its statement, or of its owner, holds.
+TEST(RunStringSharingTest, RestoredRunsHoldOneCopyOfEachString) {
+  QueryStore built;
+  BuildCompatLog(&built);
+  const testing_util::SharedRepeats expected =
+      testing_util::ExpectOneCopyPerRepeatedString(built);
+  EXPECT_GT(expected.plans, 0u);
+  EXPECT_GT(expected.errors, 0u);
+  EXPECT_GT(expected.owners, 0u);
+
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(built, 0, &image).ok());
+  for (const std::string& saved : {image, V3FixtureImage()}) {
+    QueryStore loaded;
+    ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, saved, "strings").ok());
+    const testing_util::SharedRepeats repeats =
+        testing_util::ExpectOneCopyPerRepeatedString(loaded);
+    EXPECT_EQ(repeats.plans, expected.plans) << "format " << int{saved[8]};
+    EXPECT_EQ(repeats.errors, expected.errors) << "format " << int{saved[8]};
+    EXPECT_EQ(repeats.owners, expected.owners) << "format " << int{saved[8]};
+  }
+}
+
+// The encoder reuses the entry a record's Statement last used when the
+// entry fields that can differ under one statement are equal, and
+// encodes the record otherwise. Runs of one statement that differ in
+// exactly one of those fields from the run before them must still get
+// the entries the byte comparison gives: one per distinct run, numbered
+// by first use.
+TEST(SnapshotV2Test, EntryReuseMatchesTheByteComparison) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  QueryStore store;
+  auto append = [&](const std::function<void(QueryRecord*)>& edit) {
+    QueryRecord r = BuildRecordFromText(sql, "alice", 1);
+    r.stats.result_rows = 3;
+    r.stats.rows_scanned = 60;
+    r.stats.plan = "scan watertemp (60 rows)";
+    edit(&r);
+    store.Append(std::move(r));
+  };
+  const std::vector<std::function<void(QueryRecord*)>> differences = {
+      [](QueryRecord* r) { r->stats.plan = "scan watertemp (80 rows)"; },
+      [](QueryRecord* r) { r->stats.result_rows = 4; },
+      [](QueryRecord* r) { r->stats.rows_scanned = 80; },
+      [](QueryRecord* r) { r->stats.succeeded = false; },
+      [](QueryRecord* r) { r->stats.error = "ExecutionError: overflow"; },
+      [](QueryRecord* r) { r->fingerprint += 1; },
+  };
+  auto base = [](QueryRecord*) {};
+  append(base);
+  append(base);
+  std::vector<uint64_t> expected = {0, 0};
+  for (size_t i = 0; i < differences.size(); ++i) {
+    append(differences[i]);
+    append(base);
+    expected.push_back(i + 1);
+    expected.push_back(0);
+  }
+  ASSERT_EQ(store.statement_count(), 1u);
+
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+  EXPECT_EQ(RecordEntries(image), expected);
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, image, "entries").ok());
+  ExpectRestoredLog(store, loaded);
+  std::string again;
+  ASSERT_TRUE(EncodeSnapshotV2(loaded, 0, &again).ok());
+  EXPECT_TRUE(again == image) << "the restored store encodes differently";
+}
+
 // Snapshots and the WAL persist a record's output-row hashes but not its
 // output summary. A rewrite (query repair) keeps the summary, so it must
 // keep the hashes of a restored record too: the same rewrite before and
@@ -1331,6 +1405,26 @@ TEST(WalTest, ReplayOfRepeatedStatementsDerivesEachTextOnce) {
   ASSERT_TRUE(EncodeSnapshotV2(h.store, 0, &primary_image).ok());
   ASSERT_TRUE(EncodeSnapshotV2(h2.store, 0, &replayed_image).ok());
   EXPECT_TRUE(primary_image == replayed_image);
+}
+
+TEST(RunStringSharingTest, ReplayedRunsHoldOneCopyOfEachString) {
+  const std::string dir = TempPath("cqms_wal_run_strings");
+  RemoveDurableFiles(dir);
+  Harness h(30);
+  {
+    DurableStore durable(&h.store, dir);
+    ASSERT_TRUE(durable.Open().ok());
+    testing_util::LogRepeatedRuns(&h);
+  }
+  Harness replayed(30);
+  DurableStore recovered(&replayed.store, dir);
+  ASSERT_TRUE(recovered.Open().ok());
+  ASSERT_EQ(replayed.store.size(), 12u);
+  const testing_util::SharedRepeats repeats =
+      testing_util::ExpectOneCopyPerRepeatedString(replayed.store);
+  EXPECT_EQ(repeats.plans, 3u);
+  EXPECT_EQ(repeats.errors, 6u);
+  EXPECT_EQ(repeats.owners, 10u);
 }
 
 TEST(WalTest, TornInitialHeaderRecoversToEmpty) {

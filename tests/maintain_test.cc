@@ -199,6 +199,49 @@ TEST(MaintenanceTest, DataDriftFlagsAndRefreshesStats) {
   EXPECT_GT(h.store.Get(id)->stats.rows_scanned, 0u);
 }
 
+// A refresh gives the record it re-executes a plan of its own; the other
+// runs of the statement, and a view pinned before the refresh, keep the
+// copy they share. A later refresh to an equal plan shares the new copy.
+TEST(MaintenanceTest, RefreshedPlanIsSharedOnlyByEqualRuns) {
+  Harness h(50);
+  const std::string sql = "SELECT lake, temp FROM WaterTemp WHERE temp < 18 LIMIT 5";
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(h.Log("u", sql));
+  h.store.EnableViews();
+  MaintenanceOptions opts;
+  opts.drift_threshold = 0.2;
+  opts.reexecute_budget = 1;
+  QueryMaintenance maintenance(&h.database, &h.store, &h.clock, opts);
+  maintenance.RefreshStatistics();  // baseline
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(h.database
+                    .Insert("WaterTemp", {db::Value::String("Union"),
+                                          db::Value::Int(1), db::Value::Int(1),
+                                          db::Value::Double(95.0)})
+                    .ok());
+  }
+  const std::string* old_plan = &h.store.Get(ids[0])->stats.plan.str();
+  const std::string old_text = *old_plan;
+  ASSERT_EQ(&h.store.Get(ids[2])->stats.plan.str(), old_plan);
+  std::shared_ptr<const storage::ReadViewState> pinned = h.store.SharedView();
+
+  ASSERT_EQ(maintenance.RefreshStatistics().stats_refreshed, 1u);
+  const storage::QueryRecord* refreshed = h.store.Get(ids[0]);
+  EXPECT_NE(refreshed->stats.plan, old_text);
+  for (QueryId id : {ids[1], ids[2]}) {
+    EXPECT_EQ(&h.store.Get(id)->stats.plan.str(), old_plan) << id;
+  }
+  EXPECT_EQ(&pinned->Get(ids[0])->stats.plan.str(), old_plan);
+  EXPECT_EQ(pinned->Get(ids[0])->stats.plan, old_text);
+
+  // The next cycle refreshes the second run, still flagged stale.
+  ASSERT_EQ(maintenance.RefreshStatistics().stats_refreshed, 1u);
+  EXPECT_EQ(h.store.Get(ids[1])->stats.plan, refreshed->stats.plan);
+  EXPECT_EQ(&h.store.Get(ids[1])->stats.plan.str(),
+            &h.store.Get(ids[0])->stats.plan.str());
+  EXPECT_EQ(&h.store.Get(ids[2])->stats.plan.str(), old_plan);
+}
+
 TEST(MaintenanceTest, ReexecuteBudgetIsHonored) {
   Harness h(30);
   for (int i = 0; i < 5; ++i) {

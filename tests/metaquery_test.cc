@@ -257,7 +257,7 @@ TEST_F(MetaQueryFixture, KnnRespectsAclAndFlags) {
 TEST_F(MetaQueryFixture, KnnUnparsableProbeFails) {
   // A similarity request takes a built probe; the text entry point that
   // builds one refuses text that does not parse.
-  assist::RecommendationEngine engine(&h_->store, nullptr);
+  assist::RecommendationEngine engine(&h_->store);
   EXPECT_EQ(engine.Recommend("alice", "SELEKT", 3).status().code(),
             StatusCode::kParseError);
 }

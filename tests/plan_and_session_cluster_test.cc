@@ -65,7 +65,7 @@ TEST(PlanCaptureTest, ProfilerStoresAndPersistsPlan) {
       "alice", "SELECT * FROM WaterTemp T, WaterSalinity S "
                "WHERE T.loc_x = S.loc_x AND T.temp < 18");
   const storage::QueryRecord* rec = h.store.Get(id);
-  EXPECT_NE(rec->stats.plan.find("hash join"), std::string::npos);
+  EXPECT_NE(rec->stats.plan->find("hash join"), std::string::npos);
 
   // Shows up in the browse details.
   std::string details = client::RenderQueryDetails(h.store, id);

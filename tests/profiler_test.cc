@@ -125,7 +125,7 @@ TEST(ProfilerTest, FailedQueriesAreLoggedWithError) {
   ASSERT_NE(e.query_id, storage::kInvalidQueryId);
   const storage::QueryRecord* r = h.store.Get(e.query_id);
   EXPECT_FALSE(r->stats.succeeded);
-  EXPECT_NE(r->stats.error.find("BindError"), std::string::npos);
+  EXPECT_NE(r->stats.error->find("BindError"), std::string::npos);
 }
 
 TEST(ProfilerTest, FailedLoggingCanBeDisabled) {

@@ -312,6 +312,74 @@ TEST(StatementSharingTest, MutatorsRepointOnlyTheRecordTheyTouch) {
   EXPECT_EQ(GaugeValue("cqms_store_statements"), 3);
 }
 
+// --- per-run strings ----------------------------------------------------------
+
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+// A record holds only what differs between runs of its statement: the
+// text is a handle on the statement's, and the owner, error and plan
+// point at shared copies. Own copies of the four strings would not fit.
+TEST(RunStringSharingTest, RecordIsAtMost256Bytes) {
+  EXPECT_LE(sizeof(QueryRecord), 256u);
+}
+#endif
+
+TEST(RunStringSharingTest, ProfiledRunsHoldOneCopyOfEachString) {
+  Harness h;
+  testing_util::LogRepeatedRuns(&h);
+  ASSERT_EQ(h.store.size(), 12u);
+  ASSERT_FALSE(h.store.Get(0)->stats.plan.empty());
+  ASSERT_FALSE(h.store.Get(1)->stats.error.empty());
+  ASSERT_TRUE(h.store.Get(2)->parse_failed());
+  const testing_util::SharedRepeats repeats =
+      testing_util::ExpectOneCopyPerRepeatedString(h.store);
+  EXPECT_EQ(repeats.plans, 3u);
+  EXPECT_EQ(repeats.errors, 6u);
+  EXPECT_EQ(repeats.owners, 10u);
+}
+
+TEST(RunStringSharingTest, LoggedOnlyRunsHoldOneCopyOfEachString) {
+  Harness h;
+  for (int i = 0; i < 4; ++i) {
+    const std::string user = i % 2 == 0 ? "alice" : "bob";
+    h.profiler->LogOnly("SELECT lake FROM WaterTemp WHERE temp < 18", user);
+    h.profiler->LogOnly("SELEKT lake FROM WaterTemp", user);
+  }
+  ASSERT_FALSE(h.store.Get(1)->stats.error.empty());
+  const testing_util::SharedRepeats repeats =
+      testing_util::ExpectOneCopyPerRepeatedString(h.store);
+  EXPECT_EQ(repeats.errors, 3u);
+  EXPECT_EQ(repeats.owners, 6u);
+}
+
+TEST(RunStringSharingTest, RewriteRepointsTheText) {
+  const std::string sql = "SELECT temp FROM WaterTemp WHERE temp < 18";
+  const std::string repaired = "SELECT temp FROM LakeTemp WHERE temp < 18";
+  QueryStore store;
+  const QueryId a = store.Append(BuildRecordFromText(sql, "alice", 1));
+  const QueryId b = store.Append(BuildRecordFromText(sql, "bob", 2));
+  ASSERT_TRUE(store.RewriteQueryText(a, repaired).ok());
+  EXPECT_EQ(store.Get(a)->text, repaired);
+  EXPECT_EQ(&store.Get(a)->text.str(), &store.Get(a)->statement().text);
+  EXPECT_EQ(store.Get(b)->text, sql);
+  EXPECT_EQ(&store.Get(b)->text.str(), &store.Get(b)->statement().text);
+}
+
+// A copy holds the statement and the shared strings it reads, so it
+// stays whole after the store that made it is gone (run under ASan).
+TEST(RunStringSharingTest, RecordCopyOutlivesItsStore) {
+  const std::string sql = "SELECT lake, temp FROM WaterTemp WHERE temp < 18 LIMIT 5";
+  QueryRecord copy;
+  {
+    Harness h;
+    testing_util::LogRepeatedRuns(&h);
+    copy = *h.store.Get(3);
+  }
+  EXPECT_EQ(copy.text, sql);
+  EXPECT_EQ(copy.user, "bob");
+  EXPECT_NE(copy.stats.plan->find("limit 5"), std::string::npos);
+  EXPECT_EQ(copy.components->tables, (std::vector<std::string>{"watertemp"}));
+}
+
 TEST(PersistenceTest, SaveLoadRoundTrip) {
   QueryStore store;
   store.acl().AddUser("alice", {"oceans", "lakes"});
@@ -731,28 +799,29 @@ TEST(LiveStatementTest, TakesOnlyAParsedStatementOfTheExactText) {
   QueryStore store;
   const PathCounts before = CountsOf("log_only");
   QueryRecord probe;
-  probe.text = sql;
-  EXPECT_FALSE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+  EXPECT_FALSE(store.ShareLiveStatement(sql, &probe, StatementPath::kLogOnly));
 
   // A text-only run of the text (kTextOnly) holds a statement that is not
   // known to parse: never taken.
   QueryRecord text_only;
-  text_only.text = sql;
+  text_only.MutableStatement()->text = sql;
   text_only.user = "alice";
   store.Append(std::move(text_only));
   ASSERT_TRUE(store.Get(0)->parse_failed());
   ASSERT_TRUE(store.Get(0)->statement().signature.valid);
-  EXPECT_FALSE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+  EXPECT_FALSE(store.ShareLiveStatement(sql, &probe, StatementPath::kLogOnly));
   EXPECT_TRUE(probe.parse_failed());
   EXPECT_EQ(probe.fingerprint, 0u);
 
   const QueryId parsed = store.Append(BuildRecordFromText(sql, "bob", 2));
   // Same canonical form, other text: not the exact text.
   QueryRecord other;
-  other.text = "select temp from WaterTemp where temp < 18";
-  EXPECT_FALSE(store.ShareLiveStatement(&other, StatementPath::kLogOnly));
+  EXPECT_FALSE(store.ShareLiveStatement(
+      "select temp from WaterTemp where temp < 18", &other,
+      StatementPath::kLogOnly));
 
-  ASSERT_TRUE(store.ShareLiveStatement(&probe, StatementPath::kLogOnly));
+  ASSERT_TRUE(store.ShareLiveStatement(sql, &probe, StatementPath::kLogOnly));
+  EXPECT_EQ(probe.text, sql);
   EXPECT_EQ(&probe.statement(), &store.Get(parsed)->statement());
   EXPECT_EQ(probe.fingerprint, store.Get(parsed)->fingerprint);
   const PathCounts after = CountsOf("log_only");

@@ -1,8 +1,12 @@
 #ifndef CQMS_TESTS_TEST_UTIL_H_
 #define CQMS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/clock.h"
 #include "db/database.h"
@@ -63,6 +67,63 @@ inline PathCounts CountsOf(const std::string& path) {
   const std::string tag = "{path=\"" + path + "\"}";
   return {reg.GetCounter("cqms_statement_derivations_total" + tag)->value(),
           reg.GetCounter("cqms_statement_reuses_total" + tag)->value()};
+}
+
+/// Logs four runs each of a statement that succeeds, one that fails to
+/// execute and one that does not parse, through `h`'s profiler; the
+/// owners alternate between alice and bob. Each run executes on the same
+/// data, so the runs of a statement repeat its plan or error, and a
+/// result of five rows fits any summary budget (the runs of a statement
+/// share one Statement).
+inline void LogRepeatedRuns(Harness* h) {
+  for (int i = 0; i < 4; ++i) {
+    const std::string user = i % 2 == 0 ? "alice" : "bob";
+    h->Log(user, "SELECT lake, temp FROM WaterTemp WHERE temp < 18 LIMIT 5");
+    h->Log(user, "SELECT nope FROM Missing");
+    h->Log(user, "SELEKT lake FROM WaterTemp");
+  }
+}
+
+/// How many records read a repeated string from a copy an earlier record
+/// holds (see ExpectOneCopyPerRepeatedString).
+struct SharedRepeats {
+  size_t errors = 0;
+  size_t plans = 0;
+  size_t owners = 0;
+};
+
+/// Expects every record of `source` (a QueryStore or a ReadViewState) to
+/// read its text from its own Statement, every two runs of one Statement
+/// with an equal non-empty error or plan to hold one copy of it, and
+/// every two records of one owner to hold one copy of the owner name,
+/// all compared by address. Returns how many records found an earlier
+/// copy, so a test can require that its log repeats each string.
+template <typename Source>
+SharedRepeats ExpectOneCopyPerRepeatedString(const Source& source) {
+  using StatementValue = std::pair<const storage::Statement*, std::string>;
+  std::map<StatementValue, const std::string*> errors;
+  std::map<StatementValue, const std::string*> plans;
+  std::map<std::string, const std::string*> owners;
+  SharedRepeats repeats;
+  auto check = [](auto* copies, auto key, const SharedString& value,
+                  size_t* count, const char* field, storage::QueryId id) {
+    if (value.empty()) return;
+    auto [it, first] = copies->emplace(std::move(key), &value.str());
+    if (first) return;
+    ++*count;
+    EXPECT_EQ(it->second, &value.str())
+        << "record " << id << " holds a second copy of its " << field
+        << " '" << value << "'";
+  };
+  for (const storage::QueryRecord& r : source.records()) {
+    EXPECT_EQ(&r.text.str(), &r.statement().text) << "record " << r.id;
+    check(&errors, StatementValue(&r.statement(), r.stats.error),
+          r.stats.error, &repeats.errors, "error", r.id);
+    check(&plans, StatementValue(&r.statement(), r.stats.plan), r.stats.plan,
+          &repeats.plans, "plan", r.id);
+    check(&owners, r.user.str(), r.user, &repeats.owners, "owner", r.id);
+  }
+  return repeats;
 }
 
 }  // namespace cqms::testing_util
