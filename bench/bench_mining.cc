@@ -104,22 +104,21 @@ BENCHMARK(BM_FullMiningCycle)->Arg(1000)->Arg(5000)->ArgNames({"queries"});
 
 // Tentpole headline (§4.3/§4.4): the cost of absorbing a ~1% append
 // delta into every mining output — full from-scratch RunAll vs the
-// delta-aware refresh (tail-resumed sessions, in-place popularity and
-// transaction updates, persistent DistanceCache). One warm miner per
-// (size, mode); each iteration appends the delta off the clock, then
-// times the refresh. The log grows ~1% per iteration in both modes, so
-// the full/incremental ratio stays honest.
+// delta-aware MaybeRefresh (tail-resumed sessions, in-place popularity
+// and transaction updates, distances copied from the retained matrix).
+// One warm miner per (size, mode); each iteration appends the delta off
+// the clock, then times the refresh. The log grows ~1% per iteration in
+// both modes, so the full/incremental ratio stays honest.
 struct RefreshFixture {
   bench::LogFixture log;
   miner::QueryMiner miner;
   workload::WorkloadOptions delta_options;
   uint64_t delta_seed = 10'000;
 
-  explicit RefreshFixture(size_t queries, bool incremental)
+  explicit RefreshFixture(size_t queries)
       : log(queries), miner(&log.store, &log.clock, [&] {
           miner::QueryMinerOptions options;
           options.refresh_threshold = 1;
-          options.incremental = incremental;
           // Measure the steady-state incremental cost; the escape-hatch
           // rebuild would make one iteration pay the full price.
           options.full_rebuild_interval = 0;
@@ -143,7 +142,7 @@ RefreshFixture& GetRefreshFixture(size_t queries, bool incremental) {
   auto key = std::make_pair(queries, incremental);
   auto it = cache->find(key);
   if (it == cache->end()) {
-    it = cache->emplace(key, new RefreshFixture(queries, incremental)).first;
+    it = cache->emplace(key, new RefreshFixture(queries)).first;
   }
   return *it->second;
 }
@@ -157,15 +156,18 @@ void BM_MinerRefresh(benchmark::State& state) {
     state.PauseTiming();
     f.AppendDelta();
     state.ResumeTiming();
-    bool ran = f.miner.MaybeRefresh();
-    benchmark::DoNotOptimize(ran);
+    if (incremental) {
+      bool ran = f.miner.MaybeRefresh();
+      benchmark::DoNotOptimize(ran);
+    } else {
+      f.miner.RunAll();
+    }
   }
   const miner::MinerRefreshStats& stats = f.miner.last_refresh_stats();
   state.counters["appended_per_iter"] =
       static_cast<double>(f.log.store.size() - before) /
       static_cast<double>(std::max<int64_t>(1, state.iterations()));
   state.counters["pairs_copied"] = static_cast<double>(stats.pairs_copied);
-  state.counters["pairs_reused"] = static_cast<double>(stats.pairs_reused);
   state.counters["pairs_computed"] = static_cast<double>(stats.pairs_computed);
 }
 BENCHMARK(BM_MinerRefresh)
@@ -174,6 +176,25 @@ BENCHMARK(BM_MinerRefresh)
     ->Args({20000, 0})->Args({20000, 1})
     ->ArgNames({"queries", "incremental"})
     ->Unit(benchmark::kMillisecond);
+
+// The heap one miner holds after RunAll with default options on the 5k
+// log: the window is 2,000 records and sketch-pruned, so the retained
+// n^2 matrix (32 MB) is most of it. The byte count repeats to within a
+// kilobyte from run to run; it is what a long-lived miner (the
+// daemon's) keeps between mining cycles.
+void BM_MinerHeldHeap(benchmark::State& state) {
+  bench::LogFixture& f = bench::GetFixture(5000);
+  int64_t held = 0;
+  for (auto _ : state) {
+    const int64_t before = bench::HeapInUse();
+    miner::QueryMiner miner(&f.store, &f.clock);
+    miner.RunAll();
+    held = bench::HeapInUse() - before;
+    benchmark::DoNotOptimize(miner.clustering().num_clusters());
+  }
+  state.counters["held_heap_bytes"] = static_cast<double>(held);
+}
+BENCHMARK(BM_MinerHeldHeap)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Incremental maintenance (§4.3): MaybeRefresh below the threshold is a
 // cheap no-op; this is what a background timer pays almost every tick.

@@ -136,15 +136,17 @@ class Cqms {
   /// Delta-aware mining refresh: when the refresh threshold is met,
   /// folds the change feed accumulated since the last run into every
   /// mining output (sessions resume from the tail, popularity and
-  /// association transactions update in place, clustering reuses the
-  /// persistent distance cache) — see MiningStats() for what it did.
+  /// association transactions update in place, clustering copies the
+  /// distances of unchanged pairs from the previous run's matrix) — see
+  /// MiningStats() for what it did.
   bool MaybeRefreshMining() { return miner_.MaybeRefresh(); }
 
   const miner::QueryMiner& miner() const { return miner_; }
 
-  /// Delta sizes and distance-cache effectiveness of the last mining
-  /// run (operator telemetry: pairs_reused / pairs_enumerated is the
-  /// cache hit rate an append-heavy deployment should see near 1).
+  /// Delta sizes and distance reuse of the last mining run (operator
+  /// telemetry: an incremental refresh on an append-heavy deployment
+  /// should copy far more pairs than it computes; a full run copies
+  /// none).
   const miner::MinerRefreshStats& MiningStats() const {
     return miner_.last_refresh_stats();
   }

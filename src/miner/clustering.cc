@@ -30,43 +30,6 @@ std::vector<storage::MinHashSketch> BuildPruningIndex(
   return sketches;
 }
 
-/// The pair enumeration of a full build: below `sketch_prune_min_points`
-/// every (i, j < i) pair, otherwise only pairs co-bucketed by the
-/// BuildPruningIndex banding. The enumeration depends only on the
-/// records' current signatures — never on cache state — so a build
-/// scores the same pair set whatever the cache holds. `score(i, j)` must
-/// return the pair's distance; the matrix is initialized to 1.0
-/// (pruned) or 0.0 (exact) here.
-template <typename ScoreFn>
-void FillPairDistances(const std::vector<const storage::QueryRecord*>& records,
-                       size_t sketch_prune_min_points,
-                       std::vector<double>* data, ScoreFn score) {
-  const size_t n = records.size();
-  auto set_pair = [&](size_t i, size_t j) {
-    double d = score(i, j);
-    (*data)[i * n + j] = d;
-    (*data)[j * n + i] = d;
-  };
-  if (sketch_prune_min_points == 0 || n < sketch_prune_min_points) {
-    data->assign(n * n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) set_pair(i, j);
-    }
-    return;
-  }
-  data->assign(n * n, 1.0);
-  for (size_t i = 0; i < n; ++i) (*data)[i * n + i] = 0.0;
-  storage::LshIndex local({/*bands=*/32, /*rows=*/2});
-  std::vector<storage::MinHashSketch> sketches =
-      BuildPruningIndex(records, &local);
-  for (size_t i = 0; i < n; ++i) {
-    for (storage::QueryId j : local.Candidates(sketches[i])) {
-      size_t other = static_cast<size_t>(j);
-      if (other > i) set_pair(i, other);
-    }
-  }
-}
-
 std::vector<const storage::QueryRecord*> ResolveRecords(
     const storage::QueryStore& store,
     const std::vector<storage::QueryId>& ids) {
@@ -107,49 +70,23 @@ class ColumnarPairScorer {
 
 }  // namespace
 
-void CachedDistanceMatrix::BuildFull(const storage::QueryStore& store,
-                                     const std::vector<storage::QueryId>& ids,
-                                     const metaquery::SimilarityWeights& weights,
-                                     size_t sketch_prune_min_points,
-                                     DistanceCache* cache) {
-  n_ = ids.size();
-  pruned_ = !(sketch_prune_min_points == 0 || n_ < sketch_prune_min_points);
-  auto records = ResolveRecords(store, ids);
-  ColumnarPairScorer scorer(store, ids, records, weights);
-  FillPairDistances(
-      records, sketch_prune_min_points, &data_, [&](size_t i, size_t j) {
-        ++stats_.pairs_enumerated;
-        double d;
-        if (cache->Lookup(ids[i], ids[j], &d)) {
-          ++stats_.pairs_reused;
-          return d;
-        }
-        d = scorer.Distance(i, j);
-        cache->Insert(ids[i], ids[j], d);
-        ++stats_.pairs_computed;
-        return d;
-      });
-}
-
 CachedDistanceMatrix::CachedDistanceMatrix(
     const storage::QueryStore& store, const std::vector<storage::QueryId>& ids,
     const metaquery::SimilarityWeights& weights, size_t sketch_prune_min_points,
-    DistanceCache* cache, const RetainedMatrix* previous,
+    const RetainedMatrix* previous,
     const std::vector<storage::QueryId>& dirty) {
   n_ = ids.size();
   pruned_ = !(sketch_prune_min_points == 0 || n_ < sketch_prune_min_points);
   // The retained matrix is only a shortcut for pairs both builds score
-  // the same way: same enumeration mode, endpoints unchanged. Anything
-  // else falls back to the per-pair cache path.
-  if (previous == nullptr || !previous->valid || previous->pruned != pruned_) {
-    BuildFull(store, ids, weights, sketch_prune_min_points, cache);
-    return;
-  }
+  // the same way: same enumeration mode, endpoints unchanged. A matrix
+  // built in the other mode contributes nothing.
+  const size_t m = previous != nullptr && previous->pruned == pruned_
+                       ? previous->ids.size()
+                       : 0;
 
   // Position map: new index -> previous index for clean survivors, -1
   // for fresh or dirty ids. Both windows are ascending, so one merge
   // suffices; `dirty` is sorted for the same reason.
-  const size_t m = previous->ids.size();
   std::vector<int32_t> old_of(n_, -1);
   {
     size_t j = 0, d = 0;
@@ -188,24 +125,15 @@ CachedDistanceMatrix::CachedDistanceMatrix(
 
   // Score every pair touching a fresh/dirty id: the (fresh, clean)
   // pairs once from the fresh side, the (fresh, fresh) pairs deduped by
-  // index order. The enumeration predicate is exactly the full build's,
-  // so the scored-pair set — and with the shared kernel the values —
-  // match a from-scratch matrix bit for bit. Fresh computes are NOT
-  // written back to the cache here: the retained matrix carries them to
-  // the next refresh (where these ids are clean survivors and copy),
-  // and skipping ~hundreds of thousands of table probes per refresh is
-  // a measurable slice of the delta cost. The cache is (re)filled by
-  // full builds and consulted for window recompositions.
+  // index order. The enumeration predicate depends only on the records'
+  // current signatures, so the scored-pair set — and with the shared
+  // kernel the values — match a from-scratch matrix bit for bit. With
+  // nothing retained every id is fresh, and this visits exactly the
+  // (i, j > i) pairs the enumeration admits.
   ColumnarPairScorer scorer(store, ids, records, weights);
   auto score_pair = [&](size_t i, size_t j) {
-    ++stats_.pairs_enumerated;
-    double d;
-    if (!cache->Lookup(ids[i], ids[j], &d)) {
-      d = scorer.Distance(i, j);
-      ++stats_.pairs_computed;
-    } else {
-      ++stats_.pairs_reused;
-    }
+    double d = scorer.Distance(i, j);
+    ++stats_.pairs_computed;
     data_[i * n_ + j] = d;
     data_[j * n_ + i] = d;
   };

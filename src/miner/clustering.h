@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "metaquery/similarity.h"
-#include "miner/distance_cache.h"
 #include "storage/query_store.h"
 
 namespace cqms::miner {
@@ -58,49 +57,46 @@ class DistanceSource {
 /// window it was built over. Because the pair-scoring predicate is
 /// pairwise (two sketches co-bucket iff a band's slots agree — no other
 /// record matters), a pair of *unchanged* ids has exactly the same
-/// distance in any later window, so the next build can bulk-copy those
-/// rows instead of re-probing the cache pair by pair. The sparse
-/// DistanceCache stays the source of truth across arbitrary window
-/// recompositions (ids re-entering after deletions undo, rewrites);
-/// this is the contiguous fast path for the common sliding-window case.
+/// distance in any later window built in the same enumeration mode, so
+/// the next build bulk-copies those rows instead of re-scoring them.
+/// Empty (no ids) until the first build, and after QueryMiner::RunAll
+/// drops it.
 struct RetainedMatrix {
   std::vector<storage::QueryId> ids;  ///< Ascending (log order).
   std::vector<double> data;           ///< ids.size()^2, row-major.
   bool pruned = false;                ///< Which enumeration mode built it.
-  bool valid = false;
 };
 
-/// The miner's incremental-refresh matrix. Below
-/// `sketch_prune_min_points` every pair is scored exactly (dense O(n^2)
-/// over the precomputed signatures). At or above it, the records'
-/// MinHash sketches prune the pair enumeration: only pairs sharing at
-/// least one LSH band bucket are scored, and the rest are approximated
-/// by the maximal distance 1.0 — a conservative overestimate that only
-/// touches pairs the sketches already deem dissimilar, so threshold
-/// clustering and medoid selection are virtually unaffected while the
-/// scored-pair count drops from n^2 to near-linear on clustered logs.
-/// Each scored pair is served in preference order — bulk-copied from
-/// the retained previous matrix (both endpoints unchanged), looked up in
-/// the persistent DistanceCache, and only computed (then inserted) on a
-/// miss. On an append-heavy refresh nearly everything copies or hits,
-/// which is what turns the mining pass's per-run O(n^2) similarity bill
-/// into O(delta * avg_bucket).
+/// The miner's distance matrix. Below `sketch_prune_min_points` every
+/// pair is scored exactly (dense O(n^2) over the precomputed
+/// signatures). At or above it, the records' MinHash sketches prune the
+/// pair enumeration: only pairs sharing at least one LSH band bucket
+/// are scored, and the rest are approximated by the maximal distance
+/// 1.0 — a conservative overestimate that only touches pairs the
+/// sketches already deem dissimilar, so threshold clustering and medoid
+/// selection are virtually unaffected while the scored-pair count drops
+/// from n^2 to near-linear on clustered logs. A pair whose endpoints
+/// both survive unchanged from the retained previous matrix is
+/// bulk-copied from it; every other enumerated pair is computed. With
+/// no usable retained matrix every id is fresh and every enumerated
+/// pair computes, which is the full build. On an append-heavy refresh
+/// nearly everything copies, which is what turns the mining pass's
+/// per-run O(n^2) similarity bill into O(delta * avg_bucket).
 class CachedDistanceMatrix : public DistanceSource {
  public:
   struct BuildStats {
-    size_t pairs_enumerated = 0;  ///< Pairs individually scored this build.
-    size_t pairs_reused = 0;      ///< ... of those, served by cache hits.
-    size_t pairs_computed = 0;    ///< ... computed fresh (and cached).
-    size_t pairs_copied = 0;      ///< Pairs bulk-copied from the retained matrix.
+    size_t pairs_computed = 0;  ///< Pairs scored fresh this build.
+    size_t pairs_copied = 0;    ///< Pairs bulk-copied from the retained matrix.
   };
 
-  /// Reuse-aware build: `previous` may be null/invalid (full build);
-  /// `dirty` (sorted) lists ids whose signatures changed since
-  /// `previous` was built — their pairs are never copied.
+  /// `previous` may be null, empty, or built in the other enumeration
+  /// mode; none of it is then reused. `dirty` (sorted) lists ids whose
+  /// signatures changed since `previous` was built — their pairs are
+  /// never copied.
   CachedDistanceMatrix(const storage::QueryStore& store,
                        const std::vector<storage::QueryId>& ids,
                        const metaquery::SimilarityWeights& weights,
-                       size_t sketch_prune_min_points, DistanceCache* cache,
+                       size_t sketch_prune_min_points,
                        const RetainedMatrix* previous,
                        const std::vector<storage::QueryId>& dirty);
 
@@ -114,11 +110,6 @@ class CachedDistanceMatrix : public DistanceSource {
   std::vector<double> TakeData() { return std::move(data_); }
 
  private:
-  void BuildFull(const storage::QueryStore& store,
-                 const std::vector<storage::QueryId>& ids,
-                 const metaquery::SimilarityWeights& weights,
-                 size_t sketch_prune_min_points, DistanceCache* cache);
-
   BuildStats stats_;
   bool pruned_ = false;
 };

@@ -24,7 +24,7 @@ void PopularityTracker::Build(const storage::QueryStore& store, Micros now,
   attribute_scores_.clear();
   fingerprint_scores_.clear();
   contributions_.clear();
-  contributions_built_ = track_contributions_;
+  contributions_built_ = true;
 
   for (const storage::QueryRecord& r : store.records()) {
     if (r.HasFlag(storage::kFlagDeleted) || r.parse_failed()) continue;
@@ -35,7 +35,7 @@ void PopularityTracker::Build(const storage::QueryStore& store, Micros now,
     }
     skeleton_scores_[r.statement().skeleton_fingerprint] += w;
     fingerprint_scores_[r.fingerprint] += w;
-    if (track_contributions_) contributions_[r.id] = ContributionOf(r);
+    contributions_[r.id] = ContributionOf(r);
   }
 }
 

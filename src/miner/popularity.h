@@ -19,10 +19,10 @@ namespace cqms::miner {
 /// default) every event weighs exactly 1.0, so score updates are exact
 /// integer arithmetic in doubles and the tracker can fold a mutation
 /// delta in place (Resync) instead of rescanning the log, producing
-/// scores bit-identical to a full Build in any order. EnableDeltas()
-/// turns on the per-id contribution bookkeeping this needs (the stored
-/// items to subtract when a record is rewritten or deleted — the
-/// record itself has already changed by the time the change feed fires).
+/// scores bit-identical to a full Build in any order. Build keeps the
+/// per-id contribution bookkeeping this needs (the stored items to
+/// subtract when a record is rewritten or deleted — the record itself
+/// has already changed by the time the change feed fires).
 /// With decay enabled, scores depend on "now", so the miner falls back
 /// to full rebuilds (still O(n), never the bottleneck).
 class PopularityTracker {
@@ -38,12 +38,8 @@ class PopularityTracker {
   /// Convenience overload: no decay.
   void Build(const storage::QueryStore& store, Micros now);
 
-  /// Opts into per-id contribution tracking so Resync works. Takes
-  /// effect at the next Build.
-  void EnableDeltas(bool on) { track_contributions_ = on; }
-
-  /// True when Resync may be used instead of a rebuild: contribution
-  /// tracking is on, a Build has run with it, and decay is off.
+  /// True when Resync may be used instead of a rebuild: a Build has run
+  /// and decay is off.
   bool CanApplyDeltas() const {
     return contributions_built_ && options_.half_life <= 0;
   }
@@ -102,7 +98,6 @@ class PopularityTracker {
 
   Options options_;
   Micros now_ = 0;
-  bool track_contributions_ = false;
   bool contributions_built_ = false;
   std::map<std::string, double> table_scores_;
   std::map<uint64_t, double> skeleton_scores_;

@@ -10,7 +10,7 @@ namespace cqms::miner {
 
 namespace {
 
-// Per-stage refresh timings plus DistanceCache pair-flow counters,
+// Per-stage refresh timings plus the clustering pair-flow counters,
 // labeled so full and incremental refreshes share the same series.
 struct MinerSeries {
   obs::Histogram* sessionize;
@@ -19,8 +19,6 @@ struct MinerSeries {
   obs::Histogram* cluster;
   obs::Counter* refreshes_full;
   obs::Counter* refreshes_incremental;
-  obs::Counter* pairs_enumerated;
-  obs::Counter* pairs_reused;
   obs::Counter* pairs_computed;
   obs::Counter* pairs_copied;
 };
@@ -36,8 +34,6 @@ const MinerSeries& Series() {
     m.refreshes_full = reg.GetCounter("cqms_miner_refreshes_total{kind=\"full\"}");
     m.refreshes_incremental =
         reg.GetCounter("cqms_miner_refreshes_total{kind=\"incremental\"}");
-    m.pairs_enumerated = reg.GetCounter("cqms_miner_pairs_enumerated_total");
-    m.pairs_reused = reg.GetCounter("cqms_miner_pairs_reused_total");
     m.pairs_computed = reg.GetCounter("cqms_miner_pairs_computed_total");
     m.pairs_copied = reg.GetCounter("cqms_miner_pairs_copied_total");
     return m;
@@ -66,7 +62,6 @@ QueryMiner::QueryMiner(storage::QueryStore* store, const Clock* clock,
                        QueryMinerOptions options)
     : store_(store), clock_(clock), options_(options) {
   tracker_.Attach(store_);
-  popularity_.EnableDeltas(options_.incremental);
 }
 
 std::vector<storage::QueryId> QueryMiner::ClusteringSample() const {
@@ -88,23 +83,18 @@ void QueryMiner::Recluster(const std::vector<storage::QueryId>& dirty) {
   std::vector<storage::QueryId> sample = ClusteringSample();
   CachedDistanceMatrix dist(*store_, sample, options_.clustering.weights,
                             options_.clustering.sketch_prune_min_points,
-                            &distance_cache_, &retained_matrix_, dirty);
+                            &retained_matrix_, dirty);
   clustering_ = KMedoidsFromDistances(dist, sample, options_.clustering);
-  last_stats_.pairs_enumerated = dist.build_stats().pairs_enumerated;
-  last_stats_.pairs_reused = dist.build_stats().pairs_reused;
   last_stats_.pairs_computed = dist.build_stats().pairs_computed;
   last_stats_.pairs_copied = dist.build_stats().pairs_copied;
   const MinerSeries& series = Series();
-  series.pairs_enumerated->Add(last_stats_.pairs_enumerated);
-  series.pairs_reused->Add(last_stats_.pairs_reused);
   series.pairs_computed->Add(last_stats_.pairs_computed);
   series.pairs_copied->Add(last_stats_.pairs_copied);
   // Retain this window's matrix: the next refresh bulk-copies every
-  // pair of unchanged survivors instead of re-probing the cache.
+  // pair of unchanged survivors instead of re-scoring it.
   retained_matrix_.pruned = dist.pruned();
   retained_matrix_.data = dist.TakeData();
   retained_matrix_.ids = std::move(sample);
-  retained_matrix_.valid = true;
 }
 
 void QueryMiner::RunAll() {
@@ -143,11 +133,10 @@ void QueryMiner::RunAll() {
   stages.Finish(Series().popularity);
 
   // Clustering over the most recent window. The full rebuild drops the
-  // persistent distance cache and the retained matrix (the drift
-  // escape hatch) and re-warms both, so the next incremental refresh
-  // starts from fully re-derived state.
-  distance_cache_.Clear();
-  retained_matrix_.valid = false;
+  // retained matrix (the drift escape hatch), freeing its n^2 doubles
+  // before the new window's are allocated, and rebuilds it, so the next
+  // incremental refresh starts from fully re-derived state.
+  retained_matrix_ = RetainedMatrix();
   Recluster(/*dirty=*/{});
   stages.Finish(Series().cluster);
 
@@ -213,22 +202,19 @@ void QueryMiner::RefreshIncremental(storage::ChangeDelta delta) {
   }
   stages.Finish(Series().popularity);
 
-  // Clustering: invalidate cached distances whose endpoint signatures
-  // changed (rewrites replace the whole signature, output syncs its
-  // output-row section — both feed CombinedSimilarity; tombstone flips
-  // conservatively too), then rebuild the window's matrix through the
-  // retained matrix + cache: only pairs touching the delta compute.
+  // Clustering: ids whose signatures changed (rewrites replace the
+  // whole signature, output syncs its output-row section — both feed
+  // CombinedSimilarity; tombstone flips conservatively too) are dirty,
+  // so their retained rows are not copied. The window's matrix is
+  // rebuilt from the retained one: only pairs touching the delta
+  // compute.
   std::vector<storage::QueryId> dirty = delta.rewritten;
   dirty.insert(dirty.end(), delta.output_synced.begin(),
                delta.output_synced.end());
   dirty.insert(dirty.end(), delta.deleted.begin(), delta.deleted.end());
   dirty.insert(dirty.end(), delta.undeleted.begin(), delta.undeleted.end());
   SortUnique(&dirty);
-  for (storage::QueryId id : dirty) distance_cache_.Invalidate(id);
   Recluster(dirty);
-  // The stale sweep is O(cache capacity): only worth it when this cycle
-  // actually invalidated something. Pure-append refreshes skip it.
-  if (!dirty.empty()) distance_cache_.CompactIfNeeded();
   stages.Finish(Series().cluster);
 
   last_mined_size_ = store_->size();
@@ -240,7 +226,7 @@ bool QueryMiner::MaybeRefresh() {
       last_mined_size_ != 0) {
     return false;
   }
-  if (last_mined_size_ == 0 || !options_.incremental) {
+  if (last_mined_size_ == 0) {
     RunAll();
     return true;
   }

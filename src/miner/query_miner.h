@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "miner/association_rules.h"
 #include "miner/clustering.h"
-#include "miner/distance_cache.h"
 #include "miner/popularity.h"
 #include "miner/sessionizer.h"
 #include "storage/change_tracker.h"
@@ -27,22 +26,16 @@ struct QueryMinerOptions {
   /// Cap on the number of queries fed to clustering; the most recent
   /// ones are used. 0 = no cap.
   size_t clustering_sample = 2000;
-  /// Delta-aware refresh: MaybeRefresh folds in only the dirty sets the
-  /// store's change feed accumulated since the last run (sessions
-  /// resume from the tail, popularity and transactions update in
-  /// place, clustering reuses the persistent distance cache). Off =
-  /// every refresh is a full RunAll.
-  bool incremental = true;
   /// Escape hatch: every this-many incremental refreshes, one full
-  /// RunAll runs instead (clearing the distance cache), so any drift —
-  /// there should be none; incremental results are asserted
+  /// RunAll runs instead (dropping the retained distance matrix), so
+  /// any drift — there should be none; incremental results are asserted
   /// bit-identical — can never accumulate unboundedly. 0 disables the
   /// periodic rebuild.
   size_t full_rebuild_interval = 64;
 };
 
 /// What the last RunAll / MaybeRefresh actually did — delta sizes and
-/// cache effectiveness, surfaced for operators and benchmarks.
+/// distance reuse, surfaced for operators and benchmarks.
 struct MinerRefreshStats {
   bool ran = false;
   bool full = true;
@@ -50,10 +43,8 @@ struct MinerRefreshStats {
   size_t structurally_dirty = 0;  ///< Rewrites + deletes + undeletes + reassigns.
   size_t users_extended = 0;
   size_t users_resegmented = 0;
-  size_t pairs_enumerated = 0;  ///< Clustering pairs scored one by one.
-  size_t pairs_reused = 0;      ///< ... served from the distance cache.
-  size_t pairs_computed = 0;    ///< ... computed fresh (and cached).
-  size_t pairs_copied = 0;      ///< Pairs bulk-copied from the retained matrix.
+  size_t pairs_computed = 0;  ///< Clustering pairs scored fresh.
+  size_t pairs_copied = 0;    ///< Pairs bulk-copied from the retained matrix.
   size_t rules_fresh_counts = 0;  ///< Candidate itemsets counted by full scan.
 };
 
@@ -73,15 +64,15 @@ class QueryMiner {
   QueryMiner(storage::QueryStore* store, const Clock* clock,
              QueryMinerOptions options = {});
 
-  /// Runs every mining task now, from scratch (the distance cache is
-  /// cleared first and re-warmed by the run).
+  /// Runs every mining task now, from scratch (the retained distance
+  /// matrix is dropped first and rebuilt by the run).
   void RunAll();
 
   /// Runs mining only when `refresh_threshold` new queries have arrived
   /// since the last run. Returns true when a run happened. This is the
   /// hook a background scheduler would call periodically. Routes
-  /// through the incremental path when enabled and safe (see
-  /// QueryMinerOptions::incremental / full_rebuild_interval).
+  /// through the incremental path when safe (see
+  /// QueryMinerOptions::full_rebuild_interval).
   bool MaybeRefresh();
 
   // Latest results (valid after the first RunAll).
@@ -100,11 +91,8 @@ class QueryMiner {
 
   size_t queries_mined() const { return last_mined_size_; }
 
-  /// What the last refresh did (full vs delta, cache hit rates).
+  /// What the last refresh did (full vs delta, distance reuse).
   const MinerRefreshStats& last_refresh_stats() const { return last_stats_; }
-
-  /// The persistent pair-distance store behind clustering refreshes.
-  const DistanceCache& distance_cache() const { return distance_cache_; }
 
  private:
   /// Applies one change-feed delta to every mining output.
@@ -112,9 +100,10 @@ class QueryMiner {
   /// The most recent `clustering_sample` parsed, non-deleted ids, in
   /// log order.
   std::vector<storage::QueryId> ClusteringSample() const;
-  /// Builds the window's distances (retained-matrix + cache), clusters,
-  /// and retains the new matrix for the next refresh. `dirty` (sorted)
-  /// lists ids whose signatures changed since the last build.
+  /// Builds the window's distances (copying what the retained matrix
+  /// still holds), clusters, and retains the new matrix for the next
+  /// refresh. `dirty` (sorted) lists ids whose signatures changed since
+  /// the last build.
   void Recluster(const std::vector<storage::QueryId>& dirty);
   void RebuildSessionIndex();
 
@@ -123,7 +112,6 @@ class QueryMiner {
   QueryMinerOptions options_;
 
   storage::ChangeTracker tracker_;
-  DistanceCache distance_cache_;
   RetainedMatrix retained_matrix_;
   AssociationMinerState association_state_;
 

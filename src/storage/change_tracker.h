@@ -23,7 +23,7 @@ struct ChangeDelta {
   /// Text rewritten: components, signature and sketch all replaced.
   std::vector<QueryId> rewritten;
   /// Only the output-derived signature section changed (maintenance
-  /// stats refresh). Similarity caches must invalidate; sessionization,
+  /// stats refresh). Retained distances are re-scored; sessionization,
   /// transactions and popularity are text/feature-derived and need not.
   std::vector<QueryId> output_synced;
   /// kFlagDeleted transitioned to set (Delete or AddFlag).

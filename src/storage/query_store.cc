@@ -538,8 +538,8 @@ Status QueryStore::SyncOutputSignature(QueryId id) {
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
   const Statement& before = r->statement();
   // A stats refresh usually re-executes to the same output; firing the
-  // change feed for a no-op sync would needlessly invalidate the
-  // miner's distance cache for exactly the popular, window-resident
+  // change feed for a no-op sync would needlessly make the miner
+  // re-score the distances of exactly the popular, window-resident
   // records maintenance refreshes most often.
   if (UpdateOutputSignature(r)) {
     Reshare(r, before);

@@ -47,9 +47,9 @@ class StoreListener {
   /// (QueryStore::SyncOutputSignature after a maintenance stats
   /// refresh). Defaulted to a no-op: the WAL deliberately ignores it —
   /// refreshed stats are refreshable state the next checkpoint snapshot
-  /// captures wholesale — but similarity-derived caches (the miner's
-  /// DistanceCache) must invalidate, since output rows feed
-  /// CombinedSimilarity.
+  /// captures wholesale — but similarity-derived state must not outlive
+  /// it: the miner marks the id dirty, so its retained distance-matrix
+  /// rows are re-scored, since output rows feed CombinedSimilarity.
   virtual void OnSyncOutputSignature(QueryId id) { (void)id; }
 };
 

@@ -3,11 +3,12 @@
 // of interleaved appends / rewrites / deletes / flag flips / output
 // syncs must leave sessions, association rules, popularity and
 // clustering *bit-identical* to a from-scratch RunAll on the same final
-// store; (2) DistanceCache unit behavior (lookup/insert/invalidate/
-// grow/compact) and CachedDistanceMatrix-vs-DenseDistanceMatrix
-// equality across mutations; (3) incremental sessionizer edge cases
-// (out-of-order appends, undeletes); (4) the O(1)/indexed FindSession /
-// SessionsOfUser / ClusterOf lookups against linear references.
+// store; (2) CachedDistanceMatrix-vs-DenseDistanceMatrix equality and
+// pair counts across mutations and enumeration modes, and windows that
+// change mode or re-admit an older id between refreshes; (3)
+// incremental sessionizer edge cases (out-of-order appends, undeletes);
+// (4) the O(1)/indexed FindSession / SessionsOfUser / ClusterOf lookups
+// against linear references.
 
 #include <algorithm>
 #include <cmath>
@@ -17,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
-#include "miner/distance_cache.h"
 #include "metaquery_reference.h"
 #include "miner/query_miner.h"
 #include "storage/record_builder.h"
@@ -101,6 +101,33 @@ std::vector<QueryId> LiveParsedIds(const storage::QueryStore& store) {
   return out;
 }
 
+/// The most recent `sample` parsed, non-deleted ids in log order: the
+/// miner's clustering window, restated.
+std::vector<QueryId> ClusteringWindow(const storage::QueryStore& store,
+                                      size_t sample) {
+  std::vector<QueryId> window;
+  for (auto it = store.records().rbegin(); it != store.records().rend();
+       ++it) {
+    if (it->HasFlag(storage::kFlagDeleted) || it->parse_failed()) continue;
+    window.push_back(it->id);
+    if (window.size() >= sample) break;
+  }
+  std::reverse(window.begin(), window.end());
+  return window;
+}
+
+/// Query `i` of a small log over four tables, so that the sketch-pruned
+/// enumeration drops some pairs.
+std::string MixedQuery(int i) {
+  static const char* const kPrefixes[] = {
+      "SELECT * FROM WaterTemp WHERE temp < ",
+      "SELECT lake, salinity FROM WaterSalinity WHERE salinity > ",
+      "SELECT city FROM CityLocations WHERE pop > ",
+      "SELECT ts, value FROM Readings WHERE sensor_id = ",
+  };
+  return kPrefixes[i % 4] + std::to_string(i);
+}
+
 // ---------------------------------------------------------------------------
 // Headline: interleaved mutation cycles == from-scratch RunAll.
 
@@ -174,22 +201,15 @@ TEST(IncrementalMiningTest, InterleavedCyclesMatchFullRebuildOnSeededLog) {
   reference.RunAll();
   ExpectMinersEqual(miner, reference);
 
-  // And the cache-backed clustering must match the dense oracle.
-  std::vector<QueryId> sample;
-  for (auto it = h.store.records().rbegin(); it != h.store.records().rend();
-       ++it) {
-    if (it->HasFlag(storage::kFlagDeleted) || it->parse_failed()) continue;
-    sample.push_back(it->id);
-    if (sample.size() >= miner_options.clustering_sample) break;
-  }
-  std::reverse(sample.begin(), sample.end());
-  Clustering oracle =
-      KMedoidsCluster(h.store, sample, miner_options.clustering);
+  // And the retained-matrix clustering must match the dense oracle.
+  Clustering oracle = KMedoidsCluster(
+      h.store, ClusteringWindow(h.store, miner_options.clustering_sample),
+      miner_options.clustering);
   ExpectClusteringEqual(miner.clustering(), oracle);
 
   // The incremental path actually reused prior distances: almost
-  // everything bulk-copies from the retained matrix, the rest splits
-  // between cache hits and fresh computes touching the delta.
+  // everything bulk-copies from the retained matrix, the rest are fresh
+  // computes touching the delta.
   const MinerRefreshStats& stats = miner.last_refresh_stats();
   EXPECT_GT(stats.pairs_copied, 0u);
   EXPECT_GT(stats.pairs_copied, stats.pairs_computed);
@@ -279,61 +299,9 @@ TEST(IncrementalMiningTest, DeleteThenUndeleteRoundTripsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// DistanceCache unit behavior.
+// CachedDistanceMatrix against the dense oracle.
 
-TEST(DistanceCacheTest, InsertLookupInvalidateOverwrite) {
-  DistanceCache cache(64);
-  double d = -1;
-  EXPECT_FALSE(cache.Lookup(3, 7, &d));
-  cache.Insert(7, 3, 0.25);  // unordered: {3,7}
-  ASSERT_TRUE(cache.Lookup(3, 7, &d));
-  EXPECT_EQ(d, 0.25);
-  ASSERT_TRUE(cache.Lookup(7, 3, &d));
-  EXPECT_EQ(d, 0.25);
-
-  cache.Insert(3, 7, 0.5);  // overwrite in place
-  ASSERT_TRUE(cache.Lookup(3, 7, &d));
-  EXPECT_EQ(d, 0.5);
-  EXPECT_EQ(cache.entries(), 1u);
-
-  cache.Insert(3, 8, 0.75);
-  cache.Invalidate(3);  // kills {3,7} and {3,8}...
-  EXPECT_FALSE(cache.Lookup(3, 7, &d));
-  EXPECT_FALSE(cache.Lookup(3, 8, &d));
-  cache.Insert(3, 7, 0.125);  // ...and re-inserting revives the pair
-  ASSERT_TRUE(cache.Lookup(3, 7, &d));
-  EXPECT_EQ(d, 0.125);
-
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_FALSE(cache.Lookup(3, 7, &d));
-}
-
-TEST(DistanceCacheTest, GrowPreservesLiveEntriesAndDropsStale) {
-  DistanceCache cache(64);
-  for (QueryId a = 0; a < 40; ++a) {
-    for (QueryId b = a + 1; b < a + 4; ++b) {
-      cache.Insert(a, b, static_cast<double>(a) + static_cast<double>(b) / 100);
-    }
-  }
-  EXPECT_GT(cache.capacity(), 64u);  // grew past the initial table
-  double d = -1;
-  for (QueryId a = 0; a < 40; ++a) {
-    for (QueryId b = a + 1; b < a + 4; ++b) {
-      ASSERT_TRUE(cache.Lookup(a, b, &d));
-      EXPECT_EQ(d, static_cast<double>(a) + static_cast<double>(b) / 100);
-    }
-  }
-
-  const size_t before = cache.entries();
-  cache.Invalidate(0);  // pairs {0,1},{0,2},{0,3} go stale
-  EXPECT_EQ(cache.CompactIfNeeded(/*max_stale_fraction=*/0.0), 3u);
-  EXPECT_EQ(cache.entries(), before - 3);
-  ASSERT_TRUE(cache.Lookup(1, 2, &d));  // survivors intact
-  EXPECT_EQ(d, 1.02);
-}
-
-TEST(DistanceCacheTest, CachedMatrixMatchesDenseOracleAcrossMutations) {
+TEST(CachedDistanceMatrixTest, MatchesDenseOracleAcrossMutations) {
   Harness h;
   std::vector<QueryId> ids;
   for (int i = 0; i < 30; ++i) {
@@ -348,15 +316,22 @@ TEST(DistanceCacheTest, CachedMatrixMatchesDenseOracleAcrossMutations) {
       testing_util::OverflowingStatementText(), "user0", 1)));
   ASSERT_FALSE(h.store.scoring().signature_valid(ids.back()));
   metaquery::SimilarityWeights weights;
-  DistanceCache cache;
+  const size_t n = ids.size();
 
-  auto expect_matches_dense = [&](const char* label,
-                                  CachedDistanceMatrix::BuildStats* stats) {
+  // Builds the matrix over `ids` from `previous`, requires it equal to
+  // the dense oracle cell by cell, then retains it in `retained`.
+  RetainedMatrix retained;
+  auto build = [&](const char* label, size_t prune_min_points,
+                   const RetainedMatrix* previous,
+                   const std::vector<QueryId>& dirty,
+                   CachedDistanceMatrix::BuildStats* stats,
+                   size_t* oracle_pairs) {
     SCOPED_TRACE(label);
-    DenseDistanceMatrix dense(h.store, ids, weights, 512);
-    CachedDistanceMatrix cached(h.store, ids, weights, 512, &cache,
-                                /*previous=*/nullptr, /*dirty=*/{});
+    DenseDistanceMatrix dense(h.store, ids, weights, prune_min_points);
+    CachedDistanceMatrix cached(h.store, ids, weights, prune_min_points,
+                                previous, dirty);
     *stats = cached.build_stats();
+    *oracle_pairs = dense.pairs_scored();
     ASSERT_EQ(cached.size(), dense.size());
     for (size_t i = 0; i < dense.size(); ++i) {
       for (size_t j = 0; j < dense.size(); ++j) {
@@ -364,29 +339,127 @@ TEST(DistanceCacheTest, CachedMatrixMatchesDenseOracleAcrossMutations) {
             << "pair (" << i << "," << j << ")";
       }
     }
+    RetainedMatrix next;
+    next.ids = ids;
+    next.pruned = cached.pruned();
+    next.data = cached.TakeData();
+    retained = std::move(next);
   };
 
+  // No retained matrix: every pair computes, once.
   CachedDistanceMatrix::BuildStats cold;
-  expect_matches_dense("cold cache", &cold);
-  EXPECT_EQ(cold.pairs_reused, 0u);
-  EXPECT_EQ(cold.pairs_computed, cold.pairs_enumerated);
+  size_t oracle_pairs = 0;
+  build("no retained matrix", 512, nullptr, {}, &cold, &oracle_pairs);
+  EXPECT_FALSE(retained.pruned);
+  EXPECT_EQ(cold.pairs_copied, 0u);
+  EXPECT_EQ(cold.pairs_computed, n * (n - 1) / 2);
+  EXPECT_EQ(cold.pairs_computed, oracle_pairs);
 
-  CachedDistanceMatrix::BuildStats warm;
-  expect_matches_dense("warm cache", &warm);
-  EXPECT_EQ(warm.pairs_reused, warm.pairs_enumerated);
-  EXPECT_EQ(warm.pairs_computed, 0u);
-
-  // A rewrite changes one record's signature; after invalidation only
-  // that record's row recomputes, and the matrix matches a fresh dense
-  // build again.
+  // A rewrite changes one record's signature. With that id dirty only
+  // the pairs touching it compute; the rest copy.
   ASSERT_TRUE(
       h.store.RewriteQueryText(ids[5], "SELECT city FROM CityLocations").ok());
-  cache.Invalidate(ids[5]);
   CachedDistanceMatrix::BuildStats after;
-  expect_matches_dense("after rewrite + invalidate", &after);
-  EXPECT_GT(after.pairs_reused, 0u);
-  EXPECT_GT(after.pairs_computed, 0u);
-  EXPECT_LT(after.pairs_computed, after.pairs_enumerated);
+  build("after rewrite, id dirty", 512, &retained, {ids[5]}, &after,
+        &oracle_pairs);
+  EXPECT_EQ(after.pairs_computed, n - 1);
+  EXPECT_EQ(after.pairs_copied, (n - 1) * (n - 2) / 2);
+
+  // The same window past the pruning threshold: the exact matrix scored
+  // other pairs, so none of it is reused, and every pair the sketches
+  // admit computes once.
+  CachedDistanceMatrix::BuildStats pruned;
+  build("pruned, retained matrix exact", 16, &retained, {}, &pruned,
+        &oracle_pairs);
+  EXPECT_TRUE(retained.pruned);
+  EXPECT_EQ(pruned.pairs_copied, 0u);
+  EXPECT_EQ(pruned.pairs_computed, oracle_pairs);
+  EXPECT_LT(pruned.pairs_computed, n * (n - 1) / 2);
+}
+
+TEST(IncrementalMiningTest, WindowCrossingThePruningThresholdMatchesOracle) {
+  Harness h;
+  QueryMinerOptions options;
+  options.refresh_threshold = 1;
+  options.full_rebuild_interval = 0;
+  options.clustering.sketch_prune_min_points = 24;
+  int next = 0;
+  auto log = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next) {
+      h.Log("user" + std::to_string(next % 3), MixedQuery(next),
+            kMicrosPerSecond);
+    }
+  };
+  auto expect_matches_oracle = [&](const QueryMiner& miner) {
+    QueryMiner reference(&h.store, &h.clock, options);
+    reference.RunAll();
+    ExpectMinersEqual(miner, reference);
+    ExpectClusteringEqual(
+        miner.clustering(),
+        KMedoidsCluster(h.store,
+                        ClusteringWindow(h.store, options.clustering_sample),
+                        options.clustering));
+  };
+
+  log(20);
+  QueryMiner miner(&h.store, &h.clock, options);
+  miner.RunAll();  // 20 records: exact
+
+  log(10);  // 30 records: pruned, over an exact retained matrix
+  ASSERT_TRUE(miner.MaybeRefresh());
+  EXPECT_FALSE(miner.last_refresh_stats().full);
+  EXPECT_EQ(miner.last_refresh_stats().pairs_copied, 0u);
+  EXPECT_GT(miner.last_refresh_stats().pairs_computed, 0u);
+  {
+    SCOPED_TRACE("exact -> pruned");
+    expect_matches_oracle(miner);
+  }
+
+  log(5);  // 35 records: pruned over pruned, so the survivors copy
+  ASSERT_TRUE(miner.MaybeRefresh());
+  EXPECT_FALSE(miner.last_refresh_stats().full);
+  EXPECT_EQ(miner.last_refresh_stats().pairs_copied, 30u * 29u / 2);
+  {
+    SCOPED_TRACE("pruned -> pruned");
+    expect_matches_oracle(miner);
+  }
+}
+
+TEST(IncrementalMiningTest, DeletionInFullWindowReadmitsAnOlderId) {
+  Harness h;
+  QueryMinerOptions options;
+  options.refresh_threshold = 1;
+  options.full_rebuild_interval = 0;
+  options.clustering_sample = 12;
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(h.Log("user" + std::to_string(i % 3), MixedQuery(i),
+                        kMicrosPerSecond));
+  }
+  QueryMiner miner(&h.store, &h.clock, options);
+  miner.RunAll();  // window: ids[8..19]
+  ASSERT_EQ(miner.clustering().ClusterOf(ids[7]), -1);
+
+  // Two deletions inside the window and one append re-admit ids[7],
+  // which no retained matrix has seen.
+  ASSERT_TRUE(h.store.Delete(ids[10], h.store.Get(ids[10])->user).ok());
+  ASSERT_TRUE(h.store.Delete(ids[14], h.store.Get(ids[14])->user).ok());
+  h.Log("user0", MixedQuery(20), kMicrosPerSecond);
+  ASSERT_TRUE(miner.MaybeRefresh());
+  EXPECT_FALSE(miner.last_refresh_stats().full);
+  EXPECT_NE(miner.clustering().ClusterOf(ids[7]), -1);
+  // Ten survivors copy; the pairs touching ids[7] or the append compute.
+  EXPECT_EQ(miner.last_refresh_stats().pairs_copied, 10u * 9u / 2);
+  EXPECT_EQ(miner.last_refresh_stats().pairs_computed, 2u * 10u + 1u);
+
+  QueryMiner reference(&h.store, &h.clock, options);
+  reference.RunAll();
+  ExpectMinersEqual(miner, reference);
+  ExpectClusteringEqual(
+      miner.clustering(),
+      KMedoidsCluster(h.store,
+                      ClusteringWindow(h.store, options.clustering_sample),
+                      options.clustering));
 }
 
 // ---------------------------------------------------------------------------

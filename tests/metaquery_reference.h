@@ -390,12 +390,13 @@ inline std::vector<MetaQueryMatch> KnnSearchReference(
 namespace cqms::miner {
 
 /// A distance matrix scored from scratch: every enumerated pair through
-/// CombinedSimilarity of the two records, no cache and no retained
-/// matrix. CachedDistanceMatrix must equal it bit for bit. Below
+/// CombinedSimilarity of the two records, with no retained matrix.
+/// CachedDistanceMatrix must equal it bit for bit. Below
 /// `sketch_prune_min_points` every pair is scored; at or above it only
 /// pairs whose MinHash sketches share a bucket of a 32-band, 2-row LSH
 /// banding, and the rest read 1.0. The banding is restated here on
 /// purpose: the oracle shares no code with the matrix it checks.
+/// pairs_scored() counts the (i, j > i) pairs it scored.
 class DenseDistanceMatrix : public DistanceSource {
  public:
   DenseDistanceMatrix(const storage::QueryStore& store,
@@ -410,6 +411,7 @@ class DenseDistanceMatrix : public DistanceSource {
                                                      weights);
       data_[i * n_ + j] = d;
       data_[j * n_ + i] = d;
+      ++pairs_scored_;
     };
     if (sketch_prune_min_points == 0 || n_ < sketch_prune_min_points) {
       data_.assign(n_ * n_, 0.0);
@@ -434,6 +436,11 @@ class DenseDistanceMatrix : public DistanceSource {
       }
     }
   }
+
+  size_t pairs_scored() const { return pairs_scored_; }
+
+ private:
+  size_t pairs_scored_ = 0;
 };
 
 /// k-medoids over a DenseDistanceMatrix.
