@@ -14,13 +14,16 @@
 //
 // BM_PinView / BM_PublishView isolate the two pipeline primitives: the
 // reader's pin (a few atomic ops, O(1)) and the writer's
-// copy-on-publish snapshot (O(log size)).
+// copy-on-publish snapshot (O(log size)). BM_ViewVisibilityHeap is the
+// memory a view's visibility memo takes while it serves.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "metaquery/meta_query_planner.h"
@@ -151,6 +154,55 @@ void BM_PublishView(benchmark::State& state) {
 }
 BENCHMARK(BM_PublishView)
     ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
+
+/// The heap a view's visibility memo takes while it serves: on one
+/// freshly published, pinned view of the 20k fixture, each of two
+/// threads runs one full-scan request (every record's visibility is
+/// looked up) per registered viewer.
+/// visibility_heap_bytes_per_record_viewer is the heap the requests
+/// leave behind (the caches live as long as the view) per record per
+/// viewer.
+void BM_ViewVisibilityHeap(benchmark::State& state) {
+  bench::LogFixture& f = bench::GetFixture(20000);
+  if (!f.store.views_enabled()) f.store.EnableViews();
+  std::vector<std::string> viewers;
+  for (const auto& [user, groups] : f.store.acl().memberships()) {
+    viewers.push_back(user);
+  }
+  metaquery::MetaQueryRequest request;
+  request.WithSubstring("from").InLogOrder().Limit(10);
+  // The first request registers the planner's process-wide metric
+  // series; make it here, so the delta below is the caches alone.
+  benchmark::DoNotOptimize(
+      metaquery::MetaQueryPlanner(&f.store).Execute(viewers.front(), request));
+  int64_t held = 0;
+  size_t records = 0;
+  for (auto _ : state) {
+    f.store.PublishView();
+    storage::PinnedView view = f.store.PinView();
+    records = view->size();
+    const int64_t before = bench::HeapInUse();
+    auto serve = [&]() {
+      metaquery::MetaQueryPlanner planner{storage::StoreView(*view)};
+      for (const std::string& viewer : viewers) {
+        metaquery::MetaQueryResponse resp =
+            planner.Execute(request, &view->CacheFor(viewer));
+        benchmark::DoNotOptimize(resp);
+      }
+    };
+    std::thread a(serve);
+    std::thread b(serve);
+    a.join();
+    b.join();
+    held = bench::HeapInUse() - before;
+  }
+  state.counters["viewers"] = static_cast<double>(viewers.size());
+  state.counters["log_size"] = static_cast<double>(records);
+  state.counters["visibility_heap_bytes_per_record_viewer"] =
+      static_cast<double>(held) /
+      static_cast<double>(records * viewers.size());
+}
+BENCHMARK(BM_ViewVisibilityHeap)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cqms

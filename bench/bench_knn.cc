@@ -67,11 +67,10 @@ void BM_KnnLsh(benchmark::State& state) {
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
-  state.counters["lsh_candidates"] = static_cast<double>(
-      f.store
-          .LshCandidates(
-              storage::ComputeMinHashSketch(probe.statement().signature))
-          .size());
+  state.counters["lsh_candidates"] =
+      static_cast<double>(f.store.postings().RecordCount(
+          f.store.lsh().Candidates(
+              storage::ComputeMinHashSketch(probe.statement().signature))));
 }
 BENCHMARK(BM_KnnLsh)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"queries"});
 

@@ -1,10 +1,14 @@
 #ifndef CQMS_COMMON_SHARED_STRING_H_
 #define CQMS_COMMON_SHARED_STRING_H_
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace cqms {
 
@@ -55,9 +59,9 @@ class StringReader {
 };
 
 /// An immutable string that any number of owners can hold as one copy:
-/// copying a SharedString copies a pointer, and ShareIfEqual points an
-/// equal value at another holder's copy. An empty value holds no copy
-/// at all. Assigning a std::string replaces the value with a fresh,
+/// copying a SharedString copies a pointer, and a SharedStringTable
+/// points an equal value at another holder's copy. An empty value holds
+/// no copy at all. Assigning a std::string replaces the value with a fresh,
 /// unshared copy; the copy a SharedString pointed at is never edited,
 /// so a holder on another thread keeps reading the old value.
 class SharedString : public StringReader<SharedString> {
@@ -74,17 +78,53 @@ class SharedString : public StringReader<SharedString> {
     return value_ != nullptr ? *value_ : empty;
   }
 
-  /// Points this value at `other`'s copy when the two are equal.
-  /// Returns whether they now share one.
-  bool ShareIfEqual(const SharedString& other) {
-    if (value_ == other.value_) return true;
-    if (str() != other.str()) return false;
-    value_ = other.value_;
-    return true;
+ private:
+  friend class SharedStringTable;
+
+  std::shared_ptr<const std::string> value_;
+};
+
+/// The copies of equal SharedStrings, keyed by content and held weakly:
+/// Share points a value at a live copy equal to it, or registers the
+/// value's own. The table keeps no copy alive; a copy every holder let
+/// go of is freed as usual, and its entry is dropped by the next lookup
+/// that meets it or the next sweep, which runs when the table has
+/// doubled since the last one. Not synchronized: one thread shares.
+class SharedStringTable {
+ public:
+  void Share(SharedString* value) {
+    if (value->empty()) return;
+    const std::string& mine = value->str();
+    const size_t hash = std::hash<std::string_view>()(mine);
+    auto [it, end] = copies_.equal_range(hash);
+    while (it != end) {
+      std::shared_ptr<const std::string> copy = it->second.lock();
+      if (copy == nullptr) {
+        it = copies_.erase(it);
+        continue;
+      }
+      if (copy == value->value_) return;
+      if (*copy == mine) {
+        value->value_ = std::move(copy);
+        return;
+      }
+      ++it;
+    }
+    copies_.emplace(hash, value->value_);
+    if (copies_.size() >= sweep_at_) Sweep();
   }
 
  private:
-  std::shared_ptr<const std::string> value_;
+  void Sweep() {
+    for (auto it = copies_.begin(); it != copies_.end();) {
+      it = it->second.expired() ? copies_.erase(it) : std::next(it);
+    }
+    sweep_at_ = std::max<size_t>(kMinSweep, 2 * copies_.size());
+  }
+
+  static constexpr size_t kMinSweep = 64;
+  std::unordered_multimap<size_t, std::weak_ptr<const std::string>> copies_;
+  size_t sweep_at_ = kMinSweep;
 };
 
 }  // namespace cqms

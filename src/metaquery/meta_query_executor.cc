@@ -11,8 +11,8 @@ MetaQueryResponse MetaQueryExecutor::Execute(
     // Concurrent path: pin the current published view for the whole
     // execution — planner, scoring and visibility all read the same
     // immutable snapshot, untouched by whatever the writer does
-    // meanwhile. The view pools visibility caches per (viewer, thread),
-    // so repeated queries from one serving thread stay memoized.
+    // meanwhile. The view keeps one visibility cache per viewer, shared
+    // by every serving thread, so repeated queries stay memoized.
     storage::PinnedView view = store_->PinView();
     MetaQueryPlanner planner{storage::StoreView(*view)};
     return planner.Execute(request, &view->CacheFor(viewer));

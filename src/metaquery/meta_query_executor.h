@@ -28,10 +28,11 @@ namespace cqms::metaquery {
 /// mutates it), so one executor serves any number of concurrent caller
 /// threads. When the store has read views enabled, each Execute pins
 /// the current published view and runs entirely against that immutable
-/// snapshot — visibility memoization lives in the view's per-(viewer,
-/// thread) cache pool, staying warm across a thread's queries. Without
-/// views, Execute runs against the live store with a call-local cache
-/// (single-threaded original behavior, same results).
+/// snapshot — visibility memoization lives in the view's per-viewer
+/// cache pool, shared by every thread and warm across their queries.
+/// Without views, Execute runs against the live store through its
+/// per-(viewer, thread) pool (single-threaded original behavior, same
+/// results).
 class MetaQueryExecutor {
  public:
   /// `store` must outlive the executor.

@@ -63,8 +63,8 @@ obs::Counter* VisibilityMissesCounter() {
 
 MetaQueryResponse MetaQueryPlanner::Execute(
     const std::string& viewer, const MetaQueryRequest& request) const {
-  // Route through the backing object's (viewer, thread) cache pool so
-  // repeated queries keep their memoized ACL decisions warm.
+  // Route through the backing object's cache pool so repeated queries
+  // keep their memoized ACL decisions warm.
   if (view_.view() != nullptr) {
     return Execute(request, &view_.view()->CacheFor(viewer));
   }
@@ -90,8 +90,9 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     trace->Span(name, static_cast<uint64_t>(now - last_mark));
     last_mark = now;
   };
-  const uint64_t vis_hits_before = visibility->acl_hits();
-  const uint64_t vis_misses_before = visibility->acl_misses();
+  // This call's visibility lookups; the cache may be shared with other
+  // threads, so it keeps no counters of its own.
+  storage::VisibilityCache::Tally vis;
 
   // --- resolve the keyword predicate to interned token Symbols once ----
   // A token the interner has never seen occurs in no logged query:
@@ -246,7 +247,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     for (QueryId id : postings.RecordsOf(s)) {
       if (by_user && cols.owner(id) != user_filter) continue;
       ++statement_candidates;
-      if (!visibility->VisibleId(id)) continue;
+      if (!visibility->VisibleId(id, &vis)) continue;
       if (request.ranking.exclude_flagged &&
           (cols.flags(id) &
            (storage::kFlagSchemaBroken | storage::kFlagObsolete)) != 0) {
@@ -353,23 +354,21 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   resp.matches = std::move(matched);
 
   // --- flush instrumentation -------------------------------------------
-  const uint64_t vis_hits = visibility->acl_hits() - vis_hits_before;
-  const uint64_t vis_misses = visibility->acl_misses() - vis_misses_before;
   const PlannerSeries& series = SeriesFor(resp.generator);
   series.queries->Increment();
   series.candidates->Add(resp.candidates_considered);
   series.statements->Add(statements_evaluated);
   series.matches->Add(resp.matches.size());
-  VisibilityHitsCounter()->Add(vis_hits);
-  VisibilityMissesCounter()->Add(vis_misses);
+  VisibilityHitsCounter()->Add(vis.hits);
+  VisibilityMissesCounter()->Add(vis.misses);
   if (trace != nullptr) {
     trace->generator = CandidateGeneratorName(resp.generator);
     trace->Count("candidates", resp.candidates_considered);
     trace->Count("statements", statements_evaluated);
     trace->Count("matches_prefilter", matched_prefilter);
     trace->Count("matches", resp.matches.size());
-    trace->Count("visibility_cache_hits", vis_hits);
-    trace->Count("visibility_cache_misses", vis_misses);
+    trace->Count("visibility_cache_hits", vis.hits);
+    trace->Count("visibility_cache_misses", vis.misses);
   }
   return resp;
 }

@@ -62,7 +62,8 @@ class MetaQueryPlanner {
                             storage::VisibilityCache* visibility) const;
 
   /// Convenience overload: the visibility cache comes from the backing
-  /// store's or view's per-(viewer, thread) pool (CacheFor).
+  /// view's per-viewer pool or the live store's per-(viewer, thread)
+  /// pool (CacheFor).
   MetaQueryResponse Execute(const std::string& viewer,
                             const MetaQueryRequest& request) const;
 

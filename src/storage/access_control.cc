@@ -59,19 +59,17 @@ bool AccessControl::ShareGroup(const std::string& a, const std::string& b) const
 Status AccessControl::SetVisibility(QueryId id, const std::string& owner,
                                     const std::string& requester,
                                     Visibility visibility) {
+  if (id < 0 || static_cast<size_t>(id) >= visibility_.size()) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
   if (owner != requester) {
     return Status::PermissionDenied("only the owner may change visibility of query " +
                                     std::to_string(id));
   }
-  visibility_[id] = visibility;
+  visibility_[static_cast<size_t>(id)] = visibility;
   ++epoch_;
   for (StoreListener* l : listeners_) l->OnAclSetVisibility(id, visibility);
   return Status::Ok();
-}
-
-Visibility AccessControl::GetVisibility(QueryId id) const {
-  auto it = visibility_.find(id);
-  return it == visibility_.end() ? Visibility::kGroup : it->second;
 }
 
 bool AccessControl::CanSee(const std::string& viewer, const std::string& owner,

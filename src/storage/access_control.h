@@ -16,7 +16,7 @@ namespace cqms::storage {
 /// Who may see a logged query (§2.4 User Administrative Interaction:
 /// "define access control rules on their queries, e.g. sharing them only
 /// with members of the same research group").
-enum class Visibility {
+enum class Visibility : uint8_t {
   kPrivate,  ///< Owner only.
   kGroup,    ///< Owner plus users sharing at least one group. Default.
   kPublic,   ///< Everyone.
@@ -25,6 +25,10 @@ enum class Visibility {
 /// Users, groups and per-query visibility rules. Every read path of the
 /// CQMS (search, browse, recommendations, mining inputs) filters through
 /// `CanSee` so knowledge transfer respects collaboration boundaries.
+///
+/// The visibility of each query sits in a dense column, one byte per
+/// record of the owning QueryStore, which grows it (AddRecord) as it
+/// appends; a record nobody changed holds the kGroup default.
 class AccessControl {
  public:
   AccessControl() = default;
@@ -59,11 +63,22 @@ class AccessControl {
   bool ShareGroup(const std::string& a, const std::string& b) const;
 
   /// Sets the visibility of one query. Only the owner may change it;
-  /// `requester` must equal `owner`.
+  /// `requester` must equal `owner`. kNotFound for an id the column does
+  /// not hold: no id ever resizes it.
   Status SetVisibility(QueryId id, const std::string& owner,
                        const std::string& requester, Visibility visibility);
 
-  Visibility GetVisibility(QueryId id) const;
+  /// kGroup for an id the column does not hold.
+  Visibility GetVisibility(QueryId id) const {
+    return id >= 0 && static_cast<size_t>(id) < visibility_.size()
+               ? visibility_[static_cast<size_t>(id)]
+               : Visibility::kGroup;
+  }
+
+  /// Adds the kGroup default for the next record; QueryStore calls it
+  /// for every record it stores.
+  void AddRecord() { visibility_.push_back(Visibility::kGroup); }
+  void Reserve(size_t records) { visibility_.reserve(records); }
 
   /// Core check: may `viewer` see a query owned by `owner` with the
   /// visibility registered for `id`? Owners always see their own queries.
@@ -90,7 +105,8 @@ class AccessControl {
 
  private:
   std::map<std::string, std::set<std::string>> memberships_;
-  std::map<QueryId, Visibility> visibility_;
+  /// Per record, indexed by id.
+  std::vector<Visibility> visibility_;
   uint64_t epoch_ = 0;
   std::vector<StoreListener*> listeners_;
   std::set<std::string> empty_;

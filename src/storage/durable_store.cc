@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/binary_codec.h"
 #include "common/clock.h"
@@ -90,27 +92,30 @@ Status DurableStore::Open() {
   SweepStaleTmpFiles();
 
   // Pick the snapshot generation to restore from. The newest one is
-  // CRC-verified first (v2 only — a v1 text snapshot predates both the
-  // framing and the retention scheme) so a torn or bit-rotted file
-  // routes to the previous generation instead of failing the load.
+  // read once, and its bytes are CRC-verified (v2 only — a v1 text
+  // snapshot predates both the framing and the retention scheme) before
+  // they are decoded, so a torn or bit-rotted file routes to the
+  // previous generation instead of failing the load.
   recovered_from_fallback_ = false;
   uint64_t snapshot_sequence = 0;
   const bool primary_exists = env_->FileExists(snapshot_path_);
   const bool prev_exists = env_->FileExists(prev_snapshot_path_);
   bool use_fallback = false;
+  std::string image;  // the newest generation's bytes
+  Status read;
   if (primary_exists) {
-    Status verify = VerifySnapshotV2(snapshot_path_, env_);
+    read = ReadFileToString(snapshot_path_, &image, env_);
+    Status verify = read.ok() ? VerifySnapshotV2Image(image, snapshot_path_)
+                              : read;
     if (IsCorruption(verify)) {
       // "bad magic" also covers legacy v1 text snapshots, which have
-      // no CRC framing to verify — those go straight to LoadSnapshot.
+      // no CRC framing to verify — those go straight to the decode.
       // Anything else (broken v2 image, or garbage that is neither
       // format — e.g. bit rot inside the magic itself) routes to the
       // previous generation when one exists.
-      std::string head;
-      std::unique_ptr<RandomAccessFile> probe;
-      Status ps = env_->NewRandomAccessFile(snapshot_path_, &probe);
-      if (ps.ok()) ps = probe->Read(0, kSnapshotV2Magic.size(), &head);
-      const bool is_v1_text = ps.ok() && head == "CQMS-SNA";
+      const bool is_v1_text =
+          std::string_view(image).substr(0, kSnapshotV2Magic.size()) ==
+          "CQMS-SNA";
       if (!is_v1_text) {
         if (prev_exists) {
           use_fallback = true;
@@ -126,6 +131,7 @@ Status DurableStore::Open() {
   }
 
   if (use_fallback) {
+    std::string().swap(image);
     Status s = LoadSnapshot(store_, prev_snapshot_path_, &snapshot_sequence,
                             env_);
     if (!s.ok()) {
@@ -134,8 +140,10 @@ Status DurableStore::Open() {
     }
     recovered_from_fallback_ = true;
   } else if (primary_exists) {
-    CQMS_RETURN_IF_ERROR(
-        LoadSnapshot(store_, snapshot_path_, &snapshot_sequence, env_));
+    CQMS_RETURN_IF_ERROR(read);
+    CQMS_RETURN_IF_ERROR(LoadSnapshotFromString(store_, image, snapshot_path_,
+                                                &snapshot_sequence));
+    std::string().swap(image);
   }
 
   // Replay the retired logs first (oldest generation first), then the

@@ -242,38 +242,39 @@ Status SaveSnapshot(const QueryStore& store, const std::string& path,
 
 Status LoadSnapshot(QueryStore* store, const std::string& path,
                     uint64_t* wal_sequence, Env* env) {
-  if (env == nullptr) env = Env::Default();
   if (wal_sequence != nullptr) *wal_sequence = 0;
   if (store->size() != 0) {
     return Status::InvalidArgument("LoadSnapshot requires an empty store");
   }
-
-  // Dispatch on the header: binary v2 magic, else the v1 text format.
-  {
-    std::unique_ptr<RandomAccessFile> probe;
-    CQMS_RETURN_IF_ERROR(env->NewRandomAccessFile(path, &probe));
-    std::string magic;
-    CQMS_RETURN_IF_ERROR(probe->Read(0, kSnapshotV2Magic.size(), &magic));
-    if (magic == kSnapshotV2Magic) {
-      return LoadSnapshotV2(store, path, wal_sequence, env);
-    }
-  }
-
   std::string file;
   CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
-  std::istringstream in(file);
+  return LoadSnapshotFromString(store, file, path, wal_sequence);
+}
+
+Status LoadSnapshotFromString(QueryStore* store, std::string_view data,
+                              const std::string& label,
+                              uint64_t* wal_sequence) {
+  if (wal_sequence != nullptr) *wal_sequence = 0;
+  if (store->size() != 0) {
+    return Status::InvalidArgument("LoadSnapshot requires an empty store");
+  }
+  // Dispatch on the header: binary v2 magic, else the v1 text format.
+  if (data.substr(0, kSnapshotV2Magic.size()) == kSnapshotV2Magic) {
+    return LoadSnapshotV2FromString(store, data, label, wal_sequence);
+  }
+  std::istringstream in{std::string(data)};
   std::string line;
   if (!std::getline(in, line) || line.rfind("CQMS-SNAPSHOT", 0) != 0) {
     // Neither the v2 magic nor the v1 text header: the bytes fail
     // validation, which routes DurableStore::Open to its fallback.
-    return Status::Corruption("not a CQMS snapshot: " + path);
+    return Status::Corruption("not a CQMS snapshot: " + label);
   }
   // Version "1" files used "%00" as the empty-field marker; "1.1" moved
   // it to a lone "%" so single-NUL fields round-trip.
   std::istringstream header(line);
   std::string word, version;
   header >> word >> version;
-  return LoadSnapshotV1(store, in, path,
+  return LoadSnapshotV1(store, in, label,
                         /*legacy_empty_marker=*/version == "1");
 }
 

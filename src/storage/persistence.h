@@ -39,6 +39,12 @@ Status SaveSnapshot(const QueryStore& store, const std::string& path,
 Status LoadSnapshot(QueryStore* store, const std::string& path,
                     uint64_t* wal_sequence = nullptr, Env* env = nullptr);
 
+/// The same load from a snapshot's bytes already in memory; `label`
+/// names them in error messages.
+Status LoadSnapshotFromString(QueryStore* store, std::string_view data,
+                              const std::string& label,
+                              uint64_t* wal_sequence = nullptr);
+
 /// Writes `contents` to `path` atomically and durably: the bytes land
 /// in `<path>.tmp`, are fsync'd (POSIX), and rename(2) moves them over
 /// the target (whose directory entry is fsync'd too), so a crash — or a

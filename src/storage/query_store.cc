@@ -172,11 +172,6 @@ QueryRecord QueryStore::RecordForText(std::string text, std::string user,
 
 void QueryStore::ReserveForRestore(size_t records, size_t statements,
                                    size_t symbols) {
-  // Defer the feature-relation rebuild: the SQL meta-query surface is
-  // touched far less often than the cold-start path, so its rows
-  // materialize on first feature_db() access instead of inside the
-  // restore loop.
-  feature_rows_lazy_ = true;
   postings_.by_table.reserve(symbols);
   postings_.by_attribute.reserve(symbols);
   postings_.by_keyword.reserve(symbols);
@@ -188,6 +183,7 @@ void QueryStore::ReserveForRestore(size_t records, size_t statements,
   // of magnitude fewer than records, so its rehashing is noise.
   lsh_.Reserve(statements);
   scoring_.Reserve(records, statements);
+  acl_.Reserve(records);
 }
 
 QueryId QueryStore::RestoreAppend(QueryRecord record) {
@@ -205,6 +201,7 @@ QueryId QueryStore::FinishAppend(QueryRecord record) {
   if (!owned.empty()) record.user = records_[owned.front()].user;
   InsertSorted(&owned, record.id);
   records_.push_back(std::make_shared<QueryRecord>(std::move(record)));
+  acl_.AddRecord();
   const QueryRecord& stored = records_.back();
   scoring_.AppendRecord(stored, statement,
                         GlobalInterner().Intern(stored.user));
@@ -235,13 +232,13 @@ StatementId QueryStore::ShareStatement(QueryRecord* record) {
     }
     entry = &statements_
                  .emplace(std::string_view(mine.text),
-                          StatementEntry{record->statement_, id, {}, {}})
+                          StatementEntry{record->statement_, id})
                  ->second;
     IndexStatement(id, *record);
   } else if (entry->statement != record->statement_) {
     record->set_statement(entry->statement);
   }
-  ShareRunStrings(record, entry);
+  ShareRunStrings(record);
   const StatementId id = entry->id;
   InsertSorted(&postings_.records_of[id], record->id);
   const uint32_t slot = scoring_.statement_pop_slot(id);
@@ -258,11 +255,9 @@ QueryStore::SharingTable::iterator QueryStore::EntryOf(
   return statements_.end();
 }
 
-void QueryStore::ShareRunStrings(QueryRecord* record, StatementEntry* entry) {
-  for (auto [mine, shared] : {std::pair(&record->stats.error, &entry->error),
-                              std::pair(&record->stats.plan, &entry->plan)}) {
-    if (!mine->empty() && !mine->ShareIfEqual(*shared)) *shared = *mine;
-  }
+void QueryStore::ShareRunStrings(QueryRecord* record) {
+  run_strings_.Share(&record->stats.error);
+  run_strings_.Share(&record->stats.plan);
 }
 
 void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
@@ -407,16 +402,6 @@ std::vector<QueryId> QueryStore::QueriesWithKeyword(
   return postings_.RecordsOf(postings_.StatementsWithKeyword(word));
 }
 
-std::vector<QueryId> QueryStore::QueriesWithSkeleton(
-    uint64_t skeleton_fp) const {
-  return postings_.RecordsOf(postings_.StatementsWithSkeleton(skeleton_fp));
-}
-
-std::vector<QueryId> QueryStore::LshCandidates(const MinHashSketch& sketch,
-                                               size_t probe_bands) const {
-  return postings_.RecordsOf(lsh_.Candidates(sketch, probe_bands));
-}
-
 uint64_t QueryStore::PopularityOf(uint64_t fingerprint) const {
   auto it = pop_slot_of_.find(fingerprint);
   return it == pop_slot_of_.end() ? 0 : scoring_.slot_count(it->second);
@@ -453,8 +438,8 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   Reshare(r, before);
 
   // Purge this query's feature rows and reinsert from the new AST —
-  // unless a restore deferred the rows entirely, in which case the
-  // eventual materialization reads the rewritten record anyway.
+  // unless the rows are still deferred, in which case the eventual
+  // materialization reads the rewritten record anyway.
   if (!feature_rows_lazy_) {
     for (const char* table :
          {"Queries", "DataSources", "Attributes", "Predicates"}) {
@@ -466,8 +451,8 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
         });
       }
     }
+    InsertFeatureRows(*r);
   }
-  if (!feature_rows_lazy_) InsertFeatureRows(*r);
   for (StoreListener* l : listeners_) l->OnRewrite(id, r->text);
   MutationTick();
   return Status::Ok();
@@ -552,8 +537,7 @@ Status QueryStore::SyncOutputSignature(QueryId id) {
 Status QueryStore::ShareRunStrings(QueryId id) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  auto entry = EntryOf(r->statement());
-  if (entry != statements_.end()) ShareRunStrings(r, &entry->second);
+  ShareRunStrings(r);
   return Status::Ok();
 }
 
@@ -589,16 +573,6 @@ bool QueryStore::Visible(const std::string& viewer, QueryId id) const {
   const QueryRecord* r = Get(id);
   if (r == nullptr || r->HasFlag(kFlagDeleted)) return false;
   return acl_.CanSee(viewer, r->user, id);
-}
-
-std::vector<QueryId> QueryStore::VisibleIds(const std::string& viewer) const {
-  VisibilityCache& cache = CacheFor(viewer);
-  std::vector<QueryId> out;
-  out.reserve(records_.size());
-  for (const QueryRecord& r : records_) {
-    if (cache.Visible(r)) out.push_back(r.id);
-  }
-  return out;
 }
 
 VisibilityCache& QueryStore::CacheFor(const std::string& viewer) const {

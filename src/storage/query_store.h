@@ -98,10 +98,11 @@ class QueryStore {
   /// materialized record — signature, fingerprints, components all
   /// trusted exactly as stored — rebuilding only the indexes (the LSH
   /// entry sketches the stored signature) and the scoring columns
-  /// (feature relations defer; see feature_db()). Never tokenizes or
-  /// parses, and never notifies the listener (a restore is not a new
-  /// mutation); the only interner touches are resolving the owner name
-  /// for the scoring columns and the sketch's keyword-exclusion lookups.
+  /// (feature relations defer, as on every path; see feature_db()).
+  /// Never tokenizes or parses, and never notifies the listener (a
+  /// restore is not a new mutation); the only interner touches are
+  /// resolving the owner name for the scoring columns and the sketch's
+  /// keyword-exclusion lookups.
   /// Callers are responsible for the record being internally
   /// consistent (LoadSnapshot's CRC framing), and it must carry a
   /// computed, interned signature: every stored record does (Append
@@ -163,15 +164,6 @@ class QueryStore {
   /// Ids of queries whose text contains `word` (lower-cased token).
   std::vector<QueryId> QueriesWithKeyword(const std::string& word) const;
 
-  /// Ids sharing a structure skeleton (same query modulo constants).
-  std::vector<QueryId> QueriesWithSkeleton(uint64_t skeleton_fp) const;
-
-  /// Sorted ids whose MinHash sketch shares at least one LSH band
-  /// bucket with `sketch` — the sub-linear kNN candidate set.
-  /// `probe_bands` limits the lookup to the first N bands (0 = all).
-  std::vector<QueryId> LshCandidates(const MinHashSketch& sketch,
-                                     size_t probe_bands = 0) const;
-
   /// The sketch index itself (band/row introspection, lifecycle tests).
   const LshIndex& lsh() const { return lsh_; }
 
@@ -222,13 +214,13 @@ class QueryStore {
   /// directly, or the columnar copy goes stale.
   Status SyncOutputSignature(QueryId id);
 
-  /// Points the error and plan of `id` at the copies the runs of its
-  /// statement already share, where they are equal; otherwise its own
-  /// become the ones later runs share. Every path that stores or
-  /// re-points a record does this itself; callers that replace a
-  /// record's stats in place through GetMutable (maintenance stats
-  /// refresh) call it after the edit. An in-place stats edit is
-  /// refreshable state, so no listener fires (see StoreListener).
+  /// Points the error and plan of `id` at the store's copies of equal
+  /// strings, whatever statement holds them; otherwise its own become
+  /// the ones later runs share. Every path that stores or re-points a
+  /// record does this itself; callers that replace a record's stats in
+  /// place through GetMutable (maintenance stats refresh) call it after
+  /// the edit. An in-place stats edit is refreshable state, so no
+  /// listener fires (see StoreListener).
   Status ShareRunStrings(QueryId id);
 
   /// Restore-grade variant for WAL replay: sets the output-derived
@@ -250,16 +242,14 @@ class QueryStore {
   /// True when `viewer` may see query `id` (not deleted, ACL passes).
   bool Visible(const std::string& viewer, QueryId id) const;
 
-  /// All ids visible to `viewer`, in log order.
-  std::vector<QueryId> VisibleIds(const std::string& viewer) const;
-
   /// The memoizing visibility cache for `viewer` on the calling thread
   /// — the live-path counterpart of ReadViewState::CacheFor, so
   /// repeated reads (MetaQueryExecutor with views disabled) keep their
   /// ACL decisions warm across calls instead of re-deriving them per
-  /// query. Pooled per (viewer, thread); entries self-invalidate on ACL
-  /// epoch change, so mutations between reads are safe. The mutex
-  /// guards only the pool lookup.
+  /// query. Pooled per (viewer, thread), because the live store changes
+  /// under its caches: each refills a word the store has grown into and
+  /// starts over on an ACL epoch change, so mutations between reads are
+  /// safe. The mutex guards only the pool lookup.
   VisibilityCache& CacheFor(const std::string& viewer) const;
 
   // --- concurrent read views (docs/concurrency.md) -------------------------
@@ -324,10 +314,11 @@ class QueryStore {
   // --- feature relations -----------------------------------------------------------
 
   /// The embedded database holding the feature relations; execute SQL
-  /// meta-queries against it (Figure 1). After a bulk snapshot restore
-  /// the rows are materialized lazily on first access (cold-start pays
-  /// for the SQL meta-query surface only when it is used); live appends
-  /// always maintain them incrementally once materialized.
+  /// meta-queries against it (Figure 1). Every store defers the rows:
+  /// they are materialized from the current records on first access, so
+  /// logging, restores and replays pay for the SQL meta-query surface
+  /// only once it is used, and appends and rewrites maintain them
+  /// incrementally from then on.
   const db::Database& feature_db() const {
     if (feature_rows_lazy_) MaterializeFeatureRows();
     return feature_db_;
@@ -340,14 +331,10 @@ class QueryStore {
   class AclViewTick;
 
   /// One live distinct Statement; its records are
-  /// postings_.records_of[id]. `error` and `plan` are the copies its
-  /// runs share (ShareRunStrings): the last non-empty value a run of
-  /// the statement stored.
+  /// postings_.records_of[id].
   struct StatementEntry {
     std::shared_ptr<Statement> statement;
     StatementId id = 0;
-    SharedString error;
-    SharedString plan;
   };
   /// See statements_.
   using SharingTable =
@@ -361,14 +348,14 @@ class QueryStore {
   /// Points `record` at the live Statement equal to its own, or enters
   /// its own into the sharing table (with a fresh id, indexed) when
   /// there is none; adds the record to the statement's records and
-  /// popularity count, and shares the statement's run strings
-  /// (ShareRunStrings). Returns the statement's id.
+  /// popularity count, and shares its run strings (ShareRunStrings).
+  /// Returns the statement's id.
   StatementId ShareStatement(QueryRecord* record);
   /// The sharing-table entry holding exactly `statement`, or end().
   SharingTable::iterator EntryOf(const Statement& statement);
-  /// Points `record`'s error and plan at `entry`'s copies where equal;
-  /// a non-empty value that differs becomes the entry's copy.
-  static void ShareRunStrings(QueryRecord* record, StatementEntry* entry);
+  /// Points `record`'s error and plan at run_strings_'s copies where
+  /// equal; a non-empty value no copy equals becomes one.
+  void ShareRunStrings(QueryRecord* record);
   /// Re-shares live record `record` after an edit moved it off `before`,
   /// the statement it held: removes it from `before`'s records (when it
   /// was the last one, unindexes the statement, frees its id and drops
@@ -394,8 +381,8 @@ class QueryStore {
   /// indexed under, and releases its scoring row.
   void UnindexStatement(StatementId id, const Statement& statement);
   void InsertFeatureRows(const QueryRecord& record) const;
-  /// Rebuilds every feature-relation row from the current records —
-  /// the deferred half of a bulk restore.
+  /// Builds every feature-relation row from the current records, on the
+  /// first feature_db() call.
   void MaterializeFeatureRows() const;
   /// Slot of `fingerprint` in the scoring columns' popularity counts,
   /// creating one on first sight. kNoPopularitySlot for parse failures.
@@ -406,7 +393,7 @@ class QueryStore {
   /// Mutable alongside feature_rows_lazy_: the const feature_db()
   /// accessor materializes deferred rows on first use.
   mutable db::Database feature_db_;
-  mutable bool feature_rows_lazy_ = false;
+  mutable bool feature_rows_lazy_ = true;
   /// The four feature relations, resolved once at construction —
   /// InsertFeatureRows appends ~a dozen rows per logged query, and the
   /// per-insert name lowering + catalog lookup showed up in the
@@ -428,6 +415,9 @@ class QueryStore {
   /// Ids of released statements, reused (last freed first) before new
   /// ids are minted.
   std::vector<StatementId> free_statement_ids_;
+  /// One copy of each error and plan the records hold, across
+  /// statements (see ShareRunStrings).
+  SharedStringTable run_strings_;
 
   /// The feature posting lists, as the copyable value a view
   /// publication snapshots wholesale (see PostingIndex for keying).
@@ -439,8 +429,8 @@ class QueryStore {
   /// a vector scan beats any indexed structure.
   std::vector<StoreListener*> listeners_;
 
-  /// Live-path visibility-cache pool (CacheFor), keyed like
-  /// ReadViewState::caches_.
+  /// Live-path visibility-cache pool (CacheFor), keyed by viewer and
+  /// thread.
   mutable std::mutex cache_mu_;
   mutable std::map<std::pair<std::string, std::thread::id>,
                    std::unique_ptr<VisibilityCache>>

@@ -116,68 +116,100 @@ ReadViewState::~ReadViewState() = default;
 
 VisibilityCache& ReadViewState::CacheFor(const std::string& viewer) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto key = std::make_pair(viewer, std::this_thread::get_id());
-  std::unique_ptr<VisibilityCache>& slot = caches_[key];
+  std::unique_ptr<VisibilityCache>& slot = caches_[viewer];
   if (slot == nullptr) {
     slot = std::make_unique<VisibilityCache>(StoreView(*this), viewer);
   }
   return *slot;
 }
 
+VisibilityCache::VisibilityCache(StoreView view, std::string viewer)
+    : view_(view), viewer_(std::move(viewer)) {
+  Reset();
+}
+
 VisibilityCache::VisibilityCache(const QueryStore* store, std::string viewer)
-    : view_(*store), viewer_(std::move(viewer)) {}
+    : VisibilityCache(StoreView(*store), std::move(viewer)) {}
 
-bool VisibilityCache::AclVisible(QueryId id) const {
-  // Invalidate-on-mutation: group memberships or per-query visibility
-  // may have changed since the entries were memoized. (Frozen views
-  // never bump their ACL epoch, so view-backed caches fill once.)
-  uint64_t epoch = view_.acl().epoch();
-  if (epoch != acl_epoch_) {
-    acl_epoch_ = epoch;
-    acl_ok_.clear();
-    shares_group_.clear();
-  }
-  size_t idx = static_cast<size_t>(id);
-  if (idx >= acl_ok_.size()) {
-    acl_ok_.resize(view_.size(), kUnknown);
-    // Find() never inserts; resolving here (not per candidate) keeps the
-    // interner mutex off the hot path.
-    viewer_symbol_ = GlobalInterner().Find(viewer_);
-  }
-  uint8_t cached = acl_ok_[idx];
-  if (cached != kUnknown) {
-    ++acl_hits_;
-    return cached == kVisible;
-  }
-  ++acl_misses_;
+void VisibilityCache::Reset() const {
+  acl_epoch_ = view_.acl().epoch();
+  words_.reset();
+  word_count_ = 0;
+  Grow();
+}
 
-  // Owner identity via the columns' interned Symbol — equality of ids is
-  // equality of names, with no record-log touch.
-  Symbol owner = view_.scoring().owner(id);
-  bool visible = false;
-  if (owner == viewer_symbol_ && owner != kInvalidSymbol) {
-    visible = true;
-  } else {
-    switch (view_.acl().GetVisibility(id)) {
-      case Visibility::kPrivate:
-        visible = false;
-        break;
-      case Visibility::kPublic:
-        visible = true;
-        break;
-      case Visibility::kGroup: {
-        auto [it, inserted] = shares_group_.try_emplace(owner, false);
-        if (inserted) {
-          it->second = view_.acl().ShareGroup(
-              viewer_, std::string(GlobalInterner().NameOf(owner)));
-        }
-        visible = it->second;
-        break;
+void VisibilityCache::Grow() const {
+  resolved_size_ = view_.size();
+  const size_t count = (resolved_size_ + kIdsPerWord - 1) / kIdsPerWord;
+  if (count > word_count_) {
+    // Value-initialized: every new entry unknown.
+    std::unique_ptr<std::atomic<uint64_t>[]> grown(
+        new std::atomic<uint64_t>[count]());
+    for (size_t i = 0; i < word_count_; ++i) {
+      grown[i].store(words_[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    }
+    words_ = std::move(grown);
+    word_count_ = count;
+  }
+  // Find() never inserts; resolving here (not per fill) keeps the
+  // interner mutex off the hot path. A user whose name is not interned
+  // owns no record yet, and the store grows before one of theirs can be
+  // looked up.
+  const AccessControl& acl = view_.acl();
+  viewer_symbol_ = GlobalInterner().Find(viewer_);
+  group_owners_.clear();
+  if (!acl.GroupsOf(viewer_).empty()) {
+    for (const auto& [user, groups] : acl.memberships()) {
+      const Symbol owner = GlobalInterner().Find(user);
+      if (owner != kInvalidSymbol && acl.ShareGroup(viewer_, user)) {
+        group_owners_.push_back(owner);
       }
     }
+    std::sort(group_owners_.begin(), group_owners_.end());
   }
-  acl_ok_[idx] = visible ? kVisible : kHidden;
-  return visible;
+}
+
+uint64_t VisibilityCache::FillWord(size_t word) const {
+  // Only the live store changes under a cache: a frozen view keeps its
+  // epoch and size, so a cache over one writes nothing here but the
+  // word.
+  if (view_.acl().epoch() != acl_epoch_) {
+    Reset();
+  } else if (view_.size() != resolved_size_) {
+    Grow();
+  }
+  const ScoringColumns& cols = view_.scoring();
+  const AccessControl& acl = view_.acl();
+  const size_t first = word * kIdsPerWord;
+  const size_t end = std::min(first + kIdsPerWord, view_.size());
+  uint64_t bits = 0;
+  for (size_t id = first; id < end; ++id) {
+    const QueryId qid = static_cast<QueryId>(id);
+    // Owner identity via the columns' interned Symbol — equality of ids
+    // is equality of names, with no record-log touch.
+    const Symbol owner = cols.owner(qid);
+    bool visible = false;
+    if (owner == viewer_symbol_ && owner != kInvalidSymbol) {
+      visible = true;
+    } else {
+      switch (acl.GetVisibility(qid)) {
+        case Visibility::kPrivate:
+          visible = false;
+          break;
+        case Visibility::kPublic:
+          visible = true;
+          break;
+        case Visibility::kGroup:
+          visible = std::binary_search(group_owners_.begin(),
+                                       group_owners_.end(), owner);
+          break;
+      }
+    }
+    bits |= (visible ? kKnown | kVisible : kKnown) << ((id - first) * 2);
+  }
+  words_[word].store(bits, std::memory_order_relaxed);
+  return bits;
 }
 
 }  // namespace cqms::storage

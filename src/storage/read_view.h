@@ -1,11 +1,11 @@
 #ifndef CQMS_STORAGE_READ_VIEW_H_
 #define CQMS_STORAGE_READ_VIEW_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -123,8 +123,8 @@ class StoreView {
 /// are shared with the store, copy-on-write protected), the scoring
 /// columns, the posting lists, the LSH index and the ACL. Built by
 /// QueryStore::PublishView on the writer thread; after publication it
-/// is never mutated (the per-viewer visibility-cache pool below is
-/// internally synchronized memoization, not state), so any number of
+/// is never mutated (the per-viewer visibility caches below are
+/// thread-safe memoization, not state), so any number of
 /// readers may execute meta-queries against it concurrently with zero
 /// coordination. Lifetime: the store keeps the latest view alive and
 /// retires predecessors through epoch-based reclamation (see
@@ -159,12 +159,11 @@ class ReadViewState {
   const LshIndex& lsh() const { return lsh_; }
   const AccessControl& acl() const { return acl_; }
 
-  /// The memoizing visibility cache for `viewer` on the calling thread.
-  /// Pooled per (viewer, thread) so two readers serving the same viewer
-  /// never share one cache's mutable memo state; the mutex guards only
-  /// the pool lookup, never the scoring loop. Caches live as long as
-  /// the view and stay warm across that thread's queries against it;
-  /// the view's ACL is frozen, so they never self-invalidate.
+  /// The memoizing visibility cache for `viewer`, one per viewer and
+  /// shared by every thread that serves them (see VisibilityCache); the
+  /// mutex guards only the pool lookup, never the scoring loop. Caches
+  /// live as long as the view and stay warm across every query against
+  /// it; the view's ACL is frozen, so they never self-invalidate.
   VisibilityCache& CacheFor(const std::string& viewer) const;
 
  private:
@@ -180,9 +179,7 @@ class ReadViewState {
   AccessControl acl_;
 
   mutable std::mutex cache_mu_;
-  mutable std::map<std::pair<std::string, std::thread::id>,
-                   std::unique_ptr<VisibilityCache>>
-      caches_;
+  mutable std::map<std::string, std::unique_ptr<VisibilityCache>> caches_;
 };
 
 inline StoreView::StoreView(const ReadViewState& view)
@@ -242,26 +239,36 @@ class PinnedView {
   const ReadViewState* view_ = nullptr;
 };
 
-/// Memoizes visibility decisions for one viewer over one StoreView
-/// (live store or frozen view). The ACL part of a visibility check —
-/// per-query visibility level plus the group-set intersection for
-/// kGroup queries — is resolved at most once per query id and cached in
-/// a flat byte vector; the deleted-tombstone flag is re-read from the
-/// scoring columns on every call so deletions take effect immediately.
-/// Safe to keep alive across searches and ACL mutations on the live
-/// path: every call compares the ACL epoch against the snapshot taken
-/// when the cache was (re)filled and drops all memoized decisions on
-/// mismatch, so a viewer whose group membership changed is re-checked
-/// from scratch. (A view's ACL is frozen, so view-backed caches never
-/// invalidate.) Semantics match QueryStore::Visible exactly.
+/// Memoizes one viewer's visibility decisions over one StoreView (live
+/// store or frozen view) at 2 bits per record, in 64-bit words of 32
+/// ids. A lookup whose entry is unknown fills its whole word: the 32
+/// ACL decisions come from the scoring columns' owner column, the ACL's
+/// visibility column and the viewer's per-owner group test, and land
+/// with one store. The deleted tombstone is re-read from the scoring
+/// columns on every call, so deletions take effect immediately.
+/// Semantics match QueryStore::Visible exactly.
 ///
-/// Not internally synchronized: one cache belongs to one thread at a
-/// time — the live path keeps them call-local, the view path pools
-/// them per (viewer, thread) (ReadViewState::CacheFor).
+/// Over a frozen view a fill is a pure function of the view, so one
+/// cache serves every thread (ReadViewState::CacheFor keeps one per
+/// viewer): the words are relaxed atomics, and two threads that race
+/// on a word store the same value. Over the live store a cache belongs
+/// to one thread at a time (QueryStore::CacheFor pools them per
+/// (viewer, thread); browse keeps one call-local). Each call compares
+/// the ACL epoch against the one the words were filled under and starts
+/// over on a mismatch, so a viewer whose group membership changed is
+/// re-checked from scratch; a word filled while the store was shorter
+/// is refilled once a lookup reaches an id it did not cover. The cache
+/// holds no counters: each caller tallies its own hits and misses.
 class VisibilityCache {
  public:
-  VisibilityCache(StoreView view, std::string viewer)
-      : view_(view), viewer_(std::move(viewer)) {}
+  /// One caller's lookups: a hit found its entry filled, a miss filled
+  /// the entry's word.
+  struct Tally {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
+  VisibilityCache(StoreView view, std::string viewer);
 
   /// Compatibility constructor over the live store; defined in
   /// read_view.cc (needs the complete QueryStore).
@@ -270,48 +277,74 @@ class VisibilityCache {
   /// True when the viewer may see `record` (not deleted, ACL passes).
   bool Visible(const QueryRecord& record) const {
     if (record.HasFlag(kFlagDeleted)) return false;
-    return AclVisible(record.id);
+    Tally unused;
+    return AclVisible(static_cast<size_t>(record.id), &unused);
   }
 
-  /// Columnar variant: reads the tombstone flag from the scoring columns
-  /// instead of the record struct — the scoring-loop fast path.
-  bool VisibleId(QueryId id) const {
+  /// Columnar variant for an id of the backing store: reads the
+  /// tombstone flag from the scoring columns instead of the record
+  /// struct — the scoring-loop fast path. A deleted id counts in
+  /// neither tally.
+  bool VisibleId(QueryId id, Tally* tally) const {
     if ((view_.scoring().flags(id) & kFlagDeleted) != 0) return false;
-    return AclVisible(id);
+    return AclVisible(static_cast<size_t>(id), tally);
+  }
+  bool VisibleId(QueryId id) const {
+    Tally unused;
+    return VisibleId(id, &unused);
   }
 
   const std::string& viewer() const { return viewer_; }
 
-  /// Memo-hit / memo-miss tallies for AclVisible, monotonically
-  /// increasing over the cache's lifetime. Plain (non-atomic) counters:
-  /// a cache is (viewer, thread)-owned, so the planner reads deltas on
-  /// the same thread and flushes them to the global registry itself.
-  uint64_t acl_hits() const { return acl_hits_; }
-  uint64_t acl_misses() const { return acl_misses_; }
-
  private:
-  bool AclVisible(QueryId id) const;
+  // One record's 2-bit entry: 0 while unknown, else kKnown, plus
+  // kVisible when the ACL passes.
+  static constexpr uint64_t kKnown = 1, kVisible = 2;
+  static constexpr size_t kIdsPerWord = 32;
 
-  static constexpr uint8_t kUnknown = 0, kVisible = 1, kHidden = 2;
+  bool AclVisible(size_t id, Tally* tally) const {
+    const size_t word = id / kIdsPerWord;
+    const unsigned shift = static_cast<unsigned>(id % kIdsPerWord) * 2;
+    if (view_.acl().epoch() == acl_epoch_ && word < word_count_) {
+      const uint64_t entry =
+          words_[word].load(std::memory_order_relaxed) >> shift;
+      if ((entry & kKnown) != 0) {
+        ++tally->hits;
+        return (entry & kVisible) != 0;
+      }
+    }
+    ++tally->misses;
+    return ((FillWord(word) >> shift) & kVisible) != 0;
+  }
+
+  /// Fills word `word` and returns it; on the live store first starts
+  /// over after an ACL change (Reset) or catches up with appends (Grow).
+  uint64_t FillWord(size_t word) const;
+  /// Drops every entry and Grows under the current ACL epoch.
+  void Reset() const;
+  /// Covers the backing store's records, keeping the filled words, and
+  /// resolves the viewer's Symbol and group test again.
+  void Grow() const;
 
   StoreView view_;
   std::string viewer_;
-  /// ACL epoch the memoized entries were computed under.
-  mutable uint64_t acl_epoch_ = ~0ULL;
+  // Written only by the constructor and, on the live store, by the one
+  // thread that holds the cache; over a view, after construction only
+  // the words change.
+  /// ACL epoch the words were filled under.
+  mutable uint64_t acl_epoch_ = 0;
   /// The viewer's interned Symbol (kInvalidSymbol when the viewer never
   /// authored a logged query) — lets the owner check compare one u32
-  /// against the columns' owner Symbol instead of touching the record
-  /// log for a string compare. Refreshed whenever acl_ok_ grows, which
-  /// covers the viewer's name being interned by their own first Append.
+  /// against the owner column instead of touching the record log for a
+  /// string compare.
   mutable Symbol viewer_symbol_ = kInvalidSymbol;
-  /// Per-id ACL decision (kUnknown / kVisible / kHidden); excludes the
-  /// deleted flag, which is never cached.
-  mutable std::vector<uint8_t> acl_ok_;
-  /// Per-owner group-sharing results, shared across that owner's
-  /// queries; keyed by the owner's interned Symbol.
-  mutable std::unordered_map<Symbol, bool> shares_group_;
-  mutable uint64_t acl_hits_ = 0;
-  mutable uint64_t acl_misses_ = 0;
+  /// Sorted Symbols of the owners that share a group with the viewer:
+  /// the per-owner group test of kGroup records.
+  mutable std::vector<Symbol> group_owners_;
+  /// Records of the backing store when the Symbols were resolved.
+  mutable size_t resolved_size_ = 0;
+  mutable std::unique_ptr<std::atomic<uint64_t>[]> words_;
+  mutable size_t word_count_ = 0;
 };
 
 }  // namespace cqms::storage

@@ -194,25 +194,9 @@ class ScoringColumns {
     return statement_row(statement_of(id));
   }
 
-  // Per-record shorthands for row_of(id).
-  uint64_t popularity(QueryId id) const { return row_of(id).popularity(); }
+  /// row_of(id).signature_valid(), for the miner's per-record views.
   bool signature_valid(QueryId id) const {
     return row_of(id).signature_valid();
-  }
-  bool parse_failed(QueryId id) const { return row_of(id).parse_failed(); }
-  bool output_empty_computed(QueryId id) const {
-    return row_of(id).output_empty_computed();
-  }
-  SymbolSpan tables(QueryId id) const { return row_of(id).tables(); }
-  SymbolSpan skeletons(QueryId id) const { return row_of(id).skeletons(); }
-  SymbolSpan attributes(QueryId id) const { return row_of(id).attributes(); }
-  SymbolSpan projections(QueryId id) const {
-    return row_of(id).projections();
-  }
-  SymbolSpan tokens(QueryId id) const { return row_of(id).tokens(); }
-  HashSpan output_rows(QueryId id) const { return row_of(id).output_rows(); }
-  std::string_view lowered_text(QueryId id) const {
-    return row_of(id).lowered_text();
   }
 
   /// Dead arena bytes (Symbol runs, output hashes and lowered text) of

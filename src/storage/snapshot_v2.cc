@@ -379,7 +379,12 @@ Status DecodeInterner(BinaryReader* r, SymbolRemap* remap,
   return Status::Ok();
 }
 
-Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
+/// Registers the memberships and collects the visibility pairs: the
+/// ACL section precedes the records, whose ids the pairs name, so the
+/// loader applies them once the records are in (ApplyVisibility).
+Status DecodeAcl(BinaryReader* r, QueryStore* store,
+                 std::vector<std::pair<QueryId, Visibility>>* visibility,
+                 const std::string& path) {
   uint64_t users = r->GetVarint();
   if (r->failed() || users > r->remaining()) {
     return CorruptSnapshot(path, "acl user count");
@@ -400,13 +405,25 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
     if (vis > static_cast<uint8_t>(Visibility::kPublic)) {
       return CorruptSnapshot(path, "visibility value");
     }
-    // Owner/requester checks do not apply to a restore; the empty
-    // owner==requester pair passes validation by construction.
-    Status s = store->acl().SetVisibility(id, "", "",
-                                          static_cast<Visibility>(vis));
-    if (!s.ok()) return s;
+    visibility->emplace_back(id, static_cast<Visibility>(vis));
   }
   if (!r->AtEnd()) return CorruptSnapshot(path, "acl payload");
+  return Status::Ok();
+}
+
+/// Sets the decoded visibility of records the store holds; an id past
+/// them is forged.
+Status ApplyVisibility(
+    const std::vector<std::pair<QueryId, Visibility>>& visibility,
+    QueryStore* store, const std::string& path) {
+  for (const auto& [id, v] : visibility) {
+    if (id < 0 || static_cast<size_t>(id) >= store->size()) {
+      return CorruptSnapshot(path, "visibility id");
+    }
+    // Owner/requester checks do not apply to a restore; the empty
+    // owner==requester pair passes validation by construction.
+    CQMS_RETURN_IF_ERROR(store->acl().SetVisibility(id, "", "", v));
+  }
   return Status::Ok();
 }
 
@@ -590,8 +607,8 @@ Status DecodeRecord(BinaryReader* r, const std::vector<QueryRecord>& statements,
   return Status::Ok();
 }
 
-/// Records whose effective visibility differs from the kGroup default —
-/// the only ones registered in the ACL map.
+/// Records whose visibility differs from the kGroup default — the only
+/// ones the ACL section lists.
 template <typename Source>  // QueryStore or ReadViewState
 std::vector<std::pair<QueryId, Visibility>> NonDefaultVisibility(
     const Source& store) {
@@ -736,6 +753,10 @@ Status EncodeSnapshotV2(const ReadViewState& view, uint64_t wal_sequence,
 Status VerifySnapshotV2(const std::string& path, Env* env) {
   std::string file;
   CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
+  return VerifySnapshotV2Image(file, path);
+}
+
+Status VerifySnapshotV2Image(std::string_view file, const std::string& path) {
   uint32_t version = 0;
   CQMS_RETURN_IF_ERROR(ReadVersion(file, path, &version));
   size_t pos = kSnapshotV2Magic.size() + 4;
@@ -778,6 +799,7 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
 
   SymbolRemap remap;
   std::vector<QueryRecord> statements;
+  std::vector<std::pair<QueryId, Visibility>> visibility;
   bool saw_interner = false;
   bool saw_statements = false;
   bool saw_records = false;
@@ -807,7 +829,7 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         saw_interner = true;
         break;
       case kSectionAcl:
-        CQMS_RETURN_IF_ERROR(DecodeAcl(&r, store, label));
+        CQMS_RETURN_IF_ERROR(DecodeAcl(&r, store, &visibility, label));
         break;
       case kSectionStatements: {
         if (version < kStatementTableVersion) break;  // unknown there
@@ -865,7 +887,7 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         break;
       case kSectionEnd:
         if (!saw_records) return CorruptSnapshot(label, "missing records");
-        return Status::Ok();
+        return ApplyVisibility(visibility, store, label);
       default:
         // Unknown section from a newer minor revision: CRC verified,
         // skip.

@@ -77,6 +77,11 @@ Status EncodeSnapshotV2(const ReadViewState& view, uint64_t wal_sequence,
 /// against (torn writes, bit rot).
 Status VerifySnapshotV2(const std::string& path, Env* env = nullptr);
 
+/// The same validation of an image already in memory; `label` names it
+/// in error messages. DurableStore::Open reads its newest snapshot once
+/// and verifies and decodes that one buffer.
+Status VerifySnapshotV2Image(std::string_view file, const std::string& label);
+
 /// Loads a version-2, -3 or -4 snapshot into an empty store. Symbols
 /// are remapped through the process-global interner (bulk re-intern of
 /// the stored table slice): in a fresh process the mapping is the

@@ -1,6 +1,7 @@
 #ifndef CQMS_STORAGE_STORE_LISTENER_H_
 #define CQMS_STORAGE_STORE_LISTENER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,7 +9,7 @@
 
 namespace cqms::storage {
 
-enum class Visibility;
+enum class Visibility : uint8_t;
 
 /// Observer of every durable mutation of a QueryStore (and its embedded
 /// AccessControl). The write-ahead log subscribes through this interface

@@ -280,6 +280,11 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
       if (r->failed() || vis > static_cast<uint8_t>(Visibility::kPublic)) {
         return CorruptWal(path, "visibility payload");
       }
+      // A frame is logged only for a stored record, so a later id is
+      // forged; it must not reach (or resize) the visibility column.
+      if (id < 0 || static_cast<size_t>(id) >= store->size()) {
+        return CorruptWal(path, "visibility id");
+      }
       return store->acl().SetVisibility(id, "", "",
                                         static_cast<Visibility>(vis));
     }

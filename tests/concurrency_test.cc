@@ -577,6 +577,93 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
   }
 }
 
+// One pinned view serves every viewer from several threads through one
+// shared 2-bit memo per viewer: threads that race to fill the same
+// words must read exactly what QueryStore::Visible decides, over
+// private, public and group records, tombstones, owners in no group
+// and a viewer in none.
+TEST(ReadViewTest, ThreadsShareOneVisibilityMemoPerViewer) {
+  QueryStore store;
+  store.acl().AddUser("u0", {"lab"});
+  store.acl().AddUser("u1", {"lab"});
+  store.acl().AddUser("u2", {"ocean"});
+  store.acl().AddUser("u3", {"ocean", "lab"});
+  const std::vector<std::string> owners = {"u0", "u1", "u2", "u3",
+                                           "outsider"};
+  constexpr int kRecords = 300;  // ten words, the last one partial
+  for (int i = 0; i < kRecords; ++i) {
+    const std::string& owner = owners[static_cast<size_t>(i * 7 % 5)];
+    QueryId id = store.Append(BuildRecordFromText(
+        "SELECT a FROM sensors WHERE a > " + std::to_string(i), owner, i));
+    if (i % 3 == 0 || i % 5 == 0) {
+      const Visibility v =
+          i % 3 == 0 ? Visibility::kPrivate : Visibility::kPublic;
+      ASSERT_TRUE(store.acl().SetVisibility(id, owner, owner, v).ok());
+    }
+    if (i % 11 == 0) {
+      ASSERT_TRUE(store.Delete(id, owner).ok());
+    }
+  }
+  store.EnableViews();
+  PinnedView view = store.PinView();
+  ASSERT_TRUE(view);
+
+  const std::vector<std::string> viewers = {"u0", "u1", "u2",
+                                            "u3", "outsider", "stranger"};
+  std::vector<std::vector<bool>> expected;
+  size_t visible = 0;
+  for (const std::string& viewer : viewers) {
+    std::vector<bool> row;
+    for (QueryId id = 0; id < kRecords; ++id) {
+      row.push_back(store.Visible(viewer, id));
+      visible += row.back() ? 1 : 0;
+    }
+    expected.push_back(std::move(row));
+  }
+  ASSERT_GT(visible, 0u);
+  ASSERT_LT(visible, viewers.size() * kRecords);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const VisibilityCache*>> caches(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      std::vector<const VisibilityCache*>& mine =
+          caches[static_cast<size_t>(t)];
+      for (const std::string& viewer : viewers) {
+        mine.push_back(&view->CacheFor(viewer));
+      }
+      // Every thread starts its lookups at once and takes no lock while
+      // it fills, so the fills of one word race.
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int pass = 0; pass < 3; ++pass) {
+        for (size_t v = 0; v < viewers.size(); ++v) {
+          // Each thread walks the ids in its own order.
+          for (int k = 0; k < kRecords; ++k) {
+            const QueryId id = (k * 37 + t * 101 + pass) % kRecords;
+            const bool want = expected[v][static_cast<size_t>(id)];
+            if (mine[v]->VisibleId(id) != want) {
+              ++mismatches[static_cast<size_t>(t)];
+            }
+          }
+        }
+      }
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(caches[static_cast<size_t>(t)], caches[0])
+        << "thread " << t << " was handed its own caches";
+  }
+}
+
 // A writer that also mutates the ACL mid-run: readers on old views keep
 // the old visibility, new views see the new rules.
 TEST(ReadViewTest, AclChangesPublishLikeMutations) {

@@ -320,17 +320,19 @@ void ExpectColumnsEqual(const QueryStore& a, const QueryStore& b, QueryId id) {
   EXPECT_EQ(ca.quality(id), cb.quality(id));
   EXPECT_EQ(ca.timestamp(id), cb.timestamp(id));
   EXPECT_EQ(ca.owner(id), cb.owner(id));
-  EXPECT_EQ(ca.popularity(id), cb.popularity(id));
+  const ScoringColumns::StatementRow ra = ca.row_of(id);
+  const ScoringColumns::StatementRow rb = cb.row_of(id);
+  EXPECT_EQ(ra.popularity(), rb.popularity());
   EXPECT_EQ(ca.signature_valid(id), cb.signature_valid(id));
-  EXPECT_EQ(ca.parse_failed(id), cb.parse_failed(id));
-  EXPECT_EQ(ca.lowered_text(id), cb.lowered_text(id));
-  ExpectSpansEqual(ca.tables(id), cb.tables(id), id);
-  ExpectSpansEqual(ca.skeletons(id), cb.skeletons(id), id);
-  ExpectSpansEqual(ca.attributes(id), cb.attributes(id), id);
-  ExpectSpansEqual(ca.projections(id), cb.projections(id), id);
-  ExpectSpansEqual(ca.tokens(id), cb.tokens(id), id);
-  ScoringColumns::HashSpan oa = ca.output_rows(id);
-  ScoringColumns::HashSpan ob = cb.output_rows(id);
+  EXPECT_EQ(ra.parse_failed(), rb.parse_failed());
+  EXPECT_EQ(ra.lowered_text(), rb.lowered_text());
+  ExpectSpansEqual(ra.tables(), rb.tables(), id);
+  ExpectSpansEqual(ra.skeletons(), rb.skeletons(), id);
+  ExpectSpansEqual(ra.attributes(), rb.attributes(), id);
+  ExpectSpansEqual(ra.projections(), rb.projections(), id);
+  ExpectSpansEqual(ra.tokens(), rb.tokens(), id);
+  ScoringColumns::HashSpan oa = ra.output_rows();
+  ScoringColumns::HashSpan ob = rb.output_rows();
   ASSERT_EQ(oa.size, ob.size) << "id " << id;
   for (size_t i = 0; i < oa.size; ++i) EXPECT_EQ(oa.data[i], ob.data[i]);
 }
@@ -396,7 +398,10 @@ TEST(SnapshotV2Test, RoundTripEqualityOnSeededLogWithoutRetokenizing) {
   // ACL: every user sees exactly the same log slice.
   for (size_t u = 0; u < f.options.num_users; ++u) {
     std::string user = workload::UserName(u);
-    EXPECT_EQ(loaded.VisibleIds(user), store.VisibleIds(user)) << user;
+    for (const QueryRecord& r : store.records()) {
+      EXPECT_EQ(loaded.Visible(user, r.id), store.Visible(user, r.id))
+          << user << " id " << r.id;
+    }
   }
 }
 
@@ -1058,6 +1063,46 @@ TEST(SnapshotV2Test, ForgedCountsAndIndexesAreCorruption) {
   EXPECT_EQ(load(image), StatusCode::kOk);
 }
 
+// The ACL section precedes the records, so the loader holds its
+// visibility pairs until the records are in; one naming an id the image
+// holds no record for is forged, in either format, and must never size
+// the visibility column.
+TEST(SnapshotV2Test, ForgedVisibilityIdIsCorruption) {
+  QueryStore store;
+  BuildCompatLog(&store);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+  const uint64_t records = store.size();
+  // No users, then one visibility pair.
+  auto acl = [](uint64_t id) {
+    BinaryWriter w;
+    w.PutVarint(0);
+    w.PutVarint(1);
+    w.PutVarint(id);
+    w.PutU8(static_cast<uint8_t>(Visibility::kPublic));
+    return w.Take();
+  };
+  for (const std::string& saved : {image, V3FixtureImage()}) {
+    const int format = saved[8];
+    for (uint64_t id : {records, records + 1, uint64_t{1} << 40}) {
+      SnapshotSections forged(saved);
+      *forged.Payload(2) = acl(id);
+      QueryStore s;
+      EXPECT_EQ(LoadSnapshotV2FromString(&s, forged.Join(), "forged").code(),
+                StatusCode::kCorruption)
+          << "format " << format << " id " << id;
+    }
+    // The last record is the largest id an image may name.
+    SnapshotSections last(saved);
+    *last.Payload(2) = acl(records - 1);
+    QueryStore s;
+    ASSERT_TRUE(LoadSnapshotV2FromString(&s, last.Join(), "last").ok())
+        << "format " << format;
+    EXPECT_EQ(s.acl().GetVisibility(static_cast<QueryId>(records - 1)),
+              Visibility::kPublic);
+  }
+}
+
 // Seeded byte-mutation fuzz of the snapshot decoder, over a version-4
 // image and the version-3 fixture. Each mutant's section CRCs are
 // recomputed, so the payload decoders see the mutated bytes rather
@@ -1419,12 +1464,80 @@ TEST(RunStringSharingTest, ReplayedRunsHoldOneCopyOfEachString) {
   Harness replayed(30);
   DurableStore recovered(&replayed.store, dir);
   ASSERT_TRUE(recovered.Open().ok());
-  ASSERT_EQ(replayed.store.size(), 12u);
+  ASSERT_EQ(replayed.store.size(), 16u);
   const testing_util::SharedRepeats repeats =
       testing_util::ExpectOneCopyPerRepeatedString(replayed.store);
-  EXPECT_EQ(repeats.plans, 3u);
-  EXPECT_EQ(repeats.errors, 6u);
-  EXPECT_EQ(repeats.owners, 10u);
+  EXPECT_EQ(repeats.plans, 5u);
+  EXPECT_EQ(repeats.errors, 8u);
+  EXPECT_EQ(repeats.owners, 14u);
+}
+
+// A SetVisibility frame is logged only for a stored record. Replay and
+// follower apply (both ApplyWalRecord) reject one naming a later id as
+// corruption instead of resizing the visibility column.
+TEST(WalTest, ForgedVisibilityIdIsCorruption) {
+  QueryRecord record = BuildRecordFromText("SELECT 1", "alice", 1);
+  record.id = 0;
+  auto frame = [](uint64_t sequence, const std::string& op) {
+    BinaryWriter w;
+    w.PutVarint(sequence);
+    return w.Take() + op;
+  };
+  for (QueryId id : {QueryId{0}, QueryId{1}, QueryId{1} << 40}) {
+    const std::string path = TempPath("cqms_wal_forged_visibility");
+    std::remove(path.c_str());
+    {
+      WalWriter wal;
+      ASSERT_TRUE(wal.Open(path).ok());
+      ASSERT_TRUE(wal.Append(frame(1, wal::EncodeAppend(record))).ok());
+      ASSERT_TRUE(wal.Append(frame(2, wal::EncodeSetVisibility(
+                                          id, Visibility::kPrivate)))
+                      .ok());
+    }
+    QueryStore store;
+    WalReplayStats stats;
+    const Status replay = ReplayWal(path, &store, &stats);
+    QueryStore follower;
+    follower.Append(BuildRecordFromText("SELECT 1", "alice", 1));
+    const std::string op = wal::EncodeSetVisibility(id, Visibility::kPrivate);
+    BinaryReader r(op);
+    const Status applied = ApplyWalRecord(&r, &follower, "replication stream");
+    if (id == 0) {
+      ASSERT_TRUE(replay.ok()) << replay;
+      ASSERT_TRUE(applied.ok()) << applied;
+      EXPECT_EQ(store.acl().GetVisibility(0), Visibility::kPrivate);
+      EXPECT_EQ(follower.acl().GetVisibility(0), Visibility::kPrivate);
+    } else {
+      EXPECT_EQ(replay.code(), StatusCode::kCorruption) << "id " << id;
+      EXPECT_EQ(applied.code(), StatusCode::kCorruption) << "id " << id;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Recovery reads the newest snapshot once: it verifies and decodes
+// the same bytes.
+TEST(DurableStoreTest, OpenReadsTheNewestSnapshotOnce) {
+  FaultInjectingEnv env;
+  DurabilityOptions options;
+  options.env = &env;
+  QueryStore saved;
+  {
+    DurableStore durable(&saved, "/db", options);
+    ASSERT_TRUE(durable.Open().ok());
+    BuildCompatLog(&saved);
+    ASSERT_TRUE(durable.Checkpoint().ok());
+  }
+  env.Recover(/*power_loss=*/false);
+  QueryStore loaded;
+  DurableStore recovered(&loaded, "/db", options);
+  ASSERT_TRUE(recovered.Open().ok());
+  size_t reads = 0;
+  for (const FaultEnvOp& op : env.op_trace()) {
+    if (op.op == "read" && op.path == "/db/snapshot.cqms") ++reads;
+  }
+  EXPECT_EQ(reads, 1u);
+  ExpectStoresEquivalent(saved, loaded);
 }
 
 TEST(WalTest, TornInitialHeaderRecoversToEmpty) {

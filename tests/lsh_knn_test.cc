@@ -311,9 +311,9 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
 
     // The point of LSH: per probe the candidate set is no larger than
     // what the table index would have scored...
-    size_t lsh_candidates =
-        h.store.LshCandidates(ComputeMinHashSketch(probe.statement().signature))
-            .size();
+    size_t lsh_candidates = h.store.postings().RecordCount(
+        h.store.lsh().Candidates(
+            ComputeMinHashSketch(probe.statement().signature)));
     size_t table_candidates = h.store.postings().RecordCount(
         KnnCandidateIds(storage::StoreView(h.store), probe, exhaustive)
             .statements);
@@ -397,14 +397,16 @@ TEST(LshLifecycleTest, RewritePurgesStaleLshBuckets) {
   // ...the old sketch's buckets no longer hold it...
   EXPECT_FALSE(h.store.lsh().ContainsExactlyOnce(StatementOf(h, id),
                                                  old_sketch));
-  std::vector<QueryId> via_old = h.store.LshCandidates(old_sketch);
+  std::vector<QueryId> via_old =
+      h.store.postings().RecordsOf(h.store.lsh().Candidates(old_sketch));
   EXPECT_FALSE(std::binary_search(via_old.begin(), via_old.end(), id));
   // ...and the global posting count proves nothing leaked: still
   // exactly bands() postings per indexed statement.
   EXPECT_EQ(h.store.lsh().entry_count(), 2 * h.store.lsh().bands());
 
   // Candidate lists stay duplicate-free and sorted after the re-index.
-  std::vector<QueryId> candidates = h.store.LshCandidates(new_sketch);
+  std::vector<QueryId> candidates =
+      h.store.postings().RecordsOf(h.store.lsh().Candidates(new_sketch));
   EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
   EXPECT_EQ(std::adjacent_find(candidates.begin(), candidates.end()),
             candidates.end());

@@ -344,9 +344,9 @@ TEST(MaintenanceTest, RunAllCompactsScoringArenasPastThreshold) {
   EXPECT_EQ(h.store.scoring().arena_garbage(), 0u);
   for (QueryId id : ids) {
     const storage::QueryRecord* r = h.store.Get(id);
-    EXPECT_EQ(std::string(h.store.scoring().lowered_text(id)),
+    EXPECT_EQ(std::string(h.store.scoring().row_of(id).lowered_text()),
               ToLower(r->text));
-    auto tables = h.store.scoring().tables(id);
+    auto tables = h.store.scoring().row_of(id).tables();
     ASSERT_EQ(tables.size, r->statement().signature.tables.size());
     for (size_t t = 0; t < tables.size; ++t) {
       EXPECT_EQ(tables.data[t], r->statement().signature.tables[t]);

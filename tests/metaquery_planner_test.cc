@@ -452,7 +452,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
       h.store.RewriteQueryText(ids[1], "SELECT * FROM WaterSalinity WHERE salinity < 5")
           .ok());
   check("after RewriteQueryText");
-  EXPECT_EQ(h.store.scoring().popularity(ids[1]),
+  EXPECT_EQ(h.store.scoring().row_of(ids[1]).popularity(),
             h.store.PopularityOf(h.store.Get(ids[1])->fingerprint));
   auto substring = [&](const std::string& needle) {
     return executor.Execute("bob", LogOrderRequest().WithSubstring(needle))
@@ -468,7 +468,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
   r->summary.complete = true;
   ASSERT_TRUE(h.store.SyncOutputSignature(ids[3]).ok());
   check("after SyncOutputSignature");
-  EXPECT_TRUE(h.store.scoring().output_empty_computed(ids[3]));
+  EXPECT_TRUE(h.store.scoring().row_of(ids[3]).output_empty_computed());
 }
 
 TEST(ScoringColumnsCoherenceTest, PopularityEqualsFingerprintIndex) {
@@ -481,7 +481,8 @@ TEST(ScoringColumnsCoherenceTest, PopularityEqualsFingerprintIndex) {
   }
   for (const QueryRecord& r : h.store.records()) {
     const uint64_t want = r.parse_failed() ? 0 : count[r.fingerprint];
-    EXPECT_EQ(h.store.scoring().popularity(r.id), want) << "id " << r.id;
+    EXPECT_EQ(h.store.scoring().row_of(r.id).popularity(), want)
+        << "id " << r.id;
     EXPECT_EQ(h.store.PopularityOf(r.fingerprint), count[r.fingerprint])
         << "id " << r.id;
   }

@@ -106,7 +106,8 @@ inline std::vector<storage::QueryId> SubstringSearch(
   const storage::ScoringColumns& cols = store.scoring();
   for (const storage::QueryRecord& r : store.records()) {
     if (!store.Visible(viewer, r.id)) continue;
-    if (cols.lowered_text(r.id).find(lowered) != std::string_view::npos) {
+    if (cols.row_of(r.id).lowered_text().find(lowered) !=
+        std::string_view::npos) {
       out.push_back(r.id);
     }
   }

@@ -456,24 +456,32 @@ TEST(ReplicationTest, FollowerServesReplicatedReads) {
 }
 
 // A follower applies each Append frame the way WAL replay does, so its
-// runs of one statement hold one copy of each repeated string, as the
-// primary's do.
+// records hold one copy of each repeated string, as the primary's do:
+// the runs of one statement, and two statements with one plan or one
+// error.
 TEST(ReplicationTest, FollowerRunsHoldOneCopyOfEachString) {
   Primary primary("repl_run_strings");
   Replica replica(primary.address(), primary.port());
   auto writer = primary.Client();
   ASSERT_NE(writer, nullptr);
+  auto append = [&](int i, const char* sql) {
+    net::AppendRequest req;
+    req.user = i % 2 == 0 ? "alice" : "bob";
+    req.sql = sql;
+    auto r = writer->Append(req);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ++primary.sequence;
+  };
   for (int i = 0; i < 4; ++i) {
     for (const char* sql :
          {"SELECT sensor_id FROM Sensors WHERE sensor_id < 3",
           "SELECT nope FROM Missing", "SELEKT sensor_id FROM Sensors"}) {
-      net::AppendRequest req;
-      req.user = i % 2 == 0 ? "alice" : "bob";
-      req.sql = sql;
-      auto r = writer->Append(req);
-      ASSERT_TRUE(r.ok()) << r.status();
-      ++primary.sequence;
+      append(i, sql);
     }
+  }
+  for (int i = 0; i < 2; ++i) {
+    append(i, "select sensor_id from Sensors where sensor_id < 3");
+    append(i, "SELECT other FROM Missing");
   }
   ASSERT_TRUE(WaitUntil([&] { return replica.ConvergedTo(primary.sequence); }));
 
@@ -482,16 +490,16 @@ TEST(ReplicationTest, FollowerRunsHoldOneCopyOfEachString) {
   std::shared_ptr<const storage::ReadViewState> follower_view =
       replica.server->CurrentCqms()->CurrentReadView();
   ASSERT_NE(follower_view, nullptr);
-  ASSERT_EQ(follower_view->size(), 12u);
+  ASSERT_EQ(follower_view->size(), 16u);
   ASSERT_FALSE(follower_view->Get(0)->stats.plan.empty());
   ASSERT_FALSE(follower_view->Get(1)->stats.error.empty());
   const testing_util::SharedRepeats expected =
       testing_util::ExpectOneCopyPerRepeatedString(*primary_view);
   const testing_util::SharedRepeats repeats =
       testing_util::ExpectOneCopyPerRepeatedString(*follower_view);
-  EXPECT_EQ(repeats.plans, 3u);
-  EXPECT_EQ(repeats.errors, 6u);
-  EXPECT_EQ(repeats.owners, 10u);
+  EXPECT_EQ(repeats.plans, 5u);
+  EXPECT_EQ(repeats.errors, 8u);
+  EXPECT_EQ(repeats.owners, 14u);
   EXPECT_EQ(expected.plans, repeats.plans);
   EXPECT_EQ(expected.errors, repeats.errors);
   EXPECT_EQ(expected.owners, repeats.owners);

@@ -281,14 +281,16 @@ TEST(SimilaritySignatureTest, RewritePurgesStaleIndexEntries) {
   EXPECT_FALSE(contains(h.store.QueriesUsingTable("watertemp"), id));
   EXPECT_FALSE(contains(h.store.QueriesWithKeyword("watertemp"), id));
   EXPECT_FALSE(contains(h.store.QueriesUsingAttribute("watertemp", "temp"), id));
-  EXPECT_FALSE(contains(h.store.QueriesWithSkeleton(old_skeleton), id));
+  const storage::PostingIndex& postings = h.store.postings();
+  EXPECT_FALSE(contains(
+      postings.RecordsOf(postings.StatementsWithSkeleton(old_skeleton)), id));
   // ...and the new ones are present.
   EXPECT_TRUE(contains(h.store.QueriesUsingTable("watersalinity"), id));
   EXPECT_TRUE(contains(h.store.QueriesWithKeyword("watersalinity"), id));
   const QueryRecord* after = h.store.Get(id);
   EXPECT_TRUE(
-      contains(h.store.QueriesWithSkeleton(
-                   after->statement().skeleton_fingerprint),
+      contains(postings.RecordsOf(postings.StatementsWithSkeleton(
+                   after->statement().skeleton_fingerprint)),
                id));
 
   // Posting lists stay sorted after a mid-log reinsertion.

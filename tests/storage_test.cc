@@ -94,8 +94,9 @@ TEST(QueryStoreTest, SkeletonIndexGroupsConstantVariants) {
       BuildRecordFromText("SELECT * FROM t WHERE x < 22", "u", 1));
   QueryId b = store.Append(
       BuildRecordFromText("SELECT * FROM t WHERE x < 18", "u", 2));
-  EXPECT_EQ(store.QueriesWithSkeleton(
-                store.Get(a)->statement().skeleton_fingerprint),
+  const PostingIndex& postings = store.postings();
+  EXPECT_EQ(postings.RecordsOf(postings.StatementsWithSkeleton(
+                store.Get(a)->statement().skeleton_fingerprint)),
             (std::vector<QueryId>{a, b}));
 }
 
@@ -151,14 +152,91 @@ TEST(AccessControlTest, GroupVisibilityRules) {
             StatusCode::kPermissionDenied);
 }
 
+// The visibility column holds one entry per stored record: no id past
+// the store resizes it.
+TEST(AccessControlTest, SetVisibilityOfAnUnknownIdIsNotFound) {
+  QueryStore store;
+  QueryId id = store.Append(BuildRecordFromText("SELECT 1", "alice", 1));
+  EXPECT_EQ(store.acl().SetVisibility(id + 1, "alice", "alice",
+                                      Visibility::kPublic).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.acl().SetVisibility(-1, "alice", "alice",
+                                      Visibility::kPublic).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.acl().GetVisibility(id + 1), Visibility::kGroup);
+}
+
+// A live cache whose words are filled keeps reading what the store
+// decides after an append lands in a partly filled word (by an owner
+// and a viewer whose names the cache had not resolved) and after a
+// visibility change.
+TEST(AccessControlTest, LiveCacheFollowsAppendsAndVisibilityChanges) {
+  QueryStore store;
+  store.acl().AddUser("alice", {"lab"});
+  store.acl().AddUser("bob", {"lab"});
+  store.acl().AddUser("carol", {"lab"});  // logs nothing until below
+  store.acl().AddUser("dave", {"astro"});
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 40; ++i) {  // one full word and 8 ids of the next
+    ids.push_back(store.Append(BuildRecordFromText(
+        "SELECT " + std::to_string(i), i % 2 == 0 ? "alice" : "dave", i)));
+  }
+  ASSERT_TRUE(store.acl()
+                  .SetVisibility(ids[1], "dave", "dave", Visibility::kPublic)
+                  .ok());
+  const std::vector<std::string> viewers = {"bob", "dave", "erin"};
+  std::vector<VisibilityCache*> caches;
+  for (const std::string& viewer : viewers) {
+    caches.push_back(&store.CacheFor(viewer));
+    for (QueryId id : ids) {
+      ASSERT_EQ(caches.back()->VisibleId(id), store.Visible(viewer, id))
+          << viewer << " id " << id;
+    }
+  }
+  auto expect_all = [&](const std::string& step) {
+    for (size_t v = 0; v < viewers.size(); ++v) {
+      for (QueryId id = 0; id < static_cast<QueryId>(store.size()); ++id) {
+        EXPECT_EQ(caches[v]->VisibleId(id), store.Visible(viewers[v], id))
+            << step << ": " << viewers[v] << " id " << id;
+      }
+    }
+  };
+
+  const QueryId by_carol =
+      store.Append(BuildRecordFromText("SELECT 40", "carol", 40));
+  const QueryId by_erin =
+      store.Append(BuildRecordFromText("SELECT 41", "erin", 41));
+  EXPECT_TRUE(caches[0]->VisibleId(by_carol));   // bob shares "lab"
+  EXPECT_FALSE(caches[1]->VisibleId(by_carol));  // dave does not
+  EXPECT_TRUE(caches[2]->VisibleId(by_erin));    // erin's own
+  EXPECT_FALSE(caches[0]->VisibleId(by_erin));   // erin is in no group
+  expect_all("after the appends");
+
+  ASSERT_TRUE(store.acl()
+                  .SetVisibility(ids[4], "alice", "alice", Visibility::kPrivate)
+                  .ok());
+  EXPECT_FALSE(caches[0]->VisibleId(ids[4]));
+  EXPECT_TRUE(caches[0]->VisibleId(ids[2]));
+  expect_all("after the visibility change");
+
+  // A fresh word, past the ones the caches hold.
+  for (int i = 42; i < 70; ++i) {
+    store.Append(
+        BuildRecordFromText("SELECT " + std::to_string(i), "carol", i));
+  }
+  expect_all("after the store grew a word");
+}
+
 TEST(AccessControlTest, VisibleIdsFiltersWholeLog) {
   QueryStore store;
   store.acl().AddUser("alice", {"g1"});
   store.acl().AddUser("eve", {"g2"});
   store.Append(BuildRecordFromText("SELECT 1", "alice", 1));
   store.Append(BuildRecordFromText("SELECT 2", "alice", 2));
-  EXPECT_EQ(store.VisibleIds("alice").size(), 2u);
-  EXPECT_TRUE(store.VisibleIds("eve").empty());
+  for (QueryId id = 0; id < 2; ++id) {
+    EXPECT_TRUE(store.Visible("alice", id)) << id;
+    EXPECT_FALSE(store.Visible("eve", id)) << id;
+  }
 }
 
 TEST(QueryStoreTest, FeatureRelationsAreQueryable) {
@@ -272,7 +350,9 @@ TEST(StatementSharingTest, MutatorsRepointOnlyTheRecordTheyTouch) {
       };
       EXPECT_TRUE(has(store.QueriesUsingTable("watertemp"))) << step;
       EXPECT_TRUE(has(store.QueriesWithKeyword("temp"))) << step;
-      EXPECT_TRUE(has(store.QueriesWithSkeleton(shared.skeleton_fingerprint)))
+      const PostingIndex& postings = store.postings();
+      EXPECT_TRUE(has(postings.RecordsOf(
+          postings.StatementsWithSkeleton(shared.skeleton_fingerprint))))
           << step;
       const StatementId statement = store.scoring().statement_of(id);
       EXPECT_EQ(statement, store.scoring().statement_of(ids[0])) << step;
@@ -326,15 +406,17 @@ TEST(RunStringSharingTest, RecordIsAtMost256Bytes) {
 TEST(RunStringSharingTest, ProfiledRunsHoldOneCopyOfEachString) {
   Harness h;
   testing_util::LogRepeatedRuns(&h);
-  ASSERT_EQ(h.store.size(), 12u);
+  ASSERT_EQ(h.store.size(), 16u);
   ASSERT_FALSE(h.store.Get(0)->stats.plan.empty());
   ASSERT_FALSE(h.store.Get(1)->stats.error.empty());
   ASSERT_TRUE(h.store.Get(2)->parse_failed());
+  ASSERT_NE(&h.store.Get(12)->statement(), &h.store.Get(0)->statement());
+  ASSERT_NE(&h.store.Get(13)->statement(), &h.store.Get(1)->statement());
   const testing_util::SharedRepeats repeats =
       testing_util::ExpectOneCopyPerRepeatedString(h.store);
-  EXPECT_EQ(repeats.plans, 3u);
-  EXPECT_EQ(repeats.errors, 6u);
-  EXPECT_EQ(repeats.owners, 10u);
+  EXPECT_EQ(repeats.plans, 5u);
+  EXPECT_EQ(repeats.errors, 8u);
+  EXPECT_EQ(repeats.owners, 14u);
 }
 
 TEST(RunStringSharingTest, LoggedOnlyRunsHoldOneCopyOfEachString) {
@@ -546,13 +628,14 @@ TEST(QueryStoreTest, CompactScoringArenasPreservesEveryRow) {
   std::vector<Row> before;
   for (storage::QueryId id : ids) {
     Row row;
-    auto t = h.store.scoring().tables(id);
+    const auto statement = h.store.scoring().row_of(id);
+    auto t = statement.tables();
     row.tables.assign(t.data, t.data + t.size);
-    auto k = h.store.scoring().tokens(id);
+    auto k = statement.tokens();
     row.tokens.assign(k.data, k.data + k.size);
-    auto o = h.store.scoring().output_rows(id);
+    auto o = statement.output_rows();
     row.output.assign(o.data, o.data + o.size);
-    row.text = std::string(h.store.scoring().lowered_text(id));
+    row.text = std::string(statement.lowered_text());
     before.push_back(std::move(row));
   }
 
@@ -563,13 +646,14 @@ TEST(QueryStoreTest, CompactScoringArenasPreservesEveryRow) {
   // ...and every row reads back identically.
   for (size_t i = 0; i < ids.size(); ++i) {
     storage::QueryId id = ids[i];
-    auto t = h.store.scoring().tables(id);
+    const auto statement = h.store.scoring().row_of(id);
+    auto t = statement.tables();
     EXPECT_EQ(std::vector<Symbol>(t.data, t.data + t.size), before[i].tables);
-    auto k = h.store.scoring().tokens(id);
+    auto k = statement.tokens();
     EXPECT_EQ(std::vector<Symbol>(k.data, k.data + k.size), before[i].tokens);
-    auto o = h.store.scoring().output_rows(id);
+    auto o = statement.output_rows();
     EXPECT_EQ(std::vector<uint64_t>(o.data, o.data + o.size), before[i].output);
-    EXPECT_EQ(std::string(h.store.scoring().lowered_text(id)), before[i].text);
+    EXPECT_EQ(std::string(statement.lowered_text()), before[i].text);
   }
   // Compacting a clean store is a no-op.
   EXPECT_EQ(h.store.CompactScoringArenas(), 0u);
@@ -772,7 +856,8 @@ TEST(StatementIndexTest, ReusedIdNeverReturnsThePreviousRecords) {
   EXPECT_TRUE(store.QueriesUsingTable("watertemp").empty());
   EXPECT_TRUE(store.QueriesWithKeyword("temp").empty());
   EXPECT_EQ(store.QueriesUsingTable("laketemp"), (std::vector<QueryId>{a1}));
-  for (QueryId id : store.LshCandidates(old_sketch)) {
+  for (QueryId id :
+       store.postings().RecordsOf(store.lsh().Candidates(old_sketch))) {
     EXPECT_NE(id, a0);
     EXPECT_NE(id, a1);
   }

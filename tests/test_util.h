@@ -70,17 +70,25 @@ inline PathCounts CountsOf(const std::string& path) {
 }
 
 /// Logs four runs each of a statement that succeeds, one that fails to
-/// execute and one that does not parse, through `h`'s profiler; the
-/// owners alternate between alice and bob. Each run executes on the same
-/// data, so the runs of a statement repeat its plan or error, and a
-/// result of five rows fits any summary budget (the runs of a statement
-/// share one Statement).
+/// execute and one that does not parse, through `h`'s profiler, then two
+/// runs each of two other statements, one with the plan of the first and
+/// one with the error of the second; the owners alternate between alice
+/// and bob. Each run executes on the same data, so the runs of a
+/// statement repeat its plan or error, and a result of five rows fits
+/// any summary budget (the runs of a statement share one Statement).
+/// The 16 records repeat a plan 5 times, an error 8 times and an owner
+/// 14 times.
 inline void LogRepeatedRuns(Harness* h) {
   for (int i = 0; i < 4; ++i) {
     const std::string user = i % 2 == 0 ? "alice" : "bob";
     h->Log(user, "SELECT lake, temp FROM WaterTemp WHERE temp < 18 LIMIT 5");
     h->Log(user, "SELECT nope FROM Missing");
     h->Log(user, "SELEKT lake FROM WaterTemp");
+  }
+  for (int i = 0; i < 2; ++i) {
+    const std::string user = i % 2 == 0 ? "alice" : "bob";
+    h->Log(user, "select lake, temp from WaterTemp where temp < 18 limit 5");
+    h->Log(user, "SELECT other FROM Missing");
   }
 }
 
@@ -93,16 +101,16 @@ struct SharedRepeats {
 };
 
 /// Expects every record of `source` (a QueryStore or a ReadViewState) to
-/// read its text from its own Statement, every two runs of one Statement
-/// with an equal non-empty error or plan to hold one copy of it, and
-/// every two records of one owner to hold one copy of the owner name,
-/// all compared by address. Returns how many records found an earlier
-/// copy, so a test can require that its log repeats each string.
+/// read its text from its own Statement, every two records with an equal
+/// non-empty error or plan to hold one copy of it, whether or not they
+/// run one statement, and every two records of one owner to hold one
+/// copy of the owner name, all compared by address. Returns how many
+/// records found an earlier copy, so a test can require that its log
+/// repeats each string.
 template <typename Source>
 SharedRepeats ExpectOneCopyPerRepeatedString(const Source& source) {
-  using StatementValue = std::pair<const storage::Statement*, std::string>;
-  std::map<StatementValue, const std::string*> errors;
-  std::map<StatementValue, const std::string*> plans;
+  std::map<std::string, const std::string*> errors;
+  std::map<std::string, const std::string*> plans;
   std::map<std::string, const std::string*> owners;
   SharedRepeats repeats;
   auto check = [](auto* copies, auto key, const SharedString& value,
@@ -117,10 +125,10 @@ SharedRepeats ExpectOneCopyPerRepeatedString(const Source& source) {
   };
   for (const storage::QueryRecord& r : source.records()) {
     EXPECT_EQ(&r.text.str(), &r.statement().text) << "record " << r.id;
-    check(&errors, StatementValue(&r.statement(), r.stats.error),
-          r.stats.error, &repeats.errors, "error", r.id);
-    check(&plans, StatementValue(&r.statement(), r.stats.plan), r.stats.plan,
-          &repeats.plans, "plan", r.id);
+    check(&errors, r.stats.error.str(), r.stats.error, &repeats.errors,
+          "error", r.id);
+    check(&plans, r.stats.plan.str(), r.stats.plan, &repeats.plans, "plan",
+          r.id);
     check(&owners, r.user.str(), r.user, &repeats.owners, "owner", r.id);
   }
   return repeats;
