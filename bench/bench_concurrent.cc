@@ -13,9 +13,11 @@
 // only interleave and no scaling is measurable.
 //
 // BM_PinView / BM_PublishView isolate the two pipeline primitives: the
-// reader's pin (a few atomic ops, O(1)) and the writer's
-// copy-on-publish snapshot (O(log size)). BM_ViewVisibilityHeap is the
-// memory a view's visibility memo takes while it serves.
+// reader's pin (a few atomic ops, O(1)) and the writer's publish (O(1):
+// the view shares every part of the store). BM_WritePublish is what a
+// write then costs: the copy of each part it touches, and its publish.
+// BM_ViewVisibilityHeap is the memory a view's visibility memo takes
+// while it serves.
 
 #include <benchmark/benchmark.h>
 
@@ -23,12 +25,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
 #include "storage/record_builder.h"
+#include "storage/read_view.h"
 
 namespace cqms {
 namespace {
@@ -132,11 +136,12 @@ void BM_PinView(benchmark::State& state) {
 }
 BENCHMARK(BM_PinView)->Arg(5000)->ArgNames({"queries"});
 
-/// Writer-side publication cost: one full copy-on-publish snapshot of
-/// the scoring columns, posting lists, LSH index and ACL at this log
-/// size (the record log itself is shared by pointer).
-/// view_heap_bytes_per_query is the heap growth of holding one more
-/// published view, per logged query: the size of that copy.
+/// Writer-side publication cost with nothing to copy: a view shares the
+/// record log, posting lists, scoring columns, LSH index and ACL with
+/// the store, and no write comes between these publishes, so each one
+/// allocates the view object and copies five pointers, whatever the log
+/// size. view_heap_bytes_per_query is the heap growth of holding one
+/// more published view, per logged query: that object alone.
 void BM_PublishView(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();
@@ -203,6 +208,77 @@ void BM_ViewVisibilityHeap(benchmark::State& state) {
       static_cast<double>(records * viewers.size());
 }
 BENCHMARK(BM_ViewVisibilityHeap)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+/// The writes BM_WritePublish times.
+enum class Write { kQuality, kVisibility, kAppend };
+
+/// One write of `kind`, outside any batch, so it publishes: a quality
+/// change (copies the record log and the scoring columns), a visibility
+/// change (the ACL) or the append of a run of a logged record's text
+/// (the record log, the posting lists, the scoring columns and the ACL;
+/// logged without a summary, most such runs get an output part of their
+/// own and index a new statement, which copies the LSH index too). The
+/// i-th call picks its record and value from `i`, so every call changes
+/// something.
+void ApplyWrite(bench::LogFixture* f, Write kind, uint64_t i) {
+  storage::QueryStore& store = f->store;
+  const storage::QueryId id =
+      static_cast<storage::QueryId>((i * 7919) % store.size());
+  const storage::QueryRecord& record = *store.Get(id);
+  Status s;
+  switch (kind) {
+    case Write::kQuality:
+      s = store.SetQuality(id, record.quality == 0.25 ? 0.75 : 0.25);
+      break;
+    case Write::kVisibility: {
+      const std::string owner = record.user;
+      const storage::Visibility now = std::as_const(store).acl().GetVisibility(id);
+      s = store.acl().SetVisibility(id, owner, owner,
+                                    now == storage::Visibility::kPublic
+                                        ? storage::Visibility::kGroup
+                                        : storage::Visibility::kPublic);
+      break;
+    }
+    case Write::kAppend: {
+      f->clock.Advance(kMicrosPerSecond);
+      store.Append(store.RecordForText(record.text, record.user,
+                                       f->clock.Now(),
+                                       storage::StatementPath::kLogOnly));
+      break;
+    }
+  }
+  (void)s;
+}
+
+/// Writer time per write with its publish, at this log size, for each
+/// write kind. A publish copies nothing, so this is the copy of each
+/// part the write touches: the first write to a part after a publish
+/// copies it. write_heap_bytes is the heap one more write leaves held
+/// while the view published before it stays pinned: those copies. An
+/// append still copies four parts that grow with the log (the chunked
+/// parts of ROADMAP's step 2 would make it O(change)).
+void BM_WritePublish(benchmark::State& state, Write kind) {
+  bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
+  if (!f.store.views_enabled()) f.store.EnableViews();
+  uint64_t i = 0;
+  for (auto _ : state) ApplyWrite(&f, kind, i++);
+  std::shared_ptr<const storage::ReadViewState> held = f.store.SharedView();
+  const int64_t heap_before = bench::HeapInUse();
+  ApplyWrite(&f, kind, i++);
+  const int64_t write_bytes = bench::HeapInUse() - heap_before;
+  held.reset();
+  state.counters["log_size"] = static_cast<double>(f.store.size());
+  state.counters["write_heap_bytes"] = static_cast<double>(write_bytes);
+}
+BENCHMARK_CAPTURE(BM_WritePublish, quality, Write::kQuality)
+    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
+BENCHMARK_CAPTURE(BM_WritePublish, visibility, Write::kVisibility)
+    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
+// Appends grow the shared fixture, so they run a fixed 100 times: the
+// log stays within 100 records of its size.
+BENCHMARK_CAPTURE(BM_WritePublish, append, Write::kAppend)
+    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"})
+    ->Iterations(100);
 
 }  // namespace
 }  // namespace cqms

@@ -2,6 +2,7 @@
 #define CQMS_COMMON_SHARED_STRING_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -94,6 +95,7 @@ class SharedStringTable {
  public:
   void Share(SharedString* value) {
     if (value->empty()) return;
+    ++lookups_;
     const std::string& mine = value->str();
     const size_t hash = std::hash<std::string_view>()(mine);
     auto [it, end] = copies_.equal_range(hash);
@@ -114,6 +116,10 @@ class SharedStringTable {
     if (copies_.size() >= sweep_at_) Sweep();
   }
 
+  /// Share calls that looked a non-empty value up, over the table's
+  /// lifetime.
+  uint64_t lookups() const { return lookups_; }
+
  private:
   void Sweep() {
     for (auto it = copies_.begin(); it != copies_.end();) {
@@ -125,6 +131,7 @@ class SharedStringTable {
   static constexpr size_t kMinSweep = 64;
   std::unordered_multimap<size_t, std::weak_ptr<const std::string>> copies_;
   size_t sweep_at_ = kMinSweep;
+  uint64_t lookups_ = 0;
 };
 
 }  // namespace cqms

@@ -131,22 +131,18 @@ class Cqms {
 
   /// Background cycles (a deployment would run these on timers).
   maintain::MaintenanceReport RunMaintenance() { return maintenance_.RunAll(); }
-  void RunMining() { miner_.RunAll(); }
-
-  /// Delta-aware mining refresh: when the refresh threshold is met,
-  /// folds the change feed accumulated since the last run into every
-  /// mining output (sessions resume from the tail, popularity and
-  /// association transactions update in place, clustering copies the
-  /// distances of unchanged pairs from the previous run's matrix) — see
-  /// MiningStats() for what it did.
-  bool MaybeRefreshMining() { return miner_.MaybeRefresh(); }
+  /// Mines from scratch (QueryMiner::RunAll), then frees the distance
+  /// matrix the run retained: only an incremental refresh reads it, and
+  /// the next RunMining drops it before building anyway.
+  void RunMining() {
+    miner_.RunAll();
+    miner_.ReleaseRetainedMatrix();
+  }
 
   const miner::QueryMiner& miner() const { return miner_; }
 
-  /// Delta sizes and distance reuse of the last mining run (operator
-  /// telemetry: an incremental refresh on an append-heavy deployment
-  /// should copy far more pairs than it computes; a full run copies
-  /// none).
+  /// What the last mining run did (operator telemetry; RunMining's runs
+  /// are full, so they copy no pairs).
   const miner::MinerRefreshStats& MiningStats() const {
     return miner_.last_refresh_stats();
   }

@@ -46,9 +46,13 @@ double ComputeQuality(const storage::QueryRecord& record,
 
 size_t UpdateAllQuality(storage::QueryStore* store, const QualityWeights& weights) {
   size_t updated = 0;
-  for (const storage::QueryRecord& r : store->records()) {
-    double q = ComputeQuality(r, *store, weights);
-    if (store->SetQuality(r.id, q).ok()) ++updated;
+  // By id: a SetQuality may copy the record log a published view
+  // shares, and the publish after it may free the log an iterator
+  // would still walk.
+  for (size_t i = 0; i < store->size(); ++i) {
+    const storage::QueryId id = static_cast<storage::QueryId>(i);
+    double q = ComputeQuality(*store->Get(id), *store, weights);
+    if (store->SetQuality(id, q).ok()) ++updated;
   }
   return updated;
 }

@@ -40,7 +40,9 @@ MaintenanceReport QueryMaintenance::CheckSchemaValidity() {
   last_schema_check_ = clock_->Now();
 
   for (storage::QueryId id : to_check) {
-    storage::QueryRecord* r = store_->GetMutable(id);
+    // Read-only until a store mutator below; those take the id, so
+    // `r` is not used after one.
+    const storage::QueryRecord* r = store_->Get(id);
     if (r == nullptr || r->parse_failed() || r->HasFlag(storage::kFlagDeleted)) {
       continue;
     }
@@ -175,7 +177,7 @@ size_t QueryMaintenance::UpdateQuality() {
 MaintenanceReport QueryMaintenance::RunAll() {
   // One republish for the whole cycle: a maintenance pass can touch
   // thousands of records (flags, quality, stats), and per-mutation
-  // publication would copy the view state for each one.
+  // publication would copy each part it writes once per mutation.
   storage::QueryStore::ScopedPublishBatch batch(store_);
   MaintenanceReport report = CheckSchemaValidity();
   MaintenanceReport stats = RefreshStatistics();

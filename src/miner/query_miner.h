@@ -75,6 +75,13 @@ class QueryMiner {
   /// QueryMinerOptions::full_rebuild_interval).
   bool MaybeRefresh();
 
+  /// Frees the distance matrix the last run retained for the next
+  /// incremental refresh (a clustering_sample-squared matrix of
+  /// doubles). A miner that only ever runs RunAll, which drops it before
+  /// building, never reads it; after a release the next MaybeRefresh
+  /// scores every pair of its window afresh.
+  void ReleaseRetainedMatrix() { retained_matrix_ = RetainedMatrix(); }
+
   // Latest results (valid after the first RunAll).
   const std::vector<Session>& sessions() const { return sessions_; }
   const std::vector<AssociationRule>& rules() const { return rules_; }

@@ -11,6 +11,9 @@
 // stderr through the leveled logger (--log-level).
 
 #include <signal.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -202,6 +205,15 @@ int main(int argc, char** argv) {
              static_cast<long long>(options.slow_query_micros),
              options.slow_query_log_path.c_str());
   }
+
+#if defined(__GLIBC__)
+  // Start-up is done: hand the free pages the restore's transients left
+  // in the heap back to the kernel before serving (once a large freed
+  // buffer raises glibc's dynamic mmap threshold, later large buffers
+  // such as the WAL replay's read window land in the arena and leave a
+  // hole there when freed).
+  malloc_trim(0);
+#endif
 
   // The stdout handshake stays raw printf: supervising scripts and the
   // e2e smoke parse these two lines verbatim.

@@ -4,6 +4,14 @@
 
 namespace cqms::storage {
 
+AccessControl::AccessControl(const AccessControl& other)
+    : memberships_(other.memberships_),
+      epoch_(other.epoch_),
+      listeners_(other.listeners_) {
+  visibility_.reserve(other.visibility_.capacity());
+  visibility_.assign(other.visibility_.begin(), other.visibility_.end());
+}
+
 void AccessControl::AddUser(const std::string& user,
                             const std::vector<std::string>& groups) {
   // Idempotent re-registration (apps re-register their user set on

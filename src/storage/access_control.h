@@ -33,22 +33,15 @@ class AccessControl {
  public:
   AccessControl() = default;
 
-  /// Copying carries the rules (memberships, visibility, epoch) but
-  /// never the listeners: a copy is a frozen snapshot — a published
-  /// read view's ACL — not a second mutation source, so observers of
-  /// the live ACL must not receive (or dangle from) its copies.
-  AccessControl(const AccessControl& other)
-      : memberships_(other.memberships_),
-        visibility_(other.visibility_),
-        epoch_(other.epoch_) {}
-  AccessControl& operator=(const AccessControl& other) {
-    if (this != &other) {
-      memberships_ = other.memberships_;
-      visibility_ = other.visibility_;
-      epoch_ = other.epoch_;
-    }
-    return *this;
-  }
+  /// Copying carries everything, the listeners included: QueryStore
+  /// copies its ACL on the first write after a publish, and the copy
+  /// goes on as the live ACL, so it must keep notifying the write-ahead
+  /// log and the view tick. The original left to published views is
+  /// const from then on and never notifies. The visibility column keeps
+  /// its spare capacity, so the append after the copy does not
+  /// reallocate it.
+  AccessControl(const AccessControl& other);
+  AccessControl& operator=(const AccessControl&) = delete;
 
   /// Registers `user` as a member of `groups` (creates groups on demand;
   /// repeated calls merge memberships).

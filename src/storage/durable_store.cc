@@ -1,9 +1,16 @@
 #include "storage/durable_store.h"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/binary_codec.h"
 #include "common/clock.h"
@@ -47,6 +54,39 @@ bool IsCorruption(const Status& s) {
   return s.code() == StatusCode::kCorruption;
 }
 
+/// Hands the whole pages of a buffer that a single-pass reader is done
+/// with back to the kernel as the reader moves on, so a decode's peak
+/// is the decoded state plus the bytes still ahead of it rather than
+/// the decoded state plus the whole buffer. Released bytes read back as
+/// zeros. Linux only; elsewhere nothing is released.
+class ConsumedPageReleaser {
+ public:
+  explicit ConsumedPageReleaser(std::string* buffer)
+      : base_(reinterpret_cast<uintptr_t>(buffer->data())) {
+#if defined(__linux__)
+    page_ = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+    next_ = (base_ + page_ - 1) & ~(page_ - 1);  // the first whole page
+#endif
+  }
+
+  /// Releases the whole pages below byte `offset` of the buffer.
+  void ReleaseBelow(size_t offset) {
+#if defined(__linux__)
+    const uintptr_t end = (base_ + offset) & ~(page_ - 1);
+    if (end <= next_) return;
+    (void)madvise(reinterpret_cast<void*>(next_), end - next_, MADV_DONTNEED);
+    next_ = end;
+#else
+    (void)offset;
+#endif
+  }
+
+ private:
+  uintptr_t base_;
+  uintptr_t page_ = 0;
+  uintptr_t next_ = 0;  ///< First page not released yet.
+};
+
 }  // namespace
 
 DurableStore::DurableStore(QueryStore* store, std::string dir,
@@ -83,7 +123,7 @@ Status DurableStore::Open() {
   // before the listener attaches would exist only in memory — logged
   // queries would be durable while the rules governing who may see
   // them silently evaporate at the next recovery.
-  if (store_->size() != 0 || store_->acl().epoch() != 0) {
+  if (store_->size() != 0 || std::as_const(*store_).acl().epoch() != 0) {
     return Status::InvalidArgument(
         "durable recovery requires a pristine store (no records, no ACL "
         "mutations)");
@@ -141,8 +181,13 @@ Status DurableStore::Open() {
     recovered_from_fallback_ = true;
   } else if (primary_exists) {
     CQMS_RETURN_IF_ERROR(read);
-    CQMS_RETURN_IF_ERROR(LoadSnapshotFromString(store_, image, snapshot_path_,
-                                                &snapshot_sequence));
+    // The decode reads the image once, front to back, so the pages it
+    // has passed go back to the kernel as it goes: the restore never
+    // holds the whole image beside the decoded store.
+    ConsumedPageReleaser releaser(&image);
+    CQMS_RETURN_IF_ERROR(LoadSnapshotFromString(
+        store_, image, snapshot_path_, &snapshot_sequence,
+        [&releaser](size_t consumed) { releaser.ReleaseBelow(consumed); }));
     std::string().swap(image);
   }
 

@@ -253,14 +253,16 @@ Status LoadSnapshot(QueryStore* store, const std::string& path,
 
 Status LoadSnapshotFromString(QueryStore* store, std::string_view data,
                               const std::string& label,
-                              uint64_t* wal_sequence) {
+                              uint64_t* wal_sequence,
+                              const SnapshotConsumed& on_consumed) {
   if (wal_sequence != nullptr) *wal_sequence = 0;
   if (store->size() != 0) {
     return Status::InvalidArgument("LoadSnapshot requires an empty store");
   }
   // Dispatch on the header: binary v2 magic, else the v1 text format.
   if (data.substr(0, kSnapshotV2Magic.size()) == kSnapshotV2Magic) {
-    return LoadSnapshotV2FromString(store, data, label, wal_sequence);
+    return LoadSnapshotV2FromString(store, data, label, wal_sequence,
+                                    on_consumed);
   }
   std::istringstream in{std::string(data)};
   std::string line;

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "storage/env.h"
 #include "storage/query_store.h"
+#include "storage/snapshot_v2.h"
 
 namespace cqms::storage {
 
@@ -40,10 +41,12 @@ Status LoadSnapshot(QueryStore* store, const std::string& path,
                     uint64_t* wal_sequence = nullptr, Env* env = nullptr);
 
 /// The same load from a snapshot's bytes already in memory; `label`
-/// names them in error messages.
+/// names them in error messages. A v2 image reports its decode progress
+/// to `on_consumed` (see SnapshotConsumed); a v1 one never calls it.
 Status LoadSnapshotFromString(QueryStore* store, std::string_view data,
                               const std::string& label,
-                              uint64_t* wal_sequence = nullptr);
+                              uint64_t* wal_sequence = nullptr,
+                              const SnapshotConsumed& on_consumed = {});
 
 /// Writes `contents` to `path` atomically and durably: the bytes land
 /// in `<path>.tmp`, are fsync'd (POSIX), and rename(2) moves them over

@@ -67,7 +67,8 @@ class QueryStore::AclViewTick : public StoreListener {
   QueryStore* store_;
 };
 
-QueryStore::QueryStore(LshParams lsh_params) : lsh_(lsh_params) {
+QueryStore::QueryStore(LshParams lsh_params)
+    : lsh_(std::make_shared<LshIndex>(lsh_params)) {
   // Materialize the paper's feature relations (Figure 1). The embedded
   // database is CQMS-internal; failures here are programming errors.
   Status s = feature_db_.CreateTable(TableSchema(
@@ -104,19 +105,19 @@ void QueryStore::AddListener(StoreListener* listener) {
       listeners_.end()) {
     listeners_.push_back(listener);
   }
-  acl_.AddListener(listener);
+  acl().AddListener(listener);
 }
 
 void QueryStore::RemoveListener(StoreListener* listener) {
   listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
                    listeners_.end());
-  acl_.RemoveListener(listener);
+  acl().RemoveListener(listener);
 }
 
 uint32_t QueryStore::PopularitySlotFor(const QueryRecord& record) {
   if (record.parse_failed()) return ScoringColumns::kNoPopularitySlot;
   auto [it, inserted] = pop_slot_of_.try_emplace(record.fingerprint, 0);
-  if (inserted) it->second = scoring_.NewPopularitySlot();
+  if (inserted) it->second = OwnScoring().NewPopularitySlot();
   return it->second;
 }
 
@@ -134,8 +135,8 @@ QueryId QueryStore::Append(QueryRecord record) {
   } else {
     ComputeSimilaritySignature(&record);
   }
-  QueryId id = FinishAppend(std::move(record));
-  for (StoreListener* l : listeners_) l->OnAppend(records_.back());
+  QueryId id = FinishAppend(std::move(record), /*run_strings_shared=*/false);
+  for (StoreListener* l : listeners_) l->OnAppend(records_->back());
   MutationTick();
   return id;
 }
@@ -172,39 +173,43 @@ QueryRecord QueryStore::RecordForText(std::string text, std::string user,
 
 void QueryStore::ReserveForRestore(size_t records, size_t statements,
                                    size_t symbols) {
-  postings_.by_table.reserve(symbols);
-  postings_.by_attribute.reserve(symbols);
-  postings_.by_keyword.reserve(symbols);
-  postings_.by_skeleton.reserve(statements);
-  postings_.records_of.reserve(statements);
+  PostingIndex& postings = OwnPostings();
+  postings.by_table.reserve(symbols);
+  postings.by_attribute.reserve(symbols);
+  postings.by_keyword.reserve(symbols);
+  postings.by_skeleton.reserve(statements);
+  postings.records_of.reserve(statements);
   statements_.reserve(statements);
   pop_slot_of_.reserve(statements);
   // by_user is deliberately not pre-sized: distinct users are orders
   // of magnitude fewer than records, so its rehashing is noise.
-  lsh_.Reserve(statements);
-  scoring_.Reserve(records, statements);
-  acl_.Reserve(records);
+  OwnLsh().Reserve(statements);
+  OwnScoring().Reserve(records, statements);
+  acl().Reserve(records);
 }
 
-QueryId QueryStore::RestoreAppend(QueryRecord record) {
-  QueryId id = FinishAppend(std::move(record));
+QueryId QueryStore::RestoreAppend(QueryRecord record,
+                                  bool run_strings_shared) {
+  QueryId id = FinishAppend(std::move(record), run_strings_shared);
   MutationTick();
   return id;
 }
 
-QueryId QueryStore::FinishAppend(QueryRecord record) {
-  record.id = static_cast<QueryId>(records_.size());
+QueryId QueryStore::FinishAppend(QueryRecord record, bool run_strings_shared) {
+  record.id = static_cast<QueryId>(records_->size());
   max_timestamp_ = std::max(max_timestamp_, record.timestamp);
   const StatementId statement = ShareStatement(&record);
+  if (!run_strings_shared) ShareRunStrings(&record);
+  RecordLog& records = OwnRecords();
   // One copy of each owner name: the owner's first record holds it.
-  std::vector<QueryId>& owned = postings_.by_user[record.user];
-  if (!owned.empty()) record.user = records_[owned.front()].user;
+  std::vector<QueryId>& owned = OwnPostings().by_user[record.user];
+  if (!owned.empty()) record.user = records[owned.front()].user;
   InsertSorted(&owned, record.id);
-  records_.push_back(std::make_shared<QueryRecord>(std::move(record)));
-  acl_.AddRecord();
-  const QueryRecord& stored = records_.back();
-  scoring_.AppendRecord(stored, statement,
-                        GlobalInterner().Intern(stored.user));
+  records.push_back(std::make_shared<QueryRecord>(std::move(record)));
+  acl().AddRecord();
+  const QueryRecord& stored = records.back();
+  OwnScoring().AppendRecord(stored, statement,
+                            GlobalInterner().Intern(stored.user));
   if (!feature_rows_lazy_) InsertFeatureRows(stored);
   UpdateSharingGauges();
   return stored.id;
@@ -221,11 +226,12 @@ StatementId QueryStore::ShareStatement(QueryRecord* record) {
       break;
     }
   }
+  PostingIndex& postings = OwnPostings();
   if (entry == nullptr) {
     StatementId id;
     if (free_statement_ids_.empty()) {
-      id = static_cast<StatementId>(postings_.records_of.size());
-      postings_.records_of.emplace_back();
+      id = static_cast<StatementId>(postings.records_of.size());
+      postings.records_of.emplace_back();
     } else {
       id = free_statement_ids_.back();
       free_statement_ids_.pop_back();
@@ -238,11 +244,11 @@ StatementId QueryStore::ShareStatement(QueryRecord* record) {
   } else if (entry->statement != record->statement_) {
     record->set_statement(entry->statement);
   }
-  ShareRunStrings(record);
   const StatementId id = entry->id;
-  InsertSorted(&postings_.records_of[id], record->id);
-  const uint32_t slot = scoring_.statement_pop_slot(id);
-  if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
+  InsertSorted(&postings.records_of[id], record->id);
+  ScoringColumns& scoring = OwnScoring();
+  const uint32_t slot = scoring.statement_pop_slot(id);
+  if (slot != ScoringColumns::kNoPopularitySlot) scoring.AddSlotRef(slot);
   return id;
 }
 
@@ -264,11 +270,12 @@ void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
   auto entry = EntryOf(before);
   if (entry != statements_.end()) {
     const StatementId old = entry->second.id;
-    std::vector<QueryId>& records = postings_.records_of[old];
+    std::vector<QueryId>& records = OwnPostings().records_of[old];
     EraseSorted(&records, record->id);
-    const uint32_t slot = scoring_.statement_pop_slot(old);
+    ScoringColumns& scoring = OwnScoring();
+    const uint32_t slot = scoring.statement_pop_slot(old);
     if (slot != ScoringColumns::kNoPopularitySlot) {
-      scoring_.ReleaseSlotRef(slot);
+      scoring.ReleaseSlotRef(slot);
     }
     if (records.empty()) {
       std::vector<QueryId>().swap(records);
@@ -277,7 +284,9 @@ void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
       statements_.erase(entry);
     }
   }
-  scoring_.SetRecordStatement(record->id, ShareStatement(record));
+  const StatementId statement = ShareStatement(record);
+  ShareRunStrings(record);
+  OwnScoring().SetRecordStatement(record->id, statement);
   UpdateSharingGauges();
 }
 
@@ -286,36 +295,38 @@ void QueryStore::UpdateSharingGauges() const {
       obs::MetricsRegistry::Global().GetGauge("cqms_store_records");
   static obs::Gauge* statements =
       obs::MetricsRegistry::Global().GetGauge("cqms_store_statements");
-  records->Set(static_cast<int64_t>(records_.size()));
+  records->Set(static_cast<int64_t>(records_->size()));
   statements->Set(static_cast<int64_t>(statements_.size()));
 }
 
 void QueryStore::MaterializeFeatureRows() const {
   feature_rows_lazy_ = false;
-  for (const QueryRecord& r : records_) InsertFeatureRows(r);
+  for (const QueryRecord& r : *records_) InsertFeatureRows(r);
 }
 
 void QueryStore::IndexStatement(StatementId id, const QueryRecord& record) {
   const Statement& statement = record.statement();
   const SimilaritySignature& signature = statement.signature;
+  PostingIndex& postings = OwnPostings();
   // Table and attribute posting lists are keyed by the signature's
   // interned Symbols (sorted, deduplicated) — no re-hashing of strings.
   for (Symbol t : signature.tables) {
-    InsertSorted(&postings_.by_table[t], id);
+    InsertSorted(&postings.by_table[t], id);
   }
   for (Symbol a : signature.attributes) {
-    InsertSorted(&postings_.by_attribute[a], id);
+    InsertSorted(&postings.by_attribute[a], id);
   }
   // The signature's token vector is exactly the deduplicated
   // ExtractWords(text), already interned — reuse it.
   for (Symbol token : signature.text_tokens) {
-    InsertSorted(&postings_.by_keyword[token], id);
+    InsertSorted(&postings.by_keyword[token], id);
   }
   if (statement.text_parses) {
-    InsertSorted(&postings_.by_skeleton[statement.skeleton_fingerprint], id);
+    InsertSorted(&postings.by_skeleton[statement.skeleton_fingerprint], id);
   }
-  lsh_.Insert(id, ComputeMinHashSketch(signature));
-  scoring_.SetStatement(id, statement, PopularitySlotFor(record));
+  OwnLsh().Insert(id, ComputeMinHashSketch(signature));
+  const uint32_t pop_slot = PopularitySlotFor(record);
+  OwnScoring().SetStatement(id, statement, pop_slot);
 }
 
 void QueryStore::UnindexStatement(StatementId id, const Statement& statement) {
@@ -328,16 +339,17 @@ void QueryStore::UnindexStatement(StatementId id, const Statement& statement) {
     EraseSorted(&it->second, id);
     if (it->second.empty()) map->erase(it);
   };
-  for (Symbol t : signature.tables) erase(&postings_.by_table, t);
-  for (Symbol a : signature.attributes) erase(&postings_.by_attribute, a);
+  PostingIndex& postings = OwnPostings();
+  for (Symbol t : signature.tables) erase(&postings.by_table, t);
+  for (Symbol a : signature.attributes) erase(&postings.by_attribute, a);
   for (Symbol token : signature.text_tokens) {
-    erase(&postings_.by_keyword, token);
+    erase(&postings.by_keyword, token);
   }
   if (statement.text_parses) {
-    erase(&postings_.by_skeleton, statement.skeleton_fingerprint);
+    erase(&postings.by_skeleton, statement.skeleton_fingerprint);
   }
-  lsh_.Remove(id, ComputeMinHashSketch(signature));
-  scoring_.ReleaseStatement(id);
+  OwnLsh().Remove(id, ComputeMinHashSketch(signature));
+  OwnScoring().ReleaseStatement(id);
 }
 
 void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
@@ -365,46 +377,47 @@ void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
 }
 
 const QueryRecord* QueryStore::Get(QueryId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= records_.size()) return nullptr;
-  return records_.ptr(static_cast<size_t>(id)).get();
+  if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
+  return records_->ptr(static_cast<size_t>(id)).get();
 }
 
 QueryRecord* QueryStore::GetMutable(QueryId id) {
-  if (id < 0 || static_cast<size_t>(id) >= records_.size()) return nullptr;
+  if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
   std::shared_ptr<QueryRecord>& slot =
-      records_.mutable_ptr(static_cast<size_t>(id));
-  // Copy-on-write: a use count above one means a published view still
-  // references this record; clone so its readers keep the old state.
-  // With views disabled the count is always one and this is plain
-  // access. The clone shares the Statement (and its parse tree, which
-  // readers may be materializing): only the per-run fields are copied.
+      OwnRecords().mutable_ptr(static_cast<size_t>(id));
+  // Copy-on-write: a use count above one means a published view's
+  // record log (the one the store copied its own from) still references
+  // this record; clone so its readers keep the old state. With views
+  // disabled the count is always one and this is plain access. The
+  // clone shares the Statement (and its parse tree, which readers may
+  // be materializing): only the per-run fields are copied.
   if (slot.use_count() > 1) slot = std::make_shared<QueryRecord>(*slot);
   return slot.get();
 }
 
 std::vector<QueryId> QueryStore::QueriesUsingTable(
     const std::string& table) const {
-  return postings_.RecordsOf(postings_.StatementsUsingTable(table));
+  return postings_->RecordsOf(postings_->StatementsUsingTable(table));
 }
 
 std::vector<QueryId> QueryStore::QueriesUsingAttribute(
     const std::string& relation, const std::string& attribute) const {
-  return postings_.RecordsOf(
-      postings_.StatementsUsingAttribute(relation, attribute));
+  return postings_->RecordsOf(
+      postings_->StatementsUsingAttribute(relation, attribute));
 }
 
 const std::vector<QueryId>& QueryStore::QueriesByUser(const std::string& user) const {
-  return postings_.ByUser(user);
+  return postings_->ByUser(user);
 }
 
 std::vector<QueryId> QueryStore::QueriesWithKeyword(
     const std::string& word) const {
-  return postings_.RecordsOf(postings_.StatementsWithKeyword(word));
+  return postings_->RecordsOf(postings_->StatementsWithKeyword(word));
 }
 
 uint64_t QueryStore::PopularityOf(uint64_t fingerprint) const {
   auto it = pop_slot_of_.find(fingerprint);
-  return it == pop_slot_of_.end() ? 0 : scoring_.slot_count(it->second);
+  return it == pop_slot_of_.end() ? 0 : scoring_->slot_count(it->second);
 }
 
 Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
@@ -472,48 +485,61 @@ Status QueryStore::Annotate(QueryId id, Annotation annotation) {
 // recomputes quality (and re-flags drift) across the whole log every
 // cycle, and without the guard each pass would frame thousands of
 // do-nothing records into the WAL and trip the checkpoint thresholds
-// on every run.
+// on every run. They test the value before GetMutable, so a no-op
+// copies neither the record nor a part a published view shares.
 
 Status QueryStore::AddFlag(QueryId id, QueryFlags flag) {
+  const QueryRecord* current = Get(id);
+  if (current == nullptr) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
+  if ((current->flags & flag) == static_cast<uint32_t>(flag)) {
+    return Status::Ok();
+  }
   QueryRecord* r = GetMutable(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  if ((r->flags & flag) == static_cast<uint32_t>(flag)) return Status::Ok();
   r->flags |= flag;
-  scoring_.SetFlags(id, r->flags);
+  OwnScoring().SetFlags(id, r->flags);
   for (StoreListener* l : listeners_) l->OnFlagChange(id, flag, /*set=*/true);
   MutationTick();
   return Status::Ok();
 }
 
 Status QueryStore::ClearFlag(QueryId id, QueryFlags flag) {
+  const QueryRecord* current = Get(id);
+  if (current == nullptr) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
+  if ((current->flags & flag) == 0) return Status::Ok();
   QueryRecord* r = GetMutable(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  if ((r->flags & flag) == 0) return Status::Ok();
   r->flags &= ~static_cast<uint32_t>(flag);
-  scoring_.SetFlags(id, r->flags);
+  OwnScoring().SetFlags(id, r->flags);
   for (StoreListener* l : listeners_) l->OnFlagChange(id, flag, /*set=*/false);
   MutationTick();
   return Status::Ok();
 }
 
 Status QueryStore::SetSession(QueryId id, SessionId session) {
-  QueryRecord* r = GetMutable(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  if (r->session_id == session) return Status::Ok();
-  r->session_id = session;
+  const QueryRecord* current = Get(id);
+  if (current == nullptr) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
+  if (current->session_id == session) return Status::Ok();
+  GetMutable(id)->session_id = session;
   for (StoreListener* l : listeners_) l->OnSetSession(id, session);
   MutationTick();
   return Status::Ok();
 }
 
 Status QueryStore::SetQuality(QueryId id, double quality) {
-  QueryRecord* r = GetMutable(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  double clamped = std::clamp(quality, 0.0, 1.0);
-  if (r->quality == clamped) return Status::Ok();
-  r->quality = clamped;
-  scoring_.SetQuality(id, r->quality);
-  for (StoreListener* l : listeners_) l->OnSetQuality(id, r->quality);
+  const QueryRecord* current = Get(id);
+  if (current == nullptr) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
+  const double clamped = std::clamp(quality, 0.0, 1.0);
+  if (current->quality == clamped) return Status::Ok();
+  GetMutable(id)->quality = clamped;
+  OwnScoring().SetQuality(id, clamped);
+  for (StoreListener* l : listeners_) l->OnSetQuality(id, clamped);
   MutationTick();
   return Status::Ok();
 }
@@ -555,15 +581,18 @@ Status QueryStore::RestoreOutputSignature(QueryId id,
 }
 
 Status QueryStore::Delete(QueryId id, const std::string& requester, bool is_admin) {
-  QueryRecord* r = GetMutable(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  if (!is_admin && r->user != requester) {
+  const QueryRecord* current = Get(id);
+  if (current == nullptr) {
+    return Status::NotFound("no query " + std::to_string(id));
+  }
+  if (!is_admin && current->user != requester) {
     return Status::PermissionDenied("only the owner or an admin may delete query " +
                                     std::to_string(id));
   }
-  if (r->HasFlag(kFlagDeleted)) return Status::Ok();
+  if (current->HasFlag(kFlagDeleted)) return Status::Ok();
+  QueryRecord* r = GetMutable(id);
   r->flags |= kFlagDeleted;
-  scoring_.SetFlags(id, r->flags);
+  OwnScoring().SetFlags(id, r->flags);
   for (StoreListener* l : listeners_) l->OnDelete(id);
   MutationTick();
   return Status::Ok();
@@ -572,7 +601,7 @@ Status QueryStore::Delete(QueryId id, const std::string& requester, bool is_admi
 bool QueryStore::Visible(const std::string& viewer, QueryId id) const {
   const QueryRecord* r = Get(id);
   if (r == nullptr || r->HasFlag(kFlagDeleted)) return false;
-  return acl_.CanSee(viewer, r->user, id);
+  return acl_->CanSee(viewer, r->user, id);
 }
 
 VisibilityCache& QueryStore::CacheFor(const std::string& viewer) const {
@@ -591,25 +620,34 @@ void QueryStore::EnableViews() {
   if (!views_enabled_) {
     views_enabled_ = true;
     acl_view_tick_ = std::make_unique<AclViewTick>(this);
-    acl_.AddListener(acl_view_tick_.get());
+    acl().AddListener(acl_view_tick_.get());
   }
   PublishView();
 }
 
 void QueryStore::MutationTick() {
   ++mutations_;
+  PublishChange();
+}
+
+void QueryStore::PublishChange() {
   if (!views_enabled_) return;
   ++unpublished_mutations_;
   if (publish_batch_depth_ == 0) PublishView();
 }
 
+size_t QueryStore::CompactScoringArenas() {
+  const size_t reclaimed = OwnScoring().Compact();
+  PublishChange();
+  return reclaimed;
+}
+
 void QueryStore::PublishView() {
   if (!views_enabled_) return;
   WallTimer publish_timer;
-  // Copy-on-publish: the snapshot owns full copies of every index and
-  // column the read path touches, so the writer may mutate the live
-  // structures the moment the swap below completes. The records
-  // themselves are shared by pointer (GetMutable clones on write).
+  // The view shares every part with the store; from here on the
+  // writer copies a part before its first change to it (Own), so the
+  // view's readers keep the parts as they are now.
   auto next = std::make_shared<ReadViewState>();
   next->sequence_ = ++view_sequence_;
   next->mutations_ = mutations_;
@@ -618,7 +656,8 @@ void QueryStore::PublishView() {
   next->postings_ = postings_;
   next->scoring_ = scoring_;
   next->lsh_ = lsh_;
-  next->acl_ = acl_;  // the ACL copy strips listeners
+  next->acl_ = acl_;
+  shared_parts_ = kAllParts;
   std::shared_ptr<const ReadViewState> old;
   {
     std::lock_guard<std::mutex> lock(view_owner_mu_);
@@ -642,7 +681,7 @@ void QueryStore::PublishView() {
       obs::MetricsRegistry::Global().GetGauge("cqms_arena_garbage_bytes");
   publish_micros->Record(static_cast<uint64_t>(publish_timer.ElapsedMicros()));
   views_published->Increment();
-  arena_garbage->Set(static_cast<int64_t>(scoring_.arena_garbage()));
+  arena_garbage->Set(static_cast<int64_t>(scoring_->arena_garbage()));
 }
 
 PinnedView QueryStore::PinView() const {

@@ -48,6 +48,13 @@ enum class StatementPath { kProfile, kLogOnly, kWal, kRewrite };
 /// PinView() after EnableViews() and retired through epoch-based
 /// reclamation. With views disabled (the default) nothing is published
 /// and the store behaves exactly as the single-threaded original.
+///
+/// A published view shares the store's five read-path parts (record
+/// log, posting lists, scoring columns, LSH index, ACL); the writer
+/// copies a part on its first change to it after a publish. So a
+/// reference or iterator into a part (records(), postings(), ...) is
+/// good only until the next mutation: writer-side loops that mutate
+/// iterate by id instead.
 class QueryStore {
  public:
   /// `lsh_params` sets the MinHash/LSH banding (recall/cost knob) of the
@@ -109,7 +116,10 @@ class QueryStore {
   /// computes one), and the read path scores records through it. The
   /// snapshot loader rejects an image whose statement lacks one, and
   /// WAL replay builds each record from its text.
-  QueryId RestoreAppend(QueryRecord record);
+  /// `run_strings_shared` says the record's error and plan already are
+  /// the store's copies (a snapshot record that copied a statement
+  /// entry ShareRunStrings has seen), so they skip the lookup.
+  QueryId RestoreAppend(QueryRecord record, bool run_strings_shared = false);
 
   /// Registers a mutation observer (the write-ahead log, the miner's
   /// ChangeTracker). One registration covers the store and its
@@ -125,16 +135,18 @@ class QueryStore {
   /// Writer-side mutable access. When read views are enabled and a
   /// published view still shares the record, it is cloned first
   /// (copy-on-write) so readers of the old view keep an unchanged
-  /// record; with views disabled this is plain access, no copies. The
-  /// clone copies the per-run fields and shares the Statement; edit the
+  /// record — and before that the record log, when the view shares it;
+  /// with views disabled this is plain access, no copies. The clone
+  /// copies the per-run fields and shares the Statement; edit the
   /// statement only through the store's mutators, which re-point the
-  /// record.
+  /// record. The pointer is good until the next mutation.
   QueryRecord* GetMutable(QueryId id);
-  size_t size() const { return records_.size(); }
+  size_t size() const { return records_->size(); }
   /// Distinct Statements the live records share (each record holds one;
   /// records with equal statements hold the same one).
   size_t statement_count() const { return statements_.size(); }
-  const RecordLog& records() const { return records_; }
+  /// Good until the next mutation (see the class comment).
+  const RecordLog& records() const { return *records_; }
 
   /// Largest timestamp ever appended (0 when empty). Maintained by
   /// Append so ranking paths (kNN recency boost) need no log scan.
@@ -150,7 +162,7 @@ class QueryStore {
   // posting lists without hashing a single string.
 
   /// The statement-keyed posting lists and statement -> records lists.
-  const PostingIndex& postings() const { return postings_; }
+  const PostingIndex& postings() const { return *postings_; }
 
   /// Ids of queries whose FROM (at any nesting level) references `table`.
   std::vector<QueryId> QueriesUsingTable(const std::string& table) const;
@@ -165,7 +177,7 @@ class QueryStore {
   std::vector<QueryId> QueriesWithKeyword(const std::string& word) const;
 
   /// The sketch index itself (band/row introspection, lifecycle tests).
-  const LshIndex& lsh() const { return lsh_; }
+  const LshIndex& lsh() const { return *lsh_; }
 
   /// How many logged queries share this exact canonical fingerprint —
   /// the popularity count used by ranking functions (read from the
@@ -177,14 +189,17 @@ class QueryStore {
   /// slot, packed signature spans, lowered text), maintained through
   /// every mutation path. The meta-query scoring loop reads candidates
   /// from here instead of the record deque.
-  const ScoringColumns& scoring() const { return scoring_; }
+  const ScoringColumns& scoring() const { return *scoring_; }
 
   /// Rebuilds the scoring-column arenas, dropping the runs of statements
   /// released by rewrites and output refreshes; returns bytes
   /// reclaimed. Spans and string_views previously handed out by
   /// scoring() are invalidated (like a rehash). Maintenance invokes this
-  /// when arena_garbage() crosses its threshold.
-  size_t CompactScoringArenas() { return scoring_.Compact(); }
+  /// when arena_garbage() crosses its threshold. With views enabled it
+  /// republishes (once per ScopedPublishBatch), so no view keeps the
+  /// uncompacted columns alive beside the live ones; it is not a
+  /// mutation (mutation_count() stays).
+  size_t CompactScoringArenas();
 
   // --- record mutation -------------------------------------------------------
 
@@ -223,6 +238,15 @@ class QueryStore {
   /// listener fires (see StoreListener).
   Status ShareRunStrings(QueryId id);
 
+  /// Points `record`'s error and plan at the store's copies of equal
+  /// strings; a non-empty value no copy equals becomes one. For a
+  /// record not yet stored (the snapshot loader's statement entries).
+  void ShareRunStrings(QueryRecord* record);
+
+  /// Lookups the store's error-and-plan table has made (see
+  /// ShareRunStrings), for tests and benchmarks.
+  uint64_t run_string_lookups() const { return run_strings_.lookups(); }
+
   /// Restore-grade variant for WAL replay: sets the output-derived
   /// signature fields directly — the summary they were computed from is
   /// not persisted — and re-points the record like SyncOutputSignature.
@@ -236,8 +260,10 @@ class QueryStore {
 
   // --- visibility ----------------------------------------------------------------
 
-  AccessControl& acl() { return acl_; }
-  const AccessControl& acl() const { return acl_; }
+  /// Writer-side: the live ACL, copied first when a published view
+  /// shares it. Read through a const store.
+  AccessControl& acl() { return Own(&acl_, kAclPart); }
+  const AccessControl& acl() const { return *acl_; }
 
   /// True when `viewer` may see query `id` (not deleted, ACL passes).
   bool Visible(const std::string& viewer, QueryId id) const;
@@ -264,7 +290,9 @@ class QueryStore {
   bool views_enabled() const { return views_enabled_; }
 
   /// Forces a publish of the current state now (writer thread only;
-  /// no-op until EnableViews).
+  /// no-op until EnableViews). O(1): the view shares every part with
+  /// the store, and each part is copied on the writer's first change
+  /// to it afterwards.
   void PublishView();
 
   /// Lock-free reader entry point: pins the current published view for
@@ -291,8 +319,9 @@ class QueryStore {
 
   /// Defers view publication for its scope (nestable): background
   /// cycles that apply hundreds of small mutations wrap themselves in
-  /// one of these so readers see a single atomic republish at the end
-  /// instead of paying one O(log size) snapshot copy per mutation.
+  /// one of these so readers see a single atomic republish at the end,
+  /// and each part they touch is copied once instead of once per
+  /// mutation.
   class ScopedPublishBatch {
    public:
     explicit ScopedPublishBatch(QueryStore* store) : store_(store) {
@@ -342,20 +371,18 @@ class QueryStore {
 
   /// Shared tail of Append / RestoreAppend (and so of WAL replay and
   /// follower apply): assigns the id, points the record at the shared
-  /// equal Statement (ShareStatement) and at its owner's copy of the
-  /// owner name, stores it and rebuilds every derived structure from it.
-  QueryId FinishAppend(QueryRecord record);
+  /// equal Statement (ShareStatement), its run strings at the store's
+  /// copies (unless `run_strings_shared`) and its owner name at its
+  /// owner's copy, stores it and rebuilds every derived structure from
+  /// it.
+  QueryId FinishAppend(QueryRecord record, bool run_strings_shared);
   /// Points `record` at the live Statement equal to its own, or enters
   /// its own into the sharing table (with a fresh id, indexed) when
   /// there is none; adds the record to the statement's records and
-  /// popularity count, and shares its run strings (ShareRunStrings).
-  /// Returns the statement's id.
+  /// popularity count. Returns the statement's id.
   StatementId ShareStatement(QueryRecord* record);
   /// The sharing-table entry holding exactly `statement`, or end().
   SharingTable::iterator EntryOf(const Statement& statement);
-  /// Points `record`'s error and plan at run_strings_'s copies where
-  /// equal; a non-empty value no copy equals becomes one.
-  void ShareRunStrings(QueryRecord* record);
   /// Re-shares live record `record` after an edit moved it off `before`,
   /// the statement it held: removes it from `before`'s records (when it
   /// was the last one, unindexes the statement, frees its id and drops
@@ -363,13 +390,15 @@ class QueryStore {
   /// `before` must still be in the table, which keeps it alive until
   /// here.
   void Reshare(QueryRecord* record, const Statement& before);
-  /// Mirrors records_.size() and statements_.size() into the
+  /// Mirrors records_->size() and statements_.size() into the
   /// cqms_store_records / cqms_store_statements gauges.
   void UpdateSharingGauges() const;
-  /// Bumps the mutation counter and, when views are enabled and no
-  /// ScopedPublishBatch is active, republishes. Called at the end of
-  /// every successful state-changing mutation.
+  /// Bumps the mutation counter and PublishChange()s. Called at the end
+  /// of every successful state-changing mutation.
   void MutationTick();
+  /// When views are enabled, republishes, or marks the batch that is
+  /// active as having something to publish.
+  void PublishChange();
   /// Adds statement `id` to every feature-derived index and packs its
   /// scoring row; the LSH entry is keyed by
   /// ComputeMinHashSketch(statement.signature). `record` is the
@@ -388,8 +417,34 @@ class QueryStore {
   /// creating one on first sight. kNoPopularitySlot for parse failures.
   uint32_t PopularitySlotFor(const QueryRecord& record);
 
-  RecordLog records_;
-  AccessControl acl_;
+  /// The read-path parts, one bit each in shared_parts_.
+  enum Part : uint8_t {
+    kRecordsPart = 1u << 0,
+    kPostingsPart = 1u << 1,
+    kScoringPart = 1u << 2,
+    kLshPart = 1u << 3,
+    kAclPart = 1u << 4,
+    kAllParts = 0x1F,
+  };
+  /// The writer's own copy of `*part`: copies it first when the latest
+  /// published view shares it, so that view's readers keep the part as
+  /// it was; later writes until the next publish go in place. Every
+  /// write to a part goes through here.
+  template <typename T>
+  T& Own(std::shared_ptr<T>* part, Part bit) {
+    if ((shared_parts_ & bit) != 0) {
+      *part = std::make_shared<T>(**part);
+      shared_parts_ = static_cast<uint8_t>(shared_parts_ & ~bit);
+    }
+    return **part;
+  }
+  RecordLog& OwnRecords() { return Own(&records_, kRecordsPart); }
+  PostingIndex& OwnPostings() { return Own(&postings_, kPostingsPart); }
+  ScoringColumns& OwnScoring() { return Own(&scoring_, kScoringPart); }
+  LshIndex& OwnLsh() { return Own(&lsh_, kLshPart); }
+
+  std::shared_ptr<RecordLog> records_ = std::make_shared<RecordLog>();
+  std::shared_ptr<AccessControl> acl_ = std::make_shared<AccessControl>();
   /// Mutable alongside feature_rows_lazy_: the const feature_db()
   /// accessor materializes deferred rows on first use.
   mutable db::Database feature_db_;
@@ -419,12 +474,12 @@ class QueryStore {
   /// statements (see ShareRunStrings).
   SharedStringTable run_strings_;
 
-  /// The feature posting lists, as the copyable value a view
-  /// publication snapshots wholesale (see PostingIndex for keying).
-  PostingIndex postings_;
+  /// The feature posting lists (see PostingIndex for keying).
+  std::shared_ptr<PostingIndex> postings_ = std::make_shared<PostingIndex>();
   std::unordered_map<uint64_t, uint32_t> pop_slot_of_;
-  LshIndex lsh_;
-  ScoringColumns scoring_;
+  std::shared_ptr<LshIndex> lsh_;
+  std::shared_ptr<ScoringColumns> scoring_ =
+      std::make_shared<ScoringColumns>();
   /// Registration-ordered; tiny (the WAL plus the miner's tracker), so
   /// a vector scan beats any indexed structure.
   std::vector<StoreListener*> listeners_;
@@ -438,6 +493,11 @@ class QueryStore {
 
   // --- read-view publication state (writer-side unless noted) ------------
   bool views_enabled_ = false;
+  /// Parts the latest published view shares with the store (Part
+  /// bits): PublishView sets them all, Own clears one as it copies the
+  /// part. Writer-side bits rather than use_count(), which races with
+  /// readers dropping views on other threads.
+  uint8_t shared_parts_ = 0;
   /// Total successful mutations (records + ACL); stamped into views.
   uint64_t mutations_ = 0;
   uint64_t unpublished_mutations_ = 0;
@@ -457,15 +517,24 @@ class QueryStore {
 };
 
 // StoreView members that need the complete QueryStore (declared in
-// read_view.h). VisibilityCache — formerly defined here — moved to
-// read_view.h so it can serve frozen views and the live store alike.
+// read_view.h). Each resolves its part through the store or the view
+// on every call.
 
-inline StoreView::StoreView(const QueryStore& store)
-    : store_(&store),
-      postings_(&store.postings()),
-      scoring_(&store.scoring()),
-      lsh_(&store.lsh()),
-      acl_(&store.acl()) {}
+inline const PostingIndex& StoreView::postings() const {
+  return view_ != nullptr ? view_->postings() : store_->postings();
+}
+
+inline const ScoringColumns& StoreView::scoring() const {
+  return view_ != nullptr ? view_->scoring() : store_->scoring();
+}
+
+inline const LshIndex& StoreView::lsh() const {
+  return view_ != nullptr ? view_->lsh() : store_->lsh();
+}
+
+inline const AccessControl& StoreView::acl() const {
+  return view_ != nullptr ? view_->acl() : store_->acl();
+}
 
 inline const QueryRecord* StoreView::Get(QueryId id) const {
   return view_ != nullptr ? view_->Get(id) : store_->Get(id);

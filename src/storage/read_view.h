@@ -26,9 +26,10 @@ class VisibilityCache;
 
 /// The QueryStore's feature posting lists as one copyable value. The
 /// store maintains the live instance through Append / Rewrite / output
-/// refreshes; publishing a read view copies it wholesale, so every
-/// lookup below works identically against the live store and a frozen
-/// view. Symbol-keyed maps use the same interned ids the similarity
+/// refreshes; a published read view shares it, and the writer's first
+/// change after a publish copies it wholesale, so every lookup below
+/// works identically against the live store and a frozen view.
+/// Symbol-keyed maps use the same interned ids the similarity
 /// signatures carry (see QueryStore's index commentary).
 ///
 /// Feature lists hold StatementIds: a statement is indexed once, when
@@ -79,26 +80,26 @@ struct PostingIndex {
 /// ReadViewState, with the accessor names the meta-query planner uses —
 /// the planner's one scoring pipeline serves both the single-threaded
 /// live path and concurrent readers without branching per call site.
-/// Cheap to copy (a handful of raw pointers); does not own or pin
-/// anything — the caller keeps the underlying store or view alive
-/// (typically via a PinnedView on the read path).
+/// Cheap to copy (two raw pointers); does not own or pin anything — the
+/// caller keeps the underlying store or view alive (typically via a
+/// PinnedView on the read path).
+///
+/// Every accessor resolves its part through the store or view on each
+/// call and never caches a part's address: the live store replaces a
+/// part with a copy on the writer's first change to it after a publish,
+/// so an address taken before a write may belong to a part only a
+/// retired view still holds (see QueryStore::PublishView).
 class StoreView {
  public:
   StoreView() = default;
-  /// Live-store facade; defined in query_store.h (needs the complete
-  /// QueryStore).
-  explicit StoreView(const QueryStore& store);
-  /// Frozen-view facade; defined below ReadViewState.
-  explicit StoreView(const ReadViewState& view);
+  explicit StoreView(const QueryStore& store) : store_(&store) {}
+  explicit StoreView(const ReadViewState& view) : view_(&view) {}
 
-  const PostingIndex& postings() const { return *postings_; }
-  const ScoringColumns& scoring() const { return *scoring_; }
-  const LshIndex& lsh() const { return *lsh_; }
-  const AccessControl& acl() const { return *acl_; }
-
-  // The only accessors that branch on live-vs-view (the record log and
-  // its scalars live inside whichever object backs the facade); defined
-  // in query_store.h.
+  // Defined in query_store.h (they need the complete QueryStore).
+  const PostingIndex& postings() const;
+  const ScoringColumns& scoring() const;
+  const LshIndex& lsh() const;
+  const AccessControl& acl() const;
   const QueryRecord* Get(QueryId id) const;
   size_t size() const;
   Micros max_timestamp() const;
@@ -112,23 +113,22 @@ class StoreView {
  private:
   const QueryStore* store_ = nullptr;
   const ReadViewState* view_ = nullptr;
-  const PostingIndex* postings_ = nullptr;
-  const ScoringColumns* scoring_ = nullptr;
-  const LshIndex* lsh_ = nullptr;
-  const AccessControl* acl_ = nullptr;
 };
 
 /// One published, immutable snapshot of everything the read path
-/// touches: the record log (as shared_ptr copies — records themselves
-/// are shared with the store, copy-on-write protected), the scoring
-/// columns, the posting lists, the LSH index and the ACL. Built by
-/// QueryStore::PublishView on the writer thread; after publication it
-/// is never mutated (the per-viewer visibility caches below are
-/// thread-safe memoization, not state), so any number of
-/// readers may execute meta-queries against it concurrently with zero
-/// coordination. Lifetime: the store keeps the latest view alive and
-/// retires predecessors through epoch-based reclamation (see
-/// EpochDomain); long-lived consumers hold a shared_ptr instead
+/// touches: the record log, the scoring columns, the posting lists, the
+/// LSH index and the ACL. Built by QueryStore::PublishView on the writer
+/// thread, it holds each part through a shared_ptr to the very object
+/// the live store held at the publish: publishing copies five pointers,
+/// and the writer copies a part only on its first change to it after
+/// the publish (records themselves are shared with the store as well,
+/// copy-on-write per record). After publication nothing a view reaches
+/// is ever mutated (the per-viewer visibility caches below are
+/// thread-safe memoization, not state), so any number of readers may
+/// execute meta-queries against it concurrently with zero coordination.
+/// Lifetime: the store keeps the latest view alive and retires
+/// predecessors through epoch-based reclamation (see EpochDomain);
+/// long-lived consumers hold a shared_ptr instead
 /// (QueryStore::SharedView).
 ///
 /// Not in the snapshot: the feature-relation database (SQL meta-queries
@@ -147,17 +147,17 @@ class ReadViewState {
   /// prefix-consistency stamp the stress oracle replays to.
   uint64_t mutations() const { return mutations_; }
 
-  size_t size() const { return records_.size(); }
-  const RecordLog& records() const { return records_; }
+  size_t size() const { return records_->size(); }
+  const RecordLog& records() const { return *records_; }
   const QueryRecord* Get(QueryId id) const {
-    if (id < 0 || static_cast<size_t>(id) >= records_.size()) return nullptr;
-    return records_.ptr(static_cast<size_t>(id)).get();
+    if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
+    return records_->ptr(static_cast<size_t>(id)).get();
   }
   Micros max_timestamp() const { return max_timestamp_; }
-  const PostingIndex& postings() const { return postings_; }
-  const ScoringColumns& scoring() const { return scoring_; }
-  const LshIndex& lsh() const { return lsh_; }
-  const AccessControl& acl() const { return acl_; }
+  const PostingIndex& postings() const { return *postings_; }
+  const ScoringColumns& scoring() const { return *scoring_; }
+  const LshIndex& lsh() const { return *lsh_; }
+  const AccessControl& acl() const { return *acl_; }
 
   /// The memoizing visibility cache for `viewer`, one per viewer and
   /// shared by every thread that serves them (see VisibilityCache); the
@@ -172,22 +172,15 @@ class ReadViewState {
   uint64_t sequence_ = 0;
   uint64_t mutations_ = 0;
   Micros max_timestamp_ = 0;
-  RecordLog records_;
-  PostingIndex postings_;
-  ScoringColumns scoring_;
-  LshIndex lsh_;
-  AccessControl acl_;
+  std::shared_ptr<const RecordLog> records_;
+  std::shared_ptr<const PostingIndex> postings_;
+  std::shared_ptr<const ScoringColumns> scoring_;
+  std::shared_ptr<const LshIndex> lsh_;
+  std::shared_ptr<const AccessControl> acl_;
 
   mutable std::mutex cache_mu_;
   mutable std::map<std::string, std::unique_ptr<VisibilityCache>> caches_;
 };
-
-inline StoreView::StoreView(const ReadViewState& view)
-    : view_(&view),
-      postings_(&view.postings()),
-      scoring_(&view.scoring()),
-      lsh_(&view.lsh()),
-      acl_(&view.acl()) {}
 
 /// RAII handle of one pinned published view: holds an EpochDomain slot
 /// for its lifetime, which guarantees the view (and everything it

@@ -17,12 +17,13 @@ namespace cqms::storage {
 /// did when the log was a plain deque.
 ///
 /// The shared_ptr indirection is what makes record-level copy-on-write
-/// possible: when a mutation targets a record that a published view
-/// still references (use_count > 1), QueryStore::GetMutable clones it
-/// and swaps the pointer, so readers of the old view keep an unchanged
-/// record while the log moves on. The deque never invalidates existing
-/// elements on push_back, so writer-side references obtained between
-/// mutations stay valid.
+/// possible: when a mutation targets a record that a published view's
+/// log still references (use_count > 1), QueryStore::GetMutable clones
+/// it and swaps the pointer, so readers of the old view keep an
+/// unchanged record while the log moves on. The log itself is shared
+/// with published views and copied on the writer's first change to it
+/// after a publish, so a reference into it is good only until the next
+/// mutation.
 class RecordLog {
  public:
   /// Random-access iterator dereferencing to `const QueryRecord&`.

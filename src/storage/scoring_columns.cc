@@ -12,6 +12,13 @@ uint16_t Clamp16(size_t n) {
   return static_cast<uint16_t>(std::min<size_t>(n, 0xFFFF));
 }
 
+/// Makes `*to` a copy of `from` with at least `from`'s capacity.
+template <typename Container>
+void CopyWithCapacity(const Container& from, Container* to) {
+  to->reserve(from.capacity());
+  to->assign(from.begin(), from.end());
+}
+
 size_t RunBytes(const ScoringColumns::SignatureRef& ref) {
   return sizeof(Symbol) * (static_cast<size_t>(ref.n_tables) +
                            ref.n_skeletons + ref.n_attributes +
@@ -20,6 +27,21 @@ size_t RunBytes(const ScoringColumns::SignatureRef& ref) {
 }
 
 }  // namespace
+
+ScoringColumns::ScoringColumns(const ScoringColumns& other)
+    : arena_garbage_(other.arena_garbage_) {
+  CopyWithCapacity(other.flags_, &flags_);
+  CopyWithCapacity(other.quality_, &quality_);
+  CopyWithCapacity(other.timestamp_, &timestamp_);
+  CopyWithCapacity(other.owner_, &owner_);
+  CopyWithCapacity(other.stmt_, &stmt_);
+  CopyWithCapacity(other.sig_, &sig_);
+  CopyWithCapacity(other.stmt_pop_slot_, &stmt_pop_slot_);
+  CopyWithCapacity(other.pop_counts_, &pop_counts_);
+  CopyWithCapacity(other.sym_arena_, &sym_arena_);
+  CopyWithCapacity(other.out_arena_, &out_arena_);
+  CopyWithCapacity(other.text_arena_, &text_arena_);
+}
 
 void ScoringColumns::Reserve(size_t records, size_t statements) {
   flags_.reserve(records);

@@ -131,6 +131,14 @@ class ScoringColumns {
     uint32_t pop_slot_;
   };
 
+  ScoringColumns() = default;
+  /// Copies keep the source's spare capacity: QueryStore copies its
+  /// columns on its first write after a publish (QueryStore::Own), and
+  /// an exact-size copy would reallocate every per-record column on the
+  /// append that follows.
+  ScoringColumns(const ScoringColumns& other);
+  ScoringColumns& operator=(const ScoringColumns&) = delete;
+
   /// Records with a row.
   size_t size() const { return flags_.size(); }
 

@@ -351,6 +351,9 @@ struct SymbolRemap {
   }
 };
 
+/// Statements or records decoded between two SnapshotConsumed reports.
+constexpr uint64_t kConsumedStride = 4096;
+
 Status CorruptSnapshot(const std::string& path, const std::string& what) {
   return Status::Corruption("corrupt v2 snapshot (" + what + "): " + path);
 }
@@ -789,7 +792,8 @@ Status VerifySnapshotV2Image(std::string_view file, const std::string& path) {
 
 Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
                                 const std::string& label,
-                                uint64_t* wal_sequence) {
+                                uint64_t* wal_sequence,
+                                const SnapshotConsumed& on_consumed) {
   if (wal_sequence != nullptr) *wal_sequence = 0;
   if (store->size() != 0) {
     return Status::InvalidArgument("LoadSnapshotV2 requires an empty store");
@@ -814,6 +818,7 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
       return CorruptSnapshot(label, "truncated section");
     }
     std::string_view payload = data.substr(pos, len);
+    const size_t payload_begin = pos;
     pos += len;
     BinaryReader crc_reader(data.substr(pos, 4));
     uint32_t stored_crc = crc_reader.GetFixed32();
@@ -823,6 +828,13 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
     }
 
     BinaryReader r(payload);
+    // Every kConsumedStride entries of the two large sections, the
+    // bytes the decode has passed.
+    auto report = [&](uint64_t decoded) {
+      if (on_consumed && decoded % kConsumedStride == 0) {
+        on_consumed(payload_begin + (len - r.remaining()));
+      }
+    };
     switch (section) {
       case kSectionInterner:
         CQMS_RETURN_IF_ERROR(DecodeInterner(&r, &remap, label));
@@ -845,7 +857,11 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         for (uint64_t i = 0; i < count; ++i) {
           QueryRecord statement;
           CQMS_RETURN_IF_ERROR(DecodeStatement(&r, remap, &statement, label));
+          // Each entry's error and plan are shared once, here; the
+          // records that copy the entry then hold the store's copies.
+          store->ShareRunStrings(&statement);
           statements.push_back(std::move(statement));
+          report(i + 1);
         }
         if (!r.AtEnd()) return CorruptSnapshot(label, "statements payload");
         saw_statements = true;
@@ -875,7 +891,9 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
           CQMS_RETURN_IF_ERROR(
               whole ? DecodeWholeRecord(&r, version, remap, &record, label)
                     : DecodeRecord(&r, statements, &record, label));
-          store->RestoreAppend(std::move(record));
+          store->RestoreAppend(std::move(record),
+                               /*run_strings_shared=*/!whole);
+          report(i + 1);
         }
         if (!r.AtEnd()) return CorruptSnapshot(label, "records payload");
         saw_records = true;
@@ -887,12 +905,14 @@ Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
         break;
       case kSectionEnd:
         if (!saw_records) return CorruptSnapshot(label, "missing records");
+        if (on_consumed) on_consumed(pos);
         return ApplyVisibility(visibility, store, label);
       default:
         // Unknown section from a newer minor revision: CRC verified,
         // skip.
         break;
     }
+    if (on_consumed) on_consumed(pos);
   }
 }
 

@@ -1,6 +1,8 @@
 #ifndef CQMS_STORAGE_SNAPSHOT_V2_H_
 #define CQMS_STORAGE_SNAPSHOT_V2_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -104,12 +106,23 @@ Status VerifySnapshotV2Image(std::string_view file, const std::string& label);
 Status LoadSnapshotV2(QueryStore* store, const std::string& path,
                       uint64_t* wal_sequence = nullptr, Env* env = nullptr);
 
+/// Called as a load decodes an image with an offset into it, rising
+/// from call to call: the decoder reads none of the bytes below it
+/// again, so the caller may release them (DurableStore::Open returns
+/// their pages to the kernel). Reported after each section and every
+/// few thousand statements or records.
+using SnapshotConsumed = std::function<void(size_t consumed)>;
+
 /// Same decode from in-memory bytes — the replication follower bootstraps
 /// from a snapshot image streamed off the primary without staging it on
-/// disk. `label` names the source in error messages.
+/// disk. `label` names the source in error messages. `on_consumed`, when
+/// set, hears how far the decode has read (see SnapshotConsumed). Every
+/// section's CRC is checked before it is decoded, and the decode is
+/// single-pass.
 Status LoadSnapshotV2FromString(QueryStore* store, std::string_view data,
                                 const std::string& label,
-                                uint64_t* wal_sequence = nullptr);
+                                uint64_t* wal_sequence = nullptr,
+                                const SnapshotConsumed& on_consumed = {});
 
 }  // namespace cqms::storage
 

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "maintain/quality.h"
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
@@ -689,6 +692,306 @@ TEST(ReadViewTest, AclChangesPublishLikeMutations) {
   PinnedView after = store.PinView();
   VisibilityCache cache{StoreView(*after), "stranger"};
   EXPECT_TRUE(cache.VisibleId(id));
+}
+
+
+// --- Published views share the store's parts --------------------------------
+
+// The five read-path parts of a view or of the live store, by address.
+enum PartBit : unsigned {
+  kRecords = 1u << 0,
+  kPostings = 1u << 1,
+  kScoring = 1u << 2,
+  kLsh = 1u << 3,
+  kAcl = 1u << 4,
+};
+
+template <typename Source>  // QueryStore or ReadViewState
+std::vector<const void*> PartsOf(const Source& s) {
+  return {&s.records(), &s.postings(), &s.scoring(), &s.lsh(), &s.acl()};
+}
+
+// The parts (PartBit mask) whose addresses differ between `a` and `b`.
+unsigned MovedParts(const std::vector<const void*>& a,
+                    const std::vector<const void*>& b) {
+  unsigned moved = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) moved |= 1u << i;
+  }
+  return moved;
+}
+
+// Three users in two groups, 41 records over six repeated statements
+// and one of its own, which a rewrite moved to a new text, leaving
+// garbage in the scoring arenas; a parse failure, a flagged record, a
+// private and a public one.
+void BuildSharingStore(QueryStore* store) {
+  store->acl().AddUser("alice", {"lab"});
+  store->acl().AddUser("bob", {"lab"});
+  store->acl().AddUser("carol", {"other"});
+  const char* texts[] = {
+      "SELECT temp FROM sensors WHERE temp < 18",
+      "SELECT a, b FROM plants WHERE a > 3",
+      "SELECT s.x, p.y FROM sensors s, plants p WHERE s.id = p.id",
+      "SELECT COUNT(*) FROM sites GROUP BY region",
+      "SELEKT broken FROM sensors",
+      "SELECT DISTINCT b FROM plants",
+  };
+  const char* users[] = {"alice", "bob", "carol"};
+  for (int i = 0; i < 40; ++i) {
+    store->Append(BuildRecordFromText(texts[(i * 7) % 6], users[i % 3],
+                                      (i + 1) * kMicrosPerSecond));
+  }
+  ASSERT_TRUE(store->AddFlag(3, kFlagObsolete).ok());
+  ASSERT_TRUE(store->acl().SetVisibility(4, "bob", "bob",
+                                         Visibility::kPrivate).ok());
+  ASSERT_TRUE(store->acl().SetVisibility(5, "carol", "carol",
+                                         Visibility::kPublic).ok());
+  const QueryId once =
+      store->Append(BuildRecordFromText("SELECT w FROM wells", "alice", 0));
+  ASSERT_TRUE(store->RewriteQueryText(once, "SELECT w FROM springs").ok());
+  ASSERT_GT(store->scoring().arena_garbage(), 0u);
+}
+
+// Everything a reader can ask a view, printed: keyword, substring and
+// kNN answers with their scores, and every record's visibility, for a
+// viewer of each group and an unregistered one.
+std::string AnswersOf(const ReadViewState& view) {
+  std::ostringstream out;
+  metaquery::MetaQueryPlanner planner{StoreView(view)};
+  QueryRecord probe =
+      BuildRecordFromText("SELECT temp FROM sensors WHERE temp < 20", "alice",
+                          0, SignatureMode::kTransient);
+  std::vector<metaquery::MetaQueryRequest> requests(4);
+  requests[0].WithKeywords("plants").InLogOrder();
+  requests[0].ranking.exclude_flagged = false;
+  requests[1].WithSubstring("from").InLogOrder().Limit(100);
+  requests[2].SimilarTo(probe).Limit(10);
+  requests[3].WithKeywords("sensors");
+  for (const char* viewer : {"alice", "carol", "dave"}) {
+    for (const metaquery::MetaQueryRequest& request : requests) {
+      VisibilityCache cache{StoreView(view), viewer};
+      for (const metaquery::MetaQueryMatch& m :
+           planner.Execute(request, &cache).matches) {
+        out << m.id << ":" << m.score << " ";
+      }
+      out << "| ";
+    }
+    VisibilityCache cache{StoreView(view), viewer};
+    for (size_t id = 0; id < view.size(); ++id) {
+      out << cache.VisibleId(static_cast<QueryId>(id));
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+TEST(ViewSharingTest, PublishesWithNoWriteBetweenShareEveryPart) {
+  QueryStore store;
+  BuildSharingStore(&store);
+  store.EnableViews();
+  std::shared_ptr<const ReadViewState> first = store.SharedView();
+  store.PublishView();
+  std::shared_ptr<const ReadViewState> second = store.SharedView();
+  ASSERT_NE(first, second);
+  EXPECT_EQ(PartsOf(*first), PartsOf(*second));
+  EXPECT_EQ(PartsOf(*second), PartsOf(store));
+}
+
+// Each kind of write, applied outside any batch (so it publishes): a
+// view pinned before it answers and encodes as before, the live store
+// shows it, and the view published after it has new addresses for
+// exactly the parts the write touched.
+TEST(ViewSharingTest, WritesCopyOnlyThePartsTheyTouch) {
+  struct WriteCase {
+    const char* name;
+    unsigned touched;
+    std::function<void(QueryStore*)> write;
+    std::function<bool(const QueryStore&)> shows;
+  };
+  const std::vector<WriteCase> cases = {
+      {"append of a new statement",
+       kRecords | kPostings | kScoring | kAcl | kLsh,
+       [](QueryStore* s) {
+         s->Append(BuildRecordFromText("SELECT y FROM rivers", "bob", 99));
+       },
+       [](const QueryStore& s) { return s.size() == 42; }},
+      {"append of a re-run", kRecords | kPostings | kScoring | kAcl,
+       [](QueryStore* s) {
+         s->Append(BuildRecordFromText(
+             "SELECT DISTINCT b FROM plants", "carol", 99));
+       },
+       [](const QueryStore& s) { return s.size() == 42; }},
+      {"restore append", kRecords | kPostings | kScoring | kAcl | kLsh,
+       [](QueryStore* s) {
+         s->RestoreAppend(BuildRecordFromText("SELECT z FROM lakes", "bob", 99));
+       },
+       [](const QueryStore& s) {
+         return s.size() == 42 && s.QueriesUsingTable("lakes").size() == 1;
+       }},
+      {"rewrite", kRecords | kPostings | kScoring | kLsh,
+       [](QueryStore* s) {
+         ASSERT_TRUE(
+             s->RewriteQueryText(1, "SELECT a FROM gardens WHERE a > 4").ok());
+       },
+       [](const QueryStore& s) {
+         return s.Get(1)->text == "SELECT a FROM gardens WHERE a > 4";
+       }},
+      {"annotate", kRecords,
+       [](QueryStore* s) {
+         Annotation a;
+         a.author = "alice";
+         a.text = "calibrated";
+         ASSERT_TRUE(s->Annotate(2, a).ok());
+       },
+       [](const QueryStore& s) { return s.Get(2)->annotations.size() == 1; }},
+      {"flag set", kRecords | kScoring,
+       [](QueryStore* s) { ASSERT_TRUE(s->AddFlag(6, kFlagObsolete).ok()); },
+       [](const QueryStore& s) {
+         return s.Get(6)->HasFlag(kFlagObsolete) &&
+                (s.scoring().flags(6) & kFlagObsolete) != 0;
+       }},
+      {"flag clear", kRecords | kScoring,
+       [](QueryStore* s) {
+         ASSERT_TRUE(s->ClearFlag(3, kFlagObsolete).ok());
+       },
+       [](const QueryStore& s) { return !s.Get(3)->HasFlag(kFlagObsolete); }},
+      {"session", kRecords,
+       [](QueryStore* s) { ASSERT_TRUE(s->SetSession(7, 12).ok()); },
+       [](const QueryStore& s) { return s.Get(7)->session_id == 12; }},
+      {"quality", kRecords | kScoring,
+       [](QueryStore* s) { ASSERT_TRUE(s->SetQuality(8, 0.25).ok()); },
+       [](const QueryStore& s) {
+         return s.Get(8)->quality == 0.25 && s.scoring().quality(8) == 0.25;
+       }},
+      {"output signature sync", kRecords | kPostings | kScoring | kLsh,
+       [](QueryStore* s) {
+         QueryRecord* r = s->GetMutable(9);
+         r->summary.column_names = {"v"};
+         r->summary.total_rows = 1;
+         r->summary.sample_rows = {{db::Value::Int(42)}};
+         ASSERT_TRUE(s->SyncOutputSignature(9).ok());
+       },
+       [](const QueryStore& s) {
+         return !s.Get(9)->statement().signature.output_rows.empty();
+       }},
+      {"output signature restore", kRecords | kPostings | kScoring | kLsh,
+       [](QueryStore* s) {
+         ASSERT_TRUE(s->RestoreOutputSignature(13, {7, 8, 9}, false).ok());
+       },
+       [](const QueryStore& s) {
+         return s.Get(13)->statement().signature.output_rows.size() == 3;
+       }},
+      {"delete", kRecords | kScoring,
+       [](QueryStore* s) { ASSERT_TRUE(s->Delete(11, "", true).ok()); },
+       [](const QueryStore& s) { return s.Get(11)->HasFlag(kFlagDeleted); }},
+      {"visibility", kAcl,
+       [](QueryStore* s) {
+         ASSERT_TRUE(s->acl().SetVisibility(12, "alice", "alice",
+                                            Visibility::kPrivate).ok());
+       },
+       [](const QueryStore& s) {
+         return s.acl().GetVisibility(12) == Visibility::kPrivate;
+       }},
+      {"add user", kAcl,
+       [](QueryStore* s) { s->acl().AddUser("dave", {"other"}); },
+       [](const QueryStore& s) { return s.acl().HasUser("dave"); }},
+      {"arena compaction", kScoring,
+       [](QueryStore* s) { s->CompactScoringArenas(); },
+       [](const QueryStore& s) { return s.scoring().arena_garbage() == 0; }},
+  };
+  for (const WriteCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    QueryStore store;
+    BuildSharingStore(&store);
+    store.EnableViews();
+    std::shared_ptr<const ReadViewState> pinned = store.SharedView();
+    const std::vector<const void*> parts = PartsOf(*pinned);
+    const std::string answers = AnswersOf(*pinned);
+    std::string image;
+    ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &image).ok());
+    ASSERT_FALSE(c.shows(store));
+
+    const uint64_t sequence = store.published_sequence();
+    c.write(&store);
+    EXPECT_GT(store.published_sequence(), sequence);
+    EXPECT_TRUE(c.shows(store));
+
+    EXPECT_EQ(PartsOf(*pinned), parts);
+    EXPECT_EQ(AnswersOf(*pinned), answers);
+    std::string again;
+    ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &again).ok());
+    EXPECT_TRUE(again == image) << "the pinned view encodes differently";
+
+    std::shared_ptr<const ReadViewState> published = store.SharedView();
+    EXPECT_EQ(MovedParts(parts, PartsOf(*published)), c.touched);
+    EXPECT_EQ(PartsOf(*published), PartsOf(store));
+  }
+}
+
+// A write that changes nothing copies nothing: the no-op guard runs
+// before the record (and the record log) would be copied.
+TEST(ViewSharingTest, NoOpWritesCopyNoPart) {
+  QueryStore store;
+  BuildSharingStore(&store);
+  store.EnableViews();
+  const std::vector<const void*> parts = PartsOf(store);
+  const uint64_t mutations = store.mutation_count();
+  ASSERT_TRUE(store.AddFlag(3, kFlagObsolete).ok());
+  ASSERT_TRUE(store.ClearFlag(6, kFlagObsolete).ok());
+  ASSERT_TRUE(store.SetQuality(8, store.Get(8)->quality).ok());
+  ASSERT_TRUE(store.SetSession(7, store.Get(7)->session_id).ok());
+  EXPECT_EQ(store.mutation_count(), mutations);
+  EXPECT_EQ(PartsOf(store), parts);
+}
+
+// Regression: the live visibility cache that MetaQueryExecutor::Sql
+// pools in the store must not keep the parts it first saw. With views
+// on, a write copies a part and the publish after it may free the copy
+// a retired view held; the second Sql then read freed scoring columns.
+TEST(ViewSharingTest, SqlAcrossPublishWriteAndPublish) {
+  QueryStore store;
+  BuildSharingStore(&store);
+  store.EnableViews();
+  metaquery::MetaQueryExecutor executor(&store);
+  const std::string sql = "SELECT qid FROM Queries";
+  auto visible = [&](const std::string& viewer) {
+    Result<db::QueryResult> result = executor.Sql(viewer, sql);
+    EXPECT_TRUE(result.ok());
+    return result.ok() ? result->rows.size() : 0;
+  };
+  const size_t before = visible("carol");
+  ASSERT_GT(before, 0u);
+  // Record 5 is carol's and public, so alice (in another group) sees it
+  // until carol makes it private.
+  const size_t alice_before = visible("alice");
+  ASSERT_TRUE(store.acl().SetVisibility(5, "carol", "carol",
+                                        Visibility::kPrivate).ok());
+  ASSERT_TRUE(store.SetQuality(1, 0.75).ok());
+  ASSERT_TRUE(store.SetQuality(2, 0.5).ok());
+  store.PublishView();
+  EXPECT_EQ(visible("carol"), before);
+  EXPECT_EQ(visible("alice"), alice_before - 1);
+}
+
+// Regression: UpdateAllQuality with views on and no ScopedPublishBatch
+// used to walk records() while SetQuality copied the log and each
+// publish freed the one it was walking.
+TEST(ViewSharingTest, UpdateAllQualityWithViewsAndNoBatch) {
+  QueryStore store;
+  BuildSharingStore(&store);
+  for (size_t i = 0; i < store.size(); ++i) {
+    ASSERT_TRUE(store.SetQuality(static_cast<QueryId>(i), 0.01).ok());
+  }
+  store.EnableViews();
+  const uint64_t sequence = store.published_sequence();
+  const size_t updated = maintain::UpdateAllQuality(&store);
+  EXPECT_EQ(updated, store.size());
+  EXPECT_GT(store.published_sequence(), sequence + 1);
+  for (const QueryRecord& r : store.records()) {
+    EXPECT_EQ(r.quality, maintain::ComputeQuality(r, store)) << r.id;
+    EXPECT_EQ(store.scoring().quality(r.id), r.quality) << r.id;
+  }
 }
 
 }  // namespace

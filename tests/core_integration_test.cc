@@ -208,5 +208,44 @@ TEST_F(CqmsIntegrationTest, FullWorkloadSmokeTest) {
   (void)truth;
 }
 
+
+// Cqms::RunMining frees the distance matrix its miner retained for an
+// incremental refresh, which no Cqms path runs; what it mines is what a
+// miner that keeps the matrix mines, run after run.
+TEST_F(CqmsIntegrationTest, RunMiningMinesWhatAMinerThatKeepsTheMatrixMines) {
+  workload::WorkloadOptions workload;
+  workload.num_sessions = 40;
+  workload.num_users = 3;
+  workload::GenerateLog(&system_->profiler(), system_->store(), &clock_,
+                        workload);
+  ASSERT_GT(system_->store()->size(), 100u);
+  miner::QueryMinerOptions options;
+  options.refresh_threshold = 1;
+  miner::QueryMiner kept(system_->store(), &clock_, options);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    system_->RunMining();
+    kept.RunAll();
+    const miner::QueryMiner& mined = system_->miner();
+    ASSERT_EQ(mined.sessions().size(), kept.sessions().size());
+    for (size_t i = 0; i < kept.sessions().size(); ++i) {
+      EXPECT_EQ(mined.sessions()[i].id, kept.sessions()[i].id);
+      EXPECT_EQ(mined.sessions()[i].user, kept.sessions()[i].user);
+      EXPECT_EQ(mined.sessions()[i].queries, kept.sessions()[i].queries);
+    }
+    ASSERT_EQ(mined.rules().size(), kept.rules().size());
+    for (size_t i = 0; i < kept.rules().size(); ++i) {
+      EXPECT_EQ(mined.rules()[i].antecedent, kept.rules()[i].antecedent);
+      EXPECT_EQ(mined.rules()[i].consequent, kept.rules()[i].consequent);
+      EXPECT_EQ(mined.rules()[i].count, kept.rules()[i].count);
+    }
+    EXPECT_EQ(mined.clustering().clusters, kept.clustering().clusters);
+    EXPECT_EQ(mined.clustering().medoids, kept.clustering().medoids);
+    EXPECT_GT(kept.clustering().num_clusters(), 0u);
+    EXPECT_EQ(system_->MiningStats().pairs_computed,
+              kept.last_refresh_stats().pairs_computed);
+  }
+}
+
 }  // namespace
 }  // namespace cqms

@@ -1752,20 +1752,24 @@ uint64_t ReadBound(const WindowedLog& log) {
 }
 
 /// A frame of exactly `size` bytes, header included, that annotates
-/// query 0: filler that moves the frames behind it.
+/// query 0: filler that moves the frames behind it. The author name
+/// takes one more byte when the text's length prefix grows a byte
+/// (at 128), so every size from the smallest frame up can be built.
 std::string FillerFrame(uint64_t size) {
   for (uint64_t text = size; text-- > 0;) {
-    Annotation note;
-    note.author = "filler";
-    note.text = std::string(text, 'f');
-    BinaryWriter payload;
-    payload.PutVarint(1);  // sequence
-    std::string p = payload.Take() + wal::EncodeAnnotate(0, note);
-    if (p.size() + testing_util::kWalFrameOverhead != size) continue;
-    BinaryWriter frame;
-    frame.PutFixed32(static_cast<uint32_t>(p.size()));
-    frame.PutFixed32(Crc32(p));
-    return frame.Take() + p;
+    for (const char* author : {"filler", "fillerx"}) {
+      Annotation note;
+      note.author = author;
+      note.text = std::string(text, 'f');
+      BinaryWriter payload;
+      payload.PutVarint(1);  // sequence
+      std::string p = payload.Take() + wal::EncodeAnnotate(0, note);
+      if (p.size() + testing_util::kWalFrameOverhead != size) continue;
+      BinaryWriter frame;
+      frame.PutFixed32(static_cast<uint32_t>(p.size()));
+      frame.PutFixed32(Crc32(p));
+      return frame.Take() + p;
+    }
   }
   ADD_FAILURE() << "no filler frame of " << size << " bytes";
   return "";
@@ -2125,6 +2129,200 @@ TEST(DurableFacadeTest, MaintenanceCheckpointsWhenWalCrossesThreshold) {
   EXPECT_EQ(restarted.store()->size(), 2u);
   EXPECT_EQ(restarted.store()->Get(0)->user, "alice");
   EXPECT_TRUE(restarted.store()->acl().HasUser("alice"));
+}
+
+
+// --- Restore without holding the image --------------------------------------
+
+/// One framed section of a v2 image: its id and where its payload
+/// lies; its CRC follows `end`.
+struct SectionSpan {
+  uint8_t id = 0;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// The sections of a CRC-clean v2 image, in file order.
+std::vector<SectionSpan> SectionsOf(std::string_view image) {
+  std::vector<SectionSpan> sections;
+  size_t pos = 8 + 4;  // magic and version
+  while (pos + 9 <= image.size()) {
+    SectionSpan span;
+    span.id = static_cast<uint8_t>(image[pos]);
+    BinaryReader length(image.substr(pos + 1, 8));
+    span.begin = pos + 9;
+    span.end = span.begin + length.GetFixed64();
+    sections.push_back(span);
+    pos = span.end + 4;
+    if (span.id == 0xFF) break;
+  }
+  return sections;
+}
+
+/// A log of `records` runs over 40 statements, each run holding its
+/// statement's plan, built without re-deriving a statement per run.
+void BuildLargeLog(QueryStore* store, size_t records) {
+  store->acl().AddUser("alice", {"lab"});
+  store->acl().AddUser("bob", {"lab"});
+  for (size_t i = 0; i < records; ++i) {
+    const size_t k = i % 40;
+    QueryRecord r = store->RecordForText(
+        "SELECT c" + std::to_string(k) + " FROM t" + std::to_string(k % 7) +
+            " WHERE c" + std::to_string(k) + " > " + std::to_string(k),
+        i % 3 == 0 ? "alice" : "bob", static_cast<Micros>(i + 1),
+        StatementPath::kLogOnly);
+    r.stats.plan = "Scan t" + std::to_string(k % 7);
+    store->Append(std::move(r));
+  }
+}
+
+// The decoder reports how far it has read: offsets that rise from call
+// to call, some inside the records section, one at its end (its CRC
+// included) and the last at the end of the image.
+TEST(SnapshotV2Test, DecodeReportsRisingConsumedOffsets) {
+  QueryStore built;
+  BuildLargeLog(&built, 9000);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(built, 0, &image).ok());
+  SectionSpan records;
+  for (const SectionSpan& span : SectionsOf(image)) {
+    if (span.id == 3) records = span;
+  }
+  ASSERT_GT(records.end, records.begin);
+
+  std::vector<size_t> offsets;
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotFromString(
+                  &loaded, image, "offsets", nullptr,
+                  [&offsets](size_t consumed) { offsets.push_back(consumed); })
+                  .ok());
+  ASSERT_FALSE(offsets.empty());
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    EXPECT_LT(offsets[i - 1], offsets[i]) << "report " << i;
+  }
+  size_t inside = 0;
+  for (size_t offset : offsets) {
+    if (offset > records.begin && offset <= records.end) ++inside;
+  }
+  EXPECT_GE(inside, 2u);  // 9,000 records: two strides of 4,096
+  EXPECT_NE(std::find(offsets.begin(), offsets.end(), records.end + 4),
+            offsets.end());
+  EXPECT_EQ(offsets.back(), image.size());
+  EXPECT_EQ(loaded.size(), 9000u);
+}
+
+// No released byte is read: overwriting each reported range with
+// garbage the moment it is reported leaves a load equal to a plain one,
+// field for field and byte for byte, for a format-4 image and for the
+// format-3 fixture.
+TEST(SnapshotV2Test, DecodeNeverReadsReleasedBytes) {
+  QueryStore built;
+  BuildLargeLog(&built, 9000);
+  BuildCompatLog(&built);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(built, 0, &image).ok());
+  for (const std::string& saved : {image, V3FixtureImage()}) {
+    SCOPED_TRACE("format " + std::to_string(int{saved[8]}));
+    QueryStore plain;
+    ASSERT_TRUE(LoadSnapshotFromString(&plain, saved, "plain").ok());
+
+    std::string buffer = saved;
+    size_t released = 0;
+    QueryStore garbled;
+    ASSERT_TRUE(LoadSnapshotFromString(
+                    &garbled, buffer, "garbled", nullptr,
+                    [&buffer, &released](size_t consumed) {
+                      std::fill(buffer.begin() + released,
+                                buffer.begin() + consumed, '\xA5');
+                      released = consumed;
+                    })
+                    .ok());
+    EXPECT_EQ(released, saved.size());
+    ExpectStoresEquivalent(plain, garbled);
+    std::string from_plain, from_garbled;
+    ASSERT_TRUE(EncodeSnapshotV2(plain, 0, &from_plain).ok());
+    ASSERT_TRUE(EncodeSnapshotV2(garbled, 0, &from_garbled).ok());
+    EXPECT_TRUE(from_plain == from_garbled)
+        << "the load that saw garbage encodes differently";
+  }
+}
+
+// A format-4 restore shares each statement entry's error and plan once,
+// while the statement table decodes; its records copy the entry and
+// look nothing up. Three statements of ten identical runs each (one run
+// outcome per statement, so one entry each) hold three plans and one
+// error: four lookups, not one per record's string.
+TEST(RunStringSharingTest, RestoreLooksUpEachEntryStringOnce) {
+  QueryStore built;
+  const std::string texts[] = {"SELECT temp FROM WaterTemp WHERE temp < 18",
+                               "SELECT * FROM CityLocations",
+                               "SELECT nope FROM Missing"};
+  for (int i = 0; i < 30; ++i) {
+    QueryRecord r = BuildRecordFromText(texts[i % 3], i % 2 == 0 ? "alice"
+                                                                 : "bob",
+                                        1'000'000 + int64_t{i});
+    r.stats.plan = "Scan " + std::to_string(i % 3);
+    if (i % 3 == 2) {
+      r.stats.succeeded = false;
+      r.stats.error = "no such table: Missing";
+    }
+    built.Append(std::move(r));
+  }
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(built, 0, &image).ok());
+  QueryStore loaded;
+  ASSERT_TRUE(LoadSnapshotV2FromString(&loaded, image, "lookups").ok());
+  EXPECT_EQ(loaded.run_string_lookups(), 4u);
+  testing_util::ExpectOneCopyPerRepeatedString(loaded);
+
+  // In general: at most the entries' two strings each.
+  QueryStore compat;
+  BuildCompatLog(&compat);
+  std::string compat_image;
+  ASSERT_TRUE(EncodeSnapshotV2(compat, 0, &compat_image).ok());
+  uint64_t entries = 0;
+  for (const SectionSpan& span : SectionsOf(compat_image)) {
+    if (span.id != 5) continue;
+    BinaryReader count(std::string_view(compat_image).substr(span.begin));
+    entries = count.GetVarint();
+  }
+  ASSERT_GT(entries, 0u);
+  QueryStore compat_loaded;
+  ASSERT_TRUE(
+      LoadSnapshotV2FromString(&compat_loaded, compat_image, "compat").ok());
+  EXPECT_GT(compat_loaded.run_string_lookups(), 0u);
+  EXPECT_LE(compat_loaded.run_string_lookups(), 2 * entries);
+  EXPECT_LT(compat_loaded.run_string_lookups(), compat_loaded.size());
+}
+
+// The ACL a published view shares is copied on its next write, and the
+// copy keeps the store's listeners: memberships and visibility set
+// after a publish still reach the WAL, so a reopened store holds them.
+TEST(DurableStoreTest, AclWritesAfterAPublishReachTheWal) {
+  const std::string dir = TempPath("cqms_acl_after_publish");
+  ::mkdir(dir.c_str(), 0755);
+  RemoveDurableFiles(dir);
+  QueryId id = 0;
+  {
+    QueryStore store;
+    DurableStore durable(&store, dir);
+    ASSERT_TRUE(durable.Open().ok());
+    store.acl().AddUser("alice", {"lab"});
+    id = store.Append(BuildRecordFromText("SELECT a FROM sensors", "alice", 1));
+    store.EnableViews();
+    store.acl().AddUser("bob", {"lab"});
+    store.PublishView();
+    ASSERT_TRUE(store.acl()
+                    .SetVisibility(id, "alice", "alice", Visibility::kPrivate)
+                    .ok());
+    EXPECT_EQ(store.SharedView()->acl().GetVisibility(id),
+              Visibility::kPrivate);
+  }
+  QueryStore reopened;
+  DurableStore again(&reopened, dir);
+  ASSERT_TRUE(again.Open().ok());
+  EXPECT_TRUE(reopened.acl().HasUser("bob"));
+  EXPECT_EQ(reopened.acl().GetVisibility(id), Visibility::kPrivate);
 }
 
 }  // namespace
