@@ -213,9 +213,10 @@ BENCHMARK(BM_ViewVisibilityHeap)->Iterations(1)->Unit(benchmark::kMillisecond);
 enum class Write { kQuality, kVisibility, kAppend };
 
 /// One write of `kind`, outside any batch, so it publishes: a quality
-/// change (copies the record log and the scoring columns), a visibility
-/// change (the ACL) or the append of a run of a logged record's text
-/// (the record log, the posting lists, the scoring columns and the ACL;
+/// change (copies the record log's directory and the record's chunk,
+/// and the scoring columns), a visibility change (the ACL) or the
+/// append of a run of a logged record's text (the directory and the
+/// tail chunk, the posting lists, the scoring columns and the ACL;
 /// logged without a summary, most such runs get an output part of their
 /// own and index a new statement, which copies the LSH index too). The
 /// i-th call picks its record and value from `i`, so every call changes
@@ -255,8 +256,9 @@ void ApplyWrite(bench::LogFixture* f, Write kind, uint64_t i) {
 /// part the write touches: the first write to a part after a publish
 /// copies it. write_heap_bytes is the heap one more write leaves held
 /// while the view published before it stays pinned: those copies. An
-/// append still copies four parts that grow with the log (the chunked
-/// parts of ROADMAP's step 2 would make it O(change)).
+/// append still copies three parts that grow with the log whole (the
+/// posting lists, the scoring columns and the ACL); of the record log
+/// it copies the directory and one chunk.
 void BM_WritePublish(benchmark::State& state, Write kind) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();

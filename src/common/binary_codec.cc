@@ -1,5 +1,6 @@
 #include "common/binary_codec.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -123,9 +124,9 @@ std::vector<uint64_t> GetDeltaU64s(BinaryReader* r) {
     return {};
   }
   std::vector<uint64_t> out;
-  out.reserve(n);
+  out.reserve(std::min(n, kMaxDecodeReserve));
   uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n && !r->failed(); ++i) {
     prev += r->GetVarint();
     out.push_back(prev);
   }

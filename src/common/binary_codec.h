@@ -17,6 +17,13 @@ uint32_t Crc32(std::string_view data);
 
 class BinaryReader;
 
+/// A decoder reserves at most this many elements of a list before they
+/// decode. A count is only checked against "each element needs a
+/// byte", and a decoded element takes far more memory than its bytes,
+/// so a forged count in a short (even CRC-valid) input must not size an
+/// allocation: the list grows only with elements that decode.
+constexpr uint64_t kMaxDecodeReserve = 64;
+
 /// Inverse of PutDeltaU64s; latches the reader's failure bit (and
 /// returns empty) on a count that cannot fit the remaining bytes.
 std::vector<uint64_t> GetDeltaU64s(BinaryReader* r);

@@ -5,11 +5,12 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "common/shared_value.h"
 
 namespace cqms {
 
@@ -60,59 +61,56 @@ class StringReader {
 };
 
 /// An immutable string that any number of owners can hold as one copy:
-/// copying a SharedString copies a pointer, and a SharedStringTable
-/// points an equal value at another holder's copy. An empty value holds
-/// no copy at all. Assigning a std::string replaces the value with a fresh,
-/// unshared copy; the copy a SharedString pointed at is never edited,
-/// so a holder on another thread keeps reading the old value.
+/// one pointer (a SharedValue), so copying a SharedString copies a
+/// pointer, and a SharedStringTable points an equal value at another
+/// holder's copy. An empty value holds no copy at all. Assigning a
+/// std::string replaces the value with a fresh, unshared copy; the copy
+/// a SharedString pointed at is never edited, so a holder on another
+/// thread keeps reading the old value.
 class SharedString : public StringReader<SharedString> {
  public:
   SharedString& operator=(std::string value) {
-    value_ = value.empty()
-                 ? nullptr
-                 : std::make_shared<const std::string>(std::move(value));
+    value_ = value.empty() ? SharedValue<std::string>()
+                           : SharedValue<std::string>(std::move(value));
     return *this;
   }
 
   const std::string& str() const {
     static const std::string empty;
-    return value_ != nullptr ? *value_ : empty;
+    const std::string* value = value_.get();
+    return value != nullptr ? *value : empty;
   }
 
  private:
   friend class SharedStringTable;
 
-  std::shared_ptr<const std::string> value_;
+  SharedValue<std::string> value_;
 };
 
-/// The copies of equal SharedStrings, keyed by content and held weakly:
-/// Share points a value at a live copy equal to it, or registers the
-/// value's own. The table keeps no copy alive; a copy every holder let
-/// go of is freed as usual, and its entry is dropped by the next lookup
-/// that meets it or the next sweep, which runs when the table has
-/// doubled since the last one. Not synchronized: one thread shares.
+/// The copies of equal SharedStrings, keyed by content: Share points a
+/// value at the table's copy equal to it, or enters the value's own.
+/// The table holds one handle on each copy, so a copy every record let
+/// go of stays until the next sweep, which runs when the table has
+/// doubled since the last one and drops the copies only the table
+/// holds (a later equal value reuses such a copy until then). Not
+/// synchronized: one thread shares and sweeps, while other threads may
+/// copy and drop handles on the copies. That is safe because a handle
+/// is only ever made by copying a live one: a copy whose count is one
+/// has no holder left to copy it from.
 class SharedStringTable {
  public:
   void Share(SharedString* value) {
     if (value->empty()) return;
     ++lookups_;
-    const std::string& mine = value->str();
-    const size_t hash = std::hash<std::string_view>()(mine);
+    const size_t hash = std::hash<std::string_view>()(value->str());
     auto [it, end] = copies_.equal_range(hash);
-    while (it != end) {
-      std::shared_ptr<const std::string> copy = it->second.lock();
-      if (copy == nullptr) {
-        it = copies_.erase(it);
-        continue;
-      }
-      if (copy == value->value_) return;
-      if (*copy == mine) {
-        value->value_ = std::move(copy);
+    for (; it != end; ++it) {
+      if (it->second == *value) {
+        *value = it->second;
         return;
       }
-      ++it;
     }
-    copies_.emplace(hash, value->value_);
+    copies_.emplace(hash, *value);
     if (copies_.size() >= sweep_at_) Sweep();
   }
 
@@ -123,13 +121,14 @@ class SharedStringTable {
  private:
   void Sweep() {
     for (auto it = copies_.begin(); it != copies_.end();) {
-      it = it->second.expired() ? copies_.erase(it) : std::next(it);
+      it = it->second.value_.use_count() == 1 ? copies_.erase(it)
+                                               : std::next(it);
     }
     sweep_at_ = std::max<size_t>(kMinSweep, 2 * copies_.size());
   }
 
   static constexpr size_t kMinSweep = 64;
-  std::unordered_multimap<size_t, std::weak_ptr<const std::string>> copies_;
+  std::unordered_multimap<size_t, SharedString> copies_;
   size_t sweep_at_ = kMinSweep;
   uint64_t lookups_ = 0;
 };

@@ -18,9 +18,11 @@ bool RowMatchesExample(const db::Row& row, const db::Row& example) {
 
 namespace {
 
-/// Checks examples against a concrete set of rows. Returns true when all
-/// positive examples appear and no negative example does.
-bool RowsSatisfyExamples(const std::vector<db::Row>& rows,
+/// Checks examples against a concrete set of rows (a result's, or a
+/// stored summary's sample). Returns true when all positive examples
+/// appear and no negative example does.
+template <typename Rows>
+bool RowsSatisfyExamples(const Rows& rows,
                          const std::vector<DataExample>& examples) {
   for (const DataExample& ex : examples) {
     bool found = false;

@@ -41,11 +41,6 @@ template <typename T>
 constexpr bool kIsScalar =
     std::is_arithmetic_v<T> || std::is_enum_v<T> || std::is_same_v<T, std::string>;
 
-/// A vector reserves at most this many elements before they decode: a
-/// count is only trusted as far as "each element needs a byte", so a
-/// 16-byte body cannot make the decoder allocate for billions.
-constexpr uint64_t kMaxReserve = 64;
-
 class Encoder {
  public:
   explicit Encoder(BinaryWriter* w) : w_(w) {}
@@ -189,7 +184,7 @@ class Decoder {
     uint64_t n = r_->GetVarint();
     if (n > r_->remaining()) r_->Invalidate();
     if (r_->failed()) return;
-    v.reserve(std::min(n, kMaxReserve));
+    v.reserve(std::min(n, kMaxDecodeReserve));
     for (uint64_t i = 0; i < n; ++i) {
       // Decoded into a local: stores into vector memory could alias the
       // reader's cursor and force a reload after every field.

@@ -19,9 +19,11 @@ storage::OutputSummary SummarizeOutput(const db::QueryResult& result,
   storage::OutputSummary summary;
   summary.total_rows = result.rows.size();
   summary.column_names = result.column_names;
-  summary.budget_rows = SummaryBudget(execution_micros, result.rows.size(), options);
+  const size_t budget =
+      SummaryBudget(execution_micros, result.rows.size(), options);
+  summary.budget_rows = static_cast<uint32_t>(budget);
 
-  if (result.rows.size() <= summary.budget_rows) {
+  if (result.rows.size() <= budget) {
     summary.sample_rows = result.rows;
     summary.complete = true;
     return summary;
@@ -30,14 +32,13 @@ storage::OutputSummary SummarizeOutput(const db::QueryResult& result,
   // Reservoir sampling (Algorithm R): uniform without replacement, one
   // pass, deterministic from the seed.
   Rng rng(options.sample_seed);
-  summary.sample_rows.assign(result.rows.begin(),
-                             result.rows.begin() + summary.budget_rows);
-  for (size_t i = summary.budget_rows; i < result.rows.size(); ++i) {
+  std::vector<db::Row> sample(result.rows.begin(),
+                              result.rows.begin() + budget);
+  for (size_t i = budget; i < result.rows.size(); ++i) {
     uint64_t j = rng.Uniform(i + 1);
-    if (j < summary.budget_rows) {
-      summary.sample_rows[j] = result.rows[i];
-    }
+    if (j < budget) sample[j] = result.rows[i];
   }
+  summary.sample_rows = std::move(sample);
   summary.complete = false;
   return summary;
 }

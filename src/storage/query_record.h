@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/interner.h"
 #include "common/shared_string.h"
+#include "common/shared_value.h"
 #include "db/value.h"
 #include "sql/ast.h"
 #include "sql/components.h"
@@ -48,13 +49,16 @@ struct RuntimeStats {
 /// Stored summary of a query's output — the paper's semantic query
 /// feature ("the system also captures the query result", §4.1). The
 /// profiler sizes the sample adaptively: long-running queries may store
-/// their entire (small) output; fast huge outputs store little.
+/// their entire (small) output; fast huge outputs store little. The two
+/// lists are immutable and shared by the copies of a record; a writer
+/// replaces a whole list. Neither is persisted, so a restored record
+/// holds none.
 struct OutputSummary {
   uint64_t total_rows = 0;
-  std::vector<std::string> column_names;
-  std::vector<db::Row> sample_rows;
-  bool complete = false;   ///< sample_rows is the entire output.
-  size_t budget_rows = 0;  ///< The budget the policy granted.
+  SharedList<std::string> column_names;
+  SharedList<db::Row> sample_rows;
+  bool complete = false;     ///< sample_rows is the entire output.
+  uint32_t budget_rows = 0;  ///< The budget the policy granted.
 };
 
 /// Precomputed, interned similarity features of one record. Every string
@@ -210,8 +214,10 @@ class ComponentsRef {
 
 /// One logged query: the fields of this run, plus a shared pointer to
 /// the Statement its text derives. Copies share the statement and the
-/// parse tree, and the owner, error and plan strings; they copy only
-/// the per-run scalars, the output summary and the annotations.
+/// parse tree, the owner, error and plan strings, the output summary's
+/// lists and the annotations; they copy only the per-run scalars. A
+/// QueryStore holds its records by value in the chunks of its
+/// RecordLog, so the record's size is the log's cost per run.
 struct QueryRecord {
  private:
   /// Never null: a default-constructed record holds a shared empty
@@ -235,7 +241,9 @@ struct QueryRecord {
 
   RuntimeStats stats;
   OutputSummary summary;
-  std::vector<Annotation> annotations;
+  /// Oldest first; a writer replaces the whole list (QueryStore::
+  /// Annotate appends by copying it).
+  SharedList<Annotation> annotations;
 
   SessionId session_id = kInvalidSessionId;
   uint32_t flags = kFlagNone;
@@ -246,7 +254,7 @@ struct QueryRecord {
   const Statement& statement() const { return *statement_; }
 
   /// Writer-side edit access to the statement of a record no reader can
-  /// hold yet (pre-append, or the writer's post-copy-on-write clone).
+  /// hold yet (pre-append, or in a chunk of the log the writer owns).
   /// Clones the statement first unless this record is its only holder,
   /// so other records, QueryStore's sharing table and published views
   /// never see the edit. A hand-built record sets its text here.

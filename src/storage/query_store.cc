@@ -205,7 +205,7 @@ QueryId QueryStore::FinishAppend(QueryRecord record, bool run_strings_shared) {
   std::vector<QueryId>& owned = OwnPostings().by_user[record.user];
   if (!owned.empty()) record.user = records[owned.front()].user;
   InsertSorted(&owned, record.id);
-  records.push_back(std::make_shared<QueryRecord>(std::move(record)));
+  records.push_back(std::move(record));
   acl().AddRecord();
   const QueryRecord& stored = records.back();
   OwnScoring().AppendRecord(stored, statement,
@@ -378,21 +378,16 @@ void QueryStore::InsertFeatureRows(const QueryRecord& record) const {
 
 const QueryRecord* QueryStore::Get(QueryId id) const {
   if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
-  return records_->ptr(static_cast<size_t>(id)).get();
+  return &(*records_)[static_cast<size_t>(id)];
 }
 
 QueryRecord* QueryStore::GetMutable(QueryId id) {
   if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
-  std::shared_ptr<QueryRecord>& slot =
-      OwnRecords().mutable_ptr(static_cast<size_t>(id));
-  // Copy-on-write: a use count above one means a published view's
-  // record log (the one the store copied its own from) still references
-  // this record; clone so its readers keep the old state. With views
-  // disabled the count is always one and this is plain access. The
-  // clone shares the Statement (and its parse tree, which readers may
-  // be materializing): only the per-run fields are copied.
-  if (slot.use_count() > 1) slot = std::make_shared<QueryRecord>(*slot);
-  return slot.get();
+  // Copy-on-write, per chunk: after a publish the record's chunk is the
+  // view's, and the log copies it before the first edit (the copies
+  // share each record's Statement and lists). With views disabled the
+  // writer owns every chunk and this is plain access.
+  return &OwnRecords().mutable_at(static_cast<size_t>(id));
 }
 
 std::vector<QueryId> QueryStore::QueriesUsingTable(
@@ -474,7 +469,10 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
 Status QueryStore::Annotate(QueryId id, Annotation annotation) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  r->annotations.push_back(std::move(annotation));
+  std::vector<Annotation> annotations(r->annotations.begin(),
+                                      r->annotations.end());
+  annotations.push_back(std::move(annotation));
+  r->annotations = std::move(annotations);
   for (StoreListener* l : listeners_) l->OnAnnotate(id, r->annotations.back());
   MutationTick();
   return Status::Ok();

@@ -131,15 +131,17 @@ class QueryStore {
   /// Detaches a previously registered listener (no-op when absent).
   void RemoveListener(StoreListener* listener);
 
+  /// Good until the next mutation: a write may copy the record's chunk.
   const QueryRecord* Get(QueryId id) const;
   /// Writer-side mutable access. When read views are enabled and a
-  /// published view still shares the record, it is cloned first
-  /// (copy-on-write) so readers of the old view keep an unchanged
-  /// record — and before that the record log, when the view shares it;
-  /// with views disabled this is plain access, no copies. The clone
-  /// copies the per-run fields and shares the Statement; edit the
-  /// statement only through the store's mutators, which re-point the
-  /// record. The pointer is good until the next mutation.
+  /// published view still shares the record's chunk of the log, the
+  /// chunk is copied first (copy-on-write, see RecordLog) so readers of
+  /// the old view keep an unchanged record — and before that the log's
+  /// directory, when the view shares it; with views disabled this is
+  /// plain access, no copies. The copies share each record's Statement,
+  /// strings and lists; edit the statement only through the store's
+  /// mutators, which re-point the record, and replace a list whole. The
+  /// pointer is good until the next mutation.
   QueryRecord* GetMutable(QueryId id);
   size_t size() const { return records_->size(); }
   /// Distinct Statements the live records share (each record holds one;

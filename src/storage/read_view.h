@@ -121,9 +121,9 @@ class StoreView {
 /// thread, it holds each part through a shared_ptr to the very object
 /// the live store held at the publish: publishing copies five pointers,
 /// and the writer copies a part only on its first change to it after
-/// the publish (records themselves are shared with the store as well,
-/// copy-on-write per record). After publication nothing a view reaches
-/// is ever mutated (the per-viewer visibility caches below are
+/// the publish (the record log's chunks are shared with the store as
+/// well, copy-on-write per chunk). After publication nothing a view
+/// reaches is ever mutated (the per-viewer visibility caches below are
 /// thread-safe memoization, not state), so any number of readers may
 /// execute meta-queries against it concurrently with zero coordination.
 /// Lifetime: the store keeps the latest view alive and retires
@@ -151,7 +151,7 @@ class ReadViewState {
   const RecordLog& records() const { return *records_; }
   const QueryRecord* Get(QueryId id) const {
     if (id < 0 || static_cast<size_t>(id) >= records_->size()) return nullptr;
-    return records_->ptr(static_cast<size_t>(id)).get();
+    return &(*records_)[static_cast<size_t>(id)];
   }
   Micros max_timestamp() const { return max_timestamp_; }
   const PostingIndex& postings() const { return *postings_; }

@@ -83,9 +83,9 @@ std::vector<Symbol> GetSymbolRun(BinaryReader* r) {
     return {};
   }
   std::vector<Symbol> out;
-  out.reserve(n);
+  out.reserve(std::min(n, kMaxDecodeReserve));
   Symbol prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n && !r->failed(); ++i) {
     prev += static_cast<Symbol>(r->GetVarint());
     out.push_back(prev);
   }
@@ -105,8 +105,10 @@ std::vector<std::string> GetStringList(BinaryReader* r) {
     return {};
   }
   std::vector<std::string> out;
-  out.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) out.push_back(r->GetString());
+  out.reserve(std::min(n, kMaxDecodeReserve));
+  for (uint64_t i = 0; i < n && !r->failed(); ++i) {
+    out.push_back(r->GetString());
+  }
   return out;
 }
 
@@ -366,9 +368,9 @@ Status DecodeInterner(BinaryReader* r, SymbolRemap* remap,
   }
   std::vector<Symbol> old_ids;
   std::vector<std::string> names;
-  old_ids.reserve(count);
-  names.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  old_ids.reserve(std::min(count, kMaxDecodeReserve));
+  names.reserve(std::min(count, kMaxDecodeReserve));
+  for (uint64_t i = 0; i < count && !r->failed(); ++i) {
     old_ids.push_back(static_cast<Symbol>(r->GetVarint()));
     names.push_back(r->GetString());
   }
@@ -405,6 +407,7 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store,
   for (uint64_t i = 0; i < vis_count; ++i) {
     QueryId id = static_cast<QueryId>(r->GetVarint());
     uint8_t vis = r->GetU8();
+    if (r->failed()) return CorruptSnapshot(path, "acl payload");
     if (vis > static_cast<uint8_t>(Visibility::kPublic)) {
       return CorruptSnapshot(path, "visibility value");
     }
@@ -459,15 +462,17 @@ Status DecodeAnnotations(BinaryReader* r, QueryRecord* out,
   if (r->failed() || annotation_count > r->remaining()) {
     return CorruptSnapshot(path, "annotation count");
   }
-  out->annotations.reserve(annotation_count);
-  for (uint64_t i = 0; i < annotation_count; ++i) {
+  std::vector<Annotation> annotations;
+  annotations.reserve(std::min(annotation_count, kMaxDecodeReserve));
+  for (uint64_t i = 0; i < annotation_count && !r->failed(); ++i) {
     Annotation a;
     a.author = r->GetString();
     a.timestamp = r->GetZigzag();
     a.text = r->GetString();
     a.fragment = r->GetString();
-    out->annotations.push_back(std::move(a));
+    annotations.push_back(std::move(a));
   }
+  out->annotations = std::move(annotations);
   return Status::Ok();
 }
 
@@ -487,8 +492,8 @@ Status DecodeParsedFeatures(BinaryReader* r, QueryRecord* out,
   if (r->failed() || attr_count > r->remaining()) {
     return CorruptSnapshot(path, "attribute count");
   }
-  c.attributes.reserve(attr_count);
-  for (uint64_t i = 0; i < attr_count; ++i) {
+  c.attributes.reserve(std::min(attr_count, kMaxDecodeReserve));
+  for (uint64_t i = 0; i < attr_count && !r->failed(); ++i) {
     std::string rel = r->GetString();
     std::string attr = r->GetString();
     c.attributes.emplace_back(std::move(rel), std::move(attr));
@@ -498,8 +503,8 @@ Status DecodeParsedFeatures(BinaryReader* r, QueryRecord* out,
   if (r->failed() || pred_count > r->remaining()) {
     return CorruptSnapshot(path, "predicate count");
   }
-  c.predicates.reserve(pred_count);
-  for (uint64_t i = 0; i < pred_count; ++i) {
+  c.predicates.reserve(std::min(pred_count, kMaxDecodeReserve));
+  for (uint64_t i = 0; i < pred_count && !r->failed(); ++i) {
     sql::PredicateFeature p;
     p.relation = r->GetString();
     p.attribute = r->GetString();

@@ -268,8 +268,10 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
         return CorruptWal(path, "adduser payload");
       }
       std::vector<std::string> groups;
-      groups.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) groups.push_back(r->GetString());
+      groups.reserve(std::min(n, kMaxDecodeReserve));
+      for (uint64_t i = 0; i < n && !r->failed(); ++i) {
+        groups.push_back(r->GetString());
+      }
       if (r->failed()) return CorruptWal(path, "adduser payload");
       store->acl().AddUser(user, groups);
       return Status::Ok();

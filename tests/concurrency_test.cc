@@ -17,6 +17,7 @@
 
 #include "common/clock.h"
 #include "maintain/quality.h"
+#include "maintain/query_maintenance.h"
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
@@ -26,6 +27,7 @@
 #include "storage/query_store.h"
 #include "storage/record_builder.h"
 #include "storage/snapshot_v2.h"
+#include "test_util.h"
 #include "workload/synthetic.h"
 
 namespace cqms::storage {
@@ -927,6 +929,197 @@ TEST(ViewSharingTest, WritesCopyOnlyThePartsTheyTouch) {
     EXPECT_EQ(MovedParts(parts, PartsOf(*published)), c.touched);
     EXPECT_EQ(PartsOf(*published), PartsOf(store));
   }
+}
+
+// The address of each chunk of a record log: its first record's.
+std::vector<const void*> ChunksOf(const RecordLog& log) {
+  std::vector<const void*> chunks;
+  for (size_t i = 0; i < log.size(); i += RecordLog::kChunkRecords) {
+    chunks.push_back(&log[i]);
+  }
+  return chunks;
+}
+
+// BuildSharingStore's log grown to two full chunks and ten records of a
+// third, re-runs of its statements by its users.
+void BuildChunkedStore(QueryStore* store) {
+  BuildSharingStore(store);
+  const size_t target = 2 * RecordLog::kChunkRecords + 10;
+  for (size_t i = store->size(); i < target; ++i) {
+    const QueryRecord& model = *store->Get(static_cast<QueryId>(i % 40));
+    store->Append(BuildRecordFromText(model.text, model.user,
+                                      static_cast<Micros>(i)));
+  }
+}
+
+// Writes at the edges of the log's chunks, each outside any batch (so
+// it publishes), with a view pinned before it: the view answers and
+// encodes as before and keeps every chunk it had, the live store shows
+// the write, and of the chunks the view holds the store copied exactly
+// the ones the write touched (and its directory, the record log part).
+TEST(ViewSharingTest, WritesCopyOnlyTheChunksTheyTouch) {
+  constexpr size_t kChunk = RecordLog::kChunkRecords;
+  struct ChunkCase {
+    const char* name;
+    std::vector<size_t> touched;  ///< Chunks the write must copy.
+    size_t chunks_after;
+    std::function<void(QueryStore*)> write;
+    std::function<bool(const QueryStore&)> shows;
+  };
+  const std::vector<ChunkCase> cases = {
+      {"first record of a chunk", {1}, 3,
+       [](QueryStore* s) { ASSERT_TRUE(s->SetQuality(kChunk, 0.125).ok()); },
+       [](const QueryStore& s) { return s.Get(kChunk)->quality == 0.125; }},
+      {"last record of a chunk", {1}, 3,
+       [](QueryStore* s) {
+         ASSERT_TRUE(s->SetSession(2 * kChunk - 1, 77).ok());
+       },
+       [](const QueryStore& s) {
+         return s.Get(2 * kChunk - 1)->session_id == 77;
+       }},
+      {"last record of the first chunk, annotated", {0}, 3,
+       [](QueryStore* s) {
+         Annotation a;
+         a.author = "bob";
+         a.text = "edge";
+         ASSERT_TRUE(s->Annotate(kChunk - 1, a).ok());
+       },
+       [](const QueryStore& s) {
+         return s.Get(kChunk - 1)->annotations.size() == 1;
+       }},
+      {"append into the shared tail chunk", {2}, 3,
+       [](QueryStore* s) {
+         s->Append(BuildRecordFromText("SELECT y FROM rivers", "bob", 99));
+       },
+       [](const QueryStore& s) {
+         return s.size() == 2 * kChunk + 11 &&
+                s.Get(2 * kChunk + 10)->text == "SELECT y FROM rivers";
+       }},
+      {"appends until a new chunk opens", {2}, 4,
+       [](QueryStore* s) {
+         for (size_t i = s->size(); i <= 3 * kChunk; ++i) {
+           s->Append(BuildRecordFromText("SELECT DISTINCT b FROM plants",
+                                         "carol", static_cast<Micros>(i)));
+         }
+       },
+       [](const QueryStore& s) {
+         return s.size() == 3 * kChunk + 1 &&
+                s.Get(3 * kChunk)->user == "carol" &&
+                s.Get(3 * kChunk - 1)->user == "carol";
+       }},
+  };
+  for (const ChunkCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    QueryStore store;
+    BuildChunkedStore(&store);
+    store.EnableViews();
+    std::shared_ptr<const ReadViewState> pinned = store.SharedView();
+    const std::vector<const void*> parts = PartsOf(*pinned);
+    const std::vector<const void*> chunks = ChunksOf(pinned->records());
+    ASSERT_EQ(chunks.size(), 3u);
+    ASSERT_EQ(ChunksOf(store.records()), chunks);
+    const std::string answers = AnswersOf(*pinned);
+    std::string image;
+    ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &image).ok());
+    ASSERT_FALSE(c.shows(store));
+
+    c.write(&store);
+    EXPECT_TRUE(c.shows(store));
+
+    EXPECT_EQ(PartsOf(*pinned), parts);
+    EXPECT_EQ(ChunksOf(pinned->records()), chunks);
+    EXPECT_EQ(AnswersOf(*pinned), answers);
+    std::string again;
+    ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &again).ok());
+    EXPECT_TRUE(again == image) << "the pinned view encodes differently";
+
+    EXPECT_NE(&store.records(), &pinned->records());
+    const std::vector<const void*> now = ChunksOf(store.records());
+    ASSERT_EQ(now.size(), c.chunks_after);
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const bool touched = std::find(c.touched.begin(), c.touched.end(), i) !=
+                           c.touched.end();
+      EXPECT_EQ(now[i] != chunks[i], touched) << "chunk " << i;
+    }
+  }
+}
+
+// A copy of a record, whether a chunk's copy-on-write or a plain one,
+// shares the output summary's lists and the annotations with the
+// original instead of copying them.
+TEST(ViewSharingTest, CopiedRecordsShareTheirListsAndAnnotations) {
+  QueryStore store;
+  BuildSharingStore(&store);
+  QueryRecord* r = store.GetMutable(9);
+  r->summary.column_names = {"v"};
+  r->summary.total_rows = 2;
+  r->summary.sample_rows = {{db::Value::Int(42)}, {db::Value::Int(43)}};
+  ASSERT_TRUE(store.SyncOutputSignature(9).ok());
+  Annotation a;
+  a.author = "alice";
+  a.text = "calibrated";
+  ASSERT_TRUE(store.Annotate(9, a).ok());
+  store.EnableViews();
+  std::shared_ptr<const ReadViewState> pinned = store.SharedView();
+  const QueryRecord& before = *pinned->Get(9);
+
+  ASSERT_TRUE(store.SetSession(9, 5).ok());
+  const QueryRecord& after = *store.Get(9);
+  ASSERT_NE(&after, &before);
+  EXPECT_EQ(after.session_id, 5);
+  EXPECT_NE(before.session_id, 5);
+  EXPECT_EQ(&after.summary.column_names[0], &before.summary.column_names[0]);
+  EXPECT_EQ(&after.summary.sample_rows[0], &before.summary.sample_rows[0]);
+  EXPECT_EQ(&after.annotations[0], &before.annotations[0]);
+
+  const QueryRecord copy = after;
+  EXPECT_EQ(&copy.summary.column_names[0], &after.summary.column_names[0]);
+  EXPECT_EQ(&copy.summary.sample_rows[1], &after.summary.sample_rows[1]);
+  EXPECT_EQ(&copy.annotations.back(), &after.annotations.back());
+}
+
+// A maintenance stats refresh replaces a record's output summary in
+// place (GetMutable); a view pinned before it keeps the record, its
+// summary and its signature as they were.
+TEST(ViewSharingTest, StatsRefreshLeavesAPinnedViewsRecordAsItWas) {
+  testing_util::Harness h(50);
+  const QueryId id =
+      h.Log("u", "SELECT lake, temp FROM WaterTemp WHERE temp > 10");
+  h.store.EnableViews();
+  maintain::MaintenanceOptions opts;
+  opts.drift_threshold = 0.2;
+  opts.reexecute_budget = 10;
+  maintain::QueryMaintenance maintenance(&h.database, &h.store, &h.clock,
+                                         opts);
+  maintenance.RefreshStatistics();  // baseline
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(h.database
+                    .Insert("WaterTemp", {db::Value::String("Union"),
+                                          db::Value::Int(1), db::Value::Int(1),
+                                          db::Value::Double(95.0)})
+                    .ok());
+  }
+  std::shared_ptr<const ReadViewState> pinned = h.store.SharedView();
+  const QueryRecord* old = pinned->Get(id);
+  const uint64_t old_total = old->summary.total_rows;
+  const size_t old_samples = old->summary.sample_rows.size();
+  ASSERT_GT(old_samples, 0u);
+  const db::Row* old_first = &old->summary.sample_rows[0];
+  const std::string old_sample = db::RowToString(*old_first);
+  const std::vector<uint64_t> old_rows =
+      old->statement().signature.output_rows;
+
+  ASSERT_GE(maintenance.RefreshStatistics().stats_refreshed, 1u);
+  const QueryRecord* now = h.store.Get(id);
+  EXPECT_EQ(now->summary.total_rows, old_total + 500);
+  EXPECT_NE(now->statement().signature.output_rows, old_rows);
+
+  EXPECT_EQ(pinned->Get(id), old);
+  EXPECT_EQ(old->summary.total_rows, old_total);
+  ASSERT_EQ(old->summary.sample_rows.size(), old_samples);
+  EXPECT_EQ(&old->summary.sample_rows[0], old_first);
+  EXPECT_EQ(db::RowToString(old->summary.sample_rows[0]), old_sample);
+  EXPECT_EQ(old->statement().signature.output_rows, old_rows);
 }
 
 // A write that changes nothing copies nothing: the no-op guard runs

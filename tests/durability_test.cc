@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "allocation_probe.h"
 #include "common/binary_codec.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -35,6 +36,7 @@ namespace {
 
 using testing_util::CountsOf;
 using testing_util::Harness;
+using testing_util::LargestAllocationDuring;
 using testing_util::PathCounts;
 
 std::string TempPath(const std::string& name) {
@@ -183,10 +185,11 @@ void BuildCompatLog(QueryStore* store) {
       r.stats.plan = "Scan rows=" + std::to_string(r.stats.rows_scanned);
       r.summary.column_names = {"v"};
       r.summary.total_rows = r.stats.result_rows;
+      std::vector<db::Row> rows;
       for (uint64_t k = 0; k < r.stats.result_rows; ++k) {
-        r.summary.sample_rows.push_back(
-            {db::Value::Int(static_cast<int64_t>(10 * k) + epoch)});
+        rows.push_back({db::Value::Int(static_cast<int64_t>(10 * k) + epoch)});
       }
+      r.summary.sample_rows = std::move(rows);
     }
     store->Append(std::move(r));
   }
@@ -1103,6 +1106,52 @@ TEST(SnapshotV2Test, ForgedVisibilityIdIsCorruption) {
   }
 }
 
+/// A large element count followed by more undecodable bytes than it
+/// claims (so no list of that length decodes, and no string of that
+/// length ends its section), for splicing into encoded payloads.
+constexpr size_t kForgedCount = 16 << 10;
+std::string ForgedCountTail() {
+  BinaryWriter count;
+  count.PutVarint(kForgedCount);
+  return count.data() + std::string(kForgedCount + 1, '\xff');
+}
+
+// A count is trusted only as far as the bytes behind it: splicing a
+// large count followed by that many undecodable bytes anywhere into the
+// interner, ACL, statement or record section of a CRC-valid image must
+// not make the decoder allocate more than the bytes present. Reserving
+// the claimed count allocates 32-104 bytes per element (interner names,
+// group, table and column lists, attributes, predicates, annotations).
+TEST(SnapshotV2Test, ForgedCountsAllocateOnlyWhatTheBytesHold) {
+  QueryStore store;
+  BuildCompatLog(&store);
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(store, 0, &image).ok());
+  const std::string tail = ForgedCountTail();
+  size_t loads = 0;
+  for (uint8_t section : {1, 2, 5, 3}) {  // Interner, Acl, Statements, Records
+    const std::string payload = *SnapshotSections(image).Payload(section);
+    // The leading record count sizes the restore's per-record columns;
+    // it is held to a byte per record, as before.
+    for (size_t at = section == 3 ? 1 : 0; at <= payload.size(); ++at) {
+      SnapshotSections forged(image);
+      *forged.Payload(section) = payload.substr(0, at) + tail;
+      const std::string hostile = forged.Join();
+      Status status;
+      const size_t largest = LargestAllocationDuring([&] {
+        QueryStore s;
+        status = LoadSnapshotV2FromString(&s, hostile, "forged");
+      });
+      ++loads;
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << "section " << int{section} << " at byte " << at;
+      ASSERT_LE(largest, 2 * kForgedCount)
+          << "section " << int{section} << " at byte " << at;
+    }
+  }
+  EXPECT_GT(loads, 1000u);
+}
+
 // Seeded byte-mutation fuzz of the snapshot decoder, over a version-4
 // image and the version-3 fixture. Each mutant's section CRCs are
 // recomputed, so the payload decoders see the mutated bytes rather
@@ -1513,6 +1562,44 @@ TEST(WalTest, ForgedVisibilityIdIsCorruption) {
     }
     std::remove(path.c_str());
   }
+}
+
+// The WAL's op decoders trust a count as far as the bytes behind it,
+// like the snapshot's: a forged count spliced anywhere into any op must
+// not make the decode allocate more than the bytes present (AddUser
+// reserved 32 bytes per claimed group).
+TEST(WalTest, ForgedCountsAllocateOnlyWhatTheBytesHold) {
+  QueryRecord record = BuildRecordFromText(
+      "SELECT lake, temp FROM WaterTemp WHERE temp < 18", "alice", 1);
+  record.id = 1;
+  Annotation note;
+  note.author = "bob";
+  note.text = "calibrated";
+  note.fragment = "temp < 18";
+  const std::vector<std::string> ops = {
+      wal::EncodeAppend(record),
+      wal::EncodeRewrite(0, record.text, record.statement().signature),
+      wal::EncodeAnnotate(0, note),
+      wal::EncodeAddUser("alice", {"lakes", "oceans"}),
+      wal::EncodeSetVisibility(0, Visibility::kPrivate),
+  };
+  const std::string tail = ForgedCountTail();
+  size_t applies = 0;
+  for (const std::string& op : ops) {
+    for (size_t at = 0; at <= op.size(); ++at) {
+      const std::string hostile = op.substr(0, at) + tail;
+      QueryStore store;
+      store.Append(BuildRecordFromText("SELECT 1", "alice", 1));
+      const size_t largest = LargestAllocationDuring([&] {
+        BinaryReader r(hostile);
+        (void)ApplyWalRecord(&r, &store, "forged");
+      });
+      ++applies;
+      ASSERT_LE(largest, 2 * kForgedCount)
+          << "op " << int{static_cast<uint8_t>(op[0])} << " at byte " << at;
+    }
+  }
+  EXPECT_GT(applies, 100u);
 }
 
 // Recovery reads the newest snapshot once: it verifies and decodes

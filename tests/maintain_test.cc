@@ -226,7 +226,10 @@ TEST(MaintenanceTest, RefreshedPlanIsSharedOnlyByEqualRuns) {
   std::shared_ptr<const storage::ReadViewState> pinned = h.store.SharedView();
 
   ASSERT_EQ(maintenance.RefreshStatistics().stats_refreshed, 1u);
-  const storage::QueryRecord* refreshed = h.store.Get(ids[0]);
+  // A copy: a record pointer is good only until the next write, and the
+  // next cycle's write to the second run copies the chunk both share.
+  const storage::QueryRecord refreshed_copy = *h.store.Get(ids[0]);
+  const storage::QueryRecord* refreshed = &refreshed_copy;
   EXPECT_NE(refreshed->stats.plan, old_text);
   for (QueryId id : {ids[1], ids[2]}) {
     EXPECT_EQ(&h.store.Get(id)->stats.plan.str(), old_plan) << id;

@@ -464,7 +464,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
   // Stats refresh path: summary replaced through SyncOutputSignature.
   QueryRecord* r = h.store.GetMutable(ids[3]);
   r->summary.total_rows = 0;
-  r->summary.sample_rows.clear();
+  r->summary.sample_rows = {};
   r->summary.complete = true;
   ASSERT_TRUE(h.store.SyncOutputSignature(ids[3]).ok());
   check("after SyncOutputSignature");

@@ -40,11 +40,13 @@ TEST(SimilarityTest, ConstantChangeKeepsHighSimilarity) {
 TEST(SimilarityTest, OutputSimilarityComparesBlackBox) {
   storage::OutputSummary a, b, c;
   a.column_names = b.column_names = c.column_names = {"x"};
+  std::vector<db::Row> rows, others;
   for (int i = 0; i < 10; ++i) {
-    a.sample_rows.push_back({db::Value::Int(i)});
-    b.sample_rows.push_back({db::Value::Int(i)});
-    c.sample_rows.push_back({db::Value::Int(i + 100)});
+    rows.push_back({db::Value::Int(i)});
+    others.push_back({db::Value::Int(i + 100)});
   }
+  a.sample_rows = b.sample_rows = rows;
+  c.sample_rows = others;
   EXPECT_DOUBLE_EQ(OutputSimilarity(a, b), 1.0);
   EXPECT_DOUBLE_EQ(OutputSimilarity(a, c), 0.0);
   storage::OutputSummary empty;

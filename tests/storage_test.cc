@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "allocation_probe.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -286,7 +287,9 @@ QueryRecord RecordWithOutput(const std::string& sql, const std::string& user,
   QueryRecord r = BuildRecordFromText(sql, user, 1);
   r.summary.column_names = {"temp"};
   r.summary.total_rows = values.size();
-  for (int64_t v : values) r.summary.sample_rows.push_back({db::Value::Int(v)});
+  std::vector<db::Row> rows;
+  for (int64_t v : values) rows.push_back({db::Value::Int(v)});
+  r.summary.sample_rows = std::move(rows);
   return r;
 }
 
@@ -368,7 +371,8 @@ TEST(StatementSharingTest, MutatorsRepointOnlyTheRecordTheyTouch) {
   expect_untouched(ids[1], "rewrite");
 
   QueryRecord* r = store.GetMutable(ids[2]);
-  r->summary.sample_rows.pop_back();
+  r->summary.sample_rows = std::vector<db::Row>(
+      r->summary.sample_rows.begin(), r->summary.sample_rows.end() - 1);
   r->summary.total_rows = 1;
   ASSERT_TRUE(store.SyncOutputSignature(ids[2]).ok());
   EXPECT_EQ(store.Get(ids[2])->statement().signature.output_rows.size(), 1u);
@@ -402,6 +406,43 @@ TEST(RunStringSharingTest, RecordIsAtMost256Bytes) {
   EXPECT_LE(sizeof(QueryRecord), 256u);
 }
 #endif
+
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+// The record log holds records by value, so a record's size is the
+// log's cost per run: the summary's lists, the annotations and the
+// owner, error and plan are one pointer each, null when empty.
+TEST(RecordLogTest, RecordIsAtMost176Bytes) {
+  EXPECT_LE(sizeof(QueryRecord), 176u);
+}
+#endif
+
+// Appending allocates per chunk of kChunkRecords records (the chunk,
+// its storage and the directory's growth), never per record; records
+// read back in order, through indexing and through both iterators.
+TEST(RecordLogTest, AppendsAllocatePerChunkNotPerRecord) {
+  constexpr size_t kChunks = 4;
+  constexpr size_t kRecords = (kChunks - 1) * RecordLog::kChunkRecords + 5;
+  std::vector<QueryRecord> records(kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    records[i].id = static_cast<QueryId>(i);
+  }
+  RecordLog log;
+  const size_t allocations = testing_util::AllocationsDuring([&] {
+    for (QueryRecord& r : records) log.push_back(std::move(r));
+  });
+  EXPECT_LE(allocations, 3 * kChunks);
+  ASSERT_EQ(log.size(), kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(log[i].id, static_cast<QueryId>(i));
+  }
+  QueryId expected = 0;
+  for (const QueryRecord& r : log) EXPECT_EQ(r.id, expected++);
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    EXPECT_EQ(it->id, --expected);
+  }
+  EXPECT_EQ(log.end() - log.begin(), static_cast<std::ptrdiff_t>(kRecords));
+  EXPECT_EQ(log.back().id, static_cast<QueryId>(kRecords - 1));
+}
 
 TEST(RunStringSharingTest, ProfiledRunsHoldOneCopyOfEachString) {
   Harness h;
@@ -925,7 +966,7 @@ TEST(LiveStatementTest, RunWithOtherOutputMovesToAStatementOfItsOwn) {
   ASSERT_EQ(&rerun.statement(), &store.Get(a)->statement());
   rerun.summary.column_names = {"temp"};
   rerun.summary.total_rows = 1;
-  rerun.summary.sample_rows.push_back({db::Value::Int(9)});
+  rerun.summary.sample_rows = {{db::Value::Int(9)}};
   const QueryId b = store.Append(std::move(rerun));
 
   // The shared statement kept its output part; the run's own part went

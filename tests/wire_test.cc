@@ -23,53 +23,19 @@
 
 #include <gtest/gtest.h>
 
+#include "allocation_probe.h"
 #include "common/frame_codec.h"
 #include "common/rng.h"
 #include "netclient/client.h"
 #include "wire_corpus.h"
 
-// --- allocation probe ------------------------------------------------------
-//
-// The test binary's operator new records the largest single request
-// while a probe is armed, so a test can show that no decoder sizes an
-// allocation from a count it has not seen bytes for.
-
-namespace {
-std::atomic<bool> g_probe_armed{false};
-std::atomic<size_t> g_largest_allocation{0};
-}  // namespace
-
-// The replacements pair malloc with free; GCC cannot see that through
-// the operator new / delete names.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(size_t size) {
-  if (g_probe_armed.load(std::memory_order_relaxed) &&
-      size > g_largest_allocation.load(std::memory_order_relaxed)) {
-    g_largest_allocation.store(size, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-
 namespace cqms::net {
 namespace {
 
+using testing_util::LargestAllocationDuring;
 using wiretest::DecodeMessage;
 using wiretest::EncodeMessage;
 using wiretest::EncodeToString;
-
-/// Largest allocation made while running `fn`.
-template <typename Fn>
-size_t LargestAllocationDuring(Fn&& fn) {
-  g_largest_allocation.store(0, std::memory_order_relaxed);
-  g_probe_armed.store(true, std::memory_order_relaxed);
-  fn();
-  g_probe_armed.store(false, std::memory_order_relaxed);
-  return g_largest_allocation.load(std::memory_order_relaxed);
-}
 
 std::string FromHex(const std::string& hex) {
   std::string out;
