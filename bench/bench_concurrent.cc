@@ -18,6 +18,11 @@
 // write then costs: the copy of each part it touches, and its publish.
 // BM_ViewVisibilityHeap is the memory a view's visibility memo takes
 // while it serves.
+//
+// Every row runs on the one log fixture of its size FixtureOf holds,
+// and the rows are registered size by size, smallest log first
+// (RegisterRows), so no row runs beside the heap of a larger log and
+// each size is generated once.
 
 #include <benchmark/benchmark.h>
 
@@ -39,19 +44,32 @@ namespace {
 
 const char* kViewer = "user0";
 
-/// The shared store the concurrent benchmark runs against, plus its
-/// background writer. Built once (leaked, like the bench fixtures) and
-/// reset around every benchmark run by Setup/Teardown.
+/// The log fixture of at least `queries` queries. One is alive at a
+/// time: asking for another size frees the one held first, so a row
+/// never runs beside the heap a larger log holds or left behind.
+bench::LogFixture& FixtureOf(size_t queries) {
+  static std::unique_ptr<bench::LogFixture> held;
+  static size_t held_queries = 0;
+  if (held == nullptr || held_queries != queries) {
+    held.reset();
+    held = std::make_unique<bench::LogFixture>(queries);
+    held_queries = queries;
+  }
+  return *held;
+}
+
+/// The background writer of the concurrent benchmark and its probe,
+/// started on the 5k fixture and stopped around every benchmark run by
+/// Setup/Teardown.
 struct ConcurrentFixture {
-  explicit ConcurrentFixture(size_t log_size)
-      : base(new bench::LogFixture(log_size)) {
+  void StartWriter(bench::LogFixture* fixture) {
+    base = fixture;
     base->store.EnableViews();  // publishes per mutation: worst-case churn
+    // A transient probe reads the interner's ids for the strings the
+    // log has interned, so it is built after the log.
     probe = storage::BuildRecordFromText(
         "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18", kViewer, 0,
         storage::SignatureMode::kTransient);
-  }
-
-  void StartWriter() {
     stop.store(false, std::memory_order_release);
     writer = std::thread([this]() {
       storage::QueryStore& store = base->store;
@@ -76,7 +94,7 @@ struct ConcurrentFixture {
     if (writer.joinable()) writer.join();
   }
 
-  bench::LogFixture* base;
+  bench::LogFixture* base = nullptr;
   storage::QueryRecord probe;
   std::thread writer;
   std::atomic<bool> stop{false};
@@ -84,12 +102,12 @@ struct ConcurrentFixture {
 };
 
 ConcurrentFixture& GetConcurrentFixture() {
-  static ConcurrentFixture* fixture = new ConcurrentFixture(5000);
+  static ConcurrentFixture* fixture = new ConcurrentFixture();
   return *fixture;
 }
 
 void SetupConcurrentQps(const benchmark::State&) {
-  GetConcurrentFixture().StartWriter();
+  GetConcurrentFixture().StartWriter(&FixtureOf(5000));
 }
 
 void TeardownConcurrentQps(const benchmark::State&) {
@@ -117,24 +135,17 @@ void BM_ConcurrentQps(benchmark::State& state) {
     state.counters["writer_mutations"] = static_cast<double>(f.writes);
   }
 }
-BENCHMARK(BM_ConcurrentQps)
-    ->Threads(1)
-    ->Threads(8)
-    ->Setup(SetupConcurrentQps)
-    ->Teardown(TeardownConcurrentQps)
-    ->UseRealTime();
 
 /// Reader entry cost in isolation: one pin + published-pointer load +
 /// unpin, no query executed.
 void BM_PinView(benchmark::State& state) {
-  bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
+  bench::LogFixture& f = FixtureOf(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();
   for (auto _ : state) {
     storage::PinnedView view = f.store.PinView();
     benchmark::DoNotOptimize(view.get());
   }
 }
-BENCHMARK(BM_PinView)->Arg(5000)->ArgNames({"queries"});
 
 /// Writer-side publication cost with nothing to copy: a view shares the
 /// record log, posting lists, scoring columns, LSH index and ACL with
@@ -143,7 +154,7 @@ BENCHMARK(BM_PinView)->Arg(5000)->ArgNames({"queries"});
 /// size. view_heap_bytes_per_query is the heap growth of holding one
 /// more published view, per logged query: that object alone.
 void BM_PublishView(benchmark::State& state) {
-  bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
+  bench::LogFixture& f = FixtureOf(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();
   for (auto _ : state) {
     f.store.PublishView();
@@ -157,8 +168,6 @@ void BM_PublishView(benchmark::State& state) {
   state.counters["view_heap_bytes_per_query"] =
       static_cast<double>(view_bytes) / static_cast<double>(f.store.size());
 }
-BENCHMARK(BM_PublishView)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
 
 /// The heap a view's visibility memo takes while it serves: on one
 /// freshly published, pinned view of the 20k fixture, each of two
@@ -168,7 +177,7 @@ BENCHMARK(BM_PublishView)
 /// leave behind (the caches live as long as the view) per record per
 /// viewer.
 void BM_ViewVisibilityHeap(benchmark::State& state) {
-  bench::LogFixture& f = bench::GetFixture(20000);
+  bench::LogFixture& f = FixtureOf(20000);
   if (!f.store.views_enabled()) f.store.EnableViews();
   std::vector<std::string> viewers;
   for (const auto& [user, groups] : f.store.acl().memberships()) {
@@ -207,7 +216,6 @@ void BM_ViewVisibilityHeap(benchmark::State& state) {
       static_cast<double>(held) /
       static_cast<double>(records * viewers.size());
 }
-BENCHMARK(BM_ViewVisibilityHeap)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 /// The writes BM_WritePublish times.
 enum class Write { kQuality, kVisibility, kAppend };
@@ -260,7 +268,7 @@ void ApplyWrite(bench::LogFixture* f, Write kind, uint64_t i) {
 /// posting lists, the scoring columns and the ACL); of the record log
 /// it copies the directory and one chunk.
 void BM_WritePublish(benchmark::State& state, Write kind) {
-  bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
+  bench::LogFixture& f = FixtureOf(static_cast<size_t>(state.range(0)));
   if (!f.store.views_enabled()) f.store.EnableViews();
   uint64_t i = 0;
   for (auto _ : state) ApplyWrite(&f, kind, i++);
@@ -272,15 +280,45 @@ void BM_WritePublish(benchmark::State& state, Write kind) {
   state.counters["log_size"] = static_cast<double>(f.store.size());
   state.counters["write_heap_bytes"] = static_cast<double>(write_bytes);
 }
-BENCHMARK_CAPTURE(BM_WritePublish, quality, Write::kQuality)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
-BENCHMARK_CAPTURE(BM_WritePublish, visibility, Write::kVisibility)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"});
-// Appends grow the shared fixture, so they run a fixed 100 times: the
-// log stays within 100 records of its size.
-BENCHMARK_CAPTURE(BM_WritePublish, append, Write::kAppend)
-    ->Arg(1000)->Arg(5000)->Arg(20000)->Arg(50000)->ArgNames({"queries"})
-    ->Iterations(100);
+
+/// Registers every row, size by size, smallest log first: at each size
+/// the view rows, then the writes. BM_ConcurrentQps and BM_PinView run
+/// at 5k records only, BM_ViewVisibilityHeap at 20k only. The rows keep
+/// their families' names (BM_WritePublish/append/queries:1000, ...).
+bool RegisterRows() {
+  for (int64_t queries : {1000, 5000, 20000, 50000}) {
+    if (queries == 5000) {
+      benchmark::RegisterBenchmark("BM_ConcurrentQps", BM_ConcurrentQps)
+          ->Threads(1)
+          ->Threads(8)
+          ->Setup(SetupConcurrentQps)
+          ->Teardown(TeardownConcurrentQps)
+          ->UseRealTime();
+      benchmark::RegisterBenchmark("BM_PinView", BM_PinView)
+          ->Arg(queries)->ArgNames({"queries"});
+    }
+    benchmark::RegisterBenchmark("BM_PublishView", BM_PublishView)
+        ->Arg(queries)->ArgNames({"queries"});
+    if (queries == 20000) {
+      benchmark::RegisterBenchmark("BM_ViewVisibilityHeap",
+                                   BM_ViewVisibilityHeap)
+          ->Iterations(1)->Unit(benchmark::kMillisecond);
+    }
+    benchmark::RegisterBenchmark("BM_WritePublish/quality", BM_WritePublish,
+                                 Write::kQuality)
+        ->Arg(queries)->ArgNames({"queries"});
+    benchmark::RegisterBenchmark("BM_WritePublish/visibility",
+                                 BM_WritePublish, Write::kVisibility)
+        ->Arg(queries)->ArgNames({"queries"});
+    // Appends grow the fixture, so they run a fixed 100 times: the log
+    // stays within 101 records of its size.
+    benchmark::RegisterBenchmark("BM_WritePublish/append", BM_WritePublish,
+                                 Write::kAppend)
+        ->Arg(queries)->ArgNames({"queries"})->Iterations(100);
+  }
+  return true;
+}
+[[maybe_unused]] const bool kRowsRegistered = RegisterRows();
 
 }  // namespace
 }  // namespace cqms

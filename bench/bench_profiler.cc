@@ -97,8 +97,10 @@ BENCHMARK(BM_StoreAppend);
 // the profiler, which executes, profiles and appends every statement.
 // Most runs re-run a logged text. `derivations_per_record` is the share
 // of runs that derived their statement from scratch (the distinct-text
-// share when each text is derived once), and `parses_per_record` the SQL
-// parses per logged run.
+// share when each text is derived once), `parses_per_record` the SQL
+// parses per logged run, and `held_heap_bytes_per_record` the heap the
+// generated log holds (bench::HeapInUse() after GenerateLog minus
+// before it, taken before the teardown) per logged run.
 void BM_GenerateLog(benchmark::State& state) {
   workload::WorkloadOptions options;
   options.num_users = 40;
@@ -111,6 +113,7 @@ void BM_GenerateLog(benchmark::State& state) {
   size_t statements = 0;
   uint64_t derived = 0;
   uint64_t parses = 0;
+  int64_t held = 0;
   for (auto _ : state) {
     state.PauseTiming();
     SimulatedClock clock(1'600'000'000'000'000);
@@ -122,11 +125,13 @@ void BM_GenerateLog(benchmark::State& state) {
     workload::RegisterUsers(store.get(), options);
     const uint64_t derived_before = derivations->value();
     const uint64_t parses_before = sql::ParseCallCount();
+    const int64_t heap_before = bench::HeapInUse();
     state.ResumeTiming();
     workload::GroundTruth truth =
         workload::GenerateLog(&profiler, store.get(), &clock, options);
     benchmark::DoNotOptimize(truth);
     state.PauseTiming();
+    held = bench::HeapInUse() - heap_before;
     derived = derivations->value() - derived_before;
     parses = sql::ParseCallCount() - parses_before;
     records = store->size();
@@ -140,6 +145,8 @@ void BM_GenerateLog(benchmark::State& state) {
       static_cast<double>(derived) / static_cast<double>(records);
   state.counters["parses_per_record"] =
       static_cast<double>(parses) / static_cast<double>(records);
+  state.counters["held_heap_bytes_per_record"] =
+      static_cast<double>(held) / static_cast<double>(records);
 }
 BENCHMARK(BM_GenerateLog)
     ->ArgName("sessions")

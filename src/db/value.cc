@@ -16,6 +16,11 @@ const char* ValueTypeToString(ValueType t) {
   return "NULL";
 }
 
+const std::string& Value::EmptyString() {
+  static const std::string empty;
+  return empty;
+}
+
 Value Value::FromLiteral(const sql::Literal& lit) {
   switch (lit.kind) {
     case sql::Literal::Kind::kNull:
@@ -54,10 +59,12 @@ int Value::Compare(const Value& other) const {
     return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
   }
   switch (type_) {
-    case ValueType::kString:
-      return string_.compare(other.string_) < 0   ? -1
-             : string_.compare(other.string_) > 0 ? 1
-                                                  : 0;
+    case ValueType::kString: {
+      // Copies of one value (and two empty strings) hold one handle.
+      if (string_.get() == other.string_.get()) return 0;
+      const int c = AsString().compare(other.AsString());
+      return c < 0 ? -1 : c > 0 ? 1 : 0;
+    }
     case ValueType::kBool:
       return bool_ == other.bool_ ? 0 : (bool_ ? 1 : -1);
     default:
@@ -88,7 +95,7 @@ uint64_t Value::Hash() const {
       return HashMix(bits);
     }
     case ValueType::kString:
-      return Fnv1a64(string_);
+      return Fnv1a64(AsString());
     case ValueType::kBool:
       return bool_ ? 0xb001ULL : 0xb000ULL;
   }
@@ -100,14 +107,14 @@ std::string Value::ToString() const {
     case ValueType::kNull: return "NULL";
     case ValueType::kInt: return std::to_string(int_);
     case ValueType::kDouble: return FormatDouble(double_);
-    case ValueType::kString: return string_;
+    case ValueType::kString: return AsString();
     case ValueType::kBool: return bool_ ? "TRUE" : "FALSE";
   }
   return "NULL";
 }
 
 std::string Value::ToSqlLiteral() const {
-  if (type_ == ValueType::kString) return "'" + SqlEscape(string_) + "'";
+  if (type_ == ValueType::kString) return "'" + SqlEscape(AsString()) + "'";
   return ToString();
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared_value.h"
 #include "sql/ast.h"
 
 namespace cqms::db {
@@ -16,12 +17,15 @@ enum class ValueType { kNull, kInt, kDouble, kString, kBool };
 const char* ValueTypeToString(ValueType t);
 
 /// A dynamically typed SQL value with three-valued-logic-aware
-/// comparisons. Not small: a Value is 64 bytes with an inline
-/// std::string, and copying a string longer than the small-string buffer
-/// allocates, so hot paths read values in place (see Database).
+/// comparisons: a type tag, one 8-byte int, double or bool, and a
+/// string held as one immutable, counted copy (SharedValue) that every
+/// copy of the value reads, so copying a value copies 24 bytes and
+/// never a string. The string handle is null for the empty string and
+/// for every other type. Each accessor reads its own type and returns
+/// the zero of its result for any other.
 class Value {
  public:
-  Value() : type_(ValueType::kNull) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
   static Value Int(int64_t v) {
@@ -39,7 +43,7 @@ class Value {
   static Value String(std::string v) {
     Value out;
     out.type_ = ValueType::kString;
-    out.string_ = std::move(v);
+    if (!v.empty()) out.string_ = SharedValue<std::string>(std::move(v));
     return out;
   }
   static Value Bool(bool v) {
@@ -58,13 +62,21 @@ class Value {
     return type_ == ValueType::kInt || type_ == ValueType::kDouble;
   }
 
-  int64_t AsInt() const { return int_; }
-  bool AsBool() const { return bool_; }
-  const std::string& AsString() const { return string_; }
+  /// 0 unless an int.
+  int64_t AsInt() const { return type_ == ValueType::kInt ? int_ : 0; }
+  /// False unless a bool.
+  bool AsBool() const { return type_ == ValueType::kBool && bool_; }
+  /// "" unless a string. Copies of a value read one copy of the string.
+  const std::string& AsString() const {
+    const std::string* s = string_.get();
+    return s != nullptr ? *s : EmptyString();
+  }
 
-  /// Numeric view: ints widen to double. Only valid for numeric values.
+  /// Numeric view: ints widen to double; 0.0 unless numeric.
   double AsDouble() const {
-    return type_ == ValueType::kInt ? static_cast<double>(int_) : double_;
+    return type_ == ValueType::kInt      ? static_cast<double>(int_)
+           : type_ == ValueType::kDouble ? double_
+                                         : 0.0;
   }
 
   /// Three-way comparison for ORDER BY and comparison operators.
@@ -90,11 +102,15 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
  private:
-  ValueType type_;
-  int64_t int_ = 0;
-  double double_ = 0;
-  bool bool_ = false;
-  std::string string_;
+  static const std::string& EmptyString();
+
+  ValueType type_ = ValueType::kNull;
+  union {
+    int64_t int_ = 0;
+    double double_;
+    bool bool_;
+  };
+  SharedValue<std::string> string_;
 };
 
 /// A tuple of values.

@@ -51,8 +51,11 @@ struct RuntimeStats {
 /// profiler sizes the sample adaptively: long-running queries may store
 /// their entire (small) output; fast huge outputs store little. The two
 /// lists are immutable and shared by the copies of a record; a writer
-/// replaces a whole list. Neither is persisted, so a restored record
-/// holds none.
+/// replaces a whole list. Runs of a statement with equal output share
+/// them too: a QueryStore points a run's lists at its statement's
+/// latest other run's when they are exactly equal (QueryStore::
+/// ShareSummary), and the counts and budget stay each run's own.
+/// Neither list is persisted, so a restored record holds none.
 struct OutputSummary {
   uint64_t total_rows = 0;
   SharedList<std::string> column_names;

@@ -1,6 +1,8 @@
 #include "storage/query_store.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -37,6 +39,46 @@ const StatementPathSeries& SeriesFor(StatementPath path) {
       MakeSeries("profile"), MakeSeries("log_only"), MakeSeries("wal"),
       MakeSeries("rewrite")};
   return series[static_cast<int>(path)];
+}
+
+// Exact equality of two output cells: the same type and the same int,
+// string or bool, or bit-equal doubles. Stricter than Value's ==, which
+// equates 1 with 1.0 (and -0.0 with 0.0).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.AsInt() == b.AsInt();
+    case ValueType::kDouble: {
+      const double x = a.AsDouble(), y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kString:
+      return a.AsString() == b.AsString();
+    case ValueType::kBool:
+      return a.AsBool() == b.AsBool();
+  }
+  return false;
+}
+
+bool SameRow(const db::Row& a, const db::Row& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), SameCell);
+}
+
+// Points `*mine` at `theirs` when the two lists hold equal items (and
+// are not one copy already).
+template <typename T, typename Equal>
+void ShareEqualList(SharedList<T>* mine, const SharedList<T>& theirs,
+                    Equal equal) {
+  if (mine->empty() || mine->begin() == theirs.begin() ||
+      mine->size() != theirs.size() ||
+      !std::equal(mine->begin(), mine->end(), theirs.begin(), equal)) {
+    return;
+  }
+  *mine = theirs;
 }
 
 }  // namespace
@@ -200,6 +242,7 @@ QueryId QueryStore::FinishAppend(QueryRecord record, bool run_strings_shared) {
   max_timestamp_ = std::max(max_timestamp_, record.timestamp);
   const StatementId statement = ShareStatement(&record);
   if (!run_strings_shared) ShareRunStrings(&record);
+  ShareSummary(&record, statement);
   RecordLog& records = OwnRecords();
   // One copy of each owner name: the owner's first record holds it.
   std::vector<QueryId>& owned = OwnPostings().by_user[record.user];
@@ -266,6 +309,22 @@ void QueryStore::ShareRunStrings(QueryRecord* record) {
   run_strings_.Share(&record->stats.plan);
 }
 
+void QueryStore::ShareSummary(QueryRecord* record, StatementId statement) {
+  OutputSummary& summary = record->summary;
+  if (summary.column_names.empty() && summary.sample_rows.empty()) return;
+  // The latest run of the statement other than `record` (at most the
+  // last two entries; ids are ascending and `record` is one of them).
+  const std::vector<QueryId>& runs = postings_->records_of[statement];
+  auto other = runs.rbegin();
+  if (other != runs.rend() && *other == record->id) ++other;
+  if (other == runs.rend()) return;
+  const OutputSummary& theirs =
+      (*records_)[static_cast<size_t>(*other)].summary;
+  ShareEqualList(&summary.column_names, theirs.column_names,
+                 std::equal_to<std::string>());
+  ShareEqualList(&summary.sample_rows, theirs.sample_rows, SameRow);
+}
+
 void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
   auto entry = EntryOf(before);
   if (entry != statements_.end()) {
@@ -286,6 +345,7 @@ void QueryStore::Reshare(QueryRecord* record, const Statement& before) {
   }
   const StatementId statement = ShareStatement(record);
   ShareRunStrings(record);
+  ShareSummary(record, statement);
   OwnScoring().SetRecordStatement(record->id, statement);
   UpdateSharingGauges();
 }
@@ -562,6 +622,7 @@ Status QueryStore::ShareRunStrings(QueryId id) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
   ShareRunStrings(r);
+  ShareSummary(r, scoring_->statement_of(id));
   return Status::Ok();
 }
 

@@ -233,8 +233,10 @@ class QueryStore {
 
   /// Points the error and plan of `id` at the store's copies of equal
   /// strings, whatever statement holds them; otherwise its own become
-  /// the ones later runs share. Every path that stores or re-points a
-  /// record does this itself; callers that replace a record's stats in
+  /// the ones later runs share. Its summary's lists are shared with its
+  /// statement's latest other run like a stored run's (see
+  /// ShareSummary). Every path that stores or re-points a record does
+  /// this itself; callers that replace a record's stats or summary in
   /// place through GetMutable (maintenance stats refresh) call it after
   /// the edit. An in-place stats edit is refreshable state, so no
   /// listener fires (see StoreListener).
@@ -374,15 +376,23 @@ class QueryStore {
   /// Shared tail of Append / RestoreAppend (and so of WAL replay and
   /// follower apply): assigns the id, points the record at the shared
   /// equal Statement (ShareStatement), its run strings at the store's
-  /// copies (unless `run_strings_shared`) and its owner name at its
-  /// owner's copy, stores it and rebuilds every derived structure from
-  /// it.
+  /// copies (unless `run_strings_shared`), its summary's lists at its
+  /// statement's (ShareSummary) and its owner name at its owner's copy,
+  /// stores it and rebuilds every derived structure from it.
   QueryId FinishAppend(QueryRecord record, bool run_strings_shared);
   /// Points `record` at the live Statement equal to its own, or enters
   /// its own into the sharing table (with a fresh id, indexed) when
   /// there is none; adds the record to the statement's records and
   /// popularity count. Returns the statement's id.
   StatementId ShareStatement(QueryRecord* record);
+  /// Points `record`'s summary column names and sample rows each at the
+  /// list of the latest other run of `statement` (the record's) when
+  /// that list is exactly equal: the same length, and cells of the same
+  /// type with equal ints, strings and bools and bit-equal doubles. So
+  /// the runs of a statement whose output does not change hold one copy
+  /// of it. The record's total_rows, complete and budget_rows stay its
+  /// own.
+  void ShareSummary(QueryRecord* record, StatementId statement);
   /// The sharing-table entry holding exactly `statement`, or end().
   SharingTable::iterator EntryOf(const Statement& statement);
   /// Re-shares live record `record` after an edit moved it off `before`,

@@ -1122,6 +1122,116 @@ TEST(ViewSharingTest, StatsRefreshLeavesAPinnedViewsRecordAsItWas) {
   EXPECT_EQ(old->statement().signature.output_rows, old_rows);
 }
 
+using testing_util::SummaryListsOf;
+
+// A re-run whose output equals the last run's shares that run's lists;
+// a view pinned before the re-run answers a data-example Search (which
+// reads the samples) and encodes as before, and the live store's answer
+// adds the re-run.
+TEST(ViewSharingTest, PinnedViewAnswersDataExamplesAcrossASharingAppend) {
+  testing_util::Harness h(30);
+  const std::string text =
+      "SELECT city, state FROM CityLocations WHERE state = 'WA'";
+  const QueryId first = h.Log("alice", text);
+  h.Log("alice", "SELECT lake, species FROM Species WHERE lake = 'Union'");
+  h.store.EnableViews();
+  std::shared_ptr<const ReadViewState> pinned = h.store.SharedView();
+  auto search = [](const ReadViewState& view) {
+    metaquery::MetaQueryRequest request;
+    request
+        .WithData({metaquery::DataExample{
+            {db::Value::String("Seattle"), db::Value::String("WA")}, true}})
+        .InLogOrder();
+    metaquery::MetaQueryPlanner planner{StoreView(view)};
+    VisibilityCache cache{StoreView(view), "alice"};
+    std::vector<QueryId> ids;
+    for (const metaquery::MetaQueryMatch& m :
+         planner.Execute(request, &cache).matches) {
+      ids.push_back(m.id);
+    }
+    return ids;
+  };
+  const std::vector<QueryId> answers = search(*pinned);
+  ASSERT_EQ(answers, std::vector<QueryId>{first});
+  std::string image;
+  ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &image).ok());
+
+  const QueryId rerun = h.Log("alice", text);
+  ASSERT_NE(SummaryListsOf(*h.store.Get(first)).second, nullptr);
+  EXPECT_EQ(SummaryListsOf(*h.store.Get(rerun)),
+            SummaryListsOf(*h.store.Get(first)));
+
+  EXPECT_EQ(search(*pinned), answers);
+  std::string again;
+  ASSERT_TRUE(EncodeSnapshotV2(*pinned, 0, &again).ok());
+  EXPECT_TRUE(again == image) << "the pinned view encodes differently";
+  EXPECT_EQ(search(*h.store.SharedView()),
+            (std::vector<QueryId>{first, rerun}));
+}
+
+// Reader threads copy the sample cells of pinned views (a string cell's
+// copy counts a handle on the string the lists hold) while the writer
+// appends runs that share their statement's lists, and refreshes runs,
+// which replaces their lists with fresh ones and drops those again for
+// the shared ones. Every output has at most eight rows, so it is stored
+// whole whatever the run's budget, and every run of a text shares its
+// first run's lists.
+TEST(ViewSharingTest, ReadersCopySampleCellsWhileTheWriterSharesAndDropsLists) {
+  testing_util::Harness h(30);
+  const char* texts[] = {
+      "SELECT city, state FROM CityLocations",
+      "SELECT lake, species, count_obs FROM Species WHERE lake = 'Union'",
+      "SELECT kind, lake FROM Sensors WHERE sensor_id < 6",
+  };
+  for (const char* text : texts) h.Log("alice", text);
+  h.store.EnableViews();
+  maintain::MaintenanceOptions options;
+  options.reexecute_budget = 4;
+  maintain::QueryMaintenance maintenance(&h.database, &h.store, &h.clock,
+                                         options);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> copied{0};
+  auto read = [&]() {
+    while (!stop.load(std::memory_order_acquire)) {
+      PinnedView view = h.store.PinView();
+      for (size_t id = 0; id < view->size(); ++id) {
+        const QueryRecord& r = *view->Get(static_cast<QueryId>(id));
+        for (const db::Row& row : r.summary.sample_rows) {
+          const db::Row copy = row;
+          for (const db::Value& v : copy) {
+            if (v.type() == db::ValueType::kString &&
+                v.AsString().empty()) {
+              ADD_FAILURE() << "an empty string cell in record " << id;
+            }
+          }
+          copied.fetch_add(copy.size(), std::memory_order_relaxed);
+        }
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) readers.emplace_back(read);
+  for (int i = 0; i < 300; ++i) {
+    const QueryId id = h.Log("bob", texts[i % 3]);
+    if (i % 10 == 9) {
+      for (QueryId stale = id - 9; stale <= id; stale += 3) {
+        ASSERT_TRUE(h.store.AddFlag(stale, kFlagStatsStale).ok());
+      }
+      EXPECT_EQ(maintenance.RefreshStatistics().stats_refreshed, 4u);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(copied.load(), 0u);
+  for (size_t id = 0; id < h.store.size(); ++id) {
+    const QueryRecord& r = *h.store.Get(static_cast<QueryId>(id));
+    ASSERT_LE(r.summary.total_rows, 8u) << r.text;
+    EXPECT_NE(SummaryListsOf(r).second, nullptr) << r.text;
+    EXPECT_EQ(SummaryListsOf(r), SummaryListsOf(*h.store.Get(id % 3)))
+        << id << ": " << r.text;
+  }
+}
+
 // A write that changes nothing copies nothing: the no-op guard runs
 // before the record (and the record log) would be copied.
 TEST(ViewSharingTest, NoOpWritesCopyNoPart) {

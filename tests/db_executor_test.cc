@@ -1,15 +1,104 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "db/database.h"
 #include "sql/parser.h"
 
 namespace cqms::db {
 namespace {
+
+// --- Value ------------------------------------------------------------------
+
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+// Rows, results and output samples hold values by value, and projection
+// copies every output value: a type tag, one 8-byte int, double or
+// bool, and one pointer to a shared string.
+TEST(ValueTest, IsAtMost24Bytes) { EXPECT_LE(sizeof(Value), 24u); }
+#endif
+
+// Each accessor reads its own type and returns the zero of its result
+// for every other type, whatever another type's payload holds (an int's
+// bits would read as a true bool or a denormal double).
+TEST(ValueTest, AccessorsReadTheirOwnTypeOnly) {
+  struct Case {
+    Value value;
+    int64_t as_int;
+    double as_double;
+    bool as_bool;
+    std::string as_string;
+  };
+  const Case cases[] = {
+      {Value::Null(), 0, 0.0, false, ""},
+      {Value(), 0, 0.0, false, ""},
+      {Value::Int(7), 7, 7.0, false, ""},
+      {Value::Int(-1), -1, -1.0, false, ""},
+      {Value::Int(1), 1, 1.0, false, ""},
+      {Value::Double(2.5), 0, 2.5, false, ""},
+      {Value::Double(-0.0), 0, -0.0, false, ""},
+      {Value::String("abc"), 0, 0.0, false, "abc"},
+      {Value::String("a string longer than the small-string buffer"), 0, 0.0,
+       false, "a string longer than the small-string buffer"},
+      {Value::String(""), 0, 0.0, false, ""},
+      {Value::Bool(true), 0, 0.0, true, ""},
+      {Value::Bool(false), 0, 0.0, false, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.value.ToSqlLiteral());
+    EXPECT_EQ(c.value.AsInt(), c.as_int);
+    EXPECT_EQ(c.value.AsDouble(), c.as_double);
+    EXPECT_EQ(std::signbit(c.value.AsDouble()), std::signbit(c.as_double));
+    EXPECT_EQ(c.value.AsBool(), c.as_bool);
+    EXPECT_EQ(c.value.AsString(), c.as_string);
+  }
+}
+
+// The empty string is a string, not a null: it equals another empty
+// string, sorts before every other string and after every number, and
+// hashes as the FNV-1a of no bytes.
+TEST(ValueTest, EmptyStringStaysAString) {
+  const Value empty = Value::String("");
+  EXPECT_EQ(empty.type(), ValueType::kString);
+  EXPECT_FALSE(empty.is_null());
+  EXPECT_EQ(empty.Compare(Value::String(std::string())), 0);
+  EXPECT_TRUE(empty == Value::String(""));
+  EXPECT_EQ(empty.Hash(), Value::String(std::string()).Hash());
+  EXPECT_EQ(empty.Hash(), Fnv1a64(""));
+  EXPECT_EQ(Value::String("abc").Hash(), Fnv1a64("abc"));
+  EXPECT_EQ(empty.Compare(Value::String("a")), -1);
+  EXPECT_EQ(Value::String("a").Compare(empty), 1);
+  EXPECT_EQ(empty.Compare(Value::Null()), 1);
+  EXPECT_EQ(empty.Compare(Value::Int(5)), 1);
+  EXPECT_EQ(empty.Compare(Value::Bool(false)), -1);
+  EXPECT_EQ(empty.ToString(), "");
+  EXPECT_EQ(empty.ToSqlLiteral(), "''");
+  EXPECT_EQ(HashRow({empty}), HashRow({Value::String("")}));
+}
+
+// Copies of a string value, and of the rows holding it, read one copy
+// of the string; a moved value takes it along.
+TEST(ValueTest, CopiesOfAStringReadOneCopy) {
+  for (const char* text : {"short", "a string longer than the buffer"}) {
+    const Value original = Value::String(text);
+    const Value copy = original;
+    EXPECT_EQ(&copy.AsString(), &original.AsString());
+    Value assigned = Value::Int(3);
+    assigned = original;
+    EXPECT_EQ(&assigned.AsString(), &original.AsString());
+    const Row row = {Value::Int(1), original};
+    const Row row_copy = row;
+    EXPECT_EQ(&row_copy[1].AsString(), &original.AsString());
+    Value moved = std::move(assigned);
+    EXPECT_EQ(&moved.AsString(), &original.AsString());
+    EXPECT_EQ(moved.AsString(), text);
+    EXPECT_EQ(copy.Compare(original), 0);
+  }
+}
 
 /// Builds the small limnology database the paper's examples revolve
 /// around (WaterTemp / WaterSalinity / CityLocations).

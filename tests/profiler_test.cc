@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "maintain/query_maintenance.h"
 #include "profiler/output_summarizer.h"
 #include "profiler/query_profiler.h"
 #include "sql/parser.h"
@@ -17,6 +21,7 @@ using storage::QueryRecord;
 using testing_util::CountsOf;
 using testing_util::Harness;
 using testing_util::PathCounts;
+using testing_util::SummaryListsOf;
 
 db::QueryResult MakeResult(size_t rows) {
   db::QueryResult r;
@@ -345,6 +350,212 @@ TEST(DeriveOnceTest, LogOnlyDerivesANewTextOnce) {
   EXPECT_EQ(h.store.Get(b)->user, "bob");
   EXPECT_TRUE(h.store.Get(b)->statement() ==
               FromScratch(*h.store.Get(b)).statement());
+}
+
+// --- Runs of a statement with equal output share one sample ---------------
+
+/// Equal type and value; doubles bit for bit.
+bool IdenticalCells(const db::Value& a, const db::Value& b) {
+  if (a.type() != b.type()) return false;
+  const double x = a.AsDouble(), y = b.AsDouble();
+  return a.AsInt() == b.AsInt() && std::memcmp(&x, &y, sizeof(x)) == 0 &&
+         a.AsBool() == b.AsBool() && a.AsString() == b.AsString();
+}
+
+/// `stored` equals `expected` field for field, and its lists cell for
+/// cell and type for type.
+::testing::AssertionResult SummariesIdentical(
+    const storage::OutputSummary& stored,
+    const storage::OutputSummary& expected) {
+  if (stored.total_rows != expected.total_rows ||
+      stored.complete != expected.complete ||
+      stored.budget_rows != expected.budget_rows) {
+    return ::testing::AssertionFailure()
+           << "total_rows " << stored.total_rows << " vs "
+           << expected.total_rows << ", complete " << stored.complete
+           << " vs " << expected.complete << ", budget_rows "
+           << stored.budget_rows << " vs " << expected.budget_rows;
+  }
+  if (!std::equal(stored.column_names.begin(), stored.column_names.end(),
+                  expected.column_names.begin(),
+                  expected.column_names.end())) {
+    return ::testing::AssertionFailure() << "column names differ";
+  }
+  if (stored.sample_rows.size() != expected.sample_rows.size()) {
+    return ::testing::AssertionFailure()
+           << stored.sample_rows.size() << " sample rows, expected "
+           << expected.sample_rows.size();
+  }
+  for (size_t i = 0; i < stored.sample_rows.size(); ++i) {
+    const db::Row& row = stored.sample_rows[i];
+    const db::Row& want = expected.sample_rows[i];
+    if (!std::equal(row.begin(), row.end(), want.begin(), want.end(),
+                    IdenticalCells)) {
+      return ::testing::AssertionFailure()
+             << "sample row " << i << " is (" << db::RowToString(row)
+             << "), expected (" << db::RowToString(want) << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SummarySharingTest, ReRunsWithEqualOutputHoldTheSameLists) {
+  Harness h;
+  const std::string text = "SELECT city, state, pop FROM CityLocations";
+  const storage::QueryId a = h.Log("alice", text);
+  const storage::QueryId b = h.Log("bob", text);
+  const storage::QueryId c = h.Log("alice", text);
+  const QueryRecord& first = *h.store.Get(a);
+  ASSERT_EQ(first.summary.sample_rows.size(), 8u);
+  ASSERT_EQ(first.summary.column_names.size(), 3u);
+  EXPECT_EQ(SummaryListsOf(*h.store.Get(b)), SummaryListsOf(first));
+  EXPECT_EQ(SummaryListsOf(*h.store.Get(c)), SummaryListsOf(first));
+}
+
+// Runs of one statement share a list only when it equals the latest
+// other run's exactly: cells print alike ("%.6g") and so share the
+// statement's output hashes, but an int and a double, or two doubles
+// with different bits, are kept apart. Each run keeps its own counts
+// and budget.
+TEST(SummarySharingTest, OnlyExactlyEqualListsOfTheLatestOtherRunAreShared) {
+  storage::QueryStore store;
+  auto run = [&](db::Value first, uint64_t total, bool complete,
+                 uint32_t budget) {
+    QueryRecord r = storage::BuildRecordFromText("SELECT a, b FROM t",
+                                                 "alice", 0);
+    r.summary.total_rows = total;
+    r.summary.column_names = {"a", "b"};
+    r.summary.sample_rows =
+        std::vector<db::Row>{{std::move(first), db::Value::String("x")}};
+    r.summary.complete = complete;
+    r.summary.budget_rows = budget;
+    return store.Append(std::move(r));
+  };
+  const storage::QueryId one = run(db::Value::Int(1), 1, true, 8);
+  const storage::QueryId same = run(db::Value::Int(1), 40, false, 9);
+  const storage::QueryId as_double = run(db::Value::Double(1.0), 1, true, 8);
+  const storage::QueryId nearby =
+      run(db::Value::Double(1.0000001), 1, true, 8);
+  const storage::QueryId again = run(db::Value::Double(1.0), 2, true, 8);
+  const storage::QueryId last = run(db::Value::Double(1.0), 3, true, 8);
+  auto at = [&](storage::QueryId id) -> const QueryRecord& {
+    return *store.Get(id);
+  };
+  auto names = [&](storage::QueryId id) {
+    return SummaryListsOf(at(id)).first;
+  };
+  auto rows = [&](storage::QueryId id) {
+    return SummaryListsOf(at(id)).second;
+  };
+  for (storage::QueryId id : {same, as_double, nearby, again, last}) {
+    EXPECT_EQ(&at(id).statement(), &at(one).statement()) << id;
+    EXPECT_EQ(names(id), names(one)) << id;
+  }
+  EXPECT_EQ(rows(same), rows(one));
+  EXPECT_EQ(at(same).summary.total_rows, 40u);
+  EXPECT_FALSE(at(same).summary.complete);
+  EXPECT_EQ(at(same).summary.budget_rows, 9u);
+  EXPECT_EQ(at(one).summary.total_rows, 1u);
+  EXPECT_NE(rows(as_double), rows(same));
+  EXPECT_NE(rows(nearby), rows(as_double));
+  EXPECT_NE(rows(again), rows(nearby));
+  EXPECT_NE(rows(again), rows(as_double));
+  EXPECT_EQ(rows(last), rows(again));
+  EXPECT_EQ(at(last).summary.total_rows, 3u);
+  EXPECT_EQ(at(again).summary.sample_rows[0][0].type(),
+            db::ValueType::kDouble);
+  EXPECT_EQ(at(one).summary.sample_rows[0][0].type(), db::ValueType::kInt);
+}
+
+TEST(SummarySharingTest, RunAfterAnInsertKeepsItsOwn) {
+  Harness h;
+  const std::string text =
+      "SELECT city, pop FROM CityLocations WHERE state = 'WA'";
+  const storage::QueryId before = h.Log("alice", text);
+  ASSERT_TRUE(h.database
+                  .Insert("CityLocations",
+                          {db::Value::String("Redmond"),
+                           db::Value::String("WA"), db::Value::Int(70000)})
+                  .ok());
+  const ProfiledExecution after = h.profiler->ExecuteAndProfile(text, "bob");
+  const storage::QueryId again = h.Log("carol", text);
+  const QueryRecord& first = *h.store.Get(before);
+  const QueryRecord& second = *h.store.Get(after.query_id);
+  EXPECT_EQ(second.summary.total_rows, first.summary.total_rows + 1);
+  EXPECT_NE(SummaryListsOf(second).second, SummaryListsOf(first).second);
+  EXPECT_TRUE(SummariesIdentical(
+      second.summary,
+      SummarizeOutput(after.result, after.stats.execution_micros)));
+  EXPECT_EQ(SummaryListsOf(*h.store.Get(again)), SummaryListsOf(second));
+}
+
+// A maintenance stats refresh replaces a run's summary with one from a
+// re-execution; when the output did not change, the new lists are the
+// statement's latest other run's.
+TEST(SummarySharingTest, StatsRefreshToAnUnchangedOutputShares) {
+  Harness h;
+  const std::string text =
+      "SELECT lake, temp FROM WaterTemp WHERE temp > 20 ORDER BY temp LIMIT 5";
+  const storage::QueryId a = h.Log("alice", text);
+  const storage::QueryId b = h.Log("bob", text);
+  maintain::MaintenanceOptions options;
+  options.reexecute_budget = 10;
+  maintain::QueryMaintenance maintenance(&h.database, &h.store, &h.clock,
+                                         options);
+  for (storage::QueryId id : {b, a}) {
+    SCOPED_TRACE(id);
+    const std::pair<const void*, const void*> lists =
+        SummaryListsOf(*h.store.Get(id));
+    ASSERT_TRUE(h.store.AddFlag(id, storage::kFlagStatsStale).ok());
+    ASSERT_EQ(maintenance.RefreshStatistics().stats_refreshed, 1u);
+    ASSERT_FALSE(h.store.Get(id)->HasFlag(storage::kFlagStatsStale));
+    EXPECT_EQ(SummaryListsOf(*h.store.Get(a)), lists);
+    EXPECT_EQ(SummaryListsOf(*h.store.Get(b)), lists);
+  }
+}
+
+// Over a seeded lab, every stored summary, shared or not, equals the
+// summary of its own run's result and execution time: sharing never
+// hands a run another run's sample, counts or budget. The lab's
+// statements run through a second profiler in the order its sessions
+// ran them, which returns each run's result.
+TEST(SummarySharingTest, SeededLabStoresEachRunsOwnSummary) {
+  workload::WorkloadOptions options;
+  options.num_users = 40;
+  options.num_groups = 5;
+  options.num_sessions = 150;
+  options.seed = 29;
+  Harness lab(30);
+  workload::RegisterUsers(&lab.store, options);
+  workload::GenerateLog(lab.profiler.get(), &lab.store, &lab.clock, options);
+
+  Harness h(30);
+  workload::RegisterUsers(&h.store, options);
+  std::vector<ProfiledExecution> runs;
+  for (const QueryRecord& r : lab.store.records()) {
+    runs.push_back(h.profiler->ExecuteAndProfile(r.text, r.user));
+    h.clock.Advance(kMicrosPerSecond);
+  }
+  ASSERT_EQ(h.store.size(), runs.size());
+  std::set<const void*> seen;
+  size_t summarized = 0;
+  size_t shared = 0;
+  for (const ProfiledExecution& run : runs) {
+    const QueryRecord& stored = *h.store.Get(run.query_id);
+    SCOPED_TRACE(stored.text);
+    const storage::OutputSummary expected =
+        run.stats.succeeded
+            ? SummarizeOutput(run.result, run.stats.execution_micros)
+            : storage::OutputSummary();
+    ASSERT_TRUE(SummariesIdentical(stored.summary, expected));
+    const void* rows = SummaryListsOf(stored).second;
+    if (rows == nullptr) continue;
+    ++summarized;
+    if (!seen.insert(rows).second) ++shared;
+  }
+  // Most runs re-run a logged text to an unchanged output.
+  EXPECT_GT(summarized, runs.size() / 2);
+  EXPECT_GT(shared, summarized / 2);
 }
 
 }  // namespace

@@ -134,6 +134,13 @@ SharedRepeats ExpectOneCopyPerRepeatedString(const Source& source) {
   return repeats;
 }
 
+/// The addresses of a record's summary column names and sample rows,
+/// null when empty: runs that share a list read one address.
+inline std::pair<const void*, const void*> SummaryListsOf(
+    const storage::QueryRecord& r) {
+  return {r.summary.column_names.begin(), r.summary.sample_rows.begin()};
+}
+
 }  // namespace cqms::testing_util
 
 #endif  // CQMS_TESTS_TEST_UTIL_H_
